@@ -20,10 +20,7 @@ from .simplicial import (
     SimplicialMap, SimplicialPair, induced_map_on_homology, pair_homology,
     product_pair, tensor_complex, ez_matrixes,
 )
-from .tannaka import (
-    CoalgebraTrunc, Subdiagram, coaction, dual_coalgebra, end_algebra,
-    transition_map,
-)
+from .tannaka import Subdiagram, coaction, end_algebra, transition_map
 
 
 def is_good_vertex(pair, n, ring=ZZ):
@@ -52,7 +49,6 @@ class PairsContext:
         self.products = dict(products or {})
         self.circle = circle
         self._end_cache = {}
-        self._coalg_cache = {}
         self._tau_cache = {}
         for (v, w), vw in self.products.items():
             pv, nv = diagram.payloads[v]
@@ -74,12 +70,7 @@ class PairsContext:
         return E
 
     def coalgebra(self, sub):
-        key = (sub.vertices, tuple(e[0] for e in sub.edges))
-        A = self._coalg_cache.get(key)
-        if A is None:
-            A = dual_coalgebra(self.end(sub))
-            self._coalg_cache[key] = A
-        return A
+        return self.end(sub).coalgebra()
 
     def product_vertex(self, v, w):
         vw = self.products.get((v, w))

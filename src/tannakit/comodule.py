@@ -328,12 +328,11 @@ def tensor_comodules(m: Comodule, n: Comodule, mu) -> Comodule:
     rho = (mu (x) id) o (swap middle) o (rho_m (x) rho_n); generator (a, b)
     has order gcd of the factor orders.
     """
-    from .tannaka import dual_coalgebra
-    CF = dual_coalgebra(mu.EF)
-    CG = dual_coalgebra(mu.EG)
+    CF = mu.EF.coalgebra()
+    CG = mu.EG.coalgebra()
     if m.coalgebra != CF or n.coalgebra != CG:
         raise MissingProducts("fragment does not cover the comodule coalgebras")
-    CH = dual_coalgebra(mu.EH)
+    CH = mu.EH.coalgebra()
     ring = CH.ring
     rF, rG = CF.rank, CG.rank
     km, kn = m.ngens, n.ngens

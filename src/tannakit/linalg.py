@@ -27,19 +27,6 @@ def _coerce(ring, x):
     return Fraction(x)
 
 
-def xgcd(a, b):
-    """Return (g, x, y) with g = gcd(a,b) >= 0 and x*a + y*b = g."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
-
-
 class Matrix:
     """Immutable dense matrix over Z or Q."""
 
@@ -190,7 +177,11 @@ class Matrix:
         """Matrix times column vector (a tuple)."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(a * _coerce(self.ring, b) for a, b in zip(row, vec))
+        ring = self.ring
+        zero = 0 if ring == ZZ else Fraction(0)
+        # each nonzero entry coerced once; zero products are never formed
+        nz = [(j, _coerce(ring, b)) for j, b in enumerate(vec) if b]
+        return tuple(sum((row[j] * b for j, b in nz if row[j]), zero)
                      for row in self.data)
 
     def kron(self, other):
@@ -617,7 +608,7 @@ class _Solver:
                 elif y[i] != 0:
                     return None
             return f.V.apply(c)
-        y = self.T.apply([Fraction(x) for x in b])
+        y = self.T.apply(b)
         r = len(self.pivots)
         if any(y[i] != 0 for i in range(r, A.rows)):
             return None

@@ -117,18 +117,6 @@ class SimplicialComplex:
                           for d in sorted(self._by_dim))
         return "SimplicialComplex(dim %d; %s)" % (self.dim, counts)
 
-    def boundary_matrix(self, ring, d):
-        """Boundary from degree d to d-1 on the full complex."""
-        rows = self.simplices(d - 1)
-        cols = self.simplices(d)
-        data = [[0] * len(cols) for _ in rows]
-        for j, s in enumerate(cols):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                r = self.index(d - 1, face)
-                data[r][j] += (-1) ** i
-        return Matrix(ring, data, len(rows), len(cols))
-
 
 class SimplicialPair:
     """A complex with a distinguished subcomplex."""
@@ -431,10 +419,6 @@ def pair_homology(pair, ring=ZZ) -> PairHomology:
 
 def relative_homology(pair, n, ring=ZZ) -> FgModule:
     return pair_homology(pair, ring).module(n)
-
-
-def homology_of_complex(X, n, ring=ZZ) -> FgModule:
-    return relative_homology(SimplicialPair(X), n, ring)
 
 
 def _relative_chain_matrix(f, pair_src, pair_tgt, n, ring):
@@ -849,9 +833,6 @@ class CupProduct:
             raise ValueError("pairing matrix needs a rank-1 target")
         return Matrix(self.ring, [[c[0] for c in row] for row in self.pairing],
                       len(self.pairing), len(self.pairing[0]) if self.pairing else 0)
-
-    def class_of_cup(self, a, b):
-        return self.pairing[a][b]
 
     def graded_commutativity_defects(self):
         """Pairs (a,b) where [f_a u g_b] != (-1)^{pq} [g_b u f_a].

@@ -161,11 +161,11 @@ class EndAlgebra:
     The basis spans the solution module of T(e) phi_v = phi_w T(e) inside
     the direct sum of End(T(v)); over Z it is saturated (kernel of an
     integer matrix) and reduced to Hermite form, over Q to reduced echelon.
-    Structure constants are computed on demand.
+    Structure constants and the dual coalgebra are computed on first use.
     """
 
     __slots__ = ("rep", "sub", "ring", "order", "offsets", "total", "basis",
-                 "unit", "_solver", "_structure")
+                 "unit", "_solver", "_structure", "_coalgebra")
 
     def __init__(self, rep, sub):
         for v in sub.vertices:
@@ -216,22 +216,11 @@ class EndAlgebra:
             raise AxiomViolation("identity family does not satisfy the constraints")
         self.unit = tuple(coords)
         self._structure = None
+        self._coalgebra = None
 
     @property
     def dim(self):
         return self.basis.cols
-
-    def family(self, i):
-        """Basis family i as {vertex: Matrix}."""
-        col = self.basis.col(i)
-        out = {}
-        for v in self.order:
-            r = self.rep.rank(v)
-            off = self.offsets[v]
-            out[v] = Matrix(self.ring,
-                            [[col[off + a * r + b] for b in range(r)]
-                             for a in range(r)], r, r)
-        return out
 
     def component(self, i, v) -> Matrix:
         r = self.rep.rank(v)
@@ -241,23 +230,6 @@ class EndAlgebra:
                       [[col[off + a * r + b] for b in range(r)] for a in range(r)],
                       r, r)
 
-    def multiply_families(self, ci, cj):
-        """Componentwise product of two coordinate vectors, as a flat vector."""
-        fi = {}
-        fj = {}
-        for v in self.order:
-            r = self.rep.rank(v)
-            fi[v] = sum((self.component(k, v).scale(c) for k, c in enumerate(ci) if c),
-                        Matrix.zeros(self.ring, r, r))
-            fj[v] = sum((self.component(k, v).scale(c) for k, c in enumerate(cj) if c),
-                        Matrix.zeros(self.ring, r, r))
-        flat = []
-        for v in self.order:
-            prod = fi[v] * fj[v]
-            for a in range(self.rep.rank(v)):
-                flat.extend(prod.row(a))
-        return tuple(flat)
-
     def coordinates(self, flat):
         """Coordinates of a flat family vector in the basis, or None."""
         return self._solver.solve(tuple(flat))
@@ -265,14 +237,17 @@ class EndAlgebra:
     def structure_constants(self):
         """c[i][j] = coordinate vector of e_i * e_j."""
         if self._structure is None:
-            n = self.dim
+            # each family's vertex components once, as rows and as columns
+            rows = [[self.component(i, v).data for v in self.order]
+                    for i in range(self.dim)]
+            cols = [[tuple(zip(*block)) for block in fam] for fam in rows]
             table = []
-            ei = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-            for i in range(n):
+            for i, x in enumerate(rows):
                 row = []
-                for j in range(n):
-                    prod = self.multiply_families(ei[i], ei[j])
-                    coords = self.coordinates(prod)
+                for j, y in enumerate(cols):
+                    flat = [sum(p * q for p, q in zip(xa, yb) if p)
+                            for xv, yv in zip(x, y) for xa in xv for yb in yv]
+                    coords = self.coordinates(flat)
                     if coords is None:
                         raise AxiomViolation(
                             "product of basis families %d,%d escapes the span" % (i, j))
@@ -280,6 +255,12 @@ class EndAlgebra:
                 table.append(row)
             self._structure = table
         return self._structure
+
+    def coalgebra(self):
+        """The dual coalgebra, built by dual_coalgebra on first use."""
+        if self._coalgebra is None:
+            self._coalgebra = dual_coalgebra(self)
+        return self._coalgebra
 
     def is_saturated(self):
         if self.ring != ZZ or self.dim == 0:
@@ -291,11 +272,64 @@ def end_algebra(rep, sub) -> EndAlgebra:
     return EndAlgebra(rep, sub)
 
 
+def _nonzero_columns(m):
+    """Column j of m as {row: entry} over its nonzero entries."""
+    cols = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m.data):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    return cols
+
+
+def _coassociative(delta, rho, n, r):
+    """(Delta (x) id) rho == (id (x) rho) rho, one column of rho at a time.
+
+    delta and rho are the _nonzero_columns of the n^2 x n comultiplication
+    and of an (n r) x r coaction (rows (i, a) -> i * r + a); the difference
+    of the sides is summed over nonzero products only, with no Kronecker.
+    """
+    for col in rho:
+        diff = {}
+        for ia, c in col.items():
+            i, a = divmod(ia, r)
+            for pq, d in delta[i].items():
+                diff[pq * r + a] = diff.get(pq * r + a, 0) + c * d
+            for jb, d in rho[a].items():
+                diff[i * n * r + jb] = diff.get(i * n * r + jb, 0) - c * d
+        if any(diff.values()):
+            return False
+    return True
+
+
+def _counit_identity(rho, eps, r, left=True):
+    """(eps (x) id) rho == id, or (id (x) eps) rho == id when not left, for
+    rho given as in _coassociative."""
+    for b, col in enumerate(rho):
+        diff = {b: -1}
+        for ia, c in col.items():
+            i, a = divmod(ia, r)
+            e, key = (eps[i], a) if left else (eps[a], i)
+            diff[key] = diff.get(key, 0) + e * c
+        if any(diff.values()):
+            return False
+    return True
+
+
+def _block_rows(rho, n, r):
+    """The (n r) x k matrix rho as n x (r k): row i is row block i."""
+    return Matrix(rho.ring,
+                  [tuple(x for row in rho.data[i * r:i * r + r] for x in row)
+                   for i in range(n)], n, r * rho.cols)
+
+
 class CoalgebraTrunc:
     """Free coalgebra truncation: rank, comultiplication and counit matrices.
 
     delta: rank^2 x rank (row-major tensor indices); counit: 1 x rank.
-    Coassociativity and the counit identities are asserted at construction.
+    Coassociativity and the counit identities are asserted at construction,
+    exactly, by contracting the nonzeros of the structure tensor column by
+    column rather than through dense Kronecker products.
     """
 
     __slots__ = ("ring", "rank", "delta", "counit")
@@ -309,12 +343,12 @@ class CoalgebraTrunc:
         self.rank = rank
         self.delta = delta
         self.counit = counit
-        eye = Matrix.identity(ring, rank)
-        left = delta.kron(eye) * delta
-        right = eye.kron(delta) * delta
-        if left != right:
+        cols = _nonzero_columns(delta)
+        if not _coassociative(cols, cols, rank, rank):
             raise AxiomViolation("comultiplication is not coassociative")
-        if counit.kron(eye) * delta != eye or eye.kron(counit) * delta != eye:
+        eps = counit.row(0)
+        if not (_counit_identity(cols, eps, rank)
+                and _counit_identity(cols, eps, rank, left=False)):
             raise AxiomViolation("counit identities fail")
 
     def grouplike_defect(self, coords):
@@ -344,13 +378,8 @@ def dual_coalgebra(E: EndAlgebra) -> CoalgebraTrunc:
     """
     n = E.dim
     c = E.structure_constants()
-    delta = [[0] * n for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            cij = c[i][j]
-            for k in range(n):
-                if cij[k]:
-                    delta[j * n + i][k] += cij[k]
+    # row j * n + i of delta is c_{ij}
+    delta = [c[i][j] for j in range(n) for i in range(n)]
     counit = Matrix(E.ring, [list(E.unit)], 1, n)
     return CoalgebraTrunc(E.ring, n, Matrix(E.ring, delta, n * n, n), counit)
 
@@ -372,31 +401,30 @@ def coaction(rep, sub, v, E=None, A=None) -> Coaction:
     if E is None:
         E = end_algebra(rep, sub)
     if A is None:
-        A = dual_coalgebra(E)
+        A = E.coalgebra()
     if v not in sub.vertices:
         raise InputError("vertex %r is not in the subdiagram" % (v,))
     r = rep.rank(v)
     n = E.dim
-    rho = [[0] * r for _ in range(n * r)]
-    for i in range(n):
-        comp = E.component(i, v)
-        for a in range(r):
-            for b in range(r):
-                if comp[a, b]:
-                    rho[i * r + a][b] += comp[a, b]
+    # row block i of rho is the component of e_i at v
+    rho = [row for i in range(n) for row in E.component(i, v).data]
     return Coaction(A, v, rep.module(v), Matrix(rep.ring, rho, n * r, r))
 
 
 def check_coaction_axioms(co: Coaction):
-    """(coassociativity, counit) as exact matrix identities."""
+    """(coassociativity, counit) as exact identities.
+
+    (Delta (x) id) rho = (id (x) rho) rho and (eps (x) id) rho = id are
+    checked in full by contracting the nonzeros of the structure tensor and
+    of rho, one column of rho at a time.
+    """
     A = co.coalgebra
     r = co.rho.cols
-    eye_v = Matrix.identity(A.ring, r)
-    left = A.delta.kron(eye_v) * co.rho
-    right = Matrix.identity(A.ring, A.rank).kron(co.rho) * co.rho
-    coassoc = left == right
-    counit = (A.counit.kron(eye_v) * co.rho) == eye_v
-    return coassoc, counit
+    if co.rho.rows != A.rank * r:
+        raise ValueError("coaction matrix does not fit its coalgebra")
+    rho = _nonzero_columns(co.rho)
+    return (_coassociative(_nonzero_columns(A.delta), rho, A.rank, r),
+            _counit_identity(rho, A.counit.row(0), r))
 
 
 class TransitionMap:
@@ -420,14 +448,16 @@ def transition_map(rep, EF: EndAlgebra, EG: EndAlgebra,
 
     Computed as the transpose of the restriction End(T|_G) -> End(T|_F);
     verified to be a coalgebra morphism and to intertwine the canonical
-    coactions at every vertex of F.
+    coactions at every vertex of F.  The coaction identity
+    (t (x) id) rho_F = rho_G is checked as t times the row blocks of rho_F,
+    a contraction of the sparse tensor without the Kronecker product.
     """
     if not EF.sub.is_subset_of(EG.sub):
         raise InputError("transition requires nested subdiagrams")
     if AF is None:
-        AF = dual_coalgebra(EF)
+        AF = EF.coalgebra()
     if AG is None:
-        AG = dual_coalgebra(EG)
+        AG = EG.coalgebra()
     cols = []
     for i in range(EG.dim):
         flat = []
@@ -453,7 +483,7 @@ def transition_map(rep, EF: EndAlgebra, EG: EndAlgebra,
             r = rep.rank(v)
             rho_f = coaction(rep, EF.sub, v, EF, AF).rho
             rho_g = coaction(rep, EG.sub, v, EG, AG).rho
-            if t.kron(Matrix.identity(rep.ring, r)) * rho_f != rho_g:
+            if t * _block_rows(rho_f, EF.dim, r) != _block_rows(rho_g, EG.dim, r):
                 raise AxiomViolation("transition fails coaction compatibility at %r" % (v,))
     return tm
 
@@ -479,11 +509,13 @@ def factorization_check(rep, sub, E=None) -> FactorizationCert:
 
     (i) comodule axioms for every canonical coaction, (ii) every edge map is
     a comodule morphism, (iii) forgetting coactions returns the original
-    modules.
+    modules.  The identities are checked exactly by contracting the sparse
+    structure tensor: rho_dst m = (id (x) m) rho_src is compared one row
+    block of rho_src at a time, as m times that block.
     """
     if E is None:
         E = end_algebra(rep, sub)
-    A = dual_coalgebra(E)
+    A = E.coalgebra()
     violations = []
     checked = 0
     coactions = {}
@@ -501,9 +533,12 @@ def factorization_check(rep, sub, E=None) -> FactorizationCert:
         checked += 1
     for (name, src, dst, _kind) in sub.edges:
         m = rep.edge_map(name).matrix
+        rd, rs = m.rows, m.cols
         lhs = coactions[dst].rho * m
-        rhs = Matrix.identity(rep.ring, A.rank).kron(m) * coactions[src].rho
+        rho_src = coactions[src].rho
         checked += 1
-        if lhs != rhs:
+        if any(lhs.take_rows(range(i * rd, i * rd + rd))
+               != m * rho_src.take_rows(range(i * rs, i * rs + rs))
+               for i in range(A.rank)):
             violations.append("edge %r is not a comodule morphism" % (name,))
     return FactorizationCert(violations, checked)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import tannakit
 from tannakit.cli import default_corpus_text, main
 from tannakit.corpus import Corpus
 from tannakit.errors import InputError
@@ -133,3 +137,30 @@ class TestCommands:
         path = tmp_path / "bad.corpus"
         path.write_text("this is not a corpus\n", encoding="utf-8")
         assert main(["--corpus", str(path), "homology", "p"]) == 1
+
+
+COLD_COMMANDS = [
+    ["coalgebra", "F1"],
+    ["coaction", "F1", "g"],
+    ["transition", "F1", "F2"],
+    ["factorization-check", "F2"],
+    ["bialgebra-check", "main_tower"],
+]
+
+
+@pytest.mark.parametrize("argv", COLD_COMMANDS, ids=[" ".join(a) for a in COLD_COMMANDS])
+def test_fresh_processes_write_identical_certificates(argv, tmp_path):
+    """Each run starts with cold caches, unlike criterion 12's in-process
+    repeats."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tannakit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    outs = []
+    for run in (0, 1):
+        path = tmp_path / ("cert%d.json" % run)
+        proc = subprocess.run([sys.executable, "-m", "tannakit.cli", "--out", str(path)] + argv,
+                              env=env, capture_output=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(path.read_bytes())
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["ok"] is True

@@ -104,6 +104,18 @@ class TestKernelSolve:
             assert got is not None
             assert A.apply(got) == b
 
+    def test_apply_keeps_ring_types(self):
+        y = mq([[0, 0], [1, 2]]).apply((1, 3))
+        assert y == (0, 7)
+        assert all(type(x) is Fraction for x in y)
+        z = mz([[1, 0], [0, 0]]).apply((Fraction(4), 5))
+        assert z == (4, 0)
+        assert all(type(x) is int for x in z)
+
+    def test_apply_rejects_non_integer_over_z(self):
+        with pytest.raises(ValueError, match="non-integer"):
+            mz([[1, 0], [0, 1]]).apply((Fraction(1, 2), 0))
+
     def test_kernel_q(self):
         A = mq([[1, 2, 3]])
         K = kernel(A)

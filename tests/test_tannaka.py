@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from tannakit.errors import NonFreeVertex
+from tannakit import tannaka
+from tannakit.cli import default_corpus_text
+from tannakit.corpus import Corpus
+from tannakit.errors import AxiomViolation, NonFreeVertex
 from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap
 from tannakit.simplicial import SimplicialMap, SimplicialPair
 from tannakit.tannaka import (
-    Diagram, DiagramRep, Subdiagram, build_pairs_diagram, coaction,
-    check_coaction_axioms, dual_coalgebra, end_algebra, factorization_check,
-    transition_map,
+    Coaction, CoalgebraTrunc, Diagram, DiagramRep, Subdiagram,
+    build_pairs_diagram, coaction, check_coaction_axioms, dual_coalgebra,
+    end_algebra, factorization_check, transition_map,
 )
 
 import spaces
@@ -241,3 +244,231 @@ class TestPairsDiagram:
     def test_nonfree_flagged(self):
         dia, rep = build_pairs_diagram(ZZ, {"r": (pair(RP2), 1)})
         assert rep.nonfree == ("r",)
+
+
+# -- the dense Kronecker identities, kept as oracles for the sparse checks --
+
+def dense_coalgebra_verdict(ring, rank, delta, counit):
+    """The AxiomViolation text of the dense (Delta (x) id) Delta identities,
+    or None when they hold."""
+    eye = Matrix.identity(ring, rank)
+    if delta.kron(eye) * delta != eye.kron(delta) * delta:
+        return "comultiplication is not coassociative"
+    if counit.kron(eye) * delta != eye or eye.kron(counit) * delta != eye:
+        return "counit identities fail"
+    return None
+
+
+def sparse_coalgebra_verdict(ring, rank, delta, counit):
+    try:
+        CoalgebraTrunc(ring, rank, delta, counit)
+    except AxiomViolation as exc:
+        return str(exc)
+    return None
+
+
+def dense_coaction_axioms(co):
+    A = co.coalgebra
+    eye_v = Matrix.identity(A.ring, co.rho.cols)
+    left = A.delta.kron(eye_v) * co.rho
+    right = Matrix.identity(A.ring, A.rank).kron(co.rho) * co.rho
+    return left == right, A.counit.kron(eye_v) * co.rho == eye_v
+
+
+def dense_edge_ok(A, rho_dst, rho_src, m):
+    return rho_dst * m == Matrix.identity(A.ring, A.rank).kron(m) * rho_src
+
+
+def dense_transition_ok(tm, rho_f, rho_g):
+    """Both transition identities through krons: Delta_G t = (t (x) t) Delta_F
+    and (t (x) id) rho_F = rho_G."""
+    t = tm.matrix
+    return (tm.target.delta * t == t.kron(t) * tm.source.delta
+            and t.kron(Matrix.identity(t.ring, rho_f.cols)) * rho_f == rho_g)
+
+
+def perturbed(m, i, j, by=1):
+    data = [list(row) for row in m.data]
+    data[i][j] += by
+    return Matrix(m.ring, data, m.rows, m.cols)
+
+
+def assert_sparse_matches_dense(rep, subs, ends):
+    """Every identity on the given subdiagrams: the sparse verdict equals the
+    dense one, and both accept.  ends maps a subdiagram name to its
+    EndAlgebra."""
+    for name, sdg in subs.items():
+        E = ends[name]
+        A = E.coalgebra()
+        assert dense_coalgebra_verdict(A.ring, A.rank, A.delta, A.counit) is None
+        assert sparse_coalgebra_verdict(A.ring, A.rank, A.delta, A.counit) is None
+        rhos = {}
+        for v in sdg.vertices:
+            co = coaction(rep, sdg, v, E)
+            rhos[v] = co.rho
+            assert check_coaction_axioms(co) == dense_coaction_axioms(co) == (True, True)
+        cert = factorization_check(rep, sdg, E)
+        assert cert.ok
+        for (edge, src, dst, _kind) in sdg.edges:
+            assert dense_edge_ok(A, rhos[dst], rhos[src], rep.edge_map(edge).matrix)
+    for f, F in subs.items():
+        for g, G in subs.items():
+            if F.is_subset_of(G):
+                EF, EG = ends[f], ends[g]
+                tm = transition_map(rep, EF, EG)
+                for v in F.vertices:
+                    assert dense_transition_ok(tm, coaction(rep, F, v, EF).rho,
+                                               coaction(rep, G, v, EG).rho)
+
+
+def random_diagram(ring, rng):
+    """Up to three free vertices of rank 1 or 2 and up to three edges, so
+    that End has dimension at most 12 and the dense oracle stays cheap."""
+    names = ["v%d" % i for i in range(rng.randint(1, 3))]
+    ranks = {v: rng.randint(1, 2) for v in names}
+    scalars = [-2, -1, 0, 1, 2] + ([Fraction(1, 2), Fraction(-3, 2)] if ring == QQ else [])
+    edges = []
+    for k in range(rng.randint(0, 3)):
+        s, d = rng.choice(names), rng.choice(names)
+        edges.append(("e%d" % k, s, d,
+                      [[rng.choice(scalars) for _ in range(ranks[s])]
+                       for _ in range(ranks[d])]))
+    return names, synthetic(ring, ranks, edges)
+
+
+class TestSparseAgainstDense:
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_bundled_subdiagrams(self, ring):
+        corpus = Corpus(default_corpus_text())
+        by_diagram = {}
+        for name in sorted(corpus._subdiagram_decls):
+            ctx, sdg = corpus.subdiagram(name, ring)
+            by_diagram.setdefault(id(ctx), (ctx, {}))[1][name] = sdg
+        for ctx, subs in by_diagram.values():
+            ends = {name: ctx.end(sdg) for name, sdg in subs.items()}
+            assert_sparse_matches_dense(ctx.rep, subs, ends)
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_diagrams(self, ring, seed):
+        rng = random.Random(1000 + seed)
+        names, (dia, rep) = random_diagram(ring, rng)
+        subs = {"full": Subdiagram(dia, names), "first": Subdiagram(dia, names[:1]),
+                "bare": Subdiagram(dia, names, edges=[])}
+        ends = {name: end_algebra(rep, sdg) for name, sdg in subs.items()}
+        assert_sparse_matches_dense(rep, subs, ends)
+        # an edge map changed after End was computed: each edge's verdict
+        # is the dense naturality identity's
+        sdg, E = subs["full"], ends["full"]
+        if sdg.edges:
+            name, src, dst, _kind = sdg.edges[0]
+            old = rep.maps[name]
+            rep.maps[name] = ModuleMap(old.source, old.target, perturbed(old.matrix, 0, 0))
+            cert = factorization_check(rep, sdg, E)
+            A = E.coalgebra()
+            rhos = {v: coaction(rep, sdg, v, E).rho for v in sdg.vertices}
+            for (edge, s, d, _k) in sdg.edges:
+                bad = "edge %r is not a comodule morphism" % (edge,) in cert.violations
+                assert bad == (not dense_edge_ok(A, rhos[d], rhos[s],
+                                                 rep.edge_map(edge).matrix))
+
+
+def matrix_coalgebra(ring, rank=2):
+    dia, rep = synthetic(ring, {"v": rank}, [])
+    sdg = Subdiagram(dia, ["v"])
+    return rep, sdg, end_algebra(rep, sdg)
+
+
+class TestSparseRejects:
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_perturbed_delta(self, ring):
+        A = matrix_coalgebra(ring)[2].coalgebra()
+        rejected = 0
+        for i in range(A.delta.rows):
+            for j in range(A.delta.cols):
+                bad = perturbed(A.delta, i, j)
+                verdict = sparse_coalgebra_verdict(ring, A.rank, bad, A.counit)
+                assert verdict == dense_coalgebra_verdict(ring, A.rank, bad, A.counit)
+                rejected += verdict is not None
+        assert rejected == A.delta.rows * A.delta.cols
+        with pytest.raises(AxiomViolation, match="not coassociative"):
+            CoalgebraTrunc(ring, A.rank, perturbed(A.delta, 5, 0), A.counit)
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_perturbed_counit(self, ring):
+        A = matrix_coalgebra(ring)[2].coalgebra()
+        for j in range(A.rank):
+            bad = perturbed(A.counit, 0, j)
+            verdict = sparse_coalgebra_verdict(ring, A.rank, A.delta, bad)
+            assert verdict == dense_coalgebra_verdict(ring, A.rank, A.delta, bad)
+            assert verdict == "counit identities fail"
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_one_sided_counit(self, ring):
+        # Delta(e_k) = e_0 (x) e_k and e_k (x) e_0 are coassociative, and
+        # with eps = e_0* each satisfies exactly one counit identity
+        counit = Matrix(ring, [[1, 0]])
+        for delta in ([[1, 0], [0, 1], [0, 0], [0, 0]],
+                      [[1, 0], [0, 0], [0, 1], [0, 0]]):
+            delta = Matrix(ring, delta)
+            verdict = sparse_coalgebra_verdict(ring, 2, delta, counit)
+            assert verdict == dense_coalgebra_verdict(ring, 2, delta, counit)
+            assert verdict == "counit identities fail"
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_perturbed_rho(self, ring):
+        rep, sdg, E = matrix_coalgebra(ring)
+        co = coaction(rep, sdg, "v", E)
+        rejected = 0
+        for i in range(co.rho.rows):
+            for j in range(co.rho.cols):
+                bad = Coaction(co.coalgebra, "v", co.module, perturbed(co.rho, i, j))
+                verdict = check_coaction_axioms(bad)
+                assert verdict == dense_coaction_axioms(bad)
+                rejected += verdict != (True, True)
+        assert rejected == co.rho.rows * co.rho.cols
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_corrupted_transition_coaction(self, ring, monkeypatch):
+        corpus = Corpus(default_corpus_text())
+        ctx, F = corpus.subdiagram("F1", ring)
+        _, G = corpus.subdiagram("F2", ring)
+        EF, EG = ctx.end(F), ctx.end(G)
+        honest = tannaka.coaction
+        tm = transition_map(ctx.rep, EF, EG)
+        rho_f = honest(ctx.rep, F, "g", EF).rho
+        rho_g = honest(ctx.rep, G, "g", EG).rho
+        for i in range(rho_g.rows):
+            bad_rho = perturbed(rho_g, i, 0)
+
+            def corrupt(rep, sdg, v, E=None, A=None, bad_rho=bad_rho):
+                co = honest(rep, sdg, v, E, A)
+                if sdg is G and v == "g":
+                    co = Coaction(co.coalgebra, v, co.module, bad_rho)
+                return co
+            monkeypatch.setattr(tannaka, "coaction", corrupt)
+            assert not dense_transition_ok(tm, rho_f, bad_rho)
+            with pytest.raises(AxiomViolation,
+                               match="transition fails coaction compatibility at 'g'"):
+                transition_map(ctx.rep, EF, EG)
+        monkeypatch.setattr(tannaka, "coaction", honest)
+        assert transition_map(ctx.rep, EF, EG).matrix == tm.matrix
+
+
+class TestBuildOnce:
+    def test_context_coalgebra_is_the_end_algebras(self, monkeypatch):
+        ctx, sdg = Corpus(default_corpus_text()).subdiagram("F2", QQ)
+        A = ctx.coalgebra(sdg)
+        E = ctx.end(sdg)
+        assert A is E.coalgebra()
+        built = []
+        init = CoalgebraTrunc.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(CoalgebraTrunc, "__init__", counted)
+        assert factorization_check(ctx.rep, sdg, E).ok
+        assert coaction(ctx.rep, sdg, "g", E).coalgebra is A
+        assert ctx.coalgebra(sdg) is A
+        assert built == []
