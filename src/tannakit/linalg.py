@@ -1,13 +1,16 @@
-"""Exact dense linear algebra over Z and Q.
+"""Exact linear algebra over Z and Q.
 
 Matrices carry arbitrary-precision entries (python ints over Z,
 fractions.Fraction over Q); nothing here ever rounds or overflows.
 Provides Smith normal form with unimodular transforms, Hermite/echelon
 canonical bases, kernels, exact solving, finitely generated modules
-presented by invariant factors, module maps and subquotients.
+presented by invariant factors, module maps and subquotients.  Reduced row
+echelon forms are computed on sparse integer rows, fraction-free, and
+triangular bases are solved by substitution.
 """
 
 from fractions import Fraction
+from math import gcd, lcm, prod
 
 from .errors import CompositionNonzero, TorsionPresent
 
@@ -18,12 +21,17 @@ RINGS = (ZZ, QQ)
 
 
 def _coerce(ring, x):
+    t = type(x)    # isinstance(x, Fraction) goes through the slow ABC check
     if ring == ZZ:
+        if t is int:
+            return x
         if isinstance(x, Fraction):
             if x.denominator != 1:
                 raise ValueError("non-integer entry %r in an integer matrix" % (x,))
             return int(x)
         return int(x)
+    if t is Fraction:
+        return x
     return Fraction(x)
 
 
@@ -106,9 +114,6 @@ class Matrix:
 
     def col(self, j):
         return tuple(self.data[i][j] for i in range(self.rows))
-
-    def columns(self):
-        return [self.col(j) for j in range(self.cols)]
 
     def is_zero(self):
         return all(all(x == 0 for x in row) for row in self.data)
@@ -215,12 +220,6 @@ class Matrix:
         return Matrix(self.ring,
                       tuple(r1 + r2 for r1, r2 in zip(self.data, other.data)),
                       self.rows, self.cols + other.cols)
-
-    def vstack(self, other):
-        if self.cols != other.cols or self.ring != other.ring:
-            raise ValueError("vstack mismatch")
-        return Matrix(self.ring, self.data + other.data,
-                      self.rows + other.rows, self.cols)
 
     def take_rows(self, indices):
         return Matrix(self.ring, tuple(self.data[i] for i in indices),
@@ -385,10 +384,10 @@ def smith_normal_form(A):
     r = min(m, n)
     k = 0
     while k < r:
-        if _find_pivot(a, k, m, n) is None:
-            break
         # move some nonzero entry into the working square first
         piv = _find_pivot(a, k, m, n)
+        if piv is None:
+            break
         if a[k][k] == 0 or abs(a[piv[0]][piv[1]]) < abs(a[k][k]):
             if piv[0] != k:
                 swap_rows(piv[0], k)
@@ -422,81 +421,99 @@ def smith_normal_form(A):
 
 
 def determinant(A):
-    """Exact determinant (Bareiss over Z, fraction-free; Gauss over Q)."""
+    """Exact determinant: fraction-free Bareiss, over Q on the rows scaled to
+    integers."""
     if A.rows != A.cols:
         raise ValueError("determinant of a non-square matrix")
+    if A.ring == QQ:
+        scale = [lcm(*(x.denominator for x in row)) for row in A.data]
+        d = determinant(Matrix(ZZ, [[x * m for x in row]
+                                    for row, m in zip(A.data, scale)]))
+        return Fraction(d, prod(scale))
     n = A.rows
     if n == 0:
-        return 1 if A.ring == ZZ else Fraction(1)
+        return 1
     a = [list(r) for r in A.data]
-    if A.ring == ZZ:
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-                a[i][k] = 0
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
-    det = Fraction(1)
-    for k in range(n):
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
         if a[k][k] == 0:
             for i in range(k + 1, n):
                 if a[i][k] != 0:
                     a[k], a[i] = a[i], a[k]
-                    det = -det
+                    sign = -sign
                     break
             else:
-                return Fraction(0)
-        det *= a[k][k]
-        inv = 1 / a[k][k]
+                return 0
         for i in range(k + 1, n):
-            f = a[i][k] * inv
-            if f:
-                for j in range(k, n):
-                    a[i][j] -= f * a[k][j]
-    return det
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
 
 
 # ---------------------------------------------------------------------------
 # Canonical bases, kernels, solving
 # ---------------------------------------------------------------------------
 
+def _eliminate(row, piv, c):
+    """Integer combination of two sparse rows {col: int} with column c
+    cleared, divided by the gcd of its entries."""
+    a, p = row[c], piv[c]
+    g = gcd(a, p)
+    a, p = a // g, p // g
+    out = {j: p * x for j, x in row.items()}
+    for j, y in piv.items():
+        v = out.get(j, 0) - a * y
+        if v:
+            out[j] = v
+        else:
+            del out[j]
+    g = gcd(*out.values())
+    return {j: x // g for j, x in out.items()} if g > 1 else out
+
+
 def rref(A):
-    """Reduced row echelon form over Q: returns (R, pivot_columns)."""
-    a = [[Fraction(x) for x in row] for row in A.data]
+    """Reduced row echelon form over Q: returns (R, pivot_columns).
+
+    Fraction-free Gauss-Jordan on sparse rows {col: int}: rows are scaled to
+    integers, each combination is divided by the gcd of its entries, the
+    shortest candidate row becomes the pivot, and rows are divided by their
+    pivots only at the end.  The reduced form is unique, so R is the usual
+    one, with Fraction entries.
+    """
     rows, cols = A.rows, A.cols
+    work = []
+    for row in A.data:
+        nz = [(j, x) for j, x in enumerate(row) if x]
+        m = lcm(*(x.denominator for _, x in nz))
+        work.append({j: x.numerator * (m // x.denominator) for j, x in nz})
     pivots = []
-    r = 0
     for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
+        r = len(pivots)
+        cand = [i for i in range(r, rows) if c in work[i]]
+        if not cand:
             continue
-        a[r], a[pr] = a[pr], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        p = min(cand, key=lambda i: (len(work[i]), i))
+        work[r], work[p] = work[p], work[r]
+        for i in range(r + 1, rows):
+            if c in work[i]:
+                work[i] = _eliminate(work[i], work[r], c)
         pivots.append(c)
-        r += 1
-        if r == rows:
+        if r + 1 == rows:
             break
-    return Matrix(QQ, a, rows, cols), tuple(pivots)
+    # clear above the pivots, last first: the pivot row is then already free
+    # of every later pivot column
+    for r in range(len(pivots) - 1, 0, -1):
+        for i in range(r):
+            if pivots[r] in work[i]:
+                work[i] = _eliminate(work[i], work[r], pivots[r])
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    for r, c in enumerate(pivots):
+        for j, x in work[r].items():
+            out[r][j] = Fraction(x, work[r][c])
+    return Matrix(QQ, out, rows, cols), tuple(pivots)
 
 
 def hnf_columns(A):
@@ -550,8 +567,7 @@ def hnf_columns(A):
 def echelon_columns(A):
     """Canonical column basis of the column span over Q (echelon columns)."""
     R, pivots = rref(A.to_ring(QQ).transpose())
-    basis = [R.row(i) for i in range(len(pivots))]
-    return Matrix.from_columns(QQ, basis, rows=A.rows)
+    return R.take_rows(range(len(pivots))).transpose()
 
 
 def kernel(A):
@@ -565,24 +581,46 @@ def kernel(A):
         if not cols:
             return Matrix.zeros(ZZ, A.cols, 0)
         return hnf_columns(Matrix.from_columns(ZZ, cols, rows=A.cols))
-    R, pivots = rref(A)
-    free = [j for j in range(A.cols) if j not in pivots]
+    _, basis = _null_vectors(*rref(A))
+    return Matrix.from_columns(QQ, basis, rows=A.cols)
+
+
+def _null_vectors(R, pivots):
+    """Free columns of a reduced echelon form and the kernel vector of each:
+    1 at its own free column, 0 at the others."""
+    free = [j for j in range(R.cols) if j not in pivots]
     basis = []
     for f in free:
-        v = [Fraction(0)] * A.cols
+        v = [Fraction(0)] * R.cols
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
             v[p] = -R[i, f]
         basis.append(v)
-    return Matrix.from_columns(QQ, basis, rows=A.cols)
+    return free, basis
 
 
 class _Solver:
-    """Reusable exact solver for A x = b with fixed A."""
+    """Reusable exact solver for A x = b with fixed A.
+
+    When every column j has a pivot row, nonzero in column j and zero in all
+    later columns, the columns are independent: x is found by forward
+    substitution on those rows and checked on every row.  Bases from
+    kernel, hnf_columns and echelon_columns all have this shape.  Otherwise
+    the solve goes through Smith normal form (Z) or a reduced echelon form (Q).
+    """
 
     def __init__(self, A):
         self.A = A
         self.ring = A.ring
+        self.rows = [[(j, x) for j, x in enumerate(row) if x] for row in A.data]
+        pivot_rows = {}
+        for i, row in enumerate(self.rows):
+            if row:
+                pivot_rows.setdefault(row[-1][0], i)
+        self.pivot_rows = [pivot_rows.get(j) for j in range(A.cols)]
+        if None not in self.pivot_rows:
+            return
+        self.pivot_rows = None
         if A.ring == ZZ:
             self.form = smith_normal_form(A)
         else:
@@ -590,10 +628,25 @@ class _Solver:
             self.pivots = tuple(p for p in pivots if p < A.cols)
             self.T = aug.take_cols(range(A.cols, A.cols + A.rows))
 
+    def _substitute(self, b):
+        x = []
+        for i in self.pivot_rows:
+            row = self.rows[i]
+            s = b[i] - sum(a * x[j] for j, a in row[:-1] if x[j])
+            x.append(s / row[-1][1] if self.ring == QQ else s // row[-1][1])
+        # every row, pivot rows too: over Z a floor division that was not
+        # exact leaves a residual in its own pivot row
+        for row, y in zip(self.rows, b):
+            if sum(a * x[j] for j, a in row if x[j]) != y:
+                return None
+        return tuple(x)
+
     def solve(self, b):
         A = self.A
         if len(b) != A.rows:
             raise ValueError("rhs length mismatch")
+        if self.pivot_rows is not None:
+            return self._substitute([_coerce(self.ring, y) if y else 0 for y in b])
         if A.ring == ZZ:
             f = self.form
             y = f.U.apply(b)
@@ -767,27 +820,11 @@ def module_from_relations(ring, ngens, relations):
         to_normal = form.U.take_rows(keep)
         from_normal = form.Uinv.take_cols(keep)
         return mod, to_normal, from_normal
-    # over Q: quotient by the span
-    rel = relations.to_ring(QQ)
-    R, pivots = rref(rel.transpose())
-    # rows of R: echelon basis of the relation span inside Q^ngens
-    span_rows = [R.row(i) for i in range(len(pivots))]
-    # complete to a basis: standard vectors at non-pivot coordinates
-    free_coords = [j for j in range(ngens) if j not in pivots]
-    mod = FgModule(QQ, len(free_coords))
-    # reduction: x - sum_i x[p_i] * span_i  has zeros at pivots; its free
-    # coordinates are x[f] - sum_i x[p_i]*span_i[f]
-    to_normal = []
-    for f in free_coords:
-        row = [Fraction(0)] * ngens
-        row[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            row[p] = -span_rows[i][f]
-        to_normal.append(row)
-    from_normal = Matrix.from_columns(
-        QQ, [[Fraction(1) if i == f else Fraction(0) for i in range(ngens)]
-             for f in free_coords], rows=ngens)
-    return mod, Matrix(QQ, to_normal, len(free_coords), ngens), from_normal
+    # over Q: quotient by the span; a coordinate vector reduces to its free
+    # coordinates by subtracting the echelon rows at the pivots
+    free, to_normal = _null_vectors(*rref(relations.to_ring(QQ).transpose()))
+    return (FgModule(QQ, len(free)), Matrix(QQ, to_normal, len(free), ngens),
+            Matrix.identity(QQ, ngens).take_cols(free))
 
 
 class ModuleMap:
@@ -871,15 +908,14 @@ class Subquotient:
     the reverse for a generator index.
     """
 
-    __slots__ = ("module", "_cycles", "_to_normal", "_from_normal", "_solver", "_mid")
+    __slots__ = ("module", "_cycles", "_to_normal", "_from_normal", "_solver")
 
-    def __init__(self, module, cycles, to_normal, from_normal, mid):
+    def __init__(self, module, cycles, to_normal, from_normal):
         self.module = module
         self._cycles = cycles
         self._to_normal = to_normal
         self._from_normal = from_normal
         self._solver = None
-        self._mid = mid
 
     def class_of(self, vec):
         if self._solver is None:
@@ -891,9 +927,6 @@ class Subquotient:
 
     def lift(self, j):
         return self._cycles.apply(self._from_normal.col(j))
-
-    def lifts(self):
-        return [self.lift(j) for j in range(self.module.ngens)]
 
 
 def subquotient(d_in, d_out):
@@ -923,7 +956,7 @@ def subquotient(d_in, d_out):
         coeff_cols.append(c)
     coeff = Matrix.from_columns(ring, coeff_cols, rows=cycles.cols)
     mod, to_n, from_n = module_from_relations(ring, cycles.cols, coeff)
-    return Subquotient(mod, cycles, to_n, from_n, B)
+    return Subquotient(mod, cycles, to_n, from_n)
 
 
 def subquotient_free(ring, m_in, m_out):

@@ -552,8 +552,12 @@ def _exact_at(d_in, d_out):
 
 
 def _rank_of(mm):
+    """Rank over the fraction field: only free target rows and free source
+    columns count (torsion generators come first and vanish there)."""
     from .linalg import rref
-    return len(rref(mm.matrix.to_ring(QQ))[1])
+    m = mm.matrix.take_rows(range(len(mm.target.torsion), mm.target.ngens))
+    m = m.take_cols(range(len(mm.source.torsion), mm.source.ngens))
+    return len(rref(m.to_ring(QQ))[1])
 
 
 def _kernel_rank(mm):

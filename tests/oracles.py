@@ -200,6 +200,37 @@ def _rank(mat):
     return r
 
 
+def dense_rref(mat):
+    """Reduced row echelon form by dense Fraction Gauss-Jordan: the textbook
+    elimination, first nonzero entry of each column as pivot.  `mat` is a
+    list of rows of ints or Fractions; returns (rows of Fractions, pivots)."""
+    a = [[Fraction(x) for x in row] for row in mat]
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = None
+        for i in range(r, rows):
+            if a[i][c] != 0:
+                pr = i
+                break
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        inv = 1 / a[r][c]
+        a[r] = [x * inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, tuple(pivots)
+
+
 # -- commutant oracle --------------------------------------------------------
 
 def brute_commutant(ranks, edges):

@@ -2,15 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tannakit.errors import CompositionNonzero, TorsionPresent
 from tannakit.linalg import (
-    QQ, ZZ, FgModule, Matrix, ModuleMap, determinant, dual_map, hnf_columns,
-    kernel, module_from_relations, smith_normal_form, solve,
-    solve_in_submodule, subquotient, subquotient_free,
+    QQ, ZZ, FgModule, Matrix, ModuleMap, _Solver, determinant, dual_map,
+    echelon_columns, hnf_columns, kernel, module_from_relations, rref,
+    smith_normal_form, solve, solve_in_submodule, subquotient,
+    subquotient_free,
 )
 
-from oracles import minor_gcd_divisors, modp_subquotient_size, naive_diagonal
+from oracles import (
+    dense_rref, minor_gcd_divisors, modp_subquotient_size, naive_diagonal,
+)
 
 
 def mz(rows):
@@ -115,6 +119,16 @@ class TestKernelSolve:
     def test_apply_rejects_non_integer_over_z(self):
         with pytest.raises(ValueError, match="non-integer"):
             mz([[1, 0], [0, 1]]).apply((Fraction(1, 2), 0))
+
+    def test_coerce_fast_path_keeps_types(self):
+        class Small(int):
+            pass
+        m = Matrix(ZZ, [[True, Small(3), Fraction(4)]])
+        assert m.data == ((1, 3, 4),) and all(type(x) is int for x in m.row(0))
+        q = Matrix(QQ, [[2, Fraction(1, 2), True]])
+        assert all(type(x) is Fraction for x in q.row(0))
+        with pytest.raises(ValueError, match="non-integer"):
+            Matrix(ZZ, [[Fraction(1, 2)]])
 
     def test_kernel_q(self):
         A = mq([[1, 2, 3]])
@@ -257,3 +271,139 @@ class TestSubquotient:
     def test_free_matrix_helper(self):
         sq = subquotient_free(ZZ, mz([[2], [0]]), Matrix.zeros(ZZ, 0, 2))
         assert sq.module == FgModule(ZZ, 1, (2,))
+
+
+# -- fraction-free rref and substitution solves ------------------------------
+
+small_ints = st.integers(-4, 4)
+rationals = st.one_of(st.just(0), small_ints,
+                      st.fractions(min_value=-3, max_value=3, max_denominator=5))
+
+
+@st.composite
+def matrices(draw, entries, max_rows=6, max_cols=7):
+    """Shape (rows, cols) and rows of entries, often with zero rows."""
+    r = draw(st.integers(0, max_rows))
+    c = draw(st.integers(0, max_cols))
+    zero_row = st.just([0] * c)
+    row = st.lists(entries, min_size=c, max_size=c)
+    return r, c, draw(st.lists(st.one_of(row, row, zero_row), min_size=r, max_size=r))
+
+
+def eliminating_solver(A):
+    """A solver on A plus a zero column: that column has no pivot row, so the
+    solve goes through Smith normal form or the reduced echelon form."""
+    s = _Solver(A.hstack(Matrix.zeros(A.ring, A.rows, 1)))
+    assert s.pivot_rows is None
+    return s
+
+
+def assert_paths_agree(B, rhs):
+    """The substitution solve of the basis B agrees with elimination on each
+    right-hand side, with the ring's entry type."""
+    sub = _Solver(B)
+    assert sub.pivot_rows is not None
+    elim = eliminating_solver(B)
+    kind = int if B.ring == ZZ else Fraction
+    for b in rhs:
+        x, y = sub.solve(b), elim.solve(b)
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert x == y[:-1]
+            assert B.apply(x) == tuple(b)
+            assert all(type(v) is kind for v in x)
+
+
+class TestFractionFreeRref:
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(rationals))
+    def test_matches_dense_oracle(self, shape):
+        r, c, rows = shape
+        R, pivots = rref(Matrix(QQ, rows, r, c))
+        expect, expect_pivots = dense_rref(rows)
+        assert pivots == expect_pivots
+        assert R.ring == QQ and R.data == tuple(tuple(row) for row in expect)
+        assert all(type(x) is Fraction for row in R.data for x in row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices(small_ints))
+    def test_int_input(self, shape):
+        r, c, rows = shape
+        R, pivots = rref(Matrix(ZZ, rows, r, c))
+        expect, expect_pivots = dense_rref(rows)
+        assert (R.data, pivots) == (tuple(tuple(row) for row in expect), expect_pivots)
+
+    def test_empty_shapes(self):
+        for r, c in [(0, 0), (0, 3), (3, 0)]:
+            R, pivots = rref(Matrix.zeros(QQ, r, c))
+            assert (R.rows, R.cols, pivots) == (r, c, ())
+
+
+class TestSolverPaths:
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(small_ints), st.randoms(use_true_random=False))
+    def test_integer_bases(self, shape, rng):
+        r, c, rows = shape
+        A = Matrix(ZZ, rows, r, c)
+        for B in (kernel(A), hnf_columns(A)):
+            rhs = []
+            for _ in range(4):
+                b = list(B.apply([rng.randint(-3, 3) for _ in range(B.cols)]))
+                rhs.append(tuple(b))
+                if b:
+                    b[rng.randrange(len(b))] += rng.choice((1, 2, -1))
+                    rhs.append(tuple(b))
+            assert_paths_agree(B, rhs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(rationals), st.randoms(use_true_random=False))
+    def test_rational_bases(self, shape, rng):
+        r, c, rows = shape
+        A = Matrix(QQ, rows, r, c)
+        for B in (kernel(A), echelon_columns(A)):
+            rhs = []
+            for _ in range(4):
+                x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(B.cols)]
+                b = list(B.apply(x))
+                rhs.append(tuple(b))
+                if b:
+                    b[rng.randrange(len(b))] += Fraction(1, 2)
+                    rhs.append(tuple(b))
+            assert_paths_agree(B, rhs)
+
+    def test_divisibility_over_z(self):
+        B = hnf_columns(mz([[2, 0], [1, 3]]))
+        assert_paths_agree(B, [(2, 1), (1, 0), (0, 3), (0, 1), (4, 5)])
+        assert _Solver(B).solve((1, 0)) is None
+
+    def test_non_triangular_falls_back(self):
+        for ring in (ZZ, QQ):
+            A = Matrix(ring, [[1, 1], [1, -1]])
+            s = _Solver(A)
+            assert s.pivot_rows is None
+            assert s.solve((2, 0)) == (1, 1)
+        assert _Solver(mz([[1, 1], [1, -1]])).solve((1, 0)) is None
+        assert _Solver(mq([[1, 1], [1, -1]])).solve((1, 0)) == (Fraction(1, 2),) * 2
+
+
+class TestTorsionTarget:
+    def build(self):
+        # Z --(4,0)--> Z^2 --(x+y mod 2, 0)--> Z/2 + Z: the cycles are the
+        # lattice x + y even, a kernel basis cut to the rows of Z^2
+        d_in = ModuleMap(FgModule.free(ZZ, 1), FgModule.free(ZZ, 2), mz([[4], [0]]))
+        d_out = ModuleMap(FgModule.free(ZZ, 2), FgModule(ZZ, 1, (2,)),
+                          mz([[1, 1], [0, 0]]))
+        return subquotient(d_in, d_out)
+
+    def test_class_of_lift_round_trips(self):
+        sq = self.build()
+        assert sq.module == FgModule(ZZ, 1, (2,))
+        for j in range(sq.module.ngens):
+            expect = tuple(int(i == j) for i in range(sq.module.ngens))
+            assert sq.class_of(sq.lift(j)) == expect
+        assert sq._solver.pivot_rows is not None
+
+    def test_non_cycle_raises(self):
+        sq = self.build()
+        with pytest.raises(ValueError, match="not a cycle"):
+            sq.class_of((1, 0))

@@ -199,6 +199,16 @@ class TestLes:
         assert les_exactness(p, ZZ).ok
         assert les_exactness(p, QQ).ok
 
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_ranks_over_the_fraction_field(self, ring):
+        # torsion generators (Z/2 in h_1 of RP^2) carry no rank: the image
+        # coming in and the kernel going out agree at every node
+        for p in (SimplicialPair(MOBIUS, MOBIUS_BOUNDARY),
+                  SimplicialPair(product_complex(RP2, EDGE),
+                                 product_complex(RP2, spaces.EDGE_ENDS))):
+            for node in les_exactness(p, ring).nodes:
+                assert node.rank_in == node.rank_ker >= 0, (node.degree, node.position)
+
 
 class TestProducts:
     def test_point_unit(self):

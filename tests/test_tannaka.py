@@ -118,6 +118,10 @@ class TestCoalgebra:
             coords = tuple(1 if i == k else 0 for i in range(2))
             assert A.grouplike_defect(coords).is_zero()
             assert A.counit_of(coords) == 1
+        for coords in ((2, 0), (1, 1), (1, -1)):
+            x = Matrix.column(QQ, coords)
+            defect = A.grouplike_defect(coords)
+            assert defect == A.delta * x - x.kron(x) and not defect.is_zero()
 
 
 class TestCoaction:
@@ -453,6 +457,41 @@ class TestSparseRejects:
                 transition_map(ctx.rep, EF, EG)
         monkeypatch.setattr(tannaka, "coaction", honest)
         assert transition_map(ctx.rep, EF, EG).matrix == tm.matrix
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_corrupted_transition_comultiplication(self, ring, monkeypatch):
+        corpus = Corpus(default_corpus_text())
+        ctx, F = corpus.subdiagram("F1", ring)
+        _, G = corpus.subdiagram("F2", ring)
+        EF, EG = ctx.end(F), ctx.end(G)
+        AF, AG = EF.coalgebra(), EG.coalgebra()
+        t = transition_map(ctx.rep, EF, EG).matrix
+        assert tannaka._comultiplicative(t, AG.delta, AF.delta)
+        rejected = []
+        for i in range(t.rows):
+            for j in range(t.cols):
+                bad = perturbed(t, i, j)
+                dense = AG.delta * bad == bad.kron(bad) * AF.delta
+                assert tannaka._comultiplicative(bad, AG.delta, AF.delta) == dense
+                if not dense:
+                    rejected.append((i, j))
+        assert rejected
+        # t[i][j] is coordinate j of the i-th restricted family
+        i, j = rejected[0]
+        honest = tannaka.EndAlgebra.coordinates
+        calls = []
+
+        def corrupt(self, flat):
+            coords = honest(self, flat)
+            if self is EF:
+                calls.append(flat)
+                if len(calls) == i + 1:
+                    coords = coords[:j] + (coords[j] + 1,) + coords[j + 1:]
+            return coords
+        monkeypatch.setattr(tannaka.EndAlgebra, "coordinates", corrupt)
+        with pytest.raises(AxiomViolation,
+                           match="transition fails comultiplication compatibility"):
+            transition_map(ctx.rep, EF, EG)
 
 
 class TestBuildOnce:
