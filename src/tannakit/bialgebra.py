@@ -154,21 +154,7 @@ def kunneth_tau(ctx: PairsContext, v, w) -> TauIso:
         cols.append(tuple(sol[:rv * rw]))
     matrix = Matrix.from_columns(ring, cols, rows=rv * rw)
 
-    inv_cols = []
-    for i in range(rv):
-        zi = hv.lift(nv, i)
-        for j in range(rw):
-            wj = hw.lift(nw, j)
-            vec = [0] * len(tlabels)
-            for ia, sa in enumerate(c1.labels(nv)):
-                if zi[ia] == 0:
-                    continue
-                for ib, sb in enumerate(c2.labels(nw)):
-                    if wj[ib] == 0:
-                        continue
-                    vec[tindex[(nv, sa, sb)]] += zi[ia] * wj[ib]
-            cyc = ez.component(N).apply(vec)
-            inv_cols.append(hvw.class_of(N, cyc))
+    inv_cols = [hvw.class_of(N, ez.component(N).apply(vec)) for vec in basis_cols]
     inverse = Matrix.from_columns(ring, inv_cols, rows=rvw)
     if matrix * inverse != Matrix.identity(ring, rv * rw) or \
        inverse * matrix != Matrix.identity(ring, rvw):

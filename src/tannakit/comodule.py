@@ -14,7 +14,10 @@ from .errors import DimensionMismatch, MissingProducts
 from .linalg import (
     FgModule, Matrix, ZZ, _Solver, kernel, module_from_relations,
 )
-from .tannaka import CoalgebraTrunc
+from .tannaka import (
+    CoalgebraTrunc, _coassociative, _counit_identity, _intertwines,
+    _nonzero_columns,
+)
 
 
 def _entry_ok(x, order):
@@ -91,37 +94,23 @@ class Comodule:
         return len(self.gen_orders)
 
 
-def _rows_orders(comodule, copies=1):
-    """Orders of the rows of C^(x copies) (x) V in row-major order."""
-    r = comodule.coalgebra.rank
-    k = comodule.ngens
-    return [comodule.gen_orders[g]
-            for _ in range(r ** copies) for g in range(k)]
-
-
-def _matrices_equal_mod(m1, m2, orders):
-    if m1.rows != m2.rows or m1.cols != m2.cols:
-        return False
-    for i in range(m1.rows):
-        t = orders[i]
-        for j in range(m1.cols):
-            if not _entry_ok(m1[i, j] - m2[i, j], t):
-                return False
-    return True
+def _order_relations(orders, ring=ZZ):
+    """Relation columns t e_i, one for each generator i of order t > 0."""
+    n = len(orders)
+    return Matrix.from_columns(ring, [[t if j == i else 0 for j in range(n)]
+                                      for i, t in enumerate(orders) if t], rows=n)
 
 
 def check_comodule_axioms(m: Comodule) -> ComodCert:
-    """Coassociativity and counit as exact identities (mod target torsion)."""
+    """Coassociativity and counit as exact identities (mod target torsion),
+    contracted over the nonzeros of Delta and rho with no Kronecker."""
     A = m.coalgebra
-    k = m.ngens
-    eye_v = Matrix.identity(A.ring, k)
-    left = A.delta.kron(eye_v) * m.rho
-    right = Matrix.identity(A.ring, A.rank).kron(m.rho) * m.rho
+    rho = _nonzero_columns(m.rho)
     failures = []
-    if not _matrices_equal_mod(left, right, _rows_orders(m, copies=2)):
+    if not _coassociative(_nonzero_columns(A.delta), rho, A.rank, m.ngens,
+                          m.gen_orders):
         failures.append("coassociativity: (Delta (x) id) rho != (id (x) rho) rho")
-    counit_side = A.counit.kron(eye_v) * m.rho
-    if not _matrices_equal_mod(counit_side, eye_v, list(m.gen_orders)):
+    if not _counit_identity(rho, A.counit.row(0), m.ngens, orders=m.gen_orders):
         failures.append("counit: (eps (x) id) rho != id")
     return ComodCert(failures, 2)
 
@@ -130,10 +119,8 @@ def is_comodule_morphism(src: Comodule, dst: Comodule, matrix) -> bool:
     """rho_dst o f = (id_C (x) f) o rho_src, modulo target torsion."""
     if src.coalgebra != dst.coalgebra:
         return False
-    A = src.coalgebra
-    left = dst.rho * matrix
-    right = Matrix.identity(A.ring, A.rank).kron(matrix) * src.rho
-    return _matrices_equal_mod(left, right, _rows_orders(dst))
+    return _intertwines(matrix, src.rho, dst.rho, src.coalgebra.rank,
+                        dst.gen_orders)
 
 
 def extended_comodule(C: CoalgebraTrunc, E: FgModule) -> Comodule:
@@ -168,28 +155,13 @@ def canonical_embedding(m: Comodule):
 def presented_kernel_is_zero(matrix, src_orders, tgt_orders, ring=ZZ):
     """Whether ker of a map of presented modules vanishes."""
     k = len(src_orders)
-    rel_t_cols = []
-    for i, t in enumerate(tgt_orders):
-        if t:
-            col = [0] * len(tgt_orders)
-            col[i] = t
-            rel_t_cols.append(col)
-    big = matrix
-    if rel_t_cols:
-        big = matrix.hstack(Matrix.from_columns(ring, rel_t_cols,
-                                                rows=len(tgt_orders)))
-    K = kernel(big)
+    K = kernel(matrix.hstack(_order_relations(tgt_orders, ring)))
     cycles = K.take_rows(range(k)) if K.cols else Matrix.zeros(ring, k, 0)
-    rel_s_cols = []
-    for i, t in enumerate(src_orders):
-        if t:
-            col = [0] * k
-            col[i] = t
-            rel_s_cols.append(col)
+    rel_s = _order_relations(src_orders, ring)
     solver = _Solver(cycles)
     coeffs = []
-    for col in rel_s_cols:
-        c = solver.solve(tuple(col))
+    for j in range(rel_s.cols):
+        c = solver.solve(rel_s.col(j))
         if c is None:
             return False
         coeffs.append(c)
@@ -227,32 +199,21 @@ def torsionfree_cover(C: CoalgebraTrunc, m: Comodule) -> TorsionfreeCover:
     r = C.rank
     amb = k + r * k                    # generators of E (+) (C (x) F)
     amb_orders = list(m.gen_orders) + [0] * (r * k)
-    tgt_orders = _rows_orders(m)       # rows of C (x) E
+    tgt_orders = list(m.gen_orders) * r    # rows of C (x) E
     # difference map: (e, y) |-> rho(e) - (id (x) eta)(y); eta is the
     # identity on generators, so the second block is minus the identity
     diff = m.rho.hstack(Matrix.identity(ZZ, r * k).scale(-1))
-    rel_cols = []
-    for i, t in enumerate(tgt_orders):
-        if t:
-            col = [0] * len(tgt_orders)
-            col[i] = t
-            rel_cols.append(col)
-    big = diff
-    if rel_cols:
-        big = diff.hstack(Matrix.from_columns(ZZ, rel_cols, rows=len(tgt_orders)))
-    K = kernel(big)
+    K = kernel(diff.hstack(_order_relations(tgt_orders)))
     Z = K.take_rows(range(amb)) if K.cols else Matrix.zeros(ZZ, amb, 0)
     # express ambient relations in the kernel basis
     solver = _Solver(Z)
+    rel_amb = _order_relations(amb_orders)
     rel_coords = []
-    for i, t in enumerate(amb_orders):
-        if t:
-            col = [0] * amb
-            col[i] = t
-            c = solver.solve(tuple(col))
-            if c is None:
-                raise AssertionError("ambient relation escapes the pullback")
-            rel_coords.append(c)
+    for j in range(rel_amb.cols):
+        c = solver.solve(rel_amb.col(j))
+        if c is None:
+            raise AssertionError("ambient relation escapes the pullback")
+        rel_coords.append(c)
     rels = Matrix.from_columns(ZZ, rel_coords, rows=Z.cols)
     mod, to_n, from_n = module_from_relations(ZZ, Z.cols, rels)
     if mod.torsion:
@@ -266,18 +227,8 @@ def torsionfree_cover(C: CoalgebraTrunc, m: Comodule) -> TorsionfreeCover:
     ext_free = extended_on_orders(C, [0] * k)
     gens_cp = Matrix.identity(ZZ, r).kron(lifts)
     # target rows: C (x) (E (+) C (x) F) with orders per ambient generator
-    cp_orders = [amb_orders[g] for _ in range(r) for g in range(amb)]
-    rel_cp = []
-    for i, t in enumerate(cp_orders):
-        if t:
-            col = [0] * len(cp_orders)
-            col[i] = t
-            rel_cp.append(col)
-    gens_all = gens_cp
-    if rel_cp:
-        gens_all = gens_cp.hstack(Matrix.from_columns(ZZ, rel_cp,
-                                                      rows=len(cp_orders)))
-    qsolver = _Solver(gens_all)
+    cp_orders = amb_orders * r
+    qsolver = _Solver(gens_cp.hstack(_order_relations(cp_orders)))
     for j in range(mod.ngens):
         lift = lifts.col(j)
         e_part = lift[:k]
@@ -299,27 +250,18 @@ def torsionfree_cover(C: CoalgebraTrunc, m: Comodule) -> TorsionfreeCover:
         raise AssertionError("pullback comodule fails axioms: %s" % (cert.failures,))
     if not is_comodule_morphism(cover, m, surj):
         raise AssertionError("surjection is not a comodule morphism")
-    ext_on_m = extended_on_orders(C, [0] * k)
-    if not is_comodule_morphism(cover, ext_on_m, embed):
+    if not is_comodule_morphism(cover, ext_free, embed):
         raise AssertionError("embedding is not a comodule morphism")
     # epi: E / im(surj) = 0
-    rel_e = []
-    for i, t in enumerate(m.gen_orders):
-        if t:
-            col = [0] * k
-            col[i] = t
-            rel_e.append(col)
-    quot_rels = surj
-    if rel_e:
-        quot_rels = surj.hstack(Matrix.from_columns(ZZ, rel_e, rows=k))
-    coker, _, _ = module_from_relations(ZZ, k, quot_rels)
+    coker, _, _ = module_from_relations(
+        ZZ, k, surj.hstack(_order_relations(m.gen_orders)))
     if not coker.is_zero():
         raise AssertionError("cover fails to surject onto the comodule")
     # mono: kernel of the embedding vanishes
     if not presented_kernel_is_zero(embed, [0] * mod.ngens,
                                     [0] * (r * k)):
         raise AssertionError("cover fails to embed into the extended comodule")
-    return TorsionfreeCover(cover, surj, embed, m, ext_on_m)
+    return TorsionfreeCover(cover, surj, embed, m, ext_free)
 
 
 def tensor_comodules(m: Comodule, n: Comodule, mu) -> Comodule:

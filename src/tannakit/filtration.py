@@ -16,8 +16,8 @@ from .errors import (
 )
 from .linalg import FgModule, Matrix, ModuleMap, ZZ, subquotient
 from .simplicial import (
-    SimplicialComplex, SimplicialMap, SimplicialPair, _shuffle_sign,
-    induced_map_on_homology, pair_homology, product_complex,
+    SimplicialComplex, SimplicialMap, SimplicialPair, _shuffle_paths,
+    _shuffle_sign, induced_map_on_homology, pair_homology, product_complex,
     relative_homology, triple_boundary,
 )
 
@@ -391,19 +391,10 @@ def product_filtration(F: Filtration, G: Filtration, ring=ZZ):
                             if zb[ib] == 0:
                                 continue
                             coeff = za[ia] * zb[ib]
-                            for positions in combinations(range(i), p):
-                                sign = _shuffle_sign(positions, i)
-                                path = [(sa[0], sb[0])]
-                                x = y = 0
-                                for step in range(i):
-                                    if step in positions:
-                                        x += 1
-                                    else:
-                                        y += 1
-                                    path.append((sa[x], sb[y]))
-                                r = cc_n.index(i, tuple(path))
+                            for positions, path in _shuffle_paths(sa, sb):
+                                r = cc_n.index(i, path)
                                 if r is not None:
-                                    vec[r] += sign * coeff
+                                    vec[r] += _shuffle_sign(positions, i) * coeff
                     cols.append(hc.class_of(i, tuple(vec)))
         comps[i] = ModuleMap(src, tgt,
                              Matrix.from_columns(ring, cols, rows=tgt.ngens))

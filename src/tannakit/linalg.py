@@ -5,8 +5,10 @@ fractions.Fraction over Q); nothing here ever rounds or overflows.
 Provides Smith normal form with unimodular transforms, Hermite/echelon
 canonical bases, kernels, exact solving, finitely generated modules
 presented by invariant factors, module maps and subquotients.  Reduced row
-echelon forms are computed on sparse integer rows, fraction-free, and
-triangular bases are solved by substitution.
+echelon forms are computed on sparse integer rows, fraction-free.  Z kernels
+and solves against non-echelon matrices come from one canonical column
+reduction of A stacked on the identity; every solve is a substitution in an
+echelon basis.  Smith normal form is used only for invariant factors.
 """
 
 from fractions import Fraction
@@ -570,17 +572,29 @@ def echelon_columns(A):
     return R.take_rows(range(len(pivots))).transpose()
 
 
+def _column_reduce(A):
+    """Canonical column reduction of A stacked on the identity: Hermite over
+    Z, echelon over Q (Cohen, GTM 138, 2.4).  Returns (H, T, K): the reduced
+    columns with a nonzero A part give H (that part) and T (their identity
+    part), so A*T = H; the others give K, a basis of ker(A), which over Z is
+    the Hermite basis of the kernel lattice."""
+    m, ring = A.rows, A.ring
+    stacked = Matrix(ring, A.data + Matrix.identity(ring, A.cols).data,
+                     m + A.cols, A.cols)
+    R = hnf_columns(stacked) if ring == ZZ else echelon_columns(stacked)
+    cols = [R.col(j) for j in range(R.cols)]
+    image = [c for c in cols if any(c[:m])]      # pivot order: these come first
+    kern = [c[m:] for c in cols[len(image):]]
+    return (Matrix.from_columns(ring, [c[:m] for c in image], rows=m),
+            Matrix.from_columns(ring, [c[m:] for c in image], rows=A.cols),
+            Matrix.from_columns(ring, kern, rows=A.cols))
+
+
 def kernel(A):
-    """Canonical basis (as columns) of ker(A); saturated over Z."""
+    """Canonical basis (as columns) of ker(A): Hermite, hence saturated, over
+    Z; the free-column basis of the reduced echelon form over Q."""
     if A.ring == ZZ:
-        if A.cols == 0:
-            return Matrix.zeros(ZZ, 0, 0)
-        form = smith_normal_form(A)
-        r = form.rank
-        cols = [form.V.col(j) for j in range(r, A.cols)]
-        if not cols:
-            return Matrix.zeros(ZZ, A.cols, 0)
-        return hnf_columns(Matrix.from_columns(ZZ, cols, rows=A.cols))
+        return _column_reduce(A)[2]
     _, basis = _null_vectors(*rref(A))
     return Matrix.from_columns(QQ, basis, rows=A.cols)
 
@@ -605,31 +619,33 @@ class _Solver:
     When every column j has a pivot row, nonzero in column j and zero in all
     later columns, the columns are independent: x is found by forward
     substitution on those rows and checked on every row.  Bases from
-    kernel, hnf_columns and echelon_columns all have this shape.  Otherwise
-    the solve goes through Smith normal form (Z) or a reduced echelon form (Q).
+    kernel, hnf_columns and echelon_columns all have this shape.  Any other A
+    is replaced by the image columns H of _column_reduce, which have it, and
+    the solution y of H y = b is returned as T y.
     """
 
     def __init__(self, A):
-        self.A = A
         self.ring = A.ring
+        self.T = None
+        if not self._load_rows(A):
+            H, self.T, _ = _column_reduce(A)
+            self._load_rows(H)
+
+    def _load_rows(self, A):
+        """Sparse rows of A and a pivot row per column; False if one lacks it."""
         self.rows = [[(j, x) for j, x in enumerate(row) if x] for row in A.data]
         pivot_rows = {}
         for i, row in enumerate(self.rows):
             if row:
                 pivot_rows.setdefault(row[-1][0], i)
         self.pivot_rows = [pivot_rows.get(j) for j in range(A.cols)]
-        if None not in self.pivot_rows:
-            return
-        self.pivot_rows = None
-        if A.ring == ZZ:
-            self.form = smith_normal_form(A)
-        else:
-            aug, pivots = rref(A.hstack(Matrix.identity(QQ, A.rows)))
-            self.pivots = tuple(p for p in pivots if p < A.cols)
-            self.T = aug.take_cols(range(A.cols, A.cols + A.rows))
+        return None not in self.pivot_rows
 
-    def _substitute(self, b):
+    def solve(self, b):
+        if len(b) != len(self.rows):
+            raise ValueError("rhs length mismatch")
         x = []
+        b = [_coerce(self.ring, y) if y else 0 for y in b]
         for i in self.pivot_rows:
             row = self.rows[i]
             s = b[i] - sum(a * x[j] for j, a in row[:-1] if x[j])
@@ -639,36 +655,7 @@ class _Solver:
         for row, y in zip(self.rows, b):
             if sum(a * x[j] for j, a in row if x[j]) != y:
                 return None
-        return tuple(x)
-
-    def solve(self, b):
-        A = self.A
-        if len(b) != A.rows:
-            raise ValueError("rhs length mismatch")
-        if self.pivot_rows is not None:
-            return self._substitute([_coerce(self.ring, y) if y else 0 for y in b])
-        if A.ring == ZZ:
-            f = self.form
-            y = f.U.apply(b)
-            n = A.cols
-            c = [0] * n
-            for i in range(A.rows):
-                d = f.D[i, i] if i < min(A.rows, n) else 0
-                if d != 0:
-                    if y[i] % d != 0:
-                        return None
-                    c[i] = y[i] // d
-                elif y[i] != 0:
-                    return None
-            return f.V.apply(c)
-        y = self.T.apply(b)
-        r = len(self.pivots)
-        if any(y[i] != 0 for i in range(r, A.rows)):
-            return None
-        x = [Fraction(0)] * A.cols
-        for i, p in enumerate(self.pivots):
-            x[p] = y[i]
-        return tuple(x)
+        return tuple(x) if self.T is None else self.T.apply(x)
 
 
 def solve(A, b):

@@ -601,22 +601,21 @@ def les_exactness(pair, ring=ZZ) -> LesCertificate:
 # Products, Eilenberg-Zilber, Alexander-Whitney
 # ---------------------------------------------------------------------------
 
-def _staircases(sigma, tau):
-    """All maximal monotone paths through the grid sigma x tau."""
+def _shuffle_paths(sigma, tau):
+    """(positions, path) for every maximal monotone path through the grid
+    sigma x tau; positions are the steps that advance in sigma."""
     p = len(sigma) - 1
-    q = len(tau) - 1
-    out = []
-    for positions in combinations(range(p + q), p):
+    n = p + len(tau) - 1
+    for positions in combinations(range(n), p):
         path = [(sigma[0], tau[0])]
         a = b = 0
-        for step in range(p + q):
+        for step in range(n):
             if step in positions:
                 a += 1
             else:
                 b += 1
             path.append((sigma[a], tau[b]))
-        out.append(tuple(path))
-    return out
+        yield positions, tuple(path)
 
 
 def product_complex(X, Y):
@@ -628,7 +627,7 @@ def product_complex(X, Y):
               if not any(set(t) < set(u) for u in Y.all_simplices())]
     for s in star_x:
         for t in star_y:
-            maximal.extend(_staircases(s, t))
+            maximal.extend(path for _, path in _shuffle_paths(s, t))
     return SimplicialComplex.from_maximal(maximal)
 
 
@@ -672,21 +671,11 @@ def ez_matrixes(cx, cy, cxy, tensor=None):
         tn = tensor.rank(n)
         pn = cxy.rank(n)
         ezdata = [[0] * tn for _ in range(pn)]
-        for j, (p, s, t) in enumerate(tensor.labels(n)):
-            q = n - p
-            for positions in combinations(range(n), p):
-                sign = _shuffle_sign(positions, n)
-                path = [(s[0], t[0])]
-                a = b = 0
-                for step in range(n):
-                    if step in positions:
-                        a += 1
-                    else:
-                        b += 1
-                    path.append((s[a], t[b]))
-                r = cxy.index(n, tuple(path))
+        for j, (_p, s, t) in enumerate(tensor.labels(n)):
+            for positions, path in _shuffle_paths(s, t):
+                r = cxy.index(n, path)
                 if r is not None:
-                    ezdata[r][j] += sign
+                    ezdata[r][j] += _shuffle_sign(positions, n)
         ez[n] = Matrix(ring, ezdata, pn, tn)
         awdata = [[0] * pn for _ in range(tn)]
         for j, simplex in enumerate(cxy.labels(n)):
@@ -706,6 +695,13 @@ def ez_matrixes(cx, cy, cxy, tensor=None):
     return ez_map, aw_map
 
 
+def _assert_aw_ez_identity(ez, aw, tensor, what):
+    for n in range(0, tensor.top_degree + 1):
+        eye = Matrix.identity(tensor.ring, tensor.rank(n))
+        if aw.component(n) * ez.component(n) != eye:
+            raise AssertionError("%s != id in degree %d" % (what, n))
+
+
 def ez_aw_maps(X, Y, ring=ZZ):
     """Absolute Eilenberg-Zilber and Alexander-Whitney maps for X, Y.
 
@@ -717,10 +713,7 @@ def ez_aw_maps(X, Y, ring=ZZ):
     cxy = relative_chain_complex(SimplicialPair(XY), ring)
     tensor = tensor_complex(cx, cy)
     ez, aw = ez_matrixes(cx, cy, cxy, tensor)
-    for n in range(0, tensor.top_degree + 1):
-        prod = aw.component(n) * ez.component(n)
-        if prod != Matrix.identity(ring, tensor.rank(n)):
-            raise AssertionError("AW o EZ != id in degree %d" % n)
+    _assert_aw_ez_identity(ez, aw, tensor, "AW o EZ")
     return ez, aw, tensor, cxy
 
 
@@ -733,10 +726,7 @@ def ez_aw_relative(p1, p2, ring=ZZ):
     cp = pair_homology(pp, ring).complex
     tensor = tensor_complex(c1, c2)
     ez, aw = ez_matrixes(c1, c2, cp, tensor)
-    for n in range(0, tensor.top_degree + 1):
-        prod = aw.component(n) * ez.component(n)
-        if prod != Matrix.identity(ring, tensor.rank(n)):
-            raise AssertionError("relative AW o EZ != id in degree %d" % n)
+    _assert_aw_ez_identity(ez, aw, tensor, "relative AW o EZ")
     return pp, ez, aw, tensor
 
 

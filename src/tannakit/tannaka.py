@@ -14,8 +14,8 @@ from .errors import (
     AxiomViolation, InputError, NonFreeVertex, NotNested, WrongRank,
 )
 from .linalg import (
-    QQ, ZZ, FgModule, Matrix, ModuleMap, _Solver, echelon_columns,
-    hnf_columns, kernel, smith_normal_form, solve, swap_matrix,
+    QQ, ZZ, FgModule, Matrix, ModuleMap, _Solver, echelon_columns, kernel,
+    smith_normal_form,
 )
 from .simplicial import (
     SimplicialPair, induced_map_on_homology, pair_homology, relative_homology,
@@ -196,14 +196,12 @@ class EndAlgebra:
                         row[offsets[dst] + i * rd + k] -= m[k, j]
                     rows.append(row)
         if rows:
-            constraint = Matrix(self.ring, rows, len(rows), self.total)
-            basis = kernel(constraint)
+            # a Z kernel is already in Hermite form
+            basis = kernel(Matrix(self.ring, rows, len(rows), self.total))
+            if self.ring == QQ and basis.cols:
+                basis = echelon_columns(basis)
         else:
             basis = Matrix.identity(self.ring, self.total)
-        if self.ring == ZZ:
-            basis = hnf_columns(basis) if basis.cols else basis
-        else:
-            basis = echelon_columns(basis) if basis.cols else basis
         self.basis = basis
         self._solver = _Solver(self.basis)
         unit = [0] * self.total
@@ -282,12 +280,23 @@ def _nonzero_columns(m):
     return cols
 
 
-def _coassociative(delta, rho, n, r):
+def _vanishes(diff, r, orders):
+    """Whether every entry of diff {row: x} is zero, or divisible by
+    orders[row % r] (the order of the row's generator; 0 when free)."""
+    if orders is None:
+        return not any(diff.values())
+    return all(x % orders[i % r] == 0 if orders[i % r] else x == 0
+               for i, x in diff.items())
+
+
+def _coassociative(delta, rho, n, r, orders=None):
     """(Delta (x) id) rho == (id (x) rho) rho, one column of rho at a time.
 
     delta and rho are the _nonzero_columns of the n^2 x n comultiplication
     and of an (n r) x r coaction (rows (i, a) -> i * r + a); the difference
     of the sides is summed over nonzero products only, with no Kronecker.
+    With orders (one per generator a) the identity holds modulo the order
+    of each row's generator.
     """
     for col in rho:
         diff = {}
@@ -297,22 +306,38 @@ def _coassociative(delta, rho, n, r):
                 diff[pq * r + a] = diff.get(pq * r + a, 0) + c * d
             for jb, d in rho[a].items():
                 diff[i * n * r + jb] = diff.get(i * n * r + jb, 0) - c * d
-        if any(diff.values()):
+        if not _vanishes(diff, r, orders):
             return False
     return True
 
 
-def _counit_identity(rho, eps, r, left=True):
+def _counit_identity(rho, eps, r, left=True, orders=None):
     """(eps (x) id) rho == id, or (id (x) eps) rho == id when not left, for
-    rho given as in _coassociative."""
+    rho and orders given as in _coassociative."""
     for b, col in enumerate(rho):
         diff = {b: -1}
         for ia, c in col.items():
             i, a = divmod(ia, r)
             e, key = (eps[i], a) if left else (eps[a], i)
             diff[key] = diff.get(key, 0) + e * c
-        if any(diff.values()):
+        if not _vanishes(diff, r, orders):
             return False
+    return True
+
+
+def _intertwines(m, rho_src, rho_dst, n, orders=None):
+    """rho_dst m == (id (x) m) rho_src for coactions over a rank-n coalgebra,
+    one row block at a time: block i of rho_dst m against m times block i of
+    rho_src, with no Kronecker.  With orders (one per row of m) the identity
+    holds modulo the order of each row's generator."""
+    rd, rs = m.rows, m.cols
+    lhs = rho_dst * m
+    for i in range(n):
+        rhs = m * rho_src.take_rows(range(i * rs, i * rs + rs))
+        for a, (x, y) in enumerate(zip(lhs.data[i * rd:i * rd + rd], rhs.data)):
+            t = orders[a] if orders else 0
+            if any((u - v) % t if t else u != v for u, v in zip(x, y)):
+                return False
     return True
 
 
@@ -529,8 +554,7 @@ def factorization_check(rep, sub, E=None) -> FactorizationCert:
     (i) comodule axioms for every canonical coaction, (ii) every edge map is
     a comodule morphism, (iii) forgetting coactions returns the original
     modules.  The identities are checked exactly by contracting the sparse
-    structure tensor: rho_dst m = (id (x) m) rho_src is compared one row
-    block of rho_src at a time, as m times that block.
+    structure tensor, and rho_dst m = (id (x) m) rho_src by _intertwines.
     """
     if E is None:
         E = end_algebra(rep, sub)
@@ -551,13 +575,8 @@ def factorization_check(rep, sub, E=None) -> FactorizationCert:
             violations.append("underlying module changed at %r" % (v,))
         checked += 1
     for (name, src, dst, _kind) in sub.edges:
-        m = rep.edge_map(name).matrix
-        rd, rs = m.rows, m.cols
-        lhs = coactions[dst].rho * m
-        rho_src = coactions[src].rho
         checked += 1
-        if any(lhs.take_rows(range(i * rd, i * rd + rd))
-               != m * rho_src.take_rows(range(i * rs, i * rs + rs))
-               for i in range(A.rank)):
+        if not _intertwines(rep.edge_map(name).matrix, coactions[src].rho,
+                            coactions[dst].rho, A.rank):
             violations.append("edge %r is not a comodule morphism" % (name,))
     return FactorizationCert(violations, checked)

@@ -231,6 +231,36 @@ def dense_rref(mat):
     return a, tuple(pivots)
 
 
+# -- Smith-form kernel and solvability ---------------------------------------
+# These two take tannakit integer matrices and reuse the package's
+# smith_normal_form (and hnf_columns): they check the Hermite reduction of
+# kernel and _Solver against a different elimination, not independent
+# arithmetic.
+
+def snf_kernel(A):
+    """Hermite basis of ker(A) over Z through the Smith form U A V = D: the
+    columns of V past the rank, put in Hermite form."""
+    from tannakit.linalg import ZZ, Matrix, hnf_columns, smith_normal_form
+    if A.cols == 0:
+        return Matrix.zeros(ZZ, 0, 0)
+    form = smith_normal_form(A)
+    cols = [form.V.col(j) for j in range(form.rank, A.cols)]
+    if not cols:
+        return Matrix.zeros(ZZ, A.cols, 0)
+    return hnf_columns(Matrix.from_columns(ZZ, cols, rows=A.cols))
+
+
+def snf_solvable(A, b):
+    """Whether A x = b has an integer solution: with U A V = D, entry i of
+    U b is divisible by d_i within the rank and zero past it."""
+    from tannakit.linalg import smith_normal_form
+    form = smith_normal_form(A)
+    y = form.U.apply(b)
+    d = form.invariant_factors
+    return all(y[i] % d[i] == 0 if i < len(d) else y[i] == 0
+               for i in range(A.rows))
+
+
 # -- commutant oracle --------------------------------------------------------
 
 def brute_commutant(ranks, edges):

@@ -2,7 +2,8 @@ import pytest
 
 from tannakit.comodule import (
     Comodule, canonical_embedding, check_comodule_axioms, extended_comodule,
-    is_comodule_morphism, tensor_comodules, torsionfree_cover,
+    extended_on_orders, is_comodule_morphism, tensor_comodules,
+    torsionfree_cover,
 )
 from tannakit.errors import DimensionMismatch
 from tannakit.linalg import QQ, ZZ, FgModule, Matrix
@@ -189,3 +190,98 @@ class TestTensor:
         right = tensor_comodules(a, tensor_comodules(b, b, mu), mu)
         assert left.rho == right.rho
         assert left.gen_orders == right.gen_orders
+
+
+# -- the dense Kronecker identities, kept as oracles for the sparse checks --
+
+def dense_equal_mod(m1, m2, orders):
+    return all((x - y) % t == 0 if t else x == y
+               for row1, row2, t in zip(m1.data, m2.data, orders)
+               for x, y in zip(row1, row2))
+
+
+def dense_comodule_failures(m):
+    """check_comodule_axioms' failures through delta.kron(eye) products."""
+    A = m.coalgebra
+    eye_v = Matrix.identity(A.ring, m.ngens)
+    left = A.delta.kron(eye_v) * m.rho
+    right = Matrix.identity(A.ring, A.rank).kron(m.rho) * m.rho
+    failures = []
+    if not dense_equal_mod(left, right, list(m.gen_orders) * A.rank ** 2):
+        failures.append("coassociativity: (Delta (x) id) rho != (id (x) rho) rho")
+    if not dense_equal_mod(A.counit.kron(eye_v) * m.rho, eye_v, m.gen_orders):
+        failures.append("counit: (eps (x) id) rho != id")
+    return tuple(failures)
+
+
+def dense_is_morphism(src, dst, f):
+    right = Matrix.identity(f.ring, src.coalgebra.rank).kron(f) * src.rho
+    return dense_equal_mod(dst.rho * f, right,
+                           list(dst.gen_orders) * src.coalgebra.rank)
+
+
+def perturbed(m, i, j, by):
+    data = [list(row) for row in m.data]
+    data[i][j] += by
+    return Matrix(m.ring, data, m.rows, m.cols)
+
+
+def grading_comodule(orders):
+    """(Z/2)^2 graded by the two-element group-like coalgebra, Delta(e_g) =
+    e_g (x) e_g, with projections P0, P1 that are idempotent, orthogonal and
+    sum to the identity only modulo 2 (P0 P1 and P0 + P1 - I have a 2)."""
+    C = CoalgebraTrunc(ZZ, 2, Matrix(ZZ, [[1, 0], [0, 0], [0, 0], [0, 1]]),
+                       Matrix(ZZ, [[1, 1]]))
+    return Comodule(C, orders, Matrix(ZZ, [[1, 1], [0, 0], [0, 1], [0, 1]]))
+
+
+def comodule_cases():
+    E, A, rep, dia = matrix_coalgebra(ZZ)
+    rho = coaction(rep, Subdiagram(dia, ["v"]), "v", E, A).rho
+    return [grading_comodule((2, 2)), grading_comodule((0, 0)),
+            grading_comodule((2, 4)), Comodule(A, (0, 0), rho),
+            Comodule(A, (2, 2), rho), Comodule(A, (3, 3), rho),
+            Comodule(trivial_coalgebra(), (2, 0), Matrix.identity(ZZ, 2))]
+
+
+class TestSparseAgainstDense:
+    def test_torsion_decides_the_verdict(self):
+        assert check_comodule_axioms(grading_comodule((2, 2))).ok
+        failures = check_comodule_axioms(grading_comodule((0, 0))).failures
+        assert len(failures) == 2
+        assert failures == dense_comodule_failures(grading_comodule((0, 0)))
+
+    def test_perturbed_coactions(self):
+        rejected = 0
+        for m in comodule_cases():
+            assert check_comodule_axioms(m).failures == dense_comodule_failures(m)
+            for i in range(m.rho.rows):
+                for j in range(m.rho.cols):
+                    for by in (1, 2, -3):
+                        try:
+                            bad = Comodule(m.coalgebra, m.gen_orders,
+                                           perturbed(m.rho, i, j, by))
+                        except DimensionMismatch:
+                            continue
+                        failures = check_comodule_axioms(bad).failures
+                        assert failures == dense_comodule_failures(bad)
+                        rejected += bool(failures)
+        assert rejected > 0
+
+    def test_perturbed_morphisms(self):
+        verdicts = set()
+        for m in comodule_cases():
+            if not check_comodule_axioms(m).ok:
+                continue
+            ext = extended_on_orders(m.coalgebra, list(m.gen_orders))
+            pairs = [(m, m, Matrix.identity(ZZ, m.ngens)), (m, ext, m.rho)]
+            for src, dst, f in pairs:
+                assert is_comodule_morphism(src, dst, f)
+                for i in range(f.rows):
+                    for j in range(f.cols):
+                        for by in (1, 2):
+                            bad = perturbed(f, i, j, by)
+                            verdict = is_comodule_morphism(src, dst, bad)
+                            assert verdict == dense_is_morphism(src, dst, bad)
+                            verdicts.add(verdict)
+        assert verdicts == {True, False}

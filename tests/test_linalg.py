@@ -14,6 +14,7 @@ from tannakit.linalg import (
 
 from oracles import (
     dense_rref, minor_gcd_divisors, modp_subquotient_size, naive_diagonal,
+    snf_kernel, snf_solvable,
 )
 
 
@@ -292,9 +293,9 @@ def matrices(draw, entries, max_rows=6, max_cols=7):
 
 def eliminating_solver(A):
     """A solver on A plus a zero column: that column has no pivot row, so the
-    solve goes through Smith normal form or the reduced echelon form."""
+    solve goes through the column reduction of A over the identity."""
     s = _Solver(A.hstack(Matrix.zeros(A.ring, A.rows, 1)))
-    assert s.pivot_rows is None
+    assert s.T is not None
     return s
 
 
@@ -302,7 +303,7 @@ def assert_paths_agree(B, rhs):
     """The substitution solve of the basis B agrees with elimination on each
     right-hand side, with the ring's entry type."""
     sub = _Solver(B)
-    assert sub.pivot_rows is not None
+    assert sub.T is None
     elim = eliminating_solver(B)
     kind = int if B.ring == ZZ else Fraction
     for b in rhs:
@@ -380,10 +381,76 @@ class TestSolverPaths:
         for ring in (ZZ, QQ):
             A = Matrix(ring, [[1, 1], [1, -1]])
             s = _Solver(A)
-            assert s.pivot_rows is None
+            assert s.T is not None
             assert s.solve((2, 0)) == (1, 1)
         assert _Solver(mz([[1, 1], [1, -1]])).solve((1, 0)) is None
         assert _Solver(mq([[1, 1], [1, -1]])).solve((1, 0)) == (Fraction(1, 2),) * 2
+
+
+@st.composite
+def integer_matrices(draw):
+    """matrices(small_ints) with a drawn set of columns zeroed out."""
+    r, c, rows = draw(matrices(small_ints))
+    zero = draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=c))
+    return Matrix(ZZ, [[0 if j in zero else x for j, x in enumerate(row)]
+                       for row in rows], r, c)
+
+
+@st.composite
+def dependent_matrices(draw, ring):
+    """A non-echelon A: random columns, one a combination of two others, one
+    zero, in a drawn order."""
+    entries = small_ints if ring == ZZ else rationals
+    r = draw(st.integers(0, 5))
+    cols = draw(st.lists(st.lists(entries, min_size=r, max_size=r),
+                         min_size=1, max_size=4))
+    i, j = draw(st.integers(0, len(cols) - 1)), draw(st.integers(0, len(cols) - 1))
+    a, b = draw(entries), draw(entries)
+    cols.append([a * x + b * y for x, y in zip(cols[i], cols[j])])
+    cols.append([0] * r)
+    return Matrix.from_columns(ring, draw(st.permutations(cols)), rows=r)
+
+
+def solvable_over_q(A, b):
+    rows = [list(row) for row in A.data]
+    return (len(dense_rref(rows)[1])
+            == len(dense_rref([row + [y] for row, y in zip(rows, b)])[1]))
+
+
+class TestColumnReduction:
+    @settings(max_examples=300, deadline=None)
+    @given(integer_matrices())
+    def test_integer_kernel_equals_smith_oracle(self, A):
+        assert kernel(A) == snf_kernel(A)
+
+    def test_integer_kernel_empty_shapes(self):
+        for r, c in [(0, 0), (0, 3), (3, 0), (2, 2)]:
+            A = Matrix.zeros(ZZ, r, c)
+            assert kernel(A) == snf_kernel(A)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((ZZ, QQ)).flatmap(dependent_matrices),
+           st.randoms(use_true_random=False))
+    def test_non_echelon_solver_matches_oracle(self, A, rng):
+        s = _Solver(A)
+        assert s.T is not None
+        kind = int if A.ring == ZZ else Fraction
+        rhs = []
+        for _ in range(4):
+            b = list(A.apply([rng.randint(-3, 3) for _ in range(A.cols)]))
+            rhs.append(tuple(b))
+            if b:
+                b[rng.randrange(len(b))] += rng.choice((1, 2, -1))
+                rhs.append(tuple(b))
+        for b in rhs:
+            x = s.solve(b)
+            if A.ring == ZZ:
+                assert (x is not None) == snf_solvable(A, b)
+            else:
+                assert (x is not None) == solvable_over_q(A, b)
+            if x is not None:
+                assert len(x) == A.cols and all(type(v) is kind for v in x)
+                assert A.apply(x) == b
 
 
 class TestTorsionTarget:
@@ -401,7 +468,7 @@ class TestTorsionTarget:
         for j in range(sq.module.ngens):
             expect = tuple(int(i == j) for i in range(sq.module.ngens))
             assert sq.class_of(sq.lift(j)) == expect
-        assert sq._solver.pivot_rows is not None
+        assert sq._solver.T is None
 
     def test_non_cycle_raises(self):
         sq = self.build()
