@@ -10,10 +10,8 @@ target, which is exact equality in the free case.
 
 from math import gcd
 
-from .errors import DimensionMismatch, MissingProducts
-from .linalg import (
-    FgModule, Matrix, ZZ, _Solver, kernel, module_from_relations,
-)
+from .errors import CompositionNonzero, DimensionMismatch, MissingProducts
+from .linalg import FgModule, Matrix, ZZ, _Solver, presented_subquotient
 from .tannaka import (
     CoalgebraTrunc, _coassociative, _counit_identity, _intertwines,
     _nonzero_columns,
@@ -83,11 +81,7 @@ class Comodule:
         ring = self.rho.ring
         torsion = [t for t in self.gen_orders if t]
         free = sum(1 for t in self.gen_orders if t == 0)
-        if not torsion:
-            return FgModule(ring, free)
-        rels = Matrix.diagonal(ring, torsion, rows=len(torsion) + free)
-        mod, _, _ = module_from_relations(ring, rels.rows, rels)
-        return mod
+        return FgModule.cokernel(Matrix.diagonal(ring, torsion, rows=len(torsion) + free))
 
     @property
     def ngens(self):
@@ -154,20 +148,12 @@ def canonical_embedding(m: Comodule):
 
 def presented_kernel_is_zero(matrix, src_orders, tgt_orders, ring=ZZ):
     """Whether ker of a map of presented modules vanishes."""
-    k = len(src_orders)
-    K = kernel(matrix.hstack(_order_relations(tgt_orders, ring)))
-    cycles = K.take_rows(range(k)) if K.cols else Matrix.zeros(ring, k, 0)
-    rel_s = _order_relations(src_orders, ring)
-    solver = _Solver(cycles)
-    coeffs = []
-    for j in range(rel_s.cols):
-        c = solver.solve(rel_s.col(j))
-        if c is None:
-            return False
-        coeffs.append(c)
-    rels = Matrix.from_columns(ring, coeffs, rows=cycles.cols)
-    mod, _, _ = module_from_relations(ring, cycles.cols, rels)
-    return mod.is_zero()
+    try:
+        return presented_subquotient(
+            Matrix.zeros(ring, len(src_orders), 0), _order_relations(src_orders, ring),
+            matrix, _order_relations(tgt_orders, ring)).module.is_zero()
+    except CompositionNonzero:
+        return False
 
 
 class TorsionfreeCover:
@@ -203,22 +189,16 @@ def torsionfree_cover(C: CoalgebraTrunc, m: Comodule) -> TorsionfreeCover:
     # difference map: (e, y) |-> rho(e) - (id (x) eta)(y); eta is the
     # identity on generators, so the second block is minus the identity
     diff = m.rho.hstack(Matrix.identity(ZZ, r * k).scale(-1))
-    K = kernel(diff.hstack(_order_relations(tgt_orders)))
-    Z = K.take_rows(range(amb)) if K.cols else Matrix.zeros(ZZ, amb, 0)
-    # express ambient relations in the kernel basis
-    solver = _Solver(Z)
-    rel_amb = _order_relations(amb_orders)
-    rel_coords = []
-    for j in range(rel_amb.cols):
-        c = solver.solve(rel_amb.col(j))
-        if c is None:
-            raise AssertionError("ambient relation escapes the pullback")
-        rel_coords.append(c)
-    rels = Matrix.from_columns(ZZ, rel_coords, rows=Z.cols)
-    mod, to_n, from_n = module_from_relations(ZZ, Z.cols, rels)
+    try:
+        pullback = presented_subquotient(Matrix.zeros(ZZ, amb, 0), _order_relations(amb_orders),
+                                         diff, _order_relations(tgt_orders))
+    except CompositionNonzero:
+        raise AssertionError("ambient relation escapes the pullback") from None
+    mod = pullback.module
     if mod.torsion:
         raise AssertionError("pullback of a coaction against a free cover has torsion")
-    lifts = Z * from_n                 # columns: ambient coords of generators
+    lifts = Matrix.from_columns(       # columns: ambient coords of generators
+        ZZ, [pullback.lift(j) for j in range(mod.ngens)], rows=amb)
     surj = lifts.take_rows(range(k))
     embed = lifts.take_rows(range(k, amb))
 
@@ -253,9 +233,7 @@ def torsionfree_cover(C: CoalgebraTrunc, m: Comodule) -> TorsionfreeCover:
     if not is_comodule_morphism(cover, ext_free, embed):
         raise AssertionError("embedding is not a comodule morphism")
     # epi: E / im(surj) = 0
-    coker, _, _ = module_from_relations(
-        ZZ, k, surj.hstack(_order_relations(m.gen_orders)))
-    if not coker.is_zero():
+    if not FgModule.cokernel(surj.hstack(_order_relations(m.gen_orders))).is_zero():
         raise AssertionError("cover fails to surject onto the comodule")
     # mono: kernel of the embedding vanishes
     if not presented_kernel_is_zero(embed, [0] * mod.ngens,

@@ -8,7 +8,11 @@ presented by invariant factors, module maps and subquotients.  Reduced row
 echelon forms are computed on sparse integer rows, fraction-free.  Z kernels
 and solves against non-echelon matrices come from one canonical column
 reduction of A stacked on the identity; every solve is a substitution in an
-echelon basis.  Smith normal form is used only for invariant factors.
+echelon basis.  Invariant factors alone come from a sparse elimination of
+unit pivots (elementary_divisors), with Smith normal form only on what is
+left.  A homology module of a free complex is eager and its cycle basis is
+lazy: subquotient_free reads the module from elementary divisors and
+builds the basis on the first class_of or lift.
 """
 
 from fractions import Fraction
@@ -476,6 +480,77 @@ def _eliminate(row, piv, c):
     return {j: x // g for j, x in out.items()} if g > 1 else out
 
 
+def _integer_rows(A):
+    """Rows of A as sparse {col: int}, each scaled by the lcm of its
+    denominators."""
+    work = []
+    for row in A.data:
+        nz = [(j, x) for j, x in enumerate(row) if x]
+        m = lcm(*(x.denominator for _, x in nz))
+        work.append({j: x.numerator * (m // x.denominator) for j, x in nz})
+    return work
+
+
+def elementary_divisors(A):
+    """Nonzero invariant factors of A in divisibility order; (1,) * rank over
+    Q, whose rows are scaled to integers first.
+
+    Sparse elimination (Dumas, Saunders and Villard, JSC 2001): unit pivots
+    are eliminated as Schur complements, and only what is left goes to
+    smith_normal_form (Z) or rref (Q).  Each round takes the unit entries by
+    Markowitz cost (r - 1)(c - 1); an entry whose row or column a pivot of
+    the round changed waits for the next round, so the column index built at
+    the start of the round stays valid.  The elimination is re-checked
+    exactly: A is the sum of the pivots' rank-one terms plus the residual.
+    """
+    start = _integer_rows(A)
+    rows = {i: dict(r) for i, r in enumerate(start) if r}
+    terms = []
+    while True:
+        cols = {}
+        for i, r in rows.items():
+            for j in r:
+                cols.setdefault(j, []).append(i)
+        cand = sorted(((len(r) - 1) * (len(cols[j]) - 1), i, j)
+                      for i, r in rows.items() for j, x in r.items() if x == 1 or x == -1)
+        if not cand:
+            break
+        dirty_rows, dirty_cols = set(), set()
+        for _, i, j in cand:
+            if i in dirty_rows or j in dirty_cols:
+                continue
+            prow = rows.pop(i)
+            p = prow[j]
+            column = {k: rows[k][j] * p for k in cols[j] if k != i}   # a_kj / p
+            for k, f in column.items():
+                row = rows[k]
+                for c, y in prow.items():
+                    row[c] = row.get(c, 0) - f * y
+                    if not row[c]:
+                        del row[c]
+                if not row:
+                    del rows[k]
+            column[i] = 1
+            terms.append((column, prow))
+            dirty_rows.update(column)
+            dirty_cols.update(prow)
+    # A == the sum of the rank-one terms column * prow, plus the residual
+    total = {(i, j): x for i, r in rows.items() for j, x in r.items()}
+    for column, prow in terms:
+        for k, a in column.items():
+            for c, y in prow.items():
+                total[k, c] = total.get((k, c), 0) + a * y
+    if ({key: x for key, x in total.items() if x}
+            != {(i, j): x for i, r in enumerate(start) for j, x in r.items()}):
+        raise AssertionError("sparse elimination does not reproduce the matrix")
+    left = sorted({c for r in rows.values() for c in r})
+    residual = Matrix(ZZ, [[r.get(c, 0) for c in left] for r in rows.values()],
+                      len(rows), len(left))
+    if A.ring == QQ:
+        return (1,) * (len(terms) + len(rref(residual)[1]))
+    return (1,) * len(terms) + (smith_normal_form(residual).invariant_factors if rows else ())
+
+
 def rref(A):
     """Reduced row echelon form over Q: returns (R, pivot_columns).
 
@@ -486,11 +561,7 @@ def rref(A):
     one, with Fraction entries.
     """
     rows, cols = A.rows, A.cols
-    work = []
-    for row in A.data:
-        nz = [(j, x) for j, x in enumerate(row) if x]
-        m = lcm(*(x.denominator for _, x in nz))
-        work.append({j: x.numerator * (m // x.denominator) for j, x in nz})
+    work = _integer_rows(A)
     pivots = []
     for c in range(cols):
         r = len(pivots)
@@ -547,9 +618,6 @@ def hnf_columns(A):
                     newwork.append(nc)
                 else:
                     rest.append(nc)
-            if len(newwork) == 1:
-                work = newwork
-                break
             work = newwork
         piv = work[0]
         if piv[r] < 0:
@@ -562,7 +630,6 @@ def hnf_columns(A):
                         prev[i] -= q * piv[i]
         result.append(piv)
         active = rest
-    result = [c for c in result if any(x != 0 for x in c)]
     return Matrix.from_columns(ZZ, result, rows=m)
 
 
@@ -741,24 +808,24 @@ class FgModule:
     def tensor(self, other):
         if self.ring != other.ring:
             raise ValueError("ring mismatch in tensor")
-        if self.is_free() and other.is_free():
-            return FgModule(self.ring, self.free_rank * other.free_rank)
         ra, rb = self.relations(), other.relations()
         ia, ib = Matrix.identity(self.ring, self.ngens), Matrix.identity(self.ring, other.ngens)
-        rels = ra.kron(ib).hstack(ia.kron(rb))
-        mod, _, _ = module_from_relations(self.ring, self.ngens * other.ngens, rels)
-        return mod
+        return FgModule.cokernel(ra.kron(ib).hstack(ia.kron(rb)))
 
     def direct_sum(self, other):
         if self.ring != other.ring:
             raise ValueError("ring mismatch in direct sum")
-        torsion = sorted(self.torsion + other.torsion)
-        # re-normalize the combined chain
-        if torsion:
-            rels = Matrix.diagonal(self.ring, torsion, rows=len(torsion) + self.free_rank + other.free_rank)
-            mod, _, _ = module_from_relations(self.ring, rels.rows, rels)
-            return mod
-        return FgModule(self.ring, self.free_rank + other.free_rank)
+        torsion = self.torsion + other.torsion
+        return FgModule.cokernel(Matrix.diagonal(
+            self.ring, torsion, rows=len(torsion) + self.free_rank + other.free_rank))
+
+    @classmethod
+    def cokernel(cls, relations):
+        """The module presented by the columns of relations, from its
+        elementary divisors."""
+        divisors = elementary_divisors(relations)
+        return cls(relations.ring, relations.rows - len(divisors),
+                   [e for e in divisors if e > 1])
 
     def __eq__(self, other):
         return (isinstance(other, FgModule) and self.ring == other.ring
@@ -892,28 +959,42 @@ class Subquotient:
 
     class_of maps a cycle (coordinates in the middle module's generators) to
     coordinates on the normalized generators of the subquotient; lift does
-    the reverse for a generator index.
+    the reverse for a generator index.  The module is always known.  When it
+    comes from elementary divisors (subquotient_free), the cycle basis and
+    its transforms are built by subquotient on the first class_of or lift,
+    which must reproduce the same module.
     """
 
-    __slots__ = ("module", "_cycles", "_to_normal", "_from_normal", "_solver")
+    __slots__ = ("module", "_build", "_cycles", "_to_normal", "_from_normal", "_solver")
 
-    def __init__(self, module, cycles, to_normal, from_normal):
+    def __init__(self, module, cycles=None, to_normal=None, from_normal=None, build=None):
         self.module = module
+        self._build = build
         self._cycles = cycles
         self._to_normal = to_normal
         self._from_normal = from_normal
         self._solver = None
 
+    def _basis(self):
+        if self._build is not None:
+            eager = self._build()
+            if eager.module != self.module:
+                raise AssertionError("cycle basis gives %r, elementary divisors %r"
+                                     % (eager.module, self.module))
+            self._cycles, self._to_normal = eager._cycles, eager._to_normal
+            self._from_normal, self._build = eager._from_normal, None
+        return self._cycles
+
     def class_of(self, vec):
         if self._solver is None:
-            self._solver = _Solver(self._cycles)
+            self._solver = _Solver(self._basis())
         c = self._solver.solve(vec)
         if c is None:
             raise ValueError("vector is not a cycle (or not in the cycle submodule)")
         return self.module.normalize_vector(self._to_normal.apply(c))
 
     def lift(self, j):
-        return self._cycles.apply(self._from_normal.col(j))
+        return self._basis().apply(self._from_normal.col(j))
 
 
 def subquotient(d_in, d_out):
@@ -925,15 +1006,20 @@ def subquotient(d_in, d_out):
         raise ValueError("d_in target differs from d_out source")
     if not d_out.compose(d_in).is_zero_map():
         raise CompositionNonzero("d_out o d_in != 0")
-    B = d_in.target
-    ring = B.ring
-    mout = d_out.matrix
-    rel_c = d_out.target.relations()
-    big = mout.hstack(rel_c) if rel_c.cols else mout
+    return presented_subquotient(d_in.matrix, d_in.target.relations(),
+                                 d_out.matrix, d_out.target.relations())
+
+
+def presented_subquotient(m_in, rel_b, m_out, rel_c):
+    """ker/im in B for matrices m_in into and m_out out of B, where B and the
+    target of m_out are presented by the relation columns rel_b and rel_c,
+    normalized or not.  Raises CompositionNonzero when an image column or a
+    relation of B is not a cycle."""
+    ring, n = m_out.ring, m_out.cols
+    big = m_out.hstack(rel_c) if rel_c.cols else m_out
     K = kernel(big)
-    cycles = K.take_rows(range(B.ngens)) if K.cols else Matrix.zeros(ring, B.ngens, 0)
-    rel_b = B.relations()
-    bd = d_in.matrix.hstack(rel_b) if rel_b.cols else d_in.matrix
+    cycles = K.take_rows(range(n)) if K.cols else Matrix.zeros(ring, n, 0)
+    bd = m_in.hstack(rel_b) if rel_b.cols else m_in
     solver = _Solver(cycles)
     coeff_cols = []
     for j in range(bd.cols):
@@ -946,9 +1032,31 @@ def subquotient(d_in, d_out):
     return Subquotient(mod, cycles, to_n, from_n)
 
 
-def subquotient_free(ring, m_in, m_out):
-    """Subquotient for a free middle module given raw boundary matrices."""
-    b = FgModule.free(ring, m_in.rows)
-    a = FgModule.free(ring, m_in.cols)
-    c = FgModule.free(ring, m_out.rows)
-    return subquotient(ModuleMap(a, b, m_in), ModuleMap(b, c, m_out))
+def subquotient_free(ring, m_in, m_out, div_in=None, div_out=None):
+    """Subquotient for a free middle module given raw boundary matrices and,
+    optionally, their elementary divisors: Z^(n - rk d_out - rk d_in) plus
+    Z/e for the divisors e > 1 of d_in.  The cycle basis waits for its first
+    use."""
+    if m_out.cols != m_in.rows:
+        raise ValueError("d_in target differs from d_out source")
+    if not _composes_to_zero(m_out, m_in):
+        raise CompositionNonzero("d_out o d_in != 0")
+    div_in = elementary_divisors(m_in) if div_in is None else div_in
+    div_out = elementary_divisors(m_out) if div_out is None else div_out
+    module = FgModule(ring, m_in.rows - len(div_out) - len(div_in),
+                      [e for e in div_in if e > 1])
+    return Subquotient(module, build=lambda: presented_subquotient(
+        m_in, Matrix.zeros(ring, m_in.rows, 0), m_out, Matrix.zeros(ring, m_out.rows, 0)))
+
+
+def _composes_to_zero(m_out, m_in):
+    """m_out * m_in == 0, over the nonzeros of both."""
+    rows_in = [[(j, x) for j, x in enumerate(row) if x] for row in m_in.data]
+    for row in m_out.data:
+        acc = {}
+        for k, a in enumerate(row):
+            for j, x in rows_in[k] if a else ():
+                acc[j] = acc.get(j, 0) + a * x
+        if any(acc.values()):
+            return False
+    return True

@@ -11,9 +11,10 @@ the total-complex models are exact at chain level.
 
 from itertools import combinations
 
-from .errors import InvalidPair, NotACover, NotNested, NotPairMap, NotSimplicial
+from .errors import CompositionNonzero, InvalidPair, NotACover, NotNested, NotPairMap, NotSimplicial
 from .linalg import (
-    QQ, ZZ, FgModule, Matrix, ModuleMap, Subquotient, subquotient_free,
+    QQ, ZZ, FgModule, Matrix, ModuleMap, Subquotient, _composes_to_zero,
+    elementary_divisors, subquotient, subquotient_free,
 )
 
 
@@ -212,7 +213,7 @@ class SimplicialMap:
 class ChainComplex:
     """Free labeled chain complex with decreasing differentials."""
 
-    __slots__ = ("ring", "_labels", "_bnd", "_index", "_homology")
+    __slots__ = ("ring", "_labels", "_bnd", "_index", "_homology", "_divisors")
 
     def __init__(self, ring, labels, boundaries, check=True):
         self.ring = ring
@@ -226,10 +227,11 @@ class ChainComplex:
             self._bnd[d] = m
         self._index = {}
         self._homology = {}
+        self._divisors = {}
         if check:
             for d in list(self._bnd):
                 if d - 1 in self._bnd:
-                    if not (self._bnd[d - 1] * self._bnd[d]).is_zero():
+                    if not _composes_to_zero(self._bnd[d - 1], self._bnd[d]):
                         raise AssertionError("d o d != 0 at degree %d" % d)
 
     @property
@@ -259,20 +261,21 @@ class ChainComplex:
             m = Matrix.zeros(self.ring, self.rank(d - 1), self.rank(d))
         return m
 
+    def divisors(self, d):
+        """Nonzero elementary divisors of the boundary of degree d."""
+        if d not in self._divisors:
+            self._divisors[d] = elementary_divisors(self.boundary(d))
+        return self._divisors[d]
+
     def homology(self, d) -> Subquotient:
         if d not in self._homology:
             self._homology[d] = subquotient_free(
-                self.ring, self.boundary(d + 1), self.boundary(d))
+                self.ring, self.boundary(d + 1), self.boundary(d),
+                self.divisors(d + 1), self.divisors(d))
         return self._homology[d]
 
     def homology_module(self, d) -> FgModule:
-        if self.rank(d) == 0:
-            return FgModule.zero(self.ring)
         return self.homology(d).module
-
-    def homology_table(self, up_to=None):
-        top = self.top_degree if up_to is None else up_to
-        return {d: self.homology_module(d) for d in range(0, top + 1)}
 
 
 class ChainMap:
@@ -394,9 +397,7 @@ class PairHomology:
         self.complex = relative_chain_complex(pair, ring)
 
     def module(self, n) -> FgModule:
-        if n < 0 or self.complex.rank(n) == 0:
-            return FgModule.zero(self.ring)
-        return self.complex.homology(n).module
+        return self.complex.homology_module(n)
 
     def class_of(self, n, vec):
         return self.complex.homology(n).class_of(vec)
@@ -540,8 +541,6 @@ def pair_les_maps(pair, n, ring=ZZ):
 
 
 def _exact_at(d_in, d_out):
-    from .linalg import subquotient
-    from .errors import CompositionNonzero
     try:
         sq = subquotient(d_in, d_out)
     except CompositionNonzero:
@@ -554,10 +553,9 @@ def _exact_at(d_in, d_out):
 def _rank_of(mm):
     """Rank over the fraction field: only free target rows and free source
     columns count (torsion generators come first and vanish there)."""
-    from .linalg import rref
     m = mm.matrix.take_rows(range(len(mm.target.torsion), mm.target.ngens))
     m = m.take_cols(range(len(mm.source.torsion), mm.source.ngens))
-    return len(rref(m.to_ring(QQ))[1])
+    return len(elementary_divisors(m.to_ring(QQ)))
 
 
 def _kernel_rank(mm):
@@ -775,9 +773,11 @@ class CupProduct:
     def _cohomology(self, cc):
         out = {}
         for n in range(0, cc.top_degree + 1):
+            # a transpose has the same elementary divisors
             out[n] = subquotient_free(self.ring,
                                       cc.boundary(n).transpose(),
-                                      cc.boundary(n + 1).transpose())
+                                      cc.boundary(n + 1).transpose(),
+                                      cc.divisors(n), cc.divisors(n + 1))
         return out
 
     def cohomology_module(self, which, n):

@@ -14,8 +14,8 @@ from .errors import (
     AxiomViolation, InputError, NonFreeVertex, NotNested, WrongRank,
 )
 from .linalg import (
-    QQ, ZZ, FgModule, Matrix, ModuleMap, _Solver, echelon_columns, kernel,
-    smith_normal_form,
+    QQ, ZZ, FgModule, Matrix, ModuleMap, _Solver, echelon_columns,
+    elementary_divisors, kernel,
 )
 from .simplicial import (
     SimplicialPair, induced_map_on_homology, pair_homology, relative_homology,
@@ -263,7 +263,7 @@ class EndAlgebra:
     def is_saturated(self):
         if self.ring != ZZ or self.dim == 0:
             return True
-        return all(f == 1 for f in smith_normal_form(self.basis).invariant_factors)
+        return all(f == 1 for f in elementary_divisors(self.basis))
 
 
 def end_algebra(rep, sub) -> EndAlgebra:

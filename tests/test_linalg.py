@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from tannakit.errors import CompositionNonzero, TorsionPresent
 from tannakit.linalg import (
     QQ, ZZ, FgModule, Matrix, ModuleMap, _Solver, determinant, dual_map,
-    echelon_columns, hnf_columns, kernel, module_from_relations, rref,
-    smith_normal_form, solve, solve_in_submodule, subquotient,
-    subquotient_free,
+    echelon_columns, elementary_divisors, hnf_columns, kernel,
+    module_from_relations, rref, smith_normal_form, solve, solve_in_submodule,
+    subquotient, subquotient_free,
 )
 
 from oracles import (
@@ -474,3 +474,93 @@ class TestTorsionTarget:
         sq = self.build()
         with pytest.raises(ValueError, match="not a cycle"):
             sq.class_of((1, 0))
+
+
+# -- sparse elementary divisors and lazy subquotients --------------------------
+
+@st.composite
+def nonunit_matrices(draw):
+    """integer_matrices() with at least one entry outside {0, 1, -1}, so the
+    elimination leaves a residual for smith_normal_form."""
+    A = draw(integer_matrices())
+    rows = [list(r) for r in A.data]
+    if rows and A.cols:
+        i, j = draw(st.integers(0, A.rows - 1)), draw(st.integers(0, A.cols - 1))
+        rows[i][j] = draw(st.sampled_from((2, -2, 3, 4, -6)))
+    return Matrix(ZZ, rows, A.rows, A.cols)
+
+
+class TestElementaryDivisors:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(integer_matrices(), nonunit_matrices()))
+    def test_equals_naive_diagonal(self, A):
+        rows = [list(r) for r in A.data]
+        assert elementary_divisors(A) == tuple(naive_diagonal(rows))
+
+    @settings(max_examples=100, deadline=None)
+    @given(nonunit_matrices().filter(lambda A: A.rows <= 4 and A.cols <= 5))
+    def test_equals_minor_gcds(self, A):
+        rows = [list(r) for r in A.data]
+        assert elementary_divisors(A) == tuple(minor_gcd_divisors(rows))
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices(rationals))
+    def test_rational_rank(self, shape):
+        r, c, rows = shape
+        rank = len(dense_rref(rows)[1])
+        assert elementary_divisors(Matrix(QQ, rows, r, c)) == (1,) * rank
+
+    def test_empty_shapes(self):
+        for r, c in [(0, 0), (0, 3), (3, 0), (2, 2)]:
+            for ring in (ZZ, QQ):
+                assert elementary_divisors(Matrix.zeros(ring, r, c)) == ()
+
+    def test_residual_only_when_no_unit_is_left(self, monkeypatch):
+        import tannakit.linalg as linalg
+        seen = []
+        real = linalg.smith_normal_form
+        monkeypatch.setattr(linalg, "smith_normal_form",
+                            lambda M: seen.append(M) or real(M))
+        assert elementary_divisors(mz([[1, 1, 0], [1, -1, 0], [0, 0, 4]])) == (1, 2, 4)
+        assert [M.data for M in seen] == [((-2, 0), (0, 4))]
+        seen.clear()
+        assert elementary_divisors(mz([[1, 0], [1, 1]])) == (1, 1)
+        assert seen == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((ZZ, QQ)).flatmap(
+        lambda ring: matrices(small_ints if ring == ZZ else rationals).map(
+            lambda shape: Matrix(ring, shape[2], shape[0], shape[1]))))
+    def test_cokernel_equals_module_from_relations(self, A):
+        assert FgModule.cokernel(A) == module_from_relations(A.ring, A.rows, A)[0]
+
+
+class TestLazySubquotient:
+    def boundaries(self):
+        # Z^2 --[[2, 0], [2, 0]]--> Z^2 --[1, -1]--> Z: H = Z/2 in the middle
+        return mz([[2, 0], [2, 0]]), mz([[1, -1]])
+
+    def test_module_before_basis(self):
+        m_in, m_out = self.boundaries()
+        sq = subquotient_free(ZZ, m_in, m_out)
+        assert sq.module == FgModule(ZZ, 0, (2,))
+        assert sq._build is not None
+        assert sq.class_of((1, 1)) == (1,)
+        assert sq._build is None
+        assert sq.class_of(sq.lift(0)) == (1,)
+
+    def test_corrupted_divisors_trip_the_basis_check(self):
+        m_in, m_out = self.boundaries()
+        assert subquotient_free(ZZ, m_in, m_out, (2,), (1,)).class_of((1, 1)) == (1,)
+        for div_in, div_out in [((1,), (1,)), ((4,), (1,)), ((2,), ())]:
+            sq = subquotient_free(ZZ, m_in, m_out, div_in, div_out)
+            with pytest.raises(AssertionError, match="elementary divisors"):
+                sq.class_of((1, 1))
+            with pytest.raises(AssertionError, match="elementary divisors"):
+                sq.lift(0)
+
+    def test_composition_checked_sparsely(self):
+        with pytest.raises(CompositionNonzero):
+            subquotient_free(ZZ, mz([[1], [0]]), mz([[1, 0]]))
+        with pytest.raises(ValueError):
+            subquotient_free(ZZ, mz([[1], [0]]), mz([[1, 0, 0]]))

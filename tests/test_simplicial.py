@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tannakit import linalg
 from tannakit.errors import InvalidPair, NotACover, NotPairMap, NotSimplicial
-from tannakit.linalg import QQ, ZZ, FgModule, Matrix
+from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap
 from tannakit.simplicial import (
-    CechModel, SimplicialComplex, SimplicialMap, SimplicialPair,
+    CechModel, PairHomology, SimplicialComplex, SimplicialMap, SimplicialPair,
     cech_total_complex, ez_aw_maps, ez_aw_relative, induced_map_on_homology,
     les_exactness, pair_homology, pair_les_maps, product_complex,
     product_pair, relative_chain_complex, relative_cup_product,
@@ -108,6 +110,97 @@ class TestHomology:
                 rank_in = len(rref(cc.boundary(n + 1))[1])
                 betti = cc.rank(n) - rank_out - rank_in
                 assert relative_homology(pair(X), n, QQ).free_rank == betti
+
+
+@st.composite
+def random_pairs(draw):
+    """(maximal simplices of X, of Z) on at most six vertices: X of dimension
+    at most 3, Z generated by a few of X's simplices (often none)."""
+    verts = ["v%d" % i for i in range(6)]
+    simplex = st.lists(st.sampled_from(verts), min_size=1, max_size=4, unique=True)
+    maximal = draw(st.lists(simplex, min_size=1, max_size=7))
+    X = cx(*maximal)
+    faces = sorted(X.all_simplices())
+    zmax = draw(st.lists(st.sampled_from(faces), max_size=3))
+    return maximal, zmax
+
+
+def oracle_maximal(X):
+    return [s for s in X.all_simplices()
+            if not any(set(s) < set(t) for t in X.all_simplices())]
+
+
+class TestHomologyProperties:
+    @settings(max_examples=80, deadline=None)
+    @given(random_pairs())
+    def test_pairs_against_oracle(self, data):
+        maximal, zmax = data
+        X = cx(*maximal)
+        p = SimplicialPair(X, cx(*zmax) if zmax else EMPTY)
+        hz, hq = PairHomology(p, ZZ), PairHomology(p, QQ)
+        oracle = homology_groups(maximal, relative_to=zmax)
+        euler_chains = euler_ranks = 0
+        for n in range(0, X.dim + 1):
+            betti, torsion = oracle[n]
+            assert hz.module(n) == FgModule(ZZ, betti, torsion)
+            assert hq.module(n) == FgModule(QQ, betti)
+            euler_chains += (-1) ** n * hz.complex.rank(n)
+            euler_ranks += (-1) ** n * hq.module(n).free_rank
+        assert euler_chains == euler_ranks
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_pairs())
+    def test_lazy_basis_reproduces_module(self, data):
+        maximal, zmax = data
+        X = cx(*maximal)
+        p = SimplicialPair(X, cx(*zmax) if zmax else EMPTY)
+        for ring in (ZZ, QQ):
+            cc = PairHomology(p, ring).complex
+            for n in range(0, X.dim + 1):
+                sq = cc.homology(n)
+                # forcing class_of builds the cycle basis and asserts its
+                # module equals the one from elementary divisors
+                assert sq.class_of((0,) * cc.rank(n)) == (0,) * sq.module.ngens
+                eager = linalg.subquotient(
+                    ModuleMap(FgModule.free(ring, cc.rank(n + 1)),
+                              FgModule.free(ring, cc.rank(n)), cc.boundary(n + 1)),
+                    ModuleMap(FgModule.free(ring, cc.rank(n)),
+                              FgModule.free(ring, cc.rank(n - 1)), cc.boundary(n)))
+                assert sq.module == eager.module
+                for j in range(sq.module.ngens):
+                    assert sq.lift(j) == eager.lift(j)
+                    assert sq.class_of(eager.lift(j)) == eager.class_of(eager.lift(j))
+
+
+class TestLaziness:
+    @pytest.mark.parametrize("name", sorted(spaces.GOLDEN))
+    def test_homology_builds_no_cycle_basis(self, name, monkeypatch):
+        """The homology table reads only elementary divisors: no column
+        reduction, and Smith forms only of residuals without unit entries."""
+        from tannakit.cli import homology_table
+        reduced, residuals = [], []
+        real_snf = linalg.smith_normal_form
+        monkeypatch.setattr(linalg, "_column_reduce", lambda A: reduced.append(A))
+        monkeypatch.setattr(linalg, "smith_normal_form",
+                            lambda A: residuals.append(A) or real_snf(A))
+        monkeypatch.setattr("tannakit.simplicial._PAIR_CACHE", {})
+        X, table = spaces.GOLDEN[name]
+        got = homology_table(pair(X), ZZ)
+        assert got == {"n=%d" % n: FgModule(ZZ, b, t).describe()
+                       for n, (b, t) in table.items()}
+        assert reduced == []
+        for A in residuals:
+            assert A.rows and A.cols
+            assert all(abs(x) != 1 for row in A.data for x in row)
+
+    def test_corrupted_divisors_trip_the_lazy_check(self, monkeypatch):
+        real = linalg.elementary_divisors
+        monkeypatch.setattr("tannakit.simplicial.elementary_divisors",
+                            lambda A: real(A) + (2,) if A.rows and A.cols else ())
+        ph = PairHomology(pair(CIRCLE3), ZZ)
+        assert ph.module(1) != FgModule(ZZ, 1)
+        with pytest.raises(AssertionError, match="elementary divisors"):
+            ph.class_of(1, (0, 0, 0))
 
 
 class TestInducedMaps:
