@@ -147,14 +147,14 @@ def kunneth_tau(ctx: PairsContext, v, w) -> TauIso:
     cols = []
     for k in range(rvw):
         g = hvw.lift(N, k)
-        img = aw.component(N).apply(g)
+        img = aw.apply(N, g)
         sol = solver.solve(img)
         if sol is None:
             raise NotGoodPair("AW image escapes the Kunneth basis at (%r, %r)" % (v, w))
         cols.append(tuple(sol[:rv * rw]))
     matrix = Matrix.from_columns(ring, cols, rows=rv * rw)
 
-    inv_cols = [hvw.class_of(N, ez.component(N).apply(vec)) for vec in basis_cols]
+    inv_cols = [hvw.class_of(N, ez.apply(N, vec)) for vec in basis_cols]
     inverse = Matrix.from_columns(ring, inv_cols, rows=rvw)
     if matrix * inverse != Matrix.identity(ring, rv * rw) or \
        inverse * matrix != Matrix.identity(ring, rvw):

@@ -16,8 +16,8 @@ from .errors import (
 )
 from .linalg import FgModule, Matrix, ModuleMap, ZZ, subquotient
 from .simplicial import (
-    SimplicialComplex, SimplicialMap, SimplicialPair, _shuffle_paths,
-    _shuffle_sign, induced_map_on_homology, pair_homology, product_complex,
+    SimplicialComplex, SimplicialMap, SimplicialPair, _chain_image, _ez,
+    induced_map_on_homology, pair_homology, product_complex,
     relative_homology, triple_boundary,
 )
 
@@ -383,19 +383,12 @@ def product_filtration(F: Filtration, G: Filtration, ring=ZZ):
                 for jb in range(nb):
                     zb = hb.lift(q, jb)
                     # EZ of the pair of cycles, read inside the product level
-                    vec = [0] * cc_n.rank(i)
-                    for ia, sa in enumerate(ca_n.labels(p)):
-                        if za[ia] == 0:
-                            continue
-                        for ib, sb in enumerate(cb_n.labels(q)):
-                            if zb[ib] == 0:
-                                continue
-                            coeff = za[ia] * zb[ib]
-                            for positions, path in _shuffle_paths(sa, sb):
-                                r = cc_n.index(i, path)
-                                if r is not None:
-                                    vec[r] += _shuffle_sign(positions, i) * coeff
-                    cols.append(hc.class_of(i, tuple(vec)))
+                    chain = (((p, sa, sb), a * b)
+                             for sa, a in zip(ca_n.labels(p), za) if a
+                             for sb, b in zip(cb_n.labels(q), zb))
+                    image = _chain_image(_ez, i, chain)
+                    cols.append(hc.class_of(i, tuple(image.get(path, 0)
+                                                     for path in cc_n.labels(i))))
         comps[i] = ModuleMap(src, tgt,
                              Matrix.from_columns(ring, cols, rows=tgt.ngens))
     kmap = ModuleComplexMap(tensor, target, comps)

@@ -9,10 +9,13 @@ echelon forms are computed on sparse integer rows, fraction-free.  Z kernels
 and solves against non-echelon matrices come from one canonical column
 reduction of A stacked on the identity; every solve is a substitution in an
 echelon basis.  Invariant factors alone come from a sparse elimination of
-unit pivots (elementary_divisors), with Smith normal form only on what is
-left.  A homology module of a free complex is eager and its cycle basis is
-lazy: subquotient_free reads the module from elementary divisors and
-builds the basis on the first class_of or lift.
+unit pivots (elementary_divisors, or _sparse_divisors on rows that are
+already sparse integer dicts), with Smith normal form only on what is left.
+Chain complexes keep their differentials as sparse integer columns
+{row: coeff}; _compose multiplies two such maps, and Matrix.from_sparse
+gives the dense view.  A homology module of a free complex is eager and its
+cycle basis is lazy: Subquotient.free reads the module from elementary
+divisors and asks for the boundary matrices on the first class_of or lift.
 """
 
 from fractions import Fraction
@@ -88,6 +91,15 @@ class Matrix:
     @classmethod
     def column(cls, ring, vec):
         return cls(ring, tuple((x,) for x in vec), len(vec), 1)
+
+    @classmethod
+    def from_sparse(cls, ring, columns, rows):
+        """Dense matrix of sparse columns {row: entry}."""
+        data = [[0] * len(columns) for _ in range(rows)]
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                data[i][j] = x
+        return cls(ring, data, rows, len(columns))
 
     @classmethod
     def from_columns(cls, ring, columns, rows=None):
@@ -493,7 +505,13 @@ def _integer_rows(A):
 
 def elementary_divisors(A):
     """Nonzero invariant factors of A in divisibility order; (1,) * rank over
-    Q, whose rows are scaled to integers first.
+    Q, whose rows are scaled to integers first."""
+    return _sparse_divisors(_integer_rows(A), A.ring)
+
+
+def _sparse_divisors(start, ring):
+    """Nonzero invariant factors of the matrix with the sparse integer rows
+    start ({col: int} each, left unchanged), over ring.
 
     Sparse elimination (Dumas, Saunders and Villard, JSC 2001): unit pivots
     are eliminated as Schur complements, and only what is left goes to
@@ -501,9 +519,9 @@ def elementary_divisors(A):
     Markowitz cost (r - 1)(c - 1); an entry whose row or column a pivot of
     the round changed waits for the next round, so the column index built at
     the start of the round stays valid.  The elimination is re-checked
-    exactly: A is the sum of the pivots' rank-one terms plus the residual.
+    exactly: the matrix is the sum of the pivots' rank-one terms plus the
+    residual.
     """
-    start = _integer_rows(A)
     rows = {i: dict(r) for i, r in enumerate(start) if r}
     terms = []
     while True:
@@ -546,7 +564,7 @@ def elementary_divisors(A):
     left = sorted({c for r in rows.values() for c in r})
     residual = Matrix(ZZ, [[r.get(c, 0) for c in left] for r in rows.values()],
                       len(rows), len(left))
-    if A.ring == QQ:
+    if ring == QQ:
         return (1,) * (len(terms) + len(rref(residual)[1]))
     return (1,) * len(terms) + (smith_normal_form(residual).invariant_factors if rows else ())
 
@@ -960,7 +978,7 @@ class Subquotient:
     class_of maps a cycle (coordinates in the middle module's generators) to
     coordinates on the normalized generators of the subquotient; lift does
     the reverse for a generator index.  The module is always known.  When it
-    comes from elementary divisors (subquotient_free), the cycle basis and
+    comes from elementary divisors (Subquotient.free), the cycle basis and
     its transforms are built by subquotient on the first class_of or lift,
     which must reproduce the same module.
     """
@@ -974,6 +992,22 @@ class Subquotient:
         self._to_normal = to_normal
         self._from_normal = from_normal
         self._solver = None
+
+    @classmethod
+    def free(cls, ring, rank, div_in, div_out, boundaries):
+        """ker d_out / im d_in at a free middle module of the given rank,
+        from the nonzero elementary divisors of d_in and d_out: Z^(rank -
+        rk d_out - rk d_in) plus Z/e for the divisors e > 1 of d_in.
+        boundaries() returns the matrices (d_in, d_out); it is called on
+        the first class_of or lift, which builds the cycle basis."""
+        module = FgModule(ring, rank - len(div_out) - len(div_in),
+                          [e for e in div_in if e > 1])
+
+        def build():
+            m_in, m_out = boundaries()
+            return presented_subquotient(m_in, Matrix.zeros(ring, m_in.rows, 0),
+                                         m_out, Matrix.zeros(ring, m_out.rows, 0))
+        return cls(module, build=build)
 
     def _basis(self):
         if self._build is not None:
@@ -1034,29 +1068,36 @@ def presented_subquotient(m_in, rel_b, m_out, rel_c):
 
 def subquotient_free(ring, m_in, m_out, div_in=None, div_out=None):
     """Subquotient for a free middle module given raw boundary matrices and,
-    optionally, their elementary divisors: Z^(n - rk d_out - rk d_in) plus
-    Z/e for the divisors e > 1 of d_in.  The cycle basis waits for its first
-    use."""
+    optionally, their elementary divisors (Subquotient.free).  Raises
+    CompositionNonzero unless m_out * m_in = 0."""
     if m_out.cols != m_in.rows:
         raise ValueError("d_in target differs from d_out source")
-    if not _composes_to_zero(m_out, m_in):
+
+    def columns(A):
+        return [{i: row[j] for i, row in enumerate(A.data) if row[j]} for j in range(A.cols)]
+    if not _composes_to_zero(columns(m_out), columns(m_in)):
         raise CompositionNonzero("d_out o d_in != 0")
-    div_in = elementary_divisors(m_in) if div_in is None else div_in
-    div_out = elementary_divisors(m_out) if div_out is None else div_out
-    module = FgModule(ring, m_in.rows - len(div_out) - len(div_in),
-                      [e for e in div_in if e > 1])
-    return Subquotient(module, build=lambda: presented_subquotient(
-        m_in, Matrix.zeros(ring, m_in.rows, 0), m_out, Matrix.zeros(ring, m_out.rows, 0)))
+    return Subquotient.free(
+        ring, m_in.rows,
+        elementary_divisors(m_in) if div_in is None else div_in,
+        elementary_divisors(m_out) if div_out is None else div_out,
+        lambda: (m_in, m_out))
 
 
-def _composes_to_zero(m_out, m_in):
-    """m_out * m_in == 0, over the nonzeros of both."""
-    rows_in = [[(j, x) for j, x in enumerate(row) if x] for row in m_in.data]
-    for row in m_out.data:
+def _compose(outer, inner):
+    """Sparse columns {row: coeff} of outer * inner, both given as sparse
+    columns; outer None is the zero map."""
+    out = []
+    for col in inner:
         acc = {}
-        for k, a in enumerate(row):
-            for j, x in rows_in[k] if a else ():
-                acc[j] = acc.get(j, 0) + a * x
-        if any(acc.values()):
-            return False
-    return True
+        if outer is not None:
+            for k, x in col.items():
+                for i, y in outer[k].items():
+                    acc[i] = acc.get(i, 0) + x * y
+        out.append({i: v for i, v in acc.items() if v})
+    return out
+
+
+def _composes_to_zero(outer, inner):
+    """outer * inner == 0, for maps given as sparse columns."""
+    return not any(_compose(outer, inner))

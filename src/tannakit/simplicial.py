@@ -13,8 +13,8 @@ from itertools import combinations
 
 from .errors import CompositionNonzero, InvalidPair, NotACover, NotNested, NotPairMap, NotSimplicial
 from .linalg import (
-    QQ, ZZ, FgModule, Matrix, ModuleMap, Subquotient, _composes_to_zero,
-    elementary_divisors, subquotient, subquotient_free,
+    QQ, ZZ, FgModule, Matrix, ModuleMap, Subquotient, _compose,
+    _composes_to_zero, _sparse_divisors, elementary_divisors, subquotient,
 )
 
 
@@ -211,28 +211,30 @@ class SimplicialMap:
 # ---------------------------------------------------------------------------
 
 class ChainComplex:
-    """Free labeled chain complex with decreasing differentials."""
+    """Free labeled chain complex with decreasing differentials.
 
-    __slots__ = ("ring", "_labels", "_bnd", "_index", "_homology", "_divisors")
+    faces(d, label) lists the boundary of a basis label of degree d as
+    (label of degree d - 1, coeff) pairs; labels outside the basis are
+    dropped, which is the quotient map.  Each boundary is kept as sparse
+    integer columns {row: coeff}, and d o d = 0 is checked once, at
+    construction.  boundary(d) is the dense view, built on first use.
+    """
 
-    def __init__(self, ring, labels, boundaries, check=True):
+    __slots__ = ("ring", "_labels", "_index", "_cols", "_bnd", "_homology", "_divisors")
+
+    def __init__(self, ring, labels, faces):
         self.ring = ring
         self._labels = {d: tuple(ls) for d, ls in labels.items() if ls}
+        self._index = {d: {l: i for i, l in enumerate(ls)} for d, ls in self._labels.items()}
+        # only boundaries into a nonzero degree are stored
+        self._cols = {d: _sparse_columns(faces, d, ls, self._index[d - 1])
+                      for d, ls in self._labels.items() if d - 1 in self._labels}
+        for d in self._cols:
+            if d - 1 in self._cols and not _composes_to_zero(self._cols[d - 1], self._cols[d]):
+                raise AssertionError("d o d != 0 at degree %d" % d)
         self._bnd = {}
-        for d, m in boundaries.items():
-            expected_rows = len(self._labels.get(d - 1, ()))
-            expected_cols = len(self._labels.get(d, ()))
-            if m.rows != expected_rows or m.cols != expected_cols:
-                raise ValueError("boundary %d has wrong shape" % d)
-            self._bnd[d] = m
-        self._index = {}
         self._homology = {}
         self._divisors = {}
-        if check:
-            for d in list(self._bnd):
-                if d - 1 in self._bnd:
-                    if not _composes_to_zero(self._bnd[d - 1], self._bnd[d]):
-                        raise AssertionError("d o d != 0 at degree %d" % d)
 
     @property
     def degrees(self):
@@ -249,29 +251,35 @@ class ChainComplex:
         return self._labels.get(d, ())
 
     def index(self, d, label):
-        idx = self._index.get(d)
-        if idx is None:
-            idx = {l: i for i, l in enumerate(self._labels.get(d, ()))}
-            self._index[d] = idx
-        return idx.get(label)
+        return self._index.get(d, {}).get(label)
+
+    def faces(self, d, label):
+        """The boundary of a basis label, read back from its column."""
+        cols = self._cols.get(d)
+        if cols is None:
+            return ()
+        rows = self._labels[d - 1]
+        return ((rows[r], c) for r, c in cols[self._index[d][label]].items())
 
     def boundary(self, d):
         m = self._bnd.get(d)
         if m is None:
-            m = Matrix.zeros(self.ring, self.rank(d - 1), self.rank(d))
+            m = self._bnd[d] = Matrix.from_sparse(
+                self.ring, self._cols.get(d, [{}] * self.rank(d)), self.rank(d - 1))
         return m
 
     def divisors(self, d):
-        """Nonzero elementary divisors of the boundary of degree d."""
+        """Nonzero elementary divisors of the boundary of degree d: its
+        columns are the rows of the transpose, which has the same ones."""
         if d not in self._divisors:
-            self._divisors[d] = elementary_divisors(self.boundary(d))
+            self._divisors[d] = _sparse_divisors(self._cols.get(d, ()), self.ring)
         return self._divisors[d]
 
     def homology(self, d) -> Subquotient:
         if d not in self._homology:
-            self._homology[d] = subquotient_free(
-                self.ring, self.boundary(d + 1), self.boundary(d),
-                self.divisors(d + 1), self.divisors(d))
+            self._homology[d] = Subquotient.free(
+                self.ring, self.rank(d), self.divisors(d + 1), self.divisors(d),
+                lambda: (self.boundary(d + 1), self.boundary(d)))
         return self._homology[d]
 
     def homology_module(self, d) -> FgModule:
@@ -279,111 +287,98 @@ class ChainComplex:
 
 
 class ChainMap:
-    """Degreewise matrices commuting with the boundaries."""
+    """Chain map given by image(d, label) -> (target label, coeff) pairs,
+    kept as sparse columns per degree; commutation with the boundaries is
+    checked once, at construction."""
 
-    __slots__ = ("source", "target", "_comps")
+    __slots__ = ("source", "target", "_cols", "_comps")
 
-    def __init__(self, source, target, comps, check=True):
+    def __init__(self, source, target, image):
         self.source = source
         self.target = target
-        self._comps = dict(comps)
-        if check:
-            degs = set(source.degrees) | set(target.degrees)
-            for d in degs:
-                left = self.target.boundary(d) * self.component(d)
-                right = self.component(d - 1) * self.source.boundary(d)
-                if left != right:
-                    raise AssertionError("chain map fails to commute at degree %d" % d)
+        self._cols = {d: _sparse_columns(image, d, source.labels(d), target._index.get(d, {}))
+                      for d in source.degrees}
+        for d in source.degrees:
+            left = _compose(target._cols.get(d), self._cols[d])
+            right = _compose(self._cols.get(d - 1), source._cols.get(d, [{}] * source.rank(d)))
+            if left != right:
+                raise AssertionError("chain map fails to commute at degree %d" % d)
+        self._comps = {}
 
     def component(self, d):
         m = self._comps.get(d)
         if m is None:
-            m = Matrix.zeros(self.source.ring, self.target.rank(d), self.source.rank(d))
+            m = self._comps[d] = Matrix.from_sparse(
+                self.source.ring, self._cols.get(d, ()), self.target.rank(d))
         return m
 
-    def compose(self, other):
-        degs = set(self.source.degrees) | set(other.source.degrees)
-        return ChainMap(other.source, self.target,
-                        {d: self.component(d) * other.component(d) for d in degs},
-                        check=False)
+    def apply(self, d, vec):
+        """The image of a chain of degree d, given by its coordinates."""
+        out = [0] * self.target.rank(d)
+        for col, c in zip(self._cols.get(d, ()), vec):
+            if c:
+                for r, e in col.items():
+                    out[r] += c * e
+        return tuple(out)
+
+
+def _sparse_columns(rule, d, labels, index):
+    """One column {row: coeff} per label: the sum of rule(d, label), with
+    targets outside index dropped and zero sums left out."""
+    return [_chain_image(rule, d, ((label, 1),), index) for label in labels]
+
+
+def _chain_image(rule, d, chain, index=None):
+    """Sum of c * rule(d, label) over the (label, c) of chain, as {key: coeff}
+    with key index[target], or the target itself when index is None;
+    targets outside index are dropped and zero sums left out."""
+    out = {}
+    for label, c in chain:
+        if c:
+            for t, e in rule(d, label):
+                if index is not None:
+                    t = index.get(t)
+                    if t is None:
+                        continue
+                out[t] = out.get(t, 0) + c * e
+    return {t: v for t, v in out.items() if v}
 
 
 def tensor_complex(cx, cy):
     """Tensor product complex; basis labels (p, sigma, tau), p ascending."""
     if cx.ring != cy.ring:
         raise ValueError("ring mismatch")
-    ring = cx.ring
     labels = {}
-    top = cx.top_degree + cy.top_degree
-    for n in range(0, top + 1):
-        ls = []
-        for p in range(0, n + 1):
-            q = n - p
-            for s in cx.labels(p):
-                for t in cy.labels(q):
-                    ls.append((p, s, t))
-        if ls:
-            labels[n] = tuple(ls)
-    index = {n: {l: i for i, l in enumerate(labels.get(n, ()))} for n in labels}
-    boundaries = {}
-    for n in range(1, top + 1):
-        rows = len(labels.get(n - 1, ()))
-        cols = len(labels.get(n, ()))
-        if cols == 0:
-            continue
-        data = [[0] * cols for _ in range(rows)]
-        for j, (p, s, t) in enumerate(labels[n]):
-            q = n - p
-            if p > 0:
-                bx = cx.boundary(p)
-                jx = cx.index(p, s)
-                for i, s2 in enumerate(cx.labels(p - 1)):
-                    c = bx[i, jx]
-                    if c:
-                        r = index[n - 1][(p - 1, s2, t)]
-                        data[r][j] += c
-            if q > 0:
-                by = cy.boundary(q)
-                jy = cy.index(q, t)
-                sign = (-1) ** p
-                for i, t2 in enumerate(cy.labels(q - 1)):
-                    c = by[i, jy]
-                    if c:
-                        r = index[n - 1][(p, s, t2)]
-                        data[r][j] += sign * c
-        boundaries[n] = Matrix(ring, data, rows, cols)
-    return ChainComplex(ring, labels, boundaries)
+    for n in range(0, cx.top_degree + cy.top_degree + 1):
+        labels[n] = tuple((p, s, t) for p in range(0, n + 1)
+                          for s in cx.labels(p) for t in cy.labels(n - p))
+
+    def faces(n, label):
+        p, s, t = label
+        for s2, c in cx.faces(p, s):
+            yield (p - 1, s2, t), c
+        sign = -1 if p & 1 else 1
+        for t2, c in cy.faces(n - p, t):
+            yield (p, s, t2), sign * c
+    return ChainComplex(cx.ring, labels, faces)
 
 
 # ---------------------------------------------------------------------------
 # Relative chains and homology
 # ---------------------------------------------------------------------------
 
+def _faces(d, s):
+    """Alternating-face boundary of an ordered simplex."""
+    return ((s[:i] + s[i + 1:], -1 if i & 1 else 1) for i in range(len(s)))
+
+
 def relative_chain_complex(pair, ring=ZZ):
     """Chains of X modulo chains of Z; basis the simplices of X not in Z."""
     X, Z = pair.X, pair.Z
     zset = Z.all_simplices()
-    labels = {}
-    for d in range(0, X.dim + 1):
-        ls = tuple(s for s in X.simplices(d) if s not in zset)
-        if ls:
-            labels[d] = ls
-    boundaries = {}
-    for d in range(1, X.dim + 1):
-        rows = labels.get(d - 1, ())
-        cols = labels.get(d, ())
-        if not cols:
-            continue
-        ridx = {s: i for i, s in enumerate(rows)}
-        data = [[0] * len(cols) for _ in rows]
-        for j, s in enumerate(cols):
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                r = ridx.get(face)
-                if r is not None:
-                    data[r][j] += (-1) ** i
-        boundaries[d] = Matrix(ring, data, len(rows), len(cols))
-    return ChainComplex(ring, labels, boundaries)
+    labels = {d: tuple(s for s in X.simplices(d) if s not in zset)
+              for d in range(0, X.dim + 1)}
+    return ChainComplex(ring, labels, _faces)
 
 
 class PairHomology:
@@ -422,19 +417,13 @@ def relative_homology(pair, n, ring=ZZ) -> FgModule:
     return pair_homology(pair, ring).module(n)
 
 
-def _relative_chain_matrix(f, pair_src, pair_tgt, n, ring):
-    """Matrix of the chain map induced by f on relative n-chains."""
-    cs = pair_homology(pair_src, ring).complex
-    ct = pair_homology(pair_tgt, ring).complex
-    data = [[0] * cs.rank(n) for _ in range(ct.rank(n))]
-    for j, s in enumerate(cs.labels(n)):
+def _induced_chain_map(f, pair_src, pair_tgt, ring):
+    """The chain map induced by f on relative chains."""
+    def image(_d, s):
         sign, img = f.oriented_image(s)
-        if sign == 0:
-            continue
-        r = ct.index(n, img)
-        if r is not None:
-            data[r][j] += sign
-    return Matrix(ring, data, ct.rank(n), cs.rank(n))
+        return ((img, sign),) if sign else ()
+    return ChainMap(pair_homology(pair_src, ring).complex,
+                    pair_homology(pair_tgt, ring).complex, image)
 
 
 def induced_map_on_homology(f, pair_src, pair_tgt, n, ring=ZZ) -> ModuleMap:
@@ -448,11 +437,8 @@ def induced_map_on_homology(f, pair_src, pair_tgt, n, ring=ZZ) -> ModuleMap:
     src, tgt = hs.module(n), ht.module(n)
     if src.is_zero() or tgt.is_zero():
         return ModuleMap.zero(src, tgt)
-    m = _relative_chain_matrix(f, pair_src, pair_tgt, n, ring)
-    cols = []
-    for j in range(src.ngens):
-        vec = hs.lift(n, j)
-        cols.append(ht.class_of(n, m.apply(vec)))
+    fmap = _induced_chain_map(f, pair_src, pair_tgt, ring)
+    cols = [ht.class_of(n, fmap.apply(n, hs.lift(n, j))) for j in range(src.ngens)]
     return ModuleMap(src, tgt, Matrix.from_columns(ring, cols, rows=tgt.ngens))
 
 
@@ -465,31 +451,14 @@ def triple_boundary(X, Z, W, n, ring=ZZ) -> ModuleMap:
     src, tgt = top.module(n), bot.module(n - 1)
     if src.is_zero() or tgt.is_zero():
         return ModuleMap.zero(src, tgt)
-    rel = top.complex
-    botc = bot.complex
-    full_rows = X.simplices(n - 1)
-    bnd_rows = {s: i for i, s in enumerate(full_rows)}
     zset = Z.all_simplices()
     cols = []
     for j in range(src.ngens):
-        vec = top.lift(n, j)
-        out = [0] * len(full_rows)
-        for idx, s in enumerate(rel.labels(n)):
-            c = vec[idx]
-            if c == 0:
-                continue
-            for i in range(len(s)):
-                face = s[:i] + s[i + 1:]
-                out[bnd_rows[face]] += c * ((-1) ** i)
-        for s, i in bnd_rows.items():
-            if out[i] != 0 and s not in zset:
-                raise AssertionError("lifted boundary not supported on Z")
-        tvec = [0] * botc.rank(n - 1)
-        for i, s in enumerate(botc.labels(n - 1)):
-            r = bnd_rows.get(s)
-            if r is not None:
-                tvec[i] = out[r]
-        cols.append(bot.class_of(n - 1, tuple(tvec)))
+        out = _chain_image(_faces, n, zip(top.complex.labels(n), top.lift(n, j)))
+        if any(face not in zset for face in out):
+            raise AssertionError("lifted boundary not supported on Z")
+        cols.append(bot.class_of(n - 1, tuple(out.get(s, 0)
+                                              for s in bot.complex.labels(n - 1))))
     return ModuleMap(src, tgt, Matrix.from_columns(ring, cols, rows=tgt.ngens))
 
 
@@ -653,6 +622,24 @@ def _shuffle_sign(positions, total):
     return (-1) ** inv
 
 
+def _ez(n, label):
+    """Eilenberg-Zilber: sigma (x) tau to the signed sum of its shuffle paths."""
+    _p, s, t = label
+    for positions, path in _shuffle_paths(s, t):
+        yield path, _shuffle_sign(positions, n)
+
+
+def _aw(n, simplex):
+    """Alexander-Whitney: a product simplex to its front (x) back faces."""
+    xs = [v[0] for v in simplex]
+    ys = [v[1] for v in simplex]
+    for i in range(n + 1):
+        front = tuple(xs[:i + 1])
+        back = tuple(ys[i:])
+        if len(set(front)) == len(front) and len(set(back)) == len(back):
+            yield (i, front, back), 1
+
+
 def ez_matrixes(cx, cy, cxy, tensor=None):
     """(EZ, AW) as ChainMaps between tensor(cx,cy) and cxy.
 
@@ -661,42 +648,12 @@ def ez_matrixes(cx, cy, cxy, tensor=None):
     """
     if tensor is None:
         tensor = tensor_complex(cx, cy)
-    ring = cx.ring
-    top = tensor.top_degree
-    ez = {}
-    aw = {}
-    for n in range(0, max(top, cxy.top_degree) + 1):
-        tn = tensor.rank(n)
-        pn = cxy.rank(n)
-        ezdata = [[0] * tn for _ in range(pn)]
-        for j, (_p, s, t) in enumerate(tensor.labels(n)):
-            for positions, path in _shuffle_paths(s, t):
-                r = cxy.index(n, path)
-                if r is not None:
-                    ezdata[r][j] += _shuffle_sign(positions, n)
-        ez[n] = Matrix(ring, ezdata, pn, tn)
-        awdata = [[0] * pn for _ in range(tn)]
-        for j, simplex in enumerate(cxy.labels(n)):
-            xs = [v[0] for v in simplex]
-            ys = [v[1] for v in simplex]
-            for i in range(n + 1):
-                front = tuple(xs[:i + 1])
-                back = tuple(ys[i:])
-                if len(set(front)) != len(front) or len(set(back)) != len(back):
-                    continue
-                r = tensor.index(n, (i, front, back))
-                if r is not None:
-                    awdata[r][j] += 1
-        aw[n] = Matrix(ring, awdata, tn, pn)
-    ez_map = ChainMap(tensor, cxy, ez)
-    aw_map = ChainMap(cxy, tensor, aw)
-    return ez_map, aw_map
+    return ChainMap(tensor, cxy, _ez), ChainMap(cxy, tensor, _aw)
 
 
 def _assert_aw_ez_identity(ez, aw, tensor, what):
-    for n in range(0, tensor.top_degree + 1):
-        eye = Matrix.identity(tensor.ring, tensor.rank(n))
-        if aw.component(n) * ez.component(n) != eye:
+    for n in tensor.degrees:
+        if _compose(aw._cols.get(n), ez._cols[n]) != [{j: 1} for j in range(tensor.rank(n))]:
             raise AssertionError("%s != id in degree %d" % (what, n))
 
 
@@ -774,10 +731,9 @@ class CupProduct:
         out = {}
         for n in range(0, cc.top_degree + 1):
             # a transpose has the same elementary divisors
-            out[n] = subquotient_free(self.ring,
-                                      cc.boundary(n).transpose(),
-                                      cc.boundary(n + 1).transpose(),
-                                      cc.divisors(n), cc.divisors(n + 1))
+            out[n] = Subquotient.free(
+                self.ring, cc.rank(n), cc.divisors(n), cc.divisors(n + 1),
+                lambda n=n: (cc.boundary(n).transpose(), cc.boundary(n + 1).transpose()))
         return out
 
     def cohomology_module(self, which, n):
@@ -897,7 +853,6 @@ class CechModel:
         return cur
 
     def _build(self):
-        ring = self.ring
         qn = len(self.cover)
         pn = len(self.components)
         pieces = {}
@@ -915,45 +870,23 @@ class CechModel:
             for k in range(0, w.dim + 1):
                 for s in w.simplices(k):
                     labels.setdefault(i + j + k, []).append((A, B, s))
-        for n in labels:
-            labels[n].sort(key=lambda l: (len(l[0]), l[0], len(l[1]), l[1], len(l[2]), l[2]))
-            labels[n] = tuple(labels[n])
-        index = {n: {l: i for i, l in enumerate(labels[n])} for n in labels}
-        boundaries = {}
-        top = max(labels) if labels else -1
-        for n in range(1, top + 1):
-            rows = len(labels.get(n - 1, ()))
-            cols = len(labels.get(n, ()))
-            if cols == 0:
-                continue
-            data = [[0] * cols for _ in range(rows)]
-            ridx = index.get(n - 1, {})
-            for col, (A, B, s) in enumerate(labels[n]):
-                i = len(A) - 1
-                k = len(s) - 1
-                # simplicial boundary
-                for t in range(len(s)):
-                    face = s[:t] + s[t + 1:]
-                    if face:
-                        r = ridx.get((A, B, face))
-                        if r is not None:
-                            data[r][col] += (-1) ** t
-                # Cech differential (drop a cover index), sign (-1)^k
-                if i > 0:
-                    for t in range(len(A)):
-                        A2 = A[:t] + A[t + 1:]
-                        r = ridx.get((A2, B, s))
-                        if r is not None:
-                            data[r][col] += ((-1) ** k) * ((-1) ** t)
-                # divisor differential (drop a component index), sign (-1)^{k+i}
-                if B:
-                    for t in range(len(B)):
-                        B2 = B[:t] + B[t + 1:]
-                        r = ridx.get((A, B2, s))
-                        if r is not None:
-                            data[r][col] += ((-1) ** (k + i)) * ((-1) ** t)
-            boundaries[n] = Matrix(ring, data, rows, cols)
-        return ChainComplex(ring, labels, boundaries)
+        for ls in labels.values():
+            ls.sort(key=lambda l: (len(l[0]), l[0], len(l[1]), l[1], len(l[2]), l[2]))
+
+        def faces(n, label):
+            # simplicial boundary, then the Cech differential (drop a cover
+            # index) with sign (-1)^k, then the divisor differential (drop a
+            # component index) with sign (-1)^(k+i); labels with no cover
+            # index or an empty simplex are not in the basis and drop out
+            A, B, s = label
+            i, k = len(A) - 1, len(s) - 1
+            for face, c in _faces(k, s):
+                yield (A, B, face), c
+            for t in range(len(A)):
+                yield (A[:t] + A[t + 1:], B, s), (-1) ** (k + t)
+            for t in range(len(B)):
+                yield (A, B[:t] + B[t + 1:], s), (-1) ** (k + i + t)
+        return ChainComplex(self.ring, labels, faces)
 
     def homology(self, n) -> FgModule:
         return self.complex.homology_module(n)

@@ -5,7 +5,8 @@ from tannakit import linalg
 from tannakit.errors import InvalidPair, NotACover, NotPairMap, NotSimplicial
 from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap
 from tannakit.simplicial import (
-    CechModel, PairHomology, SimplicialComplex, SimplicialMap, SimplicialPair,
+    CechModel, ChainComplex, ChainMap, PairHomology, SimplicialComplex,
+    SimplicialMap, SimplicialPair,
     cech_total_complex, ez_aw_maps, ez_aw_relative, induced_map_on_homology,
     les_exactness, pair_homology, pair_les_maps, product_complex,
     product_pair, relative_chain_complex, relative_cup_product,
@@ -17,7 +18,7 @@ from spaces import (
     CIRCLE3, CIRCLE6, CIRCLE_POINT, EDGE, EMPTY, KLEIN, MOBIUS,
     MOBIUS_BOUNDARY, PATH2, POINT, RP2, SPHERE2, TRIANGLE, cx, pair, sub,
 )
-from oracles import homology_groups
+from oracles import boundary_matrices, homology_groups
 
 
 def modules_equal(mod, betti, torsion=()):
@@ -61,6 +62,33 @@ class TestRelativeChains:
     def test_circle_rel_point_counts(self):
         cc = relative_chain_complex(CIRCLE_POINT)
         assert cc.rank(0) == 2 and cc.rank(1) == 3
+
+
+class TestChainFormat:
+    def test_face_rule_with_nonzero_square_is_rejected(self):
+        below = {1: "v", 2: "e"}
+        with pytest.raises(AssertionError, match="d o d != 0 at degree 2"):
+            ChainComplex(ZZ, {0: ("v",), 1: ("e",), 2: ("t",)},
+                         lambda d, label: ((below[d], 1),))
+
+    def test_faces_outside_the_basis_are_dropped(self):
+        # the edge's faces a, b, c and a zero sum on b: only a survives
+        cc = ChainComplex(ZZ, {0: ("a", "b"), 1: ("e",)},
+                          lambda d, label: (("a", 2), ("b", 1), ("c", 5), ("b", -1)))
+        assert cc.boundary(1) == Matrix(ZZ, [[2], [0]])
+        assert list(cc.faces(1, "e")) == [("a", 2)]
+
+    def test_non_commuting_map_is_rejected(self):
+        cc = relative_chain_complex(pair(EDGE))
+        with pytest.raises(AssertionError, match="fails to commute at degree 1"):
+            ChainMap(cc, cc, lambda d, s: ((s, 1),) if d else ())
+
+    def test_identity_map(self):
+        cc = relative_chain_complex(pair(TRIANGLE), QQ)
+        ident = ChainMap(cc, cc, lambda d, s: ((s, 1),))
+        for n in cc.degrees:
+            assert ident.component(n) == Matrix.identity(QQ, cc.rank(n))
+        assert ident.apply(1, (1, 0, 2)) == (1, 0, 2)
 
 
 class TestHomology:
@@ -125,6 +153,14 @@ def random_pairs(draw):
     return maximal, zmax
 
 
+@st.composite
+def small_complexes(draw):
+    """A complex on at most four vertices, of dimension at most 2."""
+    simplex = st.lists(st.sampled_from(["w%d" % i for i in range(4)]),
+                       min_size=1, max_size=3, unique=True)
+    return cx(*draw(st.lists(simplex, min_size=1, max_size=4)))
+
+
 def oracle_maximal(X):
     return [s for s in X.all_simplices()
             if not any(set(s) < set(t) for t in X.all_simplices())]
@@ -172,6 +208,34 @@ class TestHomologyProperties:
                     assert sq.class_of(eager.lift(j)) == eager.class_of(eager.lift(j))
 
 
+    @settings(max_examples=40, deadline=None)
+    @given(random_pairs())
+    def test_boundaries_against_oracle(self, data):
+        """Each relative boundary is the oracle's alternating-face matrix of
+        X with the rows and columns of Z's simplices removed."""
+        maximal, zmax = data
+        X = cx(*maximal)
+        zset = (cx(*zmax) if zmax else EMPTY).all_simplices()
+        by_dim, mats = boundary_matrices(maximal)
+        keep = {d: [i for i, s in enumerate(ls) if s not in zset]
+                for d, ls in by_dim.items()}
+        for ring in (ZZ, QQ):
+            cc = relative_chain_complex(SimplicialPair(X, cx(*zmax) if zmax else EMPTY), ring)
+            for d in range(0, X.dim + 2):
+                rows, cols = keep.get(d - 1, []), keep.get(d, [])
+                assert cc.labels(d) == tuple(by_dim[d][j] for j in cols)
+                full = mats.get(d)
+                expected = [[full[i][j] for j in cols] for i in rows]
+                assert cc.boundary(d) == Matrix(ring, expected, len(rows), len(cols))
+
+    @settings(max_examples=25, deadline=None)
+    @given(random_pairs(), st.sampled_from((ZZ, QQ)))
+    def test_les_exact(self, data, ring):
+        maximal, zmax = data
+        p = SimplicialPair(cx(*maximal), cx(*zmax) if zmax else EMPTY)
+        assert les_exactness(p, ring).ok
+
+
 class TestLaziness:
     @pytest.mark.parametrize("name", sorted(spaces.GOLDEN))
     def test_homology_builds_no_cycle_basis(self, name, monkeypatch):
@@ -194,13 +258,43 @@ class TestLaziness:
             assert all(abs(x) != 1 for row in A.data for x in row)
 
     def test_corrupted_divisors_trip_the_lazy_check(self, monkeypatch):
-        real = linalg.elementary_divisors
-        monkeypatch.setattr("tannakit.simplicial.elementary_divisors",
-                            lambda A: real(A) + (2,) if A.rows and A.cols else ())
+        real = linalg._sparse_divisors
+        monkeypatch.setattr("tannakit.simplicial._sparse_divisors",
+                            lambda cols, ring: real(cols, ring) + (2,) if cols else ())
         ph = PairHomology(pair(CIRCLE3), ZZ)
         assert ph.module(1) != FgModule(ZZ, 1)
         with pytest.raises(AssertionError, match="elementary divisors"):
             ph.class_of(1, (0, 0, 0))
+
+
+    @pytest.mark.parametrize("name", sorted(spaces.GOLDEN))
+    def test_modules_need_no_dense_boundary(self, name, monkeypatch):
+        def refuse(self, d):
+            raise AssertionError("dense boundary %d built" % d)
+        monkeypatch.setattr(ChainComplex, "boundary", refuse)
+        monkeypatch.setattr("tannakit.simplicial._PAIR_CACHE", {})
+        X, table = spaces.GOLDEN[name]
+        for n, (betti, torsion) in table.items():
+            assert relative_homology(pair(X), n, ZZ) == FgModule(ZZ, betti, torsion)
+            assert relative_homology(pair(X), n, QQ) == FgModule(QQ, betti)
+
+    @pytest.mark.parametrize("name", sorted(spaces.GOLDEN))
+    def test_dd_checked_once_per_adjacent_pair(self, name, monkeypatch):
+        calls = []
+        real = linalg._composes_to_zero
+
+        def counted(outer, inner):
+            calls.append(1)
+            return real(outer, inner)
+        monkeypatch.setattr(linalg, "_composes_to_zero", counted)
+        monkeypatch.setattr("tannakit.simplicial._composes_to_zero", counted)
+        monkeypatch.setattr("tannakit.simplicial._PAIR_CACHE", {})
+        X, table = spaces.GOLDEN[name]
+        ph = pair_homology(pair(X), ZZ)
+        for n in table:
+            ph.module(n)
+        # boundaries d_1 .. d_dim: one check of d_{d-1} o d_d for d = 2 .. dim
+        assert len(calls) == max(X.dim - 1, 0)
 
 
 class TestInducedMaps:
@@ -372,6 +466,14 @@ class TestEzAw:
                 expected = tuple(1 if i == j else 0
                                  for i in range(sq.module.ngens))
                 assert coords == expected
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_complexes(), small_complexes(), st.sampled_from((ZZ, QQ)))
+    def test_aw_ez_identity_on_random_complexes(self, X, Y, ring):
+        ez, aw, tensor, cxy = ez_aw_maps(X, Y, ring)
+        for n in tensor.degrees:
+            assert aw.component(n) * ez.component(n) == Matrix.identity(ring, tensor.rank(n))
 
 
 class TestCup:
