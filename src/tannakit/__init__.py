@@ -1,6 +1,7 @@
 """tannakit: exact relative simplicial homology, Basic-Lemma filtrations,
 Cech total-complex models and diagram Tannaka duality, with machine-checkable
-certificates for everything computed."""
+certificates for everything computed.  `linalg` and `simplicial` load with the
+package; every other layer loads on first use of one of its names (PEP 562)."""
 
 __version__ = "0.1.0"
 
@@ -14,22 +15,24 @@ from .simplicial import (                                       # noqa: F401
     product_pair, relative_chain_complex, relative_cup_product,
     relative_homology, triple_boundary,
 )
-from .filtration import (                                       # noqa: F401
-    Filtration, compare_filtration_homology, filtration_complex,
-    find_very_good_refinement, is_very_good_pair, product_filtration,
-    pushforward_filtration, very_good_report,
-)
-from .tannaka import (                                          # noqa: F401
-    CoalgebraTrunc, Diagram, DiagramRep, EndAlgebra, Subdiagram,
-    build_pairs_diagram, coaction, dual_coalgebra, end_algebra,
-    factorization_check, transition_map,
-)
-from .bialgebra import (                                        # noqa: F401
-    PairsContext, TauIso, bialgebra_axiom_check, kunneth_tau,
-    product_on_truncations, sigma_directed_system, sigma_element,
-)
-from .comodule import (                                         # noqa: F401
-    Comodule, check_comodule_axioms, extended_comodule, tensor_comodules,
-    torsionfree_cover,
-)
-from .corpus import Corpus, load_corpus                         # noqa: F401
+
+_LAZY = {name: module for module, names in {
+    "filtration": "Filtration compare_filtration_homology filtration_complex "
+                  "find_very_good_refinement is_very_good_pair "
+                  "product_filtration pushforward_filtration very_good_report",
+    "tannaka": "CoalgebraTrunc Diagram DiagramRep EndAlgebra Subdiagram "
+               "build_pairs_diagram coaction dual_coalgebra end_algebra "
+               "factorization_check transition_map",
+    "bialgebra": "PairsContext TauIso bialgebra_axiom_check kunneth_tau "
+                 "product_on_truncations sigma_directed_system sigma_element",
+    "comodule": "Comodule check_comodule_axioms extended_comodule "
+                "tensor_comodules torsionfree_cover",
+    "corpus": "Corpus load_corpus",
+}.items() for name in names.split()}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from importlib import import_module
+    return getattr(import_module("." + _LAZY[name], __name__), name)

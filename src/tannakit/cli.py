@@ -20,18 +20,9 @@ from . import __version__
 from .errors import BudgetExceeded, CheckFailed, InputError, TannakitError
 from .linalg import QQ, ZZ, determinant
 from .simplicial import (
-    SimplicialPair, cech_total_complex, les_exactness, pair_homology,
-    product_pair, relative_cup_product, relative_homology, triple_boundary,
+    SimplicialComplex, cech_total_complex, les_exactness, pair_homology,
+    product_pair, relative_cup_product, triple_boundary,
 )
-from .filtration import (
-    Filtration, compare_filtration_homology, filtration_complex,
-    find_very_good_refinement, very_good_report,
-)
-from .tannaka import coaction, factorization_check, transition_map
-from .bialgebra import (
-    bialgebra_axiom_check, sigma_directed_system, sigma_element,
-)
-from .comodule import check_comodule_axioms, torsionfree_cover
 from .corpus import Corpus
 
 TOOL = "tannakit %s" % __version__
@@ -167,6 +158,7 @@ def cmd_cech(corpus, ring, args):
 
 
 def cmd_filtration(corpus, ring, args):
+    from .filtration import filtration_complex, very_good_report
     F = _filtration(corpus, args.filtration)
     mc = filtration_complex(F, ring)
     rep = very_good_report(F)
@@ -179,17 +171,20 @@ def cmd_filtration(corpus, ring, args):
 
 
 def cmd_compare_filtration(corpus, ring, args):
+    from .filtration import compare_filtration_homology
     F = _filtration(corpus, args.filtration)
     cert = compare_filtration_homology(F, ring)
     return {"filtration": args.filtration, "comparison": cert.as_dict()}, cert.ok
 
 
 def cmd_very_good_search(corpus, ring, args):
+    from .filtration import (
+        Filtration, compare_filtration_homology, find_very_good_refinement,
+    )
     X = corpus.expr(args.X)
     if args.base:
         F = _filtration(corpus, args.base)
     else:
-        from .simplicial import SimplicialComplex
         n = max(X.dim, 0)
         F = Filtration(X, [SimplicialComplex.empty()] * n + [X])
     G, report = find_very_good_refinement(X, F, args.budget)
@@ -226,9 +221,9 @@ def cmd_coalgebra(corpus, ring, args):
 
 
 def cmd_coaction(corpus, ring, args):
+    from .tannaka import check_coaction_axioms, coaction
     ctx, sub = corpus.subdiagram(args.subdiagram, ring)
     co = coaction(ctx.rep, sub, args.vertex, ctx.end(sub), ctx.coalgebra(sub))
-    from .tannaka import check_coaction_axioms
     coassoc, counit = check_coaction_axioms(co)
     return {"subdiagram": args.subdiagram, "vertex": args.vertex,
             "rho": jmatrix(co.rho), "coassociative": coassoc,
@@ -236,6 +231,7 @@ def cmd_coaction(corpus, ring, args):
 
 
 def cmd_transition(corpus, ring, args):
+    from .tannaka import transition_map
     ctx, subF = corpus.subdiagram(args.sub_small, ring)
     ctx2, subG = corpus.subdiagram(args.sub_big, ring)
     if ctx is not ctx2:
@@ -248,18 +244,21 @@ def cmd_transition(corpus, ring, args):
 
 
 def cmd_factorization_check(corpus, ring, args):
+    from .tannaka import factorization_check
     ctx, sub = corpus.subdiagram(args.subdiagram, ring)
     cert = factorization_check(ctx.rep, sub, ctx.end(sub))
     return {"subdiagram": args.subdiagram, "certificate": cert.as_dict()}, cert.ok
 
 
 def cmd_bialgebra_check(corpus, ring, args):
+    from .bialgebra import bialgebra_axiom_check
     ctx, tower, unit = corpus.tower(args.tower, ring)
     cert = bialgebra_axiom_check(ctx, tower, unit_vertex=unit)
     return {"tower": args.tower, "certificate": cert.as_dict()}, cert.ok
 
 
 def cmd_sigma(corpus, ring, args):
+    from .bialgebra import sigma_element
     ctx, sub = corpus.subdiagram(args.subdiagram, ring)
     sig = sigma_element(ctx, sub)
     A = ctx.coalgebra(sub)
@@ -269,6 +268,7 @@ def cmd_sigma(corpus, ring, args):
 
 
 def cmd_sigma_system(corpus, ring, args):
+    from .bialgebra import sigma_directed_system
     ctx, tower, _unit = corpus.tower(args.tower, ring)
     system = sigma_directed_system(ctx, tower, args.depth)
     res = {"tower": args.tower, "depth": args.depth,
@@ -279,6 +279,7 @@ def cmd_sigma_system(corpus, ring, args):
 
 
 def cmd_comodule_check(corpus, ring, args):
+    from .comodule import check_comodule_axioms
     ctx, m = corpus.comodule(args.comodule, ring)
     cert = check_comodule_axioms(m)
     return {"comodule": args.comodule, "module": m.module.describe(),
@@ -286,6 +287,7 @@ def cmd_comodule_check(corpus, ring, args):
 
 
 def cmd_torsionfree_cover(corpus, ring, args):
+    from .comodule import torsionfree_cover
     ctx, m = corpus.comodule(args.comodule, ZZ)
     cover = torsionfree_cover(m.coalgebra, m)
     return {"comodule": args.comodule,

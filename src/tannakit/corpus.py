@@ -9,15 +9,13 @@ names with `*` (staircase product), `+` (union), `skel(expr, k)` and
 """
 
 import re
+from contextlib import contextmanager
 
 from .errors import InputError
 from .linalg import QQ, ZZ
 from .simplicial import (
     SimplicialComplex, SimplicialMap, SimplicialPair, product_complex,
 )
-from .tannaka import Subdiagram, build_pairs_diagram
-from .bialgebra import PairsContext
-from .filtration import Filtration
 
 _SECTION = re.compile(r"^\[(\w+)\s+([\w.-]+)\]$")
 _KINDS = ("complex", "pair", "map", "filtration", "cover", "divisors",
@@ -26,6 +24,14 @@ _KINDS = ("complex", "pair", "map", "filtration", "cover", "divisors",
 
 def _split_entries(value, sep):
     return [part.strip() for part in value.split(sep) if part.strip()]
+
+
+@contextmanager
+def _malformed(where):
+    try:
+        yield
+    except ValueError as exc:
+        raise InputError("%s: %s" % (where, exc)) from None
 
 
 class Section:
@@ -165,6 +171,7 @@ class Corpus:
         self.maps[sec.name] = SimplicialMap(src, tgt, assignment)
 
     def _load_filtration(self, sec):
+        from .filtration import Filtration
         X = self.expr(sec.require("space"))
         levels = [self.expr(e) for e in _split_entries(sec.require("levels"), ";")]
         self.filtrations[sec.name] = Filtration(X, levels)
@@ -192,7 +199,9 @@ class Corpus:
         self._comodule_decls[sec.name] = sec
 
     # -- lazy diagram contexts ---------------------------------------------
-    def context(self, name, ring) -> PairsContext:
+    def context(self, name, ring) -> "PairsContext":
+        from .bialgebra import PairsContext
+        from .tannaka import build_pairs_diagram
         key = (name, ring)
         if key in self._contexts:
             return self._contexts[key]
@@ -207,7 +216,8 @@ class Corpus:
             vname, pairname, deg = parts
             if pairname not in self.pairs:
                 raise InputError("diagram %r: unknown pair %r" % (name, pairname))
-            vertices[vname] = (self.pairs[pairname], int(deg))
+            with _malformed("[diagram %s]" % name):
+                vertices[vname] = (self.pairs[pairname], int(deg))
         map_edges = []
         for decl in sec.get_all("edge"):
             parts = _split_entries(decl, ":")
@@ -228,7 +238,7 @@ class Corpus:
             triple_edges.append((ename, src, dst))
         products = {}
         for decl in sec.get_all("product"):
-            lhs, rhs = decl.split(":", 1)
+            lhs, _, rhs = decl.partition(":")
             vw = lhs.strip()
             if "*" not in rhs:
                 raise InputError("diagram %r: bad product %r" % (name, decl))
@@ -241,6 +251,7 @@ class Corpus:
         return ctx
 
     def subdiagram(self, name, ring):
+        from .tannaka import Subdiagram
         sec = self._subdiagram_decls.get(name)
         if sec is None:
             raise InputError("unknown subdiagram %r" % name)
@@ -276,12 +287,13 @@ class Corpus:
         if vertex is not None:
             co = coaction(ctx.rep, sub, vertex, ctx.end(sub), A)
             return ctx, Comodule(A, (0,) * co.module.ngens, co.rho)
-        orders = tuple(int(t) for t in _split_entries(sec.require("orders"), " "))
-        rows = []
-        for part in _split_entries(sec.require("rho"), ";"):
-            rows.append([_parse_scalar(x, ring) for x in part.split()])
-        k = len(orders)
-        rho = Matrix(ring, rows, A.rank * k, k)
+        with _malformed("[comodule %s]" % name):
+            orders = tuple(int(t) for t in _split_entries(sec.require("orders"), " "))
+            rows = []
+            for part in _split_entries(sec.require("rho"), ";"):
+                rows.append([_parse_scalar(x, ring) for x in part.split()])
+            k = len(orders)
+            rho = Matrix(ring, rows, A.rank * k, k)
         return ctx, Comodule(A, orders, rho)
 
 
@@ -344,7 +356,8 @@ class _ExprParser:
             self.take("(")
             inner = self.expr()
             self.take(",")
-            k = int(self.take())
+            with _malformed("expression %r" % self.text):
+                k = int(self.take())
             self.take(")")
             return inner.skeleton(k)
         if tok in self.names:

@@ -148,19 +148,122 @@ COLD_COMMANDS = [
 ]
 
 
+def _fresh(args):
+    """Run `python args...` in a new process that imports this tannakit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tannakit.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable] + args, env=env, capture_output=True,
+                          text=True, timeout=300)
+
+
 @pytest.mark.parametrize("argv", COLD_COMMANDS, ids=[" ".join(a) for a in COLD_COMMANDS])
 def test_fresh_processes_write_identical_certificates(argv, tmp_path):
     """Each run starts with cold caches, unlike criterion 12's in-process
     repeats."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(tannakit.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     outs = []
     for run in (0, 1):
         path = tmp_path / ("cert%d.json" % run)
-        proc = subprocess.run([sys.executable, "-m", "tannakit.cli", "--out", str(path)] + argv,
-                              env=env, capture_output=True, timeout=300)
+        proc = _fresh(["-m", "tannakit.cli", "--out", str(path)] + argv)
         assert proc.returncode == 0, proc.stderr
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
     assert json.loads(outs[0])["ok"] is True
+
+
+LOADED_AFTER = """import sys
+from tannakit.cli import main
+main(sys.argv[1:])
+print(" ".join(sorted(m.split(".")[-1] for m in sys.modules
+                      if m.startswith("tannakit."))))
+"""
+
+
+@pytest.mark.parametrize("corpus, argv, absent", [
+    (None, ["homology", "p_klein"], {"tannaka", "bialgebra", "comodule"}),
+    ("[complex c]\nsimplices = x y\n\n[pair p]\nspace = c\n", ["homology", "p"],
+     {"filtration", "tannaka", "bialgebra", "comodule"}),
+    (None, ["end-algebra", "F2"], {"comodule"}),
+], ids=["homology", "homology without filtrations", "end-algebra"])
+def test_cold_start_loads_only_the_layers_a_command_runs(corpus, argv, absent, tmp_path):
+    if corpus is not None:
+        path = tmp_path / "tiny.corpus"
+        path.write_text(corpus, encoding="utf-8")
+        argv = ["--corpus", str(path)] + argv
+    proc = _fresh(["-c", LOADED_AFTER] + argv)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split("\n")[-2].split())
+    assert {"linalg", "simplicial", "corpus"} <= loaded
+    assert not loaded & absent
+
+
+PACKAGE_EXPORTS = {
+    "linalg": "QQ ZZ FgModule Matrix ModuleMap SmithForm Subquotient dual_map "
+              "kernel smith_normal_form solve_in_submodule subquotient",
+    "simplicial": "ChainComplex SimplicialComplex SimplicialMap SimplicialPair "
+                  "cech_total_complex ez_aw_maps induced_map_on_homology "
+                  "les_exactness product_pair relative_chain_complex "
+                  "relative_cup_product relative_homology triple_boundary",
+    "filtration": "Filtration compare_filtration_homology filtration_complex "
+                  "find_very_good_refinement is_very_good_pair "
+                  "product_filtration pushforward_filtration very_good_report",
+    "tannaka": "CoalgebraTrunc Diagram DiagramRep EndAlgebra Subdiagram "
+               "build_pairs_diagram coaction dual_coalgebra end_algebra "
+               "factorization_check transition_map",
+    "bialgebra": "PairsContext TauIso bialgebra_axiom_check kunneth_tau "
+                 "product_on_truncations sigma_directed_system sigma_element",
+    "comodule": "Comodule check_comodule_axioms extended_comodule "
+                "tensor_comodules torsionfree_cover",
+    "corpus": "Corpus load_corpus",
+}
+
+
+def test_package_exports_resolve_lazily():
+    import importlib
+    for module, names in PACKAGE_EXPORTS.items():
+        mod = importlib.import_module("tannakit." + module)
+        for name in names.split():
+            assert getattr(tannakit, name) is getattr(mod, name), name
+    from tannakit import Corpus, PairsContext               # noqa: F401
+    with pytest.raises(AttributeError):
+        tannakit.nosuch
+
+
+MALFORMED_BASE = """ring = z
+[complex pt]
+simplices = a
+[pair p]
+space = pt
+[diagram d]
+vertex = u : p : 0
+[subdiagram S]
+diagram = d
+vertices = u
+[comodule c]
+diagram = d
+subdiagram = S
+orders = 2
+rho = 1
+"""
+
+MALFORMED = {
+    "skel degree": ("space = pt", "space = skel(pt, x)", ["homology", "p"]),
+    "vertex degree": ("u : p : 0", "u : p : x", ["end-algebra", "S"]),
+    "product without colon": ("vertex = u : p : 0",
+                              "vertex = u : p : 0\nproduct = nocolon",
+                              ["end-algebra", "S"]),
+    "orders": ("orders = 2", "orders = x", ["comodule-check", "c"]),
+    "rho scalar": ("rho = 1", "rho = abc", ["comodule-check", "c"]),
+    "rho fraction over Z": ("rho = 1", "rho = 1/2", ["comodule-check", "c"]),
+    "rho shape": ("orders = 2", "orders = 2 2", ["comodule-check", "c"]),
+}
+
+
+@pytest.mark.parametrize("old, new, argv", MALFORMED.values(), ids=list(MALFORMED))
+def test_malformed_corpus_value_is_input_error(old, new, argv, tmp_path):
+    path = tmp_path / "bad.corpus"
+    path.write_text(MALFORMED_BASE.replace(old, new, 1), encoding="utf-8")
+    proc = _fresh(["-m", "tannakit.cli", "--corpus", str(path)] + argv)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("input error:"), proc.stderr
+    assert "Traceback" not in proc.stderr
