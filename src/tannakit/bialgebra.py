@@ -14,13 +14,15 @@ from .errors import (
     InputError, MissingProducts, NotGoodPair, ProductEscape, WrongRank,
 )
 from .linalg import (
-    QQ, ZZ, Matrix, _Solver, solve, swap_matrix,
+    QQ, ZZ, Matrix, _Solver, solve, tensor_swap,
 )
 from .simplicial import (
     SimplicialMap, SimplicialPair, induced_map_on_homology, pair_homology,
     product_pair, tensor_complex, ez_matrixes,
 )
-from .tannaka import Subdiagram, coaction, end_algebra, transition_map
+from .tannaka import (
+    Subdiagram, coaction, end_algebra, transition_map, vertex_payload,
+)
 
 
 def is_good_vertex(pair, n, ring=ZZ):
@@ -51,9 +53,9 @@ class PairsContext:
         self._end_cache = {}
         self._tau_cache = {}
         for (v, w), vw in self.products.items():
-            pv, nv = diagram.payloads[v]
-            pw, nw = diagram.payloads[w]
-            pvw, nvw = diagram.payloads[vw]
+            pv, nv = vertex_payload(diagram.payloads, v)
+            pw, nw = vertex_payload(diagram.payloads, w)
+            pvw, nvw = vertex_payload(diagram.payloads, vw)
             if nvw != nv + nw:
                 raise InputError("product vertex %r has degree %d, expected %d"
                                  % (vw, nvw, nv + nw))
@@ -104,8 +106,8 @@ def kunneth_tau(ctx: PairsContext, v, w) -> TauIso:
     """Kunneth isomorphism on good pairs, via relative AW with EZ inverse."""
     dia = ctx.diagram
     ring = ctx.ring
-    pv, nv = dia.payloads[v]
-    pw, nw = dia.payloads[w]
+    pv, nv = vertex_payload(dia.payloads, v)
+    pw, nw = vertex_payload(dia.payloads, w)
     vw = ctx.product_vertex(v, w)
     pvw, nvw = dia.payloads[vw]
     for (name, p, n) in ((v, pv, nv), (w, pw, nw), (vw, pvw, nvw)):
@@ -187,7 +189,7 @@ def check_tau_symmetry(ctx: PairsContext, v, w):
     rw = ctx.rep.rank(w)
     sign = (-1) ** (nv * nw)
     left = t_wv.matrix * s_star.matrix
-    right = (swap_matrix(ctx.ring, rv, rw) * t_vw.matrix).scale(sign)
+    right = t_vw.matrix.take_rows(tensor_swap(1, rv, rw, 1)).scale(sign)
     return left == right
 
 
@@ -328,20 +330,6 @@ def product_on_truncations(ctx: PairsContext, subF, subG, subH) -> MuFragment:
 
 # -- bialgebra certificate -----------------------------------------------------
 
-def _middle_swap(ring, rf, rg):
-    """(f1 f2 g1 g2) -> (f1 g1 f2 g2) on row-major flattened indices."""
-    size = rf * rf * rg * rg
-    data = [[0] * size for _ in range(size)]
-    for i1 in range(rf):
-        for i2 in range(rf):
-            for j1 in range(rg):
-                for j2 in range(rg):
-                    src = ((i1 * rf + i2) * rg + j1) * rg + j2
-                    dst = ((i1 * rg + j1) * rf + i2) * rg + j2
-                    data[dst][src] = 1
-    return Matrix(ring, data, size, size)
-
-
 class BialgebraCert:
     __slots__ = ("checks", "violations")
 
@@ -365,7 +353,6 @@ class BialgebraCert:
 def check_fragment_bialgebra(ctx, mu: MuFragment, AF=None, AG=None, AH=None,
                              cert=None, label=""):
     """Delta o mu = (mu (x) mu) (1 swap 1) (Delta (x) Delta); eps o mu = eps (x) eps."""
-    ring = ctx.ring
     if AF is None:
         AF = ctx.coalgebra(mu.EF.sub)
     if AG is None:
@@ -376,8 +363,8 @@ def check_fragment_bialgebra(ctx, mu: MuFragment, AF=None, AG=None, AH=None,
         cert = BialgebraCert()
     rf, rg = AF.rank, AG.rank
     lhs = AH.delta * mu.matrix
-    rhs = mu.matrix.kron(mu.matrix) * (
-        _middle_swap(ring, rf, rg) * AF.delta.kron(AG.delta))
+    rhs = mu.matrix.kron(mu.matrix) * AF.delta.kron(AG.delta).take_rows(
+        tensor_swap(rf, rf, rg, rg))
     cert.record("delta-mu%s" % label, lhs == rhs)
     cert.record("epsilon-mu%s" % label,
                 AH.counit * mu.matrix == AF.counit.kron(AG.counit))
@@ -391,8 +378,8 @@ def check_commutativity(ctx, muFG: MuFragment, muGF: MuFragment, cert=None,
         cert = BialgebraCert()
     if muFG.EH is not muGF.EH and muFG.EH.sub.vertices != muGF.EH.sub.vertices:
         raise InputError("commutativity check needs a common target truncation")
-    flip = swap_matrix(ctx.ring, muFG.EF.dim, muFG.EG.dim)
-    cert.record("commutativity%s" % label, muFG.matrix == muGF.matrix * flip)
+    flip = tensor_swap(1, muFG.EG.dim, muFG.EF.dim, 1)
+    cert.record("commutativity%s" % label, muFG.matrix == muGF.matrix.take_cols(flip))
     return cert
 
 

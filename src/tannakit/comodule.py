@@ -11,7 +11,7 @@ target, which is exact equality in the free case.
 from math import gcd
 
 from .errors import CompositionNonzero, DimensionMismatch, MissingProducts
-from .linalg import FgModule, Matrix, ZZ, _Solver, presented_subquotient
+from .linalg import FgModule, Matrix, ZZ, _Solver, presented_subquotient, tensor_swap
 from .tannaka import (
     CoalgebraTrunc, _coassociative, _counit_identity, _intertwines,
     _nonzero_columns,
@@ -101,8 +101,7 @@ def check_comodule_axioms(m: Comodule) -> ComodCert:
     A = m.coalgebra
     rho = _nonzero_columns(m.rho)
     failures = []
-    if not _coassociative(_nonzero_columns(A.delta), rho, A.rank, m.ngens,
-                          m.gen_orders):
+    if not _coassociative(A.delta_columns, rho, A.rank, m.ngens, m.gen_orders):
         failures.append("coassociativity: (Delta (x) id) rho != (id (x) rho) rho")
     if not _counit_identity(rho, A.counit.row(0), m.ngens, orders=m.gen_orders):
         failures.append("counit: (eps (x) id) rho != id")
@@ -256,22 +255,8 @@ def tensor_comodules(m: Comodule, n: Comodule, mu) -> Comodule:
     ring = CH.ring
     rF, rG = CF.rank, CG.rank
     km, kn = m.ngens, n.ngens
-    big = m.rho.kron(n.rho)            # rows (i, a, j, b); cols (a, b)
-    rows = rF * rG * km * kn
-    data = [[0] * (km * kn) for _ in range(rows)]
-    for i in range(rF):
-        for a in range(km):
-            for j in range(rG):
-                for b in range(kn):
-                    src_row = ((i * km + a) * rG + j) * kn + b
-                    dst_row = ((i * rG + j) * km + a) * kn + b
-                    row = big.row(src_row)
-                    if any(row):
-                        out = data[dst_row]
-                        for c, x in enumerate(row):
-                            if x:
-                                out[c] += x
-    swapped = Matrix(ring, data, rows, km * kn)
+    # rows (i, a, j, b) of rho_m (x) rho_n reordered to (i, j, a, b)
+    swapped = m.rho.kron(n.rho).take_rows(tensor_swap(rF, km, rG, kn))
     rho = mu.matrix.kron(Matrix.identity(ring, km * kn)) * swapped
     orders = [gcd(s, t) for s in m.gen_orders for t in n.gen_orders]
     out = Comodule(CH, orders, rho)

@@ -16,9 +16,9 @@ from .errors import (
 )
 from .linalg import FgModule, Matrix, ModuleMap, ZZ, subquotient
 from .simplicial import (
-    SimplicialComplex, SimplicialMap, SimplicialPair, _chain_image, _ez,
-    induced_map_on_homology, pair_homology, product_complex,
-    relative_homology, triple_boundary,
+    ChainComplex, SimplicialComplex, SimplicialMap, SimplicialPair,
+    _chain_image, _ez, induced_map_on_homology, pair_homology,
+    product_complex, relative_homology, tensor_complex, triple_boundary,
 )
 
 
@@ -134,18 +134,17 @@ class ModuleComplex:
 
     __slots__ = ("ring", "terms", "maps")
 
-    def __init__(self, ring, terms, maps, check=True):
+    def __init__(self, ring, terms, maps):
         self.ring = ring
         self.terms = dict(terms)
         self.maps = dict(maps)
-        if check:
-            for d, m in self.maps.items():
-                if m.source != self.term(d) or m.target != self.term(d - 1):
-                    raise ValueError("differential %d does not match terms" % d)
-            for d in list(self.maps):
-                if d - 1 in self.maps:
-                    if not self.maps[d - 1].compose(self.maps[d]).is_zero_map():
-                        raise AssertionError("module complex: d o d != 0 at %d" % d)
+        for d, m in self.maps.items():
+            if m.source != self.term(d) or m.target != self.term(d - 1):
+                raise ValueError("differential %d does not match terms" % d)
+        for d in list(self.maps):
+            if d - 1 in self.maps:
+                if not self.maps[d - 1].compose(self.maps[d]).is_zero_map():
+                    raise AssertionError("module complex: d o d != 0 at %d" % d)
 
     def term(self, d) -> FgModule:
         return self.terms.get(d, FgModule.zero(self.ring))
@@ -214,17 +213,15 @@ class ModuleComplexMap:
 
     __slots__ = ("source", "target", "components")
 
-    def __init__(self, source, target, components, check=True):
+    def __init__(self, source, target, components):
         self.source = source
         self.target = target
         self.components = dict(components)
-        if check:
-            degs = set(source.terms) | set(target.terms)
-            for d in degs:
-                left = self.target.differential(d).compose(self.component(d))
-                right = self.component(d - 1).compose(self.source.differential(d))
-                if left != right:
-                    raise AssertionError("module complex map fails at degree %d" % d)
+        for d in set(source.terms) | set(target.terms):
+            left = self.target.differential(d).compose(self.component(d))
+            right = self.component(d - 1).compose(self.source.differential(d))
+            if left != right:
+                raise AssertionError("module complex map fails at degree %d" % d)
 
     def component(self, d) -> ModuleMap:
         m = self.components.get(d)
@@ -265,71 +262,27 @@ def pushforward_filtration(f: SimplicialMap, F: Filtration, ring=ZZ):
     return G, ModuleComplexMap(src, tgt, comps)
 
 
-def _tensor_module_complex(a: ModuleComplex, b: ModuleComplex):
-    """Tensor of complexes of free modules; kron ordering of generators."""
-    ring = a.ring
+def _tensor_module_complex(a: ModuleComplex, b: ModuleComplex) -> ModuleComplex:
+    """Tensor of complexes of free modules: tensor_complex on generator
+    indices, so generators (p, i, j) come in kron order, p ascending."""
     for mc in (a, b):
         for d, t in mc.terms.items():
             if t.torsion:
                 raise TorsionTerm(
                     "Kunneth construction needs free terms; degree %d is %s"
                     % (d, t.describe()))
-    terms = {}
-    top = a.top_degree + b.top_degree
-    pieces = {}
-    for n in range(0, top + 1):
-        parts = []
-        for p in range(0, n + 1):
-            q = n - p
-            tp, tq = a.term(p), b.term(q)
-            if tp.is_zero() or tq.is_zero():
-                continue
-            parts.append((p, q, tp.tensor(tq)))
-        pieces[n] = parts
-        if parts:
-            total = parts[0][2]
-            for _, _, m in parts[1:]:
-                total = total.direct_sum(m)
-            terms[n] = total
-    maps = {}
-    for n in range(1, top + 1):
-        src = terms.get(n, FgModule.zero(ring))
-        tgt = terms.get(n - 1, FgModule.zero(ring))
-        if src.is_zero() or tgt.is_zero():
-            continue
-        # build block matrix over the direct-sum decompositions
-        src_parts = pieces[n]
-        tgt_parts = pieces[n - 1]
-        tgt_offsets = {}
-        off = 0
-        for p, q, m in tgt_parts:
-            tgt_offsets[(p, q)] = off
-            off += m.ngens
-        data = [[0] * src.ngens for _ in range(tgt.ngens)]
-        col_off = 0
-        for p, q, m in src_parts:
-            da = a.differential(p)
-            db = b.differential(q)
-            if p > 0 and not da.target.is_zero():
-                block = da.matrix.kron(Matrix.identity(ring, b.term(q).ngens))
-                row_off = tgt_offsets.get((p - 1, q))
-                if row_off is not None:
-                    for i in range(block.rows):
-                        for j in range(block.cols):
-                            if block[i, j]:
-                                data[row_off + i][col_off + j] += block[i, j]
-            if q > 0 and not db.target.is_zero():
-                sign = (-1) ** p
-                block = Matrix.identity(ring, a.term(p).ngens).kron(db.matrix)
-                row_off = tgt_offsets.get((p, q - 1))
-                if row_off is not None:
-                    for i in range(block.rows):
-                        for j in range(block.cols):
-                            if block[i, j]:
-                                data[row_off + i][col_off + j] += sign * block[i, j]
-            col_off += m.ngens
-        maps[n] = ModuleMap(src, tgt, Matrix(ring, data, tgt.ngens, src.ngens))
-    return ModuleComplex(ring, terms, maps), pieces
+    cx = tensor_complex(_generator_complex(a), _generator_complex(b))
+    terms = {d: FgModule.free(a.ring, cx.rank(d)) for d in cx.degrees}
+    return ModuleComplex(a.ring, terms, {
+        d: ModuleMap(terms[d], terms[d - 1], cx.boundary(d))
+        for d in cx.degrees if d - 1 in terms})
+
+
+def _generator_complex(mc: ModuleComplex) -> ChainComplex:
+    """A free ModuleComplex as a ChainComplex labeled by generator index."""
+    def faces(d, j):
+        return enumerate(mc.differential(d).matrix.col(j))
+    return ChainComplex(mc.ring, {d: range(t.ngens) for d, t in mc.terms.items()}, faces)
 
 
 def product_filtration(F: Filtration, G: Filtration, ring=ZZ):
@@ -353,7 +306,7 @@ def product_filtration(F: Filtration, G: Filtration, ring=ZZ):
 
     ca = filtration_complex(F, ring)
     cb = filtration_complex(G, ring)
-    (tensor, pieces) = _tensor_module_complex(ca, cb)
+    tensor = _tensor_module_complex(ca, cb)
     target = filtration_complex(FG, ring)
 
     pa = {i: pair_homology(SimplicialPair(F.level(i), F.level(i - 1)), ring)
@@ -371,7 +324,8 @@ def product_filtration(F: Filtration, G: Filtration, ring=ZZ):
             comps[i] = ModuleMap.zero(src, tgt)
             continue
         cols = []
-        for p, q, mod in pieces[i]:
+        for p in range(max(0, i - m), min(i, n) + 1):
+            q = i - p
             ha, hb = pa[p], pb[q]
             hc = pfg[i]
             ca_n = ha.complex

@@ -249,14 +249,19 @@ class Matrix:
                       self.rows, len(indices))
 
 
+def tensor_swap(a, b, c, d):
+    """Row order taking (i, j, k, l) to (i, k, j, l) on row-major flattened
+    tensor indices of shape (a, b, c, d): M.take_rows(order) is P M for the
+    permutation P swapping the middle factors, and M.take_cols(order) is
+    M P^-1."""
+    return [((i * b + j) * c + k) * d + l
+            for i in range(a) for k in range(c) for j in range(b) for l in range(d)]
+
+
 def swap_matrix(ring, dim_left, dim_right):
     """Matrix of v (x) w  |->  w (x) v on row-major flattened tensors."""
-    m = Matrix.zeros(ring, dim_left * dim_right, dim_left * dim_right)
-    data = [list(r) for r in m.data]
-    for i in range(dim_left):
-        for j in range(dim_right):
-            data[j * dim_left + i][i * dim_right + j] = 1
-    return Matrix(ring, data)
+    return Matrix.identity(ring, dim_left * dim_right).take_rows(
+        tensor_swap(1, dim_left, dim_right, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -830,13 +835,6 @@ class FgModule:
         ia, ib = Matrix.identity(self.ring, self.ngens), Matrix.identity(self.ring, other.ngens)
         return FgModule.cokernel(ra.kron(ib).hstack(ia.kron(rb)))
 
-    def direct_sum(self, other):
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch in direct sum")
-        torsion = self.torsion + other.torsion
-        return FgModule.cokernel(Matrix.diagonal(
-            self.ring, torsion, rows=len(torsion) + self.free_rank + other.free_rank))
-
     @classmethod
     def cokernel(cls, relations):
         """The module presented by the columns of relations, from its
@@ -948,11 +946,6 @@ class ModuleMap:
 
     def is_zero_map(self):
         return self.matrix.is_zero()
-
-    def tensor(self, other):
-        return ModuleMap(self.source.tensor(other.source),
-                         self.target.tensor(other.target),
-                         self.matrix.kron(other.matrix))
 
     def __eq__(self, other):
         return (isinstance(other, ModuleMap) and self.source == other.source

@@ -116,6 +116,13 @@ class Subdiagram:
         return "Subdiagram(%s)" % (",".join(map(str, self.vertices)),)
 
 
+def vertex_payload(payloads, v):
+    """The (pair, degree) of vertex v; an unknown name is an InputError."""
+    if v not in payloads:
+        raise InputError("unknown vertex %r" % (v,))
+    return payloads[v]
+
+
 def build_pairs_diagram(ring, vertex_pairs, map_edges=(), triple_edges=()):
     """Assemble the pairs diagram and its homology representation.
 
@@ -134,15 +141,15 @@ def build_pairs_diagram(ring, vertex_pairs, map_edges=(), triple_edges=()):
         p, n = vertex_pairs[v]
         modules[v] = relative_homology(p, n, ring)
     for (name, src, dst, f) in map_edges:
-        ps, ns = vertex_pairs[src]
-        pt, nt = vertex_pairs[dst]
+        ps, ns = vertex_payload(vertex_pairs, src)
+        pt, nt = vertex_payload(vertex_pairs, dst)
         if ns != nt:
             raise InputError("map edge %r changes the degree" % name)
         edges.append((name, src, dst, MAP_EDGE))
         maps[name] = induced_map_on_homology(f, ps, pt, ns, ring)
     for (name, src, dst) in triple_edges:
-        ps, ns = vertex_pairs[src]
-        pt, nt = vertex_pairs[dst]
+        ps, ns = vertex_payload(vertex_pairs, src)
+        pt, nt = vertex_payload(vertex_pairs, dst)
         if nt != ns - 1:
             raise InputError("triple edge %r must drop the degree by one" % name)
         if pt.X != ps.Z:
@@ -341,11 +348,11 @@ def _intertwines(m, rho_src, rho_dst, n, orders=None):
     return True
 
 
-def _comultiplicative(t, delta_g, delta_f):
+def _comultiplicative(t, AG, AF):
     """Delta_G t == (t (x) t) Delta_F, one column e_k at a time: Delta_G(t e_k)
     against sum_ij c_ij^k (t e_i) (x) (t e_j), over nonzeros, with no kron."""
-    n, tc, dg = t.rows, _nonzero_columns(t), _nonzero_columns(delta_g)
-    for k, col in enumerate(_nonzero_columns(delta_f)):
+    n, tc, dg = t.rows, _nonzero_columns(t), AG.delta_columns
+    for k, col in enumerate(AF.delta_columns):
         diff = {}
         for i, a in tc[k].items():
             for pq, d in dg[i].items():
@@ -370,12 +377,14 @@ class CoalgebraTrunc:
     """Free coalgebra truncation: rank, comultiplication and counit matrices.
 
     delta: rank^2 x rank (row-major tensor indices); counit: 1 x rank.
-    Coassociativity and the counit identities are asserted at construction,
-    exactly, by contracting the nonzeros of the structure tensor column by
-    column rather than through dense Kronecker products.
+    delta_columns holds the _nonzero_columns of delta, built once here for
+    every later check against this coalgebra.  Coassociativity and the
+    counit identities are asserted at construction, exactly, by contracting
+    the nonzeros of the structure tensor column by column rather than
+    through dense Kronecker products.
     """
 
-    __slots__ = ("ring", "rank", "delta", "counit")
+    __slots__ = ("ring", "rank", "delta", "counit", "delta_columns")
 
     def __init__(self, ring, rank, delta, counit):
         if delta.rows != rank * rank or delta.cols != rank:
@@ -386,7 +395,7 @@ class CoalgebraTrunc:
         self.rank = rank
         self.delta = delta
         self.counit = counit
-        cols = _nonzero_columns(delta)
+        self.delta_columns = cols = _nonzero_columns(delta)
         if not _coassociative(cols, cols, rank, rank):
             raise AxiomViolation("comultiplication is not coassociative")
         eps = counit.row(0)
@@ -467,7 +476,7 @@ def check_coaction_axioms(co: Coaction):
     if co.rho.rows != A.rank * r:
         raise ValueError("coaction matrix does not fit its coalgebra")
     rho = _nonzero_columns(co.rho)
-    return (_coassociative(_nonzero_columns(A.delta), rho, A.rank, r),
+    return (_coassociative(A.delta_columns, rho, A.rank, r),
             _counit_identity(rho, A.counit.row(0), r))
 
 
@@ -487,7 +496,7 @@ class TransitionMap:
 
 
 def transition_map(rep, EF: EndAlgebra, EG: EndAlgebra,
-                   AF=None, AG=None, check=True) -> TransitionMap:
+                   AF=None, AG=None) -> TransitionMap:
     """Transition A_F -> A_G for subdiagrams F <= G.
 
     Computed as the transpose of the restriction End(T|_G) -> End(T|_F);
@@ -516,20 +525,18 @@ def transition_map(rep, EF: EndAlgebra, EG: EndAlgebra,
         cols.append(coords)
     restriction = Matrix.from_columns(rep.ring, cols, rows=EF.dim)
     t = restriction.transpose()
-    tm = TransitionMap(AF, AG, t, restriction)
-    if check:
-        # coalgebra morphism: Delta' t = (t (x) t) Delta ; eps' t = eps
-        if not _comultiplicative(t, AG.delta, AF.delta):
-            raise AxiomViolation("transition fails comultiplication compatibility")
-        if AG.counit * t != AF.counit:
-            raise AxiomViolation("transition fails counit compatibility")
-        for v in EF.order:
-            r = rep.rank(v)
-            rho_f = coaction(rep, EF.sub, v, EF, AF).rho
-            rho_g = coaction(rep, EG.sub, v, EG, AG).rho
-            if t * _block_rows(rho_f, EF.dim, r) != _block_rows(rho_g, EG.dim, r):
-                raise AxiomViolation("transition fails coaction compatibility at %r" % (v,))
-    return tm
+    # coalgebra morphism: Delta' t = (t (x) t) Delta ; eps' t = eps
+    if not _comultiplicative(t, AG, AF):
+        raise AxiomViolation("transition fails comultiplication compatibility")
+    if AG.counit * t != AF.counit:
+        raise AxiomViolation("transition fails counit compatibility")
+    for v in EF.order:
+        r = rep.rank(v)
+        rho_f = coaction(rep, EF.sub, v, EF, AF).rho
+        rho_g = coaction(rep, EG.sub, v, EG, AG).rho
+        if t * _block_rows(rho_f, EF.dim, r) != _block_rows(rho_g, EG.dim, r):
+            raise AxiomViolation("transition fails coaction compatibility at %r" % (v,))
+    return TransitionMap(AF, AG, t, restriction)
 
 
 class FactorizationCert:

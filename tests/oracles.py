@@ -367,3 +367,70 @@ def modp_subquotient_size(p, gens_b, rel_b, m_in, m_out, rel_c):
             boundaries.append(tuple(x % p for x in col))
     bspan = span(boundaries, nb)
     return len(kernel) // len(bspan)
+
+
+# -- tensor products by dense block assembly -------------------------------
+
+def middle_swap_matrix(a, b, c, d):
+    """Permutation matrix P of (i, j, k, l) -> (i, k, j, l) on row-major
+    flattened indices of shape (a, b, c, d), entry by entry."""
+    size = a * b * c * d
+    data = [[0] * size for _ in range(size)]
+    for i in range(a):
+        for j in range(b):
+            for k in range(c):
+                for l in range(d):
+                    src = ((i * b + j) * c + k) * d + l
+                    dst = ((i * c + k) * b + j) * d + l
+                    data[dst][src] = 1
+    return data
+
+
+def _kron(x, y):
+    return [[a * b for a in xr for b in yr] for xr in x for yr in y]
+
+
+def _eye(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def tensor_complex_dense(ranks_a, diffs_a, ranks_b, diffs_b):
+    """Tensor product of two free complexes assembled from dense kron blocks.
+
+    ranks_x maps degree -> rank; diffs_x maps degree d to the rank(d-1) x
+    rank(d) differential as a list of lists (absent means zero).  The
+    generators of degree n are the blocks p = 0..n ascending, each in kron
+    order, and d(x (x) y) = dx (x) y + (-1)^p x (x) dy.  Returns (ranks,
+    diffs) of the same form, with zero terms and zero maps left out.
+    """
+    top = max(ranks_a, default=-1) + max(ranks_b, default=-1)
+    ranks, offsets = {}, {}
+    for n in range(top + 1):
+        off = 0
+        for p in range(n + 1):
+            offsets[(p, n - p)] = off
+            off += ranks_a.get(p, 0) * ranks_b.get(n - p, 0)
+        if off:
+            ranks[n] = off
+    diffs = {}
+    for n in range(1, top + 1):
+        if not ranks.get(n) or not ranks.get(n - 1):
+            continue
+        data = [[0] * ranks[n] for _ in range(ranks[n - 1])]
+        for p in range(n + 1):
+            q = n - p
+            col = offsets[(p, q)]
+            blocks = []
+            if p > 0 and p in diffs_a:
+                blocks.append(((p - 1, q), _kron(diffs_a[p], _eye(ranks_b.get(q, 0)))))
+            if q > 0 and q in diffs_b:
+                sign = (-1) ** p
+                blocks.append(((p, q - 1), [[sign * x for x in row] for row in
+                                            _kron(_eye(ranks_a.get(p, 0)), diffs_b[q])]))
+            for key, block in blocks:
+                row = offsets[key]
+                for i, brow in enumerate(block):
+                    for j, x in enumerate(brow):
+                        data[row + i][col + j] += x
+        diffs[n] = data
+    return ranks, diffs

@@ -256,6 +256,17 @@ MALFORMED = {
     "rho scalar": ("rho = 1", "rho = abc", ["comodule-check", "c"]),
     "rho fraction over Z": ("rho = 1", "rho = 1/2", ["comodule-check", "c"]),
     "rho shape": ("orders = 2", "orders = 2 2", ["comodule-check", "c"]),
+    "unknown product vertex": ("vertex = u : p : 0",
+                               "vertex = u : p : 0\nproduct = vw : u * zz",
+                               ["end-algebra", "S"]),
+    "unknown triple vertex": ("vertex = u : p : 0",
+                              "vertex = u : p : 0\ntriple = t : u -> zz",
+                              ["end-algebra", "S"]),
+    "unknown edge vertex": ("[diagram d]\nvertex = u : p : 0",
+                            "[map m]\nsource = pt\ntarget = pt\nassign = a:a\n"
+                            "[diagram d]\nvertex = u : p : 0\nedge = e : m : zz -> u",
+                            ["end-algebra", "S"]),
+    "unknown kunneth vertex": ("[diagram d]", "[diagram d]", ["kunneth", "d", "u", "nosuch"]),
 }
 
 

@@ -1,18 +1,20 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tannakit.errors import BudgetExceeded, InvalidFiltration, TorsionTerm
 from tannakit.filtration import (
-    Filtration, compare_filtration_homology, filtration_complex,
-    find_very_good_refinement, is_very_good_pair, product_filtration,
-    pushforward_filtration, very_good_report,
+    Filtration, ModuleComplex, _tensor_module_complex, compare_filtration_homology,
+    filtration_complex, find_very_good_refinement, is_very_good_pair,
+    product_filtration, pushforward_filtration, very_good_report,
 )
-from tannakit.linalg import QQ, ZZ, FgModule
+from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap
 from tannakit.simplicial import (
     SimplicialComplex, SimplicialMap, SimplicialPair, product_complex,
     relative_homology,
 )
 
 import spaces
+from oracles import tensor_complex_dense
 from spaces import (
     CIRCLE3, EDGE, EDGE_ENDS, EMPTY, POINT, RP2, SPHERE2, TRIANGLE,
     WEDGE_TWO_CIRCLES, cx, pair, sub,
@@ -176,6 +178,86 @@ class TestProductFiltration:
             from tannakit.linalg import determinant
             assert comp.source.ngens == comp.target.ngens
             assert determinant(comp.matrix) != 0
+
+
+def _plain(mc):
+    """(ranks, differentials as lists of lists) of a free ModuleComplex."""
+    ranks = {d: t.ngens for d, t in mc.terms.items() if t.ngens}
+    diffs = {d: [list(row) for row in m.matrix.data] for d, m in mc.maps.items()}
+    return ranks, diffs
+
+
+def assert_matches_dense_oracle(tensor, a, b):
+    ranks, diffs = tensor_complex_dense(*_plain(a), *_plain(b))
+    assert {d: t for d, t in tensor.terms.items() if not t.is_zero()} == {
+        d: FgModule.free(a.ring, n) for d, n in ranks.items()}
+    for d in range(0, max(ranks, default=0) + 2):
+        m = tensor.differential(d).matrix
+        assert m.ring == a.ring
+        assert [list(row) for row in m.data] == diffs.get(d, [[0] * m.cols] * m.rows)
+
+
+def _scalars(ring):
+    if ring == ZZ:
+        return st.integers(-3, 3)
+    return st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def free_module_complexes(draw, ring):
+    """A random free complex in degrees 0..top, zero terms included: pieces
+    k: e -> f (each generator in at most one piece), then base changes
+    e_j -> e_j + c e_i, which act on the columns of d_n and the rows of
+    d_(n+1) and keep d o d = 0."""
+    ranks = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    scalar = _scalars(ring)
+    mats = {d: [[0] * ranks[d] for _ in range(ranks[d - 1])] for d in range(1, len(ranks))}
+    used = set()
+    for d in mats:
+        for j in range(ranks[d]):
+            i = draw(st.integers(-1, ranks[d - 1] - 1))
+            k = draw(scalar.filter(bool))
+            if i >= 0 and (d, j) not in used and (d - 1, i) not in used:
+                mats[d][i][j] = k
+                used |= {(d, j), (d - 1, i)}
+    moves = st.tuples(st.integers(0, len(ranks) - 1), st.integers(0, 2),
+                      st.integers(0, 2), scalar)
+    for d, i, j, c in draw(st.lists(moves, max_size=6)):
+        if i == j or max(i, j) >= ranks[d]:
+            continue
+        if d + 1 in mats:
+            mats[d + 1][i] = [x + c * y for x, y in zip(mats[d + 1][i], mats[d + 1][j])]
+        if d in mats:
+            for row in mats[d]:
+                row[j] -= c * row[i]
+    terms = {d: FgModule.free(ring, r) for d, r in enumerate(ranks)}
+    return ModuleComplex(ring, terms, {
+        d: ModuleMap(terms[d], terms[d - 1], Matrix(ring, m, ranks[d - 1], ranks[d]))
+        for d, m in mats.items()})
+
+
+class TestTensorModuleComplex:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from((ZZ, QQ)).flatmap(
+        lambda ring: st.tuples(free_module_complexes(ring), free_module_complexes(ring))))
+    def test_matches_dense_block_assembly(self, pair):
+        assert_matches_dense_oracle(_tensor_module_complex(*pair), *pair)
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_product_filtration_tensor_matches_oracle(self, ring):
+        F = Filtration(CIRCLE3, [sub(CIRCLE3, ("a",), ("b",)), CIRCLE3])
+        G = Filtration(EDGE, [EDGE_ENDS, EDGE])
+        for X, Y in ((F, F), (F, G), (G, F)):
+            _, tensor, _ = product_filtration(X, Y, ring)
+            assert_matches_dense_oracle(
+                tensor, filtration_complex(X, ring), filtration_complex(Y, ring))
+
+    def test_torsion_term_is_rejected(self):
+        torsion = ModuleComplex(ZZ, {0: FgModule(ZZ, 1), 1: FgModule(ZZ, 0, (2,))}, {})
+        free = ModuleComplex(ZZ, {0: FgModule.free(ZZ, 2)}, {})
+        for a, b in ((torsion, free), (free, torsion)):
+            with pytest.raises(TorsionTerm, match="degree 1 is Z/2"):
+                _tensor_module_complex(a, b)
 
 
 class TestSearch:

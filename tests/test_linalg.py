@@ -9,12 +9,12 @@ from tannakit.linalg import (
     QQ, ZZ, FgModule, Matrix, ModuleMap, _Solver, determinant, dual_map,
     echelon_columns, elementary_divisors, hnf_columns, kernel,
     module_from_relations, rref, smith_normal_form, solve, solve_in_submodule,
-    subquotient, subquotient_free,
+    subquotient, subquotient_free, swap_matrix, tensor_swap,
 )
 
 from oracles import (
-    dense_rref, minor_gcd_divisors, modp_subquotient_size, naive_diagonal,
-    snf_kernel, snf_solvable,
+    dense_rref, middle_swap_matrix, minor_gcd_divisors, modp_subquotient_size,
+    naive_diagonal, snf_kernel, snf_solvable,
 )
 
 
@@ -564,3 +564,40 @@ class TestLazySubquotient:
             subquotient_free(ZZ, mz([[1], [0]]), mz([[1, 0]]))
         with pytest.raises(ValueError):
             subquotient_free(ZZ, mz([[1], [0]]), mz([[1, 0, 0]]))
+
+
+# -- tensor-factor swaps as row and column reorders ---------------------------
+
+@st.composite
+def swap_cases(draw):
+    """A ring, a shape (a, b, c, d) and a matrix with a*b*c*d rows."""
+    ring = draw(st.sampled_from((ZZ, QQ)))
+    dims = draw(st.tuples(*[st.integers(0, 3)] * 4))
+    size = dims[0] * dims[1] * dims[2] * dims[3]
+    width = draw(st.integers(0, 3))
+    row = st.lists(small_ints, min_size=width, max_size=width)
+    return ring, dims, Matrix(ring, draw(st.lists(row, min_size=size, max_size=size)),
+                              size, width)
+
+
+class TestTensorSwap:
+    @settings(max_examples=150, deadline=None)
+    @given(swap_cases())
+    def test_reorders_match_permutation_products(self, case):
+        ring, dims, M = case
+        P = Matrix(ring, middle_swap_matrix(*dims), M.rows, M.rows)
+        order = tensor_swap(*dims)
+        assert M.take_rows(order) == P * M
+        N = M.transpose()
+        assert N.take_cols(order) == N * P.transpose()
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_swap_matrix_is_the_flip(self, ring):
+        for left in range(4):
+            for right in range(4):
+                flip = swap_matrix(ring, left, right)
+                assert flip == Matrix(ring, middle_swap_matrix(1, left, right, 1),
+                                      left * right, left * right)
+                M = Matrix(ring, [list(range(k, k + left * right)) for k in range(2)],
+                           2, left * right)
+                assert M.take_cols(tensor_swap(1, right, left, 1)) == M * flip

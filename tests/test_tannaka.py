@@ -466,13 +466,13 @@ class TestSparseRejects:
         EF, EG = ctx.end(F), ctx.end(G)
         AF, AG = EF.coalgebra(), EG.coalgebra()
         t = transition_map(ctx.rep, EF, EG).matrix
-        assert tannaka._comultiplicative(t, AG.delta, AF.delta)
+        assert tannaka._comultiplicative(t, AG, AF)
         rejected = []
         for i in range(t.rows):
             for j in range(t.cols):
                 bad = perturbed(t, i, j)
                 dense = AG.delta * bad == bad.kron(bad) * AF.delta
-                assert tannaka._comultiplicative(bad, AG.delta, AF.delta) == dense
+                assert tannaka._comultiplicative(bad, AG, AF) == dense
                 if not dense:
                     rejected.append((i, j))
         assert rejected
