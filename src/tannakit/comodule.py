@@ -11,11 +11,11 @@ target, which is exact equality in the free case.
 from math import gcd
 
 from .errors import CompositionNonzero, DimensionMismatch, MissingProducts
-from .linalg import FgModule, Matrix, ZZ, _Solver, presented_subquotient, tensor_swap
-from .tannaka import (
-    CoalgebraTrunc, _coassociative, _counit_identity, _intertwines,
-    _nonzero_columns,
+from .linalg import (
+    FgModule, Matrix, ZZ, _nonzero_columns, _Solver, presented_subquotient,
+    tensor_swap,
 )
+from .tannaka import CoalgebraTrunc, _coassociative, _counit_identity, _intertwines
 
 
 def _entry_ok(x, order):

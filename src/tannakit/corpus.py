@@ -261,6 +261,7 @@ class Corpus:
         return ctx, Subdiagram(ctx.diagram, vertices, name=name)
 
     def tower(self, name, ring):
+        from .tannaka import vertex_payload
         sec = self._tower_decls.get(name)
         if sec is None:
             raise InputError("unknown tower %r" % name)
@@ -271,6 +272,8 @@ class Corpus:
             _, sub = self.subdiagram(sname, ring)
             subs.append(sub)
         unit = sec.get("unit")
+        if unit is not None:
+            vertex_payload(ctx.diagram.payloads, unit)
         return ctx, subs, unit
 
     def comodule(self, name, ring):

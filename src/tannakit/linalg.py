@@ -1,21 +1,24 @@
 """Exact linear algebra over Z and Q.
 
 Matrices carry arbitrary-precision entries (python ints over Z,
-fractions.Fraction over Q); nothing here ever rounds or overflows.
-Provides Smith normal form with unimodular transforms, Hermite/echelon
-canonical bases, kernels, exact solving, finitely generated modules
-presented by invariant factors, module maps and subquotients.  Reduced row
-echelon forms are computed on sparse integer rows, fraction-free.  Z kernels
-and solves against non-echelon matrices come from one canonical column
-reduction of A stacked on the identity; every solve is a substitution in an
-echelon basis.  Invariant factors alone come from a sparse elimination of
-unit pivots (elementary_divisors, or _sparse_divisors on rows that are
-already sparse integer dicts), with Smith normal form only on what is left.
-Chain complexes keep their differentials as sparse integer columns
-{row: coeff}; _compose multiplies two such maps, and Matrix.from_sparse
-gives the dense view.  A homology module of a free complex is eager and its
-cycle basis is lazy: Subquotient.free reads the module from elementary
-divisors and asks for the boundary matrices on the first class_of or lift.
+fractions.Fraction over Q); nothing here ever rounds or overflows.  Provides
+Smith normal form with unimodular transforms, Hermite/echelon canonical
+bases, kernels, exact solving, finitely generated modules presented by
+invariant factors, module maps and subquotients.  One reduction, _echelon,
+does all row reduction, on sparse integer rows: the Hermite form of the row
+lattice over Z, the reduced row echelon form over Q.  rref, hnf_columns,
+echelon_columns and Q kernels read it, and so does _column_reduce, of A
+stacked on the identity, which gives Z kernels and the echelon image basis
+in which every solve is a substitution.  Invariant factors alone come from a
+sparse elimination of unit pivots (elementary_divisors, _sparse_divisors),
+with Smith normal form (Z) or _echelon (Q) only on what is left; Smith
+normal form keeps its own dense elimination for the transforms
+module_from_relations reads.  Chain complexes keep their differentials as
+sparse integer columns {row: coeff}; _compose multiplies two such maps, and
+Matrix.from_sparse gives the dense view.  A homology module of a free
+complex is eager and its cycle basis is lazy: Subquotient.free reads the
+module from elementary divisors and asks for the boundary matrices on the
+first class_of or lift.
 """
 
 from fractions import Fraction
@@ -95,7 +98,8 @@ class Matrix:
     @classmethod
     def from_sparse(cls, ring, columns, rows):
         """Dense matrix of sparse columns {row: entry}."""
-        data = [[0] * len(columns) for _ in range(rows)]
+        zero = 0 if ring == ZZ else Fraction(0)
+        data = [[zero] * len(columns) for _ in range(rows)]
         for j, col in enumerate(columns):
             for i, x in col.items():
                 data[i][j] = x
@@ -480,32 +484,97 @@ def determinant(A):
 # Canonical bases, kernels, solving
 # ---------------------------------------------------------------------------
 
-def _eliminate(row, piv, c):
-    """Integer combination of two sparse rows {col: int} with column c
-    cleared, divided by the gcd of its entries."""
-    a, p = row[c], piv[c]
-    g = gcd(a, p)
-    a, p = a // g, p // g
-    out = {j: p * x for j, x in row.items()}
-    for j, y in piv.items():
-        v = out.get(j, 0) - a * y
-        if v:
-            out[j] = v
-        else:
-            del out[j]
-    g = gcd(*out.values())
-    return {j: x // g for j, x in out.items()} if g > 1 else out
+def _nonzero_columns(m):
+    """Column j of m as {row: entry} over its nonzero entries."""
+    cols = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m.data):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    return cols
+
+
+def _integral(vectors):
+    """Sparse vectors {index: int or Fraction}, each scaled by the lcm of its
+    denominators to {index: int}."""
+    out = []
+    for v in vectors:
+        m = lcm(*(x.denominator for x in v.values()))
+        out.append({j: x.numerator * (m // x.denominator) for j, x in v.items()})
+    return out
 
 
 def _integer_rows(A):
     """Rows of A as sparse {col: int}, each scaled by the lcm of its
     denominators."""
-    work = []
-    for row in A.data:
-        nz = [(j, x) for j, x in enumerate(row) if x]
-        m = lcm(*(x.denominator for _, x in nz))
-        work.append({j: x.numerator * (m // x.denominator) for j, x in nz})
-    return work
+    return _integral({j: x for j, x in enumerate(row) if x} for row in A.data)
+
+
+def _reduce(row, piv, c, ring):
+    """Sparse row {col: int} with its entry in column c reduced by the pivot
+    row piv.  Over Z a Euclid step, row - q * piv with q = row[c] // piv[c]:
+    unimodular, and it leaves row[c] mod piv[c].  Over Q the fraction-free
+    combination that clears column c, divided by the gcd of its entries."""
+    a, p = row[c], piv[c]
+    if ring == ZZ:
+        t, out = a // p, dict(row)
+    else:
+        g = gcd(a, p)
+        t, out = a // g, {j: p // g * x for j, x in row.items()}
+    for j, y in piv.items():
+        v = out.get(j, 0) - t * y
+        if v:
+            out[j] = v
+        else:
+            out.pop(j, None)
+    if ring == QQ:
+        g = gcd(*out.values())
+        if g > 1:
+            out = {j: x // g for j, x in out.items()}
+    return out
+
+
+def _echelon(rows, ring):
+    """Echelon basis of the sparse integer rows {col: int}: (pivots, basis),
+    one basis row per pivot column, pivots ascending, zero rows dropped.
+
+    Over Z the basis is the Hermite form of the row lattice: each pivot
+    column is cleared by Euclid steps, the pivot is made positive, and the
+    entries above it are reduced into [0, pivot).  Over Q it is the reduced
+    row echelon form, rows {col: Fraction} with pivot entries 1: the
+    shortest candidate row is the pivot, combinations stay fraction-free,
+    and rows are divided by their pivots only at the end.  Both forms are
+    unique, so the order of the steps cannot change the result (Cohen,
+    GTM 138, 2.4).  The input rows are left unchanged.
+    """
+    work = [r for r in rows if r]
+    pivots, basis = [], []
+    for c in sorted({j for r in work for j in r}):
+        cand = [r for r in work if c in r]
+        if not cand:
+            continue
+        work = [r for r in work if c not in r]
+        while len(cand) > 1:
+            cand.sort(key=(lambda r: (abs(r[c]), len(r))) if ring == ZZ else len)
+            rest = [_reduce(r, cand[0], c, ring) for r in cand[1:]]
+            work += [r for r in rest if r and c not in r]
+            cand = cand[:1] + [r for r in rest if c in r]
+        piv = cand[0]
+        pivots.append(c)
+        basis.append(piv if piv[c] > 0 else {j: -x for j, x in piv.items()})
+    # above the pivots: a pivot row is zero at earlier pivot columns, so over
+    # Z, first pivot first, it keeps the entries reduced there; over Q, last
+    # pivot first, it is already zero at later ones, and combinations stay short
+    order = range(1, len(basis)) if ring == ZZ else range(len(basis) - 1, 0, -1)
+    for k in order:
+        c, piv = pivots[k], basis[k]
+        for i in range(k):
+            if c in basis[i]:
+                basis[i] = _reduce(basis[i], piv, c, ring)
+    if ring == QQ:
+        basis = [{j: Fraction(x, r[c]) for j, x in r.items()}
+                 for c, r in zip(pivots, basis)]
+    return pivots, basis
 
 
 def elementary_divisors(A):
@@ -520,8 +589,8 @@ def _sparse_divisors(start, ring):
 
     Sparse elimination (Dumas, Saunders and Villard, JSC 2001): unit pivots
     are eliminated as Schur complements, and only what is left goes to
-    smith_normal_form (Z) or rref (Q).  Each round takes the unit entries by
-    Markowitz cost (r - 1)(c - 1); an entry whose row or column a pivot of
+    smith_normal_form (Z) or _echelon (Q).  Each round takes the unit entries
+    by Markowitz cost (r - 1)(c - 1); an entry whose row or column a pivot of
     the round changed waits for the next round, so the column index built at
     the start of the round stays valid.  The elimination is re-checked
     exactly: the matrix is the sum of the pivots' rank-one terms plus the
@@ -566,50 +635,23 @@ def _sparse_divisors(start, ring):
     if ({key: x for key, x in total.items() if x}
             != {(i, j): x for i, r in enumerate(start) for j, x in r.items()}):
         raise AssertionError("sparse elimination does not reproduce the matrix")
+    if ring == QQ:
+        return (1,) * (len(terms) + len(_echelon(rows.values(), QQ)[0]))
     left = sorted({c for r in rows.values() for c in r})
     residual = Matrix(ZZ, [[r.get(c, 0) for c in left] for r in rows.values()],
                       len(rows), len(left))
-    if ring == QQ:
-        return (1,) * (len(terms) + len(rref(residual)[1]))
     return (1,) * len(terms) + (smith_normal_form(residual).invariant_factors if rows else ())
 
 
 def rref(A):
-    """Reduced row echelon form over Q: returns (R, pivot_columns).
-
-    Fraction-free Gauss-Jordan on sparse rows {col: int}: rows are scaled to
-    integers, each combination is divided by the gcd of its entries, the
-    shortest candidate row becomes the pivot, and rows are divided by their
-    pivots only at the end.  The reduced form is unique, so R is the usual
-    one, with Fraction entries.
-    """
-    rows, cols = A.rows, A.cols
-    work = _integer_rows(A)
-    pivots = []
-    for c in range(cols):
-        r = len(pivots)
-        cand = [i for i in range(r, rows) if c in work[i]]
-        if not cand:
-            continue
-        p = min(cand, key=lambda i: (len(work[i]), i))
-        work[r], work[p] = work[p], work[r]
-        for i in range(r + 1, rows):
-            if c in work[i]:
-                work[i] = _eliminate(work[i], work[r], c)
-        pivots.append(c)
-        if r + 1 == rows:
-            break
-    # clear above the pivots, last first: the pivot row is then already free
-    # of every later pivot column
-    for r in range(len(pivots) - 1, 0, -1):
-        for i in range(r):
-            if pivots[r] in work[i]:
-                work[i] = _eliminate(work[i], work[r], pivots[r])
-    out = [[Fraction(0)] * cols for _ in range(rows)]
-    for r, c in enumerate(pivots):
-        for j, x in work[r].items():
-            out[r][j] = Fraction(x, work[r][c])
-    return Matrix(QQ, out, rows, cols), tuple(pivots)
+    """Reduced row echelon form over Q: returns (R, pivot_columns), R with
+    Fraction entries and its zero rows last.  The rows are scaled to
+    integers and reduced by _echelon."""
+    pivots, basis = _echelon(_integer_rows(A), QQ)
+    zero = Fraction(0)
+    rows = [[r.get(j, zero) for j in range(A.cols)] for r in basis]
+    rows += [[zero] * A.cols] * (A.rows - len(rows))
+    return Matrix(QQ, rows, A.rows, A.cols), tuple(pivots)
 
 
 def hnf_columns(A):
@@ -620,64 +662,32 @@ def hnf_columns(A):
     """
     if A.ring != ZZ:
         raise ValueError("hnf_columns requires an integer matrix")
-    cols = [list(A.col(j)) for j in range(A.cols)]
-    m = A.rows
-    result = []
-    active = cols
-    for r in range(m):
-        work = [c for c in active if c[r] != 0]
-        rest = [c for c in active if c[r] == 0]
-        if not work:
-            active = rest
-            continue
-        while len(work) > 1:
-            work.sort(key=lambda c: abs(c[r]))
-            c0 = work[0]
-            newwork = [c0]
-            for c in work[1:]:
-                q = c[r] // c0[r]
-                nc = [x - q * y for x, y in zip(c, c0)]
-                if nc[r] != 0:
-                    newwork.append(nc)
-                else:
-                    rest.append(nc)
-            work = newwork
-        piv = work[0]
-        if piv[r] < 0:
-            piv = [-x for x in piv]
-        for prev in result:
-            if prev[r] != 0:
-                q = prev[r] // piv[r]
-                if q:
-                    for i in range(m):
-                        prev[i] -= q * piv[i]
-        result.append(piv)
-        active = rest
-    return Matrix.from_columns(ZZ, result, rows=m)
+    return Matrix.from_sparse(ZZ, _echelon(_nonzero_columns(A), ZZ)[1], A.rows)
 
 
 def echelon_columns(A):
     """Canonical column basis of the column span over Q (echelon columns)."""
-    R, pivots = rref(A.to_ring(QQ).transpose())
-    return R.take_rows(range(len(pivots))).transpose()
+    return Matrix.from_sparse(QQ, _echelon(_integral(_nonzero_columns(A)), QQ)[1],
+                              A.rows)
 
 
 def _column_reduce(A):
     """Canonical column reduction of A stacked on the identity: Hermite over
-    Z, echelon over Q (Cohen, GTM 138, 2.4).  Returns (H, T, K): the reduced
-    columns with a nonzero A part give H (that part) and T (their identity
-    part), so A*T = H; the others give K, a basis of ker(A), which over Z is
-    the Hermite basis of the kernel lattice."""
+    Z, echelon over Q (Cohen, GTM 138, 2.4), as _echelon of the rows
+    col_j(A) (+) s e_j, where s clears the denominators of col_j(A).
+    Returns (H, T, K): the reduced rows with a nonzero A part give H (that
+    part) and T (their identity part), so A*T = H; the others give K, a
+    basis of ker(A), which over Z is the Hermite basis of the kernel
+    lattice."""
     m, ring = A.rows, A.ring
-    stacked = Matrix(ring, A.data + Matrix.identity(ring, A.cols).data,
-                     m + A.cols, A.cols)
-    R = hnf_columns(stacked) if ring == ZZ else echelon_columns(stacked)
-    cols = [R.col(j) for j in range(R.cols)]
-    image = [c for c in cols if any(c[:m])]      # pivot order: these come first
-    kern = [c[m:] for c in cols[len(image):]]
-    return (Matrix.from_columns(ring, [c[:m] for c in image], rows=m),
-            Matrix.from_columns(ring, [c[m:] for c in image], rows=A.cols),
-            Matrix.from_columns(ring, kern, rows=A.cols))
+    pivots, basis = _echelon(_integral({**col, m + j: 1}
+                                       for j, col in enumerate(_nonzero_columns(A))), ring)
+    image = sum(c < m for c in pivots)      # pivots ascend: these come first
+    head = [{i: x for i, x in r.items() if i < m} for r in basis[:image]]
+    tail = [{i - m: x for i, x in r.items() if i >= m} for r in basis]
+    return (Matrix.from_sparse(ring, head, m),
+            Matrix.from_sparse(ring, tail[:image], A.cols),
+            Matrix.from_sparse(ring, tail[image:], A.cols))
 
 
 def kernel(A):
@@ -685,22 +695,21 @@ def kernel(A):
     Z; the free-column basis of the reduced echelon form over Q."""
     if A.ring == ZZ:
         return _column_reduce(A)[2]
-    _, basis = _null_vectors(*rref(A))
-    return Matrix.from_columns(QQ, basis, rows=A.cols)
+    _, basis = _null_vectors(*_echelon(_integer_rows(A), QQ), A.cols)
+    return Matrix.from_sparse(QQ, basis, A.cols)
 
 
-def _null_vectors(R, pivots):
-    """Free columns of a reduced echelon form and the kernel vector of each:
+def _null_vectors(pivots, rows, n):
+    """Free columns of a reduced echelon form on n columns (pivots and rows
+    from _echelon over Q) and the kernel vector {index: Fraction} of each:
     1 at its own free column, 0 at the others."""
-    free = [j for j in range(R.cols) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * R.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -R[i, f]
-        basis.append(v)
-    return free, basis
+    free = sorted(set(range(n)).difference(pivots))
+    basis = {f: {f: Fraction(1)} for f in free}
+    for c, row in zip(pivots, rows):
+        for j, x in row.items():
+            if j != c:
+                basis[j][c] = -x
+    return free, list(basis.values())
 
 
 class _Solver:
@@ -892,8 +901,12 @@ def module_from_relations(ring, ngens, relations):
         return mod, to_normal, from_normal
     # over Q: quotient by the span; a coordinate vector reduces to its free
     # coordinates by subtracting the echelon rows at the pivots
-    free, to_normal = _null_vectors(*rref(relations.to_ring(QQ).transpose()))
-    return (FgModule(QQ, len(free)), Matrix(QQ, to_normal, len(free), ngens),
+    free, to_normal = _null_vectors(
+        *_echelon(_integral(_nonzero_columns(relations)), QQ), ngens)
+    zero = Fraction(0)
+    return (FgModule(QQ, len(free)),
+            Matrix(QQ, [[v.get(j, zero) for j in range(ngens)] for v in to_normal],
+                   len(free), ngens),
             Matrix.identity(QQ, ngens).take_cols(free))
 
 
@@ -1031,8 +1044,6 @@ def subquotient(d_in, d_out):
     """
     if d_in.target != d_out.source:
         raise ValueError("d_in target differs from d_out source")
-    if not d_out.compose(d_in).is_zero_map():
-        raise CompositionNonzero("d_out o d_in != 0")
     return presented_subquotient(d_in.matrix, d_in.target.relations(),
                                  d_out.matrix, d_out.target.relations())
 
@@ -1057,24 +1068,6 @@ def presented_subquotient(m_in, rel_b, m_out, rel_c):
     coeff = Matrix.from_columns(ring, coeff_cols, rows=cycles.cols)
     mod, to_n, from_n = module_from_relations(ring, cycles.cols, coeff)
     return Subquotient(mod, cycles, to_n, from_n)
-
-
-def subquotient_free(ring, m_in, m_out, div_in=None, div_out=None):
-    """Subquotient for a free middle module given raw boundary matrices and,
-    optionally, their elementary divisors (Subquotient.free).  Raises
-    CompositionNonzero unless m_out * m_in = 0."""
-    if m_out.cols != m_in.rows:
-        raise ValueError("d_in target differs from d_out source")
-
-    def columns(A):
-        return [{i: row[j] for i, row in enumerate(A.data) if row[j]} for j in range(A.cols)]
-    if not _composes_to_zero(columns(m_out), columns(m_in)):
-        raise CompositionNonzero("d_out o d_in != 0")
-    return Subquotient.free(
-        ring, m_in.rows,
-        elementary_divisors(m_in) if div_in is None else div_in,
-        elementary_divisors(m_out) if div_out is None else div_out,
-        lambda: (m_in, m_out))
 
 
 def _compose(outer, inner):

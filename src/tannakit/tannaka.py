@@ -14,8 +14,8 @@ from .errors import (
     AxiomViolation, InputError, NonFreeVertex, NotNested, WrongRank,
 )
 from .linalg import (
-    QQ, ZZ, FgModule, Matrix, ModuleMap, _Solver, echelon_columns,
-    elementary_divisors, kernel,
+    QQ, ZZ, FgModule, Matrix, ModuleMap, _nonzero_columns, _Solver,
+    echelon_columns, elementary_divisors, kernel,
 )
 from .simplicial import (
     SimplicialPair, induced_map_on_homology, pair_homology, relative_homology,
@@ -275,16 +275,6 @@ class EndAlgebra:
 
 def end_algebra(rep, sub) -> EndAlgebra:
     return EndAlgebra(rep, sub)
-
-
-def _nonzero_columns(m):
-    """Column j of m as {row: entry} over its nonzero entries."""
-    cols = [{} for _ in range(m.cols)]
-    for i, row in enumerate(m.data):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x
-    return cols
 
 
 def _vanishes(diff, r, orders):

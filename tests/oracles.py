@@ -231,6 +231,47 @@ def dense_rref(mat):
     return a, tuple(pivots)
 
 
+def dense_hnf_columns(mat):
+    """Column-style Hermite basis of the column lattice of `mat` (a list of
+    rows of ints) by dense Euclid steps, one pivot row at a time: columns
+    ordered by pivot row, pivots positive, entries of earlier columns in a
+    pivot row reduced into [0, pivot), zero columns dropped.  Returns the
+    basis columns as lists."""
+    m = len(mat)
+    active = [list(col) for col in zip(*mat)]
+    result = []
+    for r in range(m):
+        work = [c for c in active if c[r] != 0]
+        rest = [c for c in active if c[r] == 0]
+        if not work:
+            active = rest
+            continue
+        while len(work) > 1:
+            work.sort(key=lambda c: abs(c[r]))
+            c0 = work[0]
+            newwork = [c0]
+            for c in work[1:]:
+                q = c[r] // c0[r]
+                nc = [x - q * y for x, y in zip(c, c0)]
+                if nc[r] != 0:
+                    newwork.append(nc)
+                else:
+                    rest.append(nc)
+            work = newwork
+        piv = work[0]
+        if piv[r] < 0:
+            piv = [-x for x in piv]
+        for prev in result:
+            if prev[r] != 0:
+                q = prev[r] // piv[r]
+                if q:
+                    for i in range(m):
+                        prev[i] -= q * piv[i]
+        result.append(piv)
+        active = rest
+    return result
+
+
 # -- Smith-form kernel and solvability ---------------------------------------
 # These two take tannakit integer matrices and reuse the package's
 # smith_normal_form (and hnf_columns): they check the Hermite reduction of

@@ -267,6 +267,10 @@ MALFORMED = {
                             "[diagram d]\nvertex = u : p : 0\nedge = e : m : zz -> u",
                             ["end-algebra", "S"]),
     "unknown kunneth vertex": ("[diagram d]", "[diagram d]", ["kunneth", "d", "u", "nosuch"]),
+    "unknown tower unit": ("[comodule c]",
+                           "[tower t]\ndiagram = d\ntruncations = S\nunit = nosuch\n"
+                           "[comodule c]",
+                           ["bialgebra-check", "t"]),
 }
 
 

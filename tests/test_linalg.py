@@ -6,15 +6,15 @@ from hypothesis import given, settings, strategies as st
 
 from tannakit.errors import CompositionNonzero, TorsionPresent
 from tannakit.linalg import (
-    QQ, ZZ, FgModule, Matrix, ModuleMap, _Solver, determinant, dual_map,
-    echelon_columns, elementary_divisors, hnf_columns, kernel,
-    module_from_relations, rref, smith_normal_form, solve, solve_in_submodule,
-    subquotient, subquotient_free, swap_matrix, tensor_swap,
+    QQ, ZZ, FgModule, Matrix, ModuleMap, Subquotient, _column_reduce, _Solver,
+    determinant, dual_map, echelon_columns, elementary_divisors, hnf_columns,
+    kernel, module_from_relations, rref, smith_normal_form, solve,
+    solve_in_submodule, subquotient, swap_matrix, tensor_swap,
 )
 
 from oracles import (
-    dense_rref, middle_swap_matrix, minor_gcd_divisors, modp_subquotient_size,
-    naive_diagonal, snf_kernel, snf_solvable,
+    dense_hnf_columns, dense_rref, middle_swap_matrix, minor_gcd_divisors,
+    modp_subquotient_size, naive_diagonal, snf_kernel, snf_solvable,
 )
 
 
@@ -270,7 +270,8 @@ class TestSubquotient:
             assert size == oracle
 
     def test_free_matrix_helper(self):
-        sq = subquotient_free(ZZ, mz([[2], [0]]), Matrix.zeros(ZZ, 0, 2))
+        m_in, m_out = mz([[2], [0]]), Matrix.zeros(ZZ, 0, 2)
+        sq = Subquotient.free(ZZ, 2, (2,), (), lambda: (m_in, m_out))
         assert sq.module == FgModule(ZZ, 1, (2,))
 
 
@@ -453,6 +454,80 @@ class TestColumnReduction:
                 assert A.apply(x) == b
 
 
+def ring_matrices(ring):
+    entries = small_ints if ring == ZZ else rationals
+    return matrices(entries).map(lambda shape: Matrix(ring, shape[2], shape[0], shape[1]))
+
+
+any_ring_matrices = st.sampled_from((ZZ, QQ)).flatmap(
+    lambda ring: st.one_of(ring_matrices(ring), dependent_matrices(ring)))
+
+
+@st.composite
+def repeated_columns(draw):
+    """An integer matrix with some of its columns repeated, negated or
+    doubled, in a drawn order."""
+    A = draw(st.one_of(integer_matrices(), nonunit_matrices()))
+    cols = [A.col(j) for j in range(A.cols)]
+    if cols:
+        extra = draw(st.lists(st.tuples(st.integers(0, len(cols) - 1),
+                                        st.sampled_from((1, -1, 2))), max_size=3))
+        cols += [tuple(k * x for x in cols[j]) for j, k in extra]
+    return Matrix.from_columns(ZZ, draw(st.permutations(cols)), rows=A.rows)
+
+
+def oracle_column_reduce(A):
+    """(H, T, K) read from the dense oracle's reduction of A stacked on the
+    identity: dense_hnf_columns over Z, dense_rref of the transpose over Q."""
+    m, n, ring = A.rows, A.cols, A.ring
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    if ring == ZZ:
+        cols = dense_hnf_columns([list(row) for row in A.data] + eye)
+    else:
+        R, pivots = dense_rref([list(A.col(j)) + eye[j] for j in range(n)])
+        cols = R[:len(pivots)]
+    image = [c for c in cols if any(c[:m])]
+    kern = [c[m:] for c in cols if not any(c[:m])]
+    return (Matrix.from_columns(ring, [c[:m] for c in image], rows=m),
+            Matrix.from_columns(ring, [c[m:] for c in image], rows=n),
+            Matrix.from_columns(ring, kern, rows=n))
+
+
+class TestEchelon:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(integer_matrices(), repeated_columns()))
+    def test_hnf_columns_equals_dense_oracle(self, A):
+        expect = dense_hnf_columns([list(row) for row in A.data])
+        assert hnf_columns(A) == Matrix.from_columns(ZZ, expect, rows=A.rows)
+
+    def test_hnf_columns_examples(self):
+        for r, c in [(0, 0), (0, 3), (3, 0), (2, 2)]:
+            assert hnf_columns(Matrix.zeros(ZZ, r, c)) == Matrix.zeros(ZZ, r, 0)
+        # pivots made positive, entries above them reduced into [0, pivot)
+        assert hnf_columns(mz([[-2, 1], [0, -3]])) == mz([[1, 0], [3, 6]])
+        assert hnf_columns(mz([[4, 0], [7, -3]])) == mz([[4, 0], [1, 3]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_ring_matrices)
+    def test_column_reduce_equals_oracle(self, A):
+        H, T, K = _column_reduce(A)
+        assert A * T == H
+        assert (A * K).is_zero()
+        assert (H, T, K) == oracle_column_reduce(A)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ring_matrices(QQ))
+    def test_rational_kernel_is_the_free_column_basis(self, A):
+        R, pivots = dense_rref([list(row) for row in A.data])
+        basis = []
+        for f in (j for j in range(A.cols) if j not in pivots):
+            v = [Fraction(int(j == f)) for j in range(A.cols)]
+            for i, p in enumerate(pivots):
+                v[p] = -R[i][f]
+            basis.append(v)
+        assert kernel(A) == Matrix.from_columns(QQ, basis, rows=A.cols)
+
+
 class TestTorsionTarget:
     def build(self):
         # Z --(4,0)--> Z^2 --(x+y mod 2, 0)--> Z/2 + Z: the cycles are the
@@ -528,21 +603,20 @@ class TestElementaryDivisors:
         assert seen == []
 
     @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from((ZZ, QQ)).flatmap(
-        lambda ring: matrices(small_ints if ring == ZZ else rationals).map(
-            lambda shape: Matrix(ring, shape[2], shape[0], shape[1]))))
+    @given(st.sampled_from((ZZ, QQ)).flatmap(ring_matrices))
     def test_cokernel_equals_module_from_relations(self, A):
         assert FgModule.cokernel(A) == module_from_relations(A.ring, A.rows, A)[0]
 
 
 class TestLazySubquotient:
-    def boundaries(self):
-        # Z^2 --[[2, 0], [2, 0]]--> Z^2 --[1, -1]--> Z: H = Z/2 in the middle
-        return mz([[2, 0], [2, 0]]), mz([[1, -1]])
+    def lazy(self, div_in=(2,), div_out=(1,)):
+        # Z^2 --[[2, 0], [2, 0]]--> Z^2 --[1, -1]--> Z: H = Z/2 in the middle,
+        # with the elementary divisors (2,) and (1,) of the two boundaries
+        m_in, m_out = mz([[2, 0], [2, 0]]), mz([[1, -1]])
+        return Subquotient.free(ZZ, 2, div_in, div_out, lambda: (m_in, m_out))
 
     def test_module_before_basis(self):
-        m_in, m_out = self.boundaries()
-        sq = subquotient_free(ZZ, m_in, m_out)
+        sq = self.lazy()
         assert sq.module == FgModule(ZZ, 0, (2,))
         assert sq._build is not None
         assert sq.class_of((1, 1)) == (1,)
@@ -550,20 +624,13 @@ class TestLazySubquotient:
         assert sq.class_of(sq.lift(0)) == (1,)
 
     def test_corrupted_divisors_trip_the_basis_check(self):
-        m_in, m_out = self.boundaries()
-        assert subquotient_free(ZZ, m_in, m_out, (2,), (1,)).class_of((1, 1)) == (1,)
+        assert self.lazy((2,), (1,)).class_of((1, 1)) == (1,)
         for div_in, div_out in [((1,), (1,)), ((4,), (1,)), ((2,), ())]:
-            sq = subquotient_free(ZZ, m_in, m_out, div_in, div_out)
+            sq = self.lazy(div_in, div_out)
             with pytest.raises(AssertionError, match="elementary divisors"):
                 sq.class_of((1, 1))
             with pytest.raises(AssertionError, match="elementary divisors"):
                 sq.lift(0)
-
-    def test_composition_checked_sparsely(self):
-        with pytest.raises(CompositionNonzero):
-            subquotient_free(ZZ, mz([[1], [0]]), mz([[1, 0]]))
-        with pytest.raises(ValueError):
-            subquotient_free(ZZ, mz([[1], [0]]), mz([[1, 0, 0]]))
 
 
 # -- tensor-factor swaps as row and column reorders ---------------------------
