@@ -517,6 +517,8 @@ def sigma_directed_system(ctx: PairsContext, chain, depth) -> SigmaSystem:
     truncation, the rank of the kernel of the composite to the end of the
     materialized chain (elements dying within the given depth).
     """
+    if depth < 0:
+        raise InputError("depth must be at least 0, got %d" % depth)
     c = ctx.circle
     if c is None:
         raise InputError("no circle vertex designated")

@@ -6,7 +6,8 @@ Certificates are byte-identical across runs on identical inputs: keys are
 sorted, no timestamps, exact scalars only.
 
 Exit codes: 0 all checks passed, 1 invalid input, 2 a mathematical check
-failed (the certificate carries the witness).
+failed.  A failed check that raised (CheckFailed, BudgetExceeded) writes a
+certificate with ok false, empty results and a failure message.
 """
 
 import argparse

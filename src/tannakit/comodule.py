@@ -12,8 +12,8 @@ from math import gcd
 
 from .errors import CompositionNonzero, DimensionMismatch, MissingProducts
 from .linalg import (
-    FgModule, Matrix, ZZ, _nonzero_columns, _Solver, presented_subquotient,
-    tensor_swap,
+    FgModule, Matrix, ZZ, _nonzero_columns, _order_relations, _Solver,
+    presented_subquotient, tensor_swap,
 )
 from .tannaka import CoalgebraTrunc, _coassociative, _counit_identity, _intertwines
 
@@ -78,21 +78,11 @@ class Comodule:
 
     @property
     def module(self) -> FgModule:
-        ring = self.rho.ring
-        torsion = [t for t in self.gen_orders if t]
-        free = sum(1 for t in self.gen_orders if t == 0)
-        return FgModule.cokernel(Matrix.diagonal(ring, torsion, rows=len(torsion) + free))
+        return FgModule.cokernel(_order_relations(self.gen_orders, self.rho.ring))
 
     @property
     def ngens(self):
         return len(self.gen_orders)
-
-
-def _order_relations(orders, ring=ZZ):
-    """Relation columns t e_i, one for each generator i of order t > 0."""
-    n = len(orders)
-    return Matrix.from_columns(ring, [[t if j == i else 0 for j in range(n)]
-                                      for i, t in enumerate(orders) if t], rows=n)
 
 
 def check_comodule_axioms(m: Comodule) -> ComodCert:

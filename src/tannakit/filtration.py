@@ -12,7 +12,7 @@ dim Z <= n-1 and h_*(X, Z; Z) is free and supported precisely in degree n
 from itertools import combinations
 
 from .errors import (
-    BudgetExceeded, InvalidFiltration, InvalidPair, TorsionTerm,
+    BudgetExceeded, InputError, InvalidFiltration, InvalidPair, TorsionTerm,
 )
 from .linalg import FgModule, Matrix, ModuleMap, ZZ, subquotient
 from .simplicial import (
@@ -400,6 +400,8 @@ def find_very_good_refinement(X, F: Filtration, budget=10000):
     (filtration_or_None, SearchReport); raises BudgetExceeded when the cap is
     hit before the candidates are exhausted.
     """
+    if budget < 0:
+        raise InputError("budget must be at least 0, got %d" % budget)
     if F.X != X:
         raise InvalidFiltration("filtration does not live on X")
     state = {"tested": 0}

@@ -11,17 +11,18 @@ echelon_columns and Q kernels read it, and so does _column_reduce, of A
 stacked on the identity, which gives Z kernels and the echelon image basis
 in which every solve is a substitution.  Invariant factors alone come from a
 sparse elimination of unit pivots (elementary_divisors, _sparse_divisors),
-with Smith normal form (Z) or _echelon (Q) only on what is left; Smith
-normal form keeps its own dense elimination for the transforms
-module_from_relations reads.  Chain complexes keep their differentials as
-sparse integer columns {row: coeff}; _compose multiplies two such maps, and
-Matrix.from_sparse gives the dense view.  A homology module of a free
-complex is eager and its cycle basis is lazy: Subquotient.free reads the
-module from elementary divisors and asks for the boundary matrices on the
-first class_of or lift.
+with Smith normal form (Z) or _echelon (Q) only on what is left.  Smith
+normal form keeps its own dense elimination, on A bordered by the
+identities that become U and V; U^-1 and V^-1 are computed only when read.
+Chain complexes keep their differentials as sparse integer columns
+{row: coeff}; _compose multiplies two such maps, and Matrix.from_sparse
+gives the dense view.  A homology module of a free complex is eager and
+its cycle basis is lazy: Subquotient.free reads the module from elementary
+divisors and asks for the boundary matrices on the first class_of or lift.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm, prod
 
 from .errors import CompositionNonzero, TorsionPresent
@@ -80,16 +81,6 @@ class Matrix:
         zero = 0 if ring == ZZ else Fraction(0)
         return cls(ring, tuple(tuple(one if i == j else zero for j in range(n))
                                for i in range(n)), n, n)
-
-    @classmethod
-    def diagonal(cls, ring, entries, rows=None, cols=None):
-        k = len(entries)
-        rows = k if rows is None else rows
-        cols = k if cols is None else cols
-        data = [[0] * cols for _ in range(rows)]
-        for i, e in enumerate(entries):
-            data[i][i] = e
-        return cls(ring, data, rows, cols)
 
     @classmethod
     def column(cls, ring, vec):
@@ -273,16 +264,21 @@ def swap_matrix(ring, dim_left, dim_right):
 # ---------------------------------------------------------------------------
 
 class SmithForm:
-    """U*A*V = D with U, V unimodular and the diagonal a divisibility chain."""
+    """U*A*V = D with U, V unimodular and the diagonal a divisibility chain.
+    Uinv and Vinv are computed on first read."""
 
-    __slots__ = ("U", "D", "V", "Uinv", "Vinv")
-
-    def __init__(self, U, D, V, Uinv, Vinv):
+    def __init__(self, U, D, V):
         self.U = U
         self.D = D
         self.V = V
-        self.Uinv = Uinv
-        self.Vinv = Vinv
+
+    @cached_property
+    def Uinv(self):
+        return _unimodular_inverse(self.U)
+
+    @cached_property
+    def Vinv(self):
+        return _unimodular_inverse(self.V)
 
     @property
     def invariant_factors(self):
@@ -292,6 +288,15 @@ class SmithForm:
     @property
     def rank(self):
         return len(self.invariant_factors)
+
+
+def _unimodular_inverse(U):
+    """U^-1 for unimodular U: the Hermite basis of its columns is I, so the
+    transform T of _column_reduce has U*T = I."""
+    H, T, _ = _column_reduce(U)
+    if H != Matrix.identity(ZZ, U.rows):
+        raise AssertionError("SNF transform is not unimodular")
+    return T
 
 
 def _find_pivot(a, k, m, n):
@@ -313,57 +318,30 @@ def _find_pivot(a, k, m, n):
 def smith_normal_form(A):
     """Smith normal form of an integer matrix, with transforms.
 
-    Pivot selection prefers the entry of smallest absolute value, which keeps
-    intermediate entries from exploding on the matrix sizes used here.
+    Eliminates on one bordered matrix: A with I_m to its right, which becomes
+    U, and I_n below it, which becomes V.  A row operation is one pass over
+    A and U, a column operation one pass over A and V.  Pivot selection
+    prefers the entry of smallest absolute value, which keeps intermediate
+    entries from exploding on the matrix sizes used here.
     """
     if A.ring != ZZ:
         raise ValueError("smith_normal_form requires an integer matrix")
     m, n = A.rows, A.cols
-    a = [list(r) for r in A.data]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    Ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    Vi = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-        for r in range(m):
-            Ui[r][i], Ui[r][j] = Ui[r][j], Ui[r][i]
+    a = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(A.data)]
+    a += [[int(i == j) for j in range(n)] for i in range(n)]
 
     def swap_cols(i, j):
-        for r in range(m):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
 
     def addmul_row(dst, src, q):
         # row_dst -= q * row_src
-        ad, asr = a[dst], a[src]
-        for j in range(n):
-            ad[j] -= q * asr[j]
-        ud, us = U[dst], U[src]
-        for j in range(m):
-            ud[j] -= q * us[j]
-        for r in range(m):
-            Ui[r][src] += q * Ui[r][dst]
+        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
 
     def addmul_col(dst, src, q):
         # col_dst -= q * col_src
-        for r in range(m):
-            a[r][dst] -= q * a[r][src]
-        for r in range(n):
-            V[r][dst] -= q * V[r][src]
-        vs, vd = Vi[src], Vi[dst]
-        for j in range(n):
-            vs[j] += q * vd[j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
-        for r in range(m):
-            Ui[r][i] = -Ui[r][i]
+        for row in a:
+            row[dst] -= q * row[src]
 
     def clear_position(k):
         while True:
@@ -386,7 +364,7 @@ def smith_normal_form(A):
                 return False
             pi, pj = piv
             if pi != k:
-                swap_rows(pi, k)
+                a[pi], a[k] = a[k], a[pi]
             elif pj != k:
                 swap_cols(pj, k)
             p = a[k][k]
@@ -417,7 +395,7 @@ def smith_normal_form(A):
             break
         if a[k][k] == 0 or abs(a[piv[0]][piv[1]]) < abs(a[k][k]):
             if piv[0] != k:
-                swap_rows(piv[0], k)
+                a[piv[0]], a[k] = a[k], a[piv[0]]
             if piv[1] != k:
                 swap_cols(piv[1], k)
         clear_position(k)
@@ -436,13 +414,12 @@ def smith_normal_form(A):
                 changed = True
     for i in range(rank):
         if a[i][i] < 0:
-            negate_row(i)
+            a[i] = [-x for x in a[i]]
 
-    Um = Matrix(ZZ, U)
-    Vm = Matrix(ZZ, V)
-    Dm = Matrix(ZZ, a, m, n)
-    form = SmithForm(Um, Dm, Vm, Matrix(ZZ, Ui), Matrix(ZZ, Vi))
-    if (Um * A) * Vm != Dm:
+    form = SmithForm(Matrix(ZZ, [row[n:] for row in a[:m]], m, m),
+                     Matrix(ZZ, [row[:n] for row in a[:m]], m, n),
+                     Matrix(ZZ, a[m:], n, n))
+    if (form.U * A) * form.V != form.D:
         raise AssertionError("SNF internal inconsistency")
     return form
 
@@ -820,12 +797,7 @@ class FgModule:
 
     def relations(self):
         """Relations matrix of the normalized presentation (ngens x #torsion)."""
-        k = self.ngens
-        t = len(self.torsion)
-        data = [[0] * t for _ in range(k)]
-        for i, ti in enumerate(self.torsion):
-            data[i][i] = ti
-        return Matrix(self.ring, data, k, t)
+        return _order_relations(self.torsion + (0,) * self.free_rank, self.ring)
 
     def normalize_vector(self, vec):
         """Reduce generator coordinates to the canonical representative."""
@@ -868,6 +840,13 @@ class FgModule:
 
     def describe(self):
         return repr(self)
+
+
+def _order_relations(orders, ring=ZZ):
+    """Relation columns t e_i, one for each generator i of order t > 0."""
+    n = len(orders)
+    return Matrix.from_columns(ring, [[t if j == i else 0 for j in range(n)]
+                                      for i, t in enumerate(orders) if t], rows=n)
 
 
 def module_from_relations(ring, ngens, relations):

@@ -272,6 +272,130 @@ def dense_hnf_columns(mat):
     return result
 
 
+def dense_smith_normal_form(A):
+    """(U, D, V, Uinv, Vinv) with U*A*V = D for a tannakit integer matrix A,
+    by the package's pivot rules on four separate dense transforms: every
+    row and column operation is applied to a, to U or V, and inversely to
+    Uinv or Vinv.  The transforms are not unique, so the package's Smith
+    form must take exactly these steps to give the same ones."""
+    from tannakit.linalg import ZZ, Matrix
+    m, n = A.rows, A.cols
+    a = [list(r) for r in A.data]
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    Ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    Vi = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        U[i], U[j] = U[j], U[i]
+        for r in range(m):
+            Ui[r][i], Ui[r][j] = Ui[r][j], Ui[r][i]
+
+    def swap_cols(i, j):
+        for r in range(m):
+            a[r][i], a[r][j] = a[r][j], a[r][i]
+        for r in range(n):
+            V[r][i], V[r][j] = V[r][j], V[r][i]
+        Vi[i], Vi[j] = Vi[j], Vi[i]
+
+    def addmul_row(dst, src, q):
+        # row_dst -= q * row_src
+        for j in range(n):
+            a[dst][j] -= q * a[src][j]
+        for j in range(m):
+            U[dst][j] -= q * U[src][j]
+        for r in range(m):
+            Ui[r][src] += q * Ui[r][dst]
+
+    def addmul_col(dst, src, q):
+        # col_dst -= q * col_src
+        for r in range(m):
+            a[r][dst] -= q * a[r][src]
+        for r in range(n):
+            V[r][dst] -= q * V[r][src]
+        for j in range(n):
+            Vi[src][j] += q * Vi[dst][j]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        U[i] = [-x for x in U[i]]
+        for r in range(m):
+            Ui[r][i] = -Ui[r][i]
+
+    def smallest(entries):
+        # first (i, j) of least nonzero absolute value, or None
+        best = None
+        for i, j in entries:
+            if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                best = (i, j)
+        return best
+
+    def clear_position(k):
+        while True:
+            # bring the smallest entry of row/col k (from index k on) to (k,k)
+            piv = smallest([(i, k) for i in range(k, m)] + [(k, j) for j in range(k, n)])
+            if piv is None:
+                return
+            pi, pj = piv
+            if pi != k:
+                swap_rows(pi, k)
+            elif pj != k:
+                swap_cols(pj, k)
+            p = a[k][k]
+            done = True
+            for i in range(k + 1, m):
+                if a[i][k] != 0:
+                    q = a[i][k] // p
+                    if q:
+                        addmul_row(i, k, q)
+                    done = done and a[i][k] == 0
+            for j in range(k + 1, n):
+                if a[k][j] != 0:
+                    q = a[k][j] // p
+                    if q:
+                        addmul_col(j, k, q)
+                    done = done and a[k][j] == 0
+            if done:
+                return
+
+    k = 0
+    while k < min(m, n):
+        # move the smallest entry of the working square to (k, k) unless
+        # a[k][k] is nonzero and no larger; a unit ends the scan early
+        piv = None
+        for i in range(k, m):
+            for j in range(k, n):
+                if a[i][j] != 0 and (piv is None or abs(a[i][j]) < abs(a[piv[0]][piv[1]])):
+                    piv = (i, j)
+            if piv is not None and abs(a[piv[0]][piv[1]]) == 1:
+                break
+        if piv is None:
+            break
+        if a[k][k] == 0 or abs(a[piv[0]][piv[1]]) < abs(a[k][k]):
+            if piv[0] != k:
+                swap_rows(piv[0], k)
+            if piv[1] != k:
+                swap_cols(piv[1], k)
+        clear_position(k)
+        k += 1
+
+    # enforce the divisibility chain
+    changed = True
+    while changed:
+        changed = False
+        for i in range(k - 1):
+            if a[i + 1][i + 1] % a[i][i] != 0:
+                addmul_col(i, i + 1, -1)  # col_i += col_{i+1}
+                clear_position(i)
+                changed = True
+    for i in range(k):
+        if a[i][i] < 0:
+            negate_row(i)
+    return (Matrix(ZZ, U, m, m), Matrix(ZZ, a, m, n), Matrix(ZZ, V, n, n),
+            Matrix(ZZ, Ui, m, m), Matrix(ZZ, Vi, n, n))
+
+
 # -- Smith-form kernel and solvability ---------------------------------------
 # These two take tannakit integer matrices and reuse the package's
 # smith_normal_form (and hnf_columns): they check the Hermite reduction of

@@ -271,6 +271,10 @@ MALFORMED = {
                            "[tower t]\ndiagram = d\ntruncations = S\nunit = nosuch\n"
                            "[comodule c]",
                            ["bialgebra-check", "t"]),
+    "negative budget": ("space = pt", "space = pt", ["very-good-search", "pt", "--budget", "-1"]),
+    "negative depth": ("[subdiagram S]",
+                       "circle = u\n[tower t]\ndiagram = d\ntruncations = S\n[subdiagram S]",
+                       ["sigma-system", "t", "--depth", "-2"]),
 }
 
 

@@ -6,15 +6,16 @@ from hypothesis import given, settings, strategies as st
 
 from tannakit.errors import CompositionNonzero, TorsionPresent
 from tannakit.linalg import (
-    QQ, ZZ, FgModule, Matrix, ModuleMap, Subquotient, _column_reduce, _Solver,
-    determinant, dual_map, echelon_columns, elementary_divisors, hnf_columns,
-    kernel, module_from_relations, rref, smith_normal_form, solve,
+    QQ, ZZ, FgModule, Matrix, ModuleMap, SmithForm, Subquotient, _column_reduce,
+    _Solver, determinant, dual_map, echelon_columns, elementary_divisors,
+    hnf_columns, kernel, module_from_relations, rref, smith_normal_form, solve,
     solve_in_submodule, subquotient, swap_matrix, tensor_swap,
 )
 
 from oracles import (
-    dense_hnf_columns, dense_rref, middle_swap_matrix, minor_gcd_divisors,
-    modp_subquotient_size, naive_diagonal, snf_kernel, snf_solvable,
+    dense_hnf_columns, dense_rref, dense_smith_normal_form, middle_swap_matrix,
+    minor_gcd_divisors, modp_subquotient_size, naive_diagonal, snf_kernel,
+    snf_solvable,
 )
 
 
@@ -79,6 +80,51 @@ class TestSmith:
             factors = form.invariant_factors
             for a, b in zip(factors, factors[1:]):
                 assert b % a == 0
+
+
+@st.composite
+def smith_matrices(draw):
+    """Integer matrices with entries up to 50 in absolute value, empty shapes,
+    zero rows and columns, and rows repeated, negated or doubled."""
+    r, c, rows = draw(matrices(st.integers(-50, 50), max_rows=5, max_cols=6))
+    zero = draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=c))
+    rows = [[0 if j in zero else x for j, x in enumerate(row)] for row in rows]
+    if rows:
+        extra = draw(st.lists(st.tuples(st.integers(0, r - 1), st.sampled_from((1, -1, 2))),
+                              max_size=2))
+        rows += [[k * x for x in rows[i]] for i, k in extra]
+    return Matrix(ZZ, draw(st.permutations(rows)), len(rows), c)
+
+
+class TestSmithTransforms:
+    """The bordered elimination against the four-transform dense oracle: the
+    transforms are not unique, so equal values mean equal pivot steps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(smith_matrices())
+    def test_equals_dense_oracle(self, A):
+        form = smith_normal_form(A)
+        assert (form.U, form.D, form.V, form.Uinv, form.Vinv) == dense_smith_normal_form(A)
+
+    def test_inverses_only_when_read(self, monkeypatch):
+        import tannakit.linalg as linalg
+        calls = []
+        real = linalg._column_reduce
+        monkeypatch.setattr(linalg, "_column_reduce", lambda M: calls.append(M) or real(M))
+        A = mz([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])    # no unit: all of it is SNF
+        assert elementary_divisors(A) == (2, 6, 12)
+        form = smith_normal_form(A)
+        assert form.invariant_factors == (2, 6, 12)
+        assert calls == []
+        Uinv = form.Uinv
+        assert calls == [form.U]
+        assert form.Uinv is Uinv and len(calls) == 1
+        assert form.V * form.Vinv == Matrix.identity(ZZ, 3)
+        assert calls == [form.U, form.V]
+
+    def test_inverse_of_a_non_unimodular_transform_raises(self):
+        with pytest.raises(AssertionError, match="not unimodular"):
+            SmithForm(mz([[2]]), mz([[2]]), mz([[1]])).Uinv
 
 
 class TestKernelSolve:
