@@ -146,6 +146,17 @@ class ModuleComplex:
                 if not self.maps[d - 1].compose(self.maps[d]).is_zero_map():
                     raise AssertionError("module complex: d o d != 0 at %d" % d)
 
+    @classmethod
+    def _of_free_complex(cls, cx):
+        """The ModuleComplex of free modules of a ChainComplex, whose
+        construction has already checked d o d = 0."""
+        mc = cls.__new__(cls)
+        mc.ring = cx.ring
+        mc.terms = {d: FgModule.free(cx.ring, cx.rank(d)) for d in cx.degrees}
+        mc.maps = {d: ModuleMap(mc.terms[d], mc.terms[d - 1], cx.boundary(d))
+                   for d in cx.degrees if d - 1 in mc.terms}
+        return mc
+
     def term(self, d) -> FgModule:
         return self.terms.get(d, FgModule.zero(self.ring))
 
@@ -271,11 +282,8 @@ def _tensor_module_complex(a: ModuleComplex, b: ModuleComplex) -> ModuleComplex:
                 raise TorsionTerm(
                     "Kunneth construction needs free terms; degree %d is %s"
                     % (d, t.describe()))
-    cx = tensor_complex(_generator_complex(a), _generator_complex(b))
-    terms = {d: FgModule.free(a.ring, cx.rank(d)) for d in cx.degrees}
-    return ModuleComplex(a.ring, terms, {
-        d: ModuleMap(terms[d], terms[d - 1], cx.boundary(d))
-        for d in cx.degrees if d - 1 in terms})
+    return ModuleComplex._of_free_complex(
+        tensor_complex(_generator_complex(a), _generator_complex(b)))
 
 
 def _generator_complex(mc: ModuleComplex) -> ChainComplex:

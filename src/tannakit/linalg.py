@@ -11,7 +11,9 @@ echelon_columns and Q kernels read it, and so does _column_reduce, of A
 stacked on the identity, which gives Z kernels and the echelon image basis
 in which every solve is a substitution.  Invariant factors alone come from a
 sparse elimination of unit pivots (elementary_divisors, _sparse_divisors),
-with Smith normal form (Z) or _echelon (Q) only on what is left.  Smith
+with Smith normal form (Z) or _echelon (Q) only on what is left.  That
+elimination is _unit_pivots; tannakit.reduction runs it on each differential
+of a chain complex and reads a chain-level reduction off its pivots.  Smith
 normal form keeps its own dense elimination, on A bordered by the
 identities that become U and V; U^-1 and V^-1 are computed only when read.
 Chain complexes keep their differentials as sparse integer columns
@@ -251,12 +253,6 @@ def tensor_swap(a, b, c, d):
     M P^-1."""
     return [((i * b + j) * c + k) * d + l
             for i in range(a) for k in range(c) for j in range(b) for l in range(d)]
-
-
-def swap_matrix(ring, dim_left, dim_right):
-    """Matrix of v (x) w  |->  w (x) v on row-major flattened tensors."""
-    return Matrix.identity(ring, dim_left * dim_right).take_rows(
-        tensor_swap(1, dim_left, dim_right, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -564,16 +560,43 @@ def _sparse_divisors(start, ring):
     """Nonzero invariant factors of the matrix with the sparse integer rows
     start ({col: int} each, left unchanged), over ring.
 
-    Sparse elimination (Dumas, Saunders and Villard, JSC 2001): unit pivots
-    are eliminated as Schur complements, and only what is left goes to
-    smith_normal_form (Z) or _echelon (Q).  Each round takes the unit entries
-    by Markowitz cost (r - 1)(c - 1); an entry whose row or column a pivot of
-    the round changed waits for the next round, so the column index built at
-    the start of the round stays valid.  The elimination is re-checked
+    Sparse elimination (Dumas, Saunders and Villard, JSC 2001): _unit_pivots
+    eliminates the unit pivots, and only what is left goes to
+    smith_normal_form (Z) or _echelon (Q).  The elimination is re-checked
     exactly: the matrix is the sum of the pivots' rank-one terms plus the
     residual.
     """
     rows = {i: dict(r) for i, r in enumerate(start) if r}
+    terms = _unit_pivots(rows)
+    # A == the sum of the rank-one terms column * prow, plus the residual
+    total = {(i, j): x for i, r in rows.items() for j, x in r.items()}
+    for _, _, column, prow in terms:
+        for k, a in column.items():
+            for c, y in prow.items():
+                total[k, c] = total.get((k, c), 0) + a * y
+    if ({key: x for key, x in total.items() if x}
+            != {(i, j): x for i, r in enumerate(start) for j, x in r.items()}):
+        raise AssertionError("sparse elimination does not reproduce the matrix")
+    if ring == QQ:
+        return (1,) * (len(terms) + len(_echelon(rows.values(), QQ)[0]))
+    left = sorted({c for r in rows.values() for c in r})
+    residual = Matrix(ZZ, [[r.get(c, 0) for c in left] for r in rows.values()],
+                      len(rows), len(left))
+    return (1,) * len(terms) + (smith_normal_form(residual).invariant_factors if rows else ())
+
+
+def _unit_pivots(rows):
+    """Eliminate unit pivots from the sparse integer rows {i: {col: int}}, in
+    place, as Schur complements; rows is left holding the residual, without
+    the rows that became zero.
+
+    Each round takes the unit entries by Markowitz cost (r - 1)(c - 1); an
+    entry whose row or column a pivot of the round changed waits for the
+    next round, so the column index built at the start of the round stays
+    valid.  Returns the pivots in elimination order as (i, j, column, prow):
+    pivot row i was prow then, with prow[j] = +-1, and column {k: a_kj / a_ij}
+    holds the multiple of prow taken from each row k, column[i] = 1.
+    """
     terms = []
     while True:
         cols = {}
@@ -600,24 +623,10 @@ def _sparse_divisors(start, ring):
                 if not row:
                     del rows[k]
             column[i] = 1
-            terms.append((column, prow))
+            terms.append((i, j, column, prow))
             dirty_rows.update(column)
             dirty_cols.update(prow)
-    # A == the sum of the rank-one terms column * prow, plus the residual
-    total = {(i, j): x for i, r in rows.items() for j, x in r.items()}
-    for column, prow in terms:
-        for k, a in column.items():
-            for c, y in prow.items():
-                total[k, c] = total.get((k, c), 0) + a * y
-    if ({key: x for key, x in total.items() if x}
-            != {(i, j): x for i, r in enumerate(start) for j, x in r.items()}):
-        raise AssertionError("sparse elimination does not reproduce the matrix")
-    if ring == QQ:
-        return (1,) * (len(terms) + len(_echelon(rows.values(), QQ)[0]))
-    left = sorted({c for r in rows.values() for c in r})
-    residual = Matrix(ZZ, [[r.get(c, 0) for c in left] for r in rows.values()],
-                      len(rows), len(left))
-    return (1,) * len(terms) + (smith_normal_form(residual).invariant_factors if rows else ())
+    return terms
 
 
 def rref(A):
@@ -1032,6 +1041,14 @@ def presented_subquotient(m_in, rel_b, m_out, rel_c):
     target of m_out are presented by the relation columns rel_b and rel_c,
     normalized or not.  Raises CompositionNonzero when an image column or a
     relation of B is not a cycle."""
+    cycles, coeff = _cycle_coordinates(m_in, rel_b, m_out, rel_c)
+    mod, to_n, from_n = module_from_relations(m_out.ring, cycles.cols, coeff)
+    return Subquotient(mod, cycles, to_n, from_n)
+
+
+def _cycle_coordinates(m_in, rel_b, m_out, rel_c):
+    """(cycles, coeff): a basis of the cycles of B as columns, and the
+    coordinates in it of the columns of m_in and rel_b."""
     ring, n = m_out.ring, m_out.cols
     big = m_out.hstack(rel_c) if rel_c.cols else m_out
     K = kernel(big)
@@ -1044,9 +1061,7 @@ def presented_subquotient(m_in, rel_b, m_out, rel_c):
         if c is None:
             raise CompositionNonzero("boundary does not lie in the cycle submodule")
         coeff_cols.append(c)
-    coeff = Matrix.from_columns(ring, coeff_cols, rows=cycles.cols)
-    mod, to_n, from_n = module_from_relations(ring, cycles.cols, coeff)
-    return Subquotient(mod, cycles, to_n, from_n)
+    return cycles, Matrix.from_columns(ring, coeff_cols, rows=cycles.cols)
 
 
 def _compose(outer, inner):

@@ -7,14 +7,24 @@ triangulation, which makes the Eilenberg-Zilber shuffle formula land on
 honest simplices.  Cech covers are by closed subcomplexes: for subcomplexes
 A, B we have C(A) + C(B) = C(A u B) on the nose, so the comparison maps of
 the total-complex models are exact at chain level.
+
+Homology classes are read in one of two bases.  ChainComplex.homology gives
+the Hermite cycle basis, in which induced_map_on_homology and
+triple_boundary, and through them the filtration, kunneth, cup and diagram
+commands, print their matrices.  les_exactness reads i_*, j_* and the
+boundary through the chain-level reductions of Z, X and (X, Z) instead
+(tannakit.les and tannakit.reduction, imported only there): a les
+certificate holds ranks over Q, ok flags and defect modules, none of which
+depends on the basis.
 """
 
+from functools import cache
 from itertools import combinations
 
-from .errors import CompositionNonzero, InvalidPair, NotACover, NotNested, NotPairMap, NotSimplicial
+from .errors import InvalidPair, NotACover, NotNested, NotPairMap, NotSimplicial
 from .linalg import (
-    QQ, ZZ, FgModule, Matrix, ModuleMap, Subquotient, _compose,
-    _composes_to_zero, _sparse_divisors, elementary_divisors, subquotient,
+    ZZ, FgModule, Matrix, ModuleMap, Subquotient, _compose, _composes_to_zero,
+    _sparse_divisors,
 )
 
 
@@ -220,7 +230,8 @@ class ChainComplex:
     construction.  boundary(d) is the dense view, built on first use.
     """
 
-    __slots__ = ("ring", "_labels", "_index", "_cols", "_bnd", "_homology", "_divisors")
+    __slots__ = ("ring", "_labels", "_index", "_cols", "_bnd", "_homology", "_divisors",
+                 "_reduction")
 
     def __init__(self, ring, labels, faces):
         self.ring = ring
@@ -235,6 +246,7 @@ class ChainComplex:
         self._bnd = {}
         self._homology = {}
         self._divisors = {}
+        self._reduction = None      # reduction.reduction(self), built by les
 
     @property
     def degrees(self):
@@ -432,136 +444,61 @@ def induced_map_on_homology(f, pair_src, pair_tgt, n, ring=ZZ) -> ModuleMap:
         raise NotPairMap("f does not map X into X'")
     if not f.is_pair_map(pair_src, pair_tgt):
         raise NotPairMap("f does not map Z into Z'")
-    hs = pair_homology(pair_src, ring)
-    ht = pair_homology(pair_tgt, ring)
-    src, tgt = hs.module(n), ht.module(n)
-    if src.is_zero() or tgt.is_zero():
-        return ModuleMap.zero(src, tgt)
-    fmap = _induced_chain_map(f, pair_src, pair_tgt, ring)
-    cols = [ht.class_of(n, fmap.apply(n, hs.lift(n, j))) for j in range(src.ngens)]
-    return ModuleMap(src, tgt, Matrix.from_columns(ring, cols, rows=tgt.ngens))
+    fmap = cache(lambda: _induced_chain_map(f, pair_src, pair_tgt, ring))
+    return _homology_map(pair_homology(pair_src, ring).complex.homology(n),
+                         pair_homology(pair_tgt, ring).complex.homology(n),
+                         lambda vec: fmap().apply(n, vec))
 
 
 def triple_boundary(X, Z, W, n, ring=ZZ) -> ModuleMap:
     """Boundary h_n(X,Z) -> h_{n-1}(Z,W) of the homology sequence of a triple."""
     if not (W.is_subcomplex_of(Z) and Z.is_subcomplex_of(X)):
         raise NotNested("need W <= Z <= X")
-    top = pair_homology(SimplicialPair(X, Z), ring)
-    bot = pair_homology(SimplicialPair(Z, W), ring)
-    src, tgt = top.module(n), bot.module(n - 1)
+    top = pair_homology(SimplicialPair(X, Z), ring).complex
+    bot = pair_homology(SimplicialPair(Z, W), ring).complex
+    return _homology_map(top.homology(n), bot.homology(n - 1),
+                         _boundary_image(top, bot, Z, n))
+
+
+def _homology_map(hs, ht, image) -> ModuleMap:
+    """The module map taking generator j of hs to the class in ht of
+    image(hs.lift(j)).  hs and ht serve the module, class_of and lift of one
+    degree each, in the Hermite basis of ChainComplex.homology or in a
+    reduction's; image is called only when both modules are nonzero."""
+    src, tgt = hs.module, ht.module
     if src.is_zero() or tgt.is_zero():
         return ModuleMap.zero(src, tgt)
+    cols = [ht.class_of(image(hs.lift(j))) for j in range(src.ngens)]
+    return ModuleMap(src, tgt, Matrix.from_columns(src.ring, cols, rows=tgt.ngens))
+
+
+def _boundary_image(top, bot, Z, n):
+    """The connecting map on chains: a relative n-chain of top, whose
+    boundary in X lies in Z, to that boundary in bot's labels."""
     zset = Z.all_simplices()
-    cols = []
-    for j in range(src.ngens):
-        out = _chain_image(_faces, n, zip(top.complex.labels(n), top.lift(n, j)))
+
+    def image(vec):
+        out = _chain_image(_faces, n, zip(top.labels(n), vec))
         if any(face not in zset for face in out):
             raise AssertionError("lifted boundary not supported on Z")
-        cols.append(bot.class_of(n - 1, tuple(out.get(s, 0)
-                                              for s in bot.complex.labels(n - 1))))
-    return ModuleMap(src, tgt, Matrix.from_columns(ring, cols, rows=tgt.ngens))
+        return tuple(out.get(s, 0) for s in bot.labels(n - 1))
+    return image
 
 
 # ---------------------------------------------------------------------------
 # Long exact sequence certificate
 # ---------------------------------------------------------------------------
 
-class LesNode:
-    __slots__ = ("degree", "position", "ok", "rank_in", "rank_ker", "defect")
-
-    def __init__(self, degree, position, ok, rank_in, rank_ker, defect):
-        self.degree = degree
-        self.position = position
-        self.ok = ok
-        self.rank_in = rank_in
-        self.rank_ker = rank_ker
-        self.defect = defect
-
-    def as_dict(self):
-        return {"degree": self.degree, "position": self.position,
-                "ok": self.ok, "rank_image_in": self.rank_in,
-                "rank_kernel_out": self.rank_ker, "defect": self.defect}
-
-
-class LesCertificate:
-    __slots__ = ("ring", "nodes", "ok")
-
-    def __init__(self, ring, nodes):
-        self.ring = ring
-        self.nodes = nodes
-        self.ok = all(n.ok for n in nodes)
-
-    def as_dict(self):
-        return {"ring": self.ring, "ok": self.ok,
-                "nodes": [n.as_dict() for n in self.nodes]}
-
-
-def pair_les_maps(pair, n, ring=ZZ):
-    """(i_*, j_*, boundary) at degree n for the pair's long exact sequence."""
-    X, Z = pair.X, pair.Z
-    absZ = SimplicialPair(Z)
-    absX = SimplicialPair(X)
-    inc = SimplicialMap(Z, X, {v: v for v in Z.vertices})
-    i_n = induced_map_on_homology(inc, absZ, absX, n, ring)
-    ident = SimplicialMap.identity(X)
-    j_n = induced_map_on_homology(ident, absX, pair, n, ring)
-    bnd = triple_boundary(X, Z, SimplicialComplex.empty(), n, ring)
-    return i_n, j_n, bnd
-
-
-def _exact_at(d_in, d_out):
-    try:
-        sq = subquotient(d_in, d_out)
-    except CompositionNonzero:
-        return False, "composition nonzero"
-    if sq.module.is_zero():
-        return True, "0"
-    return False, sq.module.describe()
-
-
-def _rank_of(mm):
-    """Rank over the fraction field: only free target rows and free source
-    columns count (torsion generators come first and vanish there)."""
-    m = mm.matrix.take_rows(range(len(mm.target.torsion), mm.target.ngens))
-    m = m.take_cols(range(len(mm.source.torsion), mm.source.ngens))
-    return len(elementary_divisors(m.to_ring(QQ)))
-
-
-def _kernel_rank(mm):
-    """Rank of the kernel of the map, over the fraction field."""
-    return mm.source.free_rank - _rank_of(mm)
-
-
-def les_exactness(pair, ring=ZZ) -> LesCertificate:
+def les_exactness(pair, ring=ZZ):
     """Exactness report for ... -> h_n(Z) -> h_n(X) -> h_n(X,Z) -> h_{n-1}(Z) -> ...
 
     Each node reports rank(im of the incoming map) and rank(ker of the
     outgoing map) over the fraction field, plus the exact (torsion-aware)
-    defect module ker/im; exactness over Z means the defect vanishes.
+    defect module ker/im; exactness over Z means the defect vanishes.  The
+    certificate is built by tannakit.les, which loads only here.
     """
-    X = pair.X
-    N = X.dim
-    maps = {n: pair_les_maps(pair, n, ring) for n in range(0, N + 2)}
-    nodes = []
-    for n in range(N + 1, -1, -1):
-        i_n, j_n, b_n = maps[n]
-        # at h_n(Z): incoming boundary from h_{n+1}(X,Z), outgoing i_n
-        if n <= N:
-            b_up = maps[n + 1][2] if n + 1 <= N + 1 else None
-            if b_up is None or b_up.target != i_n.source:
-                b_up = ModuleMap.zero(FgModule.zero(ring), i_n.source)
-            ok, defect = _exact_at(b_up, i_n)
-            nodes.append(LesNode(n, "h(Z)", ok, _rank_of(b_up),
-                                 _kernel_rank(i_n), defect))
-        # at h_n(X): incoming i_n, outgoing j_n
-        ok, defect = _exact_at(i_n, j_n)
-        nodes.append(LesNode(n, "h(X)", ok, _rank_of(i_n),
-                             _kernel_rank(j_n), defect))
-        # at h_n(X,Z): incoming j_n, outgoing boundary
-        ok, defect = _exact_at(j_n, b_n)
-        nodes.append(LesNode(n, "h(X,Z)", ok, _rank_of(j_n),
-                             _kernel_rank(b_n), defect))
-    return LesCertificate(ring, nodes)
+    from .les import certificate
+    return certificate(pair, ring)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,6 @@ from tannakit.filtration import (
 )
 from tannakit.linalg import (
     QQ, ZZ, FgModule, Matrix, ModuleMap, determinant, smith_normal_form,
-    swap_matrix,
 )
 from tannakit.simplicial import (
     SimplicialComplex, SimplicialPair, cech_total_complex, ez_aw_maps,

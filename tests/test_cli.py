@@ -180,10 +180,10 @@ print(" ".join(sorted(m.split(".")[-1] for m in sys.modules
 
 
 @pytest.mark.parametrize("corpus, argv, absent", [
-    (None, ["homology", "p_klein"], {"tannaka", "bialgebra", "comodule"}),
+    (None, ["homology", "p_klein"], {"tannaka", "bialgebra", "comodule", "reduction", "les"}),
     ("[complex c]\nsimplices = x y\n\n[pair p]\nspace = c\n", ["homology", "p"],
-     {"filtration", "tannaka", "bialgebra", "comodule"}),
-    (None, ["end-algebra", "F2"], {"comodule"}),
+     {"filtration", "tannaka", "bialgebra", "comodule", "reduction", "les"}),
+    (None, ["end-algebra", "F2"], {"comodule", "reduction", "les"}),
 ], ids=["homology", "homology without filtrations", "end-algebra"])
 def test_cold_start_loads_only_the_layers_a_command_runs(corpus, argv, absent, tmp_path):
     if corpus is not None:

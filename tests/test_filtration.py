@@ -252,6 +252,29 @@ class TestTensorModuleComplex:
             assert_matches_dense_oracle(
                 tensor, filtration_complex(X, ring), filtration_complex(Y, ring))
 
+    def test_dd_checked_once_sparsely(self, monkeypatch):
+        """tensor_complex checks d o d on sparse columns; the ModuleComplex
+        built from it multiplies no dense differentials again."""
+        composed = []
+        real = ModuleMap.compose
+        monkeypatch.setattr(ModuleMap, "compose",
+                            lambda self, other: composed.append(1) or real(self, other))
+        F = Filtration(CIRCLE3, [sub(CIRCLE3, ("a",), ("b",)), CIRCLE3])
+        a = filtration_complex(F, ZZ)
+        composed.clear()
+        _tensor_module_complex(a, a)
+        assert composed == []
+
+    def test_non_complex_is_rejected(self):
+        terms = {d: FgModule.free(ZZ, 1) for d in range(3)}
+        one = Matrix(ZZ, [[1]])
+        mc = ModuleComplex(ZZ, terms, {1: ModuleMap(terms[1], terms[0], one)})
+        mc.maps[2] = ModuleMap(terms[2], terms[1], one)     # now d_1 d_2 != 0
+        free = ModuleComplex(ZZ, {0: FgModule.free(ZZ, 2)}, {})
+        for a, b in ((mc, free), (free, mc)):
+            with pytest.raises(AssertionError, match="d o d != 0"):
+                _tensor_module_complex(a, b)
+
     def test_torsion_term_is_rejected(self):
         torsion = ModuleComplex(ZZ, {0: FgModule(ZZ, 1), 1: FgModule(ZZ, 0, (2,))}, {})
         free = ModuleComplex(ZZ, {0: FgModule.free(ZZ, 2)}, {})

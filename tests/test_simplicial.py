@@ -4,11 +4,13 @@ from hypothesis import given, settings, strategies as st
 from tannakit import linalg
 from tannakit.errors import InvalidPair, NotACover, NotPairMap, NotSimplicial
 from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap
+from tannakit.les import les_maps, les_nodes
+from tannakit.reduction import Reduction
 from tannakit.simplicial import (
     CechModel, ChainComplex, ChainMap, PairHomology, SimplicialComplex,
     SimplicialMap, SimplicialPair,
     cech_total_complex, ez_aw_maps, ez_aw_relative, induced_map_on_homology,
-    les_exactness, pair_homology, pair_les_maps, product_complex,
+    les_exactness, pair_homology, product_complex,
     product_pair, relative_chain_complex, relative_cup_product,
     relative_homology, tensor_complex, triple_boundary,
 )
@@ -236,6 +238,118 @@ class TestHomologyProperties:
         assert les_exactness(p, ring).ok
 
 
+def random_pair(data):
+    maximal, zmax = data
+    return SimplicialPair(cx(*maximal), cx(*zmax) if zmax else EMPTY)
+
+
+class TestReduction:
+    @settings(max_examples=60, deadline=None)
+    @given(random_pairs(), st.sampled_from((ZZ, QQ)))
+    def test_identities_and_residual_homology(self, data, ring):
+        """f g = id, g f = id - (dh + hd) and the chain-map squares, as dense
+        products of the reduction's own columns; the residual homology is
+        the oracle's."""
+        p = random_pair(data)
+        c = relative_chain_complex(p, ring)
+        red = Reduction(c)
+        top = max(c.top_degree, p.X.dim)
+        rank = {n: c.rank(n) for n in range(-1, top + 3)}
+        res = {n: len(red.cells.get(n, ())) for n in rank}
+
+        def F(n):
+            return Matrix.from_sparse(ring, red.f.get(n, [{}] * rank[n]), res[n])
+
+        def G(n):
+            return Matrix.from_sparse(ring, red.g.get(n, [{}] * res[n]), rank[n])
+
+        def H(n):
+            return Matrix.from_sparse(ring, red.h.get(n, [{}] * rank[n]), rank[n + 1])
+
+        def R(n):
+            return Matrix.from_sparse(ring, red.d.get(n, [{}] * res[n]), res[n - 1])
+
+        for n in range(0, c.top_degree + 2):
+            D, D_up = c.boundary(n), c.boundary(n + 1)
+            assert F(n) * G(n) == Matrix.identity(ring, res[n])
+            assert G(n) * F(n) == Matrix.identity(ring, rank[n]) - D_up * H(n) - H(n - 1) * D
+            assert R(n) * F(n) == F(n - 1) * D
+            assert D * G(n) == G(n - 1) * R(n)
+        oracle = homology_groups(data[0], relative_to=data[1])
+        for n in range(0, p.X.dim + 1):
+            betti, torsion = oracle[n]
+            expected = FgModule(ring, betti, torsion if ring == ZZ else ())
+            free = {k: FgModule.free(ring, res[k]) for k in (n - 1, n, n + 1)}
+            residual = linalg.subquotient(ModuleMap(free[n + 1], free[n], R(n + 1)),
+                                          ModuleMap(free[n], free[n - 1], R(n)))
+            assert residual.module == expected
+            hn = red.homology(n)
+            assert hn.module == expected
+            for j in range(hn.module.ngens):
+                z = hn.lift(j)
+                assert not any(c.boundary(n).apply(z))
+                unit = tuple(int(k == j) for k in range(hn.module.ngens))
+                assert hn.class_of(z) == hn.module.normalize_vector(unit)
+
+    @pytest.mark.parametrize("which", ["f", "g", "h"])
+    def test_corrupted_entry_trips_the_identity_check(self, which):
+        red = Reduction(relative_chain_complex(pair(KLEIN), ZZ))
+        red.check()
+        cols = getattr(red, which)
+        n, k = next((n, k) for n in sorted(cols) for k, col in enumerate(cols[n]) if col)
+        i = next(iter(cols[n][k]))
+        cols[n][k][i] += 1
+        with pytest.raises(AssertionError, match="reduction"):
+            red.check()
+
+    def test_reduction_is_kept_on_the_complex(self, monkeypatch):
+        monkeypatch.setattr("tannakit.simplicial._PAIR_CACHE", {})
+        p = pair(KLEIN, sub(KLEIN, ("k00",)))
+        les_exactness(p, ZZ)
+        red = pair_homology(p, ZZ).complex._reduction
+        assert isinstance(red, Reduction)
+        les_exactness(p, ZZ)
+        assert pair_homology(p, ZZ).complex._reduction is red
+
+
+def hermite_les_nodes(p, ring):
+    """The les nodes built from the Hermite-basis maps of
+    induced_map_on_homology and triple_boundary."""
+    X, Z = p.X, p.Z
+    inc = SimplicialMap(Z, X, {v: v for v in Z.vertices})
+    ident = SimplicialMap.identity(X)
+    maps = {n: (induced_map_on_homology(inc, SimplicialPair(Z), SimplicialPair(X), n, ring),
+                induced_map_on_homology(ident, SimplicialPair(X), p, n, ring),
+                triple_boundary(X, Z, EMPTY, n, ring))
+            for n in range(0, X.dim + 2)}
+    return les_nodes(maps, X.dim, ring)
+
+
+def assert_les_matches_hermite(p, ring):
+    got = les_exactness(p, ring).nodes
+    want = hermite_les_nodes(p, ring)
+    assert [n.as_dict() for n in got] == [n.as_dict() for n in want]
+
+
+def bundled_pairs():
+    from tannakit.cli import default_corpus_text
+    from tannakit.corpus import Corpus
+    return Corpus(default_corpus_text()).pairs
+
+
+class TestLesAgainstHermite:
+    @settings(max_examples=40, deadline=None)
+    @given(random_pairs(), st.sampled_from((ZZ, QQ)))
+    def test_random_pairs(self, data, ring):
+        assert_les_matches_hermite(random_pair(data), ring)
+
+    @pytest.mark.parametrize("name", sorted(bundled_pairs()))
+    def test_bundled_pairs(self, name):
+        p = bundled_pairs()[name]
+        for ring in (ZZ, QQ):
+            assert_les_matches_hermite(p, ring)
+
+
 class TestLaziness:
     @pytest.mark.parametrize("name", sorted(spaces.GOLDEN))
     def test_homology_builds_no_cycle_basis(self, name, monkeypatch):
@@ -277,6 +391,33 @@ class TestLaziness:
         for n, (betti, torsion) in table.items():
             assert relative_homology(pair(X), n, ZZ) == FgModule(ZZ, betti, torsion)
             assert relative_homology(pair(X), n, QQ) == FgModule(QQ, betti)
+
+    @pytest.mark.parametrize("name", sorted(spaces.GOLDEN))
+    def test_les_builds_no_cycle_basis(self, name, monkeypatch):
+        """les reads classes through the reduction: no dense boundary, and
+        Smith forms only of residuals without unit entries."""
+        def refuse(self, d):
+            raise AssertionError("dense boundary %d built" % d)
+        residuals = []
+        real_snf = linalg.smith_normal_form
+        monkeypatch.setattr(ChainComplex, "boundary", refuse)
+        monkeypatch.setattr(linalg, "smith_normal_form",
+                            lambda A: residuals.append(A) or real_snf(A))
+        monkeypatch.setattr("tannakit.simplicial._PAIR_CACHE", {})
+        X, _ = spaces.GOLDEN[name]
+        p = pair(X, sub(X, (X.vertices[0],)))
+        for ring in (ZZ, QQ):
+            assert les_exactness(p, ring).ok
+        for A in residuals:
+            assert all(abs(x) != 1 for row in A.data for x in row)
+
+    def test_homology_builds_no_reduction(self, monkeypatch):
+        from tannakit.cli import homology_table
+        monkeypatch.setattr("tannakit.simplicial._PAIR_CACHE", {})
+        p = pair(KLEIN, sub(KLEIN, ("k00",)))
+        for ring in (ZZ, QQ):
+            homology_table(p, ring)
+            assert pair_homology(p, ring).complex._reduction is None
 
     @pytest.mark.parametrize("name", sorted(spaces.GOLDEN))
     def test_dd_checked_once_per_adjacent_pair(self, name, monkeypatch):
@@ -378,7 +519,7 @@ class TestLes:
         p = SimplicialPair(MOBIUS, MOBIUS_BOUNDARY)
         cert = les_exactness(p, ZZ)
         assert cert.ok
-        i1, _, _ = pair_les_maps(p, 1, ZZ)
+        i1, _, _ = les_maps(p, ZZ, (1,))[1]
         assert abs(i1.matrix[0, 0]) == 2  # boundary circle wraps twice
 
     def test_torsion_detected(self):
