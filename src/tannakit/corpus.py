@@ -270,7 +270,16 @@ class Corpus:
         subs = []
         for sname in _split_entries(sec.require("truncations"), " "):
             _, sub = self.subdiagram(sname, ring)
+            if sub.diagram is not ctx.diagram:
+                raise InputError("[tower %s]: truncation %r is not a subdiagram of %r"
+                                 % (name, sname, dname))
+            if subs and not subs[-1].is_subset_of(sub):
+                raise InputError("[tower %s]: truncation %r does not contain %r; "
+                                 "truncations must be ordered by inclusion"
+                                 % (name, sname, subs[-1].name))
             subs.append(sub)
+        if not subs:
+            raise InputError("[tower %s] lists no truncations" % name)
         unit = sec.get("unit")
         if unit is not None:
             vertex_payload(ctx.diagram.payloads, unit)

@@ -7,8 +7,15 @@ endomorphism families inside the product of the vertex endomorphism rings;
 its dual carries the coalgebra structure, every vertex module the canonical
 coaction rho(x) = sum_i e_i* (x) (e_i . x), and inclusions of subdiagrams
 dualize to transition maps.  Bases are canonical: Hermite over Z, reduced
-echelon over Q.
+echelon over Q, so the coordinates of a product of basis families are read
+at the basis pivots and checked by one sparse integer residual.  The
+coalgebra's sparse columns delta_columns are its primary data, its dense
+comultiplication matrix is built only when read, and over Q its axioms are
+contracted in integers, the columns scaled by their common denominator.
 """
+
+from fractions import Fraction
+from math import lcm
 
 from .errors import (
     AxiomViolation, InputError, NonFreeVertex, NotNested, WrongRank,
@@ -168,7 +175,11 @@ class EndAlgebra:
     The basis spans the solution module of T(e) phi_v = phi_w T(e) inside
     the direct sum of End(T(v)); over Z it is saturated (kernel of an
     integer matrix) and reduced to Hermite form, over Q to reduced echelon.
-    Structure constants and the dual coalgebra are computed on first use.
+    In both forms each basis column has a pivot, its first nonzero row,
+    where every later column is zero (and over Q every other column).
+    Structure constants, read at those pivots from sparse products, and
+    the dual coalgebra are computed on first use; coordinates() solves any
+    other family against the basis.
     """
 
     __slots__ = ("rep", "sub", "ring", "order", "offsets", "total", "basis",
@@ -240,26 +251,67 @@ class EndAlgebra:
         return self._solver.solve(tuple(flat))
 
     def structure_constants(self):
-        """c[i][j] = coordinate vector of e_i * e_j."""
-        if self._structure is None:
-            # each family's vertex components once, as rows and as columns
-            rows = [[self.component(i, v).data for v in self.order]
-                    for i in range(self.dim)]
-            cols = [[tuple(zip(*block)) for block in fam] for fam in rows]
-            table = []
-            for i, x in enumerate(rows):
-                row = []
-                for j, y in enumerate(cols):
-                    flat = [sum(p * q for p, q in zip(xa, yb) if p)
-                            for xv, yv in zip(x, y) for xa in xv for yb in yv]
-                    coords = self.coordinates(flat)
-                    if coords is None:
-                        raise AxiomViolation(
-                            "product of basis families %d,%d escapes the span" % (i, j))
-                    row.append(coords)
-                table.append(row)
-            self._structure = table
-        return self._structure
+        """{(i, j): {k: c_ij^k}}: the coordinates of e_i * e_j over their
+        nonzeros, for every pair whose product is not zero.
+
+        Each family is kept as the sparse rows of its vertex blocks, over Q
+        scaled to a primitive integer column w_k = s_k e_k, and only the
+        pairs whose blocks meet are multiplied.  Coordinates are read at the
+        basis pivots and checked by one integer residual (_pivot_entries
+        over Q, _hermite_coordinates over Z); a product outside the span
+        raises AxiomViolation.
+        """
+        if self._structure is not None:
+            return self._structure
+        cols = _nonzero_columns(self.basis)
+        if self.ring == QQ:
+            scales = [lcm(*(x.denominator for x in col.values())) for col in cols]
+            cols = [{i: x.numerator * (s // x.denominator) for i, x in col.items()}
+                    for s, col in zip(scales, cols)]
+            big = lcm(*scales)
+            lifts = [big // s for s in scales]
+        pivots = {min(col): k for k, col in enumerate(cols)}
+        # flat index -> (vertex, row, column) of its block
+        layout, where = [], []
+        for vi, v in enumerate(self.order):
+            r = self.rep.rank(v)
+            layout.append((self.offsets[v], r))
+            where.extend((vi, a, b) for a in range(r) for b in range(r))
+        fams = []
+        for col in cols:
+            fam = {}
+            for idx in sorted(col):
+                vi, a, b = where[idx]
+                fam.setdefault(vi, {}).setdefault(a, []).append((b, col[idx]))
+            fams.append(fam)
+        # e_i e_j can be nonzero only if a column of e_i meets a row of e_j
+        partners = {}
+        for j, fam in enumerate(fams):
+            for vi, rows in fam.items():
+                for a in rows:
+                    partners.setdefault((vi, a), []).append(j)
+        table = {}
+        for i, x in enumerate(fams):
+            js = set()
+            for vi, rows in x.items():
+                for row in rows.values():
+                    for b, _ in row:
+                        js.update(partners.get((vi, b), ()))
+            for j in sorted(js):
+                prod = _block_product(x, fams[j], layout)
+                if not prod:
+                    continue
+                if self.ring == QQ:
+                    coords = _pivot_entries(prod, pivots, cols, big, lifts,
+                                            scales[i] * scales[j])
+                else:
+                    coords = _hermite_coordinates(prod, pivots, cols)
+                if coords is None:
+                    raise AxiomViolation(
+                        "product of basis families %d,%d escapes the span" % (i, j))
+                table[i, j] = coords
+        self._structure = table
+        return table
 
     def coalgebra(self):
         """The dual coalgebra, built by dual_coalgebra on first use."""
@@ -277,6 +329,70 @@ def end_algebra(rep, sub) -> EndAlgebra:
     return EndAlgebra(rep, sub)
 
 
+def _block_product(x, y, layout):
+    """The nonzeros {flat index: int} of the product of two families given
+    as {vertex: {row: [(column, entry)]}}, block by block."""
+    prod = {}
+    for vi, xv in x.items():
+        yv = y.get(vi)
+        if yv is None:
+            continue
+        off, r = layout[vi]
+        for a, xrow in xv.items():
+            base = off + a * r
+            for b, p in xrow:
+                for c, q in yv.get(b, ()):
+                    prod[base + c] = prod.get(base + c, 0) + p * q
+    return {k: v for k, v in prod.items() if v}
+
+
+def _pivot_entries(prod, pivots, cols, big, lifts, denom):
+    """Coordinates {k: Fraction} of prod / denom in the Q basis e_k =
+    cols[k] / s_k (reduced echelon, cols primitive integer), or None.
+
+    The coordinate at pivot row p_k is prod[p_k] / denom.  It is exact iff
+    L prod = sum_k prod[p_k] (L / s_k) cols[k], with L the lcm of the s_k
+    and lifts[k] = L / s_k: one integer residual, checked here."""
+    coords, res = {}, {c: big * x for c, x in prod.items()}
+    for c, x in prod.items():
+        k = pivots.get(c)
+        if k is None:
+            continue
+        coords[k] = Fraction(x, denom)
+        f = x * lifts[k]
+        for i, w in cols[k].items():
+            res[i] = res.get(i, 0) - f * w
+    if any(res.values()):
+        return None
+    return coords
+
+
+def _hermite_coordinates(prod, pivots, cols):
+    """Coordinates {k: int} of prod in the integer basis cols (Hermite, each
+    column's pivot its first nonzero row), or None: exact divmod steps in
+    ascending pivot order, at the pivots where the running residual is
+    nonzero; a remainder or a residual entry off the pivots means prod is
+    not in the lattice."""
+    coords, res = {}, dict(prod)
+    while res:
+        c = min(res)
+        k = pivots.get(c)
+        if k is None:
+            return None
+        col = cols[k]
+        q, rem = divmod(res[c], col[c])
+        if rem:
+            return None
+        coords[k] = q
+        for i, w in col.items():
+            v = res.get(i, 0) - q * w
+            if v:
+                res[i] = v
+            else:
+                res.pop(i, None)
+    return coords
+
+
 def _vanishes(diff, r, orders):
     """Whether every entry of diff {row: x} is zero, or divisible by
     orders[row % r] (the order of the row's generator; 0 when free)."""
@@ -286,26 +402,41 @@ def _vanishes(diff, r, orders):
                for i, x in diff.items())
 
 
-def _coassociative(delta, rho, n, r, orders=None):
+def _coassociative(delta, rho, n, r, orders=None, scales=(1, 1)):
     """(Delta (x) id) rho == (id (x) rho) rho, one column of rho at a time.
 
     delta and rho are the _nonzero_columns of the n^2 x n comultiplication
     and of an (n r) x r coaction (rows (i, a) -> i * r + a); the difference
     of the sides is summed over nonzero products only, with no Kronecker.
+    With scales (R, D), delta and rho are integer columns D Delta and R rho,
+    and R (D Delta (x) id)(R rho) is compared with D (id (x) R rho)(R rho):
+    both sides carry R^2 D, so this is the identity itself, in integers.
     With orders (one per generator a) the identity holds modulo the order
     of each row's generator.
     """
+    R, D = scales
     for col in rho:
         diff = {}
         for ia, c in col.items():
             i, a = divmod(ia, r)
+            cr, cd = c * R, c * D
             for pq, d in delta[i].items():
-                diff[pq * r + a] = diff.get(pq * r + a, 0) + c * d
+                diff[pq * r + a] = diff.get(pq * r + a, 0) + cr * d
             for jb, d in rho[a].items():
-                diff[i * n * r + jb] = diff.get(i * n * r + jb, 0) - c * d
+                diff[i * n * r + jb] = diff.get(i * n * r + jb, 0) - cd * d
         if not _vanishes(diff, r, orders):
             return False
     return True
+
+
+def _integer_columns(cols, ring):
+    """Sparse columns {row: entry} as (integer columns, D): D is the lcm of
+    every denominator and the integer columns are D times the given ones."""
+    if ring == ZZ:
+        return cols, 1
+    d = lcm(*(x.denominator for col in cols for x in col.values()))
+    return [{i: x.numerator * (d // x.denominator) for i, x in col.items()}
+            for col in cols], d
 
 
 def _counit_identity(rho, eps, r, left=True, orders=None):
@@ -364,51 +495,72 @@ def _block_rows(rho, n, r):
 
 
 class CoalgebraTrunc:
-    """Free coalgebra truncation: rank, comultiplication and counit matrices.
+    """Free coalgebra truncation: rank, comultiplication and counit.
 
-    delta: rank^2 x rank (row-major tensor indices); counit: 1 x rank.
-    delta_columns holds the _nonzero_columns of delta, built once here for
-    every later check against this coalgebra.  Coassociativity and the
-    counit identities are asserted at construction, exactly, by contracting
-    the nonzeros of the structure tensor column by column rather than
-    through dense Kronecker products.
+    delta_columns is the comultiplication as sparse columns {row: entry}
+    over its nonzeros, rows row-major tensor indices i * rank + j; it is the
+    primary data, read by every check against this coalgebra.  The dense
+    rank^2 x rank matrix delta is built from it on first read, for the
+    certificates that print it and the checks that still multiply densely.
+    The columns are also
+    kept as integers times a common denominator D (D = 1 over Z), computed
+    once here: coassociativity, asserted at construction, and the coaction
+    checks contract those integer columns, without Fractions or Kronecker
+    products.  The counit identities are asserted at construction too.
     """
 
-    __slots__ = ("ring", "rank", "delta", "counit", "delta_columns")
+    __slots__ = ("ring", "rank", "delta_columns", "counit", "_delta",
+                 "_integer_delta", "_denominator")
 
-    def __init__(self, ring, rank, delta, counit):
-        if delta.rows != rank * rank or delta.cols != rank:
-            raise AxiomViolation("comultiplication matrix has wrong shape")
+    def __init__(self, ring, rank, delta_columns, counit):
+        n2 = rank * rank
+        if (len(delta_columns) != rank
+                or any(not 0 <= i < n2 for col in delta_columns for i in col)):
+            raise AxiomViolation("comultiplication has wrong shape")
         if counit.rows != 1 or counit.cols != rank:
             raise AxiomViolation("counit matrix has wrong shape")
         self.ring = ring
         self.rank = rank
-        self.delta = delta
+        self.delta_columns = cols = delta_columns
         self.counit = counit
-        self.delta_columns = cols = _nonzero_columns(delta)
-        if not _coassociative(cols, cols, rank, rank):
+        self._delta = None
+        self._integer_delta, self._denominator = _integer_columns(cols, ring)
+        if not _coassociative(self._integer_delta, self._integer_delta, rank, rank):
             raise AxiomViolation("comultiplication is not coassociative")
         eps = counit.row(0)
         if not (_counit_identity(cols, eps, rank)
                 and _counit_identity(cols, eps, rank, left=False)):
             raise AxiomViolation("counit identities fail")
 
+    @property
+    def delta(self):
+        """The dense rank^2 x rank comultiplication matrix."""
+        if self._delta is None:
+            self._delta = Matrix.from_sparse(self.ring, self.delta_columns,
+                                             self.rank * self.rank)
+        return self._delta
+
     def grouplike_defect(self, coords):
         """Delta(x) - x (x) x for an element given by coordinates."""
-        x = Matrix.column(self.ring, coords)
-        return self.delta * x - Matrix.column(self.ring, [a * b for a in x.col(0)
-                                                          for b in x.col(0)])
+        x = Matrix.column(self.ring, coords).col(0)
+        out = [-a * b for a in x for b in x]
+        for a, col in zip(x, self.delta_columns):
+            if a:
+                for i, d in col.items():
+                    out[i] += a * d
+        return Matrix.column(self.ring, out)
 
     def counit_of(self, coords):
         return (self.counit * Matrix.column(self.ring, coords))[0, 0]
 
     def __eq__(self, other):
         return (isinstance(other, CoalgebraTrunc) and self.ring == other.ring
-                and self.rank == other.rank and self.delta == other.delta
-                and self.counit == other.counit)
+                and self.rank == other.rank and self.counit == other.counit
+                and self.delta_columns == other.delta_columns)
 
     def __hash__(self):
-        return hash((self.ring, self.rank, self.delta, self.counit))
+        return hash((self.ring, self.rank, self.counit,
+                     tuple(frozenset(col.items()) for col in self.delta_columns)))
 
 
 def dual_coalgebra(E: EndAlgebra) -> CoalgebraTrunc:
@@ -417,14 +569,17 @@ def dual_coalgebra(E: EndAlgebra) -> CoalgebraTrunc:
     The comultiplication pairs against the opposite multiplication,
     Delta(e_k*) = sum_{i,j} c_{ij}^k e_j* (x) e_i*: this is the unique order
     for which the canonical coactions rho(x) = sum_i e_i* (x) e_i.x satisfy
-    the comodule axioms when the algebra is noncommutative.
+    the comodule axioms when the algebra is noncommutative.  Its columns are
+    filled straight from the sparse structure constants; no dense matrix is
+    built.
     """
     n = E.dim
-    c = E.structure_constants()
-    # row j * n + i of delta is c_{ij}
-    delta = [c[i][j] for j in range(n) for i in range(n)]
+    cols = [{} for _ in range(n)]
+    for (i, j), coords in E.structure_constants().items():
+        for k, c in coords.items():
+            cols[k][j * n + i] = c
     counit = Matrix(E.ring, [list(E.unit)], 1, n)
-    return CoalgebraTrunc(E.ring, n, Matrix(E.ring, delta, n * n, n), counit)
+    return CoalgebraTrunc(E.ring, n, cols, counit)
 
 
 class Coaction:
@@ -459,14 +614,18 @@ def check_coaction_axioms(co: Coaction):
 
     (Delta (x) id) rho = (id (x) rho) rho and (eps (x) id) rho = id are
     checked in full by contracting the nonzeros of the structure tensor and
-    of rho, one column of rho at a time.
+    of rho, one column of rho at a time.  Over Q coassociativity contracts
+    the coalgebra's integer columns D Delta with R rho, R the lcm of rho's
+    denominators, as integers.
     """
     A = co.coalgebra
     r = co.rho.cols
     if co.rho.rows != A.rank * r:
         raise ValueError("coaction matrix does not fit its coalgebra")
     rho = _nonzero_columns(co.rho)
-    return (_coassociative(A.delta_columns, rho, A.rank, r),
+    irho, scale = _integer_columns(rho, A.ring)
+    return (_coassociative(A._integer_delta, irho, A.rank, r,
+                           scales=(scale, A._denominator)),
             _counit_identity(rho, A.counit.row(0), r))
 
 

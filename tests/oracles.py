@@ -4,7 +4,9 @@ Everything here is deliberately written against the naive textbook
 definitions, sharing no code path with the package: gcd-pivot diagonal
 reduction without transform tracking, elementary divisors via minor gcds,
 boundary matrices rebuilt from scratch, a dense commutant solver with its
-own elimination, and finite enumeration over Z/p.
+own elimination, and finite enumeration over Z/p.  A few keep a dense path
+the package replaced, such as End structure constants from dense block
+products solved by the package's dense solver.
 """
 
 from fractions import Fraction
@@ -490,6 +492,28 @@ def brute_commutant(ranks, edges):
 
 
 # -- Z/p subquotient oracle --------------------------------------------------
+
+def dense_structure_constants(E):
+    """c[i][j] = coordinate tuple of e_i * e_j for a tannakit EndAlgebra E:
+    every pair of basis families multiplied as dense vertex blocks, each
+    product solved against the whole basis by the package's dense solver,
+    with no use of the basis shape."""
+    from tannakit.linalg import _Solver
+    solver = _Solver(E.basis)
+    rows = [[E.component(i, v).data for v in E.order] for i in range(E.dim)]
+    cols = [[tuple(zip(*block)) for block in fam] for fam in rows]
+    table = []
+    for x in rows:
+        row = []
+        for y in cols:
+            flat = [sum(p * q for p, q in zip(xa, yb))
+                    for xv, yv in zip(x, y) for xa in xv for yb in yv]
+            coords = solver.solve(tuple(flat))
+            assert coords is not None, "a product escapes the span"
+            row.append(coords)
+        table.append(row)
+    return table
+
 
 def modp_subquotient_size(p, gens_b, rel_b, m_in, m_out, rel_c):
     """|ker(d_out)/im(d_in)| over Z/p by full enumeration.

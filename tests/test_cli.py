@@ -271,6 +271,17 @@ MALFORMED = {
                            "[tower t]\ndiagram = d\ntruncations = S\nunit = nosuch\n"
                            "[comodule c]",
                            ["bialgebra-check", "t"]),
+    "empty tower": ("[comodule c]", "[tower t]\ndiagram = d\ntruncations =\n[comodule c]",
+                    ["bialgebra-check", "t"]),
+    "tower out of order": ("[subdiagram S]",
+                           "vertex = v : p : 0\n[subdiagram T]\ndiagram = d\nvertices = u v\n"
+                           "[tower t]\ndiagram = d\ntruncations = T S\n[subdiagram S]",
+                           ["bialgebra-check", "t"]),
+    "tower off its diagram": ("[comodule c]",
+                              "[diagram e]\nvertex = u : p : 0\n[subdiagram X]\ndiagram = e\n"
+                              "vertices = u\n[tower t]\ndiagram = d\ntruncations = X\n"
+                              "[comodule c]",
+                              ["bialgebra-check", "t"]),
     "negative budget": ("space = pt", "space = pt", ["very-good-search", "pt", "--budget", "-1"]),
     "negative depth": ("[subdiagram S]",
                        "circle = u\n[tower t]\ndiagram = d\ntruncations = S\n[subdiagram S]",

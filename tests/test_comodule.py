@@ -13,7 +13,7 @@ from tannaka_fixtures import build_context
 
 
 def trivial_coalgebra(ring=ZZ):
-    return CoalgebraTrunc(ring, 1, Matrix(ring, [[1]]), Matrix(ring, [[1]]))
+    return CoalgebraTrunc(ring, 1, [{0: 1}], Matrix(ring, [[1]]))
 
 
 def matrix_coalgebra(ring=QQ):
@@ -230,8 +230,7 @@ def grading_comodule(orders):
     """(Z/2)^2 graded by the two-element group-like coalgebra, Delta(e_g) =
     e_g (x) e_g, with projections P0, P1 that are idempotent, orthogonal and
     sum to the identity only modulo 2 (P0 P1 and P0 + P1 - I have a 2)."""
-    C = CoalgebraTrunc(ZZ, 2, Matrix(ZZ, [[1, 0], [0, 0], [0, 0], [0, 1]]),
-                       Matrix(ZZ, [[1, 1]]))
+    C = CoalgebraTrunc(ZZ, 2, [{0: 1}, {3: 1}], Matrix(ZZ, [[1, 1]]))
     return Comodule(C, orders, Matrix(ZZ, [[1, 1], [0, 0], [0, 1], [0, 1]]))
 
 

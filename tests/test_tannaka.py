@@ -2,12 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tannakit import tannaka
 from tannakit.cli import default_corpus_text
 from tannakit.corpus import Corpus
 from tannakit.errors import AxiomViolation, NonFreeVertex
-from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap
+from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap, _nonzero_columns
 from tannakit.simplicial import SimplicialMap, SimplicialPair
 from tannakit.tannaka import (
     Coaction, CoalgebraTrunc, Diagram, DiagramRep, Subdiagram,
@@ -18,7 +19,7 @@ from tannakit.tannaka import (
 import spaces
 from spaces import CIRCLE3, CIRCLE_POINT, EDGE, EDGE_ENDS, POINT, RP2, pair, sub
 
-from oracles import brute_commutant
+from oracles import brute_commutant, dense_structure_constants
 
 
 def synthetic(ring, ranks, edges):
@@ -265,7 +266,7 @@ def dense_coalgebra_verdict(ring, rank, delta, counit):
 
 def sparse_coalgebra_verdict(ring, rank, delta, counit):
     try:
-        CoalgebraTrunc(ring, rank, delta, counit)
+        CoalgebraTrunc(ring, rank, _nonzero_columns(delta), counit)
     except AxiomViolation as exc:
         return str(exc)
     return None
@@ -396,7 +397,8 @@ class TestSparseRejects:
                 rejected += verdict is not None
         assert rejected == A.delta.rows * A.delta.cols
         with pytest.raises(AxiomViolation, match="not coassociative"):
-            CoalgebraTrunc(ring, A.rank, perturbed(A.delta, 5, 0), A.counit)
+            CoalgebraTrunc(ring, A.rank, _nonzero_columns(perturbed(A.delta, 5, 0)),
+                           A.counit)
 
     @pytest.mark.parametrize("ring", [ZZ, QQ])
     def test_perturbed_counit(self, ring):
@@ -492,6 +494,106 @@ class TestSparseRejects:
         with pytest.raises(AxiomViolation,
                            match="transition fails comultiplication compatibility"):
             transition_map(ctx.rep, EF, EG)
+
+
+@st.composite
+def small_diagrams(draw):
+    """1 to 3 vertices of rank 1 to 3 and 0 to 3 edges, entries in [-2, 2]."""
+    names = ["v%d" % i for i in range(draw(st.integers(1, 3)))]
+    ranks = {v: draw(st.integers(1, 3)) for v in names}
+    edges = []
+    for k in range(draw(st.integers(0, 3))):
+        s, d = draw(st.sampled_from(names)), draw(st.sampled_from(names))
+        m = [[draw(st.integers(-2, 2)) for _ in range(ranks[s])] for _ in range(ranks[d])]
+        edges.append(("e%d" % k, s, d, m))
+    return names, ranks, edges
+
+
+class TestStructureConstants:
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    @settings(max_examples=100, deadline=None)
+    @given(small_diagrams())
+    def test_equals_dense_oracle(self, ring, diagram):
+        names, ranks, edges = diagram
+        dia, rep = synthetic(ring, ranks, edges)
+        E = end_algebra(rep, Subdiagram(dia, names))
+        n = E.dim
+        assert n == len(brute_commutant(ranks, [(s, d, m) for (_n, s, d, m) in edges]))
+        dense = dense_structure_constants(E)
+        sparse = E.structure_constants()
+        assert all(any(c.values()) for c in sparse.values())
+        for i in range(n):
+            for j in range(n):
+                coords = sparse.get((i, j), {})
+                assert tuple(coords.get(k, 0) for k in range(n)) == dense[i][j]
+        A = E.coalgebra()
+        assert A._delta is None
+        assert A.delta == Matrix(ring, [dense[i][j] for j in range(n) for i in range(n)],
+                                 n * n, n)
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_dropped_column_escapes(self, ring, rank):
+        # without E_00 (or E_rr), E_01 E_10 = E_00 (or E_r0 E_0r = E_rr) escapes
+        for drop in (0, rank * rank - 1):
+            E = matrix_coalgebra(ring, rank)[2]
+            E.basis = E.basis.take_cols([k for k in range(E.dim) if k != drop])
+            with pytest.raises(AxiomViolation, match="escapes the span"):
+                E.structure_constants()
+
+    @pytest.mark.parametrize("col", [0, 3])
+    def test_doubled_z_column_escapes(self, col):
+        # 2 E_00 (or 2 E_11) spans E_00 over Q but not over Z: E_01 E_10 = E_00
+        # has coordinate 1/2 there, and the division leaves a remainder
+        E = matrix_coalgebra(ZZ)[2]
+        E.basis = Matrix.from_columns(ZZ, [tuple(2 * x for x in E.basis.col(k))
+                                           if k == col else E.basis.col(k)
+                                           for k in range(E.dim)])
+        with pytest.raises(AxiomViolation, match="escapes the span"):
+            E.structure_constants()
+
+
+def fractional_coalgebra(m):
+    """The Q coalgebra of End(v, l) for one loop l = m, whose reduced echelon
+    basis has non-integer entries; with its subdiagram and End algebra."""
+    dia, rep = synthetic(QQ, {"v": len(m)}, [("l", "v", "v", m)])
+    sdg = Subdiagram(dia, ["v"])
+    return rep, sdg, end_algebra(rep, sdg)
+
+
+FRACTIONAL = ([[1, 2], [0, 2]], [[1, 2, 0], [0, 2, 1], [0, 0, 3]])
+
+
+class TestIntegerContraction:
+    """Q identities contracted in integers, with every entry moved by 1/3."""
+
+    @pytest.mark.parametrize("m", FRACTIONAL)
+    def test_perturbed_delta(self, m):
+        A = fractional_coalgebra(m)[2].coalgebra()
+        assert any(x.denominator > 1 for col in A.delta_columns for x in col.values())
+        rejected = 0
+        for i in range(A.delta.rows):
+            for j in range(A.delta.cols):
+                bad = perturbed(A.delta, i, j, Fraction(1, 3))
+                verdict = sparse_coalgebra_verdict(QQ, A.rank, bad, A.counit)
+                assert verdict == dense_coalgebra_verdict(QQ, A.rank, bad, A.counit)
+                rejected += verdict is not None
+        assert rejected
+
+    @pytest.mark.parametrize("m", FRACTIONAL)
+    def test_perturbed_rho(self, m):
+        rep, sdg, E = fractional_coalgebra(m)
+        co = coaction(rep, sdg, "v", E)
+        assert any(x.denominator > 1 for row in co.rho.data for x in row)
+        rejected = 0
+        for i in range(co.rho.rows):
+            for j in range(co.rho.cols):
+                bad = Coaction(co.coalgebra, "v", co.module,
+                               perturbed(co.rho, i, j, Fraction(1, 3)))
+                verdict = check_coaction_axioms(bad)
+                assert verdict == dense_coaction_axioms(bad)
+                rejected += verdict != (True, True)
+        assert rejected
 
 
 class TestBuildOnce:
