@@ -2,26 +2,21 @@
 comodules, tensor comodules over a bialgebra fragment, and the torsion-free
 cover obtained as a pullback against a free presentation.
 
-Coordinates: a comodule carries explicit generator orders (0 = free, t > 1 =
-torsion of order t); its underlying FgModule is the normalized value.  All
-axiom identities are verified as matrix identities modulo the torsion of the
-target, which is exact equality in the free case.
+Comodule is tannaka.Comodule, re-exported: the canonical comodule at a
+diagram vertex and an explicit one are the same type.  A comodule carries
+explicit generator orders (0 = free, t > 1 = torsion of order t); its
+underlying FgModule is the normalized value.  The axioms and the morphism
+identity are sparse contractions modulo the torsion of the target
+(Comodule.axioms and tannaka._intertwines), exact equality in the free case.
 """
 
 from math import gcd
 
 from .errors import CompositionNonzero, DimensionMismatch, MissingProducts
 from .linalg import (
-    FgModule, Matrix, ZZ, _nonzero_columns, _order_relations, _Solver,
-    presented_subquotient, tensor_swap,
+    FgModule, Matrix, ZZ, _order_relations, _Solver, presented_subquotient, tensor_swap,
 )
-from .tannaka import CoalgebraTrunc, _coassociative, _counit_identity, _intertwines
-
-
-def _entry_ok(x, order):
-    if order:
-        return x % order == 0
-    return x == 0
+from .tannaka import CoalgebraTrunc, Comodule, _intertwines
 
 
 class ComodCert:
@@ -40,70 +35,33 @@ class ComodCert:
                 "failures": list(self.failures)}
 
 
-class Comodule:
-    """rho: V -> C (x) V over a free coalgebra truncation.
-
-    gen_orders fixes the coordinate semantics of V: entry j is the
-    annihilator of generator j (0 for a free generator).  Well-definedness of
-    rho on torsion is checked at construction and entries are normalized.
-    """
-
-    __slots__ = ("coalgebra", "gen_orders", "rho")
-
-    def __init__(self, coalgebra, gen_orders, rho):
-        k = len(gen_orders)
-        r = coalgebra.rank
-        if rho.rows != r * k or rho.cols != k:
-            raise DimensionMismatch(
-                "coaction must be %dx%d, got %dx%d" % (r * k, k, rho.rows, rho.cols))
-        orders = tuple(int(t) for t in gen_orders)
-        if any(t < 0 or t == 1 for t in orders):
-            raise DimensionMismatch("generator orders must be 0 or > 1")
-        row_orders = [orders[g] for _ in range(r) for g in range(k)]
-        for j, t in enumerate(orders):
-            if t == 0:
-                continue
-            for row in range(r * k):
-                if not _entry_ok(t * rho[row, j], row_orders[row]):
-                    raise DimensionMismatch(
-                        "coaction not well defined on torsion generator %d" % j)
-        data = [list(rho.row(i)) for i in range(rho.rows)]
-        for row in range(r * k):
-            t = row_orders[row]
-            if t:
-                data[row] = [x % t for x in data[row]]
-        self.coalgebra = coalgebra
-        self.gen_orders = orders
-        self.rho = Matrix(rho.ring, data, rho.rows, rho.cols)
-
-    @property
-    def module(self) -> FgModule:
-        return FgModule.cokernel(_order_relations(self.gen_orders, self.rho.ring))
-
-    @property
-    def ngens(self):
-        return len(self.gen_orders)
-
-
 def check_comodule_axioms(m: Comodule) -> ComodCert:
     """Coassociativity and counit as exact identities (mod target torsion),
-    contracted over the nonzeros of Delta and rho with no Kronecker."""
-    A = m.coalgebra
-    rho = _nonzero_columns(m.rho)
+    by Comodule.axioms, the core tannaka.check_coaction_axioms reads too."""
+    coassoc, counit = m.axioms()
     failures = []
-    if not _coassociative(A.delta_columns, rho, A.rank, m.ngens, m.gen_orders):
+    if not coassoc:
         failures.append("coassociativity: (Delta (x) id) rho != (id (x) rho) rho")
-    if not _counit_identity(rho, A.counit.row(0), m.ngens, orders=m.gen_orders):
+    if not counit:
         failures.append("counit: (eps (x) id) rho != id")
     return ComodCert(failures, 2)
+
+
+def _checked(m, what):
+    """m, after its axioms are re-checked: AssertionError when one fails."""
+    cert = check_comodule_axioms(m)
+    if not cert.ok:
+        raise AssertionError("%s fails its axioms: %s" % (what, cert.failures))
+    return m
 
 
 def is_comodule_morphism(src: Comodule, dst: Comodule, matrix) -> bool:
     """rho_dst o f = (id_C (x) f) o rho_src, modulo target torsion."""
     if src.coalgebra != dst.coalgebra:
         return False
-    return _intertwines(matrix, src.rho, dst.rho, src.coalgebra.rank,
-                        dst.gen_orders)
+    if matrix.rows != dst.ngens or matrix.cols != src.ngens:
+        raise DimensionMismatch("a morphism must be %dx%d" % (dst.ngens, src.ngens))
+    return _intertwines(src, dst, m=matrix)
 
 
 def extended_comodule(C: CoalgebraTrunc, E: FgModule) -> Comodule:
@@ -113,14 +71,13 @@ def extended_comodule(C: CoalgebraTrunc, E: FgModule) -> Comodule:
 
 
 def extended_on_orders(C: CoalgebraTrunc, orders_e) -> Comodule:
+    """C (x) E on generators of the given orders: rho = Delta (x) id, whose
+    column (p, j) is column p of Delta on the rows (i, q, j)."""
     k = len(orders_e)
-    orders = [orders_e[j] for _ in range(C.rank) for j in range(k)]
-    rho = C.delta.kron(Matrix.identity(C.ring, k))
-    m = Comodule(C, orders, rho)
-    cert = check_comodule_axioms(m)
-    if not cert.ok:
-        raise AssertionError("extended comodule fails its axioms: %s" % (cert.failures,))
-    return m
+    rho = Matrix.from_sparse(C.ring, [{iq * k + j: d for iq, d in col.items()}
+                                      for col in C.delta_columns for j in range(k)],
+                             C.rank * C.rank * k)
+    return _checked(Comodule(C, list(orders_e) * C.rank, rho), "extended comodule")
 
 
 def canonical_embedding(m: Comodule):
@@ -213,10 +170,7 @@ def torsionfree_cover(C: CoalgebraTrunc, m: Comodule) -> TorsionfreeCover:
             raise AssertionError("derived coaction escapes C (x) E'")
         q_cols.append(tuple(sol[:r * mod.ngens]))
     rho_p = Matrix.from_columns(ZZ, q_cols, rows=r * mod.ngens)
-    cover = Comodule(C, [0] * mod.ngens, rho_p)
-    cert = check_comodule_axioms(cover)
-    if not cert.ok:
-        raise AssertionError("pullback comodule fails axioms: %s" % (cert.failures,))
+    cover = _checked(Comodule(C, [0] * mod.ngens, rho_p), "pullback comodule")
     if not is_comodule_morphism(cover, m, surj):
         raise AssertionError("surjection is not a comodule morphism")
     if not is_comodule_morphism(cover, ext_free, embed):
@@ -249,8 +203,4 @@ def tensor_comodules(m: Comodule, n: Comodule, mu) -> Comodule:
     swapped = m.rho.kron(n.rho).take_rows(tensor_swap(rF, km, rG, kn))
     rho = mu.matrix.kron(Matrix.identity(ring, km * kn)) * swapped
     orders = [gcd(s, t) for s in m.gen_orders for t in n.gen_orders]
-    out = Comodule(CH, orders, rho)
-    cert = check_comodule_axioms(out)
-    if not cert.ok:
-        raise AssertionError("tensor comodule fails axioms: %s" % (cert.failures,))
-    return out
+    return _checked(Comodule(CH, orders, rho), "tensor comodule")

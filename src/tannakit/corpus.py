@@ -30,7 +30,7 @@ def _split_entries(value, sep):
 def _malformed(where):
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError("%s: %s" % (where, exc)) from None
 
 
@@ -286,19 +286,17 @@ class Corpus:
         return ctx, subs, unit
 
     def comodule(self, name, ring):
-        from .comodule import Comodule
-        from .tannaka import coaction
         from .linalg import Matrix
+        from .tannaka import Comodule, coaction
         sec = self._comodule_decls.get(name)
         if sec is None:
             raise InputError("unknown comodule %r" % name)
         sname = sec.require("subdiagram")
         ctx, sub = self.subdiagram(sname, ring)
-        A = ctx.coalgebra(sub)
         vertex = sec.get("vertex")
         if vertex is not None:
-            co = coaction(ctx.rep, sub, vertex, ctx.end(sub), A)
-            return ctx, Comodule(A, (0,) * co.module.ngens, co.rho)
+            return ctx, coaction(ctx.rep, sub, vertex, ctx.end(sub))
+        A = ctx.coalgebra(sub)
         with _malformed("[comodule %s]" % name):
             orders = tuple(int(t) for t in _split_entries(sec.require("orders"), " "))
             rows = []

@@ -16,15 +16,17 @@ f, g and h are kept as sparse integer columns, and the identities are
 checked exactly whenever a reduction is built.
 
 ReducedHomology serves one degree as Subquotient does: class_of(v) is the
-class of f(v) in R and lift(j) is g of R's generator j, with R's homology
-from presented_subquotient on R's small dense boundaries, built on first
-use and checked against the complex's elementary divisors.  Only `les`
+class of f(v) in R and lift(j) is g of R's generator j.  Its module comes
+from the elementary divisors of R's own differentials, which the checked
+identities make H(C); R's cycle basis, from presented_subquotient on R's
+small dense boundaries, is built on first use and must give the same
+module.  So C's full differentials are eliminated once, here.  Only `les`
 imports this module: its certificate holds ranks and defect modules only,
 while every other command prints coordinates in the Hermite cycle basis of
 ChainComplex.homology.
 """
 
-from .linalg import Matrix, Subquotient, _compose, _unit_pivots, presented_subquotient
+from .linalg import Matrix, Subquotient, _compose, _sparse_divisors, _unit_pivots
 
 
 def reduction(cx):
@@ -40,7 +42,7 @@ class Reduction:
     differential, f[n] has one column per cell of C_n, g[n] one per cell of
     R_n, and h[n] one per cell of C_n, in C_{n+1}."""
 
-    __slots__ = ("complex", "cells", "d", "f", "g", "h", "_homology")
+    __slots__ = ("complex", "cells", "d", "f", "g", "h", "_homology", "_divisors")
 
     def __init__(self, cx):
         self.complex = cx
@@ -89,7 +91,7 @@ class Reduction:
                 rest = {c: -y for c, y in prow.items() if c != j}
                 h[j] = _nonzero(_add(dict(gammas[n + 1][t]), rest, h), prow[j])
                 f[j] = _nonzero(_add({}, rest, f), prow[j])
-        self._homology = {}
+        self._homology, self._divisors = {}, {}
         self.check()
 
     def check(self):
@@ -111,6 +113,12 @@ class Reduction:
             if _compose(cx._cols.get(n), g) != _compose(self.g.get(n - 1), self.d[n]):
                 raise AssertionError("reduction: g is not a chain map in degree %d" % n)
 
+    def divisors(self, n):
+        """Nonzero elementary divisors of R's differential of degree n."""
+        if n not in self._divisors:
+            self._divisors[n] = _sparse_divisors(self.d.get(n, ()), self.complex.ring)
+        return self._divisors[n]
+
     def homology(self, n):
         hn = self._homology.get(n)
         if hn is None:
@@ -121,26 +129,22 @@ class Reduction:
 class ReducedHomology:
     """h_n of a complex in the basis of its reduction's residual homology:
     module, class_of(chain) and lift(generator), as Subquotient serves them
-    in the Hermite basis.  The module comes from the complex's elementary
-    divisors; the residual's homology is built on the first class_of or
-    lift and must give the same module."""
+    in the Hermite basis.  The module comes from the residual's elementary
+    divisors; its cycle basis is built on the first class_of or lift and
+    must give the same module."""
 
     __slots__ = ("module", "_f", "_g", "_sizes", "_sq")
 
     def __init__(self, red, n):
-        cx = red.complex
-        ring, size = cx.ring, len(red.cells.get(n, ()))
+        ring, size = red.complex.ring, len(red.cells.get(n, ()))
         rows = len(red.cells.get(n - 1, ()))
-
-        def build():
-            d_in = Matrix.from_sparse(ring, red.d.get(n + 1, ()), size)
-            d_out = Matrix.from_sparse(ring, red.d.get(n, [{}] * size), rows)
-            return presented_subquotient(d_in, Matrix.zeros(ring, size, 0),
-                                         d_out, Matrix.zeros(ring, rows, 0))
-        self.module = cx.homology_module(n)
-        self._sq = Subquotient(self.module, build=build)
+        self._sq = Subquotient.free(
+            ring, size, red.divisors(n + 1), red.divisors(n),
+            lambda: (Matrix.from_sparse(ring, red.d.get(n + 1, ()), size),
+                     Matrix.from_sparse(ring, red.d.get(n, [{}] * size), rows)))
+        self.module = self._sq.module
         self._f, self._g = red.f.get(n, ()), red.g.get(n, ())
-        self._sizes = size, cx.rank(n)
+        self._sizes = size, red.complex.rank(n)
 
     def class_of(self, vec):
         return self._sq.class_of(_apply(self._f, vec, self._sizes[0]))

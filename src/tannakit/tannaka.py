@@ -5,29 +5,24 @@ to each vertex and a module map to each edge.  For a finite subdiagram F with
 free vertices, end_algebra computes the algebra of edge-compatible
 endomorphism families inside the product of the vertex endomorphism rings;
 its dual carries the coalgebra structure, every vertex module the canonical
-coaction rho(x) = sum_i e_i* (x) (e_i . x), and inclusions of subdiagrams
-dualize to transition maps.  Bases are canonical: Hermite over Z, reduced
-echelon over Q, so the coordinates of a product of basis families are read
-at the basis pivots and checked by one sparse integer residual.  The
-coalgebra's sparse columns delta_columns are its primary data, its dense
-comultiplication matrix is built only when read, and over Q its axioms are
-contracted in integers, the columns scaled by their common denominator.
+comodule rho(x) = sum_i e_i* (x) (e_i . x), built once per End algebra and
+vertex, and inclusions of subdiagrams dualize to transition maps.  Bases are
+canonical (Hermite over Z, reduced echelon over Q), so products of basis
+families are read at the basis pivots.  Comodule is the one comodule type:
+the coalgebra and comodule axioms and the comodule morphism identities are
+sparse contractions over nonzeros, over Q in integers scaled by common
+denominators, and the dense comultiplication is built only when read.
 """
 
 from fractions import Fraction
 from math import lcm
 
-from .errors import (
-    AxiomViolation, InputError, NonFreeVertex, NotNested, WrongRank,
-)
+from .errors import AxiomViolation, DimensionMismatch, InputError, NonFreeVertex, NotNested
 from .linalg import (
-    QQ, ZZ, FgModule, Matrix, ModuleMap, _nonzero_columns, _Solver,
+    QQ, ZZ, FgModule, Matrix, ModuleMap, _nonzero_columns, _order_relations, _Solver,
     echelon_columns, elementary_divisors, kernel,
 )
-from .simplicial import (
-    SimplicialPair, induced_map_on_homology, pair_homology, relative_homology,
-    triple_boundary,
-)
+from .simplicial import induced_map_on_homology, relative_homology, triple_boundary
 
 MAP_EDGE = "map"
 TRIPLE_EDGE = "triple"
@@ -141,12 +136,8 @@ def build_pairs_diagram(ring, vertex_pairs, map_edges=(), triple_edges=()):
     """
     names = sorted(vertex_pairs)
     payloads = dict(vertex_pairs)
-    edges = []
-    maps = {}
-    modules = {}
-    for v in names:
-        p, n = vertex_pairs[v]
-        modules[v] = relative_homology(p, n, ring)
+    edges, maps = [], {}
+    modules = {v: relative_homology(*vertex_pairs[v], ring) for v in names}
     for (name, src, dst, f) in map_edges:
         ps, ns = vertex_payload(vertex_pairs, src)
         pt, nt = vertex_payload(vertex_pairs, dst)
@@ -177,13 +168,14 @@ class EndAlgebra:
     integer matrix) and reduced to Hermite form, over Q to reduced echelon.
     In both forms each basis column has a pivot, its first nonzero row,
     where every later column is zero (and over Q every other column).
-    Structure constants, read at those pivots from sparse products, and
-    the dual coalgebra are computed on first use; coordinates() solves any
-    other family against the basis.
+    Structure constants, read at those pivots from sparse products, the
+    dual coalgebra and the canonical comodule at each vertex are computed on
+    first use and kept; coordinates() solves any other family against the
+    basis.
     """
 
     __slots__ = ("rep", "sub", "ring", "order", "offsets", "total", "basis",
-                 "unit", "_solver", "_structure", "_coalgebra")
+                 "unit", "_solver", "_structure", "_coalgebra", "_comodules")
 
     def __init__(self, rep, sub):
         for v in sub.vertices:
@@ -231,8 +223,8 @@ class EndAlgebra:
         if coords is None:
             raise AxiomViolation("identity family does not satisfy the constraints")
         self.unit = tuple(coords)
-        self._structure = None
-        self._coalgebra = None
+        self._structure = self._coalgebra = None
+        self._comodules = {}
 
     @property
     def dim(self):
@@ -319,6 +311,18 @@ class EndAlgebra:
             self._coalgebra = dual_coalgebra(self)
         return self._coalgebra
 
+    def comodule(self, v):
+        """The canonical comodule at vertex v, built on first use: row (i, a)
+        of rho is row a of e_i's block at v, read off the basis rows."""
+        co = self._comodules.get(v)
+        if co is None:
+            r, off, rows = self.rep.rank(v), self.offsets[v], self.basis.data
+            rho = [[rows[off + a * r + b][i] for b in range(r)]
+                   for i in range(self.dim) for a in range(r)]
+            co = self._comodules[v] = Comodule(
+                self.coalgebra(), (0,) * r, Matrix(self.ring, rho, self.dim * r, r))
+        return co
+
     def is_saturated(self):
         if self.ring != ZZ or self.dim == 0:
             return True
@@ -393,12 +397,13 @@ def _hermite_coordinates(prod, pivots, cols):
     return coords
 
 
-def _vanishes(diff, r, orders):
-    """Whether every entry of diff {row: x} is zero, or divisible by
-    orders[row % r] (the order of the row's generator; 0 when free)."""
-    if orders is None:
+def _vanishes(diff, r, orders, scale=1):
+    """Whether every entry of diff {row: x}, scale times an exact difference,
+    is zero, or divisible by scale * orders[row % r] (the order of the row's
+    generator; 0 when free)."""
+    if not any(orders or ()):
         return not any(diff.values())
-    return all(x % orders[i % r] == 0 if orders[i % r] else x == 0
+    return all(x % (scale * orders[i % r]) == 0 if orders[i % r] else x == 0
                for i, x in diff.items())
 
 
@@ -410,9 +415,8 @@ def _coassociative(delta, rho, n, r, orders=None, scales=(1, 1)):
     of the sides is summed over nonzero products only, with no Kronecker.
     With scales (R, D), delta and rho are integer columns D Delta and R rho,
     and R (D Delta (x) id)(R rho) is compared with D (id (x) R rho)(R rho):
-    both sides carry R^2 D, so this is the identity itself, in integers.
-    With orders (one per generator a) the identity holds modulo the order
-    of each row's generator.
+    both sides carry R^2 D.  With orders (one per generator) the identity
+    holds modulo the order of each row's generator.
     """
     R, D = scales
     for col in rho:
@@ -424,7 +428,7 @@ def _coassociative(delta, rho, n, r, orders=None, scales=(1, 1)):
                 diff[pq * r + a] = diff.get(pq * r + a, 0) + cr * d
             for jb, d in rho[a].items():
                 diff[i * n * r + jb] = diff.get(i * n * r + jb, 0) - cd * d
-        if not _vanishes(diff, r, orders):
+        if not _vanishes(diff, r, orders, R * R * D):
             return False
     return True
 
@@ -439,33 +443,44 @@ def _integer_columns(cols, ring):
             for col in cols], d
 
 
-def _counit_identity(rho, eps, r, left=True, orders=None):
+def _counit_identity(rho, eps, r, scale, left=True, orders=None):
     """(eps (x) id) rho == id, or (id (x) eps) rho == id when not left, for
-    rho and orders given as in _coassociative."""
+    integer columns rho and an integer counit {i: eps_i} whose products
+    carry the factor scale, and orders as in _coassociative."""
     for b, col in enumerate(rho):
-        diff = {b: -1}
+        diff = {b: -scale}
         for ia, c in col.items():
             i, a = divmod(ia, r)
             e, key = (eps[i], a) if left else (eps[a], i)
             diff[key] = diff.get(key, 0) + e * c
-        if not _vanishes(diff, r, orders):
+        if not _vanishes(diff, r, orders, scale):
             return False
     return True
 
 
-def _intertwines(m, rho_src, rho_dst, n, orders=None):
-    """rho_dst m == (id (x) m) rho_src for coactions over a rank-n coalgebra,
-    one row block at a time: block i of rho_dst m against m times block i of
-    rho_src, with no Kronecker.  With orders (one per row of m) the identity
-    holds modulo the order of each row's generator."""
-    rd, rs = m.rows, m.cols
-    lhs = rho_dst * m
-    for i in range(n):
-        rhs = m * rho_src.take_rows(range(i * rs, i * rs + rs))
-        for a, (x, y) in enumerate(zip(lhs.data[i * rd:i * rd + rd], rhs.data)):
-            t = orders[a] if orders else 0
-            if any((u - v) % t if t else u != v for u, v in zip(x, y)):
-                return False
+def _intertwines(src, dst, t=None, m=None):
+    """(t (x) m) rho_src == rho_dst m modulo the orders of dst's generators,
+    for a coalgebra map t and a module map m (None: an identity), column by
+    column over the nonzeros, in integers: R_dst (S_t t (x) S_m m)(R_src
+    rho_src) against S_t R_src (R_dst rho_dst)(S_m m), R and S the scales."""
+    k = dst.ngens
+    tc, st = (_integer_columns(_nonzero_columns(t), t.ring) if t is not None
+              else ([{i: 1} for i in range(src.coalgebra.rank)], 1))
+    mc, sm = (_integer_columns(_nonzero_columns(m), m.ring) if m is not None
+              else ([{a: 1} for a in range(src.ngens)], 1))
+    rs, rd = src._denominator, dst._denominator
+    for b, col in enumerate(src._columns):
+        diff = {}
+        for ia, c in col.items():
+            i, a = divmod(ia, src.ngens)
+            for p, x in tc[i].items():
+                for q, y in mc[a].items():
+                    diff[p * k + q] = diff.get(p * k + q, 0) + rd * c * x * y
+        for a, y in mc[b].items():
+            for pq, x in dst._columns[a].items():
+                diff[pq] = diff.get(pq, 0) - st * rs * y * x
+        if not _vanishes(diff, k, dst.gen_orders, rd * rs * st * sm):
+            return False
     return True
 
 
@@ -487,13 +502,6 @@ def _comultiplicative(t, AG, AF):
     return True
 
 
-def _block_rows(rho, n, r):
-    """The (n r) x k matrix rho as n x (r k): row i is row block i."""
-    return Matrix(rho.ring,
-                  [tuple(x for row in rho.data[i * r:i * r + r] for x in row)
-                   for i in range(n)], n, r * rho.cols)
-
-
 class CoalgebraTrunc:
     """Free coalgebra truncation: rank, comultiplication and counit.
 
@@ -501,16 +509,15 @@ class CoalgebraTrunc:
     over its nonzeros, rows row-major tensor indices i * rank + j; it is the
     primary data, read by every check against this coalgebra.  The dense
     rank^2 x rank matrix delta is built from it on first read, for the
-    certificates that print it and the checks that still multiply densely.
-    The columns are also
-    kept as integers times a common denominator D (D = 1 over Z), computed
-    once here: coassociativity, asserted at construction, and the coaction
-    checks contract those integer columns, without Fractions or Kronecker
-    products.  The counit identities are asserted at construction too.
+    certificates that print it.  The columns and the counit are also kept
+    as integers times a common denominator (1 over Z), computed once here:
+    coassociativity and the counit identities, asserted at construction,
+    and the comodule checks contract those, without Fractions or Kronecker
+    products.
     """
 
     __slots__ = ("ring", "rank", "delta_columns", "counit", "_delta",
-                 "_integer_delta", "_denominator")
+                 "_integer_delta", "_denominator", "_integer_counit")
 
     def __init__(self, ring, rank, delta_columns, counit):
         n2 = rank * rank
@@ -524,12 +531,13 @@ class CoalgebraTrunc:
         self.delta_columns = cols = delta_columns
         self.counit = counit
         self._delta = None
-        self._integer_delta, self._denominator = _integer_columns(cols, ring)
-        if not _coassociative(self._integer_delta, self._integer_delta, rank, rank):
+        self._integer_delta, self._denominator = idelta, d = _integer_columns(cols, ring)
+        if not _coassociative(idelta, idelta, rank, rank):
             raise AxiomViolation("comultiplication is not coassociative")
-        eps = counit.row(0)
-        if not (_counit_identity(cols, eps, rank)
-                and _counit_identity(cols, eps, rank, left=False)):
+        (eps,), de = _integer_columns([dict(enumerate(counit.row(0)))], ring)
+        self._integer_counit = eps, de
+        if not (_counit_identity(idelta, eps, rank, d * de)
+                and _counit_identity(idelta, eps, rank, d * de, left=False)):
             raise AxiomViolation("counit identities fail")
 
     @property
@@ -582,66 +590,77 @@ def dual_coalgebra(E: EndAlgebra) -> CoalgebraTrunc:
     return CoalgebraTrunc(E.ring, n, cols, counit)
 
 
-class Coaction:
-    """rho: V -> A (x) V for the canonical coaction at a vertex."""
+class Comodule:
+    """rho: V -> C (x) V, an (n k) x k matrix with rows (i, a) -> i * k + a.
 
-    __slots__ = ("coalgebra", "vertex", "module", "rho")
+    gen_orders fixes the coordinate semantics of V: entry j is the order of
+    generator j (0 when free).  rho is checked to be well defined on torsion
+    and normalized, and its sparse columns are computed once, over Q as
+    integers times their common denominator, for every identity check.
+    """
 
-    def __init__(self, coalgebra, vertex, module, rho):
-        self.coalgebra = coalgebra
-        self.vertex = vertex
-        self.module = module
-        self.rho = rho
+    __slots__ = ("coalgebra", "gen_orders", "rho", "_columns", "_denominator")
+
+    def __init__(self, coalgebra, gen_orders, rho):
+        k, n = len(gen_orders), coalgebra.rank
+        if rho.rows != n * k or rho.cols != k:
+            raise DimensionMismatch(
+                "coaction must be %dx%d, got %dx%d" % (n * k, k, rho.rows, rho.cols))
+        orders = tuple(int(t) for t in gen_orders)
+        if any(t < 0 or t == 1 for t in orders):
+            raise DimensionMismatch("generator orders must be 0 or > 1")
+        for j, t in enumerate(orders):
+            if t and not _vanishes({i: t * row[j] for i, row in enumerate(rho.data)}, k, orders):
+                raise DimensionMismatch("coaction not well defined on torsion generator %d" % j)
+        if any(orders):
+            rho = Matrix(rho.ring, [[x % orders[i % k] for x in row] if orders[i % k]
+                                    else row for i, row in enumerate(rho.data)], n * k, k)
+        self.coalgebra, self.gen_orders, self.rho = coalgebra, orders, rho
+        self._columns, self._denominator = _integer_columns(_nonzero_columns(rho), rho.ring)
+
+    @property
+    def module(self) -> FgModule:
+        return FgModule.cokernel(_order_relations(self.gen_orders, self.rho.ring))
+
+    @property
+    def ngens(self):
+        return len(self.gen_orders)
+
+    def axioms(self):
+        """(coassociativity, counit) modulo the generator orders, in full: the
+        integer columns of Delta, eps and rho contracted over their nonzeros."""
+        A, k = self.coalgebra, self.ngens
+        eps, de = A._integer_counit
+        return (_coassociative(A._integer_delta, self._columns, A.rank, k, self.gen_orders,
+                               (self._denominator, A._denominator)),
+                _counit_identity(self._columns, eps, k, self._denominator * de,
+                                 orders=self.gen_orders))
 
 
-def coaction(rep, sub, v, E=None, A=None) -> Coaction:
-    """Canonical coaction rho(x) = sum_i e_i* (x) (e_i . x) at vertex v."""
-    if E is None:
-        E = end_algebra(rep, sub)
-    if A is None:
-        A = E.coalgebra()
+def coaction(rep, sub, v, E=None, A=None) -> Comodule:
+    """The canonical comodule rho(x) = sum_i e_i* (x) (e_i . x) at vertex v,
+    over E's coalgebra (A, when given, must equal it); E builds it once."""
+    E = end_algebra(rep, sub) if E is None else E
     if v not in sub.vertices:
         raise InputError("vertex %r is not in the subdiagram" % (v,))
-    r = rep.rank(v)
-    n = E.dim
-    # row block i of rho is the component of e_i at v
-    rho = [row for i in range(n) for row in E.component(i, v).data]
-    return Coaction(A, v, rep.module(v), Matrix(rep.ring, rho, n * r, r))
+    co = E.comodule(v)
+    if A is not None and A != co.coalgebra:
+        raise InputError("the coalgebra is not the dual of the End algebra")
+    return co
 
 
-def check_coaction_axioms(co: Coaction):
-    """(coassociativity, counit) as exact identities.
-
-    (Delta (x) id) rho = (id (x) rho) rho and (eps (x) id) rho = id are
-    checked in full by contracting the nonzeros of the structure tensor and
-    of rho, one column of rho at a time.  Over Q coassociativity contracts
-    the coalgebra's integer columns D Delta with R rho, R the lcm of rho's
-    denominators, as integers.
-    """
-    A = co.coalgebra
-    r = co.rho.cols
-    if co.rho.rows != A.rank * r:
-        raise ValueError("coaction matrix does not fit its coalgebra")
-    rho = _nonzero_columns(co.rho)
-    irho, scale = _integer_columns(rho, A.ring)
-    return (_coassociative(A._integer_delta, irho, A.rank, r,
-                           scales=(scale, A._denominator)),
-            _counit_identity(rho, A.counit.row(0), r))
+def check_coaction_axioms(co: Comodule):
+    """(coassociativity, counit) of a comodule, exactly: Comodule.axioms."""
+    return co.axioms()
 
 
 class TransitionMap:
     """Coalgebra morphism A_F -> A_F' dual to restriction of families."""
 
-    __slots__ = ("source", "target", "matrix", "restriction")
+    __slots__ = ("source", "target", "matrix")
 
-    def __init__(self, source, target, matrix, restriction):
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-        self.restriction = restriction
-
-    def apply(self, coords):
-        return self.matrix.apply(coords)
+    def __init__(self, source, target, matrix):
+        self.source, self.target, self.matrix = source, target, matrix
 
 
 def transition_map(rep, EF: EndAlgebra, EG: EndAlgebra,
@@ -650,16 +669,14 @@ def transition_map(rep, EF: EndAlgebra, EG: EndAlgebra,
 
     Computed as the transpose of the restriction End(T|_G) -> End(T|_F);
     verified to be a coalgebra morphism and to intertwine the canonical
-    coactions at every vertex of F.  The coaction identity
-    (t (x) id) rho_F = rho_G is checked as t times the row blocks of rho_F,
-    and comultiplication by _comultiplicative, both without Kronecker products.
+    comodules at every vertex of F.  The coaction identity
+    (t (x) id) rho_F = rho_G is checked by _intertwines, and
+    comultiplication by _comultiplicative, both without Kronecker products.
     """
     if not EF.sub.is_subset_of(EG.sub):
         raise InputError("transition requires nested subdiagrams")
-    if AF is None:
-        AF = EF.coalgebra()
-    if AG is None:
-        AG = EG.coalgebra()
+    AF = EF.coalgebra() if AF is None else AF
+    AG = EG.coalgebra() if AG is None else AG
     cols = []
     for i in range(EG.dim):
         flat = []
@@ -672,20 +689,17 @@ def transition_map(rep, EF: EndAlgebra, EG: EndAlgebra,
         if coords is None:
             raise AxiomViolation("restricted family escapes the smaller algebra")
         cols.append(coords)
-    restriction = Matrix.from_columns(rep.ring, cols, rows=EF.dim)
-    t = restriction.transpose()
+    t = Matrix.from_columns(rep.ring, cols, rows=EF.dim).transpose()
     # coalgebra morphism: Delta' t = (t (x) t) Delta ; eps' t = eps
     if not _comultiplicative(t, AG, AF):
         raise AxiomViolation("transition fails comultiplication compatibility")
     if AG.counit * t != AF.counit:
         raise AxiomViolation("transition fails counit compatibility")
     for v in EF.order:
-        r = rep.rank(v)
-        rho_f = coaction(rep, EF.sub, v, EF, AF).rho
-        rho_g = coaction(rep, EG.sub, v, EG, AG).rho
-        if t * _block_rows(rho_f, EF.dim, r) != _block_rows(rho_g, EG.dim, r):
+        if not _intertwines(coaction(rep, EF.sub, v, EF, AF),
+                            coaction(rep, EG.sub, v, EG, AG), t=t):
             raise AxiomViolation("transition fails coaction compatibility at %r" % (v,))
-    return TransitionMap(AF, AG, t, restriction)
+    return TransitionMap(AF, AG, t)
 
 
 class FactorizationCert:
@@ -707,32 +721,28 @@ class FactorizationCert:
 def factorization_check(rep, sub, E=None) -> FactorizationCert:
     """Certificate that the representation factors through comodules.
 
-    (i) comodule axioms for every canonical coaction, (ii) every edge map is
+    (i) comodule axioms for every canonical comodule, (ii) every edge map is
     a comodule morphism, (iii) forgetting coactions returns the original
-    modules.  The identities are checked exactly by contracting the sparse
-    structure tensor, and rho_dst m = (id (x) m) rho_src by _intertwines.
+    modules.  The comodules are E's, built once; the identities are checked
+    exactly by contracting the sparse structure tensor, and
+    rho_dst m = (id (x) m) rho_src by _intertwines.
     """
-    if E is None:
-        E = end_algebra(rep, sub)
-    A = E.coalgebra()
+    E = end_algebra(rep, sub) if E is None else E
     violations = []
     checked = 0
-    coactions = {}
     for v in sub.vertices:
-        co = coaction(rep, sub, v, E, A)
-        coactions[v] = co
+        co = coaction(rep, sub, v, E)
         coassoc, counit = check_coaction_axioms(co)
-        checked += 2
+        checked += 3
         if not coassoc:
             violations.append("coassociativity fails at vertex %r" % (v,))
         if not counit:
             violations.append("counit fails at vertex %r" % (v,))
         if co.module != rep.module(v):
             violations.append("underlying module changed at %r" % (v,))
-        checked += 1
     for (name, src, dst, _kind) in sub.edges:
         checked += 1
-        if not _intertwines(rep.edge_map(name).matrix, coactions[src].rho,
-                            coactions[dst].rho, A.rank):
+        if not _intertwines(coaction(rep, sub, src, E), coaction(rep, sub, dst, E),
+                            m=rep.edge_map(name).matrix):
             violations.append("edge %r is not a comodule morphism" % (name,))
     return FactorizationCert(violations, checked)

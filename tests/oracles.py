@@ -623,3 +623,43 @@ def tensor_complex_dense(ranks_a, diffs_a, ranks_b, diffs_b):
                         data[row + i][col + j] += x
         diffs[n] = data
     return ranks, diffs
+
+
+# -- comodule identities through dense Kronecker products --------------------
+# The package contracts these over nonzeros (tannaka.Comodule.axioms and
+# tannaka._intertwines); here each side is a dense product with Matrix.kron.
+
+def dense_equal_mod(m1, m2, orders):
+    """Entrywise equality of two matrices, modulo orders[row] (0: exact)."""
+    return all((x - y) % t == 0 if t else x == y
+               for row1, row2, t in zip(m1.data, m2.data, orders)
+               for x, y in zip(row1, row2))
+
+
+def dense_comodule_failures(m):
+    """check_comodule_axioms' failures through delta.kron(eye) products."""
+    from tannakit.linalg import Matrix
+    A = m.coalgebra
+    eye_v = Matrix.identity(A.ring, m.ngens)
+    left = A.delta.kron(eye_v) * m.rho
+    right = Matrix.identity(A.ring, A.rank).kron(m.rho) * m.rho
+    failures = []
+    if not dense_equal_mod(left, right, list(m.gen_orders) * A.rank ** 2):
+        failures.append("coassociativity: (Delta (x) id) rho != (id (x) rho) rho")
+    if not dense_equal_mod(A.counit.kron(eye_v) * m.rho, eye_v, m.gen_orders):
+        failures.append("counit: (eps (x) id) rho != id")
+    return tuple(failures)
+
+
+def dense_is_morphism(src, dst, f):
+    """rho_dst f == (id (x) f) rho_src modulo dst's orders, through a kron."""
+    from tannakit.linalg import Matrix
+    right = Matrix.identity(f.ring, src.coalgebra.rank).kron(f) * src.rho
+    return dense_equal_mod(dst.rho * f, right,
+                           list(dst.gen_orders) * src.coalgebra.rank)
+
+
+def dense_transition_coaction(t, rho_f, rho_g):
+    """(t (x) id) rho_F == rho_G for a transition matrix t, through a kron."""
+    from tannakit.linalg import Matrix
+    return t.kron(Matrix.identity(t.ring, rho_f.cols)) * rho_f == rho_g

@@ -255,6 +255,10 @@ MALFORMED = {
     "orders": ("orders = 2", "orders = x", ["comodule-check", "c"]),
     "rho scalar": ("rho = 1", "rho = abc", ["comodule-check", "c"]),
     "rho fraction over Z": ("rho = 1", "rho = 1/2", ["comodule-check", "c"]),
+    "rho zero denominator": ("rho = 1", "rho = 1/0", ["comodule-check", "c"]),
+    "rho zero denominator, cover": ("rho = 1", "rho = 1/0", ["torsionfree-cover", "c"]),
+    "rho zero denominator over Q": ("rho = 1", "rho = 1/0",
+                                    ["--ring", "q", "comodule-check", "c"]),
     "rho shape": ("orders = 2", "orders = 2 2", ["comodule-check", "c"]),
     "unknown product vertex": ("vertex = u : p : 0",
                                "vertex = u : p : 0\nproduct = vw : u * zz",

@@ -9,6 +9,7 @@ from tannakit.errors import DimensionMismatch
 from tannakit.linalg import QQ, ZZ, FgModule, Matrix
 from tannakit.tannaka import CoalgebraTrunc, Subdiagram, coaction, dual_coalgebra
 
+from oracles import dense_comodule_failures, dense_is_morphism
 from tannaka_fixtures import build_context
 
 
@@ -33,9 +34,9 @@ class TestAxioms:
 
     def test_matrix_coalgebra_coaction(self):
         E, A, rep, dia = matrix_coalgebra()
-        co = coaction(rep, Subdiagram(dia, ["v"]), "v", E, A)
-        m = Comodule(A, (0, 0), co.rho)
-        assert check_comodule_axioms(m).ok
+        m = coaction(rep, Subdiagram(dia, ["v"]), "v", E, A)
+        assert isinstance(m, Comodule) and m.gen_orders == (0, 0)
+        assert m.coalgebra == A and check_comodule_axioms(m).ok
 
     def test_scaled_rho_fails_counit(self):
         C = trivial_coalgebra()
@@ -48,6 +49,9 @@ class TestAxioms:
         C = trivial_coalgebra()
         with pytest.raises(DimensionMismatch):
             Comodule(C, (0, 0), Matrix(ZZ, [[1]]))
+        m = Comodule(C, (0,), Matrix(ZZ, [[1]]))
+        with pytest.raises(DimensionMismatch):
+            is_comodule_morphism(m, m, Matrix(ZZ, [[1, 0]]))
 
     def test_torsion_comodule(self):
         # Z/2 with the trivial coaction over the trivial coalgebra
@@ -71,8 +75,7 @@ class TestExtended:
 
     def test_canonical_embedding_injective(self):
         E, A, rep, dia = matrix_coalgebra()
-        co = coaction(rep, Subdiagram(dia, ["v"]), "v", E, A)
-        m = Comodule(A, (0, 0), co.rho)
+        m = coaction(rep, Subdiagram(dia, ["v"]), "v", E, A)
         ext, rho = canonical_embedding(m)
         assert is_comodule_morphism(m, ext, rho)
         from tannakit.comodule import presented_kernel_is_zero
@@ -124,8 +127,7 @@ class TestTensor:
         mu = product_on_truncations(ctx, F1, F1, F2)
         E1 = ctx.end(F1)
         A1 = ctx.coalgebra(F1)
-        co_g = coaction(ctx.rep, F1, "g", E1, A1)
-        m = Comodule(A1, (0,), co_g.rho)
+        m = coaction(ctx.rep, F1, "g", E1, A1)
         t = tensor_comodules(m, m, mu)
         assert t.ngens == 1
         assert check_comodule_axioms(t).ok
@@ -143,9 +145,9 @@ class TestTensor:
         F1, F2 = tower[1], tower[2]
         mu = product_on_truncations(ctx, U, F1, F2)
         EU, AU = ctx.end(U), ctx.coalgebra(U)
-        unit_com = Comodule(AU, (0,), coaction(ctx.rep, U, "u", EU, AU).rho)
+        unit_com = coaction(ctx.rep, U, "u", EU, AU)
         E1, A1 = ctx.end(F1), ctx.coalgebra(F1)
-        m = Comodule(A1, (0,), coaction(ctx.rep, F1, "g", E1, A1).rho)
+        m = coaction(ctx.rep, F1, "g", E1, A1)
         t = tensor_comodules(unit_com, m, mu)
         # unit (x) M = M pushed along the transition A_F1 -> A_F2
         tr = transition_map(ctx.rep, E1, ctx.end(F2), A1, ctx.coalgebra(F2))
@@ -192,33 +194,7 @@ class TestTensor:
         assert left.gen_orders == right.gen_orders
 
 
-# -- the dense Kronecker identities, kept as oracles for the sparse checks --
-
-def dense_equal_mod(m1, m2, orders):
-    return all((x - y) % t == 0 if t else x == y
-               for row1, row2, t in zip(m1.data, m2.data, orders)
-               for x, y in zip(row1, row2))
-
-
-def dense_comodule_failures(m):
-    """check_comodule_axioms' failures through delta.kron(eye) products."""
-    A = m.coalgebra
-    eye_v = Matrix.identity(A.ring, m.ngens)
-    left = A.delta.kron(eye_v) * m.rho
-    right = Matrix.identity(A.ring, A.rank).kron(m.rho) * m.rho
-    failures = []
-    if not dense_equal_mod(left, right, list(m.gen_orders) * A.rank ** 2):
-        failures.append("coassociativity: (Delta (x) id) rho != (id (x) rho) rho")
-    if not dense_equal_mod(A.counit.kron(eye_v) * m.rho, eye_v, m.gen_orders):
-        failures.append("counit: (eps (x) id) rho != id")
-    return tuple(failures)
-
-
-def dense_is_morphism(src, dst, f):
-    right = Matrix.identity(f.ring, src.coalgebra.rank).kron(f) * src.rho
-    return dense_equal_mod(dst.rho * f, right,
-                           list(dst.gen_orders) * src.coalgebra.rank)
-
+# -- the sparse checks against the dense Kronecker oracles --------------------
 
 def perturbed(m, i, j, by):
     data = [list(row) for row in m.data]

@@ -411,6 +411,31 @@ class TestLaziness:
         for A in residuals:
             assert all(abs(x) != 1 for row in A.data for x in row)
 
+    def test_les_eliminates_full_differentials_once(self, monkeypatch):
+        """les reads each module from the divisors of the reduction's
+        residual differentials: after the reduction itself, every
+        _sparse_divisors input is residual-sized, never a full boundary."""
+        sizes = []
+        real = linalg._sparse_divisors
+
+        def counted(rows, ring):
+            rows = list(rows)
+            sizes.append(len(rows))
+            return real(rows, ring)
+        for module in ("linalg", "simplicial", "reduction"):
+            monkeypatch.setattr("tannakit.%s._sparse_divisors" % module, counted)
+        monkeypatch.setattr("tannakit.simplicial._PAIR_CACHE", {})
+        p = pair(KLEIN, sub(KLEIN, ("k00",)))
+        for ring in (ZZ, QQ):
+            sizes.clear()
+            assert les_exactness(p, ring).ok
+            complexes = [pair_homology(q, ring).complex
+                         for q in (SimplicialPair(p.Z), SimplicialPair(p.X), p)]
+            residual = max(len(cells) for c in complexes
+                           for cells in c._reduction.cells.values())
+            assert sizes and max(sizes) <= residual < complexes[1].rank(1)
+            assert all(c._divisors == {} for c in complexes)
+
     def test_homology_builds_no_reduction(self, monkeypatch):
         from tannakit.cli import homology_table
         monkeypatch.setattr("tannakit.simplicial._PAIR_CACHE", {})

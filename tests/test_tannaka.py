@@ -11,7 +11,7 @@ from tannakit.errors import AxiomViolation, NonFreeVertex
 from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap, _nonzero_columns
 from tannakit.simplicial import SimplicialMap, SimplicialPair
 from tannakit.tannaka import (
-    Coaction, CoalgebraTrunc, Diagram, DiagramRep, Subdiagram,
+    CoalgebraTrunc, Comodule, Diagram, DiagramRep, Subdiagram,
     build_pairs_diagram, coaction, check_coaction_axioms, dual_coalgebra,
     end_algebra, factorization_check, transition_map,
 )
@@ -19,7 +19,10 @@ from tannakit.tannaka import (
 import spaces
 from spaces import CIRCLE3, CIRCLE_POINT, EDGE, EDGE_ENDS, POINT, RP2, pair, sub
 
-from oracles import brute_commutant, dense_structure_constants
+from oracles import (
+    brute_commutant, dense_comodule_failures, dense_is_morphism, dense_structure_constants,
+    dense_transition_coaction,
+)
 
 
 def synthetic(ring, ranks, edges):
@@ -273,15 +276,9 @@ def sparse_coalgebra_verdict(ring, rank, delta, counit):
 
 
 def dense_coaction_axioms(co):
-    A = co.coalgebra
-    eye_v = Matrix.identity(A.ring, co.rho.cols)
-    left = A.delta.kron(eye_v) * co.rho
-    right = Matrix.identity(A.ring, A.rank).kron(co.rho) * co.rho
-    return left == right, A.counit.kron(eye_v) * co.rho == eye_v
-
-
-def dense_edge_ok(A, rho_dst, rho_src, m):
-    return rho_dst * m == Matrix.identity(A.ring, A.rank).kron(m) * rho_src
+    """check_coaction_axioms' verdict from the dense oracle's failures."""
+    failures = " ".join(dense_comodule_failures(co))
+    return "coassociativity" not in failures, "counit" not in failures
 
 
 def dense_transition_ok(tm, rho_f, rho_g):
@@ -289,7 +286,7 @@ def dense_transition_ok(tm, rho_f, rho_g):
     and (t (x) id) rho_F = rho_G."""
     t = tm.matrix
     return (tm.target.delta * t == t.kron(t) * tm.source.delta
-            and t.kron(Matrix.identity(t.ring, rho_f.cols)) * rho_f == rho_g)
+            and dense_transition_coaction(t, rho_f, rho_g))
 
 
 def perturbed(m, i, j, by=1):
@@ -307,15 +304,14 @@ def assert_sparse_matches_dense(rep, subs, ends):
         A = E.coalgebra()
         assert dense_coalgebra_verdict(A.ring, A.rank, A.delta, A.counit) is None
         assert sparse_coalgebra_verdict(A.ring, A.rank, A.delta, A.counit) is None
-        rhos = {}
+        cos = {}
         for v in sdg.vertices:
-            co = coaction(rep, sdg, v, E)
-            rhos[v] = co.rho
+            cos[v] = co = coaction(rep, sdg, v, E)
             assert check_coaction_axioms(co) == dense_coaction_axioms(co) == (True, True)
         cert = factorization_check(rep, sdg, E)
         assert cert.ok
         for (edge, src, dst, _kind) in sdg.edges:
-            assert dense_edge_ok(A, rhos[dst], rhos[src], rep.edge_map(edge).matrix)
+            assert dense_is_morphism(cos[src], cos[dst], rep.edge_map(edge).matrix)
     for f, F in subs.items():
         for g, G in subs.items():
             if F.is_subset_of(G):
@@ -370,12 +366,11 @@ class TestSparseAgainstDense:
             old = rep.maps[name]
             rep.maps[name] = ModuleMap(old.source, old.target, perturbed(old.matrix, 0, 0))
             cert = factorization_check(rep, sdg, E)
-            A = E.coalgebra()
-            rhos = {v: coaction(rep, sdg, v, E).rho for v in sdg.vertices}
+            cos = {v: coaction(rep, sdg, v, E) for v in sdg.vertices}
             for (edge, s, d, _k) in sdg.edges:
                 bad = "edge %r is not a comodule morphism" % (edge,) in cert.violations
-                assert bad == (not dense_edge_ok(A, rhos[d], rhos[s],
-                                                 rep.edge_map(edge).matrix))
+                assert bad == (not dense_is_morphism(cos[s], cos[d],
+                                                     rep.edge_map(edge).matrix))
 
 
 def matrix_coalgebra(ring, rank=2):
@@ -428,7 +423,7 @@ class TestSparseRejects:
         rejected = 0
         for i in range(co.rho.rows):
             for j in range(co.rho.cols):
-                bad = Coaction(co.coalgebra, "v", co.module, perturbed(co.rho, i, j))
+                bad = Comodule(co.coalgebra, co.gen_orders, perturbed(co.rho, i, j))
                 verdict = check_coaction_axioms(bad)
                 assert verdict == dense_coaction_axioms(bad)
                 rejected += verdict != (True, True)
@@ -450,7 +445,7 @@ class TestSparseRejects:
             def corrupt(rep, sdg, v, E=None, A=None, bad_rho=bad_rho):
                 co = honest(rep, sdg, v, E, A)
                 if sdg is G and v == "g":
-                    co = Coaction(co.coalgebra, v, co.module, bad_rho)
+                    co = Comodule(co.coalgebra, co.gen_orders, bad_rho)
                 return co
             monkeypatch.setattr(tannaka, "coaction", corrupt)
             assert not dense_transition_ok(tm, rho_f, bad_rho)
@@ -553,6 +548,60 @@ class TestStructureConstants:
             E.structure_constants()
 
 
+def one_entry_moved(data, m, ring):
+    """m with one drawn entry moved by a drawn nonzero scalar."""
+    by = data.draw(st.sampled_from([1, -2] + ([Fraction(1, 3)] if ring == QQ else [])))
+    return perturbed(m, data.draw(st.integers(0, m.rows - 1)),
+                     data.draw(st.integers(0, m.cols - 1)), by)
+
+
+class TestComoduleIdentities:
+    """The sparse comodule verdicts against the dense Kronecker oracles on
+    generated diagrams: the coaction axioms, every edge morphism and the
+    transition compatibility from the first vertex's subdiagram, honest and
+    with one entry of a rho or of an edge matrix moved."""
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    @settings(max_examples=40, deadline=None)
+    @given(small_diagrams(), st.data())
+    def test_equal_dense_oracles(self, ring, diagram, data):
+        names, ranks, edges = diagram
+        dia, rep = synthetic(ring, ranks, edges)
+        G, F = Subdiagram(dia, names), Subdiagram(dia, names[:1])
+        EG, EF = end_algebra(rep, G), end_algebra(rep, F)
+        assert factorization_check(rep, G, EG).ok
+        t = transition_map(rep, EF, EG).matrix
+        cos = {v: coaction(rep, G, v, EG) for v in names}
+        f0 = coaction(rep, F, names[0], EF)
+        assert dense_transition_coaction(t, f0.rho, cos[names[0]].rho)
+        v = data.draw(st.sampled_from(names))
+        bad = Comodule(cos[v].coalgebra, cos[v].gen_orders, one_entry_moved(data, cos[v].rho, ring))
+        for co in (cos[v], bad):
+            assert check_coaction_axioms(co) == dense_coaction_axioms(co)
+        assert check_coaction_axioms(cos[v]) == (True, True)
+        for (name, s, d, _kind) in G.edges:
+            m = rep.edge_map(name).matrix
+            assert dense_is_morphism(cos[s], cos[d], m)
+            src, dst = (bad if s == v else cos[s]), (bad if d == v else cos[d])
+            assert tannaka._intertwines(src, dst, m=m) == dense_is_morphism(src, dst, m)
+        bad_f = Comodule(f0.coalgebra, f0.gen_orders, one_entry_moved(data, f0.rho, ring))
+        g0 = bad if v == names[0] else cos[names[0]]
+        for f, g in ((bad_f, cos[names[0]]), (f0, g0)):
+            assert (tannaka._intertwines(f, g, t=t)
+                    == dense_transition_coaction(t, f.rho, g.rho))
+        if G.edges:
+            # an edge map moved after End was built: the certificate names
+            # exactly the edges the dense identity rejects
+            name, s, d, _kind = data.draw(st.sampled_from(G.edges))
+            old = rep.maps[name]
+            rep.maps[name] = ModuleMap(old.source, old.target,
+                                       one_entry_moved(data, old.matrix, ring))
+            cert = factorization_check(rep, G, EG)
+            for (edge, s, d, _kind) in G.edges:
+                named = "edge %r is not a comodule morphism" % (edge,) in cert.violations
+                assert named == (not dense_is_morphism(cos[s], cos[d], rep.edge_map(edge).matrix))
+
+
 def fractional_coalgebra(m):
     """The Q coalgebra of End(v, l) for one loop l = m, whose reduced echelon
     basis has non-integer entries; with its subdiagram and End algebra."""
@@ -588,7 +637,7 @@ class TestIntegerContraction:
         rejected = 0
         for i in range(co.rho.rows):
             for j in range(co.rho.cols):
-                bad = Coaction(co.coalgebra, "v", co.module,
+                bad = Comodule(co.coalgebra, co.gen_orders,
                                perturbed(co.rho, i, j, Fraction(1, 3)))
                 verdict = check_coaction_axioms(bad)
                 assert verdict == dense_coaction_axioms(bad)
@@ -613,3 +662,28 @@ class TestBuildOnce:
         assert coaction(ctx.rep, sdg, "g", E).coalgebra is A
         assert ctx.coalgebra(sdg) is A
         assert built == []
+
+    def test_canonical_comodule_built_once(self, monkeypatch):
+        """One Comodule per (End algebra, vertex), however often the coaction
+        checks, factorization_check, transition_map and Corpus.comodule
+        ask for it."""
+        corpus = Corpus(default_corpus_text())
+        ctx, F = corpus.subdiagram("F1", QQ)
+        _, G = corpus.subdiagram("F2", QQ)
+        EF, EG = ctx.end(F), ctx.end(G)
+        built = []
+        init = Comodule.__init__
+
+        def counted(self, *args):
+            built.append(args)
+            init(self, *args)
+        monkeypatch.setattr(Comodule, "__init__", counted)
+        for _ in range(2):
+            for E, sdg in ((EF, F), (EG, G)):
+                for v in sdg.vertices:
+                    assert check_coaction_axioms(coaction(ctx.rep, sdg, v, E)) == (True, True)
+                assert factorization_check(ctx.rep, sdg, E).ok
+            transition_map(ctx.rep, EF, EG)
+            _, com_g = corpus.comodule("com_g", QQ)
+            assert com_g is coaction(ctx.rep, F, "g", EF, EF.coalgebra())
+        assert len(built) == len(F.vertices) + len(G.vertices)
