@@ -6,15 +6,16 @@ multiplication-by-sigma directed system standing in for localization.
 The product of truncations is computed on the algebra side: restrict a
 compatible family to the product vertices, conjugate through the Kunneth
 isomorphisms, read the result inside End(V) (x) End(W), and solve its
-coordinates in the subspace End(T|F) (x) End(T|G).  Failure of that
-membership is reported as ProductEscape, never silently projected.
+coordinates in the subspace End(T|F) (x) End(T|G) by two solves, one in
+each factor's basis, with the two End algebras' own solvers.  Failure of
+that membership is reported as ProductEscape, never silently projected.
 """
 
 from .errors import (
     InputError, MissingProducts, NotGoodPair, ProductEscape, WrongRank,
 )
 from .linalg import (
-    QQ, ZZ, Matrix, _Solver, solve, tensor_swap,
+    QQ, ZZ, Matrix, _Solver, tensor_swap,
 )
 from .simplicial import (
     SimplicialMap, SimplicialPair, induced_map_on_homology, pair_homology,
@@ -262,70 +263,59 @@ class MuFragment:
         return self.matrix.apply(vec)
 
 
-def _end_tensor_basis(ctx, EF, EG, pairs_order):
-    """Columns spanning End(T|F) (x) End(T|G) inside the flat product space."""
-    rep = ctx.rep
-    cols = []
-    for i in range(EF.dim):
-        for j in range(EG.dim):
-            flat = []
-            for (v, w) in pairs_order:
-                mv = EF.component(i, v)
-                mw = EG.component(j, w)
-                kr = mv.kron(mw)
-                for r in range(kr.rows):
-                    flat.extend(kr.row(r))
-            cols.append(tuple(flat))
-    return cols
+def _tensor_coordinates(columns, SF, SG):
+    """x with Y = B_F x B_G^T, for Y given by its columns, as the flat tuple
+    of the x_ij (i * dim G + j), or None: the columns of Y are solved in B_F,
+    then the rows of that in B_G, by the solvers SF and SG of the bases."""
+    Z = [SF.solve(col) for col in columns]
+    if None in Z:
+        return None
+    X = [SG.solve(row) for row in zip(*Z)]
+    return None if None in X else tuple(x for row in X for x in row)
 
 
 def product_on_truncations(ctx: PairsContext, subF, subG, subH) -> MuFragment:
     """Restriction-to-products read through the Kunneth isomorphisms, dualized.
 
     Every product vertex v x w (v in F, w in G) must be registered and lie in
-    H; tau data is computed on demand.  ProductEscape (with an integral flag
-    over Z) reports a family whose restriction leaves the tensor subspace.
+    H; tau data is computed on demand.  Family k of End(T|H), conjugated by
+    tau at each v x w, is a matrix Y with rows in End(T|F)'s flat layout
+    (v, a, c) and columns in End(T|G)'s (w, b, d), and Y = B_F x B_G^T for
+    the row k of mu, x.  ProductEscape (with an integral flag over Z, from
+    the same two solves over Q) reports a family with no such x.
     """
     rep = ctx.rep
-    ring = ctx.ring
     EF, EG, EH = ctx.end(subF), ctx.end(subG), ctx.end(subH)
-    pairs_order = [(v, w) for v in subF.vertices for w in subG.vertices]
     hvs = set(subH.vertices)
-    taus = {}
-    for (v, w) in pairs_order:
-        vw = ctx.product_vertex(v, w)
-        if vw not in hvs:
-            raise MissingProducts("product vertex %r of (%r, %r) is outside H"
-                                  % (vw, v, w))
-        taus[(v, w)] = ctx.tau(v, w)
-    gen_cols = _end_tensor_basis(ctx, EF, EG, pairs_order)
-    width = len(gen_cols[0]) if gen_cols else 0
-    gens = Matrix.from_columns(ring, gen_cols, rows=width)
-    solver = _Solver(gens)
-    pi_cols = []
-    for k in range(EH.dim):
-        flat = []
-        for (v, w) in pairs_order:
+    conj = {v: [] for v in subF.vertices}    # (rank w, v x w, tau, tau^-1) over w in G
+    for v in subF.vertices:
+        for w in subG.vertices:
             vw = ctx.product_vertex(v, w)
-            t = taus[(v, w)]
-            comp = EH.component(k, vw)
-            m = t.matrix * comp * t.inverse
-            # m acts on T(v) (x) T(w); the generator columns flatten the
-            # corresponding Kronecker matrices the same row-major way
-            for r in range(m.rows):
-                flat.extend(m.row(r))
-        sol = solver.solve(tuple(flat))
+            if vw not in hvs:
+                raise MissingProducts("product vertex %r of (%r, %r) is outside H"
+                                      % (vw, v, w))
+            t = ctx.tau(v, w)
+            conj[v].append((rep.rank(w), vw, t.matrix, t.inverse))
+    mu = []
+    for k in range(EH.dim):
+        # row (v, a, c) of Y holds entry ((a, b), (c, d)) of each conjugated
+        # block of family k at its column (w, b, d)
+        Y = []
+        for v in subF.vertices:
+            blocks = [(rw, tm * EH.component(k, vw) * ti) for rw, vw, tm, ti in conj[v]]
+            Y += [[m[a * rw + b, c * rw + d] for rw, m in blocks
+                   for b in range(rw) for d in range(rw)]
+                  for a in range(rep.rank(v)) for c in range(rep.rank(v))]
+        columns = list(zip(*Y))
+        sol = _tensor_coordinates(columns, EF._solver, EG._solver)
         if sol is None:
-            integral = False
-            if ring == ZZ:
-                qsol = solve(gens.to_ring(QQ), tuple(flat))
-                integral = qsol is not None
+            integral = ctx.ring == ZZ and _tensor_coordinates(
+                columns, *(_Solver(E.basis.to_ring(QQ)) for E in (EF, EG))) is not None
             raise ProductEscape(
                 "family %d of End(T|H) leaves End(T|F) (x) End(T|G)" % k,
                 integral=integral)
-        pi_cols.append(tuple(sol))
-    pi = Matrix.from_columns(ring, pi_cols, rows=EF.dim * EG.dim)
-    return MuFragment(EF, EG, EH, pi.transpose())
+        mu.append(sol)
+    return MuFragment(EF, EG, EH, Matrix(ctx.ring, mu, EH.dim, EF.dim * EG.dim))
 
 
 # -- bialgebra certificate -----------------------------------------------------
@@ -470,8 +460,8 @@ class SigmaElement:
 def sigma_element(ctx: PairsContext, sub) -> SigmaElement:
     """The coalgebra element with rho(g) = sigma (x) g at the circle vertex.
 
-    Asserts independence of the generator sign and the grouplike identities
-    Delta sigma = sigma (x) sigma, eps(sigma) = 1.
+    Asserts the grouplike identities Delta sigma = sigma (x) sigma and
+    eps(sigma) = 1.
     """
     c = ctx.circle
     if c is None or c not in sub.vertices:
@@ -482,10 +472,6 @@ def sigma_element(ctx: PairsContext, sub) -> SigmaElement:
     A = ctx.coalgebra(sub)
     co = coaction(ctx.rep, sub, c, E, A)
     coords = tuple(co.rho[i, 0] for i in range(A.rank))
-    # generator sign flip: conjugating the rank-1 module by -1 fixes rho
-    flipped = tuple((-1) * co.rho[i, 0] * (-1) for i in range(A.rank))
-    if flipped != coords:
-        raise AssertionError("sigma depends on the generator sign")
     if not A.grouplike_defect(coords).is_zero():
         raise AssertionError("sigma is not grouplike")
     if A.counit_of(coords) != 1:

@@ -5,24 +5,23 @@ fractions.Fraction over Q); nothing here ever rounds or overflows.  Provides
 Smith normal form with unimodular transforms, Hermite/echelon canonical
 bases, kernels, exact solving, finitely generated modules presented by
 invariant factors, module maps and subquotients.  One reduction, _echelon,
-does all row reduction, on sparse integer rows: the Hermite form of the row
-lattice over Z, the reduced row echelon form over Q.  rref, hnf_columns,
-echelon_columns and Q kernels read it, and so does _column_reduce, of A
-stacked on the identity, which gives Z kernels and the echelon image basis
-in which every solve is a substitution.  Invariant factors alone come from a
-sparse elimination of unit pivots (elementary_divisors, _sparse_divisors),
-with Smith normal form (Z) or _echelon (Q) only on what is left.  That
-elimination is _unit_pivots; tannakit.reduction runs it on each differential
-of a chain complex and reads a chain-level reduction off its pivots.  Smith
-normal form keeps its own dense elimination, on A bordered by the
+does all row reduction on sparse integer rows (the Hermite form over Z, the
+reduced echelon form over Q); rref, hnf_columns, echelon_columns, Q kernels
+and _column_reduce (A stacked on the identity: Z kernels, image bases) read
+it.  One reader, _Solver, reads every coordinate, in integers, at the pivots
+of a canonical basis, or of _column_reduce's image basis for any other A.
+Invariant factors alone come from a sparse elimination of unit pivots,
+_unit_pivots, with Smith normal form (Z) or _echelon (Q) on what is left;
+tannakit.reduction reads a chain-level reduction off the same pivots.
+Smith normal form keeps its own dense elimination, on A bordered by the
 identities that become U and V; U^-1 and V^-1 are computed only when read.
-Chain complexes keep their differentials as sparse integer columns
-{row: coeff}; _compose multiplies two such maps, and Matrix.from_sparse
-gives the dense view.  A homology module of a free complex is eager and
-its cycle basis is lazy: Subquotient.free reads the module from elementary
-divisors and asks for the boundary matrices on the first class_of or lift.
+Chain complexes keep differentials as sparse integer columns {row: coeff}.
+A homology module of a free complex is eager and its cycle basis lazy:
+Subquotient.free reads the module from elementary divisors and builds the
+cycle basis on the first class_of or lift.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm, prod
@@ -37,17 +36,13 @@ RINGS = (ZZ, QQ)
 
 def _coerce(ring, x):
     t = type(x)    # isinstance(x, Fraction) goes through the slow ABC check
-    if ring == ZZ:
-        if t is int:
-            return x
-        if isinstance(x, Fraction):
-            if x.denominator != 1:
-                raise ValueError("non-integer entry %r in an integer matrix" % (x,))
-            return int(x)
-        return int(x)
-    if t is Fraction:
+    if ring == QQ:
+        return x if t is Fraction else Fraction(x)
+    if t is int:
         return x
-    return Fraction(x)
+    if isinstance(x, Fraction) and x.denominator != 1:
+        raise ValueError("non-integer entry %r in an integer matrix" % (x,))
+    return int(x)
 
 
 class Matrix:
@@ -79,8 +74,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring, n):
-        one = 1 if ring == ZZ else Fraction(1)
-        zero = 0 if ring == ZZ else Fraction(0)
+        one, zero = _coerce(ring, 1), _coerce(ring, 0)
         return cls(ring, tuple(tuple(one if i == j else zero for j in range(n))
                                for i in range(n)), n, n)
 
@@ -128,15 +122,13 @@ class Matrix:
         return self.data[i]
 
     def col(self, j):
-        return tuple(self.data[i][j] for i in range(self.rows))
+        return tuple(row[j] for row in self.data)
 
     def is_zero(self):
-        return all(all(x == 0 for x in row) for row in self.data)
+        return not any(map(any, self.data))
 
     def transpose(self):
-        return Matrix(self.ring,
-                      tuple(tuple(self.data[i][j] for i in range(self.rows))
-                            for j in range(self.cols)),
+        return Matrix(self.ring, list(zip(*self.data)) or [()] * self.cols,
                       self.cols, self.rows)
 
     def to_ring(self, ring):
@@ -699,62 +691,83 @@ def _null_vectors(pivots, rows, n):
 
 
 class _Solver:
-    """Reusable exact solver for A x = b with fixed A.
+    """Coordinates in the columns of a fixed A: the one exact reader.
 
-    When every column j has a pivot row, nonzero in column j and zero in all
-    later columns, the columns are independent: x is found by forward
-    substitution on those rows and checked on every row.  Bases from
-    kernel, hnf_columns and echelon_columns all have this shape.  Any other A
-    is replaced by the image columns H of _column_reduce, which have it, and
-    the solution y of H y = b is returned as T y.
+    Columns are kept as integers {row: int}, column k times the lcm s_k of
+    its denominators, each with its own pivot row.  Over Z that is its first
+    nonzero row (the Hermite shape of kernel and hnf_columns), and a vector
+    is read by exact divmod steps at the smallest nonzero residual row.
+    Over Q it is a row where no other column is nonzero (echelon columns,
+    the free-column kernel, the identity): the coordinate is the entry
+    there, and one integer residual checks them all.  Any other A is
+    replaced by the image H of _column_reduce, and solve returns T y.
     """
 
     def __init__(self, A):
-        self.ring = A.ring
-        self.T = None
-        if not self._load_rows(A):
+        self.ring, self.rows, self.T, self.zero = A.ring, A.rows, None, _coerce(A.ring, 0)
+        if not self._load(A):
             H, self.T, _ = _column_reduce(A)
-            self._load_rows(H)
+            self._load(H)
 
-    def _load_rows(self, A):
-        """Sparse rows of A and a pivot row per column; False if one lacks it."""
-        self.rows = [[(j, x) for j, x in enumerate(row) if x] for row in A.data]
-        pivot_rows = {}
-        for i, row in enumerate(self.rows):
-            if row:
-                pivot_rows.setdefault(row[-1][0], i)
-        self.pivot_rows = [pivot_rows.get(j) for j in range(A.cols)]
-        return None not in self.pivot_rows
+    def _load(self, A):
+        """Keep A's columns, scales and pivots; False if one lacks its own."""
+        cols = _nonzero_columns(A)
+        self.scales = [lcm(*(x.denominator for x in c.values())) for c in cols]
+        self.columns = cols = _integral(cols)           # rows ascend in each column
+        # Z: a column's first row; Q: its first row that no other column meets
+        count = Counter(i for c in cols for i in c) if self.ring == QQ else {}
+        self.pivots = {next((i for i in c if count.get(i, 1) == 1), None): k
+                       for k, c in enumerate(cols)}
+        self.lift = lcm(*(cols[k][p] for p, k in self.pivots.items() if p is not None))
+        return None not in self.pivots and len(self.pivots) == len(cols)
+
+    def coordinates(self, vec, denom=1):
+        """{k: x_k != 0} with sum_k x_k col_k = vec / denom, for integer
+        nonzeros vec {row: int}, or None; in H's columns when T is set."""
+        x, cols, pivots = {}, self.columns, self.pivots
+        if self.ring == QQ:
+            res = {i: self.lift * y for i, y in vec.items()}
+            for c, y in vec.items():       # only the pivots that vec reaches
+                k = pivots.get(c)
+                if k is not None:
+                    x[k] = Fraction(y * self.scales[k], denom * cols[k][c])
+                    f = y * (self.lift // cols[k][c])
+                    for i, w in cols[k].items():
+                        res[i] = res.get(i, 0) - f * w
+            return None if any(res.values()) else x
+        res = dict(vec)
+        while res:
+            c = min(res)
+            k = pivots.get(c)
+            if k is None:
+                return None
+            x[k], rem = divmod(res[c], denom * cols[k][c])
+            if rem:
+                return None
+            f = x[k] * denom
+            for i, w in cols[k].items():
+                res[i] = res.get(i, 0) - f * w
+            res = {i: v for i, v in res.items() if v}
+        return x
 
     def solve(self, b):
-        if len(b) != len(self.rows):
+        """One exact x with A x = b, a tuple over A's ring, or None."""
+        if len(b) != self.rows:
             raise ValueError("rhs length mismatch")
-        x = []
-        b = [_coerce(self.ring, y) if y else 0 for y in b]
-        for i in self.pivot_rows:
-            row = self.rows[i]
-            s = b[i] - sum(a * x[j] for j, a in row[:-1] if x[j])
-            x.append(s / row[-1][1] if self.ring == QQ else s // row[-1][1])
-        # every row, pivot rows too: over Z a floor division that was not
-        # exact leaves a residual in its own pivot row
-        for row, y in zip(self.rows, b):
-            if sum(a * x[j] for j, a in row if x[j]) != y:
-                return None
-        return tuple(x) if self.T is None else self.T.apply(x)
+        b = {i: _coerce(self.ring, y) for i, y in enumerate(b) if y}
+        d = lcm(*(y.denominator for y in b.values()))
+        x = self.coordinates({i: y.numerator * (d // y.denominator) for i, y in b.items()}, d)
+        if x is not None:
+            x = tuple(x.get(k, self.zero) for k in range(len(self.columns)))
+            return x if self.T is None else self.T.apply(x)
 
 
 def solve(A, b):
-    """One exact solution of A x = b over A's ring, or None."""
+    """One exact x with A x = b over A's ring (over Z, in the lattice), or None."""
     return _Solver(A).solve(b)
 
 
-def solve_in_submodule(gens, v):
-    """Coordinates c with gens*c = v over the ring of gens, or None.
-
-    Over Z this is membership of v in the subgroup generated by the columns;
-    over Q it is membership in the linear span.
-    """
-    return solve(gens, v)
+solve_in_submodule = solve
 
 
 # ---------------------------------------------------------------------------
@@ -873,16 +886,9 @@ def module_from_relations(ring, ngens, relations):
             eye = Matrix.identity(ZZ, ngens)
             return mod, eye, eye
         form = smith_normal_form(relations)
-        diag = [form.D[i, i] for i in range(min(ngens, relations.cols))]
-        keep = []
-        torsion = []
-        for i in range(ngens):
-            d = diag[i] if i < len(diag) else 0
-            if d == 1:
-                continue
-            keep.append(i)
-            if d > 1:
-                torsion.append(d)
+        diag = [form.D[i, i] if i < relations.cols else 0 for i in range(ngens)]
+        keep = [i for i, d in enumerate(diag) if d != 1]
+        torsion = [d for d in diag if d > 1]
         mod = FgModule(ZZ, len(keep) - len(torsion), torsion)
         to_normal = form.U.take_rows(keep)
         from_normal = form.Uinv.take_cols(keep)

@@ -7,20 +7,21 @@ endomorphism families inside the product of the vertex endomorphism rings;
 its dual carries the coalgebra structure, every vertex module the canonical
 comodule rho(x) = sum_i e_i* (x) (e_i . x), built once per End algebra and
 vertex, and inclusions of subdiagrams dualize to transition maps.  Bases are
-canonical (Hermite over Z, reduced echelon over Q), so products of basis
-families are read at the basis pivots.  Comodule is the one comodule type:
+canonical (Hermite over Z, reduced echelon over Q), each from one kernel
+call, and every coordinate in them (the unit, coordinates(), the products of
+basis families, transition maps) is read by the End algebra's one
+linalg._Solver at the basis pivots.  Comodule is the one comodule type:
 the coalgebra and comodule axioms and the comodule morphism identities are
 sparse contractions over nonzeros, over Q in integers scaled by common
 denominators, and the dense comultiplication is built only when read.
 """
 
-from fractions import Fraction
 from math import lcm
 
 from .errors import AxiomViolation, DimensionMismatch, InputError, NonFreeVertex, NotNested
 from .linalg import (
     QQ, ZZ, FgModule, Matrix, ModuleMap, _nonzero_columns, _order_relations, _Solver,
-    echelon_columns, elementary_divisors, kernel,
+    elementary_divisors, kernel,
 )
 from .simplicial import induced_map_on_homology, relative_homology, triple_boundary
 
@@ -164,14 +165,17 @@ class EndAlgebra:
     """Families of edge-compatible endomorphisms over a finite subdiagram.
 
     The basis spans the solution module of T(e) phi_v = phi_w T(e) inside
-    the direct sum of End(T(v)); over Z it is saturated (kernel of an
-    integer matrix) and reduced to Hermite form, over Q to reduced echelon.
-    In both forms each basis column has a pivot, its first nonzero row,
-    where every later column is zero (and over Q every other column).
-    Structure constants, read at those pivots from sparse products, the
-    dual coalgebra and the canonical comodule at each vertex are computed on
-    first use and kept; coordinates() solves any other family against the
-    basis.
+    the direct sum of End(T(v)), from one kernel call: over Z it is the
+    saturated Hermite basis of the kernel, over Q the reduced column
+    echelon basis, read off the kernel of the constraint matrix taken
+    backwards.  In both forms each basis column has a pivot, its first
+    nonzero row, where every later column is zero (and over Q every other
+    column).  One _Solver on the basis, kept, reads every coordinate in it:
+    the unit, coordinates(), the structure constants of sparse products,
+    the restricted families of transition_map and the two solves of
+    bialgebra.product_on_truncations.  Structure constants, the dual
+    coalgebra and the canonical comodule at each vertex are computed on
+    first use and kept.
     """
 
     __slots__ = ("rep", "sub", "ring", "order", "offsets", "total", "basis",
@@ -205,11 +209,13 @@ class EndAlgebra:
                     for k in range(rd):
                         row[offsets[dst] + i * rd + k] -= m[k, j]
                     rows.append(row)
-        if rows:
-            # a Z kernel is already in Hermite form
-            basis = kernel(Matrix(self.ring, rows, len(rows), self.total))
-            if self.ring == QQ and basis.cols:
-                basis = echelon_columns(basis)
+        if rows and self.ring == ZZ:
+            basis = kernel(Matrix(ZZ, rows, len(rows), self.total))    # Hermite
+        elif rows:
+            # the free-column kernel basis of the matrix read backwards (rows
+            # and columns), read backwards, is the reduced column echelon basis
+            K = kernel(Matrix(QQ, [r[::-1] for r in rows[::-1]], len(rows), self.total))
+            basis = Matrix(QQ, [r[::-1] for r in K.data[::-1]], K.rows, K.cols)
         else:
             basis = Matrix.identity(self.ring, self.total)
         self.basis = basis
@@ -246,23 +252,16 @@ class EndAlgebra:
         """{(i, j): {k: c_ij^k}}: the coordinates of e_i * e_j over their
         nonzeros, for every pair whose product is not zero.
 
-        Each family is kept as the sparse rows of its vertex blocks, over Q
-        scaled to a primitive integer column w_k = s_k e_k, and only the
-        pairs whose blocks meet are multiplied.  Coordinates are read at the
-        basis pivots and checked by one integer residual (_pivot_entries
-        over Q, _hermite_coordinates over Z); a product outside the span
+        Each family is kept as the sparse rows of its vertex blocks, from the
+        integer columns w_k = s_k e_k that the basis's _Solver keeps, and only
+        the pairs whose blocks meet are multiplied.  The solver reads
+        w_i w_j / (s_i s_j) at the basis pivots; a product outside the span
         raises AxiomViolation.
         """
         if self._structure is not None:
             return self._structure
-        cols = _nonzero_columns(self.basis)
-        if self.ring == QQ:
-            scales = [lcm(*(x.denominator for x in col.values())) for col in cols]
-            cols = [{i: x.numerator * (s // x.denominator) for i, x in col.items()}
-                    for s, col in zip(scales, cols)]
-            big = lcm(*scales)
-            lifts = [big // s for s in scales]
-        pivots = {min(col): k for k, col in enumerate(cols)}
+        solver = self._solver
+        cols, scales = solver.columns, solver.scales
         # flat index -> (vertex, row, column) of its block
         layout, where = [], []
         for vi, v in enumerate(self.order):
@@ -293,11 +292,7 @@ class EndAlgebra:
                 prod = _block_product(x, fams[j], layout)
                 if not prod:
                     continue
-                if self.ring == QQ:
-                    coords = _pivot_entries(prod, pivots, cols, big, lifts,
-                                            scales[i] * scales[j])
-                else:
-                    coords = _hermite_coordinates(prod, pivots, cols)
+                coords = solver.coordinates(prod, scales[i] * scales[j])
                 if coords is None:
                     raise AxiomViolation(
                         "product of basis families %d,%d escapes the span" % (i, j))
@@ -348,53 +343,6 @@ def _block_product(x, y, layout):
                 for c, q in yv.get(b, ()):
                     prod[base + c] = prod.get(base + c, 0) + p * q
     return {k: v for k, v in prod.items() if v}
-
-
-def _pivot_entries(prod, pivots, cols, big, lifts, denom):
-    """Coordinates {k: Fraction} of prod / denom in the Q basis e_k =
-    cols[k] / s_k (reduced echelon, cols primitive integer), or None.
-
-    The coordinate at pivot row p_k is prod[p_k] / denom.  It is exact iff
-    L prod = sum_k prod[p_k] (L / s_k) cols[k], with L the lcm of the s_k
-    and lifts[k] = L / s_k: one integer residual, checked here."""
-    coords, res = {}, {c: big * x for c, x in prod.items()}
-    for c, x in prod.items():
-        k = pivots.get(c)
-        if k is None:
-            continue
-        coords[k] = Fraction(x, denom)
-        f = x * lifts[k]
-        for i, w in cols[k].items():
-            res[i] = res.get(i, 0) - f * w
-    if any(res.values()):
-        return None
-    return coords
-
-
-def _hermite_coordinates(prod, pivots, cols):
-    """Coordinates {k: int} of prod in the integer basis cols (Hermite, each
-    column's pivot its first nonzero row), or None: exact divmod steps in
-    ascending pivot order, at the pivots where the running residual is
-    nonzero; a remainder or a residual entry off the pivots means prod is
-    not in the lattice."""
-    coords, res = {}, dict(prod)
-    while res:
-        c = min(res)
-        k = pivots.get(c)
-        if k is None:
-            return None
-        col = cols[k]
-        q, rem = divmod(res[c], col[c])
-        if rem:
-            return None
-        coords[k] = q
-        for i, w in col.items():
-            v = res.get(i, 0) - q * w
-            if v:
-                res[i] = v
-            else:
-                res.pop(i, None)
-    return coords
 
 
 def _vanishes(diff, r, orders, scale=1):

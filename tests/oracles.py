@@ -5,8 +5,9 @@ definitions, sharing no code path with the package: gcd-pivot diagonal
 reduction without transform tracking, elementary divisors via minor gcds,
 boundary matrices rebuilt from scratch, a dense commutant solver with its
 own elimination, and finite enumeration over Z/p.  A few keep a dense path
-the package replaced, such as End structure constants from dense block
-products solved by the package's dense solver.
+the package replaced: the dense row-substitution solver, End structure
+constants from dense block products solved by it, and the product of
+truncations solved against the dense Kronecker basis of End (x) End.
 """
 
 from fractions import Fraction
@@ -493,13 +494,72 @@ def brute_commutant(ranks, edges):
 
 # -- Z/p subquotient oracle --------------------------------------------------
 
+def oracle_column_reduce(A):
+    """(H, T, K) read from the dense oracle's reduction of A stacked on the
+    identity: dense_hnf_columns over Z, dense_rref of the transpose over Q.
+    A*T = H, H is the canonical image basis and K a kernel basis."""
+    from tannakit.linalg import ZZ, Matrix
+    m, n, ring = A.rows, A.cols, A.ring
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    if ring == ZZ:
+        cols = dense_hnf_columns([list(row) for row in A.data] + eye)
+    else:
+        R, pivots = dense_rref([list(A.col(j)) + eye[j] for j in range(n)])
+        cols = R[:len(pivots)]
+    image = [c for c in cols if any(c[:m])]
+    kern = [c[m:] for c in cols if not any(c[:m])]
+    return (Matrix.from_columns(ring, [c[:m] for c in image], rows=m),
+            Matrix.from_columns(ring, [c[m:] for c in image], rows=n),
+            Matrix.from_columns(ring, kern, rows=n))
+
+
+class DenseSolver:
+    """Exact solver for A x = b with fixed A, by dense forward substitution.
+
+    When every column j has a pivot row, nonzero in column j and zero in all
+    later columns, x is found by substitution on those rows and checked on
+    every row.  Any other A is replaced by the image columns H of
+    oracle_column_reduce, and the solution y of H y = b is returned as T y.
+    """
+
+    def __init__(self, A):
+        from tannakit.linalg import QQ
+        self.field = A.ring == QQ
+        self.T = None
+        if not self._load_rows(A):
+            H, self.T, _ = oracle_column_reduce(A)
+            self._load_rows(H)
+
+    def _load_rows(self, A):
+        self.rows = [[(j, x) for j, x in enumerate(row) if x] for row in A.data]
+        pivot_rows = {}
+        for i, row in enumerate(self.rows):
+            if row:
+                pivot_rows.setdefault(row[-1][0], i)
+        self.pivot_rows = [pivot_rows.get(j) for j in range(A.cols)]
+        return None not in self.pivot_rows
+
+    def solve(self, b):
+        x = []
+        b = [Fraction(y) if self.field else int(y) for y in b]
+        for i in self.pivot_rows:
+            row = self.rows[i]
+            s = b[i] - sum(a * x[j] for j, a in row[:-1] if x[j])
+            x.append(s / row[-1][1] if self.field else s // row[-1][1])
+        # every row, pivot rows too: over Z a floor division that was not
+        # exact leaves a residual in its own pivot row
+        for row, y in zip(self.rows, b):
+            if sum(a * x[j] for j, a in row if x[j]) != y:
+                return None
+        return tuple(x) if self.T is None else self.T.apply(x)
+
+
 def dense_structure_constants(E):
     """c[i][j] = coordinate tuple of e_i * e_j for a tannakit EndAlgebra E:
     every pair of basis families multiplied as dense vertex blocks, each
-    product solved against the whole basis by the package's dense solver,
-    with no use of the basis shape."""
-    from tannakit.linalg import _Solver
-    solver = _Solver(E.basis)
+    product solved against the whole basis by DenseSolver, with no use of
+    the basis shape."""
+    solver = DenseSolver(E.basis)
     rows = [[E.component(i, v).data for v in E.order] for i in range(E.dim)]
     cols = [[tuple(zip(*block)) for block in fam] for fam in rows]
     table = []
@@ -513,6 +573,38 @@ def dense_structure_constants(E):
             row.append(coords)
         table.append(row)
     return table
+
+
+def dense_product_on_truncations(ctx, subF, subG, subH):
+    """The matrix of mu: A_F (x) A_G -> A_H, or None when a family escapes:
+    each family of End(T|H), conjugated by tau at every v x w, solved by
+    DenseSolver against the columns kron(e_i at v, f_j at w) flattened over
+    the pairs (v, w), one column per pair (i, j) of basis families."""
+    from tannakit.linalg import Matrix
+    EF, EG, EH = ctx.end(subF), ctx.end(subG), ctx.end(subH)
+    pairs = [(v, w) for v in subF.vertices for w in subG.vertices]
+    gens = []
+    for i in range(EF.dim):
+        for j in range(EG.dim):
+            flat = []
+            for v, w in pairs:
+                kr = EF.component(i, v).kron(EG.component(j, w))
+                flat.extend(x for r in range(kr.rows) for x in kr.row(r))
+            gens.append(tuple(flat))
+    solver = DenseSolver(Matrix.from_columns(ctx.ring, gens,
+                                             rows=len(gens[0]) if gens else 0))
+    rows = []
+    for k in range(EH.dim):
+        flat = []
+        for v, w in pairs:
+            t = ctx.tau(v, w)
+            m = t.matrix * EH.component(k, ctx.product_vertex(v, w)) * t.inverse
+            flat.extend(x for r in range(m.rows) for x in m.row(r))
+        sol = solver.solve(tuple(flat))
+        if sol is None:
+            return None
+        rows.append(sol)
+    return Matrix(ctx.ring, rows, EH.dim, EF.dim * EG.dim)
 
 
 def modp_subquotient_size(p, gens_b, rel_b, m_in, m_out, rel_c):

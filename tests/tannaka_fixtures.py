@@ -6,10 +6,18 @@ and a rank-2 marked-circle vertex p2 with its self-product.
 """
 
 from tannakit.bialgebra import PairsContext
+from tannakit.linalg import _Solver
 from tannakit.simplicial import SimplicialMap, SimplicialPair, product_pair
 from tannakit.tannaka import Subdiagram, build_pairs_diagram
 
 from spaces import CIRCLE3, CIRCLE6, CIRCLE_POINT, EDGE, EDGE_ENDS, POINT, pair, sub
+
+
+def with_basis(E, basis):
+    """End algebra E with its basis replaced, and the solver that every
+    coordinate is read through rebuilt on it."""
+    E.basis, E._solver = basis, _Solver(basis)
+    return E
 
 
 def build_context(ring):

@@ -278,7 +278,7 @@ def test_criterion_10_sigma_suite(corpus):
     ok = True
     for name in ("SIGC", "F1", "F2"):
         ctx, sub = corpus.subdiagram(name, QQ)
-        sig = sigma_element(ctx, sub)    # asserts sign independence
+        sig = sigma_element(ctx, sub)    # sign independence: TestSigma.test_generator_sign_flip
         A = ctx.coalgebra(sub)
         if not A.grouplike_defect(sig.coords).is_zero():
             ok = False

@@ -1,19 +1,23 @@
 import pytest
 
+from tannakit import bialgebra
 from tannakit.bialgebra import (
     bialgebra_axiom_check, check_associativity, check_commutativity,
     check_fragment_bialgebra, check_tau_associativity, check_tau_symmetry,
     check_tau_unit, is_good_vertex, kunneth_tau, product_on_truncations,
     sigma_directed_system, sigma_element,
 )
-from tannakit.errors import MissingProducts, NotGoodPair, WrongRank
-from tannakit.linalg import QQ, ZZ, Matrix
+from tannakit.cli import default_corpus_text
+from tannakit.corpus import Corpus
+from tannakit.errors import MissingProducts, NotGoodPair, ProductEscape, WrongRank
+from tannakit.linalg import QQ, ZZ, Matrix, ModuleMap
 from tannakit.simplicial import SimplicialPair
-from tannakit.tannaka import Subdiagram, transition_map
+from tannakit.tannaka import DiagramRep, Subdiagram, transition_map
 
 import spaces
+from oracles import dense_product_on_truncations
 from spaces import RP2, pair
-from tannaka_fixtures import build_context
+from tannaka_fixtures import build_context, with_basis
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +124,45 @@ class TestMu:
             pass
 
 
+class TestMuOracle:
+    """mu from the two End solvers against the dense Kronecker-basis solve."""
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_tower_fragments(self, ring, monkeypatch):
+        built = []
+        product = bialgebra.product_on_truncations
+
+        def recorded(ctx, F, G, H):
+            mu = product(ctx, F, G, H)
+            built.append((ctx, F, G, H, mu))
+            return mu
+        monkeypatch.setattr(bialgebra, "product_on_truncations", recorded)
+        corpus = Corpus(default_corpus_text())
+        for name in ("main_tower", "sigma_tower"):
+            ctx, tower, unit = corpus.tower(name, ring)
+            assert bialgebra_axiom_check(ctx, tower, unit_vertex=unit).ok
+        ctx, P2 = corpus.subdiagram("P2", ring)
+        built.append((ctx, P2, P2, corpus.subdiagram("P22H", ring)[1], None))
+        assert len(built) == 6      # 4 on main_tower, 1 on sigma_tower, p2 x p2
+        for ctx, F, G, H, mu in built:
+            mu = mu or product(ctx, F, G, H)
+            assert mu.matrix == dense_product_on_truncations(ctx, F, G, H)
+
+    @pytest.mark.parametrize("drop, integral", [(False, True), (True, False)])
+    def test_escape_reports_integrality(self, drop, integral):
+        # End(T|P2) = M_2 with E_00 doubled spans it over Q but not over Z;
+        # without E_00 it does not span it over Q either
+        corpus = Corpus(default_corpus_text())
+        ctx, P2 = corpus.subdiagram("P2", ZZ)
+        E = ctx.end(P2)
+        cols = [E.basis.col(k) for k in range(E.dim)]
+        cols[0:1] = [] if drop else [tuple(2 * x for x in cols[0])]
+        with_basis(E, Matrix.from_columns(ZZ, cols, rows=E.basis.rows))
+        with pytest.raises(ProductEscape) as err:
+            product_on_truncations(ctx, P2, P2, corpus.subdiagram("P22H", ZZ)[1])
+        assert err.value.integral == integral
+
+
 class TestBialgebraCert:
     def test_tower(self, ctxq):
         ctx, tower = ctxq
@@ -163,6 +206,25 @@ class TestSigma:
             A = ctx.coalgebra(sub)
             assert A.grouplike_defect(sig.coords).is_zero()
             assert A.counit_of(sig.coords) == 1
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_generator_sign_flip(self, ring):
+        # negating every edge map with exactly one end at the circle vertex
+        # conjugates its rank-1 module by -1; sigma must not change
+        corpus = Corpus(default_corpus_text())
+        ctx, _ = corpus.subdiagram("SIGC", ring)
+        c, rep = ctx.circle, ctx.rep
+        maps = {}
+        for name, src, dst, _kind in ctx.diagram.edges:
+            f = rep.edge_map(name)
+            maps[name] = (ModuleMap(f.source, f.target, -f.matrix)
+                          if (src == c) != (dst == c) else f)
+        assert sum(maps[n] is not rep.edge_map(n) for n in maps) == 3
+        flipped = bialgebra.PairsContext(
+            ctx.diagram, DiagramRep(ctx.diagram, ring, rep.modules, maps), ctx.products, c)
+        for name in ("SIGC", "F1", "F2"):
+            sub = corpus.subdiagram(name, ring)[1]
+            assert sigma_element(flipped, sub).coords == sigma_element(ctx, sub).coords
 
     def test_wrong_rank(self, ctxq):
         ctx, tower = ctxq

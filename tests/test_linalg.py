@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,9 +14,9 @@ from tannakit.linalg import (
 )
 
 from oracles import (
-    dense_hnf_columns, dense_rref, dense_smith_normal_form, middle_swap_matrix,
-    minor_gcd_divisors, modp_subquotient_size, naive_diagonal, snf_kernel,
-    snf_solvable,
+    DenseSolver, dense_hnf_columns, dense_rref, dense_smith_normal_form,
+    middle_swap_matrix, minor_gcd_divisors, modp_subquotient_size, naive_diagonal,
+    oracle_column_reduce, snf_kernel, snf_solvable,
 )
 
 
@@ -510,6 +511,86 @@ any_ring_matrices = st.sampled_from((ZZ, QQ)).flatmap(
 
 
 @st.composite
+def coarse_lattices(draw):
+    """integer_matrices() with drawn columns multiplied by 2 or 3, so the
+    Hermite basis of the lattice often has a column of content g > 1."""
+    A = draw(integer_matrices())
+    f = [draw(st.sampled_from((1, 2, 3))) for _ in range(A.cols)]
+    return Matrix(ZZ, [[x * k for x, k in zip(row, f)] for row in A.data], A.rows, A.cols)
+
+
+def reader_rhs(A, rng):
+    """Right-hand sides for A: in the span, moved off it at one entry, and
+    over Z, for each column of content g > 1, that column over g (in the
+    span over Q; in the lattice only if another column makes up the rest)."""
+    rhs, z = [], A.ring == ZZ
+    for _ in range(3):
+        x = [rng.randint(-3, 3) if z else Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+             for _ in range(A.cols)]
+        b = list(A.apply(x))
+        rhs.append(tuple(b))
+        if b:
+            b[rng.randrange(len(b))] += rng.choice((1, 2, -1) if z else (1, Fraction(1, 2)))
+            rhs.append(tuple(b))
+    for j in range(A.cols if z else 0):
+        g = gcd(*A.col(j))
+        if g > 1:
+            rhs.append(tuple(v // g for v in A.col(j)))
+            rhs.append(tuple(v // g + w for v, w in zip(A.col(j), rhs[0])))
+    return rhs
+
+
+def assert_reads_like_oracle(A, rhs, shaped):
+    """_Solver.solve and _Solver.coordinates on A against DenseSolver: the
+    same verdict on every b, A x = b, the unique x when A's columns are a
+    basis the reader takes as it is (shaped), and coordinates that rebuild b
+    from the kept integer columns and scales."""
+    s, oracle = _Solver(A), DenseSolver(A)
+    assert (s.T is None) == shaped
+    kind = int if A.ring == ZZ else Fraction
+    for b in rhs:
+        x, y = s.solve(b), oracle.solve(b)
+        assert (x is None) == (y is None)
+        if x is not None:
+            assert A.apply(x) == tuple(b) and all(type(v) is kind for v in x)
+            assert not shaped or x == y
+        d = lcm(*(Fraction(v).denominator for v in b))
+        c = s.coordinates({i: int(v * d) for i, v in enumerate(b) if v}, d)
+        assert (c is None) == (y is None)
+        if c is not None:
+            assert all(c.values())
+            got = [0] * len(b)
+            for k, v in c.items():
+                for i, w in s.columns[k].items():
+                    got[i] += v * Fraction(w, s.scales[k])
+            assert got == list(b)
+            assert not shaped or tuple(c.get(k, 0) for k in range(A.cols)) == y
+
+
+class TestOneReader:
+    """The one coordinate reader against the dense row-substitution oracle,
+    on each basis shape it reads directly and on the fallback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.tuples(coarse_lattices().map(hnf_columns), st.just(True)),
+                     st.tuples(integer_matrices().map(kernel), st.just(True)),
+                     st.tuples(dependent_matrices(ZZ), st.just(False))),
+           st.randoms(use_true_random=False))
+    def test_integer_reader_matches_oracle(self, case, rng):
+        A, shaped = case
+        assert_reads_like_oracle(A, reader_rhs(A, rng), shaped)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.tuples(ring_matrices(QQ).map(echelon_columns), st.just(True)),
+                     st.tuples(ring_matrices(QQ).map(kernel), st.just(True)),
+                     st.tuples(dependent_matrices(QQ), st.just(False))),
+           st.randoms(use_true_random=False))
+    def test_rational_reader_matches_oracle(self, case, rng):
+        A, shaped = case
+        assert_reads_like_oracle(A, reader_rhs(A, rng), shaped)
+
+
+@st.composite
 def repeated_columns(draw):
     """An integer matrix with some of its columns repeated, negated or
     doubled, in a drawn order."""
@@ -520,23 +601,6 @@ def repeated_columns(draw):
                                         st.sampled_from((1, -1, 2))), max_size=3))
         cols += [tuple(k * x for x in cols[j]) for j, k in extra]
     return Matrix.from_columns(ZZ, draw(st.permutations(cols)), rows=A.rows)
-
-
-def oracle_column_reduce(A):
-    """(H, T, K) read from the dense oracle's reduction of A stacked on the
-    identity: dense_hnf_columns over Z, dense_rref of the transpose over Q."""
-    m, n, ring = A.rows, A.cols, A.ring
-    eye = [[int(i == j) for j in range(n)] for i in range(n)]
-    if ring == ZZ:
-        cols = dense_hnf_columns([list(row) for row in A.data] + eye)
-    else:
-        R, pivots = dense_rref([list(A.col(j)) + eye[j] for j in range(n)])
-        cols = R[:len(pivots)]
-    image = [c for c in cols if any(c[:m])]
-    kern = [c[m:] for c in cols if not any(c[:m])]
-    return (Matrix.from_columns(ring, [c[:m] for c in image], rows=m),
-            Matrix.from_columns(ring, [c[m:] for c in image], rows=n),
-            Matrix.from_columns(ring, kern, rows=n))
 
 
 class TestEchelon:

@@ -18,6 +18,7 @@ from tannakit.tannaka import (
 
 import spaces
 from spaces import CIRCLE3, CIRCLE_POINT, EDGE, EDGE_ENDS, POINT, RP2, pair, sub
+from tannaka_fixtures import with_basis
 
 from oracles import (
     brute_commutant, dense_comodule_failures, dense_is_morphism, dense_structure_constants,
@@ -532,7 +533,7 @@ class TestStructureConstants:
         # without E_00 (or E_rr), E_01 E_10 = E_00 (or E_r0 E_0r = E_rr) escapes
         for drop in (0, rank * rank - 1):
             E = matrix_coalgebra(ring, rank)[2]
-            E.basis = E.basis.take_cols([k for k in range(E.dim) if k != drop])
+            with_basis(E, E.basis.take_cols([k for k in range(E.dim) if k != drop]))
             with pytest.raises(AxiomViolation, match="escapes the span"):
                 E.structure_constants()
 
@@ -541,9 +542,9 @@ class TestStructureConstants:
         # 2 E_00 (or 2 E_11) spans E_00 over Q but not over Z: E_01 E_10 = E_00
         # has coordinate 1/2 there, and the division leaves a remainder
         E = matrix_coalgebra(ZZ)[2]
-        E.basis = Matrix.from_columns(ZZ, [tuple(2 * x for x in E.basis.col(k))
-                                           if k == col else E.basis.col(k)
-                                           for k in range(E.dim)])
+        with_basis(E, Matrix.from_columns(ZZ, [tuple(2 * x for x in E.basis.col(k))
+                                               if k == col else E.basis.col(k)
+                                               for k in range(E.dim)]))
         with pytest.raises(AxiomViolation, match="escapes the span"):
             E.structure_constants()
 
