@@ -9,6 +9,9 @@ isomorphisms, read the result inside End(V) (x) End(W), and solve its
 coordinates in the subspace End(T|F) (x) End(T|G) by two solves, one in
 each factor's basis, with the two End algebras' own solvers.  Failure of
 that membership is reported as ProductEscape, never silently projected.
+PairsContext, the diagram context with its End-algebra and tau caches, is in
+tannakit.tannaka, so that a command that takes no product never loads this
+module; PairsContext.tau loads kunneth_tau from here on its first call.
 """
 
 from .errors import (
@@ -22,7 +25,7 @@ from .simplicial import (
     product_pair, tensor_complex, ez_matrixes,
 )
 from .tannaka import (
-    Subdiagram, coaction, end_algebra, transition_map, vertex_payload,
+    PairsContext, Subdiagram, coaction, transition_map, vertex_payload,
 )
 
 
@@ -36,58 +39,6 @@ def is_good_vertex(pair, n, ring=ZZ):
         if d == n and m.torsion:
             return False
     return True
-
-
-class PairsContext:
-    """Pairs diagram with product registrations and caches.
-
-    products maps (v, w) to the vertex carrying the product pair; the
-    registered pair must literally equal product_pair of the factors.
-    """
-
-    def __init__(self, diagram, rep, products=None, circle=None):
-        self.diagram = diagram
-        self.rep = rep
-        self.ring = rep.ring
-        self.products = dict(products or {})
-        self.circle = circle
-        self._end_cache = {}
-        self._tau_cache = {}
-        for (v, w), vw in self.products.items():
-            pv, nv = vertex_payload(diagram.payloads, v)
-            pw, nw = vertex_payload(diagram.payloads, w)
-            pvw, nvw = vertex_payload(diagram.payloads, vw)
-            if nvw != nv + nw:
-                raise InputError("product vertex %r has degree %d, expected %d"
-                                 % (vw, nvw, nv + nw))
-            if pvw != product_pair(pv, pw):
-                raise InputError("vertex %r is not the staircase product of %r, %r"
-                                 % (vw, v, w))
-
-    def end(self, sub):
-        key = (sub.vertices, tuple(e[0] for e in sub.edges))
-        E = self._end_cache.get(key)
-        if E is None:
-            E = end_algebra(self.rep, sub)
-            self._end_cache[key] = E
-        return E
-
-    def coalgebra(self, sub):
-        return self.end(sub).coalgebra()
-
-    def product_vertex(self, v, w):
-        vw = self.products.get((v, w))
-        if vw is None:
-            raise MissingProducts("no product vertex registered for (%r, %r)" % (v, w))
-        return vw
-
-    def tau(self, v, w):
-        key = (v, w)
-        t = self._tau_cache.get(key)
-        if t is None:
-            t = kunneth_tau(self, v, w)
-            self._tau_cache[key] = t
-        return t
 
 
 class TauIso:

@@ -21,8 +21,8 @@ from . import __version__
 from .errors import BudgetExceeded, CheckFailed, InputError, TannakitError
 from .linalg import QQ, ZZ, determinant
 from .simplicial import (
-    SimplicialComplex, cech_total_complex, les_exactness, pair_homology,
-    product_pair, relative_cup_product, triple_boundary,
+    Filtration, SimplicialComplex, les_exactness, pair_homology, product_pair,
+    triple_boundary,
 )
 from .corpus import Corpus
 
@@ -124,6 +124,7 @@ def cmd_kunneth(corpus, ring, args):
 
 
 def cmd_cup(corpus, ring, args):
+    from .cochains import relative_cup_product
     X = corpus.expr(args.X)
     Z1 = corpus.expr(args.Z1)
     Z2 = corpus.expr(args.Z2)
@@ -142,6 +143,7 @@ def cmd_cup(corpus, ring, args):
 
 
 def cmd_cech(corpus, ring, args):
+    from .cochains import cech_total_complex
     if args.cover not in corpus.covers:
         _fail("unknown cover %r" % args.cover)
     X, sets = corpus.covers[args.cover]
@@ -179,9 +181,7 @@ def cmd_compare_filtration(corpus, ring, args):
 
 
 def cmd_very_good_search(corpus, ring, args):
-    from .filtration import (
-        Filtration, compare_filtration_homology, find_very_good_refinement,
-    )
+    from .filtration import compare_filtration_homology, find_very_good_refinement
     X = corpus.expr(args.X)
     if args.base:
         F = _filtration(corpus, args.base)

@@ -6,6 +6,11 @@ starts a comment; list values use `|` or `;` separators as documented per
 key; repeated keys are allowed where noted.  Subcomplex expressions combine
 names with `*` (staircase product), `+` (union), `skel(expr, k)` and
 `empty`.  See the README for the full schema.
+
+Complexes, pairs, maps, filtrations, covers and divisors are built and
+checked at parse time, read by the command or not, so a malformed one fails
+the run; diagram, subdiagram, tower and comodule sections are read on first
+use.  Parsing loads only linalg and simplicial, where Filtration lives.
 """
 
 import re
@@ -14,7 +19,7 @@ from contextlib import contextmanager
 from .errors import InputError
 from .linalg import QQ, ZZ
 from .simplicial import (
-    SimplicialComplex, SimplicialMap, SimplicialPair, product_complex,
+    Filtration, SimplicialComplex, SimplicialMap, SimplicialPair, product_complex,
 )
 
 _SECTION = re.compile(r"^\[(\w+)\s+([\w.-]+)\]$")
@@ -59,6 +64,7 @@ class Section:
 def parse_sections(text):
     ring = None
     sections = []
+    declared = set()
     current = None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -69,6 +75,9 @@ def parse_sections(text):
             kind, name = m.group(1), m.group(2)
             if kind not in _KINDS:
                 raise InputError("line %d: unknown section kind %r" % (lineno, kind))
+            if (kind, name) in declared:
+                raise InputError("duplicate %s %r" % (kind, name))
+            declared.add((kind, name))
             current = Section(kind, name)
             sections.append(current)
             continue
@@ -87,7 +96,8 @@ def parse_sections(text):
 
 
 class Corpus:
-    """All named objects of a corpus file, with lazy diagram contexts."""
+    """All named objects of a corpus file; the diagram contexts are built
+    on first use."""
 
     def __init__(self, text):
         self.ring, sections = parse_sections(text)
@@ -114,8 +124,6 @@ class Corpus:
 
     # -- loaders ----------------------------------------------------------
     def _load_complex(self, sec):
-        if sec.name in self.complexes:
-            raise InputError("duplicate complex %r" % sec.name)
         vertices = _split_entries(sec.get("vertices", ""), " ")
         maximal = []
         simp = sec.get("simplices", "")
@@ -125,16 +133,12 @@ class Corpus:
         self.complexes[sec.name] = cx
 
     def _load_pair(self, sec):
-        if sec.name in self.pairs:
-            raise InputError("duplicate pair %r" % sec.name)
         X = self.expr(sec.require("space"))
         sub = sec.get("sub")
         Z = self.expr(sub) if sub else SimplicialComplex.empty()
         self.pairs[sec.name] = SimplicialPair(X, Z)
 
     def _load_map(self, sec):
-        if sec.name in self.maps:
-            raise InputError("duplicate map %r" % sec.name)
         kind = sec.get("kind")
         if kind is None:
             source = self.expr(sec.require("source"))
@@ -171,7 +175,6 @@ class Corpus:
         self.maps[sec.name] = SimplicialMap(src, tgt, assignment)
 
     def _load_filtration(self, sec):
-        from .filtration import Filtration
         X = self.expr(sec.require("space"))
         levels = [self.expr(e) for e in _split_entries(sec.require("levels"), ";")]
         self.filtrations[sec.name] = Filtration(X, levels)
@@ -198,10 +201,9 @@ class Corpus:
     def _load_comodule(self, sec):
         self._comodule_decls[sec.name] = sec
 
-    # -- lazy diagram contexts ---------------------------------------------
+    # -- diagram contexts, built on first use -------------------------------
     def context(self, name, ring) -> "PairsContext":
-        from .bialgebra import PairsContext
-        from .tannaka import build_pairs_diagram
+        from .tannaka import PairsContext, build_pairs_diagram
         key = (name, ring)
         if key in self._contexts:
             return self._contexts[key]

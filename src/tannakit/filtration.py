@@ -1,5 +1,8 @@
 """Very good pairs and filtrations, filtration complexes, their comparison
 with homology, pushforward/product constructions and the refinement search.
+The Filtration class itself, its data and checks, lives in
+tannakit.simplicial, so that parsing a corpus that declares filtrations does
+not load this module; it is imported back here.
 
 "Dimension" of a subcomplex means its maximal simplex dimension, and the
 smoothness clause of the geometric definition of (very) good pairs is not
@@ -16,56 +19,10 @@ from .errors import (
 )
 from .linalg import FgModule, Matrix, ModuleMap, ZZ, subquotient
 from .simplicial import (
-    ChainComplex, SimplicialComplex, SimplicialMap, SimplicialPair,
+    ChainComplex, Filtration, SimplicialComplex, SimplicialMap, SimplicialPair,
     _chain_image, _ez, induced_map_on_homology, pair_homology,
     product_complex, relative_homology, tensor_complex, triple_boundary,
 )
-
-
-class Filtration:
-    """Increasing chain of subcomplexes F_0 <= ... <= F_n = X with
-    dim F_i <= i; F_{-1} is the empty complex."""
-
-    __slots__ = ("X", "levels")
-
-    def __init__(self, X, levels):
-        levels = tuple(levels)
-        if not levels:
-            raise InvalidFiltration("a filtration needs at least one level")
-        if levels[-1] != X:
-            raise InvalidFiltration("top level must equal the whole complex")
-        prev = SimplicialComplex.empty()
-        for i, F in enumerate(levels):
-            if not prev.is_subcomplex_of(F):
-                raise InvalidFiltration("levels are not nested at index %d" % i)
-            if F.dim > i:
-                raise InvalidFiltration("dim F_%d = %d exceeds %d" % (i, F.dim, i))
-            if not F.is_subcomplex_of(X):
-                raise InvalidFiltration("level %d is not a subcomplex of X" % i)
-            prev = F
-        self.X = X
-        self.levels = levels
-
-    @property
-    def length(self):
-        return len(self.levels) - 1
-
-    def level(self, i):
-        if i < 0:
-            return SimplicialComplex.empty()
-        if i >= len(self.levels):
-            return self.levels[-1]
-        return self.levels[i]
-
-    def __eq__(self, other):
-        return (isinstance(other, Filtration) and self.X == other.X
-                and self.levels == other.levels)
-
-    def __hash__(self):
-        return hash((self.X, self.levels))
-
-    def __repr__(self):
-        return "Filtration(length %d on %r)" % (self.length, self.X)
 
 
 class PairGoodness:

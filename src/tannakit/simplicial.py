@@ -1,12 +1,16 @@
-"""Finite simplicial pairs and their exact (co)homology.
+"""Finite simplicial complexes, pairs, maps and filtrations, and their exact
+homology.
 
 Orientation convention: each simplex is written with its vertices in the
 global order of the ambient complex, and the boundary alternates signs over
 omitted vertices.  Products use the staircase (ordered-product)
 triangulation, which makes the Eilenberg-Zilber shuffle formula land on
-honest simplices.  Cech covers are by closed subcomplexes: for subcomplexes
-A, B we have C(A) + C(B) = C(A u B) on the nose, so the comparison maps of
-the total-complex models are exact at chain level.
+honest simplices.  SimplicialComplex() sorts and checks arbitrary input;
+from_maximal, union, intersection, skeleton, images and products build
+complexes closed by construction, and check nothing.  Filtration holds the
+data and checks of a filtration; its algorithms are in tannakit.filtration.
+Cup products and Cech models are in tannakit.cochains, loaded on the first
+lookup of one of their names here (PEP 562).
 
 Homology classes are read in one of two bases.  ChainComplex.homology gives
 the Hermite cycle basis, in which induced_map_on_homology and
@@ -21,11 +25,20 @@ depends on the basis.
 from functools import cache
 from itertools import combinations
 
-from .errors import InvalidPair, NotACover, NotNested, NotPairMap, NotSimplicial
+from .errors import InvalidFiltration, InvalidPair, NotNested, NotPairMap, NotSimplicial
 from .linalg import (
     ZZ, FgModule, Matrix, ModuleMap, Subquotient, _compose, _composes_to_zero,
     _sparse_divisors,
 )
+
+_COCHAINS = ("CupProduct", "relative_cup_product", "CechModel", "cech_total_complex")
+
+
+def __getattr__(name):
+    if name not in _COCHAINS:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from . import cochains
+    return getattr(cochains, name)
 
 
 class SimplicialComplex:
@@ -34,44 +47,47 @@ class SimplicialComplex:
     __slots__ = ("vertices", "_by_dim", "_set", "_indexes", "_hash")
 
     def __init__(self, vertices=(), simplices=()):
-        simps = set()
-        verts = set(vertices)
+        simps = {(v,) for v in vertices}
         for s in simplices:
             t = tuple(sorted(set(s)))
-            if not t:
-                continue
-            simps.add(t)
-            verts.update(t)
-        for v in verts:
-            simps.add((v,))
-        by_dim = {}
-        for s in simps:
-            by_dim.setdefault(len(s) - 1, []).append(s)
-        for d, lst in by_dim.items():
-            lst.sort()
-            by_dim[d] = tuple(lst)
-        sset = frozenset(simps)
+            simps.update((v,) for v in t)
+            if len(t) > 1:
+                simps.add(t)
         for s in simps:
             if len(s) > 1:
                 for face in combinations(s, len(s) - 1):
-                    if face not in sset:
+                    if face not in simps:
                         raise NotSimplicial(
                             "simplices not closed under faces: %r misses %r" % (s, face))
-        self.vertices = tuple(sorted(verts))
-        self._by_dim = by_dim
-        self._set = sset
+        self._fill(simps)
+
+    @classmethod
+    def _closed(cls, simps):
+        """The complex of a set of sorted vertex tuples that is already
+        closed under faces, vertices included; nothing is checked."""
+        cx = cls.__new__(cls)
+        cx._fill(simps)
+        return cx
+
+    def _fill(self, simps):
+        by_dim = {}
+        for s in simps:
+            by_dim.setdefault(len(s) - 1, []).append(s)
+        self._by_dim = {d: tuple(sorted(lst)) for d, lst in by_dim.items()}
+        self.vertices = tuple(v for (v,) in self._by_dim.get(0, ()))
+        self._set = frozenset(simps)
         self._indexes = {}
         self._hash = None
 
     @classmethod
     def from_maximal(cls, maximal, vertices=()):
         """Close the given maximal simplices under faces."""
-        simps = set()
+        simps = {(v,) for v in vertices}
         for s in maximal:
             t = tuple(sorted(set(s)))
             for k in range(1, len(t) + 1):
                 simps.update(combinations(t, k))
-        return cls(vertices, simps)
+        return cls._closed(simps)
 
     @classmethod
     def empty(cls):
@@ -104,13 +120,13 @@ class SimplicialComplex:
         return self._set <= other._set
 
     def union(self, other):
-        return SimplicialComplex((), self._set | other._set)
+        return SimplicialComplex._closed(self._set | other._set)
 
     def intersection(self, other):
-        return SimplicialComplex((), self._set & other._set)
+        return SimplicialComplex._closed(self._set & other._set)
 
     def skeleton(self, k):
-        return SimplicialComplex((), {s for s in self._set if len(s) - 1 <= k})
+        return SimplicialComplex._closed({s for s in self._set if len(s) - 1 <= k})
 
     def is_empty(self):
         return not self._set
@@ -196,9 +212,8 @@ class SimplicialMap:
 
     def image(self, sub=None):
         src = self.source if sub is None else sub
-        return SimplicialComplex(
-            (), {tuple(sorted({self.assignment[v] for v in s}))
-                 for s in src.all_simplices()})
+        return SimplicialComplex._closed(
+            {tuple(sorted({self.assignment[v] for v in s})) for s in src.all_simplices()})
 
     def oriented_image(self, s):
         """(sign, image simplex) or (0, None) when the image degenerates."""
@@ -214,6 +229,52 @@ class SimplicialMap:
 
     def is_pair_map(self, pair_src, pair_tgt):
         return self.image(pair_src.Z).is_subcomplex_of(pair_tgt.Z)
+
+
+class Filtration:
+    """Increasing chain of subcomplexes F_0 <= ... <= F_n = X with
+    dim F_i <= i; F_{-1} is the empty complex."""
+
+    __slots__ = ("X", "levels")
+
+    def __init__(self, X, levels):
+        levels = tuple(levels)
+        if not levels:
+            raise InvalidFiltration("a filtration needs at least one level")
+        if levels[-1] != X:
+            raise InvalidFiltration("top level must equal the whole complex")
+        prev = SimplicialComplex.empty()
+        for i, F in enumerate(levels):
+            if not prev.is_subcomplex_of(F):
+                raise InvalidFiltration("levels are not nested at index %d" % i)
+            if F.dim > i:
+                raise InvalidFiltration("dim F_%d = %d exceeds %d" % (i, F.dim, i))
+            if not F.is_subcomplex_of(X):
+                raise InvalidFiltration("level %d is not a subcomplex of X" % i)
+            prev = F
+        self.X = X
+        self.levels = levels
+
+    @property
+    def length(self):
+        return len(self.levels) - 1
+
+    def level(self, i):
+        if i < 0:
+            return SimplicialComplex.empty()
+        if i >= len(self.levels):
+            return self.levels[-1]
+        return self.levels[i]
+
+    def __eq__(self, other):
+        return (isinstance(other, Filtration) and self.X == other.X
+                and self.levels == other.levels)
+
+    def __hash__(self):
+        return hash((self.X, self.levels))
+
+    def __repr__(self):
+        return "Filtration(length %d on %r)" % (self.length, self.X)
 
 
 # ---------------------------------------------------------------------------
@@ -524,15 +585,16 @@ def _shuffle_paths(sigma, tau):
 
 def product_complex(X, Y):
     """Staircase triangulation of the product of two complexes."""
-    maximal = []
-    star_x = [s for s in X.all_simplices()
-              if not any(set(s) < set(t) for t in X.all_simplices())]
-    star_y = [t for t in Y.all_simplices()
-              if not any(set(t) < set(u) for u in Y.all_simplices())]
-    for s in star_x:
-        for t in star_y:
-            maximal.extend(path for _, path in _shuffle_paths(s, t))
-    return SimplicialComplex.from_maximal(maximal)
+    return SimplicialComplex.from_maximal(
+        path for s in _maximal(X) for t in _maximal(Y) for _, path in _shuffle_paths(s, t))
+
+
+def _maximal(X):
+    """The simplices of X that are no codimension-1 face of another one: in a
+    complex closed under faces, exactly those in no larger simplex."""
+    faces = {t[:i] + t[i + 1:] for t in X.all_simplices() if len(t) > 1
+             for i in range(len(t))}
+    return [s for s in X.all_simplices() if s not in faces]
 
 
 def product_pair(p1, p2):
@@ -620,229 +682,3 @@ def ez_aw_relative(p1, p2, ring=ZZ):
     ez, aw = ez_matrixes(c1, c2, cp, tensor)
     _assert_aw_ez_identity(ez, aw, tensor, "relative AW o EZ")
     return pp, ez, aw, tensor
-
-
-# ---------------------------------------------------------------------------
-# Cup products on relative cochains
-# ---------------------------------------------------------------------------
-
-class CupProduct:
-    """Front/back cup product on relative cochains and cohomology.
-
-    C^p(X,Z1) (x) C^q(X,Z2) -> C^{p+q}(X, Z1+Z2), where the target cochains
-    live on simplices neither in Z1 nor in Z2; with subcomplexes this basis
-    coincides with that of C(X, Z1 u Z2), and the comparison map is reported.
-    """
-
-    __slots__ = ("X", "Z1", "Z2", "p", "q", "ring", "_c1", "_c2", "_c12",
-                 "_h1", "_h2", "_h12", "pairing", "comparison_iso")
-
-    def __init__(self, X, Z1, Z2, p, q, ring=ZZ):
-        if not Z1.is_subcomplex_of(X) or not Z2.is_subcomplex_of(X):
-            raise InvalidPair("Z1, Z2 must be subcomplexes of X")
-        self.X, self.Z1, self.Z2, self.p, self.q, self.ring = X, Z1, Z2, p, q, ring
-        self._c1 = pair_homology(SimplicialPair(X, Z1), ring).complex
-        self._c2 = pair_homology(SimplicialPair(X, Z2), ring).complex
-        # the "simplices neither in Z1 nor in Z2" complex, built literally
-        z1set = Z1.all_simplices()
-        z2set = Z2.all_simplices()
-        labels = {}
-        for d in range(0, X.dim + 1):
-            ls = tuple(s for s in X.simplices(d)
-                       if s not in z1set and s not in z2set)
-            if ls:
-                labels[d] = ls
-        union = Z1.union(Z2)
-        self._c12 = pair_homology(SimplicialPair(X, union), ring).complex
-        # comparison with C(X, Z1 u Z2): for subcomplexes, the projection is
-        # the identity on bases; verify degreewise and on cohomology
-        self.comparison_iso = all(
-            labels.get(d, ()) == self._c12.labels(d)
-            for d in range(0, X.dim + 1))
-        self._h1 = self._cohomology(self._c1)
-        self._h2 = self._cohomology(self._c2)
-        self._h12 = self._cohomology(self._c12)
-        self.pairing = self._compute_pairing()
-
-    def _cohomology(self, cc):
-        out = {}
-        for n in range(0, cc.top_degree + 1):
-            # a transpose has the same elementary divisors
-            out[n] = Subquotient.free(
-                self.ring, cc.rank(n), cc.divisors(n), cc.divisors(n + 1),
-                lambda n=n: (cc.boundary(n).transpose(), cc.boundary(n + 1).transpose()))
-        return out
-
-    def cohomology_module(self, which, n):
-        table = {1: self._h1, 2: self._h2, 12: self._h12}[which]
-        if n not in table:
-            return FgModule.zero(self.ring)
-        return table[n].module
-
-    def cup_cochain(self, fvec, p, gvec, q):
-        """Cup of cochains: f on non-Z1 p-simplices, g on non-Z2 q-simplices."""
-        c1, c2, c12 = self._c1, self._c2, self._c12
-        out = [0] * c12.rank(p + q)
-        for j, s in enumerate(c12.labels(p + q)):
-            front = s[:p + 1]
-            back = s[p:]
-            fi = c1.index(p, front)
-            gi = c2.index(q, back)
-            if fi is None or gi is None:
-                continue
-            v = fvec[fi] * gvec[gi]
-            if v:
-                out[j] += v
-        return tuple(out)
-
-    def _compute_pairing(self):
-        p, q = self.p, self.q
-        hp = self._h1.get(p)
-        hq = self._h2.get(q)
-        hpq = self._h12.get(p + q)
-        if hp is None or hq is None or hpq is None:
-            return []
-        rows = []
-        for a in range(hp.module.ngens):
-            f = hp.lift(a)
-            row = []
-            for b in range(hq.module.ngens):
-                g = hq.lift(b)
-                cup = self.cup_cochain(f, p, g, q)
-                row.append(hpq.class_of(cup))
-            rows.append(row)
-        return rows
-
-    def pairing_matrix(self):
-        """For rank-1 targets: the pairing as a plain matrix."""
-        tgt = self.cohomology_module(12, self.p + self.q)
-        if tgt.ngens != 1:
-            raise ValueError("pairing matrix needs a rank-1 target")
-        return Matrix(self.ring, [[c[0] for c in row] for row in self.pairing],
-                      len(self.pairing), len(self.pairing[0]) if self.pairing else 0)
-
-    def graded_commutativity_defects(self):
-        """Pairs (a,b) where [f_a u g_b] != (-1)^{pq} [g_b u f_a].
-
-        Only meaningful when Z1 == Z2, so both factors draw from the same
-        cohomology."""
-        if self.Z1 != self.Z2 or self.p != self.q:
-            other = CupProduct(self.X, self.Z2, self.Z1, self.q, self.p, self.ring)
-        else:
-            other = self
-        sign = (-1) ** (self.p * self.q)
-        bad = []
-        hp = self._h1.get(self.p)
-        hq = self._h2.get(self.q)
-        hpq = self._h12.get(self.p + self.q)
-        if hp is None or hq is None or hpq is None:
-            return bad
-        for a in range(hp.module.ngens):
-            for b in range(hq.module.ngens):
-                left = self.pairing[a][b]
-                right = other.pairing[b][a]
-                scaled = hpq.module.normalize_vector(tuple(sign * x for x in right))
-                if tuple(left) != tuple(scaled):
-                    bad.append((a, b))
-        return bad
-
-
-def relative_cup_product(X, Z1, Z2, p, q, ring=ZZ) -> CupProduct:
-    return CupProduct(X, Z1, Z2, p, q, ring)
-
-
-# ---------------------------------------------------------------------------
-# Cech total complex of a closed cover with divisor components
-# ---------------------------------------------------------------------------
-
-class CechModel:
-    """Total complex of the cover/divisor tricomplex, with its comparison."""
-
-    __slots__ = ("X", "cover", "components", "ring", "complex", "pair")
-
-    def __init__(self, X, cover, components, ring=ZZ):
-        if not cover:
-            raise NotACover("empty cover")
-        for Y in cover:
-            if not Y.is_subcomplex_of(X):
-                raise NotACover("cover member is not a subcomplex")
-        u = SimplicialComplex.empty()
-        for Y in cover:
-            u = u.union(Y)
-        if u != X:
-            raise NotACover("cover does not exhaust X")
-        for Zb in components:
-            if not Zb.is_subcomplex_of(X):
-                raise InvalidPair("divisor component is not a subcomplex")
-        self.X, self.cover, self.components, self.ring = X, tuple(cover), tuple(components), ring
-        z = SimplicialComplex.empty()
-        for Zb in components:
-            z = z.union(Zb)
-        self.pair = SimplicialPair(X, z)
-        self.complex = self._build()
-
-    def _intersection(self, A, B):
-        cur = self.cover[A[0]]
-        for a in A[1:]:
-            cur = cur.intersection(self.cover[a])
-        for b in B:
-            cur = cur.intersection(self.components[b])
-        return cur
-
-    def _build(self):
-        qn = len(self.cover)
-        pn = len(self.components)
-        pieces = {}
-        for isz in range(1, qn + 1):
-            for A in combinations(range(qn), isz):
-                for jsz in range(0, pn + 1):
-                    for B in combinations(range(pn), jsz):
-                        w = self._intersection(A, B)
-                        if not w.is_empty():
-                            pieces[(A, B)] = w
-        labels = {}
-        for (A, B), w in sorted(pieces.items()):
-            i = len(A) - 1
-            j = len(B)
-            for k in range(0, w.dim + 1):
-                for s in w.simplices(k):
-                    labels.setdefault(i + j + k, []).append((A, B, s))
-        for ls in labels.values():
-            ls.sort(key=lambda l: (len(l[0]), l[0], len(l[1]), l[1], len(l[2]), l[2]))
-
-        def faces(n, label):
-            # simplicial boundary, then the Cech differential (drop a cover
-            # index) with sign (-1)^k, then the divisor differential (drop a
-            # component index) with sign (-1)^(k+i); labels with no cover
-            # index or an empty simplex are not in the basis and drop out
-            A, B, s = label
-            i, k = len(A) - 1, len(s) - 1
-            for face, c in _faces(k, s):
-                yield (A, B, face), c
-            for t in range(len(A)):
-                yield (A[:t] + A[t + 1:], B, s), (-1) ** (k + t)
-            for t in range(len(B)):
-                yield (A, B[:t] + B[t + 1:], s), (-1) ** (k + i + t)
-        return ChainComplex(self.ring, labels, faces)
-
-    def homology(self, n) -> FgModule:
-        return self.complex.homology_module(n)
-
-    def certificate(self):
-        """Degreewise comparison with the relative homology of (X, union Z)."""
-        ph = pair_homology(self.pair, self.ring)
-        top = max(self.complex.top_degree, self.pair.X.dim)
-        rows = []
-        ok = True
-        for n in range(0, top + 1):
-            a = self.homology(n)
-            b = ph.module(n)
-            match = a == b
-            ok = ok and match
-            rows.append({"degree": n, "total_complex": a.describe(),
-                         "relative": b.describe(), "match": match})
-        return {"ok": ok, "degrees": rows}
-
-
-def cech_total_complex(X, cover, components=(), ring=ZZ) -> CechModel:
-    return CechModel(X, cover, components, ring)

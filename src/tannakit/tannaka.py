@@ -14,16 +14,21 @@ linalg._Solver at the basis pivots.  Comodule is the one comodule type:
 the coalgebra and comodule axioms and the comodule morphism identities are
 sparse contractions over nonzeros, over Q in integers scaled by common
 denominators, and the dense comultiplication is built only when read.
+PairsContext is a pairs diagram with its product registrations and its End
+algebra and tau caches; it is here and not in tannakit.bialgebra so that the
+diagram commands that take no product never load that module.
 """
 
 from math import lcm
 
-from .errors import AxiomViolation, DimensionMismatch, InputError, NonFreeVertex, NotNested
+from .errors import (
+    AxiomViolation, DimensionMismatch, InputError, MissingProducts, NonFreeVertex, NotNested,
+)
 from .linalg import (
     QQ, ZZ, FgModule, Matrix, ModuleMap, _nonzero_columns, _order_relations, _Solver,
     elementary_divisors, kernel,
 )
-from .simplicial import induced_map_on_homology, relative_homology, triple_boundary
+from .simplicial import induced_map_on_homology, product_pair, relative_homology, triple_boundary
 
 MAP_EDGE = "map"
 TRIPLE_EDGE = "triple"
@@ -694,3 +699,56 @@ def factorization_check(rep, sub, E=None) -> FactorizationCert:
                             m=rep.edge_map(name).matrix):
             violations.append("edge %r is not a comodule morphism" % (name,))
     return FactorizationCert(violations, checked)
+
+
+class PairsContext:
+    """Pairs diagram with product registrations and caches.
+
+    products maps (v, w) to the vertex carrying the product pair; the
+    registered pair must literally equal product_pair of the factors.
+    """
+
+    def __init__(self, diagram, rep, products=None, circle=None):
+        self.diagram = diagram
+        self.rep = rep
+        self.ring = rep.ring
+        self.products = dict(products or {})
+        self.circle = circle
+        self._end_cache = {}
+        self._tau_cache = {}
+        for (v, w), vw in self.products.items():
+            pv, nv = vertex_payload(diagram.payloads, v)
+            pw, nw = vertex_payload(diagram.payloads, w)
+            pvw, nvw = vertex_payload(diagram.payloads, vw)
+            if nvw != nv + nw:
+                raise InputError("product vertex %r has degree %d, expected %d"
+                                 % (vw, nvw, nv + nw))
+            if pvw != product_pair(pv, pw):
+                raise InputError("vertex %r is not the staircase product of %r, %r"
+                                 % (vw, v, w))
+
+    def end(self, sub):
+        key = (sub.vertices, tuple(e[0] for e in sub.edges))
+        E = self._end_cache.get(key)
+        if E is None:
+            E = end_algebra(self.rep, sub)
+            self._end_cache[key] = E
+        return E
+
+    def coalgebra(self, sub):
+        return self.end(sub).coalgebra()
+
+    def product_vertex(self, v, w):
+        vw = self.products.get((v, w))
+        if vw is None:
+            raise MissingProducts("no product vertex registered for (%r, %r)" % (v, w))
+        return vw
+
+    def tau(self, v, w):
+        key = (v, w)
+        t = self._tau_cache.get(key)
+        if t is None:
+            from .bialgebra import kunneth_tau
+            t = kunneth_tau(self, v, w)
+            self._tau_cache[key] = t
+        return t

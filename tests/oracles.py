@@ -114,17 +114,42 @@ def minor_gcd_divisors(mat):
 
 # -- homology oracle ---------------------------------------------------------
 
+def face_closure(maximal):
+    """Every nonempty face of the given simplices, as sorted tuples."""
+    simplices = set()
+    for s in maximal:
+        s = tuple(sorted(set(s)))
+        for k in range(1, len(s) + 1):
+            simplices.update(combinations(s, k))
+    return simplices
+
+
+def pairwise_maximal(simplices):
+    """The simplices that no other one strictly contains, by testing every
+    pair (quadratic)."""
+    return [s for s in simplices if not any(set(s) < set(t) for t in simplices)]
+
+
+def staircase_product(max_x, max_y):
+    """The simplices of the staircase triangulation of X x Y from its
+    definition: the nonempty chains of the product order on sigma x tau, over
+    maximal simplices sigma of X and tau of Y given as sorted tuples."""
+    out = set()
+    for s in max_x:
+        for t in max_y:
+            grid = sorted(product(s, t))
+            for k in range(1, len(s) + len(t)):
+                for c in combinations(grid, k):
+                    if all(a[0] <= b[0] and a[1] <= b[1] for a, b in zip(c, c[1:])):
+                        out.add(c)
+    return out
+
+
 def boundary_matrices(maximal):
     """Chain data of the closure of `maximal`: per-dim simplex lists plus
     boundary matrices written directly from the alternating-face formula."""
-    simplices = set()
-    for s in maximal:
-        s = tuple(sorted(s))
-        for k in range(1, len(s) + 1):
-            for face in combinations(s, k):
-                simplices.add(face)
     by_dim = {}
-    for s in simplices:
+    for s in face_closure(maximal):
         by_dim.setdefault(len(s) - 1, []).append(s)
     for d in by_dim:
         by_dim[d].sort()

@@ -179,13 +179,18 @@ print(" ".join(sorted(m.split(".")[-1] for m in sys.modules
 """
 
 
-@pytest.mark.parametrize("corpus, argv, absent", [
-    (None, ["homology", "p_klein"], {"tannaka", "bialgebra", "comodule", "reduction", "les"}),
-    ("[complex c]\nsimplices = x y\n\n[pair p]\nspace = c\n", ["homology", "p"],
+@pytest.mark.parametrize("corpus, argv, present, absent", [
+    (None, ["homology", "p_klein"], set(),
+     {"filtration", "cochains", "tannaka", "bialgebra", "comodule", "reduction", "les"}),
+    ("[complex c]\nsimplices = x y\n\n[pair p]\nspace = c\n", ["homology", "p"], set(),
      {"filtration", "tannaka", "bialgebra", "comodule", "reduction", "les"}),
-    (None, ["end-algebra", "F2"], {"comodule", "reduction", "les"}),
-], ids=["homology", "homology without filtrations", "end-algebra"])
-def test_cold_start_loads_only_the_layers_a_command_runs(corpus, argv, absent, tmp_path):
+    (None, ["end-algebra", "F2"], {"tannaka"},
+     {"bialgebra", "filtration", "comodule", "reduction", "les"}),
+    (None, ["cup", "circle3*circle3", "empty", "empty", "1", "1"], {"cochains"},
+     {"filtration", "tannaka"}),
+], ids=["homology", "homology without filtrations", "end-algebra", "cup"])
+def test_cold_start_loads_only_the_layers_a_command_runs(corpus, argv, present, absent,
+                                                         tmp_path):
     if corpus is not None:
         path = tmp_path / "tiny.corpus"
         path.write_text(corpus, encoding="utf-8")
@@ -193,7 +198,7 @@ def test_cold_start_loads_only_the_layers_a_command_runs(corpus, argv, absent, t
     proc = _fresh(["-c", LOADED_AFTER] + argv)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split("\n")[-2].split())
-    assert {"linalg", "simplicial", "corpus"} <= loaded
+    assert {"linalg", "simplicial", "corpus"} | present <= loaded
     assert not loaded & absent
 
 
@@ -290,6 +295,27 @@ MALFORMED = {
     "negative depth": ("[subdiagram S]",
                        "circle = u\n[tower t]\ndiagram = d\ntruncations = S\n[subdiagram S]",
                        ["sigma-system", "t", "--depth", "-2"]),
+    # every section kind rejects a second declaration of a name, also when
+    # both declarations are valid
+    "duplicate subdiagram": ("[comodule c]",
+                             "[subdiagram S]\ndiagram = d\nvertices = u\n[comodule c]",
+                             ["end-algebra", "S"]),
+    "duplicate comodule": ("[comodule c]",
+                           "[comodule c]\ndiagram = d\nsubdiagram = S\norders = 2\nrho = 1\n"
+                           "[comodule c]",
+                           ["comodule-check", "c"]),
+    "duplicate cover": ("[diagram d]",
+                        "[cover k]\nspace = pt\nsets = pt\n[cover k]\nspace = pt\nsets = pt\n"
+                        "[diagram d]",
+                        ["cech", "k"]),
+    "duplicate filtration": ("[diagram d]",
+                             "[filtration f]\nspace = pt\nlevels = pt\n[filtration f]\n"
+                             "space = pt\nlevels = pt\n[diagram d]",
+                             ["filtration", "f"]),
+    # sections the command does not read are still built and checked
+    "unused empty filtration": ("[diagram d]",
+                                "[filtration f]\nspace = pt\nlevels = empty\n[diagram d]",
+                                ["homology", "p"]),
 }
 
 

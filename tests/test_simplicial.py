@@ -20,7 +20,9 @@ from spaces import (
     CIRCLE3, CIRCLE6, CIRCLE_POINT, EDGE, EMPTY, KLEIN, MOBIUS,
     MOBIUS_BOUNDARY, PATH2, POINT, RP2, SPHERE2, TRIANGLE, cx, pair, sub,
 )
-from oracles import boundary_matrices, homology_groups
+from oracles import (
+    boundary_matrices, face_closure, homology_groups, pairwise_maximal, staircase_product,
+)
 
 
 def modules_equal(mod, betti, torsion=()):
@@ -163,9 +165,54 @@ def small_complexes(draw):
     return cx(*draw(st.lists(simplex, min_size=1, max_size=4)))
 
 
-def oracle_maximal(X):
-    return [s for s in X.all_simplices()
-            if not any(set(s) < set(t) for t in X.all_simplices())]
+def assert_same_complex(built, simplices):
+    """built equals the validating constructor's complex on simplices, down
+    to the vertex order, every dimension's simplex tuple and the hash."""
+    checked = SimplicialComplex((), simplices)
+    assert built == checked
+    assert built.vertices == checked.vertices
+    for d in range(-1, checked.dim + 2):
+        assert built.simplices(d) == checked.simplices(d)
+    assert hash(built) == hash(checked)
+
+
+class TestClosedConstructors:
+    """from_maximal, union, intersection, skeleton, images and products pass
+    SimplicialComplex._closed sets they know to be closed under faces; each
+    must build exactly the complex the validating constructor builds."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(random_pairs(), random_pairs(), st.integers(-1, 3), st.data())
+    def test_set_operations_and_images(self, a, b, k, data):
+        (xmax, _), (ymax, _) = a, b
+        xs, ys = face_closure(xmax), face_closure(ymax)
+        X, Y = SimplicialComplex.from_maximal(xmax), SimplicialComplex.from_maximal(ymax)
+        assert_same_complex(X, xs)
+        assert_same_complex(X.union(Y), xs | ys)
+        assert_same_complex(X.intersection(Y), xs & ys)
+        assert_same_complex(X.skeleton(k), {s for s in xs if len(s) - 1 <= k})
+        targets = ["w%d" % i for i in range(3)]
+        f = SimplicialMap(X, SimplicialComplex.from_maximal([targets]),
+                          {v: data.draw(st.sampled_from(targets)) for v in X.vertices})
+        assert_same_complex(f.image(), {tuple(sorted({f(v) for v in s})) for s in xs})
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_complexes(), small_complexes())
+    def test_product_against_pairwise_maximal_oracle(self, X, Y):
+        maxx = pairwise_maximal(X.all_simplices())
+        maxy = pairwise_maximal(Y.all_simplices())
+        assert_same_complex(product_complex(X, Y), staircase_product(maxx, maxy))
+
+    @settings(max_examples=40, deadline=None)
+    @given(random_pairs(), st.data())
+    def test_dropping_a_face_is_still_rejected(self, a, data):
+        xs = face_closure(a[0])
+        maximal = set(pairwise_maximal(xs))
+        inner = sorted(s for s in xs if len(s) > 1 and s not in maximal)
+        if inner:
+            dropped = data.draw(st.sampled_from(inner))
+            with pytest.raises(NotSimplicial):
+                SimplicialComplex((), xs - {dropped})
 
 
 class TestHomologyProperties:
