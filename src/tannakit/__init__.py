@@ -2,13 +2,14 @@
 Cech total-complex models and diagram Tannaka duality, with machine-checkable
 certificates for everything computed.  `linalg` and `simplicial` load with the
 package; every other layer, the cup products and Cech models of `cochains`
-included, loads on first use of one of its names (PEP 562)."""
+and the Smith normal form of `smith` included, loads on first use of one of
+its names (PEP 562)."""
 
 __version__ = "0.1.0"
 
 from .linalg import (                                           # noqa: F401
-    QQ, ZZ, FgModule, Matrix, ModuleMap, SmithForm, Subquotient, dual_map,
-    kernel, smith_normal_form, solve_in_submodule, subquotient,
+    QQ, ZZ, FgModule, Matrix, ModuleMap, Subquotient, dual_map, kernel,
+    subquotient,
 )
 from .simplicial import (                                       # noqa: F401
     ChainComplex, Filtration, SimplicialComplex, SimplicialMap, SimplicialPair,
@@ -29,6 +30,7 @@ _LAZY = {name: module for module, names in {
     "comodule": "Comodule check_comodule_axioms extended_comodule "
                 "tensor_comodules torsionfree_cover",
     "corpus": "Corpus load_corpus",
+    "smith": "SmithForm smith_normal_form",
 }.items() for name in names.split()}
 
 

@@ -18,7 +18,7 @@ from .errors import (
     InputError, MissingProducts, NotGoodPair, ProductEscape, WrongRank,
 )
 from .linalg import (
-    QQ, ZZ, Matrix, _Solver, tensor_swap,
+    ZZ, Matrix, _Solver, tensor_swap,
 )
 from .simplicial import (
     SimplicialMap, SimplicialPair, induced_map_on_homology, pair_homology,
@@ -232,8 +232,7 @@ def product_on_truncations(ctx: PairsContext, subF, subG, subH) -> MuFragment:
     H; tau data is computed on demand.  Family k of End(T|H), conjugated by
     tau at each v x w, is a matrix Y with rows in End(T|F)'s flat layout
     (v, a, c) and columns in End(T|G)'s (w, b, d), and Y = B_F x B_G^T for
-    the row k of mu, x.  ProductEscape (with an integral flag over Z, from
-    the same two solves over Q) reports a family with no such x.
+    the row k of mu, x.  ProductEscape reports a family with no such x.
     """
     rep = ctx.rep
     EF, EG, EH = ctx.end(subF), ctx.end(subG), ctx.end(subH)
@@ -260,11 +259,7 @@ def product_on_truncations(ctx: PairsContext, subF, subG, subH) -> MuFragment:
         columns = list(zip(*Y))
         sol = _tensor_coordinates(columns, EF._solver, EG._solver)
         if sol is None:
-            integral = ctx.ring == ZZ and _tensor_coordinates(
-                columns, *(_Solver(E.basis.to_ring(QQ)) for E in (EF, EG))) is not None
-            raise ProductEscape(
-                "family %d of End(T|H) leaves End(T|F) (x) End(T|G)" % k,
-                integral=integral)
+            raise ProductEscape("family %d of End(T|H) leaves End(T|F) (x) End(T|G)" % k)
         mu.append(sol)
     return MuFragment(EF, EG, EH, Matrix(ctx.ring, mu, EH.dim, EF.dim * EG.dim))
 

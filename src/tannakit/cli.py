@@ -19,7 +19,7 @@ from importlib import resources
 
 from . import __version__
 from .errors import BudgetExceeded, CheckFailed, InputError, TannakitError
-from .linalg import QQ, ZZ, determinant
+from .linalg import QQ, ZZ
 from .simplicial import (
     Filtration, SimplicialComplex, les_exactness, pair_homology, product_pair,
     triple_boundary,
@@ -119,6 +119,7 @@ def cmd_kunneth(corpus, ring, args):
     res = {"v": args.v, "w": args.w, "product_vertex": tau.vw,
            "matrix": jmatrix(tau.matrix), "inverse": jmatrix(tau.inverse)}
     if tau.matrix.rows == tau.matrix.cols and tau.matrix.rows > 0:
+        from .smith import determinant
         res["det"] = jscalar(determinant(tau.matrix))
     return res, True
 
@@ -338,53 +339,61 @@ HANDLERS = {
 }
 
 
+# the arguments of each command: a name, or (name, add_argument keywords)
+ARGUMENTS = {
+    "homology": ["pair"],
+    "les": ["pair"],
+    "triple-boundary": ["X", "Z", "W", ("degree", {"type": int})],
+    "product": ["pair1", "pair2"],
+    "kunneth": ["diagram", "v", "w"],
+    "cup": ["X", "Z1", "Z2", ("p", {"type": int}), ("q", {"type": int})],
+    "cech": ["cover", ("divisors", {"nargs": "?"})],
+    "filtration": ["filtration"],
+    "compare-filtration": ["filtration"],
+    "very-good-search": ["X", "--base", ("--budget", {"type": int, "default": 10000})],
+    "end-algebra": ["subdiagram"],
+    "coalgebra": ["subdiagram"],
+    "coaction": ["subdiagram", "vertex"],
+    "transition": ["sub_small", "sub_big"],
+    "factorization-check": ["subdiagram"],
+    "bialgebra-check": ["tower"],
+    "sigma": ["subdiagram"],
+    "sigma-system": ["tower", ("--depth", {"type": int, "default": 1})],
+    "comodule-check": ["comodule"],
+    "torsionfree-cover": ["comodule"],
+}
+
+
 def build_parser():
+    """The global options and COMMAND; the arguments of the command are left
+    in `rest` for parse_args."""
     parser = argparse.ArgumentParser(
         prog="tannakit",
         description="Exact relative simplicial homology, filtration and Cech "
-                    "models, and diagram Tannaka duality with certificates.")
+                    "models, and diagram Tannaka duality with certificates.",
+        epilog="`tannakit <command> --help` lists the arguments of that command.")
     parser.add_argument("--corpus", help="corpus file (default: bundled)")
     parser.add_argument("--ring", choices=[ZZ, QQ],
                         help="coefficients: z or q (default depends on the command)")
     parser.add_argument("--out", help="write the canonical JSON certificate here")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    def sp(name, *arguments, **kw):
-        p = subs.add_parser(name, **kw)
-        for (aname, akw) in arguments:
-            p.add_argument(aname, **akw)
-        return p
-
-    sp("homology", ("pair", {}))
-    sp("les", ("pair", {}))
-    sp("triple-boundary", ("X", {}), ("Z", {}), ("W", {}),
-       ("degree", {"type": int}))
-    sp("product", ("pair1", {}), ("pair2", {}))
-    sp("kunneth", ("diagram", {}), ("v", {}), ("w", {}))
-    sp("cup", ("X", {}), ("Z1", {}), ("Z2", {}),
-       ("p", {"type": int}), ("q", {"type": int}))
-    p = subs.add_parser("cech")
-    p.add_argument("cover")
-    p.add_argument("divisors", nargs="?", default=None)
-    sp("filtration", ("filtration", {}))
-    sp("compare-filtration", ("filtration", {}))
-    p = subs.add_parser("very-good-search")
-    p.add_argument("X")
-    p.add_argument("--base", default=None)
-    p.add_argument("--budget", type=int, default=10000)
-    sp("end-algebra", ("subdiagram", {}))
-    sp("coalgebra", ("subdiagram", {}))
-    sp("coaction", ("subdiagram", {}), ("vertex", {}))
-    sp("transition", ("sub_small", {}), ("sub_big", {}))
-    sp("factorization-check", ("subdiagram", {}))
-    sp("bialgebra-check", ("tower", {}))
-    sp("sigma", ("subdiagram", {}))
-    p = subs.add_parser("sigma-system")
-    p.add_argument("tower")
-    p.add_argument("--depth", type=int, default=1)
-    sp("comodule-check", ("comodule", {}))
-    sp("torsionfree-cover", ("comodule", {}))
+    parser.add_argument("command", choices=HANDLERS)
+    parser.add_argument("rest", nargs=argparse.REMAINDER, metavar="ARGS",
+                        help="the arguments of the command")
     return parser
+
+
+def parse_args(argv=None):
+    """Two-stage parse into one namespace: the global options and COMMAND,
+    then the arguments of COMMAND with a parser built for that command only,
+    not all twenty; exits 2 on bad usage."""
+    args = build_parser().parse_args(argv)
+    rest = args.rest
+    del args.rest
+    parser = argparse.ArgumentParser(prog="tannakit " + args.command)
+    for arg in ARGUMENTS[args.command]:
+        name, kwargs = (arg, {}) if isinstance(arg, str) else arg
+        parser.add_argument(name, **kwargs)
+    return parser.parse_args(rest, namespace=args)
 
 
 def default_corpus_text():
@@ -392,8 +401,7 @@ def default_corpus_text():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(argv)
     try:
         if args.corpus:
             with open(args.corpus, "r", encoding="utf-8") as fh:

@@ -10,7 +10,9 @@ names with `*` (staircase product), `+` (union), `skel(expr, k)` and
 Complexes, pairs, maps, filtrations, covers and divisors are built and
 checked at parse time, read by the command or not, so a malformed one fails
 the run; diagram, subdiagram, tower and comodule sections are read on first
-use.  Parsing loads only linalg and simplicial, where Filtration lives.
+use.  Parsing loads only linalg and simplicial, where Filtration lives.  A
+corpus builds each staircase product of two complexes once, for all its
+expressions and product maps.
 """
 
 import re
@@ -112,6 +114,7 @@ class Corpus:
         self._tower_decls = {}
         self._comodule_decls = {}
         self._contexts = {}
+        self._products = {}
         order = {"complex": 0, "pair": 1, "map": 2, "filtration": 3,
                  "cover": 4, "divisors": 5, "diagram": 6, "subdiagram": 7,
                  "tower": 8, "comodule": 9}
@@ -120,7 +123,16 @@ class Corpus:
 
     # -- expressions ------------------------------------------------------
     def expr(self, text) -> SimplicialComplex:
-        return _ExprParser(text, self.complexes).parse()
+        return _ExprParser(text, self.complexes, self._product).parse()
+
+    def _product(self, X, Y) -> SimplicialComplex:
+        """product_complex(X, Y), built once per pair of factors for this
+        corpus: complexes are immutable and hash by their simplices."""
+        key = (X, Y)
+        P = self._products.get(key)
+        if P is None:
+            P = self._products[key] = product_complex(X, Y)
+        return P
 
     # -- loaders ----------------------------------------------------------
     def _load_complex(self, sec):
@@ -154,21 +166,21 @@ class Corpus:
         left = self.expr(sec.require("left"))
         right = self.expr(sec.require("right"))
         if kind == "swap":
-            src = product_complex(left, right)
-            tgt = product_complex(right, left)
+            src = self._product(left, right)
+            tgt = self._product(right, left)
             assignment = {v: (v[1], v[0]) for v in src.vertices}
         elif kind == "proj1":
-            src = product_complex(left, right)
+            src = self._product(left, right)
             tgt = left
             assignment = {v: v[0] for v in src.vertices}
         elif kind == "proj2":
-            src = product_complex(left, right)
+            src = self._product(left, right)
             tgt = right
             assignment = {v: v[1] for v in src.vertices}
         elif kind == "assoc":
             third = self.expr(sec.require("third"))
-            src = product_complex(product_complex(left, right), third)
-            tgt = product_complex(left, product_complex(right, third))
+            src = self._product(self._product(left, right), third)
+            tgt = self._product(left, self._product(right, third))
             assignment = {v: (v[0][0], (v[0][1], v[1])) for v in src.vertices}
         else:
             raise InputError("map %r: unknown kind %r" % (sec.name, kind))
@@ -320,10 +332,11 @@ class _ExprParser:
     """expr := term ('+' term)*; term := atom ('*' atom)*;
     atom := NAME | 'empty' | 'skel' '(' expr ',' INT ')' | '(' expr ')'."""
 
-    def __init__(self, text, names):
+    def __init__(self, text, names, product):
         self.tokens = re.findall(r"[\w.-]+|[()*+,]", text)
         self.pos = 0
         self.names = names
+        self.product = product
         self.text = text
 
     def peek(self):
@@ -346,14 +359,19 @@ class _ExprParser:
         out = self.term()
         while self.peek() == "+":
             self.take("+")
-            out = out.union(self.term())
+            right = self.term()
+            try:
+                out = out.union(right)
+            except TypeError:      # e.g. a vertex x and a product vertex (x, y)
+                raise InputError("expression %r unites complexes whose vertices "
+                                 "cannot be ordered together" % self.text) from None
         return out
 
     def term(self):
         out = self.atom()
         while self.peek() == "*":
             self.take("*")
-            out = product_complex(out, self.atom())
+            out = self.product(out, self.atom())
         return out
 
     def atom(self):

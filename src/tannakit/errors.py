@@ -82,10 +82,6 @@ class NotGoodPair(InputError):
 class ProductEscape(CheckFailed):
     """Restriction to product vertices left the expected tensor subspace."""
 
-    def __init__(self, message, integral=False):
-        super().__init__(message)
-        self.integral = integral
-
 
 class MissingProducts(InputError):
     """A required product vertex or tau datum is absent."""

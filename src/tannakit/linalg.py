@@ -2,19 +2,19 @@
 
 Matrices carry arbitrary-precision entries (python ints over Z,
 fractions.Fraction over Q); nothing here ever rounds or overflows.  Provides
-Smith normal form with unimodular transforms, Hermite/echelon canonical
-bases, kernels, exact solving, finitely generated modules presented by
-invariant factors, module maps and subquotients.  One reduction, _echelon,
-does all row reduction on sparse integer rows (the Hermite form over Z, the
-reduced echelon form over Q); rref, hnf_columns, echelon_columns, Q kernels
-and _column_reduce (A stacked on the identity: Z kernels, image bases) read
-it.  One reader, _Solver, reads every coordinate, in integers, at the pivots
-of a canonical basis, or of _column_reduce's image basis for any other A.
+Hermite/echelon canonical bases, kernels, exact solving, finitely generated
+modules presented by invariant factors, module maps and subquotients.  One
+reduction, _echelon, does all row reduction on sparse integer rows (the
+Hermite form over Z, the reduced echelon form over Q); Q kernels and
+_column_reduce (A stacked on the identity: Z kernels, image bases) read it.
+One reader, _Solver, reads every coordinate, in integers, at the pivots of a
+canonical basis, or of _column_reduce's image basis for any other A.
 Invariant factors alone come from a sparse elimination of unit pivots,
 _unit_pivots, with Smith normal form (Z) or _echelon (Q) on what is left;
 tannakit.reduction reads a chain-level reduction off the same pivots.
-Smith normal form keeps its own dense elimination, on A bordered by the
-identities that become U and V; U^-1 and V^-1 are computed only when read.
+Smith normal form, the determinant and the dense forms rref, hnf_columns and
+echelon_columns live in tannakit.smith, imported only where a Smith form is
+needed and served here through a module __getattr__ (PEP 562).
 Chain complexes keep differentials as sparse integer columns {row: coeff}.
 A homology module of a free complex is eager and its cycle basis lazy:
 Subquotient.free reads the module from elementary divisors and builds the
@@ -23,8 +23,7 @@ cycle basis on the first class_of or lift.
 
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .errors import CompositionNonzero, TorsionPresent
 
@@ -32,6 +31,16 @@ ZZ = "z"
 QQ = "q"
 
 RINGS = (ZZ, QQ)
+
+_SMITH = ("SmithForm", "smith_normal_form", "determinant", "rref", "hnf_columns",
+          "echelon_columns")
+
+
+def __getattr__(name):
+    if name not in _SMITH:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    from . import smith
+    return getattr(smith, name)
 
 
 def _coerce(ring, x):
@@ -248,204 +257,6 @@ def tensor_swap(a, b, c, d):
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form
-# ---------------------------------------------------------------------------
-
-class SmithForm:
-    """U*A*V = D with U, V unimodular and the diagonal a divisibility chain.
-    Uinv and Vinv are computed on first read."""
-
-    def __init__(self, U, D, V):
-        self.U = U
-        self.D = D
-        self.V = V
-
-    @cached_property
-    def Uinv(self):
-        return _unimodular_inverse(self.U)
-
-    @cached_property
-    def Vinv(self):
-        return _unimodular_inverse(self.V)
-
-    @property
-    def invariant_factors(self):
-        n = min(self.D.rows, self.D.cols)
-        return tuple(self.D[i, i] for i in range(n) if self.D[i, i] != 0)
-
-    @property
-    def rank(self):
-        return len(self.invariant_factors)
-
-
-def _unimodular_inverse(U):
-    """U^-1 for unimodular U: the Hermite basis of its columns is I, so the
-    transform T of _column_reduce has U*T = I."""
-    H, T, _ = _column_reduce(U)
-    if H != Matrix.identity(ZZ, U.rows):
-        raise AssertionError("SNF transform is not unimodular")
-    return T
-
-
-def _find_pivot(a, k, m, n):
-    best = None
-    bv = None
-    for i in range(k, m):
-        ai = a[i]
-        for j in range(k, n):
-            x = ai[j]
-            if x != 0:
-                ax = -x if x < 0 else x
-                if bv is None or ax < bv:
-                    best, bv = (i, j), ax
-                    if ax == 1:
-                        return best
-    return best
-
-
-def smith_normal_form(A):
-    """Smith normal form of an integer matrix, with transforms.
-
-    Eliminates on one bordered matrix: A with I_m to its right, which becomes
-    U, and I_n below it, which becomes V.  A row operation is one pass over
-    A and U, a column operation one pass over A and V.  Pivot selection
-    prefers the entry of smallest absolute value, which keeps intermediate
-    entries from exploding on the matrix sizes used here.
-    """
-    if A.ring != ZZ:
-        raise ValueError("smith_normal_form requires an integer matrix")
-    m, n = A.rows, A.cols
-    a = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(A.data)]
-    a += [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-
-    def addmul_row(dst, src, q):
-        # row_dst -= q * row_src
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-
-    def addmul_col(dst, src, q):
-        # col_dst -= q * col_src
-        for row in a:
-            row[dst] -= q * row[src]
-
-    def clear_position(k):
-        while True:
-            # bring the smallest entry of row/col k (from index k on) to (k,k)
-            piv = None
-            bv = None
-            for i in range(k, m):
-                x = a[i][k]
-                if x != 0:
-                    ax = abs(x)
-                    if bv is None or ax < bv:
-                        piv, bv = (i, k), ax
-            for j in range(k, n):
-                x = a[k][j]
-                if x != 0:
-                    ax = abs(x)
-                    if bv is None or ax < bv:
-                        piv, bv = (k, j), ax
-            if piv is None:
-                return False
-            pi, pj = piv
-            if pi != k:
-                a[pi], a[k] = a[k], a[pi]
-            elif pj != k:
-                swap_cols(pj, k)
-            p = a[k][k]
-            done = True
-            for i in range(k + 1, m):
-                if a[i][k] != 0:
-                    q = a[i][k] // p
-                    if q:
-                        addmul_row(i, k, q)
-                    if a[i][k] != 0:
-                        done = False
-            for j in range(k + 1, n):
-                if a[k][j] != 0:
-                    q = a[k][j] // p
-                    if q:
-                        addmul_col(j, k, q)
-                    if a[k][j] != 0:
-                        done = False
-            if done:
-                return True
-
-    r = min(m, n)
-    k = 0
-    while k < r:
-        # move some nonzero entry into the working square first
-        piv = _find_pivot(a, k, m, n)
-        if piv is None:
-            break
-        if a[k][k] == 0 or abs(a[piv[0]][piv[1]]) < abs(a[k][k]):
-            if piv[0] != k:
-                a[piv[0]], a[k] = a[k], a[piv[0]]
-            if piv[1] != k:
-                swap_cols(piv[1], k)
-        clear_position(k)
-        k += 1
-    rank = k
-
-    # enforce the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(rank - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if dj % di != 0:
-                addmul_col(i, i + 1, -1)  # col_i += col_{i+1}
-                clear_position(i)
-                changed = True
-    for i in range(rank):
-        if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
-
-    form = SmithForm(Matrix(ZZ, [row[n:] for row in a[:m]], m, m),
-                     Matrix(ZZ, [row[:n] for row in a[:m]], m, n),
-                     Matrix(ZZ, a[m:], n, n))
-    if (form.U * A) * form.V != form.D:
-        raise AssertionError("SNF internal inconsistency")
-    return form
-
-
-def determinant(A):
-    """Exact determinant: fraction-free Bareiss, over Q on the rows scaled to
-    integers."""
-    if A.rows != A.cols:
-        raise ValueError("determinant of a non-square matrix")
-    if A.ring == QQ:
-        scale = [lcm(*(x.denominator for x in row)) for row in A.data]
-        d = determinant(Matrix(ZZ, [[x * m for x in row]
-                                    for row, m in zip(A.data, scale)]))
-        return Fraction(d, prod(scale))
-    n = A.rows
-    if n == 0:
-        return 1
-    a = [list(r) for r in A.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-# ---------------------------------------------------------------------------
 # Canonical bases, kernels, solving
 # ---------------------------------------------------------------------------
 
@@ -571,10 +382,13 @@ def _sparse_divisors(start, ring):
         raise AssertionError("sparse elimination does not reproduce the matrix")
     if ring == QQ:
         return (1,) * (len(terms) + len(_echelon(rows.values(), QQ)[0]))
+    if not rows:
+        return (1,) * len(terms)
+    from .smith import smith_normal_form
     left = sorted({c for r in rows.values() for c in r})
     residual = Matrix(ZZ, [[r.get(c, 0) for c in left] for r in rows.values()],
                       len(rows), len(left))
-    return (1,) * len(terms) + (smith_normal_form(residual).invariant_factors if rows else ())
+    return (1,) * len(terms) + smith_normal_form(residual).invariant_factors
 
 
 def _unit_pivots(rows):
@@ -619,34 +433,6 @@ def _unit_pivots(rows):
             dirty_rows.update(column)
             dirty_cols.update(prow)
     return terms
-
-
-def rref(A):
-    """Reduced row echelon form over Q: returns (R, pivot_columns), R with
-    Fraction entries and its zero rows last.  The rows are scaled to
-    integers and reduced by _echelon."""
-    pivots, basis = _echelon(_integer_rows(A), QQ)
-    zero = Fraction(0)
-    rows = [[r.get(j, zero) for j in range(A.cols)] for r in basis]
-    rows += [[zero] * A.cols] * (A.rows - len(rows))
-    return Matrix(QQ, rows, A.rows, A.cols), tuple(pivots)
-
-
-def hnf_columns(A):
-    """Canonical (column-style Hermite) basis of the column lattice over Z.
-
-    Columns are ordered by pivot row; pivots positive; entries of earlier
-    columns in a pivot row reduced into [0, pivot).  Zero columns dropped.
-    """
-    if A.ring != ZZ:
-        raise ValueError("hnf_columns requires an integer matrix")
-    return Matrix.from_sparse(ZZ, _echelon(_nonzero_columns(A), ZZ)[1], A.rows)
-
-
-def echelon_columns(A):
-    """Canonical column basis of the column span over Q (echelon columns)."""
-    return Matrix.from_sparse(QQ, _echelon(_integral(_nonzero_columns(A)), QQ)[1],
-                              A.rows)
 
 
 def _column_reduce(A):
@@ -767,9 +553,6 @@ def solve(A, b):
     return _Solver(A).solve(b)
 
 
-solve_in_submodule = solve
-
-
 # ---------------------------------------------------------------------------
 # Finitely generated modules
 # ---------------------------------------------------------------------------
@@ -885,6 +668,7 @@ def module_from_relations(ring, ngens, relations):
             mod = FgModule(ZZ, ngens)
             eye = Matrix.identity(ZZ, ngens)
             return mod, eye, eye
+        from .smith import smith_normal_form
         form = smith_normal_form(relations)
         diag = [form.D[i, i] if i < relations.cols else 0 for i in range(ngens)]
         keep = [i for i, d in enumerate(diag) if d != 1]

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import tannakit
-from tannakit.cli import default_corpus_text, main
+from tannakit.cli import HANDLERS, default_corpus_text, main
 from tannakit.corpus import Corpus
 from tannakit.errors import InputError
 from tannakit.linalg import ZZ, FgModule
@@ -139,6 +139,30 @@ class TestCommands:
         assert main(["--corpus", str(path), "homology", "p"]) == 1
 
 
+class TestUsage:
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "{%s}" % ",".join(HANDLERS) in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", sorted(HANDLERS))
+    def test_command_help(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: tannakit %s " % command)
+
+    @pytest.mark.parametrize("argv", [["nosuch", "x"], ["homology", "p_klein", "--ring", "q"],
+                                      ["homology"], []],
+                             ids=["unknown command", "global option after the command",
+                                  "missing argument", "no command"])
+    def test_bad_usage_exits_two(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 COLD_COMMANDS = [
     ["coalgebra", "F1"],
     ["coaction", "F1", "g"],
@@ -180,15 +204,19 @@ print(" ".join(sorted(m.split(".")[-1] for m in sys.modules
 
 
 @pytest.mark.parametrize("corpus, argv, present, absent", [
-    (None, ["homology", "p_klein"], set(),
+    # the Z/2 of the Klein bottle is the Smith form of a residual
+    (None, ["homology", "p_klein"], {"smith"},
      {"filtration", "cochains", "tannaka", "bialgebra", "comodule", "reduction", "les"}),
     ("[complex c]\nsimplices = x y\n\n[pair p]\nspace = c\n", ["homology", "p"], set(),
-     {"filtration", "tannaka", "bialgebra", "comodule", "reduction", "les"}),
+     {"filtration", "tannaka", "bialgebra", "comodule", "reduction", "les", "smith"}),
+    (None, ["product", "p_circle", "p_circle"], set(),
+     {"filtration", "cochains", "tannaka", "bialgebra", "comodule", "reduction", "les",
+      "smith"}),
     (None, ["end-algebra", "F2"], {"tannaka"},
-     {"bialgebra", "filtration", "comodule", "reduction", "les"}),
+     {"bialgebra", "filtration", "comodule", "reduction", "les", "smith"}),
     (None, ["cup", "circle3*circle3", "empty", "empty", "1", "1"], {"cochains"},
      {"filtration", "tannaka"}),
-], ids=["homology", "homology without filtrations", "end-algebra", "cup"])
+], ids=["homology", "homology without filtrations", "product", "end-algebra", "cup"])
 def test_cold_start_loads_only_the_layers_a_command_runs(corpus, argv, present, absent,
                                                          tmp_path):
     if corpus is not None:
@@ -203,8 +231,8 @@ def test_cold_start_loads_only_the_layers_a_command_runs(corpus, argv, present, 
 
 
 PACKAGE_EXPORTS = {
-    "linalg": "QQ ZZ FgModule Matrix ModuleMap SmithForm Subquotient dual_map "
-              "kernel smith_normal_form solve_in_submodule subquotient",
+    "linalg": "QQ ZZ FgModule Matrix ModuleMap Subquotient dual_map kernel subquotient",
+    "smith": "SmithForm smith_normal_form",
     "simplicial": "ChainComplex SimplicialComplex SimplicialMap SimplicialPair "
                   "cech_total_complex ez_aw_maps induced_map_on_homology "
                   "les_exactness product_pair relative_chain_complex "
@@ -230,8 +258,13 @@ def test_package_exports_resolve_lazily():
         for name in names.split():
             assert getattr(tannakit, name) is getattr(mod, name), name
     from tannakit import Corpus, PairsContext               # noqa: F401
+    for name in ("SmithForm", "smith_normal_form", "determinant", "rref", "hnf_columns",
+                 "echelon_columns"):
+        assert getattr(tannakit.linalg, name) is getattr(tannakit.smith, name), name
     with pytest.raises(AttributeError):
         tannakit.nosuch
+    with pytest.raises(AttributeError):
+        tannakit.linalg.nosuch
 
 
 MALFORMED_BASE = """ring = z

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tannakit import linalg
+from tannakit import linalg, smith
 from tannakit.errors import InvalidPair, NotACover, NotPairMap, NotSimplicial
 from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap
 from tannakit.les import les_maps, les_nodes
@@ -404,9 +404,10 @@ class TestLaziness:
         reduction, and Smith forms only of residuals without unit entries."""
         from tannakit.cli import homology_table
         reduced, residuals = [], []
-        real_snf = linalg.smith_normal_form
-        monkeypatch.setattr(linalg, "_column_reduce", lambda A: reduced.append(A))
-        monkeypatch.setattr(linalg, "smith_normal_form",
+        real_snf = smith.smith_normal_form
+        for module in (linalg, smith):
+            monkeypatch.setattr(module, "_column_reduce", lambda A: reduced.append(A))
+        monkeypatch.setattr(smith, "smith_normal_form",
                             lambda A: residuals.append(A) or real_snf(A))
         monkeypatch.setattr("tannakit.simplicial._PAIR_CACHE", {})
         X, table = spaces.GOLDEN[name]
@@ -446,9 +447,9 @@ class TestLaziness:
         def refuse(self, d):
             raise AssertionError("dense boundary %d built" % d)
         residuals = []
-        real_snf = linalg.smith_normal_form
+        real_snf = smith.smith_normal_form
         monkeypatch.setattr(ChainComplex, "boundary", refuse)
-        monkeypatch.setattr(linalg, "smith_normal_form",
+        monkeypatch.setattr(smith, "smith_normal_form",
                             lambda A: residuals.append(A) or real_snf(A))
         monkeypatch.setattr("tannakit.simplicial._PAIR_CACHE", {})
         X, _ = spaces.GOLDEN[name]
