@@ -238,8 +238,7 @@ def cmd_transition(corpus, ring, args):
     ctx2, subG = corpus.subdiagram(args.sub_big, ring)
     if ctx is not ctx2:
         _fail("subdiagrams live on different diagrams")
-    t = transition_map(ctx.rep, ctx.end(subF), ctx.end(subG),
-                       ctx.coalgebra(subF), ctx.coalgebra(subG))
+    t = transition_map(ctx.rep, ctx.end(subF), ctx.end(subG))
     return {"from": args.sub_small, "to": args.sub_big,
             "matrix": jmatrix(t.matrix),
             "checks": "coalgebra morphism and coaction compatibility asserted"}, True

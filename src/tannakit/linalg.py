@@ -12,6 +12,8 @@ canonical basis, or of _column_reduce's image basis for any other A.
 Invariant factors alone come from a sparse elimination of unit pivots,
 _unit_pivots, with Smith normal form (Z) or _echelon (Q) on what is left;
 tannakit.reduction reads a chain-level reduction off the same pivots.
+Every tensor identity and construction applies A (x) B to sparse columns by
+one helper, _tensor_apply, beside _compose; no module calls Matrix.kron.
 Smith normal form, the determinant and the dense forms rref, hnf_columns and
 echelon_columns live in tannakit.smith, imported only where a Smith form is
 needed and served here through a module __getattr__ (PEP 562).
@@ -178,8 +180,7 @@ class Matrix:
                              % (self.rows, self.cols, other.rows, other.cols))
         if self.cols == 0 or self.rows == 0 or other.cols == 0:
             return Matrix.zeros(self.ring, self.rows, other.cols)
-        # skip zero entries: the coalgebra-axiom checks multiply large,
-        # mostly sparse kron products
+        # skip zero entries
         ncols = other.cols
         bd = other.data
         out = []
@@ -615,11 +616,14 @@ class FgModule:
         return tuple(out)
 
     def tensor(self, other):
+        """The module presented by the columns of ra (x) 1 and 1 (x) rb."""
         if self.ring != other.ring:
             raise ValueError("ring mismatch in tensor")
-        ra, rb = self.relations(), other.relations()
-        ia, ib = Matrix.identity(self.ring, self.ngens), Matrix.identity(self.ring, other.ngens)
-        return FgModule.cokernel(ra.kron(ib).hstack(ia.kron(rb)))
+        ra, rb = _nonzero_columns(self.relations()), _nonzero_columns(other.relations())
+        na, nb = self.ngens, other.ngens
+        cols = ([_tensor_apply(ra, None, nb, nb, {x: 1}) for x in range(len(ra) * nb)]
+                + [_tensor_apply(None, rb, nb, len(rb), {x: 1}) for x in range(na * len(rb))])
+        return FgModule.cokernel(Matrix.from_sparse(self.ring, cols, na * nb))
 
     @classmethod
     def cokernel(cls, relations):
@@ -871,3 +875,56 @@ def _compose(outer, inner):
 def _composes_to_zero(outer, inner):
     """outer * inner == 0, for maps given as sparse columns."""
     return not any(_compose(outer, inner))
+
+
+def _apply(cols, vec, size):
+    """The vector of length size that the sparse columns cols map vec to."""
+    out = [0] * size
+    for col, x in zip(cols, vec):
+        if x:
+            for i, y in col.items():
+                out[i] += x * y
+    return tuple(out)
+
+
+def _tensor_apply(a, b, nb, mb, col, scale=1, out=None):
+    """out plus scale (A (x) B) col, for a sparse column col {index: x} and
+    A, B sparse columns {row: entry}, one of them None for an identity: B is
+    nb x mb, and index j * mb + l goes to the rows i * nb + k.  out (a new
+    dict when None) is updated in place, may keep zeros, and is returned.
+    With B None and nb = mb = 1 this is the plain product A col."""
+    if out is None:
+        out = {}
+    if scale != 1:
+        col = {jl: scale * x for jl, x in col.items()}
+    if b is None:
+        for jl, x in col.items():
+            j, l = divmod(jl, mb)
+            for i, y in a[j].items():
+                out[i * nb + l] = out.get(i * nb + l, 0) + x * y
+    elif a is None:
+        for jl, x in col.items():
+            j, l = divmod(jl, mb)
+            base = j * nb
+            for k, z in b[l].items():
+                out[base + k] = out.get(base + k, 0) + x * z
+    else:
+        for jl, x in col.items():
+            j, l = divmod(jl, mb)
+            bl = b[l]
+            for i, y in a[j].items():
+                base, xy = i * nb, x * y
+                for k, z in bl.items():
+                    out[base + k] = out.get(base + k, 0) + xy * z
+    return out
+
+
+def _swapped_tensor(X, Y, a, b, c, d):
+    """The columns of (1 swap 1)(X (x) Y), column x * len(Y) + y for X[x]
+    (x) Y[y], for sparse columns X on rows (i, j) of shape (a, b) and Y on
+    rows (k, l) of shape (c, d): row (i, j, k, l) moves to (i, k, j, l), the
+    order of tensor_swap."""
+    to = {old: new for new, old in enumerate(tensor_swap(a, b, c, d))}
+    m = len(Y)
+    return [{to[r]: x for r, x in _tensor_apply(X, Y, c * d, m, {xy: 1}).items()}
+            for xy in range(len(X) * m)]

@@ -26,7 +26,7 @@ while every other command prints coordinates in the Hermite cycle basis of
 ChainComplex.homology.
 """
 
-from .linalg import Matrix, Subquotient, _compose, _sparse_divisors, _unit_pivots
+from .linalg import Matrix, Subquotient, _apply, _compose, _sparse_divisors, _unit_pivots
 
 
 def reduction(cx):
@@ -165,13 +165,3 @@ def _add(acc, col, cols):
 def _nonzero(acc, scale=1):
     """scale times acc, without its zero entries."""
     return {i: scale * x for i, x in acc.items() if x}
-
-
-def _apply(cols, vec, size):
-    """The vector of length size that the sparse columns cols map vec to."""
-    out = [0] * size
-    for col, x in zip(cols, vec):
-        if x:
-            for i, y in col.items():
-                out[i] += x * y
-    return tuple(out)

@@ -27,7 +27,7 @@ from itertools import combinations
 
 from .errors import InvalidFiltration, InvalidPair, NotNested, NotPairMap, NotSimplicial
 from .linalg import (
-    ZZ, FgModule, Matrix, ModuleMap, Subquotient, _compose, _composes_to_zero,
+    ZZ, FgModule, Matrix, ModuleMap, Subquotient, _apply, _compose, _composes_to_zero,
     _sparse_divisors,
 )
 
@@ -387,12 +387,7 @@ class ChainMap:
 
     def apply(self, d, vec):
         """The image of a chain of degree d, given by its coordinates."""
-        out = [0] * self.target.rank(d)
-        for col, c in zip(self._cols.get(d, ()), vec):
-            if c:
-                for r, e in col.items():
-                    out[r] += c * e
-        return tuple(out)
+        return _apply(self._cols.get(d, ()), vec, self.target.rank(d))
 
 
 def _sparse_columns(rule, d, labels, index):
@@ -501,6 +496,8 @@ def _induced_chain_map(f, pair_src, pair_tgt, ring):
 
 def induced_map_on_homology(f, pair_src, pair_tgt, n, ring=ZZ) -> ModuleMap:
     """h_n(f): h_n(X,Z) -> h_n(X',Z') for a map of pairs."""
+    if not pair_src.X.is_subcomplex_of(f.source):
+        raise NotPairMap("f is not defined on X")
     if not f.image(pair_src.X).is_subcomplex_of(pair_tgt.X):
         raise NotPairMap("f does not map X into X'")
     if not f.is_pair_map(pair_src, pair_tgt):

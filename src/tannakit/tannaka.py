@@ -10,10 +10,12 @@ vertex, and inclusions of subdiagrams dualize to transition maps.  Bases are
 canonical (Hermite over Z, reduced echelon over Q), each from one kernel
 call, and every coordinate in them (the unit, coordinates(), the products of
 basis families, transition maps) is read by the End algebra's one
-linalg._Solver at the basis pivots.  Comodule is the one comodule type:
-the coalgebra and comodule axioms and the comodule morphism identities are
-sparse contractions over nonzeros, over Q in integers scaled by common
-denominators, and the dense comultiplication is built only when read.
+linalg._Solver at the basis pivots.  Comodule is the one comodule type.
+The coalgebra and comodule axioms, the comodule morphism identities and
+the coalgebra morphism check of transitions and bialgebra products
+(_coalgebra_morphism) add both sides of each column into one dict by
+linalg._tensor_apply, over Q in integers scaled by common denominators; the
+dense comultiplication is built only when read.
 PairsContext is a pairs diagram with its product registrations and its End
 algebra and tau caches; it is here and not in tannakit.bialgebra so that the
 diagram commands that take no product never load that module.
@@ -26,7 +28,7 @@ from .errors import (
 )
 from .linalg import (
     QQ, ZZ, FgModule, Matrix, ModuleMap, _nonzero_columns, _order_relations, _Solver,
-    elementary_divisors, kernel,
+    _tensor_apply, elementary_divisors, kernel,
 )
 from .simplicial import induced_map_on_homology, product_pair, relative_homology, triple_boundary
 
@@ -364,23 +366,17 @@ def _coassociative(delta, rho, n, r, orders=None, scales=(1, 1)):
     """(Delta (x) id) rho == (id (x) rho) rho, one column of rho at a time.
 
     delta and rho are the _nonzero_columns of the n^2 x n comultiplication
-    and of an (n r) x r coaction (rows (i, a) -> i * r + a); the difference
-    of the sides is summed over nonzero products only, with no Kronecker.
-    With scales (R, D), delta and rho are integer columns D Delta and R rho,
-    and R (D Delta (x) id)(R rho) is compared with D (id (x) R rho)(R rho):
-    both sides carry R^2 D.  With orders (one per generator) the identity
-    holds modulo the order of each row's generator.
+    and of an (n r) x r coaction (rows (i, a) -> i * r + a); both sides of
+    each column go into one dict by _tensor_apply.  With scales (R, D),
+    delta and rho are integer columns D Delta and R rho, and
+    R (D Delta (x) id)(R rho) is compared with D (id (x) R rho)(R rho): both
+    sides carry R^2 D.  With orders (one per generator) the identity holds
+    modulo the order of each row's generator.
     """
     R, D = scales
     for col in rho:
-        diff = {}
-        for ia, c in col.items():
-            i, a = divmod(ia, r)
-            cr, cd = c * R, c * D
-            for pq, d in delta[i].items():
-                diff[pq * r + a] = diff.get(pq * r + a, 0) + cr * d
-            for jb, d in rho[a].items():
-                diff[i * n * r + jb] = diff.get(i * n * r + jb, 0) - cd * d
+        diff = _tensor_apply(delta, None, r, r, col, R)
+        _tensor_apply(None, rho, n * r, r, col, -D, diff)
         if not _vanishes(diff, r, orders, R * R * D):
             return False
     return True
@@ -398,15 +394,11 @@ def _integer_columns(cols, ring):
 
 def _counit_identity(rho, eps, r, scale, left=True, orders=None):
     """(eps (x) id) rho == id, or (id (x) eps) rho == id when not left, for
-    integer columns rho and an integer counit {i: eps_i} whose products
-    carry the factor scale, and orders as in _coassociative."""
-    for b, col in enumerate(rho):
-        diff = {b: -scale}
-        for ia, c in col.items():
-            i, a = divmod(ia, r)
-            e, key = (eps[i], a) if left else (eps[a], i)
-            diff[key] = diff.get(key, 0) + e * c
-        if not _vanishes(diff, r, orders, scale):
+    integer columns rho and an integer counit given as columns {0: eps_i},
+    whose products carry the factor scale, and orders as in _coassociative."""
+    a, b, nb = (eps, None, r) if left else (None, eps, 1)
+    for j, col in enumerate(rho):
+        if not _vanishes(_tensor_apply(a, b, nb, r, col, 1, {j: -scale}), r, orders, scale):
             return False
     return True
 
@@ -417,42 +409,30 @@ def _intertwines(src, dst, t=None, m=None):
     column over the nonzeros, in integers: R_dst (S_t t (x) S_m m)(R_src
     rho_src) against S_t R_src (R_dst rho_dst)(S_m m), R and S the scales."""
     k = dst.ngens
-    tc, st = (_integer_columns(_nonzero_columns(t), t.ring) if t is not None
-              else ([{i: 1} for i in range(src.coalgebra.rank)], 1))
-    mc, sm = (_integer_columns(_nonzero_columns(m), m.ring) if m is not None
-              else ([{a: 1} for a in range(src.ngens)], 1))
+    tc, st = _integer_columns(_nonzero_columns(t), t.ring) if t is not None else (None, 1)
+    mc, sm = _integer_columns(_nonzero_columns(m), m.ring) if m is not None else (None, 1)
     rs, rd = src._denominator, dst._denominator
     for b, col in enumerate(src._columns):
-        diff = {}
-        for ia, c in col.items():
-            i, a = divmod(ia, src.ngens)
-            for p, x in tc[i].items():
-                for q, y in mc[a].items():
-                    diff[p * k + q] = diff.get(p * k + q, 0) + rd * c * x * y
-        for a, y in mc[b].items():
-            for pq, x in dst._columns[a].items():
-                diff[pq] = diff.get(pq, 0) - st * rs * y * x
+        diff = _tensor_apply(tc, mc, k, src.ngens, col, rd)
+        _tensor_apply(dst._columns, None, 1, 1, {b: 1} if mc is None else mc[b], -st * rs, diff)
         if not _vanishes(diff, k, dst.gen_orders, rd * rs * st * sm):
             return False
     return True
 
 
-def _comultiplicative(t, AG, AF):
-    """Delta_G t == (t (x) t) Delta_F, one column e_k at a time: Delta_G(t e_k)
-    against sum_ij c_ij^k (t e_i) (x) (t e_j), over nonzeros, with no kron."""
-    n, tc, dg = t.rows, _nonzero_columns(t), AG.delta_columns
-    for k, col in enumerate(AF.delta_columns):
-        diff = {}
-        for i, a in tc[k].items():
-            for pq, d in dg[i].items():
-                diff[pq] = diff.get(pq, 0) + a * d
-        for ij, c in col.items():
-            for p, a in tc[ij // t.cols].items():
-                for q, b in tc[ij % t.cols].items():
-                    diff[p * n + q] = diff.get(p * n + q, 0) - c * a * b
-        if any(diff.values()):
-            return False
-    return True
+def _coalgebra_morphism(t, delta, counit, target):
+    """(Delta_target t == (t (x) t) delta, eps_target t == counit) for a
+    matrix t out of the coalgebra with comultiplication delta and counit
+    given as sparse columns ({0: eps_k}), exactly, one column e_k at a time,
+    both sides of it added into one dict by _tensor_apply."""
+    n, tc, eps = t.rows, _nonzero_columns(t), _nonzero_columns(target.counit)
+    comultiplicative = counital = True
+    for k, (col, e) in enumerate(zip(delta, counit)):
+        diff = _tensor_apply(target.delta_columns, None, 1, 1, tc[k], -1)
+        comultiplicative = comultiplicative and not any(
+            _tensor_apply(tc, tc, n, t.cols, col, 1, diff).values())
+        counital = counital and _tensor_apply(eps, None, 1, 1, tc[k]).get(0, 0) == e.get(0, 0)
+    return comultiplicative, counital
 
 
 class CoalgebraTrunc:
@@ -487,8 +467,7 @@ class CoalgebraTrunc:
         self._integer_delta, self._denominator = idelta, d = _integer_columns(cols, ring)
         if not _coassociative(idelta, idelta, rank, rank):
             raise AxiomViolation("comultiplication is not coassociative")
-        (eps,), de = _integer_columns([dict(enumerate(counit.row(0)))], ring)
-        self._integer_counit = eps, de
+        self._integer_counit = eps, de = _integer_columns(_nonzero_columns(counit), ring)
         if not (_counit_identity(idelta, eps, rank, d * de)
                 and _counit_identity(idelta, eps, rank, d * de, left=False)):
             raise AxiomViolation("counit identities fail")
@@ -616,41 +595,34 @@ class TransitionMap:
         self.source, self.target, self.matrix = source, target, matrix
 
 
-def transition_map(rep, EF: EndAlgebra, EG: EndAlgebra,
-                   AF=None, AG=None) -> TransitionMap:
+def transition_map(rep, EF: EndAlgebra, EG: EndAlgebra) -> TransitionMap:
     """Transition A_F -> A_G for subdiagrams F <= G.
 
     Computed as the transpose of the restriction End(T|_G) -> End(T|_F);
-    verified to be a coalgebra morphism and to intertwine the canonical
-    comodules at every vertex of F.  The coaction identity
-    (t (x) id) rho_F = rho_G is checked by _intertwines, and
-    comultiplication by _comultiplicative, both without Kronecker products.
+    verified to be a coalgebra morphism by _coalgebra_morphism and to
+    intertwine the canonical comodules at every vertex of F, (t (x) id)
+    rho_F = rho_G, by _intertwines.
     """
     if not EF.sub.is_subset_of(EG.sub):
         raise InputError("transition requires nested subdiagrams")
-    AF = EF.coalgebra() if AF is None else AF
-    AG = EG.coalgebra() if AG is None else AG
-    cols = []
+    AF, AG = EF.coalgebra(), EG.coalgebra()
+    cols, offsets = [], EG.offsets
     for i in range(EG.dim):
-        flat = []
         col = EG.basis.col(i)
-        for v in EF.order:
-            r = rep.rank(v)
-            off = EG.offsets[v]
-            flat.extend(col[off:off + r * r])
-        coords = EF.coordinates(tuple(flat))
+        coords = EF.coordinates(tuple(x for v in EF.order
+                                      for x in col[offsets[v]:offsets[v] + rep.rank(v) ** 2]))
         if coords is None:
             raise AxiomViolation("restricted family escapes the smaller algebra")
         cols.append(coords)
     t = Matrix.from_columns(rep.ring, cols, rows=EF.dim).transpose()
-    # coalgebra morphism: Delta' t = (t (x) t) Delta ; eps' t = eps
-    if not _comultiplicative(t, AG, AF):
+    comultiplicative, counital = _coalgebra_morphism(
+        t, AF.delta_columns, _nonzero_columns(AF.counit), AG)
+    if not comultiplicative:
         raise AxiomViolation("transition fails comultiplication compatibility")
-    if AG.counit * t != AF.counit:
+    if not counital:
         raise AxiomViolation("transition fails counit compatibility")
     for v in EF.order:
-        if not _intertwines(coaction(rep, EF.sub, v, EF, AF),
-                            coaction(rep, EG.sub, v, EG, AG), t=t):
+        if not _intertwines(coaction(rep, EF.sub, v, EF), coaction(rep, EG.sub, v, EG), t=t):
             raise AxiomViolation("transition fails coaction compatibility at %r" % (v,))
     return TransitionMap(AF, AG, t)
 

@@ -6,13 +6,16 @@ reduction without transform tracking, elementary divisors via minor gcds,
 boundary matrices rebuilt from scratch, a dense commutant solver with its
 own elimination, and finite enumeration over Z/p.  A few keep a dense path
 the package replaced: the dense row-substitution solver, End structure
-constants from dense block products solved by it, and the product of
-truncations solved against the dense Kronecker basis of End (x) End.
+constants from dense block products solved by it, the product of
+truncations solved against the dense Kronecker basis of End (x) End, and
+every bialgebra and comodule tensor identity as a product of dense
+Kronecker matrices (the package contracts them with linalg._tensor_apply).
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 
 
 # -- Smith normal form oracles ---------------------------------------------
@@ -780,3 +783,117 @@ def dense_transition_coaction(t, rho_f, rho_g):
     """(t (x) id) rho_F == rho_G for a transition matrix t, through a kron."""
     from tannakit.linalg import Matrix
     return t.kron(Matrix.identity(t.ring, rho_f.cols)) * rho_f == rho_g
+
+
+# -- bialgebra and tensor identities through dense Kronecker products -------
+# The package reads each of these over nonzeros with linalg._tensor_apply;
+# here each side is built as a dense matrix.
+
+def _swap_rows(rows, a, b, c, d):
+    """rows (i, j, k, l) of shape (a, b, c, d) reordered to (i, k, j, l)."""
+    return [rows[((i * b + j) * c + k) * d + l]
+            for i in range(a) for k in range(c) for j in range(b) for l in range(d)]
+
+
+def _integer_data(m):
+    """(rows of m scaled to integers, the scale): the lcm of its denominators."""
+    d = lcm(*(x.denominator for row in m.data for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in m.data], d
+
+
+@lru_cache(maxsize=16)
+def _integer_coalgebra(A):
+    """_integer_data of the comultiplication, then of the counit, of A."""
+    return _integer_data(A.delta) + _integer_data(A.counit)
+
+
+def _matmul(x, y):
+    """x y for dense rows, skipping the zero entries of x."""
+    out = []
+    for row in x:
+        acc = [0] * (len(y[0]) if y else 0)
+        for a, yrow in zip(row, y):
+            if a:
+                for j, b in enumerate(yrow):
+                    acc[j] += a * b
+        out.append(acc)
+    return out
+
+
+def dense_fragment_bialgebra(mu, AF, AG, AH):
+    """(Delta_H mu == (mu (x) mu)(1 swap 1)(Delta_F (x) Delta_G),
+    eps_H mu == eps_F (x) eps_G) for the matrix mu: A_F (x) A_G -> A_H.
+
+    Every matrix is dense and scaled to integers, each side by the other's
+    scales.  (1 swap 1)(Delta_F (x) Delta_G) is a dense Kronecker product
+    with its rows reordered; mu (x) mu is applied to it from the definition
+    of the Kronecker product: its column (x, y) is the outer product of
+    columns x and y of mu."""
+    M, s = _integer_data(mu)
+    (DH, sh, EH, eh), (DF, sf, EF, ef), (DG, sg, EG, eg) = map(_integer_coalgebra, (AH, AF, AG))
+    rf, rg, rh, cols = AF.rank, AG.rank, len(M), list(zip(*M))
+    swapped = _swap_rows(_kron(DF, DG), rf, rf, rg, rg)
+    rhs = []
+    for k in range(rf * rg):
+        acc = [0] * (rh * rh)
+        for xy, row in enumerate(swapped):
+            if row[k]:
+                x, y = divmod(xy, rf * rg)
+                for i, a in enumerate(cols[x]):
+                    if a:
+                        for j, b in enumerate(cols[y]):
+                            acc[i * rh + j] += row[k] * a * b
+        rhs.append([x * sh for x in acc])
+    lhs = [[x * s * sf * sg for x in col] for col in zip(*_matmul(DH, M))]
+    counit = ([[x * ef * eg for x in row] for row in _matmul(EH, M)]
+              == [[x * eh * s for x in row] for row in _kron(EF, EG)])
+    return lhs == rhs, counit
+
+
+def dense_tensor_rho(m, n, mu):
+    """(mu (x) 1)(1 swap 1)(rho_m (x) rho_n), before reduction mod the orders."""
+    from tannakit.linalg import Matrix
+    rf, rg, km, kn = m.coalgebra.rank, n.coalgebra.rank, m.ngens, n.ngens
+    swapped = Matrix(m.rho.ring, _swap_rows(m.rho.kron(n.rho).data, rf, km, rg, kn))
+    return mu.matrix.kron(Matrix.identity(mu.matrix.ring, km * kn)) * swapped
+
+
+def dense_associativity(mu_fg, mu_fg_k, mu_gk, mu_f_gk, t_left, t_right):
+    """t_l mu_(fg)k (mu_fg (x) 1) == t_r mu_f(gk) (1 (x) mu_gk)."""
+    from tannakit.linalg import Matrix
+    ring = mu_fg.matrix.ring
+    left = t_left.matrix * mu_fg_k.matrix * mu_fg.matrix.kron(
+        Matrix.identity(ring, mu_gk.EG.dim))
+    right = t_right.matrix * mu_f_gk.matrix * Matrix.identity(
+        ring, mu_fg.EF.dim).kron(mu_gk.matrix)
+    return left == right
+
+
+def dense_tau_associativity(ctx, v, w, x):
+    """(tau_vw (x) 1) tau_(vw)x == (1 (x) tau_wx) tau_v(wx) alpha_*."""
+    from tannakit.linalg import Matrix
+    from tannakit.simplicial import SimplicialMap, induced_map_on_homology
+    vw, wx = ctx.product_vertex(v, w), ctx.product_vertex(w, x)
+    vw_x, v_wx = ctx.product_vertex(vw, x), ctx.product_vertex(v, wx)
+    (p_l, n_l), (p_r, _) = ctx.diagram.payloads[vw_x], ctx.diagram.payloads[v_wx]
+    alpha = SimplicialMap(p_l.X, p_r.X,
+                          {t: (t[0][0], (t[0][1], t[1])) for t in p_l.X.vertices})
+    alpha_star = induced_map_on_homology(alpha, p_l, p_r, n_l, ctx.ring).matrix
+    eye = lambda u: Matrix.identity(ctx.ring, ctx.rep.rank(u))  # noqa: E731
+    return (ctx.tau(v, w).matrix.kron(eye(x)) * ctx.tau(vw, x).matrix
+            == eye(v).kron(ctx.tau(w, x).matrix) * ctx.tau(v, wx).matrix * alpha_star)
+
+
+def dense_sigma_step(mu, sigma_coords):
+    """mu (1 (x) sigma): A_F -> A_F' for mu: A_F (x) A_C -> A_F'."""
+    from tannakit.linalg import Matrix
+    ring = mu.matrix.ring
+    return mu.matrix * Matrix.identity(ring, mu.EF.dim).kron(Matrix.column(ring, sigma_coords))
+
+
+def dense_module_tensor(a, b):
+    """The presentation of a (x) b: the columns of ra (x) 1 and 1 (x) rb."""
+    from tannakit.linalg import FgModule, Matrix
+    ia, ib = Matrix.identity(a.ring, a.ngens), Matrix.identity(b.ring, b.ngens)
+    ra, rb = a.relations(), b.relations()
+    return FgModule.cokernel(ra.kron(ib).hstack(ia.kron(rb)))

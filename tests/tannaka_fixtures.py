@@ -2,7 +2,8 @@
 
 Mirrors the bundled corpus: the unit point vertex u, the circle-with-point
 vertex g, their pairwise products, a triple-edge pair, a double-cover edge
-and a rank-2 marked-circle vertex p2 with its self-product.
+and a rank-2 marked-circle vertex p2 with its self-product; and W_r, a wedge
+of r circles, with its self-product.
 """
 
 from tannakit.bialgebra import PairsContext
@@ -10,7 +11,7 @@ from tannakit.linalg import _Solver
 from tannakit.simplicial import SimplicialMap, SimplicialPair, product_pair
 from tannakit.tannaka import Subdiagram, build_pairs_diagram
 
-from spaces import CIRCLE3, CIRCLE6, CIRCLE_POINT, EDGE, EDGE_ENDS, POINT, pair, sub
+from spaces import CIRCLE3, CIRCLE6, CIRCLE_POINT, EDGE, EDGE_ENDS, POINT, cx, pair, sub
 
 
 def with_basis(E, basis):
@@ -18,6 +19,23 @@ def with_basis(E, basis):
     coordinate is read through rebuilt on it."""
     E.basis, E._solver = basis, _Solver(basis)
     return E
+
+
+def wedge_context(r, ring, s=None):
+    """(ctx, F, G, H) for W_r, the wedge of r triangles at a taken relative
+    to a, and W_s (W_r itself when s is None), with their product: F = [w]
+    and G hold the two wedges, with End = M_r and M_s, and H their rank rs
+    product vertex, so that mu: A_F (x) A_G -> A_H is r^2 s^2 x r^2 s^2."""
+    def wedge(n):
+        W = cx(*(e for c in range(n) for e in (("a", "b%d" % c), ("b%d" % c, "c%d" % c),
+                                               ("a", "c%d" % c))))
+        return SimplicialPair(W, sub(W, ("a",)))
+    v = "w" if s is None else "v"
+    pairs = {"w": (wedge(r), 1), v: (wedge(r if s is None else s), 1)}
+    pairs["w" + v] = (product_pair(pairs["w"][0], pairs[v][0]), 2)
+    dia, rep = build_pairs_diagram(ring, pairs)
+    ctx = PairsContext(dia, rep, {("w", v): "w" + v})
+    return ctx, Subdiagram(dia, ["w"]), Subdiagram(dia, [v]), Subdiagram(dia, ["w" + v])
 
 
 def build_context(ring):

@@ -263,8 +263,7 @@ def test_criterion_09_bialgebra_suite(corpus):
     try:
         mu00 = product_on_truncations(ctx, F0, F0, F2)
         mu11 = product_on_truncations(ctx, F1, F1, F2)
-        t01 = transition_map(ctx.rep, ctx.end(F0), ctx.end(F1),
-                             ctx.coalgebra(F0), ctx.coalgebra(F1))
+        t01 = transition_map(ctx.rep, ctx.end(F0), ctx.end(F1))
         if mu11.matrix * t01.matrix.kron(t01.matrix) != mu00.matrix:
             ok = False
     except ProductEscape:

@@ -1,23 +1,29 @@
+from fractions import Fraction
+
 import pytest
 
 from tannakit import bialgebra
 from tannakit.bialgebra import (
-    bialgebra_axiom_check, check_associativity, check_commutativity,
-    check_fragment_bialgebra, check_tau_associativity, check_tau_symmetry,
-    check_tau_unit, is_good_vertex, kunneth_tau, product_on_truncations,
-    sigma_directed_system, sigma_element,
+    MuFragment, PairsContext, TauIso, bialgebra_axiom_check, check_associativity,
+    check_commutativity, check_fragment_bialgebra, check_tau_associativity,
+    check_tau_symmetry, check_tau_unit, is_good_vertex, kunneth_tau,
+    product_on_truncations, sigma_directed_system, sigma_element,
 )
 from tannakit.cli import default_corpus_text
+from tannakit.comodule import check_comodule_axioms, tensor_comodules, torsionfree_cover
 from tannakit.corpus import Corpus
 from tannakit.errors import MissingProducts, NotGoodPair, ProductEscape, WrongRank
-from tannakit.linalg import QQ, ZZ, Matrix, ModuleMap
+from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap
 from tannakit.simplicial import SimplicialPair
-from tannakit.tannaka import DiagramRep, Subdiagram, transition_map
+from tannakit.tannaka import Comodule, DiagramRep, Subdiagram, transition_map
 
 import spaces
-from oracles import dense_product_on_truncations
+from oracles import (
+    dense_associativity, dense_fragment_bialgebra, dense_product_on_truncations,
+    dense_sigma_step, dense_tau_associativity, dense_tensor_rho,
+)
 from spaces import RP2, pair
-from tannaka_fixtures import build_context, with_basis
+from tannaka_fixtures import build_context, wedge_context, with_basis
 
 
 @pytest.fixture(scope="module")
@@ -189,10 +195,8 @@ class TestBialgebraCert:
         mu1 = product_on_truncations(ctx, F0, F0, Huu)
         mu2 = product_on_truncations(ctx, Huu, F0, Hl)
         mu3 = product_on_truncations(ctx, F0, Huu, Hr)
-        tl = transition_map(ctx.rep, ctx.end(Hl), ctx.end(Hc),
-                            ctx.coalgebra(Hl), ctx.coalgebra(Hc))
-        tr = transition_map(ctx.rep, ctx.end(Hr), ctx.end(Hc),
-                            ctx.coalgebra(Hr), ctx.coalgebra(Hc))
+        tl = transition_map(ctx.rep, ctx.end(Hl), ctx.end(Hc))
+        tr = transition_map(ctx.rep, ctx.end(Hr), ctx.end(Hc))
         cert = check_associativity(ctx, mu1, mu2, mu1, mu3, tl, tr)
         assert cert.ok, cert.checks
 
@@ -247,6 +251,154 @@ class TestSigma:
         ctx, tower = ctxq
         system = sigma_directed_system(ctx, [tower[1], tower[2]], depth=0)
         assert system.steps == [] and system.kernels == []
+
+
+# -- the sparse tensor contractions against the dense Kronecker oracles -------
+
+def perturbed(m, i, j, by):
+    data = [list(row) for row in m.data]
+    data[i][j] += by
+    return Matrix(m.ring, data, m.rows, m.cols)
+
+
+def checked_fragments(ring, monkeypatch):
+    """(ctx, mu) for the fragments bialgebra_axiom_check builds on main_tower
+    and sigma_tower, then for the self-product of W_2 (mu is 16 x 16)."""
+    built = []
+    product = bialgebra.product_on_truncations
+
+    def recorded(ctx, F, G, H):
+        built.append((ctx, product(ctx, F, G, H)))
+        return built[-1][1]
+    monkeypatch.setattr(bialgebra, "product_on_truncations", recorded)
+    corpus = Corpus(default_corpus_text())
+    for name in ("main_tower", "sigma_tower"):
+        ctx, tower, unit = corpus.tower(name, ring)
+        assert bialgebra_axiom_check(ctx, tower, unit_vertex=unit).ok
+    monkeypatch.undo()
+    ctx, F, G, H = wedge_context(2, ring)
+    return built + [(ctx, product(ctx, F, G, H))]
+
+
+class TestDenseOracles:
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_every_perturbed_mu_gets_the_dense_verdict(self, ring, monkeypatch):
+        # mu is checked as a coalgebra morphism out of A_F (x) A_G; the dense
+        # oracle builds (1 swap 1)(Delta_F (x) Delta_G) and mu (x) mu instead
+        fragments = checked_fragments(ring, monkeypatch)
+        assert len(fragments) == 6 and fragments[-1][1].matrix.cols == 16
+        verdicts = set()
+        for ctx, mu in fragments:
+            coalgebras = [E.coalgebra() for E in (mu.EF, mu.EG, mu.EH)]
+            assert dense_fragment_bialgebra(mu.matrix, *coalgebras) == (True, True)
+            for i in range(mu.matrix.rows):
+                for j in range(mu.matrix.cols):
+                    for by in (1, Fraction(1, 3)) if ring == QQ else (1,):
+                        bad = MuFragment(mu.EF, mu.EG, mu.EH, perturbed(mu.matrix, i, j, by))
+                        cert = check_fragment_bialgebra(ctx, bad)
+                        verdict = tuple(c["ok"] for c in cert.checks)
+                        assert verdict == dense_fragment_bialgebra(bad.matrix, *coalgebras)
+                        verdicts.add(verdict)
+        assert {(False, True), (False, False)} <= verdicts
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_w3_fragment(self, ring):
+        # mu is 81 x 81: the dense check built the 6561 x 6561 mu (x) mu
+        ctx, F, G, H = wedge_context(3, ring)
+        mu = product_on_truncations(ctx, F, G, H)
+        assert mu.matrix.rows == mu.matrix.cols == 81
+        cert = check_fragment_bialgebra(ctx, mu)
+        assert cert.ok and [c["name"] for c in cert.checks] == ["delta-mu", "epsilon-mu"]
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_two_different_factors(self, ring):
+        # W_2 x W_3: the tensor coalgebra's factors differ in rank, so the
+        # order of Delta_F (x) Delta_G and of eps_F (x) eps_G shows
+        ctx, F, G, H = wedge_context(2, ring, 3)
+        mu = product_on_truncations(ctx, F, G, H)
+        coalgebras = [E.coalgebra() for E in (mu.EF, mu.EG, mu.EH)]
+        assert [E.dim for E in (mu.EF, mu.EG, mu.EH)] == [4, 9, 36]
+        assert check_fragment_bialgebra(ctx, mu).ok
+        assert dense_fragment_bialgebra(mu.matrix, *coalgebras) == (True, True)
+        assert dense_fragment_bialgebra(mu.matrix, coalgebras[1], coalgebras[0],
+                                        coalgebras[2]) == (False, False)
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_tensor_comodules(self, ring):
+        corpus = Corpus(default_corpus_text())
+        ctx, _ = corpus.subdiagram("F1", ring)
+        sub = {name: corpus.subdiagram(name, ring)[1]
+               for name in ("F0", "F1", "F2", "P2", "P22H")}
+        # p2 (x) p2 over End(T|P2) = M_2, where the middle swap moves rows
+        for F, G, H, v, w in (("P2", "P2", "P22H", "p2", "p2"), ("F1", "F1", "F2", "g", "g"),
+                              ("F0", "F1", "F2", "u", "g")):
+            mu = product_on_truncations(ctx, sub[F], sub[G], sub[H])
+            m, n = ctx.end(sub[F]).comodule(v), ctx.end(sub[G]).comodule(w)
+            assert tensor_comodules(m, n, mu).rho == dense_tensor_rho(m, n, mu)
+        if ring == ZZ:
+            _, z2 = corpus.comodule("com_z2", ring)
+            mu = product_on_truncations(ctx, sub["F0"], sub["F0"], Subdiagram(ctx.diagram, ["uu"]))
+            t = tensor_comodules(z2, z2, mu)
+            assert t.gen_orders == (2,)
+            assert t.rho == Comodule(t.coalgebra, (2,), dense_tensor_rho(z2, z2, mu)).rho
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_associativity(self, ring):
+        ctx, tower = build_context(ring)
+        F0, dia = tower[0], ctx.diagram
+        Huu, Hl, Hr, Hc = (Subdiagram(dia, vs) for vs in
+                           (["uu"], ["uuul"], ["uuur"], ["uuul", "uuur"]))
+        mus = [product_on_truncations(ctx, F0, F0, Huu), product_on_truncations(ctx, Huu, F0, Hl),
+               product_on_truncations(ctx, F0, F0, Huu), product_on_truncations(ctx, F0, Huu, Hr)]
+        ts = [transition_map(ctx.rep, ctx.end(H), ctx.end(Hc)) for H in (Hl, Hr)]
+        verdicts = []
+        for k in range(-1, 4):      # honest, then each mu doubled
+            args = [MuFragment(mu.EF, mu.EG, mu.EH, mu.matrix.scale(2 if i == k else 1))
+                    for i, mu in enumerate(mus)] + ts
+            verdict = check_associativity(ctx, *args).ok
+            assert verdict == dense_associativity(*args)
+            verdicts.append(verdict)
+        assert verdicts[0] and not all(verdicts)
+        assert check_tau_associativity(ctx, "u", "u", "u")
+        assert dense_tau_associativity(ctx, "u", "u", "u")
+        fresh = PairsContext(ctx.diagram, ctx.rep, ctx.products, ctx.circle)
+        good = fresh.tau("u", "uu")
+        fresh._tau_cache["u", "uu"] = TauIso(
+            good.v, good.w, good.vw, good.matrix.scale(2), good.inverse)
+        assert not check_tau_associativity(fresh, "u", "u", "u")
+        assert not dense_tau_associativity(fresh, "u", "u", "u")
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_sigma_step(self, ring):
+        corpus = Corpus(default_corpus_text())
+        ctx, tower, _ = corpus.tower("sigma_tower", ring)
+        step, = sigma_directed_system(ctx, tower, 1).steps
+        C = Subdiagram(ctx.diagram, [ctx.circle])
+        mu = product_on_truncations(ctx, tower[0], C, tower[1])
+        assert step == dense_sigma_step(mu, sigma_element(ctx, C).coords)
+
+
+def test_no_dense_kron_in_the_package(monkeypatch):
+    """Every tensor identity and construction contracts sparse columns;
+    Matrix.kron stays only for the tests' dense oracles."""
+    def refuse(self, other):
+        raise AssertionError("Matrix.kron called")
+    monkeypatch.setattr(Matrix, "kron", refuse)
+    corpus = Corpus(default_corpus_text())
+    for ring in (ZZ, QQ):
+        ctx, tower, unit = corpus.tower("main_tower", ring)
+        assert bialgebra_axiom_check(ctx, tower, unit_vertex=unit).ok
+        ctx, tower, _ = corpus.tower("sigma_tower", ring)
+        assert sigma_directed_system(ctx, tower, 1).steps
+        F1, F2 = tower
+        m = ctx.end(F1).comodule("g")
+        mu = product_on_truncations(ctx, F1, F1, F2)
+        assert check_comodule_axioms(tensor_comodules(m, m, mu)).ok
+        fixture, _ = build_context(ring)
+        assert check_tau_associativity(fixture, "u", "u", "u")
+    _, z2 = corpus.comodule("com_z2", ZZ)
+    assert torsionfree_cover(z2.coalgebra, z2).cover.module == FgModule(ZZ, 1)
+    assert FgModule(ZZ, 1, (2,)).tensor(FgModule(ZZ, 1, (4,))) == FgModule(ZZ, 1, (2, 2, 4))
 
 
 class PairsContextProxy:

@@ -308,6 +308,11 @@ MALFORMED = {
                             "[map m]\nsource = pt\ntarget = pt\nassign = a:a\n"
                             "[diagram d]\nvertex = u : p : 0\nedge = e : m : zz -> u",
                             ["end-algebra", "S"]),
+    "map off its source pair": ("[diagram d]\nvertex = u : p : 0",
+                                "[complex seg]\nsimplices = a b\n[map m]\nkind = swap\n"
+                                "left = seg\nright = pt\n"
+                                "[diagram d]\nvertex = u : p : 0\nedge = e : m : u -> u",
+                                ["end-algebra", "S"]),
     "unknown kunneth vertex": ("[diagram d]", "[diagram d]", ["kunneth", "d", "u", "nosuch"]),
     "unknown tower unit": ("[comodule c]",
                            "[tower t]\ndiagram = d\ntruncations = S\nunit = nosuch\n"

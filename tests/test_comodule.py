@@ -150,7 +150,7 @@ class TestTensor:
         m = coaction(ctx.rep, F1, "g", E1, A1)
         t = tensor_comodules(unit_com, m, mu)
         # unit (x) M = M pushed along the transition A_F1 -> A_F2
-        tr = transition_map(ctx.rep, E1, ctx.end(F2), A1, ctx.coalgebra(F2))
+        tr = transition_map(ctx.rep, E1, ctx.end(F2))
         pushed = tr.matrix.kron(Matrix.identity(QQ, 1)) * m.rho
         assert t.rho == pushed
 

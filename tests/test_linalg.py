@@ -14,7 +14,7 @@ from tannakit.linalg import (
 )
 
 from oracles import (
-    DenseSolver, dense_hnf_columns, dense_rref, dense_smith_normal_form,
+    DenseSolver, dense_hnf_columns, dense_module_tensor, dense_rref, dense_smith_normal_form,
     middle_swap_matrix, minor_gcd_divisors, modp_subquotient_size, naive_diagonal,
     oracle_column_reduce, snf_kernel, snf_solvable,
 )
@@ -211,6 +211,14 @@ class TestModules:
         # (Z + Z/2) (x) (Z + Z/4) = Z + Z/4 + Z/2 + Z/2
         assert t.free_rank == 1
         assert sorted(t.torsion) == [2, 2, 4]
+
+    def test_tensor_matches_dense_oracle(self):
+        mods = [FgModule(ZZ, 0), FgModule(ZZ, 2), FgModule(ZZ, 0, (3,)), FgModule(ZZ, 1, (2, 6)),
+                FgModule(ZZ, 2, (4,)), FgModule(QQ, 0), FgModule(QQ, 3)]
+        for a in mods:
+            for b in mods:
+                if a.ring == b.ring:
+                    assert a.tensor(b) == dense_module_tensor(a, b)
 
     def test_module_map_wellformed(self):
         src = FgModule(ZZ, 0, (2,))
