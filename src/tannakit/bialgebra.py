@@ -3,16 +3,22 @@ pairs, products of coalgebra truncations, bialgebra certificates, the
 grouplike element attached to the circle-with-point vertex, and the
 multiplication-by-sigma directed system standing in for localization.
 
-The product of truncations is computed on the algebra side: restrict a
-compatible family to the product vertices, conjugate through the Kunneth
-isomorphisms, read the result inside End(V) (x) End(W), and solve its
-coordinates in the subspace End(T|F) (x) End(T|G) by two solves, one in
-each factor's basis, with the two End algebras' own solvers.  Failure of
-that membership is reported as ProductEscape, never silently projected.
-Every identity checked here and the sigma step contract sparse columns by
-linalg._tensor_apply, with no Kronecker matrix: mu is checked as a
-coalgebra morphism out of the tensor coalgebra A_F (x) A_G by
-tannaka._coalgebra_morphism, the check every transition map passes.
+The product of truncations is computed on the algebra side.  Restriction
+of a compatible family to the product vertices, conjugated through the
+Kunneth isomorphisms, is one map of sparse columns from End(T|H) into
+End(T|F) (x) End(T|G), built by _swapped_tensor from tau and tau^-1 and
+applied to End(T|H)'s whole basis by one _compose; each image is read by
+two sparse reads, one in each factor's basis, with the two End algebras'
+own solvers.  Failure of that membership is reported as ProductEscape,
+never silently projected.  tau reads the Alexander-Whitney images in the
+sparse classes z_i (x) w_j modulo the tensor complex's boundaries, and its
+Eilenberg-Zilber inverse is checked on both sides by _compose.  Every
+identity checked here and the sigma step contract sparse columns by
+linalg._tensor_apply or _compose, with no Matrix product: mu is checked as
+a coalgebra morphism out of the tensor coalgebra A_F (x) A_G by
+tannaka._coalgebra_morphism, the check every transition map passes.  A
+Matrix is built only for what is returned: tau, tau^-1, mu and the sigma
+steps.
 PairsContext, the diagram context with its End-algebra and tau caches, is in
 tannakit.tannaka, so that a command that takes no product never loads this
 module; PairsContext.tau loads kunneth_tau from here on its first call.
@@ -22,11 +28,11 @@ from .errors import (
     InputError, MissingProducts, NotGoodPair, ProductEscape, WrongRank,
 )
 from .linalg import (
-    ZZ, Matrix, _compose, _nonzero_columns, _Solver, _swapped_tensor, _tensor_apply, tensor_swap,
+    ZZ, Matrix, _compose, _echelon, _integral, _nonzero_columns, _Solver, _swapped_tensor,
+    _tensor_apply, tensor_swap,
 )
 from .simplicial import (
-    SimplicialMap, SimplicialPair, induced_map_on_homology, pair_homology,
-    product_pair, tensor_complex, ez_matrixes,
+    SimplicialMap, ez_matrixes, induced_map_on_homology, pair_homology, tensor_complex,
 )
 from .tannaka import (
     PairsContext, Subdiagram, _coalgebra_morphism, coaction, transition_map, vertex_payload,
@@ -65,9 +71,7 @@ def kunneth_tau(ctx: PairsContext, v, w) -> TauIso:
     for (name, p, n) in ((v, pv, nv), (w, pw, nw), (vw, pvw, nvw)):
         if not is_good_vertex(p, n):
             raise NotGoodPair("vertex %r is not a good pair" % (name,))
-    hv = pair_homology(pv, ring)
-    hw = pair_homology(pw, ring)
-    hvw = pair_homology(pvw, ring)
+    hv, hw, hvw = (pair_homology(p, ring) for p in (pv, pw, pvw))
     rv, rw, rvw = (hv.module(nv).free_rank, hw.module(nw).free_rank,
                    hvw.module(nvw).free_rank)
     if rvw != rv * rw:
@@ -75,74 +79,49 @@ def kunneth_tau(ctx: PairsContext, v, w) -> TauIso:
     c1, c2, cp = hv.complex, hw.complex, hvw.complex
     tensor = tensor_complex(c1, c2)
     ez, aw = ez_matrixes(c1, c2, cp, tensor)
-    N = nvw
+    N, n = nvw, rv * rw
 
-    # basis of H_N(tensor): classes of z_i (x) w_j
-    tlabels = tensor.labels(N)
-    tindex = {l: i for i, l in enumerate(tlabels)}
-    basis_cols = []
-    for i in range(rv):
-        zi = hv.lift(nv, i)
-        for j in range(rw):
-            wj = hw.lift(nw, j)
-            vec = [0] * len(tlabels)
-            for ia, sa in enumerate(c1.labels(nv)):
-                if zi[ia] == 0:
-                    continue
-                for ib, sb in enumerate(c2.labels(nw)):
-                    if wj[ib] == 0:
-                        continue
-                    vec[tindex[(nv, sa, sb)]] += zi[ia] * wj[ib]
-            basis_cols.append(tuple(vec))
-    B = Matrix.from_columns(ring, basis_cols, rows=len(tlabels))
-    bnd = tensor.boundary(N + 1)
-    solver = _Solver(B.hstack(bnd) if bnd.cols else B)
+    # basis of H_N(tensor): the classes of z_i (x) w_j, sparse outer
+    # products, read modulo the boundaries of degree N + 1
+    l1, l2 = c1.labels(nv), c2.labels(nw)
+    zs = [{a: x for a, x in enumerate(hv.lift(nv, i)) if x} for i in range(rv)]
+    ws = [{b: y for b, y in enumerate(hw.lift(nw, j)) if y} for j in range(rw)]
+    basis = [{tensor.index(N, (nv, l1[a], l2[b])): x * y
+              for a, x in z.items() for b, y in w.items()} for z in zs for w in ws]
+    solver = _Solver.from_sparse(ring, basis + tensor._cols.get(N + 1, []), tensor.rank(N))
 
     cols = []
     for k in range(rvw):
-        g = hvw.lift(N, k)
-        img = aw.apply(N, g)
-        sol = solver.solve(img)
+        g = {i: x for i, x in enumerate(hvw.lift(N, k)) if x}
+        sol = solver.read(_compose(aw._cols[N], [g])[0])
         if sol is None:
             raise NotGoodPair("AW image escapes the Kunneth basis at (%r, %r)" % (v, w))
-        cols.append(tuple(sol[:rv * rw]))
-    matrix = Matrix.from_columns(ring, cols, rows=rv * rw)
-
-    inv_cols = [hvw.class_of(N, ez.apply(N, vec)) for vec in basis_cols]
+        cols.append({i: x for i, x in sol.items() if i < n})
+    inv_cols = [hvw.class_of(N, tuple(c.get(i, 0) for i in range(cp.rank(N))))
+                for c in _compose(ez._cols.get(N), basis)]
+    matrix = Matrix.from_sparse(ring, cols, n)
     inverse = Matrix.from_columns(ring, inv_cols, rows=rvw)
-    if matrix * inverse != Matrix.identity(ring, rv * rw) or \
-       inverse * matrix != Matrix.identity(ring, rvw):
+    sparse_inverse = _nonzero_columns(inverse)
+    if (_compose(cols, sparse_inverse) != [{j: 1} for j in range(n)]
+            or _compose(sparse_inverse, cols) != [{j: 1} for j in range(rvw)]):
         raise NotGoodPair("tau and its EZ inverse fail to invert at (%r, %r)" % (v, w))
     return TauIso(v, w, vw, matrix, inverse)
 
 
 # -- tau coherence checks ----------------------------------------------------
 
-def _swap_map(p1, p2):
-    XY = product_pair(p1, p2).X
-    YX = product_pair(p2, p1).X
-    return SimplicialMap(XY, YX, {v: (v[1], v[0]) for v in XY.vertices})
-
-
 def check_tau_symmetry(ctx: PairsContext, v, w):
     """tau_{w,v} o swap_* = (-1)^{nm} flip o tau_{v,w} as matrices."""
-    dia = ctx.diagram
-    pv, nv = dia.payloads[v]
-    pw, nw = dia.payloads[w]
-    vw = ctx.product_vertex(v, w)
-    wv = ctx.product_vertex(w, v)
-    pvw, nvw = dia.payloads[vw]
-    pwv, _ = dia.payloads[wv]
-    s = _swap_map(pv, pw)
-    s_star = induced_map_on_homology(s, pvw, pwv, nvw, ctx.ring)
-    t_vw = ctx.tau(v, w)
-    t_wv = ctx.tau(w, v)
-    rv = ctx.rep.rank(v)
-    rw = ctx.rep.rank(w)
-    sign = (-1) ** (nv * nw)
-    left = t_wv.matrix * s_star.matrix
-    right = t_vw.matrix.take_rows(tensor_swap(1, rv, rw, 1)).scale(sign)
-    return left == right
+    dia, rv, rw = ctx.diagram, ctx.rep.rank(v), ctx.rep.rank(w)
+    (pv, nv), (pw, nw) = dia.payloads[v], dia.payloads[w]
+    pvw, nvw = dia.payloads[ctx.product_vertex(v, w)]
+    pwv = dia.payloads[ctx.product_vertex(w, v)][0]
+    swap = SimplicialMap(pvw.X, pwv.X, {x: (x[1], x[0]) for x in pvw.X.vertices})
+    s_star = induced_map_on_homology(swap, pvw, pwv, nvw, ctx.ring)
+    flip = {old: new for new, old in enumerate(tensor_swap(1, rv, rw, 1))}
+    left = _compose(_nonzero_columns(ctx.tau(w, v).matrix), _nonzero_columns(s_star.matrix))
+    return left == [{flip[i]: (-1) ** (nv * nw) * x for i, x in col.items()}
+                    for col in _nonzero_columns(ctx.tau(v, w).matrix)]
 
 
 def check_tau_unit(ctx: PairsContext, u, v, left=True):
@@ -153,19 +132,12 @@ def check_tau_unit(ctx: PairsContext, u, v, left=True):
     pv, nv = dia.payloads[v]
     if ctx.rep.rank(u) != 1 or nu != 0:
         raise WrongRank("unit vertex must carry a rank-1 module in degree 0")
-    if left:
-        uv = ctx.product_vertex(u, v)
-        t = ctx.tau(u, v)
-        puv, nuv = dia.payloads[uv]
-        proj = SimplicialMap(puv.X, pv.X, {x: x[1] for x in puv.X.vertices})
-    else:
-        uv = ctx.product_vertex(v, u)
-        t = ctx.tau(v, u)
-        puv, nuv = dia.payloads[uv]
-        proj = SimplicialMap(puv.X, pv.X, {x: x[0] for x in puv.X.vertices})
+    pair = (u, v) if left else (v, u)
+    puv, nuv = dia.payloads[ctx.product_vertex(*pair)]
+    proj = SimplicialMap(puv.X, pv.X, {x: x[1 if left else 0] for x in puv.X.vertices})
     proj_star = induced_map_on_homology(proj, puv, pv, nuv, ctx.ring)
     # with rank(u) = 1, h(u) (x) h(v) = h(v) on the nose in our bases
-    return t.matrix == proj_star.matrix
+    return ctx.tau(*pair).matrix == proj_star.matrix
 
 
 def check_tau_associativity(ctx: PairsContext, v, w, x):
@@ -203,54 +175,66 @@ class MuFragment:
         return self.matrix.apply(tuple(a * b for a in f_coords for b in g_coords))
 
 
-def _tensor_coordinates(columns, SF, SG):
-    """x with Y = B_F x B_G^T, for Y given by its columns, as the flat tuple
-    of the x_ij (i * dim G + j), or None: the columns of Y are solved in B_F,
-    then the rows of that in B_G, by the solvers SF and SG of the bases."""
-    Z = [SF.solve(col) for col in columns]
-    if None in Z:
-        return None
-    X = [SG.solve(row) for row in zip(*Z)]
-    return None if None in X else tuple(x for row in X for x in row)
+def _tensor_coordinates(y, n, SF, SG):
+    """x with Y = B_F x B_G^T, for Y given by its nonzeros {f * n + g: entry}
+    (n columns), as the nonzeros {i * dim G + j: x_ij}, or None: the columns
+    of Y are read in B_F, then the rows of that in B_G, by the solvers SF and
+    SG of the bases."""
+    columns, rows, x = {}, {}, {}
+    for fg, e in y.items():
+        f, g = divmod(fg, n)
+        columns.setdefault(g, {})[f] = e
+    for g, col in columns.items():
+        z = SF.read(col)
+        if z is None:
+            return None
+        for i, e in z.items():
+            rows.setdefault(i, {})[g] = e
+    for i, row in rows.items():
+        xi = SG.read(row)
+        if xi is None:
+            return None
+        x.update((i * SG.size + j, e) for j, e in xi.items())
+    return x
 
 
 def product_on_truncations(ctx: PairsContext, subF, subG, subH) -> MuFragment:
     """Restriction-to-products read through the Kunneth isomorphisms, dualized.
 
     Every product vertex v x w (v in F, w in G) must be registered and lie in
-    H; tau data is computed on demand.  Family k of End(T|H), conjugated by
-    tau at each v x w, is a matrix Y with rows in End(T|F)'s flat layout
-    (v, a, c) and columns in End(T|G)'s (w, b, d), and Y = B_F x B_G^T for
-    the row k of mu, x.  ProductEscape reports a family with no such x.
+    H; tau data is computed on demand.  The restriction is one map of sparse
+    columns from End(T|H)'s flat layout to pairs (F index, G index): the
+    block B of a family at v x w goes to tau B tau^-1, and row-major
+    vec(tau B tau^-1) = (tau (x) tau^-T) vec(B), whose rows (a, b, c, d)
+    _swapped_tensor reorders to (a, c, b, d), End(T|F)'s flat index
+    (v, a, c) and End(T|G)'s (w, b, d).  Family k so restricted is a matrix
+    Y, and Y = B_F x B_G^T for the row k of mu, x.  ProductEscape reports a
+    family with no such x.
     """
-    rep = ctx.rep
     EF, EG, EH = ctx.end(subF), ctx.end(subG), ctx.end(subH)
-    hvs = set(subH.vertices)
-    conj = {v: [] for v in subF.vertices}    # (rank w, v x w, tau, tau^-1) over w in G
+    hvs, nG = set(subH.vertices), EG.total
+    restrict = [{} for _ in range(EH.total)]
     for v in subF.vertices:
         for w in subG.vertices:
             vw = ctx.product_vertex(v, w)
             if vw not in hvs:
                 raise MissingProducts("product vertex %r of (%r, %r) is outside H"
                                       % (vw, v, w))
-            t = ctx.tau(v, w)
-            conj[v].append((rep.rank(w), vw, t.matrix, t.inverse))
-    mu = []
-    for k in range(EH.dim):
-        # row (v, a, c) of Y holds entry ((a, b), (c, d)) of each conjugated
-        # block of family k at its column (w, b, d)
-        Y = []
-        for v in subF.vertices:
-            blocks = [(rw, tm * EH.component(k, vw) * ti) for rw, vw, tm, ti in conj[v]]
-            Y += [[m[a * rw + b, c * rw + d] for rw, m in blocks
-                   for b in range(rw) for d in range(rw)]
-                  for a in range(rep.rank(v)) for c in range(rep.rank(v))]
-        columns = list(zip(*Y))
-        sol = _tensor_coordinates(columns, EF._solver, EG._solver)
-        if sol is None:
+            t, rv, rw = ctx.tau(v, w), ctx.rep.rank(v), ctx.rep.rank(w)
+            inv_t = [{j: x for j, x in enumerate(row) if x} for row in t.inverse.data]
+            f0, g0, h0 = EF.offsets[v], EG.offsets[w], EH.offsets[vw]
+            for xy, col in enumerate(_swapped_tensor(_nonzero_columns(t.matrix), inv_t,
+                                                     rv, rw, rv, rw)):
+                for i, y in col.items():
+                    f, g = divmod(i, rw * rw)
+                    restrict[h0 + xy][(f0 + f) * nG + g0 + g] = y
+    mu, n = [], EF.dim * EG.dim
+    for k, image in enumerate(_compose(restrict, _nonzero_columns(EH.basis))):
+        x = _tensor_coordinates(image, nG, EF._solver, EG._solver)
+        if x is None:
             raise ProductEscape("family %d of End(T|H) leaves End(T|F) (x) End(T|G)" % k)
-        mu.append(sol)
-    return MuFragment(EF, EG, EH, Matrix(ctx.ring, mu, EH.dim, EF.dim * EG.dim))
+        mu.append([x.get(j, EF._solver.zero) for j in range(n)])
+    return MuFragment(EF, EG, EH, Matrix(ctx.ring, mu, EH.dim, n))
 
 
 # -- bialgebra certificate -----------------------------------------------------
@@ -442,7 +426,7 @@ def sigma_directed_system(ctx: PairsContext, chain, depth) -> SigmaSystem:
     c = ctx.circle
     if c is None:
         raise InputError("no circle vertex designated")
-    steps = []
+    steps, sparse = [], []        # sparse: the steps as sparse columns
     nsteps = min(depth, len(chain) - 1)
     for k in range(nsteps):
         F, Fnext = chain[k], chain[k + 1]
@@ -453,16 +437,16 @@ def sigma_directed_system(ctx: PairsContext, chain, depth) -> SigmaSystem:
         mu = product_on_truncations(ctx, F, C, Fnext)
         # column i of mu (1 (x) sigma): mu applied to e_i (x) sigma
         sig, rc = [{j: x for j, x in enumerate(sigma.coords) if x}], len(sigma.coords)
-        steps.append(Matrix.from_sparse(ctx.ring, _compose(
+        sparse.append(_compose(
             _nonzero_columns(mu.matrix),
-            [_tensor_apply(None, sig, rc, 1, {i: 1}) for i in range(ctx.end(F).dim)]),
-            mu.matrix.rows))
-    kernels = []
-    from .linalg import kernel
-    for k in range(len(steps)):
-        comp = steps[k]
-        for m in steps[k + 1:]:
-            comp = m * comp
-        ker = kernel(comp)
-        kernels.append({"from": k, "kernel_rank": ker.cols})
+            [_tensor_apply(None, sig, rc, 1, {i: 1}) for i in range(ctx.end(F).dim)]))
+        steps.append(Matrix.from_sparse(ctx.ring, sparse[-1], mu.matrix.rows))
+    # the composite from each start to the end of the chain has as kernel
+    # rank its column count less its rank, the pivots of _echelon on its
+    # columns taken as rows
+    kernels, comp = [], None
+    for k in reversed(range(len(sparse))):
+        comp = sparse[k] if comp is None else _compose(comp, sparse[k])
+        kernels.insert(0, {"from": k, "kernel_rank":
+                           len(comp) - len(_echelon(_integral(comp), ctx.ring)[0])})
     return SigmaSystem(steps, kernels, ctx.ring)

@@ -159,8 +159,8 @@ def torsionfree_cover(C: CoalgebraTrunc, m: Comodule) -> TorsionfreeCover:
     lift_cols = _nonzero_columns(lifts)
     gens_cp = [_tensor_apply(None, lift_cols, amb, mod.ngens, {x: 1})
                for x in range(r * mod.ngens)]
-    qsolver = _Solver(Matrix.from_sparse(
-        ZZ, gens_cp + [{i: t} for i, t in enumerate(amb_orders * r) if t], r * amb))
+    qsolver = _Solver.from_sparse(
+        ZZ, gens_cp + [{i: t} for i, t in enumerate(amb_orders * r) if t], r * amb)
     for j in range(mod.ngens):
         lift = lifts.col(j)
         qe, qy = m.rho.apply(lift[:k]), ext_free.rho.apply(lift[k:])

@@ -14,9 +14,9 @@ _unit_pivots, with Smith normal form (Z) or _echelon (Q) on what is left;
 tannakit.reduction reads a chain-level reduction off the same pivots.
 Every tensor identity and construction applies A (x) B to sparse columns by
 one helper, _tensor_apply, beside _compose; no module calls Matrix.kron.
-Smith normal form, the determinant and the dense forms rref, hnf_columns and
-echelon_columns live in tannakit.smith, imported only where a Smith form is
-needed and served here through a module __getattr__ (PEP 562).
+Smith normal form, the determinant and the dense forms rref and hnf_columns
+live in tannakit.smith, imported only where a Smith form is needed and
+served here through a module __getattr__ (PEP 562).
 Chain complexes keep differentials as sparse integer columns {row: coeff}.
 A homology module of a free complex is eager and its cycle basis lazy:
 Subquotient.free reads the module from elementary divisors and builds the
@@ -34,8 +34,7 @@ QQ = "q"
 
 RINGS = (ZZ, QQ)
 
-_SMITH = ("SmithForm", "smith_normal_form", "determinant", "rref", "hnf_columns",
-          "echelon_columns")
+_SMITH = ("SmithForm", "smith_normal_form", "determinant", "rref", "hnf_columns")
 
 
 def __getattr__(name):
@@ -445,14 +444,19 @@ def _column_reduce(A):
     basis of ker(A), which over Z is the Hermite basis of the kernel
     lattice."""
     m, ring = A.rows, A.ring
-    pivots, basis = _echelon(_integral({**col, m + j: 1}
-                                       for j, col in enumerate(_nonzero_columns(A))), ring)
-    image = sum(c < m for c in pivots)      # pivots ascend: these come first
-    head = [{i: x for i, x in r.items() if i < m} for r in basis[:image]]
-    tail = [{i - m: x for i, x in r.items() if i >= m} for r in basis]
+    head, tail, image = _reduced_columns(ring, _nonzero_columns(A), m)
     return (Matrix.from_sparse(ring, head, m),
             Matrix.from_sparse(ring, tail[:image], A.cols),
             Matrix.from_sparse(ring, tail[image:], A.cols))
+
+
+def _reduced_columns(ring, columns, m):
+    """(H, T and K together, rank of H) as sparse columns, for the m-row
+    matrix with these columns: _column_reduce without the Matrix."""
+    pivots, basis = _echelon(_integral({**col, m + j: 1} for j, col in enumerate(columns)), ring)
+    image = sum(c < m for c in pivots)      # pivots ascend: these come first
+    return ([{i: x for i, x in r.items() if i < m} for r in basis[:image]],
+            [{i - m: x for i, x in r.items() if i >= m} for r in basis], image)
 
 
 def kernel(A):
@@ -487,20 +491,34 @@ class _Solver:
     Over Q it is a row where no other column is nonzero (echelon columns,
     the free-column kernel, the identity): the coordinate is the entry
     there, and one integer residual checks them all.  Any other A is
-    replaced by the image H of _column_reduce, and solve returns T y.
+    replaced by the image H of _column_reduce, and read (sparse vectors)
+    and solve (dense tuples) return T y.  A is a Matrix, or sparse columns
+    given to from_sparse.
     """
 
     def __init__(self, A):
-        self.ring, self.rows, self.T, self.zero = A.ring, A.rows, None, _coerce(A.ring, 0)
-        if not self._load(A):
-            H, self.T, _ = _column_reduce(A)
-            self._load(H)
+        self._put(A.ring, _nonzero_columns(A), A.rows)
 
-    def _load(self, A):
-        """Keep A's columns, scales and pivots; False if one lacks its own."""
-        cols = _nonzero_columns(A)
+    @classmethod
+    def from_sparse(cls, ring, columns, rows):
+        """The solver of the matrix with these columns {row: entry}."""
+        solver = cls.__new__(cls)
+        solver._put(ring, [dict(sorted((i, x) for i, x in c.items() if x)) for c in columns], rows)
+        return solver
+
+    def _put(self, ring, columns, rows):
+        self.ring, self.rows, self.size, self.T = ring, rows, len(columns), None
+        self.zero = _coerce(ring, 0)
+        if not self._load(columns):
+            head, tail, image = _reduced_columns(ring, columns, rows)
+            self.T = tail[:image]                    # sparse columns of T
+            self._load([dict(sorted(c.items())) for c in head])
+
+    def _load(self, cols):
+        """Keep the columns (nonzeros, rows ascending), their scales and
+        pivots; False if one lacks its own."""
         self.scales = [lcm(*(x.denominator for x in c.values())) for c in cols]
-        self.columns = cols = _integral(cols)           # rows ascend in each column
+        self.columns = cols = _integral(cols)
         # Z: a column's first row; Q: its first row that no other column meets
         count = Counter(i for c in cols for i in c) if self.ring == QQ else {}
         self.pivots = {next((i for i in c if count.get(i, 1) == 1), None): k
@@ -537,16 +555,20 @@ class _Solver:
             res = {i: v for i, v in res.items() if v}
         return x
 
+    def read(self, b):
+        """{j: x_j != 0} with A x = b, for b given by its nonzeros {row: int
+        or Fraction}, or None."""
+        d = lcm(*(y.denominator for y in b.values()))
+        x = self.coordinates({i: y.numerator * (d // y.denominator) for i, y in b.items()}, d)
+        return x if x is None or self.T is None else _compose(self.T, [x])[0]
+
     def solve(self, b):
         """One exact x with A x = b, a tuple over A's ring, or None."""
         if len(b) != self.rows:
             raise ValueError("rhs length mismatch")
-        b = {i: _coerce(self.ring, y) for i, y in enumerate(b) if y}
-        d = lcm(*(y.denominator for y in b.values()))
-        x = self.coordinates({i: y.numerator * (d // y.denominator) for i, y in b.items()}, d)
+        x = self.read({i: _coerce(self.ring, y) for i, y in enumerate(b) if y})
         if x is not None:
-            x = tuple(x.get(k, self.zero) for k in range(len(self.columns)))
-            return x if self.T is None else self.T.apply(x)
+            return tuple(x.get(k, self.zero) for k in range(self.size))
 
 
 def solve(A, b):

@@ -1,5 +1,5 @@
 """Smith normal form with its unimodular transforms, the exact determinant,
-and the dense canonical forms rref, hnf_columns and echelon_columns.
+and the dense canonical forms rref and hnf_columns.
 
 This module loads on first use.  linalg imports it only where a Smith form
 is computed: for the residual that unit pivots leave in _sparse_divisors
@@ -7,9 +7,8 @@ is computed: for the residual that unit pivots leave in _sparse_divisors
 in module_from_relations.  So a command whose boundaries eliminate to unit
 pivots, and which presents no module by integer relations, never compiles
 it.  linalg and the package serve its names through a module __getattr__
-(PEP 562).  rref, hnf_columns and echelon_columns read linalg._echelon; no
-library code calls them, and they stay for the tests and the benchmark's
-tracer.
+(PEP 562).  rref and hnf_columns read linalg._echelon; no library code
+calls them, and they stay for the tests and the benchmark's tracer.
 """
 
 from fractions import Fraction
@@ -17,8 +16,7 @@ from functools import cached_property
 from math import lcm, prod
 
 from .linalg import (
-    QQ, ZZ, Matrix, _column_reduce, _echelon, _integer_rows, _integral,
-    _nonzero_columns,
+    QQ, ZZ, Matrix, _column_reduce, _echelon, _integer_rows, _nonzero_columns,
 )
 
 
@@ -236,9 +234,3 @@ def hnf_columns(A):
     if A.ring != ZZ:
         raise ValueError("hnf_columns requires an integer matrix")
     return Matrix.from_sparse(ZZ, _echelon(_nonzero_columns(A), ZZ)[1], A.rows)
-
-
-def echelon_columns(A):
-    """Canonical column basis of the column span over Q (echelon columns)."""
-    return Matrix.from_sparse(QQ, _echelon(_integral(_nonzero_columns(A)), QQ)[1],
-                              A.rows)

@@ -27,7 +27,7 @@ from .errors import (
     AxiomViolation, DimensionMismatch, InputError, MissingProducts, NonFreeVertex, NotNested,
 )
 from .linalg import (
-    QQ, ZZ, FgModule, Matrix, ModuleMap, _nonzero_columns, _order_relations, _Solver,
+    QQ, ZZ, FgModule, Matrix, ModuleMap, _coerce, _nonzero_columns, _order_relations, _Solver,
     _tensor_apply, elementary_divisors, kernel,
 )
 from .simplicial import induced_map_on_homology, product_pair, relative_homology, triple_boundary
@@ -482,16 +482,15 @@ class CoalgebraTrunc:
 
     def grouplike_defect(self, coords):
         """Delta(x) - x (x) x for an element given by coordinates."""
-        x = Matrix.column(self.ring, coords).col(0)
-        out = [-a * b for a in x for b in x]
-        for a, col in zip(x, self.delta_columns):
+        out = [-a * b for a in coords for b in coords]
+        for a, col in zip(coords, self.delta_columns):
             if a:
                 for i, d in col.items():
                     out[i] += a * d
         return Matrix.column(self.ring, out)
 
     def counit_of(self, coords):
-        return (self.counit * Matrix.column(self.ring, coords))[0, 0]
+        return _coerce(self.ring, sum(e * a for e, a in zip(self.counit.data[0], coords) if a))
 
     def __eq__(self, other):
         return (isinstance(other, CoalgebraTrunc) and self.ring == other.ring

@@ -5,7 +5,8 @@ definitions, sharing no code path with the package: gcd-pivot diagonal
 reduction without transform tracking, elementary divisors via minor gcds,
 boundary matrices rebuilt from scratch, a dense commutant solver with its
 own elimination, and finite enumeration over Z/p.  A few keep a dense path
-the package replaced: the dense row-substitution solver, End structure
+the package replaced or dropped: the echelon column basis over Q read off
+dense_rref, the dense row-substitution solver, End structure
 constants from dense block products solved by it, the product of
 truncations solved against the dense Kronecker basis of End (x) End, and
 every bialgebra and comodule tensor identity as a product of dense
@@ -260,6 +261,15 @@ def dense_rref(mat):
         if r == rows:
             break
     return a, tuple(pivots)
+
+
+def echelon_columns(A):
+    """Canonical column basis of the column span of a tannakit matrix A over
+    Q: the nonzero rows of the reduced row echelon form of A^T, by
+    dense_rref, as the columns of a tannakit matrix."""
+    from tannakit.linalg import QQ, Matrix
+    rows, pivots = dense_rref([list(col) for col in zip(*A.data)])
+    return Matrix.from_columns(QQ, rows[:len(pivots)], rows=A.rows)
 
 
 def dense_hnf_columns(mat):

@@ -14,15 +14,17 @@ from tannakit.comodule import check_comodule_axioms, tensor_comodules, torsionfr
 from tannakit.corpus import Corpus
 from tannakit.errors import MissingProducts, NotGoodPair, ProductEscape, WrongRank
 from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap
-from tannakit.simplicial import SimplicialPair
-from tannakit.tannaka import Comodule, DiagramRep, Subdiagram, transition_map
+from tannakit.simplicial import ChainMap, SimplicialPair, _ez, product_pair
+from tannakit.tannaka import (
+    Comodule, DiagramRep, Subdiagram, build_pairs_diagram, transition_map,
+)
 
 import spaces
 from oracles import (
     dense_associativity, dense_fragment_bialgebra, dense_product_on_truncations,
     dense_sigma_step, dense_tau_associativity, dense_tensor_rho,
 )
-from spaces import RP2, pair
+from spaces import CIRCLE_POINT, POINT, RP2, pair
 from tannaka_fixtures import build_context, wedge_context, with_basis
 
 
@@ -67,6 +69,32 @@ class TestTau:
         ctx, tower = ctxq
         # fabricate a context lookup on a non-good vertex: RP2 has torsion
         assert not is_good_vertex(pair(RP2), 1)
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_tau_refuses_a_vertex_that_is_not_good(self, ring):
+        # RP2 has torsion in H_1; the circle with a point, put in degree 0,
+        # has its homology in degree 1
+        u = pair(POINT)
+        for p, n in ((pair(RP2), 1), (CIRCLE_POINT, 0)):
+            dia, rep = build_pairs_diagram(ring, {"x": (p, n), "u": (u, 0),
+                                                  "xu": (product_pair(p, u), n)})
+            ctx = PairsContext(dia, rep, {("x", "u"): "xu"})
+            with pytest.raises(NotGoodPair, match="'x' is not a good pair"):
+                kunneth_tau(ctx, "x", "u")
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_tau_refuses_a_doubled_ez(self, ring, monkeypatch):
+        # 2 EZ is still a chain map, but AW o 2 EZ = 2 on the tensor complex,
+        # so the EZ classes are twice the inverse of tau
+        ez_matrixes = bialgebra.ez_matrixes
+
+        def doubled(c1, c2, cp, tensor):
+            _, aw = ez_matrixes(c1, c2, cp, tensor)
+            return ChainMap(tensor, cp, lambda n, s: ((t, 2 * c) for t, c in _ez(n, s))), aw
+        monkeypatch.setattr(bialgebra, "ez_matrixes", doubled)
+        ctx = wedge_context(2, ring)[0]
+        with pytest.raises(NotGoodPair, match="fail to invert"):
+            kunneth_tau(ctx, "w", "w")
 
 
 class TestMu:
@@ -153,6 +181,47 @@ class TestMuOracle:
         for ctx, F, G, H, mu in built:
             mu = mu or product(ctx, F, G, H)
             assert mu.matrix == dense_product_on_truncations(ctx, F, G, H)
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_wedges(self, ring):
+        # W_3 x W_3 (mu is 81 x 81) and W_2 x W_3, whose factors differ in rank
+        for ctx, F, G, H in (wedge_context(3, ring), wedge_context(2, ring, 3)):
+            mu = product_on_truncations(ctx, F, G, H)
+            assert mu.matrix == dense_product_on_truncations(ctx, F, G, H)
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_bases_that_are_not_canonical(self, ring):
+        # a unimodular change of the bases of End(T|P2) and End(T|P22H) whose
+        # first two columns share a pivot: every solver takes the image basis
+        # of _column_reduce, and mu is read in the new bases
+        corpus = Corpus(default_corpus_text())
+        ctx, P2 = corpus.subdiagram("P2", ring)
+        P22H = corpus.subdiagram("P22H", ring)[1]
+        for sub in (P2, P22H):
+            E = ctx.end(sub)
+            cols = [E.basis.col(k) for k in range(E.dim)]
+            cols[0:2] = [tuple(x + y for x, y in zip(cols[0], cols[1])), cols[0]]
+            assert with_basis(E, Matrix.from_columns(ring, cols, rows=E.basis.rows))._solver.T
+        mu = product_on_truncations(ctx, P2, P2, P22H)
+        assert mu.matrix == dense_product_on_truncations(ctx, P2, P2, P22H)
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_mu_multiplies_no_matrices(self, ring, monkeypatch):
+        ctx, F, G, H = wedge_context(3, ring)
+        for sub in (F, G, H):
+            ctx.end(sub)
+        ctx.tau("w", "w")
+        calls = []
+        mul = Matrix.__mul__
+
+        def counted(self, other):
+            calls.append((self.rows, self.cols, other.cols))
+            return mul(self, other)
+        monkeypatch.setattr(Matrix, "__mul__", counted)
+        assert product_on_truncations(ctx, F, G, H).matrix.rows == 81
+        assert calls == []
+        Matrix.identity(ring, 1) * Matrix.identity(ring, 1)
+        assert calls == [(1, 1, 1)]
 
     @pytest.mark.parametrize("drop, spans_over_q", [(False, True), (True, False)])
     def test_escape_reports_integrality(self, drop, spans_over_q):

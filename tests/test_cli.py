@@ -258,8 +258,7 @@ def test_package_exports_resolve_lazily():
         for name in names.split():
             assert getattr(tannakit, name) is getattr(mod, name), name
     from tannakit import Corpus, PairsContext               # noqa: F401
-    for name in ("SmithForm", "smith_normal_form", "determinant", "rref", "hnf_columns",
-                 "echelon_columns"):
+    for name in ("SmithForm", "smith_normal_form", "determinant", "rref", "hnf_columns"):
         assert getattr(tannakit.linalg, name) is getattr(tannakit.smith, name), name
     with pytest.raises(AttributeError):
         tannakit.nosuch

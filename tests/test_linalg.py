@@ -8,15 +8,14 @@ from hypothesis import given, settings, strategies as st
 from tannakit.errors import CompositionNonzero, TorsionPresent
 from tannakit.linalg import (
     QQ, ZZ, FgModule, Matrix, ModuleMap, SmithForm, Subquotient, _column_reduce,
-    _Solver, determinant, dual_map, echelon_columns, elementary_divisors,
-    hnf_columns, kernel, module_from_relations, rref, smith_normal_form, solve,
-    subquotient, tensor_swap,
+    _Solver, determinant, dual_map, elementary_divisors, hnf_columns, kernel,
+    module_from_relations, rref, smith_normal_form, solve, subquotient, tensor_swap,
 )
 
 from oracles import (
     DenseSolver, dense_hnf_columns, dense_module_tensor, dense_rref, dense_smith_normal_form,
-    middle_swap_matrix, minor_gcd_divisors, modp_subquotient_size, naive_diagonal,
-    oracle_column_reduce, snf_kernel, snf_solvable,
+    echelon_columns, middle_swap_matrix, minor_gcd_divisors, modp_subquotient_size,
+    naive_diagonal, oracle_column_reduce, snf_kernel, snf_solvable,
 )
 
 
