@@ -12,13 +12,13 @@ two sparse reads, one in each factor's basis, with the two End algebras'
 own solvers.  Failure of that membership is reported as ProductEscape,
 never silently projected.  tau reads the Alexander-Whitney images in the
 sparse classes z_i (x) w_j modulo the tensor complex's boundaries, and its
-Eilenberg-Zilber inverse is checked on both sides by _compose.  Every
-identity checked here and the sigma step contract sparse columns by
-linalg._tensor_apply or _compose, with no Matrix product: mu is checked as
-a coalgebra morphism out of the tensor coalgebra A_F (x) A_G by
-tannaka._coalgebra_morphism, the check every transition map passes.  A
-Matrix is built only for what is returned: tau, tau^-1, mu and the sigma
-steps.
+Eilenberg-Zilber inverse, read off the cycle classes, is checked on both
+sides by _compose.  tau, tau^-1 and mu are sparse columns {row: entry}, as
+the End bases and transition maps are; .matrix and .inverse are dense
+views, built when read.  Every identity checked here and the sigma step
+contract those columns by linalg._tensor_apply or _compose: mu is checked
+as a coalgebra morphism out of the tensor coalgebra A_F (x) A_G by
+tannaka._coalgebra_morphism, the check every transition map passes.
 PairsContext, the diagram context with its End-algebra and tau caches, is in
 tannakit.tannaka, so that a command that takes no product never loads this
 module; PairsContext.tau loads kunneth_tau from here on its first call.
@@ -28,42 +28,46 @@ from .errors import (
     InputError, MissingProducts, NotGoodPair, ProductEscape, WrongRank,
 )
 from .linalg import (
-    ZZ, Matrix, _compose, _echelon, _integral, _nonzero_columns, _Solver, _swapped_tensor,
-    _tensor_apply, tensor_swap,
+    ZZ, Matrix, _apply, _compose, _echelon, _integral, _nonzero_columns, _Solver,
+    _swapped_tensor, _tensor_apply, tensor_swap,
 )
 from .simplicial import (
     SimplicialMap, ez_matrixes, induced_map_on_homology, pair_homology, tensor_complex,
 )
 from .tannaka import (
-    PairsContext, Subdiagram, _coalgebra_morphism, coaction, transition_map, vertex_payload,
+    PairsContext, Subdiagram, _coalgebra_morphism, _transpose, transition_map, vertex_payload,
 )
 
 
 def is_good_vertex(pair, n, ring=ZZ):
     """Free homology supported only in degree n (the zero module is allowed)."""
     ph = pair_homology(pair, ZZ)
-    for d in range(0, pair.X.dim + 1):
-        m = ph.module(d)
-        if d != n and not m.is_zero():
-            return False
-        if d == n and m.torsion:
-            return False
-    return True
+    return all(not ph.module(d).torsion if d == n else ph.module(d).is_zero()
+               for d in range(pair.X.dim + 1))
 
 
 class TauIso:
-    """Invertible h(v x w) -> h(v) (x) h(w) induced by Alexander-Whitney."""
+    """Invertible h(v x w) -> h(v) (x) h(w) induced by Alexander-Whitney,
+    and its inverse, as square sparse columns."""
 
-    __slots__ = ("v", "w", "vw", "matrix", "inverse")
+    __slots__ = ("v", "w", "vw", "ring", "columns", "inverse_columns")
 
-    def __init__(self, v, w, vw, matrix, inverse):
-        self.v, self.w, self.vw, self.matrix, self.inverse = v, w, vw, matrix, inverse
+    def __init__(self, v, w, vw, ring, columns, inverse_columns):
+        self.v, self.w, self.vw, self.ring = v, w, vw, ring
+        self.columns, self.inverse_columns = columns, inverse_columns
+
+    @property
+    def matrix(self) -> Matrix:
+        return Matrix.from_sparse(self.ring, self.columns, len(self.columns))
+
+    @property
+    def inverse(self) -> Matrix:
+        return Matrix.from_sparse(self.ring, self.inverse_columns, len(self.columns))
 
 
 def kunneth_tau(ctx: PairsContext, v, w) -> TauIso:
     """Kunneth isomorphism on good pairs, via relative AW with EZ inverse."""
-    dia = ctx.diagram
-    ring = ctx.ring
+    dia, ring = ctx.diagram, ctx.ring
     pv, nv = vertex_payload(dia.payloads, v)
     pw, nw = vertex_payload(dia.payloads, w)
     vw = ctx.product_vertex(v, w)
@@ -97,31 +101,34 @@ def kunneth_tau(ctx: PairsContext, v, w) -> TauIso:
         if sol is None:
             raise NotGoodPair("AW image escapes the Kunneth basis at (%r, %r)" % (v, w))
         cols.append({i: x for i, x in sol.items() if i < n})
-    inv_cols = [hvw.class_of(N, tuple(c.get(i, 0) for i in range(cp.rank(N))))
-                for c in _compose(ez._cols.get(N), basis)]
-    matrix = Matrix.from_sparse(ring, cols, n)
-    inverse = Matrix.from_columns(ring, inv_cols, rows=rvw)
-    sparse_inverse = _nonzero_columns(inverse)
-    if (_compose(cols, sparse_inverse) != [{j: 1} for j in range(n)]
-            or _compose(sparse_inverse, cols) != [{j: 1} for j in range(rvw)]):
+    inverse = [{i: x for i, x in enumerate(
+                    hvw.class_of(N, tuple(c.get(i, 0) for i in range(cp.rank(N))))) if x}
+               for c in _compose(ez._cols.get(N), basis)]
+    if (_compose(cols, inverse) != [{j: 1} for j in range(n)]
+            or _compose(inverse, cols) != [{j: 1} for j in range(rvw)]):
         raise NotGoodPair("tau and its EZ inverse fail to invert at (%r, %r)" % (v, w))
-    return TauIso(v, w, vw, matrix, inverse)
+    return TauIso(v, w, vw, ring, cols, inverse)
+
+
+def _induced(ctx, p, q, to, n):
+    """The sparse columns of the map on H_n from pair p to pair q induced by
+    the vertex map x -> to(x)."""
+    f = SimplicialMap(p.X, q.X, {x: to(x) for x in p.X.vertices})
+    return _nonzero_columns(induced_map_on_homology(f, p, q, n, ctx.ring).matrix)
 
 
 # -- tau coherence checks ----------------------------------------------------
 
 def check_tau_symmetry(ctx: PairsContext, v, w):
-    """tau_{w,v} o swap_* = (-1)^{nm} flip o tau_{v,w} as matrices."""
+    """tau_{w,v} o swap_* = (-1)^{nm} flip o tau_{v,w} as maps."""
     dia, rv, rw = ctx.diagram, ctx.rep.rank(v), ctx.rep.rank(w)
     (pv, nv), (pw, nw) = dia.payloads[v], dia.payloads[w]
     pvw, nvw = dia.payloads[ctx.product_vertex(v, w)]
     pwv = dia.payloads[ctx.product_vertex(w, v)][0]
-    swap = SimplicialMap(pvw.X, pwv.X, {x: (x[1], x[0]) for x in pvw.X.vertices})
-    s_star = induced_map_on_homology(swap, pvw, pwv, nvw, ctx.ring)
+    s_star = _induced(ctx, pvw, pwv, lambda x: (x[1], x[0]), nvw)
     flip = {old: new for new, old in enumerate(tensor_swap(1, rv, rw, 1))}
-    left = _compose(_nonzero_columns(ctx.tau(w, v).matrix), _nonzero_columns(s_star.matrix))
-    return left == [{flip[i]: (-1) ** (nv * nw) * x for i, x in col.items()}
-                    for col in _nonzero_columns(ctx.tau(v, w).matrix)]
+    return _compose(ctx.tau(w, v).columns, s_star) == [
+        {flip[i]: (-1) ** (nv * nw) * x for i, x in col.items()} for col in ctx.tau(v, w).columns]
 
 
 def check_tau_unit(ctx: PairsContext, u, v, left=True):
@@ -134,45 +141,43 @@ def check_tau_unit(ctx: PairsContext, u, v, left=True):
         raise WrongRank("unit vertex must carry a rank-1 module in degree 0")
     pair = (u, v) if left else (v, u)
     puv, nuv = dia.payloads[ctx.product_vertex(*pair)]
-    proj = SimplicialMap(puv.X, pv.X, {x: x[1 if left else 0] for x in puv.X.vertices})
-    proj_star = induced_map_on_homology(proj, puv, pv, nuv, ctx.ring)
     # with rank(u) = 1, h(u) (x) h(v) = h(v) on the nose in our bases
-    return ctx.tau(*pair).matrix == proj_star.matrix
+    return ctx.tau(*pair).columns == _induced(ctx, puv, pv, lambda x: x[1 if left else 0], nuv)
 
 
 def check_tau_associativity(ctx: PairsContext, v, w, x):
     """(tau_{v,w} (x) id) tau_{vw,x} = (id (x) tau_{w,x}) tau_{v,wx} alpha_*."""
     dia = ctx.diagram
-    ring = ctx.ring
     vw = ctx.product_vertex(v, w)
     wx = ctx.product_vertex(w, x)
-    vw_x = ctx.product_vertex(vw, x)
-    v_wx = ctx.product_vertex(v, wx)
-    p_l, n_l = dia.payloads[vw_x]
-    p_r, _ = dia.payloads[v_wx]
-    alpha = SimplicialMap(p_l.X, p_r.X,
-                          {t: (t[0][0], (t[0][1], t[1])) for t in p_l.X.vertices})
-    alpha_star = induced_map_on_homology(alpha, p_l, p_r, n_l, ring)
+    p_l, n_l = dia.payloads[ctx.product_vertex(vw, x)]
+    p_r, _ = dia.payloads[ctx.product_vertex(v, wx)]
+    alpha_star = _induced(ctx, p_l, p_r, lambda t: (t[0][0], (t[0][1], t[1])), n_l)
     rw, rx = ctx.rep.rank(w), ctx.rep.rank(x)
-    t_vw, t_wx = _nonzero_columns(ctx.tau(v, w).matrix), _nonzero_columns(ctx.tau(w, x).matrix)
-    right = _compose(_nonzero_columns(ctx.tau(v, wx).matrix), _nonzero_columns(alpha_star.matrix))
+    t_vw, t_wx = ctx.tau(v, w).columns, ctx.tau(w, x).columns
+    right = _compose(ctx.tau(v, wx).columns, alpha_star)
     return all(not any(_tensor_apply(None, t_wx, rw * rx, len(t_wx), r, -1,
                                      _tensor_apply(t_vw, None, rx, rx, l)).values())
-               for l, r in zip(_nonzero_columns(ctx.tau(vw, x).matrix), right))
+               for l, r in zip(ctx.tau(vw, x).columns, right))
 
 
 # -- products of truncations --------------------------------------------------
 
 class MuFragment:
-    """mu: A_F (x) A_G -> A_H, the dual of restriction-to-products."""
+    """mu: A_F (x) A_G -> A_H, the dual of restriction-to-products, as
+    sparse columns (column f * dim G + g for e_f (x) e_g)."""
 
-    __slots__ = ("EF", "EG", "EH", "matrix")
+    __slots__ = ("EF", "EG", "EH", "columns")
 
-    def __init__(self, EF, EG, EH, matrix):
-        self.EF, self.EG, self.EH, self.matrix = EF, EG, EH, matrix
+    def __init__(self, EF, EG, EH, columns):
+        self.EF, self.EG, self.EH, self.columns = EF, EG, EH, columns
+
+    @property
+    def matrix(self) -> Matrix:
+        return Matrix.from_sparse(self.EH.ring, self.columns, self.EH.dim)
 
     def apply(self, f_coords, g_coords):
-        return self.matrix.apply(tuple(a * b for a in f_coords for b in g_coords))
+        return _apply(self.columns, [a * b for a in f_coords for b in g_coords], self.EH.dim)
 
 
 def _tensor_coordinates(y, n, SF, SG):
@@ -208,8 +213,8 @@ def product_on_truncations(ctx: PairsContext, subF, subG, subH) -> MuFragment:
     vec(tau B tau^-1) = (tau (x) tau^-T) vec(B), whose rows (a, b, c, d)
     _swapped_tensor reorders to (a, c, b, d), End(T|F)'s flat index
     (v, a, c) and End(T|G)'s (w, b, d).  Family k so restricted is a matrix
-    Y, and Y = B_F x B_G^T for the row k of mu, x.  ProductEscape reports a
-    family with no such x.
+    Y, and Y = B_F x B_G^T for the row k of mu, x; mu's sparse columns are
+    read off those rows.  ProductEscape reports a family with no such x.
     """
     EF, EG, EH = ctx.end(subF), ctx.end(subG), ctx.end(subH)
     hvs, nG = set(subH.vertices), EG.total
@@ -221,20 +226,19 @@ def product_on_truncations(ctx: PairsContext, subF, subG, subH) -> MuFragment:
                 raise MissingProducts("product vertex %r of (%r, %r) is outside H"
                                       % (vw, v, w))
             t, rv, rw = ctx.tau(v, w), ctx.rep.rank(v), ctx.rep.rank(w)
-            inv_t = [{j: x for j, x in enumerate(row) if x} for row in t.inverse.data]
             f0, g0, h0 = EF.offsets[v], EG.offsets[w], EH.offsets[vw]
-            for xy, col in enumerate(_swapped_tensor(_nonzero_columns(t.matrix), inv_t,
-                                                     rv, rw, rv, rw)):
+            for xy, col in enumerate(_swapped_tensor(
+                    t.columns, _transpose(t.inverse_columns, rv * rw), rv, rw, rv, rw)):
                 for i, y in col.items():
                     f, g = divmod(i, rw * rw)
                     restrict[h0 + xy][(f0 + f) * nG + g0 + g] = y
-    mu, n = [], EF.dim * EG.dim
-    for k, image in enumerate(_compose(restrict, _nonzero_columns(EH.basis))):
+    rows = []
+    for k, image in enumerate(_compose(restrict, EH.basis_columns)):
         x = _tensor_coordinates(image, nG, EF._solver, EG._solver)
         if x is None:
             raise ProductEscape("family %d of End(T|H) leaves End(T|F) (x) End(T|G)" % k)
-        mu.append([x.get(j, EF._solver.zero) for j in range(n)])
-    return MuFragment(EF, EG, EH, Matrix(ctx.ring, mu, EH.dim, n))
+        rows.append(x)
+    return MuFragment(EF, EG, EH, _transpose(rows, EF.dim * EG.dim))
 
 
 # -- bialgebra certificate -----------------------------------------------------
@@ -268,13 +272,11 @@ def check_fragment_bialgebra(ctx, mu: MuFragment, cert=None, label=""):
     tannaka._coalgebra_morphism, which checks every transition, checks it.
     """
     AF, AG, AH = mu.EF.coalgebra(), mu.EG.coalgebra(), mu.EH.coalgebra()
-    if cert is None:
-        cert = BialgebraCert()
+    cert = BialgebraCert() if cert is None else cert
     rf, rg = AF.rank, AG.rank
     comultiplicative, counital = _coalgebra_morphism(
-        mu.matrix, _swapped_tensor(AF.delta_columns, AG.delta_columns, rf, rf, rg, rg),
-        _swapped_tensor(_nonzero_columns(AF.counit), _nonzero_columns(AG.counit), 1, 1, 1, 1),
-        AH)
+        mu.columns, _swapped_tensor(AF.delta_columns, AG.delta_columns, rf, rf, rg, rg),
+        _swapped_tensor(AF.counit_columns, AG.counit_columns, 1, 1, 1, 1), AH)
     cert.record("delta-mu%s" % label, comultiplicative)
     cert.record("epsilon-mu%s" % label, counital)
     return cert
@@ -283,12 +285,11 @@ def check_fragment_bialgebra(ctx, mu: MuFragment, cert=None, label=""):
 def check_commutativity(ctx, muFG: MuFragment, muGF: MuFragment, cert=None,
                         label=""):
     """mu_{F,G} = mu_{G,F} o flip after landing in the same truncation."""
-    if cert is None:
-        cert = BialgebraCert()
+    cert = BialgebraCert() if cert is None else cert
     if muFG.EH is not muGF.EH and muFG.EH.sub.vertices != muGF.EH.sub.vertices:
         raise InputError("commutativity check needs a common target truncation")
     flip = tensor_swap(1, muFG.EG.dim, muFG.EF.dim, 1)
-    cert.record("commutativity%s" % label, muFG.matrix == muGF.matrix.take_cols(flip))
+    cert.record("commutativity%s" % label, muFG.columns == [muGF.columns[j] for j in flip])
     return cert
 
 
@@ -296,28 +297,25 @@ def check_associativity(ctx, mu_fg, mu_fg_k, mu_gk, mu_f_gk, t_left, t_right,
                         cert=None, label=""):
     """Compare mu(mu (x) 1) and mu(1 (x) mu) after transitions into a common
     truncation.  t_left, t_right are TransitionMaps from the two targets."""
-    if cert is None:
-        cert = BialgebraCert()
+    cert = BialgebraCert() if cert is None else cert
     rf, rg, rk = mu_fg.EF.dim, mu_fg.EG.dim, mu_gk.EG.dim
-    fg, gk, n = _nonzero_columns(mu_fg.matrix), _nonzero_columns(mu_gk.matrix), rf * rg * rk
-    left = _compose(_compose(_nonzero_columns(t_left.matrix), _nonzero_columns(mu_fg_k.matrix)),
+    fg, gk, n = mu_fg.columns, mu_gk.columns, rf * rg * rk
+    left = _compose(_compose(t_left.columns, mu_fg_k.columns),
                     [_tensor_apply(fg, None, rk, rk, {x: 1}) for x in range(n)])
-    right = _compose(_compose(_nonzero_columns(t_right.matrix), _nonzero_columns(mu_f_gk.matrix)),
-                     [_tensor_apply(None, gk, mu_gk.matrix.rows, rg * rk, {x: 1})
-                      for x in range(n)])
+    right = _compose(_compose(t_right.columns, mu_f_gk.columns),
+                     [_tensor_apply(None, gk, mu_gk.EH.dim, rg * rk, {x: 1}) for x in range(n)])
     cert.record("associativity%s" % label, left == right)
     return cert
 
 
 def check_unit_grouplike(ctx, unit_vertex, sub, cert=None, label=""):
     """The image of the canonical unit element is grouplike in A_sub."""
-    if cert is None:
-        cert = BialgebraCert()
+    cert = BialgebraCert() if cert is None else cert
     EU, Esub = ctx.end(Subdiagram(ctx.diagram, [unit_vertex])), ctx.end(sub)
     if EU.coalgebra().rank != 1:
         raise WrongRank("unit truncation must have rank 1")
-    unit_img = transition_map(ctx.rep, EU, Esub).matrix.apply((1,))
     A = Esub.coalgebra()
+    unit_img = _apply(transition_map(ctx.rep, EU, Esub).columns, (1,), A.rank)
     cert.record("unit-grouplike%s" % label, A.grouplike_defect(unit_img).is_zero())
     cert.record("unit-counit%s" % label, A.counit_of(unit_img) == 1)
     return cert
@@ -329,22 +327,19 @@ def bialgebra_axiom_check(ctx: PairsContext, tower, unit_vertex=None) -> Bialgeb
     tower: list of Subdiagrams ordered by inclusion.  For every ordered pair
     (F, G) from the tower whose products all land in some tower member H the
     fragment mu_{F,G->H} is computed and checked; mirrored pairs yield
-    commutativity checks; the unit vertex (if given) grouplike checks.
+    commutativity checks; the unit vertex (if given) grouplike checks.  A
+    tower that supports none of these raises MissingProducts, so that no
+    certificate is given for a tower that was never checked.
     """
     cert = BialgebraCert()
     fragments = {}
     for i, F in enumerate(tower):
         for j, G in enumerate(tower):
-            host = None
             try:
-                needed = {ctx.product_vertex(v, w)
-                          for v in F.vertices for w in G.vertices}
+                needed = {ctx.product_vertex(v, w) for v in F.vertices for w in G.vertices}
             except MissingProducts:
                 continue
-            for H in tower:
-                if needed <= set(H.vertices):
-                    host = H
-                    break
+            host = next((H for H in tower if needed <= set(H.vertices)), None)
             if host is None:
                 continue
             mu = product_on_truncations(ctx, F, G, host)
@@ -362,6 +357,9 @@ def bialgebra_axiom_check(ctx: PairsContext, tower, unit_vertex=None) -> Bialgeb
             if unit_vertex in F.vertices:
                 check_unit_grouplike(ctx, unit_vertex, F, cert=cert,
                                      label="[F%d]" % i)
+    if not cert.checks:
+        raise MissingProducts("no pair of truncations has its products in the tower, "
+                              "and no truncation holds a unit vertex")
     return cert
 
 
@@ -386,10 +384,8 @@ def sigma_element(ctx: PairsContext, sub) -> SigmaElement:
         raise InputError("subdiagram does not contain the designated circle vertex")
     if ctx.rep.rank(c) != 1:
         raise WrongRank("circle vertex has rank %d, expected 1" % ctx.rep.rank(c))
-    E = ctx.end(sub)
-    A = ctx.coalgebra(sub)
-    co = coaction(ctx.rep, sub, c, E, A)
-    coords = tuple(co.rho[i, 0] for i in range(A.rank))
+    co = ctx.end(sub).comodule(c)
+    A, coords = co.coalgebra, co.rho.col(0)
     if not A.grouplike_defect(coords).is_zero():
         raise AssertionError("sigma is not grouplike")
     if A.counit_of(coords) != 1:
@@ -403,9 +399,7 @@ class SigmaSystem:
     __slots__ = ("steps", "kernels", "ring")
 
     def __init__(self, steps, kernels, ring):
-        self.steps = steps
-        self.kernels = kernels
-        self.ring = ring
+        self.steps, self.kernels, self.ring = steps, kernels, ring
 
     def as_dict(self):
         return {"steps": [{"shape": [m.rows, m.cols]} for m in self.steps],
@@ -438,9 +432,8 @@ def sigma_directed_system(ctx: PairsContext, chain, depth) -> SigmaSystem:
         # column i of mu (1 (x) sigma): mu applied to e_i (x) sigma
         sig, rc = [{j: x for j, x in enumerate(sigma.coords) if x}], len(sigma.coords)
         sparse.append(_compose(
-            _nonzero_columns(mu.matrix),
-            [_tensor_apply(None, sig, rc, 1, {i: 1}) for i in range(ctx.end(F).dim)]))
-        steps.append(Matrix.from_sparse(ctx.ring, sparse[-1], mu.matrix.rows))
+            mu.columns, [_tensor_apply(None, sig, rc, 1, {i: 1}) for i in range(ctx.end(F).dim)]))
+        steps.append(Matrix.from_sparse(ctx.ring, sparse[-1], mu.EH.dim))
     # the composite from each start to the end of the chain has as kernel
     # rank its column count less its rank, the pivots of _echelon on its
     # columns taken as rows

@@ -118,7 +118,7 @@ def cmd_kunneth(corpus, ring, args):
     tau = ctx.tau(args.v, args.w)
     res = {"v": args.v, "w": args.w, "product_vertex": tau.vw,
            "matrix": jmatrix(tau.matrix), "inverse": jmatrix(tau.inverse)}
-    if tau.matrix.rows == tau.matrix.cols and tau.matrix.rows > 0:
+    if tau.columns:                 # tau is square
         from .smith import determinant
         res["det"] = jscalar(determinant(tau.matrix))
     return res, True

@@ -204,8 +204,7 @@ def tensor_comodules(m: Comodule, n: Comodule, mu) -> Comodule:
     # rows (i, a, j, b) of rho_m (x) rho_n reordered to (i, j, a, b)
     swapped = _swapped_tensor(_nonzero_columns(m.rho), _nonzero_columns(n.rho),
                               CF.rank, km, CG.rank, kn)
-    mu_cols = _nonzero_columns(mu.matrix)
-    rho = Matrix.from_sparse(ring, [_tensor_apply(mu_cols, None, km * kn, km * kn, col)
+    rho = Matrix.from_sparse(ring, [_tensor_apply(mu.columns, None, km * kn, km * kn, col)
                                     for col in swapped], CH.rank * km * kn)
     orders = [gcd(s, t) for s in m.gen_orders for t in n.gen_orders]
     return _checked(Comodule(CH, orders, rho), "tensor comodule")

@@ -11,24 +11,26 @@ canonical (Hermite over Z, reduced echelon over Q), each from one kernel
 call, and every coordinate in them (the unit, coordinates(), the products of
 basis families, transition maps) is read by the End algebra's one
 linalg._Solver at the basis pivots.  Comodule is the one comodule type.
+The End basis, the comultiplication and transition maps are kept as
+sparse columns {row: entry}; their dense Matrix is a view built when read.
 The coalgebra and comodule axioms, the comodule morphism identities and
 the coalgebra morphism check of transitions and bialgebra products
 (_coalgebra_morphism) add both sides of each column into one dict by
-linalg._tensor_apply, over Q in integers scaled by common denominators; the
-dense comultiplication is built only when read.
+linalg._tensor_apply, over Q in integers scaled by common denominators.
 PairsContext is a pairs diagram with its product registrations and its End
 algebra and tau caches; it is here and not in tannakit.bialgebra so that the
 diagram commands that take no product never load that module.
 """
 
+from itertools import accumulate
 from math import lcm
 
 from .errors import (
     AxiomViolation, DimensionMismatch, InputError, MissingProducts, NonFreeVertex, NotNested,
 )
 from .linalg import (
-    QQ, ZZ, FgModule, Matrix, ModuleMap, _coerce, _nonzero_columns, _order_relations, _Solver,
-    _tensor_apply, elementary_divisors, kernel,
+    QQ, ZZ, FgModule, Matrix, ModuleMap, _coerce, _compose, _integral, _nonzero_columns,
+    _order_relations, _Solver, _tensor_apply, elementary_divisors, kernel,
 )
 from .simplicial import induced_map_on_homology, product_pair, relative_homology, triple_boundary
 
@@ -177,7 +179,8 @@ class EndAlgebra:
     echelon basis, read off the kernel of the constraint matrix taken
     backwards.  In both forms each basis column has a pivot, its first
     nonzero row, where every later column is zero (and over Q every other
-    column).  One _Solver on the basis, kept, reads every coordinate in it:
+    column).  The basis is kept as its sparse columns, basis_columns (basis
+    is their dense view), and one _Solver on them reads every coordinate:
     the unit, coordinates(), the structure constants of sparse products,
     the restricted families of transition_map and the two solves of
     bialgebra.product_on_truncations.  Structure constants, the dual
@@ -185,25 +188,17 @@ class EndAlgebra:
     first use and kept.
     """
 
-    __slots__ = ("rep", "sub", "ring", "order", "offsets", "total", "basis",
+    __slots__ = ("rep", "sub", "ring", "order", "offsets", "total", "basis_columns",
                  "unit", "_solver", "_structure", "_coalgebra", "_comodules")
 
     def __init__(self, rep, sub):
         for v in sub.vertices:
             if not rep.module(v).is_free():
-                raise NonFreeVertex("vertex %r carries %r"
-                                    % (v, rep.module(v)))
-        self.rep = rep
-        self.sub = sub
-        self.ring = rep.ring
-        self.order = tuple(sub.vertices)
-        offsets = {}
-        pos = 0
-        for v in self.order:
-            offsets[v] = pos
-            pos += rep.rank(v) ** 2
-        self.offsets = offsets
-        self.total = pos
+                raise NonFreeVertex("vertex %r carries %r" % (v, rep.module(v)))
+        self.rep, self.sub, self.ring, self.order = rep, sub, rep.ring, tuple(sub.vertices)
+        sizes = [rep.rank(v) ** 2 for v in self.order]
+        self.offsets = offsets = dict(zip(self.order, accumulate([0] + sizes)))
+        self.total = sum(sizes)
         rows = []
         for (name, src, dst, _kind) in sub.edges:
             m = rep.edge_map(name).matrix
@@ -216,23 +211,23 @@ class EndAlgebra:
                     for k in range(rd):
                         row[offsets[dst] + i * rd + k] -= m[k, j]
                     rows.append(row)
-        if rows and self.ring == ZZ:
-            basis = kernel(Matrix(ZZ, rows, len(rows), self.total))    # Hermite
-        elif rows:
-            # the free-column kernel basis of the matrix read backwards (rows
-            # and columns), read backwards, is the reduced column echelon basis
-            K = kernel(Matrix(QQ, [r[::-1] for r in rows[::-1]], len(rows), self.total))
-            basis = Matrix(QQ, [r[::-1] for r in K.data[::-1]], K.rows, K.cols)
+        if rows:
+            # Z: the Hermite basis of the kernel; Q: the free-column kernel
+            # basis of the matrix read backwards (rows and columns), read
+            # backwards, is the reduced column echelon basis
+            back = self.ring == QQ
+            if back:
+                rows = [r[::-1] for r in rows[::-1]]
+            basis = _nonzero_columns(kernel(Matrix(self.ring, rows, len(rows), self.total)))
+            if back:
+                basis = [{self.total - 1 - i: x for i, x in c.items()} for c in basis[::-1]]
         else:
-            basis = Matrix.identity(self.ring, self.total)
-        self.basis = basis
-        self._solver = _Solver(self.basis)
-        unit = [0] * self.total
-        for v in self.order:
-            r = rep.rank(v)
-            for i in range(r):
-                unit[offsets[v] + i * r + i] = 1
-        coords = self._solver.solve(tuple(unit))
+            basis = [{i: _coerce(self.ring, 1)} for i in range(self.total)]
+        self.basis_columns = basis
+        self._solver = _Solver.from_sparse(self.ring, basis, self.total)
+        diagonal = {offsets[v] + i * (rep.rank(v) + 1)
+                    for v in self.order for i in range(rep.rank(v))}
+        coords = self._solver.solve(tuple(int(k in diagonal) for k in range(self.total)))
         if coords is None:
             raise AxiomViolation("identity family does not satisfy the constraints")
         self.unit = tuple(coords)
@@ -241,15 +236,16 @@ class EndAlgebra:
 
     @property
     def dim(self):
-        return self.basis.cols
+        return len(self.basis_columns)
+
+    @property
+    def basis(self) -> Matrix:
+        return Matrix.from_sparse(self.ring, self.basis_columns, self.total)
 
     def component(self, i, v) -> Matrix:
-        r = self.rep.rank(v)
-        off = self.offsets[v]
-        col = self.basis.col(i)
-        return Matrix(self.ring,
-                      [[col[off + a * r + b] for b in range(r)] for a in range(r)],
-                      r, r)
+        r, off, col = self.rep.rank(v), self.offsets[v], self.basis_columns[i]
+        return Matrix(self.ring, [[col.get(off + a * r + b, 0) for b in range(r)]
+                                  for a in range(r)], r, r)
 
     def coordinates(self, flat):
         """Coordinates of a flat family vector in the basis, or None."""
@@ -260,15 +256,18 @@ class EndAlgebra:
         nonzeros, for every pair whose product is not zero.
 
         Each family is kept as the sparse rows of its vertex blocks, from the
-        integer columns w_k = s_k e_k that the basis's _Solver keeps, and only
-        the pairs whose blocks meet are multiplied.  The solver reads
-        w_i w_j / (s_i s_j) at the basis pivots; a product outside the span
-        raises AxiomViolation.
+        integer columns w_k = s_k e_k of the basis, and only the pairs whose
+        blocks meet are multiplied.  The solver reads w_i w_j / (s_i s_j) (in
+        its image basis, taken back by T, when it set T); a product outside
+        the span raises AxiomViolation.
         """
         if self._structure is not None:
             return self._structure
         solver = self._solver
-        cols, scales = solver.columns, solver.scales
+        cols, scales = solver.columns, solver.scales     # w_k and s_k, unless T is set
+        if solver.T is not None:
+            cols = _integral(self.basis_columns)
+            scales = [lcm(*(x.denominator for x in c.values())) for c in self.basis_columns]
         # flat index -> (vertex, row, column) of its block
         layout, where = [], []
         for vi, v in enumerate(self.order):
@@ -303,7 +302,7 @@ class EndAlgebra:
                 if coords is None:
                     raise AxiomViolation(
                         "product of basis families %d,%d escapes the span" % (i, j))
-                table[i, j] = coords
+                table[i, j] = coords if solver.T is None else _compose(solver.T, [coords])[0]
         self._structure = table
         return table
 
@@ -315,20 +314,19 @@ class EndAlgebra:
 
     def comodule(self, v):
         """The canonical comodule at vertex v, built on first use: row (i, a)
-        of rho is row a of e_i's block at v, read off the basis rows."""
+        of rho is row a of e_i's block at v, read off the basis columns."""
         co = self._comodules.get(v)
         if co is None:
-            r, off, rows = self.rep.rank(v), self.offsets[v], self.basis.data
-            rho = [[rows[off + a * r + b][i] for b in range(r)]
-                   for i in range(self.dim) for a in range(r)]
+            r, off, zero = self.rep.rank(v), self.offsets[v], self._solver.zero
+            rho = [[col.get(off + a * r + b, zero) for b in range(r)]
+                   for col in self.basis_columns for a in range(r)]
             co = self._comodules[v] = Comodule(
                 self.coalgebra(), (0,) * r, Matrix(self.ring, rho, self.dim * r, r))
         return co
 
     def is_saturated(self):
-        if self.ring != ZZ or self.dim == 0:
-            return True
-        return all(f == 1 for f in elementary_divisors(self.basis))
+        return (self.ring != ZZ or self.dim == 0
+                or all(f == 1 for f in elementary_divisors(self.basis)))
 
 
 def end_algebra(rep, sub) -> EndAlgebra:
@@ -405,11 +403,11 @@ def _counit_identity(rho, eps, r, scale, left=True, orders=None):
 
 def _intertwines(src, dst, t=None, m=None):
     """(t (x) m) rho_src == rho_dst m modulo the orders of dst's generators,
-    for a coalgebra map t and a module map m (None: an identity), column by
-    column over the nonzeros, in integers: R_dst (S_t t (x) S_m m)(R_src
-    rho_src) against S_t R_src (R_dst rho_dst)(S_m m), R and S the scales."""
+    for a coalgebra map t (sparse columns) and a module map m (None: an
+    identity), column by column over the nonzeros, in integers: R_dst (S_t
+    t (x) S_m m)(R_src rho_src) against S_t R_src (R_dst rho_dst)(S_m m)."""
     k = dst.ngens
-    tc, st = _integer_columns(_nonzero_columns(t), t.ring) if t is not None else (None, 1)
+    tc, st = _integer_columns(t, dst.coalgebra.ring) if t is not None else (None, 1)
     mc, sm = _integer_columns(_nonzero_columns(m), m.ring) if m is not None else (None, 1)
     rs, rd = src._denominator, dst._denominator
     for b, col in enumerate(src._columns):
@@ -421,35 +419,45 @@ def _intertwines(src, dst, t=None, m=None):
 
 
 def _coalgebra_morphism(t, delta, counit, target):
-    """(Delta_target t == (t (x) t) delta, eps_target t == counit) for a
-    matrix t out of the coalgebra with comultiplication delta and counit
-    given as sparse columns ({0: eps_k}), exactly, one column e_k at a time,
-    both sides of it added into one dict by _tensor_apply."""
-    n, tc, eps = t.rows, _nonzero_columns(t), _nonzero_columns(target.counit)
+    """(Delta_target t == (t (x) t) delta, eps_target t == counit) for a map
+    t out of the coalgebra with comultiplication delta and counit, all given
+    as sparse columns (the counit's {0: eps_k}), exactly, one column e_k at
+    a time, both sides of it added into one dict by _tensor_apply."""
+    n, eps = target.rank, target.counit_columns
     comultiplicative = counital = True
     for k, (col, e) in enumerate(zip(delta, counit)):
-        diff = _tensor_apply(target.delta_columns, None, 1, 1, tc[k], -1)
+        diff = _tensor_apply(target.delta_columns, None, 1, 1, t[k], -1)
         comultiplicative = comultiplicative and not any(
-            _tensor_apply(tc, tc, n, t.cols, col, 1, diff).values())
-        counital = counital and _tensor_apply(eps, None, 1, 1, tc[k]).get(0, 0) == e.get(0, 0)
+            _tensor_apply(t, t, n, len(t), col, 1, diff).values())
+        counital = counital and _tensor_apply(eps, None, 1, 1, t[k]).get(0, 0) == e.get(0, 0)
     return comultiplicative, counital
+
+
+def _transpose(cols, n):
+    """The sparse columns of the transpose of an n-row map's columns."""
+    out = [{} for _ in range(n)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            out[i][j] = x
+    return out
 
 
 class CoalgebraTrunc:
     """Free coalgebra truncation: rank, comultiplication and counit.
 
     delta_columns is the comultiplication as sparse columns {row: entry}
-    over its nonzeros, rows row-major tensor indices i * rank + j; it is the
-    primary data, read by every check against this coalgebra.  The dense
-    rank^2 x rank matrix delta is built from it on first read, for the
-    certificates that print it.  The columns and the counit are also kept
+    over its nonzeros, rows row-major tensor indices i * rank + j; it and
+    counit_columns ({0: eps_k}) are the primary data, read by every check
+    against this coalgebra.  The dense rank^2 x rank matrix delta is built
+    from it on first read, for the certificates that print it.  The columns
+    and the counit are also kept
     as integers times a common denominator (1 over Z), computed once here:
     coassociativity and the counit identities, asserted at construction,
     and the comodule checks contract those, without Fractions or Kronecker
     products.
     """
 
-    __slots__ = ("ring", "rank", "delta_columns", "counit", "_delta",
+    __slots__ = ("ring", "rank", "delta_columns", "counit", "counit_columns", "_delta",
                  "_integer_delta", "_denominator", "_integer_counit")
 
     def __init__(self, ring, rank, delta_columns, counit):
@@ -463,11 +471,12 @@ class CoalgebraTrunc:
         self.rank = rank
         self.delta_columns = cols = delta_columns
         self.counit = counit
+        self.counit_columns = _nonzero_columns(counit)
         self._delta = None
         self._integer_delta, self._denominator = idelta, d = _integer_columns(cols, ring)
         if not _coassociative(idelta, idelta, rank, rank):
             raise AxiomViolation("comultiplication is not coassociative")
-        self._integer_counit = eps, de = _integer_columns(_nonzero_columns(counit), ring)
+        self._integer_counit = eps, de = _integer_columns(self.counit_columns, ring)
         if not (_counit_identity(idelta, eps, rank, d * de)
                 and _counit_identity(idelta, eps, rank, d * de, left=False)):
             raise AxiomViolation("counit identities fail")
@@ -586,36 +595,39 @@ def check_coaction_axioms(co: Comodule):
 
 
 class TransitionMap:
-    """Coalgebra morphism A_F -> A_F' dual to restriction of families."""
+    """Coalgebra morphism A_F -> A_F' dual to restriction of families, as
+    sparse columns."""
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "columns")
 
-    def __init__(self, source, target, matrix):
-        self.source, self.target, self.matrix = source, target, matrix
+    def __init__(self, source, target, columns):
+        self.source, self.target, self.columns = source, target, columns
+
+    @property
+    def matrix(self) -> Matrix:
+        return Matrix.from_sparse(self.target.ring, self.columns, self.target.rank)
 
 
 def transition_map(rep, EF: EndAlgebra, EG: EndAlgebra) -> TransitionMap:
     """Transition A_F -> A_G for subdiagrams F <= G.
 
-    Computed as the transpose of the restriction End(T|_G) -> End(T|_F);
-    verified to be a coalgebra morphism by _coalgebra_morphism and to
-    intertwine the canonical comodules at every vertex of F, (t (x) id)
-    rho_F = rho_G, by _intertwines.
+    Computed as the transpose of the restriction End(T|_G) -> End(T|_F),
+    read by End(T|_F).coordinates; verified to be a coalgebra morphism by
+    _coalgebra_morphism and to intertwine the canonical comodules at every
+    vertex of F, (t (x) id) rho_F = rho_G, by _intertwines.
     """
     if not EF.sub.is_subset_of(EG.sub):
         raise InputError("transition requires nested subdiagrams")
     AF, AG = EF.coalgebra(), EG.coalgebra()
-    cols, offsets = [], EG.offsets
-    for i in range(EG.dim):
-        col = EG.basis.col(i)
-        coords = EF.coordinates(tuple(x for v in EF.order
-                                      for x in col[offsets[v]:offsets[v] + rep.rank(v) ** 2]))
+    at = [EG.offsets[v] + k for v in EF.order for k in range(rep.rank(v) ** 2)]
+    restricted = []
+    for col in EG.basis_columns:
+        coords = EF.coordinates([col.get(i, 0) for i in at])
         if coords is None:
             raise AxiomViolation("restricted family escapes the smaller algebra")
-        cols.append(coords)
-    t = Matrix.from_columns(rep.ring, cols, rows=EF.dim).transpose()
-    comultiplicative, counital = _coalgebra_morphism(
-        t, AF.delta_columns, _nonzero_columns(AF.counit), AG)
+        restricted.append({j: x for j, x in enumerate(coords) if x})
+    t = _transpose(restricted, EF.dim)
+    comultiplicative, counital = _coalgebra_morphism(t, AF.delta_columns, AF.counit_columns, AG)
     if not comultiplicative:
         raise AxiomViolation("transition fails comultiplication compatibility")
     if not counital:
@@ -700,11 +712,9 @@ class PairsContext:
 
     def end(self, sub):
         key = (sub.vertices, tuple(e[0] for e in sub.edges))
-        E = self._end_cache.get(key)
-        if E is None:
-            E = end_algebra(self.rep, sub)
-            self._end_cache[key] = E
-        return E
+        if key not in self._end_cache:
+            self._end_cache[key] = end_algebra(self.rep, sub)
+        return self._end_cache[key]
 
     def coalgebra(self, sub):
         return self.end(sub).coalgebra()
@@ -716,10 +726,7 @@ class PairsContext:
         return vw
 
     def tau(self, v, w):
-        key = (v, w)
-        t = self._tau_cache.get(key)
-        if t is None:
+        if (v, w) not in self._tau_cache:
             from .bialgebra import kunneth_tau
-            t = kunneth_tau(self, v, w)
-            self._tau_cache[key] = t
-        return t
+            self._tau_cache[v, w] = kunneth_tau(self, v, w)
+        return self._tau_cache[v, w]

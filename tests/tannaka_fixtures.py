@@ -7,7 +7,7 @@ of r circles, with its self-product.
 """
 
 from tannakit.bialgebra import PairsContext
-from tannakit.linalg import _Solver
+from tannakit.linalg import _apply, _nonzero_columns, _Solver
 from tannakit.simplicial import SimplicialMap, SimplicialPair, product_pair
 from tannakit.tannaka import Subdiagram, build_pairs_diagram
 
@@ -15,9 +15,16 @@ from spaces import CIRCLE3, CIRCLE6, CIRCLE_POINT, EDGE, EDGE_ENDS, POINT, cx, p
 
 
 def with_basis(E, basis):
-    """End algebra E with its basis replaced, and the solver that every
-    coordinate is read through rebuilt on it."""
-    E.basis, E._solver = basis, _Solver(basis)
+    """End algebra E with its basis replaced by the columns of the Matrix
+    basis, the solver that every coordinate is read through rebuilt on them,
+    the unit read in them (None when they do not span it) and the
+    structure, coalgebra and comodules left to be rebuilt on first use."""
+    identity = _apply(E.basis_columns, E.unit, E.total)
+    E.basis_columns = _nonzero_columns(basis)
+    E._solver = _Solver.from_sparse(E.ring, E.basis_columns, E.total)
+    E.unit = E.coordinates(identity)
+    E._structure = E._coalgebra = None
+    E._comodules = {}
     return E
 
 

@@ -13,7 +13,7 @@ from tannakit.cli import default_corpus_text
 from tannakit.comodule import check_comodule_axioms, tensor_comodules, torsionfree_cover
 from tannakit.corpus import Corpus
 from tannakit.errors import MissingProducts, NotGoodPair, ProductEscape, WrongRank
-from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap
+from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap, _nonzero_columns
 from tannakit.simplicial import ChainMap, SimplicialPair, _ez, product_pair
 from tannakit.tannaka import (
     Comodule, DiagramRep, Subdiagram, build_pairs_diagram, transition_map,
@@ -148,7 +148,8 @@ class TestMu:
         # mismatched inverse: pi no longer preserves the unit, so either the
         # membership solve escapes or the bialgebra axioms break
         fresh._tau_cache[("g", "g")] = TauIso(
-            good.v, good.w, good.vw, good.matrix, good.inverse.scale(2))
+            good.v, good.w, good.vw, good.ring, good.columns,
+            _nonzero_columns(good.inverse.scale(2)))
         F1, F2 = tower[1], tower[2]
         try:
             mu = product_on_truncations(fresh, F1, F1, F2)
@@ -222,6 +223,33 @@ class TestMuOracle:
         assert calls == []
         Matrix.identity(ring, 1) * Matrix.identity(ring, 1)
         assert calls == [(1, 1, 1)]
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_maps_stay_sparse(self, ring, monkeypatch):
+        # with the End algebras, their coalgebras and comodules and tau
+        # warm, mu, its bialgebra check and a transition map build no
+        # Matrix: each is kept as sparse columns, and .matrix is a view
+        ctx, F, G, H = wedge_context(3, ring)
+        fixture, tower = build_context(ring)
+        for c, subs in ((ctx, (F, G, H)), (fixture, tower[1:])):
+            for sub in subs:
+                E = c.end(sub)
+                for v in E.order:
+                    E.comodule(v)
+        ctx.tau("w", "w")
+        built = []
+        init = Matrix.__init__
+
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append((self.rows, self.cols))
+        monkeypatch.setattr(Matrix, "__init__", counted)
+        mu = product_on_truncations(ctx, F, G, H)
+        assert check_fragment_bialgebra(ctx, mu).ok
+        t = transition_map(fixture.rep, fixture.end(tower[1]), fixture.end(tower[2]))
+        assert built == []
+        assert (mu.matrix.rows, t.matrix.cols) == (81, 2)
+        assert built == [(81, 81), (3, 2)]
 
     @pytest.mark.parametrize("drop, spans_over_q", [(False, True), (True, False)])
     def test_escape_reports_integrality(self, drop, spans_over_q):
@@ -363,7 +391,8 @@ class TestDenseOracles:
             for i in range(mu.matrix.rows):
                 for j in range(mu.matrix.cols):
                     for by in (1, Fraction(1, 3)) if ring == QQ else (1,):
-                        bad = MuFragment(mu.EF, mu.EG, mu.EH, perturbed(mu.matrix, i, j, by))
+                        bad = MuFragment(mu.EF, mu.EG, mu.EH,
+                                         _nonzero_columns(perturbed(mu.matrix, i, j, by)))
                         cert = check_fragment_bialgebra(ctx, bad)
                         verdict = tuple(c["ok"] for c in cert.checks)
                         assert verdict == dense_fragment_bialgebra(bad.matrix, *coalgebras)
@@ -422,7 +451,8 @@ class TestDenseOracles:
         ts = [transition_map(ctx.rep, ctx.end(H), ctx.end(Hc)) for H in (Hl, Hr)]
         verdicts = []
         for k in range(-1, 4):      # honest, then each mu doubled
-            args = [MuFragment(mu.EF, mu.EG, mu.EH, mu.matrix.scale(2 if i == k else 1))
+            args = [MuFragment(mu.EF, mu.EG, mu.EH,
+                               _nonzero_columns(mu.matrix.scale(2 if i == k else 1)))
                     for i, mu in enumerate(mus)] + ts
             verdict = check_associativity(ctx, *args).ok
             assert verdict == dense_associativity(*args)
@@ -433,7 +463,8 @@ class TestDenseOracles:
         fresh = PairsContext(ctx.diagram, ctx.rep, ctx.products, ctx.circle)
         good = fresh.tau("u", "uu")
         fresh._tau_cache["u", "uu"] = TauIso(
-            good.v, good.w, good.vw, good.matrix.scale(2), good.inverse)
+            good.v, good.w, good.vw, good.ring, _nonzero_columns(good.matrix.scale(2)),
+            good.inverse_columns)
         assert not check_tau_associativity(fresh, "u", "u", "u")
         assert not dense_tau_associativity(fresh, "u", "u", "u")
 

@@ -133,6 +133,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "n=0: Z^1" in out
 
+    @pytest.mark.parametrize("ring", ["z", "q"])
+    def test_tower_with_nothing_to_check_is_input_error(self, ring, tmp_path, capsys):
+        # p2 x p2 = p22 is registered, p2 x p22 is not: no pair of
+        # truncations has all its products in the tower, and there is no unit
+        path = tmp_path / "lone.corpus"
+        path.write_text(default_corpus_text() + "\n[subdiagram P2P22]\ndiagram = circle_diagram\n"
+                        "vertices = p2 p22\n\n[tower lone]\ndiagram = circle_diagram\n"
+                        "truncations = P2P22\n", encoding="utf-8")
+        argv = ["--corpus", str(path), "--ring", ring]
+        assert main(argv + ["bialgebra-check", "lone"]) == 1
+        assert capsys.readouterr().err.startswith("input error:")
+        assert main(argv + ["bialgebra-check", "main_tower"]) == 0
+
     def test_invalid_corpus_syntax(self, tmp_path, capsys):
         path = tmp_path / "bad.corpus"
         path.write_text("this is not a corpus\n", encoding="utf-8")

@@ -161,7 +161,7 @@ class TestTensor:
         dia = Diagram(["v"], [])
         rep = DiagramRep(dia, ZZ, {"v": FgModule.free(ZZ, 1)}, {})
         E = end_algebra(rep, Subdiagram(dia, ["v"]))
-        mu = MuFragment(E, E, E, Matrix(ZZ, [[1]]))
+        mu = MuFragment(E, E, E, [{0: 1}])
         C = dual_coalgebra(E)
         m = Comodule(C, (0,), Matrix(ZZ, [[1]]))
         t = tensor_comodules(m, m, mu)
@@ -184,7 +184,7 @@ class TestTensor:
         d2 = D2(["w"], [])
         r2 = R2(d2, ZZ, {"w": FgModule.free(ZZ, 1)}, {})
         E2 = end_algebra(r2, Subdiagram(d2, ["w"]))
-        mu = MuFragment(E2, E2, E2, Matrix(ZZ, [[1]]))
+        mu = MuFragment(E2, E2, E2, [{0: 1}])
         C2 = dual_coalgebra(E2)
         a = Comodule(C2, (0, 0), Matrix(ZZ, [[1, 0], [0, 1]]))
         b = Comodule(C2, (0,), Matrix(ZZ, [[1]]))
