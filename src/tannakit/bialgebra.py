@@ -28,14 +28,14 @@ from .errors import (
     InputError, MissingProducts, NotGoodPair, ProductEscape, WrongRank,
 )
 from .linalg import (
-    ZZ, Matrix, _apply, _compose, _echelon, _integral, _nonzero_columns, _Solver,
-    _swapped_tensor, _tensor_apply, tensor_swap,
+    ZZ, Matrix, _apply, _coerce, _compose, _echelon, _integral, _nonzero_columns, _Solver,
+    _swapped_tensor, _tensor_apply, _transpose, tensor_swap,
 )
 from .simplicial import (
     SimplicialMap, ez_matrixes, induced_map_on_homology, pair_homology, tensor_complex,
 )
 from .tannaka import (
-    PairsContext, Subdiagram, _coalgebra_morphism, _transpose, transition_map, vertex_payload,
+    PairsContext, Subdiagram, _coalgebra_morphism, transition_map, vertex_payload,
 )
 
 
@@ -366,10 +366,9 @@ def bialgebra_axiom_check(ctx: PairsContext, tower, unit_vertex=None) -> Bialgeb
 # -- sigma ---------------------------------------------------------------------
 
 class SigmaElement:
-    __slots__ = ("sub", "coords")
+    __slots__ = ("coords",)
 
-    def __init__(self, sub, coords):
-        self.sub = sub
+    def __init__(self, coords):
         self.coords = tuple(coords)
 
 
@@ -385,21 +384,22 @@ def sigma_element(ctx: PairsContext, sub) -> SigmaElement:
     if ctx.rep.rank(c) != 1:
         raise WrongRank("circle vertex has rank %d, expected 1" % ctx.rep.rank(c))
     co = ctx.end(sub).comodule(c)
-    A, coords = co.coalgebra, co.rho.col(0)
+    A, zero = co.coalgebra, _coerce(ctx.ring, 0)
+    coords = tuple(co.columns[0].get(i, zero) for i in range(A.rank))
     if not A.grouplike_defect(coords).is_zero():
         raise AssertionError("sigma is not grouplike")
     if A.counit_of(coords) != 1:
         raise AssertionError("counit of sigma differs from 1")
-    return SigmaElement(sub, coords)
+    return SigmaElement(coords)
 
 
 class SigmaSystem:
     """Matrices of multiplication by sigma along a chain of truncations."""
 
-    __slots__ = ("steps", "kernels", "ring")
+    __slots__ = ("steps", "kernels")
 
-    def __init__(self, steps, kernels, ring):
-        self.steps, self.kernels, self.ring = steps, kernels, ring
+    def __init__(self, steps, kernels):
+        self.steps, self.kernels = steps, kernels
 
     def as_dict(self):
         return {"steps": [{"shape": [m.rows, m.cols]} for m in self.steps],
@@ -442,4 +442,4 @@ def sigma_directed_system(ctx: PairsContext, chain, depth) -> SigmaSystem:
         comp = sparse[k] if comp is None else _compose(comp, sparse[k])
         kernels.insert(0, {"from": k, "kernel_rank":
                            len(comp) - len(_echelon(_integral(comp), ctx.ring)[0])})
-    return SigmaSystem(steps, kernels, ctx.ring)
+    return SigmaSystem(steps, kernels)

@@ -9,7 +9,7 @@ total-complex models are exact at chain level.
 from itertools import combinations
 
 from .errors import InvalidPair, NotACover
-from .linalg import ZZ, FgModule, Matrix, Subquotient
+from .linalg import ZZ, FgModule, Matrix, Subquotient, _transpose
 from .simplicial import ChainComplex, SimplicialComplex, SimplicialPair, _faces, pair_homology
 
 
@@ -49,7 +49,8 @@ class CupProduct:
             # a transpose has the same elementary divisors
             out[n] = Subquotient.free(
                 self.ring, cc.rank(n), cc.divisors(n), cc.divisors(n + 1),
-                lambda n=n: (cc.boundary(n).transpose(), cc.boundary(n + 1).transpose()))
+                lambda n=n: (_transpose(cc.columns(n), cc.rank(n - 1)),
+                             _transpose(cc.columns(n + 1), cc.rank(n)), cc.rank(n + 1)))
         return out
 
     def cohomology_module(self, which, n):

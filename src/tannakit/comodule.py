@@ -77,9 +77,8 @@ def extended_on_orders(C: CoalgebraTrunc, orders_e) -> Comodule:
     """C (x) E on generators of the given orders: rho = Delta (x) id, whose
     column (p, j) is column p of Delta on the rows (i, q, j)."""
     k = len(orders_e)
-    rho = Matrix.from_sparse(C.ring, [{iq * k + j: d for iq, d in col.items()}
-                                      for col in C.delta_columns for j in range(k)],
-                             C.rank * C.rank * k)
+    rho = [{iq * k + j: d for iq, d in col.items() if d}
+           for col in C.delta_columns for j in range(k)]
     return _checked(Comodule(C, list(orders_e) * C.rank, rho), "extended comodule")
 
 
@@ -199,12 +198,10 @@ def tensor_comodules(m: Comodule, n: Comodule, mu) -> Comodule:
     if m.coalgebra != CF or n.coalgebra != CG:
         raise MissingProducts("fragment does not cover the comodule coalgebras")
     CH = mu.EH.coalgebra()
-    ring = CH.ring
     km, kn = m.ngens, n.ngens
     # rows (i, a, j, b) of rho_m (x) rho_n reordered to (i, j, a, b)
-    swapped = _swapped_tensor(_nonzero_columns(m.rho), _nonzero_columns(n.rho),
-                              CF.rank, km, CG.rank, kn)
-    rho = Matrix.from_sparse(ring, [_tensor_apply(mu.columns, None, km * kn, km * kn, col)
-                                    for col in swapped], CH.rank * km * kn)
+    swapped = _swapped_tensor(m.columns, n.columns, CF.rank, km, CG.rank, kn)
+    rho = [{i: x for i, x in _tensor_apply(mu.columns, None, km * kn, km * kn, col).items() if x}
+           for col in swapped]
     orders = [gcd(s, t) for s in m.gen_orders for t in n.gen_orders]
     return _checked(Comodule(CH, orders, rho), "tensor comodule")

@@ -11,7 +11,9 @@ call, so no other command compiles it.
 """
 
 from .errors import CompositionNonzero
-from .linalg import QQ, FgModule, ModuleMap, _cycle_coordinates, elementary_divisors
+from .linalg import (
+    QQ, FgModule, ModuleMap, _cycle_coordinates, _nonzero_columns, elementary_divisors,
+)
 from .reduction import reduction
 from .simplicial import SimplicialPair, _boundary_image, _homology_map, pair_homology
 
@@ -110,8 +112,10 @@ def _exact_at(d_in, d_out):
     """(ok, defect): ker d_out / im d_in is the cokernel of d_in's columns
     and relations in cycle coordinates, read from elementary divisors."""
     try:
-        _, coeff = _cycle_coordinates(d_in.matrix, d_in.target.relations(),
-                                      d_out.matrix, d_out.target.relations())
+        into = _nonzero_columns(d_in.matrix) + _nonzero_columns(d_in.target.relations())
+        out = _nonzero_columns(d_out.matrix) + _nonzero_columns(d_out.target.relations())
+        coeff = _cycle_coordinates(d_out.source.ring, into, out, d_out.source.ngens,
+                                   d_out.target.ngens)[2]
     except CompositionNonzero:
         return False, "composition nonzero"
     defect = FgModule.cokernel(coeff)

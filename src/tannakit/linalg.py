@@ -1,26 +1,26 @@
 """Exact linear algebra over Z and Q.
 
 Matrices carry arbitrary-precision entries (python ints over Z,
-fractions.Fraction over Q); nothing here ever rounds or overflows.  Provides
-Hermite/echelon canonical bases, kernels, exact solving, finitely generated
-modules presented by invariant factors, module maps and subquotients.  One
-reduction, _echelon, does all row reduction on sparse integer rows (the
-Hermite form over Z, the reduced echelon form over Q); Q kernels and
-_column_reduce (A stacked on the identity: Z kernels, image bases) read it.
-One reader, _Solver, reads every coordinate, in integers, at the pivots of a
-canonical basis, or of _column_reduce's image basis for any other A.
-Invariant factors alone come from a sparse elimination of unit pivots,
-_unit_pivots, with Smith normal form (Z) or _echelon (Q) on what is left;
-tannakit.reduction reads a chain-level reduction off the same pivots.
+fractions.Fraction over Q); nothing here ever rounds or overflows.  Maps are
+kept as sparse columns {row: entry} wherever they are computed, and Matrix
+is the dense view.  One reduction, _echelon, does all row reduction on
+sparse integer rows (the Hermite form over Z, the reduced echelon form over
+Q); kernel reads it on sparse columns (over Z through _reduced_columns, A
+stacked on the identity), and so do Q module_from_relations and image
+bases.  One reader, _Solver, reads every coordinate, in integers, at the
+pivots of a canonical basis, or of _reduced_columns's image basis for any
+other A.  Invariant factors alone come from a sparse elimination of unit
+pivots, _unit_pivots, with Smith normal form (Z) or _echelon (Q) on what is
+left; tannakit.reduction reads a chain-level reduction off the same pivots.
 Every tensor identity and construction applies A (x) B to sparse columns by
 one helper, _tensor_apply, beside _compose; no module calls Matrix.kron.
-Smith normal form, the determinant and the dense forms rref and hnf_columns
-live in tannakit.smith, imported only where a Smith form is needed and
-served here through a module __getattr__ (PEP 562).
-Chain complexes keep differentials as sparse integer columns {row: coeff}.
+Smith normal form, the determinant, the dense forms rref and hnf_columns
+and the dense _column_reduce live in tannakit.smith, imported only where a
+Smith form is needed and served here through a module __getattr__ (PEP 562).
 A homology module of a free complex is eager and its cycle basis lazy:
-Subquotient.free reads the module from elementary divisors and builds the
-cycle basis on the first class_of or lift.
+Subquotient.free reads the module from elementary divisors, and on the
+first class_of or lift builds the cycle basis from the sparse kernel of the
+complex's own boundary columns.
 """
 
 from collections import Counter
@@ -34,7 +34,8 @@ QQ = "q"
 
 RINGS = (ZZ, QQ)
 
-_SMITH = ("SmithForm", "smith_normal_form", "determinant", "rref", "hnf_columns")
+_SMITH = ("SmithForm", "smith_normal_form", "determinant", "rref", "hnf_columns",
+          "_column_reduce")
 
 
 def __getattr__(name):
@@ -435,37 +436,30 @@ def _unit_pivots(rows):
     return terms
 
 
-def _column_reduce(A):
-    """Canonical column reduction of A stacked on the identity: Hermite over
-    Z, echelon over Q (Cohen, GTM 138, 2.4), as _echelon of the rows
-    col_j(A) (+) s e_j, where s clears the denominators of col_j(A).
-    Returns (H, T, K): the reduced rows with a nonzero A part give H (that
+def _reduced_columns(ring, columns, m):
+    """Canonical column reduction of the m-row matrix A with these sparse
+    columns, stacked on the identity: Hermite over Z, echelon over Q (Cohen,
+    GTM 138, 2.4), as _echelon of the rows col_j(A) (+) s e_j, where s
+    clears the denominators of col_j(A).  Returns (H, T and K, rank of H) as
+    sparse columns: the reduced rows with a nonzero A part give H (that
     part) and T (their identity part), so A*T = H; the others give K, a
     basis of ker(A), which over Z is the Hermite basis of the kernel
     lattice."""
-    m, ring = A.rows, A.ring
-    head, tail, image = _reduced_columns(ring, _nonzero_columns(A), m)
-    return (Matrix.from_sparse(ring, head, m),
-            Matrix.from_sparse(ring, tail[:image], A.cols),
-            Matrix.from_sparse(ring, tail[image:], A.cols))
-
-
-def _reduced_columns(ring, columns, m):
-    """(H, T and K together, rank of H) as sparse columns, for the m-row
-    matrix with these columns: _column_reduce without the Matrix."""
     pivots, basis = _echelon(_integral({**col, m + j: 1} for j, col in enumerate(columns)), ring)
     image = sum(c < m for c in pivots)      # pivots ascend: these come first
     return ([{i: x for i, x in r.items() if i < m} for r in basis[:image]],
             [{i - m: x for i, x in r.items() if i >= m} for r in basis], image)
 
 
-def kernel(A):
-    """Canonical basis (as columns) of ker(A): Hermite, hence saturated, over
-    Z; the free-column basis of the reduced echelon form over Q."""
-    if A.ring == ZZ:
-        return _column_reduce(A)[2]
-    _, basis = _null_vectors(*_echelon(_integer_rows(A), QQ), A.cols)
-    return Matrix.from_sparse(QQ, basis, A.cols)
+def kernel(ring, columns, rows):
+    """Canonical basis of the kernel of the rows x len(columns) matrix with
+    these sparse columns (nonzeros {row: entry}), as sparse columns: Hermite,
+    hence saturated, over Z; the free-column basis of the reduced echelon
+    form over Q, read off the matrix's rows."""
+    if ring == ZZ:
+        _, tail, image = _reduced_columns(ZZ, columns, rows)
+        return tail[image:]
+    return _null_vectors(*_echelon(_integral(_transpose(columns, rows)), QQ), len(columns))[1]
 
 
 def _null_vectors(pivots, rows, n):
@@ -491,7 +485,7 @@ class _Solver:
     Over Q it is a row where no other column is nonzero (echelon columns,
     the free-column kernel, the identity): the coordinate is the entry
     there, and one integer residual checks them all.  Any other A is
-    replaced by the image H of _column_reduce, and read (sparse vectors)
+    replaced by the image H of _reduced_columns, and read (sparse vectors)
     and solve (dense tuples) return T y.  A is a Matrix, or sparse columns
     given to from_sparse.
     """
@@ -787,36 +781,35 @@ class Subquotient:
 
     class_of maps a cycle (coordinates in the middle module's generators) to
     coordinates on the normalized generators of the subquotient; lift does
-    the reverse for a generator index.  The module is always known.  When it
-    comes from elementary divisors (Subquotient.free), the cycle basis and
-    its transforms are built by subquotient on the first class_of or lift,
-    which must reproduce the same module.
+    the reverse for a generator index.  The cycle basis is kept as sparse
+    columns, with the one _Solver that read the boundary coordinates in it
+    and reads every class_of.  The module is always known.  When it comes
+    from elementary divisors (Subquotient.free), the cycle basis and its
+    transforms are built on the first class_of or lift, which must
+    reproduce the same module.
     """
 
-    __slots__ = ("module", "_build", "_cycles", "_to_normal", "_from_normal", "_solver")
+    __slots__ = ("module", "_build", "_cycles", "_solver", "_to_normal", "_from_normal")
 
-    def __init__(self, module, cycles=None, to_normal=None, from_normal=None, build=None):
-        self.module = module
-        self._build = build
-        self._cycles = cycles
-        self._to_normal = to_normal
-        self._from_normal = from_normal
-        self._solver = None
+    def __init__(self, module, cycles=None, solver=None, to_normal=None, from_normal=None,
+                 build=None):
+        self.module, self._build, self._cycles, self._solver = module, build, cycles, solver
+        self._to_normal, self._from_normal = to_normal, from_normal
 
     @classmethod
     def free(cls, ring, rank, div_in, div_out, boundaries):
         """ker d_out / im d_in at a free middle module of the given rank,
         from the nonzero elementary divisors of d_in and d_out: Z^(rank -
         rk d_out - rk d_in) plus Z/e for the divisors e > 1 of d_in.
-        boundaries() returns the matrices (d_in, d_out); it is called on
-        the first class_of or lift, which builds the cycle basis."""
+        boundaries() returns the sparse columns of d_in and d_out and the
+        row count of d_out; it is called on the first class_of or lift,
+        which builds the cycle basis."""
         module = FgModule(ring, rank - len(div_out) - len(div_in),
                           [e for e in div_in if e > 1])
 
         def build():
-            m_in, m_out = boundaries()
-            return presented_subquotient(m_in, Matrix.zeros(ring, m_in.rows, 0),
-                                         m_out, Matrix.zeros(ring, m_out.rows, 0))
+            into, out, rows = boundaries()
+            return _subquotient(ring, into, out, rank, rows)
         return cls(module, build=build)
 
     def _basis(self):
@@ -825,20 +818,20 @@ class Subquotient:
             if eager.module != self.module:
                 raise AssertionError("cycle basis gives %r, elementary divisors %r"
                                      % (eager.module, self.module))
-            self._cycles, self._to_normal = eager._cycles, eager._to_normal
-            self._from_normal, self._build = eager._from_normal, None
+            self._cycles, self._solver, self._to_normal, self._from_normal = (
+                eager._cycles, eager._solver, eager._to_normal, eager._from_normal)
+            self._build = None
         return self._cycles
 
     def class_of(self, vec):
-        if self._solver is None:
-            self._solver = _Solver(self._basis())
+        self._basis()
         c = self._solver.solve(vec)
         if c is None:
             raise ValueError("vector is not a cycle (or not in the cycle submodule)")
         return self.module.normalize_vector(self._to_normal.apply(c))
 
     def lift(self, j):
-        return self._basis().apply(self._from_normal.col(j))
+        return _apply(self._basis(), self._from_normal.col(j), self._solver.rows)
 
 
 def subquotient(d_in, d_out):
@@ -857,27 +850,29 @@ def presented_subquotient(m_in, rel_b, m_out, rel_c):
     target of m_out are presented by the relation columns rel_b and rel_c,
     normalized or not.  Raises CompositionNonzero when an image column or a
     relation of B is not a cycle."""
-    cycles, coeff = _cycle_coordinates(m_in, rel_b, m_out, rel_c)
-    mod, to_n, from_n = module_from_relations(m_out.ring, cycles.cols, coeff)
-    return Subquotient(mod, cycles, to_n, from_n)
+    return _subquotient(m_out.ring, _nonzero_columns(m_in) + _nonzero_columns(rel_b),
+                        _nonzero_columns(m_out) + _nonzero_columns(rel_c), m_out.cols, m_out.rows)
 
 
-def _cycle_coordinates(m_in, rel_b, m_out, rel_c):
-    """(cycles, coeff): a basis of the cycles of B as columns, and the
-    coordinates in it of the columns of m_in and rel_b."""
-    ring, n = m_out.ring, m_out.cols
-    big = m_out.hstack(rel_c) if rel_c.cols else m_out
-    K = kernel(big)
-    cycles = K.take_rows(range(n)) if K.cols else Matrix.zeros(ring, n, 0)
-    bd = m_in.hstack(rel_b) if rel_b.cols else m_in
-    solver = _Solver(cycles)
-    coeff_cols = []
-    for j in range(bd.cols):
-        c = solver.solve(bd.col(j))
-        if c is None:
-            raise CompositionNonzero("boundary does not lie in the cycle submodule")
-        coeff_cols.append(c)
-    return cycles, Matrix.from_columns(ring, coeff_cols, rows=cycles.cols)
+def _subquotient(ring, into, out, n, rows):
+    """presented_subquotient on sparse columns, as _cycle_coordinates takes them."""
+    cycles, solver, coeff = _cycle_coordinates(ring, into, out, n, rows)
+    mod, to_normal, from_normal = module_from_relations(ring, len(cycles), coeff)
+    return Subquotient(mod, cycles, solver, to_normal, from_normal)
+
+
+def _cycle_coordinates(ring, into, out, n, rows):
+    """(cycles, solver, coeff) at B = ring^n, for the sparse columns into
+    (the map into B, then B's relations) and out (the map out of B, then
+    the relations of its target, on rows rows): a basis of the cycles of B
+    as sparse columns, the _Solver on them, and the coordinates in it of
+    the columns of into, as a Matrix."""
+    cycles = [{i: x for i, x in c.items() if i < n} for c in kernel(ring, out, rows)]
+    solver = _Solver.from_sparse(ring, cycles, n)
+    coeff = [solver.read(col) for col in into]
+    if None in coeff:
+        raise CompositionNonzero("boundary does not lie in the cycle submodule")
+    return cycles, solver, Matrix.from_sparse(ring, coeff, len(cycles))
 
 
 def _compose(outer, inner):
@@ -891,6 +886,15 @@ def _compose(outer, inner):
                 for i, y in outer[k].items():
                     acc[i] = acc.get(i, 0) + x * y
         out.append({i: v for i, v in acc.items() if v})
+    return out
+
+
+def _transpose(cols, n):
+    """The sparse columns of the transpose of an n-row map's columns."""
+    out = [{} for _ in range(n)]
+    for j, col in enumerate(cols):
+        for i, x in col.items():
+            out[i][j] = x
     return out
 
 
@@ -915,29 +919,24 @@ def _tensor_apply(a, b, nb, mb, col, scale=1, out=None):
     nb x mb, and index j * mb + l goes to the rows i * nb + k.  out (a new
     dict when None) is updated in place, may keep zeros, and is returned.
     With B None and nb = mb = 1 this is the plain product A col."""
-    if out is None:
-        out = {}
-    if scale != 1:
-        col = {jl: scale * x for jl, x in col.items()}
-    if b is None:
-        for jl, x in col.items():
-            j, l = divmod(jl, mb)
+    out = {} if out is None else out
+    get = out.get
+    for jl, x in col.items():
+        j, l = divmod(jl, mb) if mb != 1 else (jl, 0)
+        x *= scale
+        if b is None:
             for i, y in a[j].items():
-                out[i * nb + l] = out.get(i * nb + l, 0) + x * y
-    elif a is None:
-        for jl, x in col.items():
-            j, l = divmod(jl, mb)
+                out[i * nb + l] = get(i * nb + l, 0) + x * y
+        elif a is None:
             base = j * nb
             for k, z in b[l].items():
-                out[base + k] = out.get(base + k, 0) + x * z
-    else:
-        for jl, x in col.items():
-            j, l = divmod(jl, mb)
+                out[base + k] = get(base + k, 0) + x * z
+        else:
             bl = b[l]
             for i, y in a[j].items():
                 base, xy = i * nb, x * y
                 for k, z in bl.items():
-                    out[base + k] = out.get(base + k, 0) + xy * z
+                    out[base + k] = get(base + k, 0) + xy * z
     return out
 
 

@@ -18,15 +18,15 @@ checked exactly whenever a reduction is built.
 ReducedHomology serves one degree as Subquotient does: class_of(v) is the
 class of f(v) in R and lift(j) is g of R's generator j.  Its module comes
 from the elementary divisors of R's own differentials, which the checked
-identities make H(C); R's cycle basis, from presented_subquotient on R's
-small dense boundaries, is built on first use and must give the same
-module.  So C's full differentials are eliminated once, here.  Only `les`
-imports this module: its certificate holds ranks and defect modules only,
-while every other command prints coordinates in the Hermite cycle basis of
+identities make H(C); R's cycle basis, from the sparse kernel of R's
+differentials, is built on first use and must give the same module.  So
+C's full differentials are eliminated once, here.  Only `les` imports this
+module: its certificate holds ranks and defect modules only, while every
+other command prints coordinates in the Hermite cycle basis of
 ChainComplex.homology.
 """
 
-from .linalg import Matrix, Subquotient, _apply, _compose, _sparse_divisors, _unit_pivots
+from .linalg import Subquotient, _apply, _compose, _sparse_divisors, _unit_pivots
 
 
 def reduction(cx):
@@ -140,8 +140,7 @@ class ReducedHomology:
         rows = len(red.cells.get(n - 1, ()))
         self._sq = Subquotient.free(
             ring, size, red.divisors(n + 1), red.divisors(n),
-            lambda: (Matrix.from_sparse(ring, red.d.get(n + 1, ()), size),
-                     Matrix.from_sparse(ring, red.d.get(n, [{}] * size), rows)))
+            lambda: (red.d.get(n + 1, ()), red.d.get(n, [{}] * size), rows))
         self.module = self._sq.module
         self._f, self._g = red.f.get(n, ()), red.g.get(n, ())
         self._sizes = size, red.complex.rank(n)

@@ -334,11 +334,14 @@ class ChainComplex:
         rows = self._labels[d - 1]
         return ((rows[r], c) for r, c in cols[self._index[d][label]].items())
 
+    def columns(self, d):
+        """The sparse columns {row: coeff} of the boundary of degree d."""
+        return self._cols.get(d, [{}] * self.rank(d))
+
     def boundary(self, d):
         m = self._bnd.get(d)
         if m is None:
-            m = self._bnd[d] = Matrix.from_sparse(
-                self.ring, self._cols.get(d, [{}] * self.rank(d)), self.rank(d - 1))
+            m = self._bnd[d] = Matrix.from_sparse(self.ring, self.columns(d), self.rank(d - 1))
         return m
 
     def divisors(self, d):
@@ -352,7 +355,7 @@ class ChainComplex:
         if d not in self._homology:
             self._homology[d] = Subquotient.free(
                 self.ring, self.rank(d), self.divisors(d + 1), self.divisors(d),
-                lambda: (self.boundary(d + 1), self.boundary(d)))
+                lambda: (self.columns(d + 1), self.columns(d), self.rank(d - 1)))
         return self._homology[d]
 
     def homology_module(self, d) -> FgModule:

@@ -1,5 +1,6 @@
 """Smith normal form with its unimodular transforms, the exact determinant,
-and the dense canonical forms rref and hnf_columns.
+the dense canonical forms rref and hnf_columns, and _column_reduce, the
+dense (H, T, K) of linalg._reduced_columns that inverts a transform.
 
 This module loads on first use.  linalg imports it only where a Smith form
 is computed: for the residual that unit pivots leave in _sparse_divisors
@@ -15,9 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
 
-from .linalg import (
-    QQ, ZZ, Matrix, _column_reduce, _echelon, _integer_rows, _nonzero_columns,
-)
+from .linalg import QQ, ZZ, Matrix, _echelon, _integer_rows, _nonzero_columns, _reduced_columns
 
 
 class SmithForm:
@@ -45,6 +44,16 @@ class SmithForm:
     @property
     def rank(self):
         return len(self.invariant_factors)
+
+
+def _column_reduce(A):
+    """_reduced_columns of A as Matrices (H, T, K): A*T = H, and K is a
+    basis of ker(A)."""
+    m, ring = A.rows, A.ring
+    head, tail, image = _reduced_columns(ring, _nonzero_columns(A), m)
+    return (Matrix.from_sparse(ring, head, m),
+            Matrix.from_sparse(ring, tail[:image], A.cols),
+            Matrix.from_sparse(ring, tail[image:], A.cols))
 
 
 def _unimodular_inverse(U):

@@ -8,11 +8,13 @@ its dual carries the coalgebra structure, every vertex module the canonical
 comodule rho(x) = sum_i e_i* (x) (e_i . x), built once per End algebra and
 vertex, and inclusions of subdiagrams dualize to transition maps.  Bases are
 canonical (Hermite over Z, reduced echelon over Q), each from one kernel
-call, and every coordinate in them (the unit, coordinates(), the products of
-basis families, transition maps) is read by the End algebra's one
-linalg._Solver at the basis pivots.  Comodule is the one comodule type.
-The End basis, the comultiplication and transition maps are kept as
-sparse columns {row: entry}; their dense Matrix is a view built when read.
+call on the sparse columns of the edge constraints, and every coordinate in
+them (the unit, coordinates(), the products of basis families, transition
+maps) is read by the End algebra's one linalg._Solver at the basis pivots.
+Comodule is the one comodule type.  The End basis, the comultiplication,
+the canonical comodules (filled straight from the basis columns) and
+transition maps are kept as sparse columns {row: entry} from start to
+finish; their dense Matrix is a view built when a certificate reads it.
 The coalgebra and comodule axioms, the comodule morphism identities and
 the coalgebra morphism check of transitions and bialgebra products
 (_coalgebra_morphism) add both sides of each column into one dict by
@@ -30,7 +32,7 @@ from .errors import (
 )
 from .linalg import (
     QQ, ZZ, FgModule, Matrix, ModuleMap, _coerce, _compose, _integral, _nonzero_columns,
-    _order_relations, _Solver, _tensor_apply, elementary_divisors, kernel,
+    _order_relations, _Solver, _tensor_apply, _transpose, elementary_divisors, kernel,
 )
 from .simplicial import induced_map_on_homology, product_pair, relative_homology, triple_boundary
 
@@ -176,7 +178,7 @@ class EndAlgebra:
     The basis spans the solution module of T(e) phi_v = phi_w T(e) inside
     the direct sum of End(T(v)), from one kernel call: over Z it is the
     saturated Hermite basis of the kernel, over Q the reduced column
-    echelon basis, read off the kernel of the constraint matrix taken
+    echelon basis, read off the kernel of the constraint columns taken
     backwards.  In both forms each basis column has a pivot, its first
     nonzero row, where every later column is zero (and over Q every other
     column).  The basis is kept as its sparse columns, basis_columns (basis
@@ -199,30 +201,33 @@ class EndAlgebra:
         sizes = [rep.rank(v) ** 2 for v in self.order]
         self.offsets = offsets = dict(zip(self.order, accumulate([0] + sizes)))
         self.total = sum(sizes)
-        rows = []
+        # the constraints as sparse columns, one per flat index.  Z: the
+        # Hermite basis of their kernel; Q: the free-column kernel basis of
+        # the constraints with their columns read backwards, read backwards,
+        # is the reduced column echelon basis (the order of the rows does not
+        # change a reduced echelon form)
+        back, total = self.ring == QQ, self.total
+        cols, r = [{} for _ in range(total)], 0
         for (name, src, dst, _kind) in sub.edges:
-            m = rep.edge_map(name).matrix
-            rs, rd = rep.rank(src), rep.rank(dst)
+            m = rep.edge_map(name).matrix.data
+            rs, rd, s0, d0 = rep.rank(src), rep.rank(dst), offsets[src], offsets[dst]
             for i in range(rd):
                 for j in range(rs):
-                    row = [0] * self.total
+                    row = {}
                     for k in range(rs):
-                        row[offsets[src] + k * rs + j] += m[i, k]
+                        row[s0 + k * rs + j] = row.get(s0 + k * rs + j, 0) + m[i][k]
                     for k in range(rd):
-                        row[offsets[dst] + i * rd + k] -= m[k, j]
-                    rows.append(row)
-        if rows:
-            # Z: the Hermite basis of the kernel; Q: the free-column kernel
-            # basis of the matrix read backwards (rows and columns), read
-            # backwards, is the reduced column echelon basis
-            back = self.ring == QQ
+                        row[d0 + i * rd + k] = row.get(d0 + i * rd + k, 0) - m[k][j]
+                    for c, x in row.items():
+                        if x:
+                            cols[total - 1 - c if back else c][r] = x
+                    r += 1
+        if r:
+            basis = kernel(self.ring, cols, r)
             if back:
-                rows = [r[::-1] for r in rows[::-1]]
-            basis = _nonzero_columns(kernel(Matrix(self.ring, rows, len(rows), self.total)))
-            if back:
-                basis = [{self.total - 1 - i: x for i, x in c.items()} for c in basis[::-1]]
+                basis = [{total - 1 - i: x for i, x in c.items()} for c in basis[::-1]]
         else:
-            basis = [{i: _coerce(self.ring, 1)} for i in range(self.total)]
+            basis = [{i: _coerce(self.ring, 1)} for i in range(total)]
         self.basis_columns = basis
         self._solver = _Solver.from_sparse(self.ring, basis, self.total)
         diagonal = {offsets[v] + i * (rep.rank(v) + 1)
@@ -314,14 +319,18 @@ class EndAlgebra:
 
     def comodule(self, v):
         """The canonical comodule at vertex v, built on first use: row (i, a)
-        of rho is row a of e_i's block at v, read off the basis columns."""
+        of rho's column b is entry (a, b) of e_i's block at v, read off the
+        basis columns."""
         co = self._comodules.get(v)
         if co is None:
-            r, off, zero = self.rep.rank(v), self.offsets[v], self._solver.zero
-            rho = [[col.get(off + a * r + b, zero) for b in range(r)]
-                   for col in self.basis_columns for a in range(r)]
-            co = self._comodules[v] = Comodule(
-                self.coalgebra(), (0,) * r, Matrix(self.ring, rho, self.dim * r, r))
+            r, off = self.rep.rank(v), self.offsets[v]
+            rho = [{} for _ in range(r)]
+            for i, col in enumerate(self.basis_columns):
+                for idx, x in col.items():
+                    if off <= idx < off + r * r:
+                        a, b = divmod(idx - off, r)
+                        rho[b][i * r + a] = x
+            co = self._comodules[v] = Comodule(self.coalgebra(), (0,) * r, rho)
         return co
 
     def is_saturated(self):
@@ -433,15 +442,6 @@ def _coalgebra_morphism(t, delta, counit, target):
     return comultiplicative, counital
 
 
-def _transpose(cols, n):
-    """The sparse columns of the transpose of an n-row map's columns."""
-    out = [{} for _ in range(n)]
-    for j, col in enumerate(cols):
-        for i, x in col.items():
-            out[i][j] = x
-    return out
-
-
 class CoalgebraTrunc:
     """Free coalgebra truncation: rank, comultiplication and counit.
 
@@ -531,36 +531,51 @@ def dual_coalgebra(E: EndAlgebra) -> CoalgebraTrunc:
 
 
 class Comodule:
-    """rho: V -> C (x) V, an (n k) x k matrix with rows (i, a) -> i * k + a.
+    """rho: V -> C (x) V, an (n k) x k map with rows (i, a) -> i * k + a,
+    given as its sparse columns {row: entry} or as a dense Matrix.
 
     gen_orders fixes the coordinate semantics of V: entry j is the order of
     generator j (0 when free).  rho is checked to be well defined on torsion
-    and normalized, and its sparse columns are computed once, over Q as
-    integers times their common denominator, for every identity check.
+    and normalized, and kept as its sparse columns, columns, and, over Q as
+    integers times their common denominator, for every identity check; the
+    dense rho is a view built when a certificate reads it.
     """
 
-    __slots__ = ("coalgebra", "gen_orders", "rho", "_columns", "_denominator")
+    __slots__ = ("coalgebra", "gen_orders", "columns", "_rho", "_columns", "_denominator")
 
     def __init__(self, coalgebra, gen_orders, rho):
         k, n = len(gen_orders), coalgebra.rank
-        if rho.rows != n * k or rho.cols != k:
-            raise DimensionMismatch(
-                "coaction must be %dx%d, got %dx%d" % (n * k, k, rho.rows, rho.cols))
+        if isinstance(rho, Matrix):
+            if rho.rows != n * k or rho.cols != k:
+                raise DimensionMismatch(
+                    "coaction must be %dx%d, got %dx%d" % (n * k, k, rho.rows, rho.cols))
+            rho = _nonzero_columns(rho)
+        elif len(rho) != k or any(not 0 <= i < n * k for col in rho for i in col):
+            raise DimensionMismatch("coaction must be %dx%d" % (n * k, k))
         orders = tuple(int(t) for t in gen_orders)
         if any(t < 0 or t == 1 for t in orders):
             raise DimensionMismatch("generator orders must be 0 or > 1")
         for j, t in enumerate(orders):
-            if t and not _vanishes({i: t * row[j] for i, row in enumerate(rho.data)}, k, orders):
+            if t and not _vanishes({i: t * x for i, x in rho[j].items()}, k, orders):
                 raise DimensionMismatch("coaction not well defined on torsion generator %d" % j)
         if any(orders):
-            rho = Matrix(rho.ring, [[x % orders[i % k] for x in row] if orders[i % k]
-                                    else row for i, row in enumerate(rho.data)], n * k, k)
-        self.coalgebra, self.gen_orders, self.rho = coalgebra, orders, rho
-        self._columns, self._denominator = _integer_columns(_nonzero_columns(rho), rho.ring)
+            reduced = ({i: x % orders[i % k] if orders[i % k] else x for i, x in col.items()}
+                       for col in rho)
+            rho = [{i: x for i, x in col.items() if x} for col in reduced]
+        self.coalgebra, self.gen_orders, self.columns, self._rho = coalgebra, orders, rho, None
+        self._columns, self._denominator = _integer_columns(rho, coalgebra.ring)
+
+    @property
+    def rho(self) -> Matrix:
+        """The dense (n k) x k coaction matrix, built on first read."""
+        if self._rho is None:
+            self._rho = Matrix.from_sparse(self.coalgebra.ring, self.columns,
+                                           self.coalgebra.rank * self.ngens)
+        return self._rho
 
     @property
     def module(self) -> FgModule:
-        return FgModule.cokernel(_order_relations(self.gen_orders, self.rho.ring))
+        return FgModule.cokernel(_order_relations(self.gen_orders, self.coalgebra.ring))
 
     @property
     def ngens(self):
@@ -612,20 +627,21 @@ def transition_map(rep, EF: EndAlgebra, EG: EndAlgebra) -> TransitionMap:
     """Transition A_F -> A_G for subdiagrams F <= G.
 
     Computed as the transpose of the restriction End(T|_G) -> End(T|_F),
-    read by End(T|_F).coordinates; verified to be a coalgebra morphism by
-    _coalgebra_morphism and to intertwine the canonical comodules at every
-    vertex of F, (t (x) id) rho_F = rho_G, by _intertwines.
+    each restricted basis column read by End(T|_F)'s solver, sparse in and
+    out; verified to be a coalgebra morphism by _coalgebra_morphism and to
+    intertwine the canonical comodules at every vertex of F,
+    (t (x) id) rho_F = rho_G, by _intertwines.
     """
     if not EF.sub.is_subset_of(EG.sub):
         raise InputError("transition requires nested subdiagrams")
     AF, AG = EF.coalgebra(), EG.coalgebra()
-    at = [EG.offsets[v] + k for v in EF.order for k in range(rep.rank(v) ** 2)]
+    at = {EG.offsets[v] + k: EF.offsets[v] + k for v in EF.order for k in range(rep.rank(v) ** 2)}
     restricted = []
     for col in EG.basis_columns:
-        coords = EF.coordinates([col.get(i, 0) for i in at])
+        coords = EF._solver.read({at[i]: x for i, x in col.items() if i in at})
         if coords is None:
             raise AxiomViolation("restricted family escapes the smaller algebra")
-        restricted.append({j: x for j, x in enumerate(coords) if x})
+        restricted.append(coords)
     t = _transpose(restricted, EF.dim)
     comultiplicative, counital = _coalgebra_morphism(t, AF.delta_columns, AF.counit_columns, AG)
     if not comultiplicative:

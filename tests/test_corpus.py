@@ -189,11 +189,11 @@ def corpus_path(tmp_path_factory):
     return tmp_path_factory.mktemp("corpus") / "fuzz.corpus"
 
 
-def _run(path, text):
+def _run(path, text, argv=("homology", "p")):
     path.write_text(text, encoding="utf-8")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["--corpus", str(path), "homology", "p"])
+        code = main(["--corpus", str(path)] + list(argv))
     return code, err.getvalue()
 
 
@@ -206,3 +206,107 @@ def test_fuzz_base_corpus_is_valid(corpus_path):
 def test_malformed_corpus_is_input_error(corpus_path, text):
     code, err = _run(corpus_path, text)
     assert code == 1 and err.startswith("input error:"), (text, err)
+
+
+# -- malformed sections that are read on first use ------------------------------
+
+# A diagram, its subdiagrams, a tower and a comodule are parsed when a command
+# first asks for them, not with the corpus; so is what a map's assignment
+# means for the pairs of a diagram edge.
+FIRST_USE_BASE = """ring = z
+[complex pt]
+simplices = a
+[complex circle]
+simplices = a b | b c | a c
+[pair p_pt]
+space = pt
+[pair p_g]
+space = circle
+sub = pt
+[map m]
+source = circle
+target = circle
+assign = a:a b:c c:b
+[diagram d]
+vertex = u : p_pt : 0
+vertex = g : p_g : 1
+edge = e : m : g -> g
+circle = g
+[subdiagram S]
+diagram = d
+vertices = u g
+[subdiagram G]
+diagram = d
+vertices = g
+[tower t]
+diagram = d
+truncations = G S
+unit = u
+[comodule c]
+diagram = d
+subdiagram = S
+orders = 0
+rho = 1 ; 0
+"""
+FIRST_USE_LINES = FIRST_USE_BASE.splitlines()
+# the mutated lines of each section, and the command that reads them
+FIRST_USE = {"diagram": (None, ("end-algebra", "S")),
+             "subdiagram": (None, ("end-algebra", "S")),
+             "tower": (None, ("bialgebra-check", "t")),
+             "comodule": ("rho", ("comodule-check", "c")),
+             "map": ("assign", ("end-algebra", "S"))}
+FIRST_USE_TOKENS = ("u", "g", "zz", "d", "S", "G", "m", "p_pt", "p_g", ":", "->", "*", ";",
+                    "0", "1", "2", "-1", "1/2", "1/0", "a:a", "a:zz", "b:a", "x")
+
+
+def _first_use_lines(kind):
+    """Indices of the mutable lines of the first section of this kind."""
+    start = next(i for i, line in enumerate(FIRST_USE_LINES) if line.startswith("[%s " % kind))
+    end = next((i for i in range(start + 1, len(FIRST_USE_LINES))
+                if FIRST_USE_LINES[i].startswith("[")), len(FIRST_USE_LINES))
+    key = FIRST_USE[kind][0]
+    return [i for i in range(start + 1, end)
+            if key is None or FIRST_USE_LINES[i].startswith(key + " = ")]
+
+
+@st.composite
+def first_use_corpora(draw):
+    """FIRST_USE_BASE with one line of a first-use section changed, and the
+    command line that reads it, over Z or Q."""
+    kind = draw(st.sampled_from(sorted(FIRST_USE)))
+    lines = list(FIRST_USE_LINES)
+    i = draw(st.sampled_from(_first_use_lines(kind)))
+    key, value = lines[i].split(" = ", 1)
+    tokens = value.split()
+    how = draw(st.sampled_from(("text", "token", "insert", "drop", "delete")))
+    if how == "text":
+        value = draw(st.text(PLAIN))
+    elif how in ("token", "insert"):
+        at = draw(st.integers(0, len(tokens) - (how == "token")))
+        tokens[at:at + (how == "token")] = [draw(st.sampled_from(FIRST_USE_TOKENS))]
+        value = " ".join(tokens)
+    elif how == "drop":
+        del tokens[draw(st.integers(0, len(tokens) - 1))]
+        value = " ".join(tokens)
+    lines[i] = "%s = %s" % (key, value)
+    if how == "delete":
+        del lines[i]
+    ring = draw(st.sampled_from(("z", "q")))
+    return "\n".join(lines) + "\n", ("--ring", ring) + FIRST_USE[kind][1]
+
+
+@pytest.mark.parametrize("kind", sorted(FIRST_USE))
+def test_first_use_base_is_valid(corpus_path, kind):
+    for ring in ("z", "q"):
+        assert _run(corpus_path, FIRST_USE_BASE, ("--ring", ring) + FIRST_USE[kind][1]) == (0, "")
+
+
+@settings(max_examples=300, deadline=None)
+@given(first_use_corpora())
+def test_malformed_first_use_section_is_input_error(corpus_path, case):
+    """A changed line either still reads (a certificate, exit 0 or 2) or
+    exits 1 with an input error; no other exception escapes the CLI."""
+    text, argv = case
+    code, err = _run(corpus_path, text, argv)
+    assert (code in (0, 2) and err == "") or (code == 1 and err.startswith("input error:")), \
+        (text, argv, code, err)

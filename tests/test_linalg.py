@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 from tannakit.errors import CompositionNonzero, TorsionPresent
 from tannakit.linalg import (
     QQ, ZZ, FgModule, Matrix, ModuleMap, SmithForm, Subquotient, _column_reduce,
-    _Solver, determinant, dual_map, elementary_divisors, hnf_columns, kernel,
-    module_from_relations, rref, smith_normal_form, solve, subquotient, tensor_swap,
+    _nonzero_columns, _Solver, determinant, dual_map, elementary_divisors, hnf_columns, kernel,
+    module_from_relations, presented_subquotient, rref, smith_normal_form, solve, subquotient,
+    tensor_swap,
 )
 
 from oracles import (
@@ -25,6 +26,11 @@ def mz(rows):
 
 def mq(rows):
     return Matrix(QQ, rows)
+
+
+def dense_kernel(A):
+    """kernel on the sparse columns of A, as the columns of a Matrix."""
+    return Matrix.from_sparse(A.ring, kernel(A.ring, _nonzero_columns(A), A.rows), A.cols)
 
 
 class TestSmith:
@@ -130,7 +136,7 @@ class TestSmithTransforms:
 class TestKernelSolve:
     def test_kernel_saturated(self):
         A = mz([[2, 4]])
-        K = kernel(A)
+        K = dense_kernel(A)
         assert K.cols == 1
         assert K.col(0) in ((2, -1), (-2, 1))
         sat = smith_normal_form(K)
@@ -179,7 +185,7 @@ class TestKernelSolve:
 
     def test_kernel_q(self):
         A = mq([[1, 2, 3]])
-        K = kernel(A)
+        K = dense_kernel(A)
         assert K.cols == 2
         for j in range(2):
             assert all(x == 0 for x in A.apply(K.col(j)))
@@ -325,7 +331,8 @@ class TestSubquotient:
 
     def test_free_matrix_helper(self):
         m_in, m_out = mz([[2], [0]]), Matrix.zeros(ZZ, 0, 2)
-        sq = Subquotient.free(ZZ, 2, (2,), (), lambda: (m_in, m_out))
+        sq = Subquotient.free(ZZ, 2, (2,), (), lambda: (_nonzero_columns(m_in),
+                                                         _nonzero_columns(m_out), m_out.rows))
         assert sq.module == FgModule(ZZ, 1, (2,))
 
 
@@ -401,7 +408,7 @@ class TestSolverPaths:
     def test_integer_bases(self, shape, rng):
         r, c, rows = shape
         A = Matrix(ZZ, rows, r, c)
-        for B in (kernel(A), hnf_columns(A)):
+        for B in (dense_kernel(A), hnf_columns(A)):
             rhs = []
             for _ in range(4):
                 b = list(B.apply([rng.randint(-3, 3) for _ in range(B.cols)]))
@@ -416,7 +423,7 @@ class TestSolverPaths:
     def test_rational_bases(self, shape, rng):
         r, c, rows = shape
         A = Matrix(QQ, rows, r, c)
-        for B in (kernel(A), echelon_columns(A)):
+        for B in (dense_kernel(A), echelon_columns(A)):
             rhs = []
             for _ in range(4):
                 x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(B.cols)]
@@ -476,12 +483,12 @@ class TestColumnReduction:
     @settings(max_examples=300, deadline=None)
     @given(integer_matrices())
     def test_integer_kernel_equals_smith_oracle(self, A):
-        assert kernel(A) == snf_kernel(A)
+        assert dense_kernel(A) == snf_kernel(A)
 
     def test_integer_kernel_empty_shapes(self):
         for r, c in [(0, 0), (0, 3), (3, 0), (2, 2)]:
             A = Matrix.zeros(ZZ, r, c)
-            assert kernel(A) == snf_kernel(A)
+            assert dense_kernel(A) == snf_kernel(A)
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from((ZZ, QQ)).flatmap(dependent_matrices),
@@ -580,7 +587,7 @@ class TestOneReader:
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(st.tuples(coarse_lattices().map(hnf_columns), st.just(True)),
-                     st.tuples(integer_matrices().map(kernel), st.just(True)),
+                     st.tuples(integer_matrices().map(dense_kernel), st.just(True)),
                      st.tuples(dependent_matrices(ZZ), st.just(False))),
            st.randoms(use_true_random=False))
     def test_integer_reader_matches_oracle(self, case, rng):
@@ -589,7 +596,7 @@ class TestOneReader:
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(st.tuples(ring_matrices(QQ).map(echelon_columns), st.just(True)),
-                     st.tuples(ring_matrices(QQ).map(kernel), st.just(True)),
+                     st.tuples(ring_matrices(QQ).map(dense_kernel), st.just(True)),
                      st.tuples(dependent_matrices(QQ), st.just(False))),
            st.randoms(use_true_random=False))
     def test_rational_reader_matches_oracle(self, case, rng):
@@ -642,7 +649,7 @@ class TestEchelon:
             for i, p in enumerate(pivots):
                 v[p] = -R[i][f]
             basis.append(v)
-        assert kernel(A) == Matrix.from_columns(QQ, basis, rows=A.cols)
+        assert dense_kernel(A) == Matrix.from_columns(QQ, basis, rows=A.cols)
 
 
 class TestTorsionTarget:
@@ -730,7 +737,8 @@ class TestLazySubquotient:
         # Z^2 --[[2, 0], [2, 0]]--> Z^2 --[1, -1]--> Z: H = Z/2 in the middle,
         # with the elementary divisors (2,) and (1,) of the two boundaries
         m_in, m_out = mz([[2, 0], [2, 0]]), mz([[1, -1]])
-        return Subquotient.free(ZZ, 2, div_in, div_out, lambda: (m_in, m_out))
+        return Subquotient.free(ZZ, 2, div_in, div_out, lambda: (
+            _nonzero_columns(m_in), _nonzero_columns(m_out), m_out.rows))
 
     def test_module_before_basis(self):
         sq = self.lazy()
@@ -748,6 +756,90 @@ class TestLazySubquotient:
                 sq.class_of((1, 1))
             with pytest.raises(AssertionError, match="elementary divisors"):
                 sq.lift(0)
+
+
+# -- the sparse kernel and cycle bases against dense oracles --------------------
+
+def oracle_integer_kernel(A):
+    """The Hermite basis of ker(A) over Z by the dense oracles, as sparse
+    columns: the columns of V past the rank of the Smith form U A V = D, put
+    in Hermite form by dense Euclid steps."""
+    _, D, V, _, _ = dense_smith_normal_form(A)
+    rank = sum(1 for i in range(min(D.rows, D.cols)) if D[i, i])
+    rows = [list(row[rank:]) for row in V.data]
+    return [{i: x for i, x in enumerate(col) if x} for col in dense_hnf_columns(rows)]
+
+
+def oracle_free_column_kernel(A):
+    """The free-column kernel basis of the reduced row echelon form of A, by
+    dense_rref, as sparse columns."""
+    R, pivots = dense_rref([list(row) for row in A.data])
+    basis = []
+    for f in (j for j in range(A.cols) if j not in pivots):
+        v = {f: Fraction(1)}
+        for i, p in enumerate(pivots):
+            if R[i][f]:
+                v[p] = -R[i][f]
+        basis.append(v)
+    return basis
+
+
+@st.composite
+def chain_pairs(draw):
+    """(ring, d_in, d_out) with d_out d_in = 0: d_out drawn, d_in its Hermite
+    kernel basis times a drawn integer matrix, over Q with each column
+    scaled by a drawn fraction."""
+    ring = draw(st.sampled_from((ZZ, QQ)))
+    d_out = draw(st.one_of(integer_matrices(), nonunit_matrices()))
+    K = Matrix.from_sparse(ZZ, oracle_integer_kernel(d_out), d_out.cols)
+    c = draw(st.integers(0, 4))
+    d_in = K * Matrix(ZZ, [[draw(small_ints) for _ in range(c)] for _ in range(K.cols)],
+                      K.cols, c)
+    if ring == QQ:
+        scales = [Fraction(draw(st.integers(1, 3)), draw(st.integers(1, 3))) for _ in range(c)]
+        d_in = Matrix(QQ, [[x * f for x, f in zip(row, scales)] for row in d_in.data],
+                      d_in.rows, c)
+        d_out = d_out.to_ring(QQ)
+    return ring, d_in, d_out
+
+
+class TestSparseKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(integer_matrices(), nonunit_matrices(), repeated_columns()))
+    def test_integer_kernel_equals_dense_hermite_oracle(self, A):
+        assert kernel(ZZ, _nonzero_columns(A), A.rows) == oracle_integer_kernel(A)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(ring_matrices(QQ), dependent_matrices(QQ)))
+    def test_rational_kernel_equals_dense_echelon_oracle(self, A):
+        """The free-column basis, column for column; read backwards on the
+        matrix read backwards, the reduced column echelon basis of the
+        kernel (the End algebra's Q basis)."""
+        cols, n = _nonzero_columns(A), A.cols
+        K = kernel(QQ, cols, A.rows)
+        assert K == oracle_free_column_kernel(A)
+        back = [{n - 1 - i: x for i, x in c.items()} for c in kernel(QQ, cols[::-1], A.rows)]
+        assert back[::-1] == _nonzero_columns(echelon_columns(Matrix.from_sparse(QQ, K, n)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(chain_pairs(), st.randoms(use_true_random=False))
+    def test_free_subquotient_equals_presented_subquotient(self, case, rng):
+        ring, d_in, d_out = case
+        n = d_out.cols
+        dense = presented_subquotient(d_in, Matrix.zeros(ring, n, 0),
+                                      d_out, Matrix.zeros(ring, d_out.rows, 0))
+        sq = Subquotient.free(ring, n, elementary_divisors(d_in), elementary_divisors(d_out),
+                              lambda: (_nonzero_columns(d_in), _nonzero_columns(d_out),
+                                       d_out.rows))
+        assert sq.module == dense.module
+        lifts = [sq.lift(j) for j in range(sq.module.ngens)]
+        assert lifts == [dense.lift(j) for j in range(sq.module.ngens)]
+        for _ in range(4):
+            # a drawn combination of the lifts plus a drawn boundary
+            x = [rng.randint(-3, 3) for _ in lifts]
+            b = d_in.apply([rng.randint(-2, 2) for _ in range(d_in.cols)])
+            v = tuple(y + sum(a * z[i] for a, z in zip(x, lifts)) for i, y in enumerate(b))
+            assert sq.class_of(v) == dense.class_of(v) == sq.module.normalize_vector(x)
 
 
 # -- tensor-factor swaps as row and column reorders ---------------------------

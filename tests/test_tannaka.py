@@ -476,19 +476,21 @@ class TestSparseRejects:
                 if not dense:
                     rejected.append((i, j))
         assert rejected
-        # t[i][j] is coordinate j of the i-th restricted family
+        # t[i][j] is coordinate j of the i-th restricted family, read by
+        # EF's solver on the family's sparse column
         i, j = rejected[0]
-        honest = tannaka.EndAlgebra.coordinates
+        honest = tannaka._Solver.read
         calls = []
 
-        def corrupt(self, flat):
-            coords = honest(self, flat)
-            if self is EF:
-                calls.append(flat)
+        def corrupt(self, b):
+            coords = honest(self, b)
+            if self is EF._solver:
+                calls.append(b)
                 if len(calls) == i + 1:
-                    coords = coords[:j] + (coords[j] + 1,) + coords[j + 1:]
+                    coords = dict(coords)
+                    coords[j] = coords.get(j, 0) + 1
             return coords
-        monkeypatch.setattr(tannaka.EndAlgebra, "coordinates", corrupt)
+        monkeypatch.setattr(tannaka._Solver, "read", corrupt)
         with pytest.raises(AxiomViolation,
                            match="transition fails comultiplication compatibility"):
             transition_map(ctx.rep, EF, EG)
@@ -688,6 +690,33 @@ class TestBuildOnce:
         assert coaction(ctx.rep, sdg, "g", E).coalgebra is A
         assert ctx.coalgebra(sdg) is A
         assert built == []
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_comodules_read_straight_off_the_basis(self, ring, monkeypatch):
+        """The End basis and the canonical comodules are built without a
+        Matrix (the coalgebra's counit is the one); a comodule's rho is a
+        dense view, built once when read: row (i, a) is row a of e_i's block."""
+        ctx, sdg = Corpus(default_corpus_text()).subdiagram("F2", ring)
+        built = []
+        init = Matrix.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(Matrix, "__init__", counted)
+        E = end_algebra(ctx.rep, sdg)
+        assert built == []
+        E.coalgebra()
+        assert len(built) == 1
+        comodules = {v: E.comodule(v) for v in sdg.vertices}
+        assert all(co.axioms() == (True, True) for co in comodules.values())
+        assert len(built) == 1
+        for v, co in comodules.items():
+            before = len(built)
+            rho, r = co.rho, ctx.rep.rank(v)
+            assert co.rho is rho and len(built) == before + 1
+            assert rho == Matrix(ring, [E.component(i, v).row(a)
+                                        for i in range(E.dim) for a in range(r)], E.dim * r, r)
 
     def test_canonical_comodule_built_once(self, monkeypatch):
         """One Comodule per (End algebra, vertex), however often the coaction
