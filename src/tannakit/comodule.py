@@ -5,9 +5,10 @@ cover obtained as a pullback against a free presentation.
 Comodule is tannaka.Comodule, re-exported: the canonical comodule at a
 diagram vertex and an explicit one are the same type.  A comodule carries
 explicit generator orders (0 = free, t > 1 = torsion of order t); its
-underlying FgModule is the normalized value.  The axioms and the morphism
-identity are sparse contractions modulo the torsion of the target
-(Comodule.axioms and tannaka._intertwines), exact equality in the free case.
+underlying FgModule is the normalized value (over Q a torsion generator is
+zero).  The axioms and the morphism identity are sparse contractions modulo
+the torsion of the target (Comodule.axioms, computed once per comodule, and
+tannaka._intertwines), exact equality in the free case.
 The tensor comodule's rho and the cover's generators are sparse columns
 built by linalg._tensor_apply and _swapped_tensor, with no Kronecker matrix.
 """
@@ -40,7 +41,8 @@ class ComodCert:
 
 def check_comodule_axioms(m: Comodule) -> ComodCert:
     """Coassociativity and counit as exact identities (mod target torsion),
-    by Comodule.axioms, the core tannaka.check_coaction_axioms reads too."""
+    as Comodule.axioms keeps them, the result tannaka.check_coaction_axioms
+    and factorization_check read too."""
     coassoc, counit = m.axioms()
     failures = []
     if not coassoc:

@@ -260,7 +260,7 @@ class Corpus:
             products[(v, w)] = vw
         circle = sec.get("circle")
         dia, rep = build_pairs_diagram(ring, vertices, map_edges, triple_edges)
-        ctx = PairsContext(dia, rep, products, circle)
+        ctx = PairsContext(dia, rep, products, circle, self._product)
         self._contexts[key] = ctx
         return ctx
 

@@ -273,9 +273,14 @@ def _nonzero_columns(m):
 
 def _integral(vectors):
     """Sparse vectors {index: int or Fraction}, each scaled by the lcm of its
-    denominators to {index: int}."""
+    denominators to {index: int}.  A vector of ints is passed through as a
+    copy, not rebuilt entry by entry: no caller's dict is shared with the
+    result."""
     out = []
     for v in vectors:
+        if all(type(x) is int for x in v.values()):
+            out.append(dict(v))
+            continue
         m = lcm(*(x.denominator for x in v.values()))
         out.append({j: x.numerator * (m // x.denominator) for j, x in v.items()})
     return out

@@ -597,14 +597,15 @@ def _maximal(X):
     return [s for s in X.all_simplices() if s not in faces]
 
 
-def product_pair(p1, p2):
-    """(X1 x X2, Z1 x X2  u  X1 x Z2) with the staircase triangulation."""
-    X = product_complex(p1.X, p2.X)
+def product_pair(p1, p2, product=product_complex):
+    """(X1 x X2, Z1 x X2  u  X1 x Z2) with the staircase triangulation, each
+    product of two complexes built by product."""
+    X = product(p1.X, p2.X)
     z_parts = []
     if not p1.Z.is_empty():
-        z_parts.append(product_complex(p1.Z, p2.X))
+        z_parts.append(product(p1.Z, p2.X))
     if not p2.Z.is_empty():
-        z_parts.append(product_complex(p1.X, p2.Z))
+        z_parts.append(product(p1.X, p2.Z))
     Z = SimplicialComplex.empty()
     for part in z_parts:
         Z = Z.union(part)

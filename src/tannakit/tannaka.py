@@ -11,7 +11,8 @@ canonical (Hermite over Z, reduced echelon over Q), each from one kernel
 call on the sparse columns of the edge constraints, and every coordinate in
 them (the unit, coordinates(), the products of basis families, transition
 maps) is read by the End algebra's one linalg._Solver at the basis pivots.
-Comodule is the one comodule type.  The End basis, the comultiplication,
+Comodule is the one comodule type, and keeps its axioms and its module
+once computed.  The End basis, the comultiplication,
 the canonical comodules (filled straight from the basis columns) and
 transition maps are kept as sparse columns {row: entry} from start to
 finish; their dense Matrix is a view built when a certificate reads it.
@@ -19,9 +20,11 @@ The coalgebra and comodule axioms, the comodule morphism identities and
 the coalgebra morphism check of transitions and bialgebra products
 (_coalgebra_morphism) add both sides of each column into one dict by
 linalg._tensor_apply, over Q in integers scaled by common denominators.
-PairsContext is a pairs diagram with its product registrations and its End
-algebra and tau caches; it is here and not in tannakit.bialgebra so that the
-diagram commands that take no product never load that module.
+PairsContext is a pairs diagram with its product registrations (checked
+against staircase products from the builder it is handed, a corpus's own
+cache) and its End algebra and tau caches; it is here and not in
+tannakit.bialgebra so that the diagram commands that take no product never
+load that module.
 """
 
 from itertools import accumulate
@@ -34,7 +37,9 @@ from .linalg import (
     QQ, ZZ, FgModule, Matrix, ModuleMap, _coerce, _compose, _integral, _nonzero_columns,
     _order_relations, _Solver, _tensor_apply, _transpose, elementary_divisors, kernel,
 )
-from .simplicial import induced_map_on_homology, product_pair, relative_homology, triple_boundary
+from .simplicial import (
+    induced_map_on_homology, product_complex, product_pair, relative_homology, triple_boundary,
+)
 
 MAP_EDGE = "map"
 TRIPLE_EDGE = "triple"
@@ -201,15 +206,20 @@ class EndAlgebra:
         sizes = [rep.rank(v) ** 2 for v in self.order]
         self.offsets = offsets = dict(zip(self.order, accumulate([0] + sizes)))
         self.total = sum(sizes)
-        # the constraints as sparse columns, one per flat index.  Z: the
-        # Hermite basis of their kernel; Q: the free-column kernel basis of
-        # the constraints with their columns read backwards, read backwards,
-        # is the reduced column echelon basis (the order of the rows does not
-        # change a reduced echelon form)
+        # the constraints as sparse integer columns, one per flat index.  Z:
+        # the Hermite basis of their kernel; Q: the free-column kernel basis
+        # of the constraints with their columns read backwards, read
+        # backwards, is the reduced column echelon basis (the order of the
+        # rows does not change a reduced echelon form).  The constraints of
+        # an edge are homogeneous in its map m, so over Q m is taken times
+        # the lcm of its denominators: the kernel is the same
         back, total = self.ring == QQ, self.total
         cols, r = [{} for _ in range(total)], 0
         for (name, src, dst, _kind) in sub.edges:
             m = rep.edge_map(name).matrix.data
+            if back:
+                d = lcm(*(x.denominator for row in m for x in row))
+                m = [[x.numerator * (d // x.denominator) for x in row] for row in m]
             rs, rd, s0, d0 = rep.rank(src), rep.rank(dst), offsets[src], offsets[dst]
             for i in range(rd):
                 for j in range(rs):
@@ -359,17 +369,20 @@ def _block_product(x, y, layout):
     return {k: v for k, v in prod.items() if v}
 
 
-def _vanishes(diff, r, orders, scale=1):
+def _vanishes(diff, r, orders, scale=1, ring=ZZ):
     """Whether every entry of diff {row: x}, scale times an exact difference,
-    is zero, or divisible by scale * orders[row % r] (the order of the row's
-    generator; 0 when free)."""
+    is zero in its row's generator, whose order is orders[row % r] (0 when
+    free): over Z divisible by scale times that order, over Q anything on a
+    generator of order t > 1, which is zero there."""
     if not any(orders or ()):
         return not any(diff.values())
+    if ring == QQ:
+        return not any(x for i, x in diff.items() if not orders[i % r])
     return all(x % (scale * orders[i % r]) == 0 if orders[i % r] else x == 0
                for i, x in diff.items())
 
 
-def _coassociative(delta, rho, n, r, orders=None, scales=(1, 1)):
+def _coassociative(delta, rho, n, r, orders=None, scales=(1, 1), ring=ZZ):
     """(Delta (x) id) rho == (id (x) rho) rho, one column of rho at a time.
 
     delta and rho are the _nonzero_columns of the n^2 x n comultiplication
@@ -378,13 +391,13 @@ def _coassociative(delta, rho, n, r, orders=None, scales=(1, 1)):
     delta and rho are integer columns D Delta and R rho, and
     R (D Delta (x) id)(R rho) is compared with D (id (x) R rho)(R rho): both
     sides carry R^2 D.  With orders (one per generator) the identity holds
-    modulo the order of each row's generator.
+    in each row's generator, as _vanishes reads it over ring.
     """
     R, D = scales
     for col in rho:
         diff = _tensor_apply(delta, None, r, r, col, R)
         _tensor_apply(None, rho, n * r, r, col, -D, diff)
-        if not _vanishes(diff, r, orders, R * R * D):
+        if not _vanishes(diff, r, orders, R * R * D, ring):
             return False
     return True
 
@@ -399,30 +412,32 @@ def _integer_columns(cols, ring):
             for col in cols], d
 
 
-def _counit_identity(rho, eps, r, scale, left=True, orders=None):
+def _counit_identity(rho, eps, r, scale, left=True, orders=None, ring=ZZ):
     """(eps (x) id) rho == id, or (id (x) eps) rho == id when not left, for
     integer columns rho and an integer counit given as columns {0: eps_i},
-    whose products carry the factor scale, and orders as in _coassociative."""
+    whose products carry the factor scale, and orders and ring as in
+    _coassociative."""
     a, b, nb = (eps, None, r) if left else (None, eps, 1)
     for j, col in enumerate(rho):
-        if not _vanishes(_tensor_apply(a, b, nb, r, col, 1, {j: -scale}), r, orders, scale):
+        if not _vanishes(_tensor_apply(a, b, nb, r, col, 1, {j: -scale}), r, orders, scale,
+                         ring):
             return False
     return True
 
 
 def _intertwines(src, dst, t=None, m=None):
-    """(t (x) m) rho_src == rho_dst m modulo the orders of dst's generators,
-    for a coalgebra map t (sparse columns) and a module map m (None: an
-    identity), column by column over the nonzeros, in integers: R_dst (S_t
-    t (x) S_m m)(R_src rho_src) against S_t R_src (R_dst rho_dst)(S_m m)."""
-    k = dst.ngens
-    tc, st = _integer_columns(t, dst.coalgebra.ring) if t is not None else (None, 1)
+    """(t (x) m) rho_src == rho_dst m in dst's generators (modulo their
+    orders over Z), for a coalgebra map t (sparse columns) and a module map
+    m (None: an identity), column by column over the nonzeros, in integers:
+    R_dst (S_t t (x) S_m m)(R_src rho_src) against S_t R_src (R_dst rho_dst)(S_m m)."""
+    k, ring = dst.ngens, dst.coalgebra.ring
+    tc, st = _integer_columns(t, ring) if t is not None else (None, 1)
     mc, sm = _integer_columns(_nonzero_columns(m), m.ring) if m is not None else (None, 1)
     rs, rd = src._denominator, dst._denominator
     for b, col in enumerate(src._columns):
         diff = _tensor_apply(tc, mc, k, src.ngens, col, rd)
         _tensor_apply(dst._columns, None, 1, 1, {b: 1} if mc is None else mc[b], -st * rs, diff)
-        if not _vanishes(diff, k, dst.gen_orders, rd * rs * st * sm):
+        if not _vanishes(diff, k, dst.gen_orders, rd * rs * st * sm, ring):
             return False
     return True
 
@@ -536,15 +551,23 @@ class Comodule:
 
     gen_orders fixes the coordinate semantics of V: entry j is the order of
     generator j (0 when free).  rho is checked to be well defined on torsion
-    and normalized, and kept as its sparse columns, columns, and, over Q as
+    and normalized: over Z its entries are reduced modulo the order of their
+    row's generator, over Q a generator of order t > 1 is zero, and so are
+    its rows.  It is kept as its sparse columns, columns, and, over Q as
     integers times their common denominator, for every identity check; the
     dense rho is a view built when a certificate reads it.
+
+    A Comodule is not changed once built, so what is computed from it is
+    computed once and kept: axioms(), read by check_coaction_axioms,
+    factorization_check and comodule.check_comodule_axioms alike, and the
+    underlying module.
     """
 
-    __slots__ = ("coalgebra", "gen_orders", "columns", "_rho", "_columns", "_denominator")
+    __slots__ = ("coalgebra", "gen_orders", "columns", "_rho", "_columns", "_denominator",
+                 "_axioms", "_module")
 
     def __init__(self, coalgebra, gen_orders, rho):
-        k, n = len(gen_orders), coalgebra.rank
+        k, n, ring = len(gen_orders), coalgebra.rank, coalgebra.ring
         if isinstance(rho, Matrix):
             if rho.rows != n * k or rho.cols != k:
                 raise DimensionMismatch(
@@ -555,15 +578,20 @@ class Comodule:
         orders = tuple(int(t) for t in gen_orders)
         if any(t < 0 or t == 1 for t in orders):
             raise DimensionMismatch("generator orders must be 0 or > 1")
-        for j, t in enumerate(orders):
-            if t and not _vanishes({i: t * x for i, x in rho[j].items()}, k, orders):
-                raise DimensionMismatch("coaction not well defined on torsion generator %d" % j)
         if any(orders):
-            reduced = ({i: x % orders[i % k] if orders[i % k] else x for i, x in col.items()}
-                       for col in rho)
-            rho = [{i: x for i, x in col.items() if x} for col in reduced]
+            if ring == QQ:
+                rho = [{i: x for i, x in col.items() if not orders[i % k]} for col in rho]
+            for j, t in enumerate(orders):
+                if t and not _vanishes({i: t * x for i, x in rho[j].items()}, k, orders, 1, ring):
+                    raise DimensionMismatch(
+                        "coaction not well defined on torsion generator %d" % j)
+            if ring == ZZ:
+                reduced = ({i: x % orders[i % k] if orders[i % k] else x
+                            for i, x in col.items()} for col in rho)
+                rho = [{i: x for i, x in col.items() if x} for col in reduced]
         self.coalgebra, self.gen_orders, self.columns, self._rho = coalgebra, orders, rho, None
-        self._columns, self._denominator = _integer_columns(rho, coalgebra.ring)
+        self._columns, self._denominator = _integer_columns(rho, ring)
+        self._axioms = self._module = None
 
     @property
     def rho(self) -> Matrix:
@@ -575,21 +603,31 @@ class Comodule:
 
     @property
     def module(self) -> FgModule:
-        return FgModule.cokernel(_order_relations(self.gen_orders, self.coalgebra.ring))
+        """The underlying module, built on first read: free of rank ngens
+        when every order is 0, else the cokernel of the order relations."""
+        if self._module is None:
+            ring = self.coalgebra.ring
+            self._module = (FgModule.cokernel(_order_relations(self.gen_orders, ring))
+                            if any(self.gen_orders) else FgModule.free(ring, self.ngens))
+        return self._module
 
     @property
     def ngens(self):
         return len(self.gen_orders)
 
     def axioms(self):
-        """(coassociativity, counit) modulo the generator orders, in full: the
-        integer columns of Delta, eps and rho contracted over their nonzeros."""
-        A, k = self.coalgebra, self.ngens
-        eps, de = A._integer_counit
-        return (_coassociative(A._integer_delta, self._columns, A.rank, k, self.gen_orders,
-                               (self._denominator, A._denominator)),
+        """(coassociativity, counit) in the generators (modulo their orders
+        over Z), in full: the integer columns of Delta, eps and rho
+        contracted over their nonzeros, on the first call only."""
+        if self._axioms is None:
+            A, k, orders = self.coalgebra, self.ngens, self.gen_orders
+            eps, de = A._integer_counit
+            self._axioms = (
+                _coassociative(A._integer_delta, self._columns, A.rank, k, orders,
+                               (self._denominator, A._denominator), A.ring),
                 _counit_identity(self._columns, eps, k, self._denominator * de,
-                                 orders=self.gen_orders))
+                                 orders=orders, ring=A.ring))
+        return self._axioms
 
 
 def coaction(rep, sub, v, E=None, A=None) -> Comodule:
@@ -605,7 +643,8 @@ def coaction(rep, sub, v, E=None, A=None) -> Comodule:
 
 
 def check_coaction_axioms(co: Comodule):
-    """(coassociativity, counit) of a comodule, exactly: Comodule.axioms."""
+    """(coassociativity, counit) of a comodule, exactly: Comodule.axioms,
+    computed once per comodule."""
     return co.axioms()
 
 
@@ -675,9 +714,11 @@ def factorization_check(rep, sub, E=None) -> FactorizationCert:
 
     (i) comodule axioms for every canonical comodule, (ii) every edge map is
     a comodule morphism, (iii) forgetting coactions returns the original
-    modules.  The comodules are E's, built once; the identities are checked
-    exactly by contracting the sparse structure tensor, and
-    rho_dst m = (id (x) m) rho_src by _intertwines.
+    modules.  The comodules are E's, built once, and (i) and (iii) read
+    what each keeps: its axioms, checked exactly by contracting the sparse
+    structure tensor on their first read (a check_coaction_axioms before
+    this one leaves nothing to recompute), and its module, free without an
+    elimination.  (ii) checks rho_dst m = (id (x) m) rho_src by _intertwines.
     """
     E = end_algebra(rep, sub) if E is None else E
     violations = []
@@ -704,10 +745,12 @@ class PairsContext:
     """Pairs diagram with product registrations and caches.
 
     products maps (v, w) to the vertex carrying the product pair; the
-    registered pair must literally equal product_pair of the factors.
+    registered pair must literally equal product_pair of the factors, whose
+    staircase products are built by product (a corpus hands in its own
+    cache, Corpus._product).
     """
 
-    def __init__(self, diagram, rep, products=None, circle=None):
+    def __init__(self, diagram, rep, products=None, circle=None, product=product_complex):
         self.diagram = diagram
         self.rep = rep
         self.ring = rep.ring
@@ -722,7 +765,7 @@ class PairsContext:
             if nvw != nv + nw:
                 raise InputError("product vertex %r has degree %d, expected %d"
                                  % (vw, nvw, nv + nw))
-            if pvw != product_pair(pv, pw):
+            if pvw != product_pair(pv, pw, product):
                 raise InputError("vertex %r is not the staircase product of %r, %r"
                                  % (vw, v, w))
 

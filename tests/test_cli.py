@@ -313,6 +313,12 @@ MALFORMED = {
     "unknown product vertex": ("vertex = u : p : 0",
                                "vertex = u : p : 0\nproduct = vw : u * zz",
                                ["end-algebra", "S"]),
+    "product vertex degree": ("vertex = u : p : 0",
+                              "vertex = u : p : 0\nvertex = v : p : 1\nproduct = v : u * u",
+                              ["end-algebra", "S"]),
+    "product vertex not the staircase product": ("vertex = u : p : 0",
+                                                 "vertex = u : p : 0\nproduct = u : u * u",
+                                                 ["--ring", "q", "end-algebra", "S"]),
     "unknown triple vertex": ("vertex = u : p : 0",
                               "vertex = u : p : 0\ntriple = t : u -> zz",
                               ["end-algebra", "S"]),

@@ -1,12 +1,15 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from tannakit.cli import default_corpus_text, main
 from tannakit.comodule import (
     Comodule, canonical_embedding, check_comodule_axioms, extended_comodule,
     extended_on_orders, is_comodule_morphism, tensor_comodules,
     torsionfree_cover,
 )
-from tannakit.errors import DimensionMismatch
-from tannakit.linalg import QQ, ZZ, FgModule, Matrix
+from tannakit.corpus import Corpus
+from tannakit.errors import DimensionMismatch, InputError
+from tannakit.linalg import QQ, ZZ, FgModule, Matrix, _order_relations
 from tannakit.tannaka import CoalgebraTrunc, Subdiagram, coaction, dual_coalgebra
 
 from oracles import dense_comodule_failures, dense_is_morphism
@@ -260,3 +263,75 @@ class TestSparseAgainstDense:
                             assert verdict == dense_is_morphism(src, dst, bad)
                             verdicts.add(verdict)
         assert verdicts == {True, False}
+
+
+# -- what a comodule keeps, and torsion over Q ---------------------------------
+
+class TestBuildOnce:
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    def test_free_module_builds_no_matrix(self, ring, monkeypatch):
+        m = Comodule(trivial_coalgebra(ring), (0, 0, 0), [{0: 1}, {1: 1}, {2: 1}])
+        built = []
+        init = Matrix.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(Matrix, "__init__", counted)
+        assert m.module == FgModule.free(ring, 3)
+        assert m.module is m.module
+        assert built == []
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ])
+    @settings(max_examples=60, deadline=None)
+    @given(orders=st.lists(st.sampled_from((0, 2, 3, 4, 6, 9)), max_size=5))
+    @example(orders=[0, 0, 0])
+    @example(orders=[2, 3])
+    @example(orders=[2, 0, 3, 0])
+    def test_module_is_the_cokernel_of_the_orders(self, ring, orders):
+        """The identity coaction over the trivial coalgebra is well defined
+        on any orders; its module is the cokernel of their relations."""
+        m = Comodule(trivial_coalgebra(ring), orders, [{j: 1} for j in range(len(orders))])
+        assert m.module == FgModule.cokernel(_order_relations(orders, ring))
+        assert m.axioms() == (True, True)
+
+
+def _with_rho(rho):
+    """The bundled corpus with a comodule com_rho: com_z2 with this rho."""
+    return default_corpus_text() + ("\n[comodule com_rho]\ndiagram = circle_diagram\n"
+                                    "subdiagram = F0\norders = 2\nrho = %s\n" % rho)
+
+
+class TestTorsionOverQ:
+    """Over Q a generator of order t > 1 is zero, and so is every coaction
+    on it: whatever the entry, the comodule is accepted with module 0."""
+
+    @pytest.mark.parametrize("rho", ["1", "1/3", "2/5", "0"])
+    def test_any_entry_on_a_torsion_generator(self, rho):
+        _, m = Corpus(_with_rho(rho)).comodule("com_rho", QQ)
+        assert m.gen_orders == (2,) and m.columns == [{}]
+        assert m.axioms() == (True, True)
+        assert check_comodule_axioms(m).ok
+        assert m.module == FgModule(QQ, 0) and m.module.describe() == "0"
+
+    def test_fraction_stays_an_input_error_over_z(self):
+        with pytest.raises(InputError):
+            Corpus(_with_rho("1/3")).comodule("com_rho", ZZ)
+
+    def test_cli(self, tmp_path, capsys):
+        path = tmp_path / "third.corpus"
+        path.write_text(_with_rho("1/3"), encoding="utf-8")
+        command = ["comodule-check", "com_rho"]
+        assert main(["--corpus", str(path), "--ring", "q"] + command) == 0
+        out = capsys.readouterr().out
+        assert "module: 0" in out and "ok: True" in out
+        assert main(["--corpus", str(path), "--ring", "z"] + command) == 1
+        assert capsys.readouterr().err.startswith("input error:")
+
+    def test_free_rows_of_a_torsion_column_must_vanish(self):
+        # e_0 has order 2 and is zero over Q, so rho(e_0) = e_1 is not well defined
+        with pytest.raises(DimensionMismatch):
+            Comodule(trivial_coalgebra(QQ), (2, 0), [{1: 1}, {1: 1}])
+        m = Comodule(trivial_coalgebra(QQ), (2, 0), [{0: 5}, {0: 7, 1: 1}])
+        assert m.columns == [{}, {1: 1}]
+        assert m.axioms() == (True, True) and m.module == FgModule(QQ, 1)

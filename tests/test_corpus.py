@@ -13,6 +13,7 @@ from tannakit import corpus as corpus_module
 from tannakit.cli import default_corpus_text, main
 from tannakit.corpus import Corpus, _ExprParser
 from tannakit.errors import InputError
+from tannakit.linalg import QQ, ZZ
 from tannakit.simplicial import SimplicialComplex, product_complex
 
 BUNDLED = Corpus(default_corpus_text())
@@ -35,6 +36,53 @@ def test_product_cache_is_per_corpus(monkeypatch):
     assert first.expr("c * c") is first.expr("(c) * c")
     assert second.expr("c * c") == first.expr("c * c")
     assert len(calls) == 2
+
+
+def test_context_reuses_the_corpus_products(monkeypatch):
+    """The product vertices of main_tower's diagram are checked against
+    staircase products the corpus built while parsing its pairs."""
+    calls = []
+    monkeypatch.setattr(corpus_module, "product_complex",
+                        lambda X, Y: calls.append((X, Y)) or product_complex(X, Y))
+    corpus = Corpus(default_corpus_text())
+    parsed = len(calls)
+    for ring in (ZZ, QQ):
+        ctx, _subs, _unit = corpus.tower("main_tower", ring)
+        assert ctx.products
+    assert len(calls) == len(set(calls)) == parsed
+
+
+PRODUCT_BASE = """[complex pt]
+simplices = a
+[complex seg]
+simplices = a b
+[pair p]
+space = pt
+[pair pp]
+space = pt * pt
+[pair s]
+space = seg
+[diagram d]
+vertex = u : p : 0
+vertex = uu : pp : 0
+vertex = w : s : 0
+product = uu : u * u
+"""
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("vertex = uu : pp : 0", "vertex = uu : pp : 1",
+     "product vertex 'uu' has degree 1, expected 0"),
+    ("product = uu : u * u", "product = w : u * u",
+     "vertex 'w' is not the staircase product of 'u', 'u'"),
+], ids=["degree", "staircase"])
+@pytest.mark.parametrize("ring", [ZZ, QQ])
+def test_product_vertex_rejections(old, new, message, ring):
+    """The two checks of a registered product vertex (the CLI's exit code
+    for them is in test_cli's MALFORMED cases)."""
+    assert Corpus(PRODUCT_BASE).context("d", ring).products == {("u", "u"): "uu"}
+    with pytest.raises(InputError, match="^%s$" % message):
+        Corpus(PRODUCT_BASE.replace(old, new, 1)).context("d", ring)
 
 
 # -- generated expressions -----------------------------------------------------

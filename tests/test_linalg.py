@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from tannakit.errors import CompositionNonzero, TorsionPresent
 from tannakit.linalg import (
-    QQ, ZZ, FgModule, Matrix, ModuleMap, SmithForm, Subquotient, _column_reduce,
+    QQ, ZZ, FgModule, Matrix, ModuleMap, SmithForm, Subquotient, _column_reduce, _integral,
     _nonzero_columns, _Solver, determinant, dual_map, elementary_divisors, hnf_columns, kernel,
     module_from_relations, presented_subquotient, rref, smith_normal_form, solve, subquotient,
     tensor_swap,
@@ -820,6 +820,16 @@ class TestSparseKernel:
         assert K == oracle_free_column_kernel(A)
         back = [{n - 1 - i: x for i, x in c.items()} for c in kernel(QQ, cols[::-1], A.rows)]
         assert back[::-1] == _nonzero_columns(echelon_columns(Matrix.from_sparse(QQ, K, n)))
+
+    def test_integral_copies_integer_vectors(self):
+        """Each vector scaled by the lcm of its denominators to ints; one
+        that holds only ints comes back equal, in a dict of its own."""
+        ints = {0: 3, 4: -6}
+        out = _integral([ints, {1: Fraction(1, 2), 2: Fraction(3)}, {}, {0: Fraction(4)}])
+        assert out == [{0: 3, 4: -6}, {1: 1, 2: 6}, {}, {0: 4}]
+        assert all(type(x) is int for v in out for x in v.values())
+        out[0][0] = 5
+        assert ints == {0: 3, 4: -6}
 
     @settings(max_examples=200, deadline=None)
     @given(chain_pairs(), st.randoms(use_true_random=False))

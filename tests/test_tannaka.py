@@ -21,8 +21,8 @@ from spaces import CIRCLE3, CIRCLE_POINT, EDGE, EDGE_ENDS, POINT, RP2, pair, sub
 from tannaka_fixtures import with_basis
 
 from oracles import (
-    brute_commutant, dense_comodule_failures, dense_is_morphism, dense_structure_constants,
-    dense_transition_coaction,
+    brute_commutant, dense_comodule_failures, dense_is_morphism, dense_rref,
+    dense_structure_constants, dense_transition_coaction,
 )
 
 
@@ -673,7 +673,84 @@ class TestIntegerContraction:
         assert rejected
 
 
+class TestFractionalEdgeMaps:
+    """Q edge maps with non-integer entries: End is built from the integer
+    multiples of the maps, and its basis is still the reduced column echelon
+    basis of the kernel of the Fraction constraints."""
+
+    CASES = {
+        "loop": ({"v": 2}, [("l", "v", "v", [[Fraction(1, 2), 1], [0, Fraction(2, 3)]])]),
+        "loop with a repeated eigenvalue": (
+            {"v": 2}, [("l", "v", "v", [[Fraction(1, 2), Fraction(1, 3)], [0, Fraction(1, 2)]])]),
+        "two vertices": ({"v": 1, "w": 2}, [("e", "v", "w", [[Fraction(1, 3)], [1]])]),
+        "two vertices, two edges": (
+            {"v": 2, "w": 2}, [("e", "v", "w", [[Fraction(1, 3), 0], [0, 1]]),
+                               ("f", "w", "v", [[1, Fraction(-1, 3)], [0, Fraction(5, 7)]])]),
+    }
+
+    @staticmethod
+    def dense_basis(ranks, edges):
+        """The reduced column echelon basis of the constraint kernel, as
+        tuples ordered by pivot, by dense_rref: once for the kernel of the
+        dense Fraction constraints, once to reduce the kernel vectors."""
+        order = sorted(ranks)
+        offset = dict(zip(order, [sum(ranks[u] ** 2 for u in order[:i])
+                                  for i in range(len(order))]))
+        n = sum(r * r for r in ranks.values())
+        rows = []
+        for (_name, s, d, m) in edges:
+            rs, rd = ranks[s], ranks[d]
+            for i in range(rd):
+                for j in range(rs):
+                    row = [Fraction(0)] * n
+                    for k in range(rs):
+                        row[offset[s] + k * rs + j] += m[i][k]
+                    for k in range(rd):
+                        row[offset[d] + i * rd + k] -= m[k][j]
+                    rows.append(row)
+        reduced, pivots = dense_rref(rows) if rows else ([], [])
+        kernel = []
+        for f in (c for c in range(n) if c not in pivots):
+            v = [Fraction(0)] * n
+            v[f] = Fraction(1)
+            for row, p in zip(reduced, pivots):
+                v[p] = -row[f]
+            kernel.append(v)
+        basis, _ = dense_rref(kernel)
+        return [tuple(v) for v in basis if any(v)]
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_basis_is_the_dense_echelon_basis(self, case):
+        ranks, edges = self.CASES[case]
+        assert any(x.denominator > 1 for (*_, m) in edges for row in m
+                   for x in map(Fraction, row))
+        dia, rep = synthetic(QQ, ranks, edges)
+        E = end_algebra(rep, Subdiagram(dia, sorted(ranks)))
+        dense = self.dense_basis(ranks, edges)
+        assert [tuple(E.basis.col(i)) for i in range(E.dim)] == dense
+        assert E.dim == len(brute_commutant(ranks, [(s, d, m) for (_n, s, d, m) in edges]))
+        assert factorization_check(rep, Subdiagram(dia, sorted(ranks)), E).ok
+
+
 class TestBuildOnce:
+    def test_factorization_reuses_the_checked_axioms(self, monkeypatch):
+        """factorization_check after check_coaction_axioms on every vertex
+        contracts no comodule identity again."""
+        ctx, sdg = Corpus(default_corpus_text()).subdiagram("F2", QQ)
+        E = ctx.end(sdg)
+        for v in sdg.vertices:
+            assert check_coaction_axioms(coaction(ctx.rep, sdg, v, E)) == (True, True)
+        calls = []
+        for name in ("_coassociative", "_counit_identity"):
+            monkeypatch.setattr(tannaka, name, lambda *a, name=name, f=getattr(tannaka, name),
+                                **kw: calls.append(name) or f(*a, **kw))
+        assert factorization_check(ctx.rep, sdg, E).ok
+        assert calls == []
+        # a comodule that was never checked is checked on first use only
+        co = Comodule(E.coalgebra(), (0,) * ctx.rep.rank("g"), coaction(ctx.rep, sdg, "g", E).rho)
+        assert co.axioms() == co.axioms() == (True, True)
+        assert sorted(calls) == ["_coassociative", "_counit_identity"]
+
     def test_context_coalgebra_is_the_end_algebras(self, monkeypatch):
         ctx, sdg = Corpus(default_corpus_text()).subdiagram("F2", QQ)
         A = ctx.coalgebra(sdg)
