@@ -17,9 +17,9 @@ def _ladder():
 
 def test_sweep_rung_splits_one_pass(capsys):
     ladder = _ladder()
-    ladder.sweep_rung(1)
+    ladder.sweep_rung()
     head, *phases = capsys.readouterr().out.splitlines()
-    assert head.startswith("tannaka-sweep pass, seed 1:")
+    assert head.startswith("tannaka-sweep pass, seed %d:" % ladder.SEED)
     assert head.endswith("every check ok True")
     assert [line.split("  ")[1].strip() for line in phases] == list(ladder.PHASES)
     shares = [float(line.rsplit(None, 1)[1].rstrip("%")) for line in phases]
