@@ -16,7 +16,7 @@ Eilenberg-Zilber inverse, read off the cycle classes, is checked on both
 sides by _compose.  tau, tau^-1 and mu are sparse columns {row: entry}, as
 the End bases and transition maps are; .matrix and .inverse are dense
 views, built when read.  Every identity checked here and the sigma step
-contract those columns by linalg._tensor_apply or _compose: mu is checked
+contract those columns by maps._tensor_apply or _compose: mu is checked
 as a coalgebra morphism out of the tensor coalgebra A_F (x) A_G by
 tannaka._coalgebra_morphism, the check every transition map passes.
 PairsContext, the diagram context with its End-algebra and tau caches, is in
@@ -28,12 +28,13 @@ from .errors import (
     InputError, MissingProducts, NotGoodPair, ProductEscape, WrongRank,
 )
 from .linalg import (
-    ZZ, Matrix, _apply, _coerce, _compose, _echelon, _integral, _nonzero_columns, _Solver,
-    _swapped_tensor, _tensor_apply, _transpose, tensor_swap,
+    ZZ, Matrix, _apply, _coerce, _compose, _echelon, _integral, _nonzero_columns, _transpose,
 )
-from .simplicial import (
-    SimplicialMap, ez_matrixes, induced_map_on_homology, pair_homology, tensor_complex,
+from .maps import (
+    _Solver, _swapped_tensor, _tensor_apply, ez_matrixes, induced_map_on_homology,
+    tensor_complex, tensor_swap,
 )
+from .simplicial import SimplicialMap, pair_homology
 from .tannaka import (
     PairsContext, Subdiagram, _coalgebra_morphism, transition_map, vertex_payload,
 )

@@ -20,10 +20,7 @@ from importlib import resources
 from . import __version__
 from .errors import BudgetExceeded, CheckFailed, InputError, TannakitError
 from .linalg import QQ, ZZ
-from .simplicial import (
-    Filtration, SimplicialComplex, les_exactness, pair_homology, product_pair,
-    triple_boundary,
-)
+from .simplicial import Filtration, SimplicialComplex, pair_homology, product_pair
 from .corpus import Corpus
 
 TOOL = "tannakit %s" % __version__
@@ -90,12 +87,14 @@ def cmd_homology(corpus, ring, args):
 
 
 def cmd_les(corpus, ring, args):
+    from .les import les_exactness
     pair = _pair(corpus, args.pair)
     cert = les_exactness(pair, ring)
     return {"pair": args.pair, "les": cert.as_dict()}, cert.ok
 
 
 def cmd_triple_boundary(corpus, ring, args):
+    from .maps import triple_boundary
     X = corpus.expr(args.X)
     Z = corpus.expr(args.Z)
     W = corpus.expr(args.W)

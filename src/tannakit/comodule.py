@@ -10,15 +10,15 @@ zero).  The axioms and the morphism identity are sparse contractions modulo
 the torsion of the target (Comodule.axioms, computed once per comodule, and
 tannaka._intertwines), exact equality in the free case.
 The tensor comodule's rho and the cover's generators are sparse columns
-built by linalg._tensor_apply and _swapped_tensor, with no Kronecker matrix.
+built by maps._tensor_apply and _swapped_tensor, with no Kronecker matrix.
 """
 
 from math import gcd
 
 from .errors import CompositionNonzero, DimensionMismatch, MissingProducts
-from .linalg import (
-    FgModule, Matrix, ZZ, _nonzero_columns, _order_relations, _Solver, _swapped_tensor,
-    _tensor_apply, presented_subquotient,
+from .linalg import FgModule, Matrix, ZZ, _nonzero_columns
+from .maps import (
+    _order_relations, _Solver, _swapped_tensor, _tensor_apply, presented_subquotient,
 )
 from .tannaka import CoalgebraTrunc, Comodule, _intertwines
 

@@ -17,11 +17,13 @@ from itertools import combinations
 from .errors import (
     BudgetExceeded, InputError, InvalidFiltration, InvalidPair, TorsionTerm,
 )
-from .linalg import FgModule, Matrix, ModuleMap, ZZ, subquotient
+from .linalg import FgModule, Matrix, ZZ
+from .maps import (
+    ModuleMap, _ez, induced_map_on_homology, subquotient, tensor_complex, triple_boundary,
+)
 from .simplicial import (
     ChainComplex, Filtration, SimplicialComplex, SimplicialMap, SimplicialPair,
-    _chain_image, _ez, induced_map_on_homology, pair_homology,
-    product_complex, relative_homology, tensor_complex, triple_boundary,
+    _chain_image, pair_homology, product_complex, relative_homology,
 )
 
 

@@ -6,16 +6,16 @@ Every map of one certificate, i_*, j_* and the boundary, is read through
 the chain-level reductions of Z, X and (X, Z) (tannakit.reduction), so all
 of them use one basis.  A node holds ranks over the fraction field, an ok
 flag and the isomorphism class of its defect module, none of which depends
-on that basis.  simplicial.les_exactness imports this module on its first
-call, so no other command compiles it.
+on that basis.  Only the les command imports this module (simplicial and
+the package serve les_exactness through their module __getattr__), so no
+other command compiles it.
 """
 
 from .errors import CompositionNonzero
-from .linalg import (
-    QQ, FgModule, ModuleMap, _cycle_coordinates, _nonzero_columns, elementary_divisors,
-)
+from .linalg import QQ, ZZ, FgModule, _nonzero_columns, elementary_divisors
+from .maps import ModuleMap, _boundary_image, _cycle_coordinates, _homology_map
 from .reduction import reduction
-from .simplicial import SimplicialPair, _boundary_image, _homology_map, pair_homology
+from .simplicial import SimplicialPair, pair_homology
 
 
 class LesNode:
@@ -48,8 +48,13 @@ class LesCertificate:
                 "nodes": [n.as_dict() for n in self.nodes]}
 
 
-def certificate(pair, ring) -> LesCertificate:
-    """The certificate that simplicial.les_exactness returns."""
+def les_exactness(pair, ring=ZZ) -> LesCertificate:
+    """Exactness report for ... -> h_n(Z) -> h_n(X) -> h_n(X,Z) -> h_{n-1}(Z) -> ...
+
+    Each node reports rank(im of the incoming map) and rank(ker of the
+    outgoing map) over the fraction field, plus the exact (torsion-aware)
+    defect module ker/im; exactness over Z means the defect vanishes.
+    """
     N = pair.X.dim
     return LesCertificate(ring, les_nodes(les_maps(pair, ring, range(0, N + 2)), N, ring))
 

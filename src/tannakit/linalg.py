@@ -1,48 +1,43 @@
-"""Exact linear algebra over Z and Q.
+"""Exact linear algebra over Z and Q: the part a homology module needs.
 
 Matrices carry arbitrary-precision entries (python ints over Z,
 fractions.Fraction over Q); nothing here ever rounds or overflows.  Maps are
 kept as sparse columns {row: entry} wherever they are computed, and Matrix
-is the dense view.  One reduction, _echelon, does all row reduction on
-sparse integer rows (the Hermite form over Z, the reduced echelon form over
-Q); kernel reads it on sparse columns (over Z through _reduced_columns, A
-stacked on the identity), and so do Q module_from_relations and image
-bases.  One reader, _Solver, reads every coordinate, in integers, at the
-pivots of a canonical basis, or of _reduced_columns's image basis for any
-other A.  Invariant factors alone come from a sparse elimination of unit
-pivots, _unit_pivots, with Smith normal form (Z) or _echelon (Q) on what is
-left; tannakit.reduction reads a chain-level reduction off the same pivots.
-Every tensor identity and construction applies A (x) B to sparse columns by
-one helper, _tensor_apply, beside _compose; no module calls Matrix.kron.
-Smith normal form, the determinant, the dense forms rref and hnf_columns
-and the dense _column_reduce live in tannakit.smith, imported only where a
-Smith form is needed and served here through a module __getattr__ (PEP 562).
+is the dense view.  This module holds Matrix, FgModule, Subquotient and the
+eliminations behind them.  One reduction, _echelon, does all row reduction
+on sparse integer rows (the Hermite form over Z, the reduced echelon form
+over Q), and _reduced_columns reads it on A stacked on the identity.
+Invariant factors alone come from a sparse elimination of unit pivots,
+_unit_pivots, with Smith normal form (Z) or _echelon (Q) on what is left;
+tannakit.reduction reads a chain-level reduction off the same pivots.
 A homology module of a free complex is eager and its cycle basis lazy:
 Subquotient.free reads the module from elementary divisors, and on the
 first class_of or lift builds the cycle basis from the sparse kernel of the
 complex's own boundary columns.
+
+tannakit.maps (kernel, the coordinate reader _Solver, presentations,
+ModuleMap, subquotients with their transforms, the tensor helpers) and
+tannakit.smith (Smith normal form, the determinant, rref, hnf_columns and
+the dense _column_reduce) load on first use; their names are served here
+through a module __getattr__ (PEP 562).
 """
 
-from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import CompositionNonzero, TorsionPresent
+from . import _lazy
 
 ZZ = "z"
 QQ = "q"
 
 RINGS = (ZZ, QQ)
 
-_SMITH = ("SmithForm", "smith_normal_form", "determinant", "rref", "hnf_columns",
-          "_column_reduce")
-
-
-def __getattr__(name):
-    if name not in _SMITH:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    from . import smith
-    return getattr(smith, name)
+__getattr__ = _lazy(__name__, {
+    "maps": "_Solver solve kernel _null_vectors module_from_relations _order_relations "
+            "ModuleMap dual_map subquotient presented_subquotient _subquotient "
+            "_cycle_coordinates tensor_swap _tensor_apply _swapped_tensor",
+    "smith": "SmithForm smith_normal_form determinant rref hnf_columns _column_reduce",
+})
 
 
 def _coerce(ring, x):
@@ -248,17 +243,8 @@ class Matrix:
                       self.rows, len(indices))
 
 
-def tensor_swap(a, b, c, d):
-    """Row order taking (i, j, k, l) to (i, k, j, l) on row-major flattened
-    tensor indices of shape (a, b, c, d): M.take_rows(order) is P M for the
-    permutation P swapping the middle factors, and M.take_cols(order) is
-    M P^-1."""
-    return [((i * b + j) * c + k) * d + l
-            for i in range(a) for k in range(c) for j in range(b) for l in range(d)]
-
-
 # ---------------------------------------------------------------------------
-# Canonical bases, kernels, solving
+# Sparse eliminations
 # ---------------------------------------------------------------------------
 
 def _nonzero_columns(m):
@@ -456,125 +442,6 @@ def _reduced_columns(ring, columns, m):
             [{i - m: x for i, x in r.items() if i >= m} for r in basis], image)
 
 
-def kernel(ring, columns, rows):
-    """Canonical basis of the kernel of the rows x len(columns) matrix with
-    these sparse columns (nonzeros {row: entry}), as sparse columns: Hermite,
-    hence saturated, over Z; the free-column basis of the reduced echelon
-    form over Q, read off the matrix's rows."""
-    if ring == ZZ:
-        _, tail, image = _reduced_columns(ZZ, columns, rows)
-        return tail[image:]
-    return _null_vectors(*_echelon(_integral(_transpose(columns, rows)), QQ), len(columns))[1]
-
-
-def _null_vectors(pivots, rows, n):
-    """Free columns of a reduced echelon form on n columns (pivots and rows
-    from _echelon over Q) and the kernel vector {index: Fraction} of each:
-    1 at its own free column, 0 at the others."""
-    free = sorted(set(range(n)).difference(pivots))
-    basis = {f: {f: Fraction(1)} for f in free}
-    for c, row in zip(pivots, rows):
-        for j, x in row.items():
-            if j != c:
-                basis[j][c] = -x
-    return free, list(basis.values())
-
-
-class _Solver:
-    """Coordinates in the columns of a fixed A: the one exact reader.
-
-    Columns are kept as integers {row: int}, column k times the lcm s_k of
-    its denominators, each with its own pivot row.  Over Z that is its first
-    nonzero row (the Hermite shape of kernel and hnf_columns), and a vector
-    is read by exact divmod steps at the smallest nonzero residual row.
-    Over Q it is a row where no other column is nonzero (echelon columns,
-    the free-column kernel, the identity): the coordinate is the entry
-    there, and one integer residual checks them all.  Any other A is
-    replaced by the image H of _reduced_columns, and read (sparse vectors)
-    and solve (dense tuples) return T y.  A is a Matrix, or sparse columns
-    given to from_sparse.
-    """
-
-    def __init__(self, A):
-        self._put(A.ring, _nonzero_columns(A), A.rows)
-
-    @classmethod
-    def from_sparse(cls, ring, columns, rows):
-        """The solver of the matrix with these columns {row: entry}."""
-        solver = cls.__new__(cls)
-        solver._put(ring, [dict(sorted((i, x) for i, x in c.items() if x)) for c in columns], rows)
-        return solver
-
-    def _put(self, ring, columns, rows):
-        self.ring, self.rows, self.size, self.T = ring, rows, len(columns), None
-        self.zero = _coerce(ring, 0)
-        if not self._load(columns):
-            head, tail, image = _reduced_columns(ring, columns, rows)
-            self.T = tail[:image]                    # sparse columns of T
-            self._load([dict(sorted(c.items())) for c in head])
-
-    def _load(self, cols):
-        """Keep the columns (nonzeros, rows ascending), their scales and
-        pivots; False if one lacks its own."""
-        self.scales = [lcm(*(x.denominator for x in c.values())) for c in cols]
-        self.columns = cols = _integral(cols)
-        # Z: a column's first row; Q: its first row that no other column meets
-        count = Counter(i for c in cols for i in c) if self.ring == QQ else {}
-        self.pivots = {next((i for i in c if count.get(i, 1) == 1), None): k
-                       for k, c in enumerate(cols)}
-        self.lift = lcm(*(cols[k][p] for p, k in self.pivots.items() if p is not None))
-        return None not in self.pivots and len(self.pivots) == len(cols)
-
-    def coordinates(self, vec, denom=1):
-        """{k: x_k != 0} with sum_k x_k col_k = vec / denom, for integer
-        nonzeros vec {row: int}, or None; in H's columns when T is set."""
-        x, cols, pivots = {}, self.columns, self.pivots
-        if self.ring == QQ:
-            res = {i: self.lift * y for i, y in vec.items()}
-            for c, y in vec.items():       # only the pivots that vec reaches
-                k = pivots.get(c)
-                if k is not None:
-                    x[k] = Fraction(y * self.scales[k], denom * cols[k][c])
-                    f = y * (self.lift // cols[k][c])
-                    for i, w in cols[k].items():
-                        res[i] = res.get(i, 0) - f * w
-            return None if any(res.values()) else x
-        res = dict(vec)
-        while res:
-            c = min(res)
-            k = pivots.get(c)
-            if k is None:
-                return None
-            x[k], rem = divmod(res[c], denom * cols[k][c])
-            if rem:
-                return None
-            f = x[k] * denom
-            for i, w in cols[k].items():
-                res[i] = res.get(i, 0) - f * w
-            res = {i: v for i, v in res.items() if v}
-        return x
-
-    def read(self, b):
-        """{j: x_j != 0} with A x = b, for b given by its nonzeros {row: int
-        or Fraction}, or None."""
-        d = lcm(*(y.denominator for y in b.values()))
-        x = self.coordinates({i: y.numerator * (d // y.denominator) for i, y in b.items()}, d)
-        return x if x is None or self.T is None else _compose(self.T, [x])[0]
-
-    def solve(self, b):
-        """One exact x with A x = b, a tuple over A's ring, or None."""
-        if len(b) != self.rows:
-            raise ValueError("rhs length mismatch")
-        x = self.read({i: _coerce(self.ring, y) for i, y in enumerate(b) if y})
-        if x is not None:
-            return tuple(x.get(k, self.zero) for k in range(self.size))
-
-
-def solve(A, b):
-    """One exact x with A x = b over A's ring (over Z, in the lattice), or None."""
-    return _Solver(A).solve(b)
-
-
 # ---------------------------------------------------------------------------
 # Finitely generated modules
 # ---------------------------------------------------------------------------
@@ -624,6 +491,7 @@ class FgModule:
 
     def relations(self):
         """Relations matrix of the normalized presentation (ngens x #torsion)."""
+        from .maps import _order_relations
         return _order_relations(self.torsion + (0,) * self.free_rank, self.ring)
 
     def normalize_vector(self, vec):
@@ -640,6 +508,7 @@ class FgModule:
         """The module presented by the columns of ra (x) 1 and 1 (x) rb."""
         if self.ring != other.ring:
             raise ValueError("ring mismatch in tensor")
+        from .maps import _tensor_apply
         ra, rb = _nonzero_columns(self.relations()), _nonzero_columns(other.relations())
         na, nb = self.ngens, other.ngens
         cols = ([_tensor_apply(ra, None, nb, nb, {x: 1}) for x in range(len(ra) * nb)]
@@ -670,115 +539,6 @@ class FgModule:
 
     def describe(self):
         return repr(self)
-
-
-def _order_relations(orders, ring=ZZ):
-    """Relation columns t e_i, one for each generator i of order t > 0."""
-    n = len(orders)
-    return Matrix.from_columns(ring, [[t if j == i else 0 for j in range(n)]
-                                      for i, t in enumerate(orders) if t], rows=n)
-
-
-def module_from_relations(ring, ngens, relations):
-    """Normalize Z^ngens / im(relations) (or Q^ngens likewise).
-
-    Returns (module, to_normal, from_normal): to_normal maps old generator
-    coordinates to normalized ones (reduce with module.normalize_vector);
-    from_normal lifts normalized generators to old coordinates.
-    """
-    if relations.rows != ngens:
-        raise ValueError("relations row count != generator count")
-    if ring == ZZ:
-        if relations.cols == 0:
-            mod = FgModule(ZZ, ngens)
-            eye = Matrix.identity(ZZ, ngens)
-            return mod, eye, eye
-        from .smith import smith_normal_form
-        form = smith_normal_form(relations)
-        diag = [form.D[i, i] if i < relations.cols else 0 for i in range(ngens)]
-        keep = [i for i, d in enumerate(diag) if d != 1]
-        torsion = [d for d in diag if d > 1]
-        mod = FgModule(ZZ, len(keep) - len(torsion), torsion)
-        to_normal = form.U.take_rows(keep)
-        from_normal = form.Uinv.take_cols(keep)
-        return mod, to_normal, from_normal
-    # over Q: quotient by the span; a coordinate vector reduces to its free
-    # coordinates by subtracting the echelon rows at the pivots
-    free, to_normal = _null_vectors(
-        *_echelon(_integral(_nonzero_columns(relations)), QQ), ngens)
-    zero = Fraction(0)
-    return (FgModule(QQ, len(free)),
-            Matrix(QQ, [[v.get(j, zero) for j in range(ngens)] for v in to_normal],
-                   len(free), ngens),
-            Matrix.identity(QQ, ngens).take_cols(free))
-
-
-class ModuleMap:
-    """Map between f.g. modules, as a matrix on normalized generators.
-
-    Well-definedness on torsion (relations map into relations) is checked at
-    construction; entries over torsion rows are stored reduced.
-    """
-
-    __slots__ = ("source", "target", "matrix")
-
-    def __init__(self, source, target, matrix):
-        if source.ring != target.ring or matrix.ring != source.ring:
-            raise ValueError("ring mismatch in module map")
-        if matrix.rows != target.ngens or matrix.cols != source.ngens:
-            raise ValueError("matrix shape does not fit the presentations")
-        tt = len(target.torsion)
-        for i, t in enumerate(source.torsion):
-            for j in range(target.ngens):
-                w = t * matrix[j, i]
-                if j < tt:
-                    if w % target.torsion[j] != 0:
-                        raise ValueError("map not well defined on torsion generator %d" % i)
-                elif w != 0:
-                    raise ValueError("map not well defined on torsion generator %d" % i)
-        if tt:
-            data = [list(r) for r in matrix.data]
-            for j in range(tt):
-                tj = target.torsion[j]
-                data[j] = [x % tj for x in data[j]]
-            matrix = Matrix(matrix.ring, data, matrix.rows, matrix.cols)
-        self.source = source
-        self.target = target
-        self.matrix = matrix
-
-    @classmethod
-    def identity(cls, mod):
-        return cls(mod, mod, Matrix.identity(mod.ring, mod.ngens))
-
-    @classmethod
-    def zero(cls, source, target):
-        return cls(source, target, Matrix.zeros(source.ring, target.ngens, source.ngens))
-
-    def compose(self, other):
-        """self after other."""
-        if other.target != self.source:
-            raise ValueError("composition mismatch")
-        return ModuleMap(other.source, self.target, self.matrix * other.matrix)
-
-    def is_zero_map(self):
-        return self.matrix.is_zero()
-
-    def __eq__(self, other):
-        return (isinstance(other, ModuleMap) and self.source == other.source
-                and self.target == other.target and self.matrix == other.matrix)
-
-    def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
-
-    def __repr__(self):
-        return "ModuleMap(%r -> %r)" % (self.source, self.target)
-
-
-def dual_map(f):
-    """Transpose of a map between free modules, in the dual bases."""
-    if not (f.source.is_free() and f.target.is_free()):
-        raise TorsionPresent("dual_map requires free source and target")
-    return ModuleMap(f.target, f.source, f.matrix.transpose())
 
 
 class Subquotient:
@@ -813,6 +573,7 @@ class Subquotient:
                           [e for e in div_in if e > 1])
 
         def build():
+            from .maps import _subquotient
             into, out, rows = boundaries()
             return _subquotient(ring, into, out, rank, rows)
         return cls(module, build=build)
@@ -837,47 +598,6 @@ class Subquotient:
 
     def lift(self, j):
         return _apply(self._basis(), self._from_normal.col(j), self._solver.rows)
-
-
-def subquotient(d_in, d_out):
-    """Homology at the middle of  A --d_in--> B --d_out--> C.
-
-    Raises CompositionNonzero unless d_out o d_in = 0.
-    """
-    if d_in.target != d_out.source:
-        raise ValueError("d_in target differs from d_out source")
-    return presented_subquotient(d_in.matrix, d_in.target.relations(),
-                                 d_out.matrix, d_out.target.relations())
-
-
-def presented_subquotient(m_in, rel_b, m_out, rel_c):
-    """ker/im in B for matrices m_in into and m_out out of B, where B and the
-    target of m_out are presented by the relation columns rel_b and rel_c,
-    normalized or not.  Raises CompositionNonzero when an image column or a
-    relation of B is not a cycle."""
-    return _subquotient(m_out.ring, _nonzero_columns(m_in) + _nonzero_columns(rel_b),
-                        _nonzero_columns(m_out) + _nonzero_columns(rel_c), m_out.cols, m_out.rows)
-
-
-def _subquotient(ring, into, out, n, rows):
-    """presented_subquotient on sparse columns, as _cycle_coordinates takes them."""
-    cycles, solver, coeff = _cycle_coordinates(ring, into, out, n, rows)
-    mod, to_normal, from_normal = module_from_relations(ring, len(cycles), coeff)
-    return Subquotient(mod, cycles, solver, to_normal, from_normal)
-
-
-def _cycle_coordinates(ring, into, out, n, rows):
-    """(cycles, solver, coeff) at B = ring^n, for the sparse columns into
-    (the map into B, then B's relations) and out (the map out of B, then
-    the relations of its target, on rows rows): a basis of the cycles of B
-    as sparse columns, the _Solver on them, and the coordinates in it of
-    the columns of into, as a Matrix."""
-    cycles = [{i: x for i, x in c.items() if i < n} for c in kernel(ring, out, rows)]
-    solver = _Solver.from_sparse(ring, cycles, n)
-    coeff = [solver.read(col) for col in into]
-    if None in coeff:
-        raise CompositionNonzero("boundary does not lie in the cycle submodule")
-    return cycles, solver, Matrix.from_sparse(ring, coeff, len(cycles))
 
 
 def _compose(outer, inner):
@@ -916,41 +636,3 @@ def _apply(cols, vec, size):
             for i, y in col.items():
                 out[i] += x * y
     return tuple(out)
-
-
-def _tensor_apply(a, b, nb, mb, col, scale=1, out=None):
-    """out plus scale (A (x) B) col, for a sparse column col {index: x} and
-    A, B sparse columns {row: entry}, one of them None for an identity: B is
-    nb x mb, and index j * mb + l goes to the rows i * nb + k.  out (a new
-    dict when None) is updated in place, may keep zeros, and is returned.
-    With B None and nb = mb = 1 this is the plain product A col."""
-    out = {} if out is None else out
-    get = out.get
-    for jl, x in col.items():
-        j, l = divmod(jl, mb) if mb != 1 else (jl, 0)
-        x *= scale
-        if b is None:
-            for i, y in a[j].items():
-                out[i * nb + l] = get(i * nb + l, 0) + x * y
-        elif a is None:
-            base = j * nb
-            for k, z in b[l].items():
-                out[base + k] = get(base + k, 0) + x * z
-        else:
-            bl = b[l]
-            for i, y in a[j].items():
-                base, xy = i * nb, x * y
-                for k, z in bl.items():
-                    out[base + k] = get(base + k, 0) + xy * z
-    return out
-
-
-def _swapped_tensor(X, Y, a, b, c, d):
-    """The columns of (1 swap 1)(X (x) Y), column x * len(Y) + y for X[x]
-    (x) Y[y], for sparse columns X on rows (i, j) of shape (a, b) and Y on
-    rows (k, l) of shape (c, d): row (i, j, k, l) moves to (i, k, j, l), the
-    order of tensor_swap."""
-    to = {old: new for new, old in enumerate(tensor_swap(a, b, c, d))}
-    m = len(Y)
-    return [{to[r]: x for r, x in _tensor_apply(X, Y, c * d, m, {xy: 1}).items()}
-            for xy in range(len(X) * m)]

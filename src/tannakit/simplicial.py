@@ -1,5 +1,5 @@
 """Finite simplicial complexes, pairs, maps and filtrations, and their exact
-homology.
+homology modules.
 
 Orientation convention: each simplex is written with its vertices in the
 global order of the ambient complex, and the boundary alternates signs over
@@ -9,36 +9,32 @@ honest simplices.  SimplicialComplex() sorts and checks arbitrary input;
 from_maximal, union, intersection, skeleton, images and products build
 complexes closed by construction, and check nothing.  Filtration holds the
 data and checks of a filtration; its algorithms are in tannakit.filtration.
-Cup products and Cech models are in tannakit.cochains, loaded on the first
-lookup of one of their names here (PEP 562).
 
-Homology classes are read in one of two bases.  ChainComplex.homology gives
-the Hermite cycle basis, in which induced_map_on_homology and
-triple_boundary, and through them the filtration, kunneth, cup and diagram
-commands, print their matrices.  les_exactness reads i_*, j_* and the
-boundary through the chain-level reductions of Z, X and (X, Z) instead
-(tannakit.les and tannakit.reduction, imported only there): a les
-certificate holds ranks over Q, ok flags and defect modules, none of which
-depends on the basis.
+This module stops at the homology module of a pair.  Three layers load on
+the first lookup of one of their names here (PEP 562): tannakit.maps holds
+chain maps, tensor complexes, the maps induced on homology
+(induced_map_on_homology, triple_boundary) and the Eilenberg-Zilber and
+Alexander-Whitney maps; tannakit.les the long exact sequence certificate
+(les_exactness); tannakit.cochains cup products and Cech models.
+ChainComplex.homology gives the Hermite cycle basis, in which the maps on
+homology, and through them the filtration, kunneth, cup and diagram
+commands, print their matrices; les reads its maps through chain-level
+reductions instead (tannakit.reduction).
 """
 
-from functools import cache
 from itertools import combinations
 
-from .errors import InvalidFiltration, InvalidPair, NotNested, NotPairMap, NotSimplicial
-from .linalg import (
-    ZZ, FgModule, Matrix, ModuleMap, Subquotient, _apply, _compose, _composes_to_zero,
-    _sparse_divisors,
-)
+from . import _lazy
+from .errors import InvalidFiltration, InvalidPair, NotSimplicial
+from .linalg import ZZ, FgModule, Matrix, Subquotient, _composes_to_zero, _sparse_divisors
 
-_COCHAINS = ("CupProduct", "relative_cup_product", "CechModel", "cech_total_complex")
-
-
-def __getattr__(name):
-    if name not in _COCHAINS:
-        raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    from . import cochains
-    return getattr(cochains, name)
+__getattr__ = _lazy(__name__, {
+    "maps": "ChainMap tensor_complex _induced_chain_map induced_map_on_homology "
+            "triple_boundary _homology_map _boundary_image _shuffle_sign _ez _aw ez_matrixes "
+            "_assert_aw_ez_identity ez_aw_maps ez_aw_relative",
+    "les": "les_exactness",
+    "cochains": "CupProduct relative_cup_product CechModel cech_total_complex",
+})
 
 
 class SimplicialComplex:
@@ -362,37 +358,6 @@ class ChainComplex:
         return self.homology(d).module
 
 
-class ChainMap:
-    """Chain map given by image(d, label) -> (target label, coeff) pairs,
-    kept as sparse columns per degree; commutation with the boundaries is
-    checked once, at construction."""
-
-    __slots__ = ("source", "target", "_cols", "_comps")
-
-    def __init__(self, source, target, image):
-        self.source = source
-        self.target = target
-        self._cols = {d: _sparse_columns(image, d, source.labels(d), target._index.get(d, {}))
-                      for d in source.degrees}
-        for d in source.degrees:
-            left = _compose(target._cols.get(d), self._cols[d])
-            right = _compose(self._cols.get(d - 1), source._cols.get(d, [{}] * source.rank(d)))
-            if left != right:
-                raise AssertionError("chain map fails to commute at degree %d" % d)
-        self._comps = {}
-
-    def component(self, d):
-        m = self._comps.get(d)
-        if m is None:
-            m = self._comps[d] = Matrix.from_sparse(
-                self.source.ring, self._cols.get(d, ()), self.target.rank(d))
-        return m
-
-    def apply(self, d, vec):
-        """The image of a chain of degree d, given by its coordinates."""
-        return _apply(self._cols.get(d, ()), vec, self.target.rank(d))
-
-
 def _sparse_columns(rule, d, labels, index):
     """One column {row: coeff} per label: the sum of rule(d, label), with
     targets outside index dropped and zero sums left out."""
@@ -413,25 +378,6 @@ def _chain_image(rule, d, chain, index=None):
                         continue
                 out[t] = out.get(t, 0) + c * e
     return {t: v for t, v in out.items() if v}
-
-
-def tensor_complex(cx, cy):
-    """Tensor product complex; basis labels (p, sigma, tau), p ascending."""
-    if cx.ring != cy.ring:
-        raise ValueError("ring mismatch")
-    labels = {}
-    for n in range(0, cx.top_degree + cy.top_degree + 1):
-        labels[n] = tuple((p, s, t) for p in range(0, n + 1)
-                          for s in cx.labels(p) for t in cy.labels(n - p))
-
-    def faces(n, label):
-        p, s, t = label
-        for s2, c in cx.faces(p, s):
-            yield (p - 1, s2, t), c
-        sign = -1 if p & 1 else 1
-        for t2, c in cy.faces(n - p, t):
-            yield (p, s, t2), sign * c
-    return ChainComplex(cx.ring, labels, faces)
 
 
 # ---------------------------------------------------------------------------
@@ -488,82 +434,8 @@ def relative_homology(pair, n, ring=ZZ) -> FgModule:
     return pair_homology(pair, ring).module(n)
 
 
-def _induced_chain_map(f, pair_src, pair_tgt, ring):
-    """The chain map induced by f on relative chains."""
-    def image(_d, s):
-        sign, img = f.oriented_image(s)
-        return ((img, sign),) if sign else ()
-    return ChainMap(pair_homology(pair_src, ring).complex,
-                    pair_homology(pair_tgt, ring).complex, image)
-
-
-def induced_map_on_homology(f, pair_src, pair_tgt, n, ring=ZZ) -> ModuleMap:
-    """h_n(f): h_n(X,Z) -> h_n(X',Z') for a map of pairs."""
-    if not pair_src.X.is_subcomplex_of(f.source):
-        raise NotPairMap("f is not defined on X")
-    if not f.image(pair_src.X).is_subcomplex_of(pair_tgt.X):
-        raise NotPairMap("f does not map X into X'")
-    if not f.is_pair_map(pair_src, pair_tgt):
-        raise NotPairMap("f does not map Z into Z'")
-    fmap = cache(lambda: _induced_chain_map(f, pair_src, pair_tgt, ring))
-    return _homology_map(pair_homology(pair_src, ring).complex.homology(n),
-                         pair_homology(pair_tgt, ring).complex.homology(n),
-                         lambda vec: fmap().apply(n, vec))
-
-
-def triple_boundary(X, Z, W, n, ring=ZZ) -> ModuleMap:
-    """Boundary h_n(X,Z) -> h_{n-1}(Z,W) of the homology sequence of a triple."""
-    if not (W.is_subcomplex_of(Z) and Z.is_subcomplex_of(X)):
-        raise NotNested("need W <= Z <= X")
-    top = pair_homology(SimplicialPair(X, Z), ring).complex
-    bot = pair_homology(SimplicialPair(Z, W), ring).complex
-    return _homology_map(top.homology(n), bot.homology(n - 1),
-                         _boundary_image(top, bot, Z, n))
-
-
-def _homology_map(hs, ht, image) -> ModuleMap:
-    """The module map taking generator j of hs to the class in ht of
-    image(hs.lift(j)).  hs and ht serve the module, class_of and lift of one
-    degree each, in the Hermite basis of ChainComplex.homology or in a
-    reduction's; image is called only when both modules are nonzero."""
-    src, tgt = hs.module, ht.module
-    if src.is_zero() or tgt.is_zero():
-        return ModuleMap.zero(src, tgt)
-    cols = [ht.class_of(image(hs.lift(j))) for j in range(src.ngens)]
-    return ModuleMap(src, tgt, Matrix.from_columns(src.ring, cols, rows=tgt.ngens))
-
-
-def _boundary_image(top, bot, Z, n):
-    """The connecting map on chains: a relative n-chain of top, whose
-    boundary in X lies in Z, to that boundary in bot's labels."""
-    zset = Z.all_simplices()
-
-    def image(vec):
-        out = _chain_image(_faces, n, zip(top.labels(n), vec))
-        if any(face not in zset for face in out):
-            raise AssertionError("lifted boundary not supported on Z")
-        return tuple(out.get(s, 0) for s in bot.labels(n - 1))
-    return image
-
-
 # ---------------------------------------------------------------------------
-# Long exact sequence certificate
-# ---------------------------------------------------------------------------
-
-def les_exactness(pair, ring=ZZ):
-    """Exactness report for ... -> h_n(Z) -> h_n(X) -> h_n(X,Z) -> h_{n-1}(Z) -> ...
-
-    Each node reports rank(im of the incoming map) and rank(ker of the
-    outgoing map) over the fraction field, plus the exact (torsion-aware)
-    defect module ker/im; exactness over Z means the defect vanishes.  The
-    certificate is built by tannakit.les, which loads only here.
-    """
-    from .les import certificate
-    return certificate(pair, ring)
-
-
-# ---------------------------------------------------------------------------
-# Products, Eilenberg-Zilber, Alexander-Whitney
+# Products
 # ---------------------------------------------------------------------------
 
 def _shuffle_paths(sigma, tau):
@@ -610,76 +482,3 @@ def product_pair(p1, p2, product=product_complex):
     for part in z_parts:
         Z = Z.union(part)
     return SimplicialPair(X, Z)
-
-
-def _shuffle_sign(positions, total):
-    inv = 0
-    others = [t for t in range(total) if t not in positions]
-    for s in positions:
-        for t in others:
-            if t < s:
-                inv += 1
-    return (-1) ** inv
-
-
-def _ez(n, label):
-    """Eilenberg-Zilber: sigma (x) tau to the signed sum of its shuffle paths."""
-    _p, s, t = label
-    for positions, path in _shuffle_paths(s, t):
-        yield path, _shuffle_sign(positions, n)
-
-
-def _aw(n, simplex):
-    """Alexander-Whitney: a product simplex to its front (x) back faces."""
-    xs = [v[0] for v in simplex]
-    ys = [v[1] for v in simplex]
-    for i in range(n + 1):
-        front = tuple(xs[:i + 1])
-        back = tuple(ys[i:])
-        if len(set(front)) == len(front) and len(set(back)) == len(back):
-            yield (i, front, back), 1
-
-
-def ez_matrixes(cx, cy, cxy, tensor=None):
-    """(EZ, AW) as ChainMaps between tensor(cx,cy) and cxy.
-
-    Works for absolute and relative labeled complexes alike: path or face
-    labels missing from a target basis are dropped (the quotient map).
-    """
-    if tensor is None:
-        tensor = tensor_complex(cx, cy)
-    return ChainMap(tensor, cxy, _ez), ChainMap(cxy, tensor, _aw)
-
-
-def _assert_aw_ez_identity(ez, aw, tensor, what):
-    for n in tensor.degrees:
-        if _compose(aw._cols.get(n), ez._cols[n]) != [{j: 1} for j in range(tensor.rank(n))]:
-            raise AssertionError("%s != id in degree %d" % (what, n))
-
-
-def ez_aw_maps(X, Y, ring=ZZ):
-    """Absolute Eilenberg-Zilber and Alexander-Whitney maps for X, Y.
-
-    Asserts AW o EZ = id on the tensor complex.
-    """
-    cx = relative_chain_complex(SimplicialPair(X), ring)
-    cy = relative_chain_complex(SimplicialPair(Y), ring)
-    XY = product_complex(X, Y)
-    cxy = relative_chain_complex(SimplicialPair(XY), ring)
-    tensor = tensor_complex(cx, cy)
-    ez, aw = ez_matrixes(cx, cy, cxy, tensor)
-    _assert_aw_ez_identity(ez, aw, tensor, "AW o EZ")
-    return ez, aw, tensor, cxy
-
-
-def ez_aw_relative(p1, p2, ring=ZZ):
-    """Relative EZ/AW between tensor of relative chains and chains of the
-    product pair; AW o EZ = id is asserted."""
-    c1 = pair_homology(p1, ring).complex
-    c2 = pair_homology(p2, ring).complex
-    pp = product_pair(p1, p2)
-    cp = pair_homology(pp, ring).complex
-    tensor = tensor_complex(c1, c2)
-    ez, aw = ez_matrixes(c1, c2, cp, tensor)
-    _assert_aw_ez_identity(ez, aw, tensor, "relative AW o EZ")
-    return pp, ez, aw, tensor

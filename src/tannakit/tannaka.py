@@ -10,7 +10,7 @@ vertex, and inclusions of subdiagrams dualize to transition maps.  Bases are
 canonical (Hermite over Z, reduced echelon over Q), each from one kernel
 call on the sparse columns of the edge constraints, and every coordinate in
 them (the unit, coordinates(), the products of basis families, transition
-maps) is read by the End algebra's one linalg._Solver at the basis pivots.
+maps) is read by the End algebra's one maps._Solver at the basis pivots.
 Comodule is the one comodule type, and keeps its axioms and its module
 once computed.  The End basis, the comultiplication,
 the canonical comodules (filled straight from the basis columns) and
@@ -19,7 +19,7 @@ finish; their dense Matrix is a view built when a certificate reads it.
 The coalgebra and comodule axioms, the comodule morphism identities and
 the coalgebra morphism check of transitions and bialgebra products
 (_coalgebra_morphism) add both sides of each column into one dict by
-linalg._tensor_apply, over Q in integers scaled by common denominators.
+maps._tensor_apply, over Q in integers scaled by common denominators.
 PairsContext is a pairs diagram with its product registrations (checked
 against staircase products from the builder it is handed, a corpus's own
 cache) and its End algebra and tau caches; it is here and not in
@@ -34,12 +34,14 @@ from .errors import (
     AxiomViolation, DimensionMismatch, InputError, MissingProducts, NonFreeVertex, NotNested,
 )
 from .linalg import (
-    QQ, ZZ, FgModule, Matrix, ModuleMap, _coerce, _compose, _integral, _nonzero_columns,
-    _order_relations, _Solver, _tensor_apply, _transpose, elementary_divisors, kernel,
+    QQ, ZZ, FgModule, Matrix, _coerce, _compose, _integral, _nonzero_columns, _transpose,
+    elementary_divisors,
 )
-from .simplicial import (
-    induced_map_on_homology, product_complex, product_pair, relative_homology, triple_boundary,
+from .maps import (
+    ModuleMap, _order_relations, _Solver, _tensor_apply, induced_map_on_homology, kernel,
+    triple_boundary,
 )
+from .simplicial import product_complex, product_pair, relative_homology
 
 MAP_EDGE = "map"
 TRIPLE_EDGE = "triple"

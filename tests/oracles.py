@@ -10,7 +10,7 @@ dense_rref, the dense row-substitution solver, End structure
 constants from dense block products solved by it, the product of
 truncations solved against the dense Kronecker basis of End (x) End, and
 every bialgebra and comodule tensor identity as a product of dense
-Kronecker matrices (the package contracts them with linalg._tensor_apply).
+Kronecker matrices (the package contracts them with maps._tensor_apply).
 """
 
 from fractions import Fraction
@@ -796,7 +796,7 @@ def dense_transition_coaction(t, rho_f, rho_g):
 
 
 # -- bialgebra and tensor identities through dense Kronecker products -------
-# The package reads each of these over nonzeros with linalg._tensor_apply;
+# The package reads each of these over nonzeros with maps._tensor_apply;
 # here each side is built as a dense matrix.
 
 def _swap_rows(rows, a, b, c, d):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tannakit import linalg, smith
+from tannakit import linalg, maps, smith
 from tannakit.errors import InvalidPair, NotACover, NotPairMap, NotSimplicial
 from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap
 from tannakit.les import les_maps, les_nodes
@@ -407,6 +407,7 @@ class TestLaziness:
         real_snf = smith.smith_normal_form
         # a Z kernel or image basis goes through _reduced_columns
         monkeypatch.setattr(linalg, "_reduced_columns", lambda *a: reduced.append(a))
+        monkeypatch.setattr(maps, "_reduced_columns", lambda *a: reduced.append(a))
         monkeypatch.setattr(smith, "_column_reduce", lambda A: reduced.append(A))
         monkeypatch.setattr(smith, "smith_normal_form",
                             lambda A: residuals.append(A) or real_snf(A))
