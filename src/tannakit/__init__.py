@@ -1,10 +1,11 @@
 """tannakit: exact relative simplicial homology, Basic-Lemma filtrations,
 Cech total-complex models and diagram Tannaka duality, with machine-checkable
 certificates for everything computed.  `linalg` and `simplicial`, which
-compute homology modules, load with the package; every other layer loads on
-first use of one of its names (PEP 562): `maps` (coordinates, module maps,
-induced maps, tensors), the long exact sequence of `les`, the cup products
-and Cech models of `cochains` and the Smith normal form of `smith` included."""
+compute homology modules on sparse columns, load with the package; every
+other layer loads on first use of one of its names (PEP 562): the dense
+`Matrix` view of `matrix`, `maps` (coordinates, module maps, induced maps,
+tensors), the long exact sequence of `les`, the cup products and Cech models
+of `cochains` and the Smith normal form of `smith` included."""
 
 __version__ = "0.1.0"
 
@@ -25,13 +26,14 @@ def _lazy(module, owners):
     return __getattr__
 
 
-from .linalg import QQ, ZZ, FgModule, Matrix, Subquotient     # noqa: F401
+from .linalg import QQ, ZZ, FgModule, Subquotient             # noqa: F401
 from .simplicial import (                                       # noqa: F401
     ChainComplex, Filtration, SimplicialComplex, SimplicialMap, SimplicialPair,
     product_pair, relative_chain_complex, relative_homology,
 )
 
 __getattr__ = _lazy(__name__, {
+    "matrix": "Matrix",
     "maps": "ModuleMap dual_map ez_aw_maps induced_map_on_homology kernel subquotient "
             "triple_boundary",
     "les": "les_exactness",

@@ -28,12 +28,13 @@ from .errors import (
     InputError, MissingProducts, NotGoodPair, ProductEscape, WrongRank,
 )
 from .linalg import (
-    ZZ, Matrix, _apply, _coerce, _compose, _echelon, _integral, _nonzero_columns, _transpose,
+    ZZ, _apply, _coerce, _compose, _echelon, _integral, _nonzero_columns, _transpose,
 )
 from .maps import (
     _Solver, _swapped_tensor, _tensor_apply, ez_matrixes, induced_map_on_homology,
     tensor_complex, tensor_swap,
 )
+from .matrix import Matrix
 from .simplicial import SimplicialMap, pair_homology
 from .tannaka import (
     PairsContext, Subdiagram, _coalgebra_morphism, transition_map, vertex_payload,

@@ -9,7 +9,8 @@ total-complex models are exact at chain level.
 from itertools import combinations
 
 from .errors import InvalidPair, NotACover
-from .linalg import ZZ, FgModule, Matrix, Subquotient, _transpose
+from .linalg import ZZ, FgModule, Subquotient, _transpose
+from .matrix import Matrix
 from .simplicial import ChainComplex, SimplicialComplex, SimplicialPair, _faces, pair_homology
 
 

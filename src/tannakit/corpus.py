@@ -300,7 +300,7 @@ class Corpus:
         return ctx, subs, unit
 
     def comodule(self, name, ring):
-        from .linalg import Matrix
+        from .matrix import Matrix
         from .tannaka import Comodule, coaction
         sec = self._comodule_decls.get(name)
         if sec is None:

@@ -17,10 +17,11 @@ from itertools import combinations
 from .errors import (
     BudgetExceeded, InputError, InvalidFiltration, InvalidPair, TorsionTerm,
 )
-from .linalg import FgModule, Matrix, ZZ
+from .linalg import FgModule, ZZ
 from .maps import (
     ModuleMap, _ez, induced_map_on_homology, subquotient, tensor_complex, triple_boundary,
 )
+from .matrix import Matrix
 from .simplicial import (
     ChainComplex, Filtration, SimplicialComplex, SimplicialMap, SimplicialPair,
     _chain_image, pair_homology, product_complex, relative_homology,

@@ -1,25 +1,28 @@
 """Exact linear algebra over Z and Q: the part a homology module needs.
 
-Matrices carry arbitrary-precision entries (python ints over Z,
-fractions.Fraction over Q); nothing here ever rounds or overflows.  Maps are
-kept as sparse columns {row: entry} wherever they are computed, and Matrix
-is the dense view.  This module holds Matrix, FgModule, Subquotient and the
-eliminations behind them.  One reduction, _echelon, does all row reduction
-on sparse integer rows (the Hermite form over Z, the reduced echelon form
-over Q), and _reduced_columns reads it on A stacked on the identity.
-Invariant factors alone come from a sparse elimination of unit pivots,
-_unit_pivots, with Smith normal form (Z) or _echelon (Q) on what is left;
-tannakit.reduction reads a chain-level reduction off the same pivots.
-A homology module of a free complex is eager and its cycle basis lazy:
-Subquotient.free reads the module from elementary divisors, and on the
-first class_of or lift builds the cycle basis from the sparse kernel of the
-complex's own boundary columns.
+Entries are arbitrary-precision (python ints over Z, fractions.Fraction over
+Q); nothing here ever rounds or overflows.  Maps are kept as sparse columns
+{row: entry} wherever they are computed.  This module holds FgModule,
+Subquotient and the sparse eliminations behind them.  One reduction,
+_echelon, does all row reduction on sparse integer rows (the Hermite form
+over Z, the reduced echelon form over Q), and _reduced_columns reads it on A
+stacked on the identity.  Invariant factors alone come from a sparse
+elimination of unit pivots, _unit_pivots, with sparse Euclid steps
+(_residual_divisors, Z) or _echelon (Q) on what is left; tannakit.reduction
+reads a chain-level reduction off the same pivots.  A homology module of a
+free complex is eager and its cycle basis lazy: Subquotient.free reads the
+module from elementary divisors, and on the first class_of or lift builds
+the cycle basis from the sparse kernel of the complex's own boundary
+columns.
 
+Three layers load on first use, and their names are served here through a
+module __getattr__ (PEP 562): tannakit.matrix (Matrix, the dense view),
 tannakit.maps (kernel, the coordinate reader _Solver, presentations,
 ModuleMap, subquotients with their transforms, the tensor helpers) and
-tannakit.smith (Smith normal form, the determinant, rref, hnf_columns and
-the dense _column_reduce) load on first use; their names are served here
-through a module __getattr__ (PEP 562).
+tannakit.smith (Smith normal form with its transforms, the determinant,
+rref, hnf_columns and the dense _column_reduce).  The functions here that
+read a dense matrix (_nonzero_columns, _integer_rows, elementary_divisors)
+take any object with its ring, rows, cols and data, and never build one.
 """
 
 from fractions import Fraction
@@ -33,6 +36,7 @@ QQ = "q"
 RINGS = (ZZ, QQ)
 
 __getattr__ = _lazy(__name__, {
+    "matrix": "Matrix",
     "maps": "_Solver solve kernel _null_vectors module_from_relations _order_relations "
             "ModuleMap dual_map subquotient presented_subquotient _subquotient "
             "_cycle_coordinates tensor_swap _tensor_apply _swapped_tensor",
@@ -49,198 +53,6 @@ def _coerce(ring, x):
     if isinstance(x, Fraction) and x.denominator != 1:
         raise ValueError("non-integer entry %r in an integer matrix" % (x,))
     return int(x)
-
-
-class Matrix:
-    """Immutable dense matrix over Z or Q."""
-
-    __slots__ = ("ring", "rows", "cols", "data", "_hash")
-
-    def __init__(self, ring, data, rows=None, cols=None):
-        if ring not in RINGS:
-            raise ValueError("unknown ring %r" % (ring,))
-        data = tuple(tuple(_coerce(ring, x) for x in row) for row in data)
-        if rows is None:
-            rows = len(data)
-        if cols is None:
-            cols = len(data[0]) if data else 0
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError("ragged or mis-sized matrix data")
-        self.ring = ring
-        self.rows = rows
-        self.cols = cols
-        self.data = data
-        self._hash = None
-
-    # -- constructors -------------------------------------------------
-    @classmethod
-    def zeros(cls, ring, rows, cols):
-        zero = 0 if ring == ZZ else Fraction(0)
-        return cls(ring, tuple((zero,) * cols for _ in range(rows)), rows, cols)
-
-    @classmethod
-    def identity(cls, ring, n):
-        one, zero = _coerce(ring, 1), _coerce(ring, 0)
-        return cls(ring, tuple(tuple(one if i == j else zero for j in range(n))
-                               for i in range(n)), n, n)
-
-    @classmethod
-    def column(cls, ring, vec):
-        return cls(ring, tuple((x,) for x in vec), len(vec), 1)
-
-    @classmethod
-    def from_sparse(cls, ring, columns, rows):
-        """Dense matrix of sparse columns {row: entry}."""
-        zero = 0 if ring == ZZ else Fraction(0)
-        data = [[zero] * len(columns) for _ in range(rows)]
-        for j, col in enumerate(columns):
-            for i, x in col.items():
-                data[i][j] = x
-        return cls(ring, data, rows, len(columns))
-
-    @classmethod
-    def from_columns(cls, ring, columns, rows=None):
-        if not columns:
-            return cls.zeros(ring, rows or 0, 0)
-        nrows = len(columns[0]) if rows is None else rows
-        return cls(ring, tuple(tuple(col[i] for col in columns) for i in range(nrows)),
-                   nrows, len(columns))
-
-    # -- basic ops ----------------------------------------------------
-    def __eq__(self, other):
-        return (isinstance(other, Matrix) and self.ring == other.ring
-                and self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, self.rows, self.cols, self.data))
-        return self._hash
-
-    def __repr__(self):
-        return "Matrix(%s, %d x %d)" % (self.ring, self.rows, self.cols)
-
-    def __getitem__(self, key):
-        i, j = key
-        return self.data[i][j]
-
-    def row(self, i):
-        return self.data[i]
-
-    def col(self, j):
-        return tuple(row[j] for row in self.data)
-
-    def is_zero(self):
-        return not any(map(any, self.data))
-
-    def transpose(self):
-        return Matrix(self.ring, list(zip(*self.data)) or [()] * self.cols,
-                      self.cols, self.rows)
-
-    def to_ring(self, ring):
-        if ring == self.ring:
-            return self
-        return Matrix(ring, self.data, self.rows, self.cols)
-
-    def __neg__(self):
-        return Matrix(self.ring, tuple(tuple(-x for x in row) for row in self.data),
-                      self.rows, self.cols)
-
-    def __add__(self, other):
-        self._compat(other)
-        return Matrix(self.ring,
-                      tuple(tuple(a + b for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.data, other.data)),
-                      self.rows, self.cols)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def _compat(self, other):
-        if self.ring != other.ring or self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("matrix shape/ring mismatch")
-
-    def scale(self, c):
-        c = _coerce(self.ring, c)
-        return Matrix(self.ring, tuple(tuple(c * x for x in row) for row in self.data),
-                      self.rows, self.cols)
-
-    def __mul__(self, other):
-        if not isinstance(other, Matrix):
-            return self.scale(other)
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch in product")
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product: %dx%d by %dx%d"
-                             % (self.rows, self.cols, other.rows, other.cols))
-        if self.cols == 0 or self.rows == 0 or other.cols == 0:
-            return Matrix.zeros(self.ring, self.rows, other.cols)
-        # skip zero entries
-        ncols = other.cols
-        bd = other.data
-        out = []
-        for arow in self.data:
-            acc = [0] * ncols
-            for k, a in enumerate(arow):
-                if a:
-                    brow = bd[k]
-                    for j, b in enumerate(brow):
-                        if b:
-                            acc[j] += a * b
-            out.append(acc)
-        return Matrix(self.ring, out, self.rows, other.cols)
-
-    def apply(self, vec):
-        """Matrix times column vector (a tuple)."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        ring = self.ring
-        zero = 0 if ring == ZZ else Fraction(0)
-        # each nonzero entry coerced once; zero products are never formed
-        nz = [(j, _coerce(ring, b)) for j, b in enumerate(vec) if b]
-        return tuple(sum((row[j] * b for j, b in nz if row[j]), zero)
-                     for row in self.data)
-
-    def kron(self, other):
-        """Kronecker product, row-major flattening of tensor indices."""
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch in kron")
-        ocols = other.cols
-        width = self.cols * ocols
-        zero_row = (0,) * width
-        out = []
-        for i in range(self.rows):
-            arow = self.data[i]
-            if not any(arow):
-                out.extend([zero_row] * other.rows)
-                continue
-            for r in range(other.rows):
-                brow = other.data[r]
-                acc = [0] * width
-                for j, a in enumerate(arow):
-                    if a:
-                        base = j * ocols
-                        for s, b in enumerate(brow):
-                            if b:
-                                acc[base + s] = a * b
-                out.append(acc)
-        return Matrix(self.ring, out, self.rows * other.rows, width)
-
-    def hstack(self, other):
-        if self.rows != other.rows or self.ring != other.ring:
-            raise ValueError("hstack mismatch")
-        return Matrix(self.ring,
-                      tuple(r1 + r2 for r1, r2 in zip(self.data, other.data)),
-                      self.rows, self.cols + other.cols)
-
-    def take_rows(self, indices):
-        return Matrix(self.ring, tuple(self.data[i] for i in indices),
-                      len(indices), self.cols)
-
-    def take_cols(self, indices):
-        return Matrix(self.ring,
-                      tuple(tuple(row[j] for j in indices) for row in self.data),
-                      self.rows, len(indices))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +169,7 @@ def _sparse_divisors(start, ring):
 
     Sparse elimination (Dumas, Saunders and Villard, JSC 2001): _unit_pivots
     eliminates the unit pivots, and only what is left goes to
-    smith_normal_form (Z) or _echelon (Q).  The elimination is re-checked
+    _residual_divisors (Z) or _echelon (Q).  The elimination is re-checked
     exactly: the matrix is the sum of the pivots' rank-one terms plus the
     residual.
     """
@@ -376,11 +188,46 @@ def _sparse_divisors(start, ring):
         return (1,) * (len(terms) + len(_echelon(rows.values(), QQ)[0]))
     if not rows:
         return (1,) * len(terms)
-    from .smith import smith_normal_form
-    left = sorted({c for r in rows.values() for c in r})
-    residual = Matrix(ZZ, [[r.get(c, 0) for c in left] for r in rows.values()],
-                      len(rows), len(left))
-    return (1,) * len(terms) + smith_normal_form(residual).invariant_factors
+    return (1,) * len(terms) + _residual_divisors(rows.values())
+
+
+def _residual_divisors(rows):
+    """Nonzero invariant factors over Z of the matrix with the sparse integer
+    rows {col: int} (left unchanged), in divisibility order; no transforms.
+
+    Sparse Euclid steps: the entry of smallest absolute value is the pivot;
+    its column is cleared by row steps (_reduce) from the smallest entry
+    there, then the pivot row is reduced modulo the pivot by column steps,
+    which touch that row only, since the pivot is alone in its column.  A
+    nonzero remainder is smaller than the pivot and becomes the next one, so
+    each pivot ends alone in its row and column and leaves the diagonal.
+    The diagonal is put in divisibility order by replacing each pair with
+    its gcd and lcm, which keeps every prime's exponents.
+    """
+    work = [dict(r) for r in rows if r]
+    diagonal = []
+    while work:
+        _, j = min((abs(x), j) for r in work for j, x in r.items())
+        while True:
+            cand = [r for r in work if j in r]
+            work = [r for r in work if j not in r]
+            while len(cand) > 1:
+                cand.sort(key=lambda r: (abs(r[j]), len(r)))
+                rest = [_reduce(r, cand[0], j, ZZ) for r in cand[1:]]
+                work += [r for r in rest if r and j not in r]
+                cand = cand[:1] + [r for r in rest if j in r]
+            p = cand[0][j]
+            rest = {c: x % p for c, x in cand[0].items() if c != j and x % p}
+            if not rest:
+                diagonal.append(abs(p))
+                break
+            work.append({j: p, **rest})
+            j = min(rest, key=lambda c: abs(rest[c]))
+    for a in range(len(diagonal)):
+        for b in range(a + 1, len(diagonal)):
+            x, y = diagonal[a], diagonal[b]
+            diagonal[a], diagonal[b] = gcd(x, y), lcm(x, y)
+    return tuple(diagonal)
 
 
 def _unit_pivots(rows):
@@ -513,6 +360,7 @@ class FgModule:
         na, nb = self.ngens, other.ngens
         cols = ([_tensor_apply(ra, None, nb, nb, {x: 1}) for x in range(len(ra) * nb)]
                 + [_tensor_apply(None, rb, nb, len(rb), {x: 1}) for x in range(na * len(rb))])
+        from .matrix import Matrix
         return FgModule.cokernel(Matrix.from_sparse(self.ring, cols, na * nb))
 
     @classmethod

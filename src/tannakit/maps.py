@@ -25,9 +25,10 @@ from math import lcm
 
 from .errors import CompositionNonzero, NotNested, NotPairMap, TorsionPresent
 from .linalg import (
-    QQ, ZZ, FgModule, Matrix, Subquotient, _apply, _coerce, _compose, _echelon, _integral,
+    QQ, ZZ, FgModule, Subquotient, _apply, _coerce, _compose, _echelon, _integral,
     _nonzero_columns, _reduced_columns, _transpose,
 )
+from .matrix import Matrix
 from .simplicial import (
     ChainComplex, SimplicialPair, _chain_image, _faces, _shuffle_paths, _sparse_columns,
     pair_homology, product_complex, product_pair, relative_chain_complex,

@@ -26,7 +26,7 @@ from itertools import combinations
 
 from . import _lazy
 from .errors import InvalidFiltration, InvalidPair, NotSimplicial
-from .linalg import ZZ, FgModule, Matrix, Subquotient, _composes_to_zero, _sparse_divisors
+from .linalg import ZZ, FgModule, Subquotient, _composes_to_zero, _sparse_divisors
 
 __getattr__ = _lazy(__name__, {
     "maps": "ChainMap tensor_complex _induced_chain_map induced_map_on_homology "
@@ -337,6 +337,7 @@ class ChainComplex:
     def boundary(self, d):
         m = self._bnd.get(d)
         if m is None:
+            from .matrix import Matrix
             m = self._bnd[d] = Matrix.from_sparse(self.ring, self.columns(d), self.rank(d - 1))
         return m
 

@@ -2,21 +2,24 @@
 the dense canonical forms rref and hnf_columns, and _column_reduce, the
 dense (H, T, K) of linalg._reduced_columns that inverts a transform.
 
-This module loads on first use.  linalg imports it only where a Smith form
-is computed: for the residual that unit pivots leave in _sparse_divisors
-(torsion always leaves one) and for an integer presentation with relations
-in module_from_relations.  So a command whose boundaries eliminate to unit
-pivots, and which presents no module by integer relations, never compiles
-it.  linalg and the package serve its names through a module __getattr__
-(PEP 562).  rref and hnf_columns read linalg._echelon; no library code
-calls them, and they stay for the tests and the benchmark's tracer.
+This module loads on first use: only where a Smith form with its
+transforms is needed, for an integer presentation with relations in
+maps.module_from_relations, whose U and U^-1 fix the torsion generators,
+and where a determinant is computed.  Invariant factors alone never load
+it: the residual that unit pivots leave in linalg._sparse_divisors is read
+by sparse Euclid steps (linalg._residual_divisors), so a homology command
+never compiles it, torsion or not.  linalg and the package serve its names
+through a module __getattr__ (PEP 562).  rref and hnf_columns read
+linalg._echelon; no library code calls them, and they stay for the tests
+and the benchmark's tracer.
 """
 
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
 
-from .linalg import QQ, ZZ, Matrix, _echelon, _integer_rows, _nonzero_columns, _reduced_columns
+from .linalg import QQ, ZZ, _echelon, _integer_rows, _nonzero_columns, _reduced_columns
+from .matrix import Matrix
 
 
 class SmithForm:

@@ -34,13 +34,14 @@ from .errors import (
     AxiomViolation, DimensionMismatch, InputError, MissingProducts, NonFreeVertex, NotNested,
 )
 from .linalg import (
-    QQ, ZZ, FgModule, Matrix, _coerce, _compose, _integral, _nonzero_columns, _transpose,
+    QQ, ZZ, FgModule, _coerce, _compose, _integral, _nonzero_columns, _transpose,
     elementary_divisors,
 )
 from .maps import (
     ModuleMap, _order_relations, _Solver, _tensor_apply, induced_map_on_homology, kernel,
     triple_boundary,
 )
+from .matrix import Matrix
 from .simplicial import product_complex, product_pair, relative_homology
 
 MAP_EDGE = "map"

@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -125,6 +127,18 @@ class TestCommands:
         assert cert["tool"].startswith("tannakit")
         assert len(cert["corpus_sha256"]) == 64
 
+    def test_corpus_digest_is_the_sha256_of_the_text(self, tmp_path, capsys):
+        tiny = tmp_path / "tiny.corpus"
+        tiny.write_text("ring = z\n\n[complex c]\nsimplices = x y\n\n"
+                        "[pair p]\nspace = c\n", encoding="utf-8")
+        out = tmp_path / "cert.json"
+        for argv, text in ((["homology", "p_circle_pt"], default_corpus_text()),
+                           (["--corpus", str(tiny), "homology", "p"],
+                            tiny.read_text(encoding="utf-8"))):
+            assert main(["--out", str(out)] + argv) == 0
+            cert = json.loads(out.read_text(encoding="utf-8"))
+            assert cert["corpus_sha256"] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+
     def test_custom_corpus(self, tmp_path, capsys):
         path = tmp_path / "tiny.corpus"
         path.write_text("ring = z\n\n[complex c]\nsimplices = x y\n\n"
@@ -212,28 +226,34 @@ LOADED_AFTER = """import sys
 from tannakit.cli import main
 main(sys.argv[1:])
 print(" ".join(sorted(m.split(".")[-1] for m in sys.modules
-                      if m.startswith("tannakit."))))
+                      if m.startswith("tannakit.") or m == "_hashlib")))
 """
+
+# where the interpreter has its own sha256 module, the corpus digest is taken
+# without hashlib, whose _hashlib loads OpenSSL
+OWN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
 
 
 @pytest.mark.parametrize("corpus, argv, present, absent", [
-    # a homology module is the homology core alone: no coordinates, no maps
+    # a homology module is the homology core alone: no coordinates, no maps,
+    # no dense Matrix and no other command's handler
     (None, ["homology", "p_circle_pt"], set(),
-     {"maps", "les", "reduction", "smith", "filtration", "cochains", "tannaka"}),
-    # the Z/2 of the Klein bottle is the Smith form of a residual
-    (None, ["homology", "p_klein"], {"smith"},
+     {"maps", "les", "reduction", "smith", "filtration", "cochains", "tannaka", "matrix",
+      "commands"}),
+    # the Z/2 of the Klein bottle is read off a residual by sparse Euclid steps
+    (None, ["homology", "p_klein"], set(),
      {"filtration", "cochains", "tannaka", "bialgebra", "comodule", "reduction", "les",
-      "maps"}),
+      "maps", "smith", "matrix", "commands"}),
     ("[complex c]\nsimplices = x y\n\n[pair p]\nspace = c\n", ["homology", "p"], set(),
      {"filtration", "tannaka", "bialgebra", "comodule", "reduction", "les", "smith", "maps"}),
     (None, ["product", "p_circle", "p_circle"], set(),
      {"filtration", "cochains", "tannaka", "bialgebra", "comodule", "reduction", "les",
-      "smith", "maps"}),
+      "smith", "maps", "matrix", "commands"}),
     (None, ["les", "p_mobius_bnd"], {"les", "reduction", "maps"},
      {"filtration", "cochains", "tannaka", "bialgebra", "comodule"}),
     (None, ["triple-boundary", "edge", "ends", "enda", "1"], {"maps"},
      {"les", "reduction", "filtration", "cochains", "tannaka", "bialgebra", "comodule"}),
-    (None, ["end-algebra", "F2"], {"tannaka", "maps"},
+    (None, ["end-algebra", "F2"], {"tannaka", "maps", "matrix", "commands"},
      {"bialgebra", "filtration", "comodule", "reduction", "les", "smith"}),
     (None, ["cup", "circle3*circle3", "empty", "empty", "1", "1"], {"cochains"},
      {"filtration", "tannaka"}),
@@ -250,6 +270,8 @@ def test_cold_start_loads_only_the_layers_a_command_runs(corpus, argv, present, 
     loaded = set(proc.stdout.split("\n")[-2].split())
     assert {"linalg", "simplicial", "corpus"} | present <= loaded
     assert not loaded & absent
+    if OWN_SHA256:
+        assert "_hashlib" not in loaded
 
 
 PACKAGE_EXPORTS = {
@@ -286,6 +308,17 @@ def test_package_exports_resolve_lazily():
         tannakit.nosuch
     with pytest.raises(AttributeError):
         tannakit.linalg.nosuch
+
+
+def test_dense_matrix_and_handlers_resolve_where_they_did():
+    import tannakit.cli as cli
+    import tannakit.matrix as matrix
+    assert tannakit.linalg.Matrix is matrix.Matrix
+    assert tannakit.Matrix is matrix.Matrix
+    assert "Matrix" not in vars(tannakit.linalg)
+    # bench/tracing.py wraps every value, so each must be a callable
+    assert set(HANDLERS) == set(cli.ARGUMENTS)
+    assert all(callable(handler) for handler in HANDLERS.values())
 
 
 # names that other modules and the benchmark's tracer reach by their path

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from tannakit.errors import CompositionNonzero, TorsionPresent
 from tannakit.linalg import (
     QQ, ZZ, FgModule, Matrix, ModuleMap, SmithForm, Subquotient, _column_reduce, _integral,
-    _nonzero_columns, _Solver, determinant, dual_map, elementary_divisors, hnf_columns, kernel,
+    _nonzero_columns, _residual_divisors, _Solver, determinant, dual_map, elementary_divisors, hnf_columns, kernel,
     module_from_relations, presented_subquotient, rref, smith_normal_form, solve, subquotient,
     tensor_swap,
 )
@@ -689,6 +689,19 @@ def nonunit_matrices(draw):
     return Matrix(ZZ, rows, A.rows, A.cols)
 
 
+@st.composite
+def residual_matrices(draw):
+    """Integer matrices of up to 5 x 5 with no unit entry and drawn rows and
+    columns zeroed out: the shape of what unit pivots leave."""
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entries = st.one_of(st.just(0), st.integers(-30, 30).filter(lambda x: abs(x) > 1))
+    rows = draw(st.lists(st.lists(entries, min_size=c, max_size=c), min_size=r, max_size=r))
+    zero_rows = draw(st.sets(st.integers(0, max(r - 1, 0)), max_size=r))
+    zero_cols = draw(st.sets(st.integers(0, max(c - 1, 0)), max_size=c))
+    return Matrix(ZZ, [[0 if i in zero_rows or j in zero_cols else x
+                        for j, x in enumerate(row)] for i, row in enumerate(rows)], r, c)
+
+
 class TestElementaryDivisors:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(integer_matrices(), nonunit_matrices()))
@@ -715,16 +728,29 @@ class TestElementaryDivisors:
                 assert elementary_divisors(Matrix.zeros(ring, r, c)) == ()
 
     def test_residual_only_when_no_unit_is_left(self, monkeypatch):
-        import tannakit.smith as smith
+        import tannakit.linalg as linalg
         seen = []
-        real = smith.smith_normal_form
-        monkeypatch.setattr(smith, "smith_normal_form",
-                            lambda M: seen.append(M) or real(M))
+        real = linalg._residual_divisors
+        monkeypatch.setattr(linalg, "_residual_divisors",
+                            lambda rows: seen.append(rows) or real(rows))
+
+        def dense(rows):
+            cols = sorted({c for r in rows for c in r})
+            return tuple(tuple(r.get(c, 0) for c in cols) for r in rows)
         assert elementary_divisors(mz([[1, 1, 0], [1, -1, 0], [0, 0, 4]])) == (1, 2, 4)
-        assert [M.data for M in seen] == [((-2, 0), (0, 4))]
+        assert [dense(rows) for rows in seen] == [((-2, 0), (0, 4))]
         seen.clear()
         assert elementary_divisors(mz([[1, 0], [1, 1]])) == (1, 1)
         assert seen == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(residual_matrices())
+    def test_residual_divisors_equal_smith_form(self, A):
+        _, D, _, _, _ = dense_smith_normal_form(A)
+        factors = tuple(D[i, i] for i in range(min(A.rows, A.cols)) if D[i, i])
+        rows = [{j: x for j, x in enumerate(row) if x} for row in A.data]
+        assert _residual_divisors(rows) == factors
+        assert rows == [{j: x for j, x in enumerate(row) if x} for row in A.data]
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from((ZZ, QQ)).flatmap(ring_matrices))
