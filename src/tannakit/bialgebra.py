@@ -41,10 +41,10 @@ from .tannaka import (
 )
 
 
-def is_good_vertex(pair, n, ring=ZZ):
-    """Free homology supported only in degree n (the zero module is allowed)."""
-    ph = pair_homology(pair, ZZ)
-    return all(not ph.module(d).torsion if d == n else ph.module(d).is_zero()
+def is_good_vertex(pair, n):
+    """Free Z homology supported only in degree n (the zero module is allowed)."""
+    cx = pair_homology(pair, ZZ)
+    return all(not cx.homology_module(d).torsion if d == n else cx.homology_module(d).is_zero()
                for d in range(pair.X.dim + 1))
 
 
@@ -77,12 +77,11 @@ def kunneth_tau(ctx: PairsContext, v, w) -> TauIso:
     for (name, p, n) in ((v, pv, nv), (w, pw, nw), (vw, pvw, nvw)):
         if not is_good_vertex(p, n):
             raise NotGoodPair("vertex %r is not a good pair" % (name,))
-    hv, hw, hvw = (pair_homology(p, ring) for p in (pv, pw, pvw))
-    rv, rw, rvw = (hv.module(nv).free_rank, hw.module(nw).free_rank,
-                   hvw.module(nvw).free_rank)
+    c1, c2, cp = (pair_homology(p, ring) for p in (pv, pw, pvw))
+    hv, hw, hvw = c1.homology(nv), c2.homology(nw), cp.homology(nvw)
+    rv, rw, rvw = hv.module.free_rank, hw.module.free_rank, hvw.module.free_rank
     if rvw != rv * rw:
         raise NotGoodPair("Kunneth rank mismatch at (%r, %r)" % (v, w))
-    c1, c2, cp = hv.complex, hw.complex, hvw.complex
     tensor = tensor_complex(c1, c2)
     ez, aw = ez_matrixes(c1, c2, cp, tensor)
     N, n = nvw, rv * rw
@@ -90,21 +89,21 @@ def kunneth_tau(ctx: PairsContext, v, w) -> TauIso:
     # basis of H_N(tensor): the classes of z_i (x) w_j, sparse outer
     # products, read modulo the boundaries of degree N + 1
     l1, l2 = c1.labels(nv), c2.labels(nw)
-    zs = [{a: x for a, x in enumerate(hv.lift(nv, i)) if x} for i in range(rv)]
-    ws = [{b: y for b, y in enumerate(hw.lift(nw, j)) if y} for j in range(rw)]
+    zs = [{a: x for a, x in enumerate(hv.lift(i)) if x} for i in range(rv)]
+    ws = [{b: y for b, y in enumerate(hw.lift(j)) if y} for j in range(rw)]
     basis = [{tensor.index(N, (nv, l1[a], l2[b])): x * y
               for a, x in z.items() for b, y in w.items()} for z in zs for w in ws]
     solver = _Solver.from_sparse(ring, basis + tensor._cols.get(N + 1, []), tensor.rank(N))
 
     cols = []
     for k in range(rvw):
-        g = {i: x for i, x in enumerate(hvw.lift(N, k)) if x}
+        g = {i: x for i, x in enumerate(hvw.lift(k)) if x}
         sol = solver.read(_compose(aw._cols[N], [g])[0])
         if sol is None:
             raise NotGoodPair("AW image escapes the Kunneth basis at (%r, %r)" % (v, w))
         cols.append({i: x for i, x in sol.items() if i < n})
     inverse = [{i: x for i, x in enumerate(
-                    hvw.class_of(N, tuple(c.get(i, 0) for i in range(cp.rank(N))))) if x}
+                    hvw.class_of(tuple(c.get(i, 0) for i in range(cp.rank(N))))) if x}
                for c in _compose(ez._cols.get(N), basis)]
     if (_compose(cols, inverse) != [{j: 1} for j in range(n)]
             or _compose(inverse, cols) != [{j: 1} for j in range(rvw)]):

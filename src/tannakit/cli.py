@@ -85,10 +85,10 @@ def render(obj, indent=0):
     return lines
 
 
-def homology_table(pair, ring, top=None):
-    ph = pair_homology(pair, ring)
-    top = pair.X.dim if top is None else top
-    return {"n=%d" % n: ph.module(n).describe() for n in range(0, max(top, 0) + 1)}
+def homology_table(pair, ring):
+    cx = pair_homology(pair, ring)
+    return {"n=%d" % n: cx.homology_module(n).describe()
+            for n in range(0, max(pair.X.dim, 0) + 1)}
 
 
 # -- handlers; each returns (results dict, ok) --------------------------------

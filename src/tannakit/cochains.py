@@ -36,9 +36,9 @@ class CupProduct:
         if not Z1.is_subcomplex_of(X) or not Z2.is_subcomplex_of(X):
             raise InvalidPair("Z1, Z2 must be subcomplexes of X")
         self.X, self.Z1, self.Z2, self.p, self.q, self.ring = X, Z1, Z2, p, q, ring
-        self._c1 = pair_homology(SimplicialPair(X, Z1), ring).complex
-        self._c2 = pair_homology(SimplicialPair(X, Z2), ring).complex
-        self._c12 = pair_homology(SimplicialPair(X, Z1.union(Z2)), ring).complex
+        self._c1 = pair_homology(SimplicialPair(X, Z1), ring)
+        self._c2 = pair_homology(SimplicialPair(X, Z2), ring)
+        self._c12 = pair_homology(SimplicialPair(X, Z1.union(Z2)), ring)
         self._h1 = self._cohomology(self._c1)
         self._h2 = self._cohomology(self._c2)
         self._h12 = self._cohomology(self._c12)
@@ -211,13 +211,13 @@ class CechModel:
 
     def certificate(self):
         """Degreewise comparison with the relative homology of (X, union Z)."""
-        ph = pair_homology(self.pair, self.ring)
+        cx = pair_homology(self.pair, self.ring)
         top = max(self.complex.top_degree, self.pair.X.dim)
         rows = []
         ok = True
         for n in range(0, top + 1):
             a = self.homology(n)
-            b = ph.module(n)
+            b = cx.homology_module(n)
             match = a == b
             ok = ok and match
             rows.append({"degree": n, "total_complex": a.describe(),

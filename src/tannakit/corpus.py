@@ -315,13 +315,13 @@ class Corpus:
             orders = tuple(int(t) for t in _split_entries(sec.require("orders"), " "))
             rows = []
             for part in _split_entries(sec.require("rho"), ";"):
-                rows.append([_parse_scalar(x, ring) for x in part.split()])
+                rows.append([_parse_scalar(x) for x in part.split()])
             k = len(orders)
             rho = Matrix(ring, rows, A.rank * k, k)
         return ctx, Comodule(A, orders, rho)
 
 
-def _parse_scalar(text, ring):
+def _parse_scalar(text):
     if "/" in text:
         from fractions import Fraction
         return Fraction(text)

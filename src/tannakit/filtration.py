@@ -67,9 +67,9 @@ def is_very_good_pair(X, Z, n):
         reasons.append("dim X = %d differs from %d" % (X.dim, n))
     if Z.dim > n - 1:
         reasons.append("dim Z = %d exceeds %d" % (Z.dim, n - 1))
-    ph = pair_homology(SimplicialPair(X, Z), ZZ)
+    cx = pair_homology(SimplicialPair(X, Z), ZZ)
     for d in range(0, X.dim + 1):
-        m = ph.module(d)
+        m = cx.homology_module(d)
         table[d] = m
         if d != n and not m.is_zero():
             reasons.append("h_%d nonzero: %s" % (d, m.describe()))
@@ -134,14 +134,10 @@ class ModuleComplex:
         return subquotient(self.differential(d + 1), self.differential(d)).module
 
 
-def filtration_complex(F: Filtration, ring=ZZ, require_free=False) -> ModuleComplex:
+def filtration_complex(F: Filtration, ring=ZZ) -> ModuleComplex:
     """Terms h_i(F_i, F_{i-1}); differentials the triple boundaries."""
-    terms = {}
-    for i in range(0, F.length + 1):
-        m = relative_homology(SimplicialPair(F.level(i), F.level(i - 1)), i, ring)
-        if require_free and m.torsion:
-            raise TorsionTerm("h_%d(F_%d, F_%d) = %s has torsion" % (i, i, i - 1, m.describe()))
-        terms[i] = m
+    terms = {i: relative_homology(SimplicialPair(F.level(i), F.level(i - 1)), i, ring)
+             for i in range(0, F.length + 1)}
     maps = {}
     for i in range(1, F.length + 1):
         maps[i] = triple_boundary(F.level(i), F.level(i - 1), F.level(i - 2), i, ring)
@@ -294,23 +290,19 @@ def product_filtration(F: Filtration, G: Filtration, ring=ZZ):
         cols = []
         for p in range(max(0, i - m), min(i, n) + 1):
             q = i - p
-            ha, hb = pa[p], pb[q]
-            hc = pfg[i]
-            ca_n = ha.complex
-            cb_n = hb.complex
-            cc_n = hc.complex
-            na, nb = ha.module(p).ngens, hb.module(q).ngens
-            for ja in range(na):
-                za = ha.lift(p, ja)
-                for jb in range(nb):
-                    zb = hb.lift(q, jb)
+            ca_n, cb_n, cc_n = pa[p], pb[q], pfg[i]
+            ha, hb, hc = ca_n.homology(p), cb_n.homology(q), cc_n.homology(i)
+            for ja in range(ha.module.ngens):
+                za = ha.lift(ja)
+                for jb in range(hb.module.ngens):
+                    zb = hb.lift(jb)
                     # EZ of the pair of cycles, read inside the product level
                     chain = (((p, sa, sb), a * b)
                              for sa, a in zip(ca_n.labels(p), za) if a
                              for sb, b in zip(cb_n.labels(q), zb))
                     image = _chain_image(_ez, i, chain)
-                    cols.append(hc.class_of(i, tuple(image.get(path, 0)
-                                                     for path in cc_n.labels(i))))
+                    cols.append(hc.class_of(tuple(image.get(path, 0)
+                                                  for path in cc_n.labels(i))))
         comps[i] = ModuleMap(src, tgt,
                              Matrix.from_columns(ring, cols, rows=tgt.ngens))
     kmap = ModuleComplexMap(tensor, target, comps)

@@ -5,15 +5,15 @@
 Every map of one certificate, i_*, j_* and the boundary, is read through
 the chain-level reductions of Z, X and (X, Z) (tannakit.reduction), so all
 of them use one basis.  A node holds ranks over the fraction field, an ok
-flag and the isomorphism class of its defect module, none of which depends
-on that basis.  Only the les command imports this module (simplicial and
-the package serve les_exactness through their module __getattr__), so no
-other command compiles it.
+flag and the isomorphism class of its defect module ker/im, the module of
+maps.subquotient, none of which depends on that basis.  Only the les
+command imports this module (simplicial and the package serve les_exactness
+through their module __getattr__), so no other command compiles it.
 """
 
 from .errors import CompositionNonzero
-from .linalg import QQ, ZZ, FgModule, _nonzero_columns, elementary_divisors
-from .maps import ModuleMap, _boundary_image, _cycle_coordinates, _homology_map
+from .linalg import QQ, ZZ, FgModule, elementary_divisors
+from .maps import ModuleMap, _boundary_image, _homology_map, subquotient
 from .reduction import reduction
 from .simplicial import SimplicialPair, pair_homology
 
@@ -63,7 +63,7 @@ def les_maps(pair, ring, degrees):
     """{n: (i_*, j_*, boundary)} for the pair's long exact sequence, every
     map in the homology bases of the reductions of Z, X and (X, Z)."""
     Z = pair.Z
-    cz, cx, cxz = (pair_homology(p, ring).complex
+    cz, cx, cxz = (pair_homology(p, ring)
                    for p in (SimplicialPair(Z), SimplicialPair(pair.X), pair))
     hz, hx, hxz = reduction(cz), reduction(cx), reduction(cxz)
     return {n: (_homology_map(hz.homology(n), hx.homology(n), _relabel_image(cz, cx, n)),
@@ -114,16 +114,12 @@ def les_nodes(maps, N, ring):
 
 
 def _exact_at(d_in, d_out):
-    """(ok, defect): ker d_out / im d_in is the cokernel of d_in's columns
-    and relations in cycle coordinates, read from elementary divisors."""
+    """(ok, defect): the defect is the module of ker d_out / im d_in, which
+    subquotient reads from elementary divisors."""
     try:
-        into = _nonzero_columns(d_in.matrix) + _nonzero_columns(d_in.target.relations())
-        out = _nonzero_columns(d_out.matrix) + _nonzero_columns(d_out.target.relations())
-        coeff = _cycle_coordinates(d_out.source.ring, into, out, d_out.source.ngens,
-                                   d_out.target.ngens)[2]
+        defect = subquotient(d_in, d_out).module
     except CompositionNonzero:
         return False, "composition nonzero"
-    defect = FgModule.cokernel(coeff)
     if defect.is_zero():
         return True, "0"
     return False, defect.describe()

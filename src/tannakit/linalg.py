@@ -9,11 +9,12 @@ over Z, the reduced echelon form over Q), and _reduced_columns reads it on A
 stacked on the identity.  Invariant factors alone come from a sparse
 elimination of unit pivots, _unit_pivots, with sparse Euclid steps
 (_residual_divisors, Z) or _echelon (Q) on what is left; tannakit.reduction
-reads a chain-level reduction off the same pivots.  A homology module of a
-free complex is eager and its cycle basis lazy: Subquotient.free reads the
-module from elementary divisors, and on the first class_of or lift builds
-the cycle basis from the sparse kernel of the complex's own boundary
-columns.
+reads a chain-level reduction off the same pivots.  A Subquotient's module
+is read from elementary divisors when it is built, and its coordinates on
+the first class_of or lift: Subquotient.free (a free complex's homology)
+takes the divisors of the two boundaries, then builds the cycle basis from
+the sparse kernel of their columns; maps.presented_subquotient takes the
+cokernel of the cycle coordinates, then the Smith transforms.
 
 Three layers load on first use, and their names are served here through a
 module __getattr__ (PEP 562): tannakit.matrix (Matrix, the dense view),
@@ -38,8 +39,8 @@ RINGS = (ZZ, QQ)
 __getattr__ = _lazy(__name__, {
     "matrix": "Matrix",
     "maps": "_Solver solve kernel _null_vectors module_from_relations _order_relations "
-            "ModuleMap dual_map subquotient presented_subquotient _subquotient "
-            "_cycle_coordinates tensor_swap _tensor_apply _swapped_tensor",
+            "ModuleMap dual_map subquotient presented_subquotient tensor_swap _tensor_apply "
+            "_swapped_tensor",
     "smith": "SmithForm smith_normal_form determinant rref hnf_columns _column_reduce",
 })
 
@@ -390,24 +391,22 @@ class FgModule:
 
 
 class Subquotient:
-    """ker(d_out)/im(d_in) with change-of-basis data retained.
+    """ker(d_out)/im(d_in), its module known when it is built, with the
+    change-of-basis data built on the first class_of or lift.
 
     class_of maps a cycle (coordinates in the middle module's generators) to
     coordinates on the normalized generators of the subquotient; lift does
-    the reverse for a generator index.  The cycle basis is kept as sparse
-    columns, with the one _Solver that read the boundary coordinates in it
-    and reads every class_of.  The module is always known.  When it comes
-    from elementary divisors (Subquotient.free), the cycle basis and its
-    transforms are built on the first class_of or lift, which must
-    reproduce the same module.
+    the reverse for a generator index.  build() returns what
+    maps._cycle_coordinates does: the cycle basis as sparse columns, the
+    _Solver on it that reads every class_of, and the coordinates in it of
+    the boundaries and relations, from which module_from_relations builds
+    the transforms and a module that must be the one this was built with.
     """
 
     __slots__ = ("module", "_build", "_cycles", "_solver", "_to_normal", "_from_normal")
 
-    def __init__(self, module, cycles=None, solver=None, to_normal=None, from_normal=None,
-                 build=None):
-        self.module, self._build, self._cycles, self._solver = module, build, cycles, solver
-        self._to_normal, self._from_normal = to_normal, from_normal
+    def __init__(self, module, build):
+        self.module, self._build = module, build
 
     @classmethod
     def free(cls, ring, rank, div_in, div_out, boundaries):
@@ -415,25 +414,23 @@ class Subquotient:
         from the nonzero elementary divisors of d_in and d_out: Z^(rank -
         rk d_out - rk d_in) plus Z/e for the divisors e > 1 of d_in.
         boundaries() returns the sparse columns of d_in and d_out and the
-        row count of d_out; it is called on the first class_of or lift,
-        which builds the cycle basis."""
-        module = FgModule(ring, rank - len(div_out) - len(div_in),
-                          [e for e in div_in if e > 1])
-
+        row count of d_out; it is called on the first class_of or lift."""
         def build():
-            from .maps import _subquotient
+            from .maps import _cycle_coordinates
             into, out, rows = boundaries()
-            return _subquotient(ring, into, out, rank, rows)
-        return cls(module, build=build)
+            return _cycle_coordinates(ring, into, out, rank, rows)
+        return cls(FgModule(ring, rank - len(div_out) - len(div_in),
+                            [e for e in div_in if e > 1]), build)
 
     def _basis(self):
         if self._build is not None:
-            eager = self._build()
-            if eager.module != self.module:
+            from .maps import module_from_relations
+            self._cycles, self._solver, coeff = self._build()
+            module, self._to_normal, self._from_normal = module_from_relations(
+                self.module.ring, len(self._cycles), coeff)
+            if module != self.module:
                 raise AssertionError("cycle basis gives %r, elementary divisors %r"
-                                     % (eager.module, self.module))
-            self._cycles, self._solver, self._to_normal, self._from_normal = (
-                eager._cycles, eager._solver, eager._to_normal, eager._from_normal)
+                                     % (module, self.module))
             self._build = None
         return self._cycles
 

@@ -283,16 +283,14 @@ def presented_subquotient(m_in, rel_b, m_out, rel_c):
     """ker/im in B for matrices m_in into and m_out out of B, where B and the
     target of m_out are presented by the relation columns rel_b and rel_c,
     normalized or not.  Raises CompositionNonzero when an image column or a
-    relation of B is not a cycle."""
-    return _subquotient(m_out.ring, _nonzero_columns(m_in) + _nonzero_columns(rel_b),
-                        _nonzero_columns(m_out) + _nonzero_columns(rel_c), m_out.cols, m_out.rows)
-
-
-def _subquotient(ring, into, out, n, rows):
-    """presented_subquotient on sparse columns, as _cycle_coordinates takes them."""
-    cycles, solver, coeff = _cycle_coordinates(ring, into, out, n, rows)
-    mod, to_normal, from_normal = module_from_relations(ring, len(cycles), coeff)
-    return Subquotient(mod, cycles, solver, to_normal, from_normal)
+    relation of B is not a cycle.  The module is the cokernel of the cycle
+    coordinates of the image and of B's relations, read from elementary
+    divisors; module_from_relations (over Z a Smith form with its
+    transforms) runs on the first class_of or lift."""
+    cycles, solver, coeff = _cycle_coordinates(
+        m_out.ring, _nonzero_columns(m_in) + _nonzero_columns(rel_b),
+        _nonzero_columns(m_out) + _nonzero_columns(rel_c), m_out.cols, m_out.rows)
+    return Subquotient(FgModule.cokernel(coeff), lambda: (cycles, solver, coeff))
 
 
 def _cycle_coordinates(ring, into, out, n, rows):
@@ -416,8 +414,7 @@ def _induced_chain_map(f, pair_src, pair_tgt, ring):
     def image(_d, s):
         sign, img = f.oriented_image(s)
         return ((img, sign),) if sign else ()
-    return ChainMap(pair_homology(pair_src, ring).complex,
-                    pair_homology(pair_tgt, ring).complex, image)
+    return ChainMap(pair_homology(pair_src, ring), pair_homology(pair_tgt, ring), image)
 
 
 def induced_map_on_homology(f, pair_src, pair_tgt, n, ring=ZZ) -> ModuleMap:
@@ -429,8 +426,8 @@ def induced_map_on_homology(f, pair_src, pair_tgt, n, ring=ZZ) -> ModuleMap:
     if not f.is_pair_map(pair_src, pair_tgt):
         raise NotPairMap("f does not map Z into Z'")
     fmap = cache(lambda: _induced_chain_map(f, pair_src, pair_tgt, ring))
-    return _homology_map(pair_homology(pair_src, ring).complex.homology(n),
-                         pair_homology(pair_tgt, ring).complex.homology(n),
+    return _homology_map(pair_homology(pair_src, ring).homology(n),
+                         pair_homology(pair_tgt, ring).homology(n),
                          lambda vec: fmap().apply(n, vec))
 
 
@@ -438,8 +435,8 @@ def triple_boundary(X, Z, W, n, ring=ZZ) -> ModuleMap:
     """Boundary h_n(X,Z) -> h_{n-1}(Z,W) of the homology sequence of a triple."""
     if not (W.is_subcomplex_of(Z) and Z.is_subcomplex_of(X)):
         raise NotNested("need W <= Z <= X")
-    top = pair_homology(SimplicialPair(X, Z), ring).complex
-    bot = pair_homology(SimplicialPair(Z, W), ring).complex
+    top = pair_homology(SimplicialPair(X, Z), ring)
+    bot = pair_homology(SimplicialPair(Z, W), ring)
     return _homology_map(top.homology(n), bot.homology(n - 1),
                          _boundary_image(top, bot, Z, n))
 
@@ -532,10 +529,9 @@ def ez_aw_maps(X, Y, ring=ZZ):
 def ez_aw_relative(p1, p2, ring=ZZ):
     """Relative EZ/AW between tensor of relative chains and chains of the
     product pair; AW o EZ = id is asserted."""
-    c1 = pair_homology(p1, ring).complex
-    c2 = pair_homology(p2, ring).complex
+    c1, c2 = pair_homology(p1, ring), pair_homology(p2, ring)
     pp = product_pair(p1, p2)
-    cp = pair_homology(pp, ring).complex
+    cp = pair_homology(pp, ring)
     tensor = tensor_complex(c1, c2)
     ez, aw = ez_matrixes(c1, c2, cp, tensor)
     _assert_aw_ez_identity(ez, aw, tensor, "relative AW o EZ")

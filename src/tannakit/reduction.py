@@ -11,22 +11,22 @@ and a homotopy h: C -> C of degree +1 with
 The differentials are reduced from the lowest degree up, each on the rows
 (cells one degree down) that no earlier pivot used.  So each cell of C is
 the pivot row i of one differential, the pivot column j of the next, or a
-cell of R, and R's differential is the residual the elimination leaves.
-f, g and h are kept as sparse integer columns, and the identities are
-checked exactly whenever a reduction is built.
+cell of R.  R is a ChainComplex whose labels are the cells of C it keeps
+and whose columns are the residual the elimination leaves.  f, g and h are
+kept as sparse integer columns, and the identities are checked exactly
+whenever a reduction is built.
 
 ReducedHomology serves one degree as Subquotient does: class_of(v) is the
-class of f(v) in R and lift(j) is g of R's generator j.  Its module comes
-from the elementary divisors of R's own differentials, which the checked
-identities make H(C); R's cycle basis, from the sparse kernel of R's
-differentials, is built on first use and must give the same module.  So
-C's full differentials are eliminated once, here.  Only `les` imports this
+class of f(v) in R and lift(j) is g of R's generator j, both read through
+R.homology(n), whose module the checked identities make H(C).  So C's full
+differentials are eliminated once, here.  Only `les` imports this
 module: its certificate holds ranks and defect modules only, while every
 other command prints coordinates in the Hermite cycle basis of
 ChainComplex.homology.
 """
 
-from .linalg import Subquotient, _apply, _compose, _sparse_divisors, _unit_pivots
+from .linalg import _apply, _compose, _unit_pivots
+from .simplicial import ChainComplex
 
 
 def reduction(cx):
@@ -37,12 +37,13 @@ def reduction(cx):
 
 
 class Reduction:
-    """(f, g, h) of a ChainComplex onto its residual complex.  For each
-    degree n: cells[n] lists the cells of C_n that R keeps, d[n] is R's
-    differential, f[n] has one column per cell of C_n, g[n] one per cell of
-    R_n, and h[n] one per cell of C_n, in C_{n+1}."""
+    """(f, g, h) of a ChainComplex onto its residual complex R, a
+    ChainComplex on the residual columns whose d o d = 0 is checked when it
+    is built.  For each degree n: R's labels R.labels(n) are the cells of
+    C_n that R keeps, f[n] has one column per cell of C_n, g[n] one per cell
+    of R_n, and h[n] one per cell of C_n, in C_{n+1}."""
 
-    __slots__ = ("complex", "cells", "d", "f", "g", "h", "_homology", "_divisors")
+    __slots__ = ("complex", "residual", "f", "g", "h", "_homology")
 
     def __init__(self, cx):
         self.complex = cx
@@ -56,13 +57,11 @@ class Reduction:
                     rows[i] = row
             pivots[n] = _unit_pivots(rows)
             residual[n] = rows
-        self.cells, where = {}, {}
+        cells = {}
         for n in cx.degrees:
             paired = {p[0] for p in pivots[n]} | {p[1] for p in pivots.get(n + 1, ())}
-            self.cells[n] = [c for c in range(cx.rank(n)) if c not in paired]
-            where[n] = {c: k for k, c in enumerate(self.cells[n])}
-        self.d = {n: [{where[n - 1][j]: x for j, x in residual[n].get(c, {}).items()}
-                      for c in self.cells[n]] for n in cx.degrees}
+            cells[n] = [c for c in range(cx.rank(n)) if c not in paired]
+        self.residual = ChainComplex(cx.ring, cells, lambda n, c: residual[n].get(c, {}).items())
         self.f, self.g, self.h = {}, {}, {}
         gammas = {}
         for n in cx.degrees:
@@ -76,14 +75,14 @@ class Reduction:
                     if k != i:
                         into.setdefault(k, {})[t] = -c
             self.g[n] = [_nonzero(_add({c: 1}, into.get(c, {}), gammas[n]))
-                         for c in self.cells[n]]
+                         for c in cells[n]]
         for n in cx.degrees:
             # pivot column j of d_{n+1}, last pivot first: h(j) = p (gamma -
             # sum of prow[c] h(c)) and f(j) = -p sum of prow[c] f(c) over the
             # other columns c of prow, whose h and f are known by then
             self.h[n] = h = [{} for _ in range(cx.rank(n))]
             self.f[n] = f = [{} for _ in range(cx.rank(n))]
-            for c, k in where[n].items():
+            for k, c in enumerate(cells[n]):
                 f[c] = {k: 1}
             ups = pivots.get(n + 1, ())
             for t in range(len(ups) - 1, -1, -1):
@@ -91,13 +90,13 @@ class Reduction:
                 rest = {c: -y for c, y in prow.items() if c != j}
                 h[j] = _nonzero(_add(dict(gammas[n + 1][t]), rest, h), prow[j])
                 f[j] = _nonzero(_add({}, rest, f), prow[j])
-        self._homology, self._divisors = {}, {}
+        self._homology = {}
         self.check()
 
     def check(self):
         """Raise AssertionError unless f g = id, g f = id - (dh + hd), and f
         and g are chain maps."""
-        cx = self.complex
+        cx, R = self.complex, self.residual
         for n in cx.degrees:
             d = cx._cols.get(n, [{}] * cx.rank(n))
             up, below = cx._cols.get(n + 1), self.h.get(n - 1)
@@ -108,16 +107,10 @@ class Reduction:
             for c in range(cx.rank(n)):
                 if _nonzero(_add(_add(_add({}, f[c], g), h[c], up), d[c], below)) != {c: 1}:
                     raise AssertionError("reduction: g f != id - (dh + hd) in degree %d" % n)
-            if _compose(self.d[n], f) != _compose(self.f.get(n - 1), d):
+            if _compose(R.columns(n), f) != _compose(self.f.get(n - 1), d):
                 raise AssertionError("reduction: f is not a chain map in degree %d" % n)
-            if _compose(cx._cols.get(n), g) != _compose(self.g.get(n - 1), self.d[n]):
+            if _compose(cx._cols.get(n), g) != _compose(self.g.get(n - 1), R.columns(n)):
                 raise AssertionError("reduction: g is not a chain map in degree %d" % n)
-
-    def divisors(self, n):
-        """Nonzero elementary divisors of R's differential of degree n."""
-        if n not in self._divisors:
-            self._divisors[n] = _sparse_divisors(self.d.get(n, ()), self.complex.ring)
-        return self._divisors[n]
 
     def homology(self, n):
         hn = self._homology.get(n)
@@ -129,21 +122,15 @@ class Reduction:
 class ReducedHomology:
     """h_n of a complex in the basis of its reduction's residual homology:
     module, class_of(chain) and lift(generator), as Subquotient serves them
-    in the Hermite basis.  The module comes from the residual's elementary
-    divisors; its cycle basis is built on the first class_of or lift and
-    must give the same module."""
+    in the Hermite basis, read through f and g from R.homology(n)."""
 
     __slots__ = ("module", "_f", "_g", "_sizes", "_sq")
 
     def __init__(self, red, n):
-        ring, size = red.complex.ring, len(red.cells.get(n, ()))
-        rows = len(red.cells.get(n - 1, ()))
-        self._sq = Subquotient.free(
-            ring, size, red.divisors(n + 1), red.divisors(n),
-            lambda: (red.d.get(n + 1, ()), red.d.get(n, [{}] * size), rows))
+        self._sq = red.residual.homology(n)
         self.module = self._sq.module
         self._f, self._g = red.f.get(n, ()), red.g.get(n, ())
-        self._sizes = size, red.complex.rank(n)
+        self._sizes = red.residual.rank(n), red.complex.rank(n)
 
     def class_of(self, vec):
         return self._sq.class_of(_apply(self._f, vec, self._sizes[0]))

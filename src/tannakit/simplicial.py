@@ -16,10 +16,12 @@ chain maps, tensor complexes, the maps induced on homology
 (induced_map_on_homology, triple_boundary) and the Eilenberg-Zilber and
 Alexander-Whitney maps; tannakit.les the long exact sequence certificate
 (les_exactness); tannakit.cochains cup products and Cech models.
-ChainComplex.homology gives the Hermite cycle basis, in which the maps on
+pair_homology returns a pair's relative ChainComplex, built once per (pair,
+ring), and ChainComplex.homology is the one homology reader: its module
+from elementary divisors, and the Hermite cycle basis, in which the maps on
 homology, and through them the filtration, kunneth, cup and diagram
-commands, print their matrices; les reads its maps through chain-level
-reductions instead (tannakit.reduction).
+commands, print their matrices; les reads its maps through the homology of
+a chain-level reduction's residual complex instead (tannakit.reduction).
 """
 
 from itertools import combinations
@@ -399,40 +401,21 @@ def relative_chain_complex(pair, ring=ZZ):
     return ChainComplex(ring, labels, _faces)
 
 
-class PairHomology:
-    """All-degree homology of a pair with cycle bookkeeping."""
-
-    __slots__ = ("pair", "ring", "complex")
-
-    def __init__(self, pair, ring):
-        self.pair = pair
-        self.ring = ring
-        self.complex = relative_chain_complex(pair, ring)
-
-    def module(self, n) -> FgModule:
-        return self.complex.homology_module(n)
-
-    def class_of(self, n, vec):
-        return self.complex.homology(n).class_of(vec)
-
-    def lift(self, n, j):
-        return self.complex.homology(n).lift(j)
-
-
 _PAIR_CACHE = {}
 
 
-def pair_homology(pair, ring=ZZ) -> PairHomology:
+def pair_homology(pair, ring=ZZ) -> ChainComplex:
+    """The relative chain complex of pair over ring, built once per (pair,
+    ring); its homology(n) serves the module, class_of and lift."""
     key = (pair, ring)
-    ph = _PAIR_CACHE.get(key)
-    if ph is None:
-        ph = PairHomology(pair, ring)
-        _PAIR_CACHE[key] = ph
-    return ph
+    cx = _PAIR_CACHE.get(key)
+    if cx is None:
+        cx = _PAIR_CACHE[key] = relative_chain_complex(pair, ring)
+    return cx
 
 
 def relative_homology(pair, n, ring=ZZ) -> FgModule:
-    return pair_homology(pair, ring).module(n)
+    return pair_homology(pair, ring).homology_module(n)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ the dense canonical forms rref and hnf_columns, and _column_reduce, the
 dense (H, T, K) of linalg._reduced_columns that inverts a transform.
 
 This module loads on first use: only where a Smith form with its
-transforms is needed, for an integer presentation with relations in
-maps.module_from_relations, whose U and U^-1 fix the torsion generators,
-and where a determinant is computed.  Invariant factors alone never load
+transforms is needed, for the coordinates of an integer presentation with
+relations in maps.module_from_relations (run on a Subquotient's first
+class_of or lift), whose U and U^-1 fix the torsion generators, and where a
+determinant is computed.  Invariant factors alone never load
 it: the residual that unit pivots leave in linalg._sparse_divisors is read
 by sparse Euclid steps (linalg._residual_divisors), so a homology command
 never compiles it, torsion or not.  linalg and the package serve its names

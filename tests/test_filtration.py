@@ -75,10 +75,10 @@ class TestFiltrationComplex:
 
     def test_terms_automatically_free(self):
         # dim F_i <= i makes each term a subgroup of a free chain group, so
-        # require_free never trips on a valid filtration; torsion of the
-        # ambient space reappears in the homology of the complex instead
+        # no term has torsion on a valid filtration; torsion of the ambient
+        # space reappears in the homology of the complex instead
         F = Filtration(RP2, [sub(RP2, ("r0",)), RP2.skeleton(1), RP2])
-        mc = filtration_complex(F, require_free=True)
+        mc = filtration_complex(F)
         for i in range(0, 3):
             assert mc.term(i).is_free()
         assert mc.homology(0) == FgModule(ZZ, 1)

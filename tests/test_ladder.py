@@ -1,5 +1,6 @@
 """tools/ladder.py, the scaling ladder the CI log prints: its sweep rung
-runs one seeded pass and accounts for it phase by phase."""
+runs one seeded pass and accounts for it phase by phase, and its les rung
+certifies the long exact sequence of a pair larger than any in the corpus."""
 
 import importlib.util
 import os
@@ -24,3 +25,16 @@ def test_sweep_rung_splits_one_pass(capsys):
     assert [line.split("  ")[1].strip() for line in phases] == list(ladder.PHASES)
     shares = [float(line.rsplit(None, 1)[1].rstrip("%")) for line in phases]
     assert all(s >= 0 for s in shares) and sum(shares) <= 100.5
+
+
+def test_les_rung_is_exact_on_both_rings(capsys):
+    ladder = _ladder()
+    ladder.les_rung()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(ladder.RINGS)
+    for line, ring in zip(lines, ladder.RINGS):
+        assert line.startswith("les %s rel %s over %s:" % (*ladder.LES_PAIR, ring))
+        assert ", ok True," in line
+        residual, full = (int(line.split(key)[1].split(",")[0]) for key in
+                          ("largest residual rank ", "rank C_1 "))
+        assert residual < full

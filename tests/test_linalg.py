@@ -5,7 +5,9 @@ from math import gcd, lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tannakit import smith
 from tannakit.errors import CompositionNonzero, TorsionPresent
+from tannakit.filtration import ModuleComplex
 from tannakit.linalg import (
     QQ, ZZ, FgModule, Matrix, ModuleMap, SmithForm, Subquotient, _column_reduce, _integral,
     _nonzero_columns, _residual_divisors, _Solver, determinant, dual_map, elementary_divisors, hnf_columns, kernel,
@@ -780,6 +782,60 @@ class TestLazySubquotient:
             sq = self.lazy(div_in, div_out)
             with pytest.raises(AssertionError, match="elementary divisors"):
                 sq.class_of((1, 1))
+            with pytest.raises(AssertionError, match="elementary divisors"):
+                sq.lift(0)
+
+    @staticmethod
+    def presented():
+        """(build, module) pairs of presented subquotients with torsion, and
+        the module complex Z --2--> Z of the last one: Z --(4,0)--> Z^2
+        --(x+y mod 2, 0)--> Z/2 + Z, then Z/2 + Z/3 with no maps, then the
+        homology of that complex in degree 0."""
+        z1, z2 = FgModule.free(ZZ, 1), FgModule.free(ZZ, 2)
+        d_in = ModuleMap(z1, z2, mz([[4], [0]]))
+        d_out = ModuleMap(z2, FgModule(ZZ, 1, (2,)), mz([[1, 1], [0, 0]]))
+        mc = ModuleComplex(ZZ, {0: z1, 1: z1}, {1: ModuleMap(z1, z1, mz([[2]]))})
+        return [
+            (lambda: subquotient(d_in, d_out), FgModule(ZZ, 1, (2,))),
+            (lambda: presented_subquotient(Matrix.zeros(ZZ, 2, 0), mz([[2, 0], [0, 3]]),
+                                           Matrix.zeros(ZZ, 0, 2), Matrix.zeros(ZZ, 0, 0)),
+             FgModule(ZZ, 0, (6,))),
+            (lambda: subquotient(mc.differential(1), mc.differential(0)), FgModule(ZZ, 0, (2,))),
+        ], mc
+
+    def test_presented_module_needs_no_smith_form(self, monkeypatch):
+        """The module of a presented subquotient, and so ModuleComplex's
+        homology, comes from elementary divisors; the Smith form with its
+        transforms is built on the first class_of or lift, once, and gives
+        the same module."""
+        forms, real = None, smith.smith_normal_form
+
+        def counted(A):
+            if forms is None:
+                raise AssertionError("Smith form built for a module")
+            forms.append(A)
+            return real(A)
+        monkeypatch.setattr(smith, "smith_normal_form", counted)
+        cases, mc = self.presented()
+        built = [(build(), module) for build, module in cases]
+        assert [sq.module for sq, _ in built] == [module for _, module in built]
+        assert [mc.homology(n) for n in (0, 1)] == [FgModule(ZZ, 0, (2,)), FgModule.zero(ZZ)]
+        forms = []
+        for sq, module in built:
+            count = len(forms)
+            for j in range(module.ngens):
+                unit = tuple(int(i == j) for i in range(module.ngens))
+                assert sq.class_of(sq.lift(j)) == module.normalize_vector(unit)
+            assert len(forms) == count + 1 and sq._build is None
+
+    def test_corrupted_cokernel_trips_the_lazy_check(self, monkeypatch):
+        cases, _ = self.presented()
+        real = FgModule.cokernel.__func__
+        monkeypatch.setattr(FgModule, "cokernel", classmethod(
+            lambda cls, relations: FgModule(ZZ, real(cls, relations).free_rank + 1)))
+        for build, module in cases:
+            sq = build()
+            assert sq.module != module
             with pytest.raises(AssertionError, match="elementary divisors"):
                 sq.lift(0)
 

@@ -1,4 +1,5 @@
-"""Scaling ladder: in-process wall times of the Tannaka layers, printed.
+"""Scaling ladder: in-process wall times of the Tannaka layers and of les,
+printed.
 
     python tools/ladder.py [--quick]
 
@@ -24,6 +25,10 @@ with its answer beside its time:
              canonical comodules and check_coaction_axioms), factorization
              (factorization_check) and the tower's bialgebra and sigma
              checks.
+  les        les_exactness of klein*circle3 relative to
+             klein*skel(circle3,0) (LES_PAIR), over Z then Q, with the largest
+             rank of the residual complexes its reductions leave (of Z, X and
+             the pair) beside the rank of C_1(X).
 
 --quick runs M_6 to M_12 and W_2 to W_4, about a second; without it the
 ladder goes on to M_20 and W_6, where check_fragment_bialgebra takes
@@ -47,6 +52,7 @@ from tannakit.tannaka import (                                       # noqa: E40
 
 RINGS = (ZZ, QQ)
 SEED = 1                                   # the sweep rung's random diagrams
+LES_PAIR = ("klein*circle3", "klein*skel(circle3,0)")
 PHASES = ("context", "End", "structure constants", "coalgebra checks", "comodule axioms",
           "factorization", "bialgebra and sigma")
 
@@ -160,6 +166,24 @@ def sweep_rung():
         print("  %-20s %.4f s  %5.1f%%" % (phase, t, 100 * t / total))
 
 
+def les_rung():
+    from tannakit.cli import default_corpus_text
+    from tannakit.corpus import Corpus
+    from tannakit.reduction import reduction
+    from tannakit.simplicial import SimplicialPair, les_exactness, pair_homology
+    corpus = Corpus(default_corpus_text())
+    X, Z = (corpus.expr(e) for e in LES_PAIR)
+    pair = SimplicialPair(X, Z)
+    for ring in RINGS:
+        start = time.perf_counter()
+        ok = les_exactness(pair, ring).ok
+        wall = time.perf_counter() - start
+        complexes = [pair_homology(p, ring) for p in (SimplicialPair(Z), SimplicialPair(X), pair)]
+        residual = max(reduction(c).residual.rank(n) for c in complexes for n in c.degrees)
+        print("les %s rel %s over %s: %.3f s, ok %s, largest residual rank %d, rank C_1 %d"
+              % (*LES_PAIR, ring, wall, ok, residual, complexes[1].rank(1)))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--quick", action="store_true",
@@ -168,6 +192,7 @@ def main(argv=None):
     coalgebra_rung(range(6, 13 if args.quick else 21, 2))
     bialgebra_rung(range(2, 5 if args.quick else 7))
     sweep_rung()
+    les_rung()
     return 0
 
 
