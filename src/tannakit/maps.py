@@ -443,9 +443,8 @@ def triple_boundary(X, Z, W, n, ring=ZZ) -> ModuleMap:
 
 def _homology_map(hs, ht, image) -> ModuleMap:
     """The module map taking generator j of hs to the class in ht of
-    image(hs.lift(j)).  hs and ht serve the module, class_of and lift of one
-    degree each, in the Hermite basis of ChainComplex.homology or in a
-    reduction's; image is called only when both modules are nonzero."""
+    image(hs.lift(j)), for the ChainComplex.homology of one degree each;
+    image is called only when both modules are nonzero."""
     src, tgt = hs.module, ht.module
     if src.is_zero() or tgt.is_zero():
         return ModuleMap.zero(src, tgt)

@@ -16,16 +16,15 @@ and whose columns are the residual the elimination leaves.  f, g and h are
 kept as sparse integer columns, and the identities are checked exactly
 whenever a reduction is built.
 
-ReducedHomology serves one degree as Subquotient does: class_of(v) is the
-class of f(v) in R and lift(j) is g of R's generator j, both read through
-R.homology(n), whose module the checked identities make H(C).  So C's full
-differentials are eliminated once, here.  Only `les` imports this
-module: its certificate holds ranks and defect modules only, while every
-other command prints coordinates in the Hermite cycle basis of
-ChainComplex.homology.
+The checked identities make f and g inverse isomorphisms H(C) = H(R), so
+tannakit.les reads every node of its certificate off the residual
+complexes, which are small, and C's full differentials are eliminated
+once, here.  Only `les` imports this module: its certificate holds ranks
+and defect modules only, while every other command prints coordinates in
+the Hermite cycle basis of ChainComplex.homology.
 """
 
-from .linalg import _apply, _compose, _unit_pivots
+from .linalg import _compose, _unit_pivots
 from .simplicial import ChainComplex
 
 
@@ -43,7 +42,7 @@ class Reduction:
     C_n that R keeps, f[n] has one column per cell of C_n, g[n] one per cell
     of R_n, and h[n] one per cell of C_n, in C_{n+1}."""
 
-    __slots__ = ("complex", "residual", "f", "g", "h", "_homology")
+    __slots__ = ("complex", "residual", "f", "g", "h")
 
     def __init__(self, cx):
         self.complex = cx
@@ -90,7 +89,6 @@ class Reduction:
                 rest = {c: -y for c, y in prow.items() if c != j}
                 h[j] = _nonzero(_add(dict(gammas[n + 1][t]), rest, h), prow[j])
                 f[j] = _nonzero(_add({}, rest, f), prow[j])
-        self._homology = {}
         self.check()
 
     def check(self):
@@ -111,32 +109,6 @@ class Reduction:
                 raise AssertionError("reduction: f is not a chain map in degree %d" % n)
             if _compose(cx._cols.get(n), g) != _compose(self.g.get(n - 1), R.columns(n)):
                 raise AssertionError("reduction: g is not a chain map in degree %d" % n)
-
-    def homology(self, n):
-        hn = self._homology.get(n)
-        if hn is None:
-            hn = self._homology[n] = ReducedHomology(self, n)
-        return hn
-
-
-class ReducedHomology:
-    """h_n of a complex in the basis of its reduction's residual homology:
-    module, class_of(chain) and lift(generator), as Subquotient serves them
-    in the Hermite basis, read through f and g from R.homology(n)."""
-
-    __slots__ = ("module", "_f", "_g", "_sizes", "_sq")
-
-    def __init__(self, red, n):
-        self._sq = red.residual.homology(n)
-        self.module = self._sq.module
-        self._f, self._g = red.f.get(n, ()), red.g.get(n, ())
-        self._sizes = red.residual.rank(n), red.complex.rank(n)
-
-    def class_of(self, vec):
-        return self._sq.class_of(_apply(self._f, vec, self._sizes[0]))
-
-    def lift(self, j):
-        return _apply(self._g, self._sq.lift(j), self._sizes[1])
 
 
 def _add(acc, col, cols):

@@ -234,6 +234,23 @@ print(" ".join(sorted(m.split(".")[-1] for m in sys.modules
 OWN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
 
 
+# RP^2 x edge relative to RP^2 x its ends: Z/2 in h_1(X), h_2(X, Z) and h_1(Z)
+RP2_EDGE_REL = """[complex rp2]
+simplices = r0 r1 r4 | r0 r1 r5 | r0 r2 r3 | r0 r2 r4 | r0 r3 r5 | \
+            r1 r2 r3 | r1 r2 r5 | r1 r3 r4 | r2 r4 r5 | r3 r4 r5
+
+[complex edge]
+simplices = a b
+
+[complex ends]
+simplices = a | b
+
+[pair rp2e_rel]
+space = rp2 * edge
+sub = rp2 * ends
+"""
+
+
 @pytest.mark.parametrize("corpus, argv, present, absent", [
     # a homology module is the homology core alone: no coordinates, no maps,
     # no dense Matrix and no other command's handler
@@ -249,8 +266,14 @@ OWN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
     (None, ["product", "p_circle", "p_circle"], set(),
      {"filtration", "cochains", "tannaka", "bialgebra", "comodule", "reduction", "les",
       "smith", "maps", "matrix", "commands"}),
-    (None, ["les", "p_mobius_bnd"], {"les", "reduction", "maps"},
-     {"filtration", "cochains", "tannaka", "bialgebra", "comodule"}),
+    # les reads every node off the reductions' residual complexes: no
+    # coordinates, no module maps, no dense Matrix and no Smith form
+    (None, ["les", "p_mobius_bnd"], {"les", "reduction"},
+     {"filtration", "cochains", "tannaka", "bialgebra", "comodule", "maps", "matrix", "smith",
+      "commands"}),
+    (RP2_EDGE_REL, ["les", "rp2e_rel"], {"les", "reduction"},
+     {"filtration", "cochains", "tannaka", "bialgebra", "comodule", "maps", "matrix", "smith",
+      "commands"}),
     (None, ["triple-boundary", "edge", "ends", "enda", "1"], {"maps"},
      {"les", "reduction", "filtration", "cochains", "tannaka", "bialgebra", "comodule"}),
     (None, ["end-algebra", "F2"], {"tannaka", "maps", "matrix", "commands"},
@@ -258,7 +281,7 @@ OWN_SHA256 = any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256"))
     (None, ["cup", "circle3*circle3", "empty", "empty", "1", "1"], {"cochains"},
      {"filtration", "tannaka"}),
 ], ids=["homology without torsion", "homology", "homology without filtrations", "product",
-        "les", "triple-boundary", "end-algebra", "cup"])
+        "les", "les with torsion", "triple-boundary", "end-algebra", "cup"])
 def test_cold_start_loads_only_the_layers_a_command_runs(corpus, argv, present, absent,
                                                          tmp_path):
     if corpus is not None:
