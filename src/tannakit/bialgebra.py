@@ -27,15 +27,14 @@ module; PairsContext.tau loads kunneth_tau from here on its first call.
 from .errors import (
     InputError, MissingProducts, NotGoodPair, ProductEscape, WrongRank,
 )
-from .linalg import (
-    ZZ, _apply, _coerce, _compose, _echelon, _integral, _nonzero_columns, _transpose,
-)
+from .linalg import ZZ, _compose, _echelon, _integral, _transpose
 from .maps import (
-    _Solver, _swapped_tensor, _tensor_apply, ez_matrixes, induced_map_on_homology,
-    tensor_complex, tensor_swap,
+    _apply, _nonzero_columns, _Solver, _swapped_tensor, _tensor_apply, ez_matrixes,
+    induced_map_on_homology, tensor_complex, tensor_swap,
 )
-from .matrix import Matrix
-from .simplicial import SimplicialMap, pair_homology
+from .matrix import Matrix, _coerce
+from .simplicial import pair_homology
+from .structures import SimplicialMap
 from .tannaka import (
     PairsContext, Subdiagram, _coalgebra_morphism, transition_map, vertex_payload,
 )

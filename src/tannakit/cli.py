@@ -11,15 +11,15 @@ certificate with ok false, empty results and a failure message.
 
 Each command runs as a fresh process, so this module holds only what every
 command runs (the parser, main and the certificate output) and the handlers
-of homology, product and les; the other handlers live in tannakit.commands,
-imported on the first call of one of them.  The corpus digest is the
-interpreter's own sha256 module, not hashlib's, which loads OpenSSL.
+of homology, product and les; the other handlers, with the encoders of
+their scalars, vectors and matrices, live in tannakit.commands, imported on
+the first call of one of them.  The corpus digest is the interpreter's own
+sha256 module, not hashlib's, which loads OpenSSL.
 """
 
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 try:        # hashlib loads OpenSSL's libcrypto; the interpreter's own module is light
     from _sha2 import sha256                  # 3.12+
@@ -29,7 +29,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from . import __version__
+from . import __version__, _deferred
 from .errors import BudgetExceeded, CheckFailed, InputError, TannakitError
 from .linalg import QQ, ZZ
 from .simplicial import pair_homology, product_pair
@@ -40,22 +40,6 @@ TOOL = "tannakit %s" % __version__
 Z_COMMANDS = {"homology", "les", "triple-boundary", "product", "cup", "cech",
               "filtration", "compare-filtration", "very-good-search",
               "comodule-check", "torsionfree-cover"}
-
-
-def jscalar(x):
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return int(x)
-        return "%d/%d" % (x.numerator, x.denominator)
-    return int(x)
-
-
-def jmatrix(m):
-    return [[jscalar(x) for x in m.row(i)] for i in range(m.rows)]
-
-
-def jvector(v):
-    return [jscalar(x) for x in v]
 
 
 def canonical_json(obj):
@@ -126,10 +110,7 @@ def _fail(message):
 
 def _later(name):
     """The handler `name` of tannakit.commands, imported on its first call."""
-    def handler(corpus, ring, args):
-        from . import commands
-        return getattr(commands, name)(corpus, ring, args)
-    return handler
+    return _deferred("commands", name)
 
 
 HANDLERS = {
@@ -218,6 +199,11 @@ def default_corpus_text():
     return resources.files("tannakit").joinpath("data/main.corpus").read_text("utf-8")
 
 
+def _input_error(message):
+    print("input error: %s" % message, file=sys.stderr)
+    return 1
+
+
 def main(argv=None):
     args = parse_args(argv)
     try:
@@ -230,16 +216,14 @@ def main(argv=None):
             source = "<bundled>"
         digest = sha256(text.encode("utf-8")).hexdigest()
         corpus = Corpus(text)
-    except (OSError, InputError) as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 1
+    except (OSError, UnicodeDecodeError, InputError) as exc:
+        return _input_error(exc)
     ring = args.ring or corpus.ring or (ZZ if args.command in Z_COMMANDS else QQ)
     failure = None
     try:
         results, ok = HANDLERS[args.command](corpus, ring, args)
     except InputError as exc:
-        print("input error: %s" % exc, file=sys.stderr)
-        return 1
+        return _input_error(exc)
     except BudgetExceeded as exc:
         results, ok, failure = {}, False, "budget exceeded: %s" % exc
     except CheckFailed as exc:
@@ -266,8 +250,11 @@ def main(argv=None):
     for line in render(results):
         print(line)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(canonical_json(cert))
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(canonical_json(cert))
+        except OSError as exc:
+            return _input_error(exc)
     return 0 if ok else 2
 
 

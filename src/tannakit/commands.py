@@ -4,13 +4,28 @@ tannakit.cli keeps the three homology commands, the ones most runs make, and
 reaches each handler here through a stub in cli.HANDLERS that imports this
 module on its first call; so a homology command never compiles these.  Each
 handler takes (corpus, ring, args) and returns (results dict, ok), the way
-the ones in cli do, with its scalars, vectors and matrices encoded by cli's
-j* helpers.
+the ones in cli do, with its scalars, vectors and matrices encoded by the
+j* helpers here.
 """
 
-from .cli import _fail, jmatrix, jscalar, jvector
+from .cli import _fail
 from .linalg import ZZ
-from .simplicial import Filtration, SimplicialComplex
+from .simplicial import SimplicialComplex
+from .structures import Filtration
+
+
+def jscalar(x):
+    """An exact scalar (int or Fraction) as an int, or "p/q" when it is not
+    an integer."""
+    return int(x) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
+
+
+def jmatrix(m):
+    return [[jscalar(x) for x in m.row(i)] for i in range(m.rows)]
+
+
+def jvector(v):
+    return [jscalar(x) for x in v]
 
 
 def cmd_triple_boundary(corpus, ring, args):

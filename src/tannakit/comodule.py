@@ -16,9 +16,10 @@ built by maps._tensor_apply and _swapped_tensor, with no Kronecker matrix.
 from math import gcd
 
 from .errors import CompositionNonzero, DimensionMismatch, MissingProducts
-from .linalg import FgModule, ZZ, _nonzero_columns
+from .linalg import FgModule, ZZ
 from .maps import (
-    _order_relations, _Solver, _swapped_tensor, _tensor_apply, presented_subquotient,
+    _nonzero_columns, _order_relations, _Solver, _swapped_tensor, _tensor_apply,
+    presented_subquotient,
 )
 from .matrix import Matrix
 from .tannaka import CoalgebraTrunc, Comodule, _intertwines

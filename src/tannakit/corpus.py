@@ -10,21 +10,23 @@ names with `*` (staircase product), `+` (union), `skel(expr, k)` and
 Complexes, pairs, maps, filtrations, covers and divisors are built and
 checked at parse time, read by the command or not, so a malformed one fails
 the run; diagram, subdiagram, tower and comodule sections are read on first
-use.  Parsing loads only linalg and simplicial, where Filtration lives.  A
-corpus builds each staircase product of two complexes once, for all its
-expressions and product maps.
+use, by tannakit.diagrams.  Parsing complexes and pairs loads only linalg and
+simplicial; the first map, filtration, cover or divisors section loads
+tannakit.structures, which builds those four kinds (SimplicialMap and
+Filtration live there).  A corpus builds each staircase product of two
+complexes once, for all its expressions and product maps.
 """
 
 import re
 from contextlib import contextmanager
 
+from . import _deferred
 from .errors import InputError
 from .linalg import QQ, ZZ
-from .simplicial import (
-    Filtration, SimplicialComplex, SimplicialMap, SimplicialPair, product_complex,
-)
+from .simplicial import SimplicialComplex, SimplicialPair, product_complex
 
 _SECTION = re.compile(r"^\[(\w+)\s+([\w.-]+)\]$")
+# in the order a corpus loads them
 _KINDS = ("complex", "pair", "map", "filtration", "cover", "divisors",
           "diagram", "subdiagram", "tower", "comodule")
 
@@ -99,7 +101,8 @@ def parse_sections(text):
 
 class Corpus:
     """All named objects of a corpus file; the diagram contexts are built
-    on first use."""
+    on first use.  Its methods context, subdiagram, tower and comodule are
+    tannakit.diagrams's corpus_* readers."""
 
     def __init__(self, text):
         self.ring, sections = parse_sections(text)
@@ -115,10 +118,7 @@ class Corpus:
         self._comodule_decls = {}
         self._contexts = {}
         self._products = {}
-        order = {"complex": 0, "pair": 1, "map": 2, "filtration": 3,
-                 "cover": 4, "divisors": 5, "diagram": 6, "subdiagram": 7,
-                 "tower": 8, "comodule": 9}
-        for sec in sorted(sections, key=lambda s: order[s.kind]):
+        for sec in sorted(sections, key=lambda s: _KINDS.index(s.kind)):
             getattr(self, "_load_" + sec.kind)(sec)
 
     # -- expressions ------------------------------------------------------
@@ -150,182 +150,26 @@ class Corpus:
         Z = self.expr(sub) if sub else SimplicialComplex.empty()
         self.pairs[sec.name] = SimplicialPair(X, Z)
 
-    def _load_map(self, sec):
-        kind = sec.get("kind")
-        if kind is None:
-            source = self.expr(sec.require("source"))
-            target = self.expr(sec.require("target"))
-            assignment = {}
-            for part in _split_entries(sec.require("assign"), " "):
-                if ":" not in part:
-                    raise InputError("map %r: bad assignment %r" % (sec.name, part))
-                a, b = part.split(":", 1)
-                assignment[a] = b
-            self.maps[sec.name] = SimplicialMap(source, target, assignment)
-            return
-        left = self.expr(sec.require("left"))
-        right = self.expr(sec.require("right"))
-        if kind == "swap":
-            src = self._product(left, right)
-            tgt = self._product(right, left)
-            assignment = {v: (v[1], v[0]) for v in src.vertices}
-        elif kind == "proj1":
-            src = self._product(left, right)
-            tgt = left
-            assignment = {v: v[0] for v in src.vertices}
-        elif kind == "proj2":
-            src = self._product(left, right)
-            tgt = right
-            assignment = {v: v[1] for v in src.vertices}
-        elif kind == "assoc":
-            third = self.expr(sec.require("third"))
-            src = self._product(self._product(left, right), third)
-            tgt = self._product(left, self._product(right, third))
-            assignment = {v: (v[0][0], (v[0][1], v[1])) for v in src.vertices}
-        else:
-            raise InputError("map %r: unknown kind %r" % (sec.name, kind))
-        self.maps[sec.name] = SimplicialMap(src, tgt, assignment)
+    def _declare(self, sec):
+        """A diagram, subdiagram, tower or comodule section, kept to be read
+        on first use."""
+        getattr(self, "_%s_decls" % sec.kind)[sec.name] = sec
 
-    def _load_filtration(self, sec):
-        X = self.expr(sec.require("space"))
-        levels = [self.expr(e) for e in _split_entries(sec.require("levels"), ";")]
-        self.filtrations[sec.name] = Filtration(X, levels)
+    _load_diagram = _load_subdiagram = _load_tower = _load_comodule = _declare
 
-    def _load_cover(self, sec):
-        X = self.expr(sec.require("space"))
-        sets = [self.expr(e) for e in _split_entries(sec.require("sets"), ";")]
-        self.covers[sec.name] = (X, sets)
+    # -- the sections of simplicial maps, filtrations, covers and divisors:
+    # tannakit.structures, imported at the first one
+    _load_map = _deferred("structures", "load_map")
+    _load_filtration = _deferred("structures", "load_filtration")
+    _load_cover = _deferred("structures", "load_cover")
+    _load_divisors = _deferred("structures", "load_divisors")
 
-    def _load_divisors(self, sec):
-        X = self.expr(sec.require("space"))
-        comps = [self.expr(e) for e in _split_entries(sec.require("components"), ";")]
-        self.divisors[sec.name] = (X, comps)
-
-    def _load_diagram(self, sec):
-        self._diagram_decls[sec.name] = sec
-
-    def _load_subdiagram(self, sec):
-        self._subdiagram_decls[sec.name] = sec
-
-    def _load_tower(self, sec):
-        self._tower_decls[sec.name] = sec
-
-    def _load_comodule(self, sec):
-        self._comodule_decls[sec.name] = sec
-
-    # -- diagram contexts, built on first use -------------------------------
-    def context(self, name, ring) -> "PairsContext":
-        from .tannaka import PairsContext, build_pairs_diagram
-        key = (name, ring)
-        if key in self._contexts:
-            return self._contexts[key]
-        sec = self._diagram_decls.get(name)
-        if sec is None:
-            raise InputError("unknown diagram %r" % name)
-        vertices = {}
-        for decl in sec.get_all("vertex"):
-            parts = _split_entries(decl, ":")
-            if len(parts) != 3:
-                raise InputError("diagram %r: bad vertex %r" % (name, decl))
-            vname, pairname, deg = parts
-            if pairname not in self.pairs:
-                raise InputError("diagram %r: unknown pair %r" % (name, pairname))
-            with _malformed("[diagram %s]" % name):
-                vertices[vname] = (self.pairs[pairname], int(deg))
-        map_edges = []
-        for decl in sec.get_all("edge"):
-            parts = _split_entries(decl, ":")
-            if len(parts) != 3 or "->" not in parts[2]:
-                raise InputError("diagram %r: bad edge %r" % (name, decl))
-            ename, mapname, route = parts
-            if mapname not in self.maps:
-                raise InputError("diagram %r: unknown map %r" % (name, mapname))
-            src, dst = [p.strip() for p in route.split("->", 1)]
-            map_edges.append((ename, src, dst, self.maps[mapname]))
-        triple_edges = []
-        for decl in sec.get_all("triple"):
-            parts = _split_entries(decl, ":")
-            if len(parts) != 2 or "->" not in parts[1]:
-                raise InputError("diagram %r: bad triple %r" % (name, decl))
-            ename, route = parts
-            src, dst = [p.strip() for p in route.split("->", 1)]
-            triple_edges.append((ename, src, dst))
-        products = {}
-        for decl in sec.get_all("product"):
-            lhs, _, rhs = decl.partition(":")
-            vw = lhs.strip()
-            if "*" not in rhs:
-                raise InputError("diagram %r: bad product %r" % (name, decl))
-            v, w = [p.strip() for p in rhs.split("*", 1)]
-            products[(v, w)] = vw
-        circle = sec.get("circle")
-        dia, rep = build_pairs_diagram(ring, vertices, map_edges, triple_edges)
-        ctx = PairsContext(dia, rep, products, circle, self._product)
-        self._contexts[key] = ctx
-        return ctx
-
-    def subdiagram(self, name, ring):
-        from .tannaka import Subdiagram
-        sec = self._subdiagram_decls.get(name)
-        if sec is None:
-            raise InputError("unknown subdiagram %r" % name)
-        dname = sec.require("diagram")
-        ctx = self.context(dname, ring)
-        vertices = _split_entries(sec.require("vertices"), " ")
-        return ctx, Subdiagram(ctx.diagram, vertices, name=name)
-
-    def tower(self, name, ring):
-        from .tannaka import vertex_payload
-        sec = self._tower_decls.get(name)
-        if sec is None:
-            raise InputError("unknown tower %r" % name)
-        dname = sec.require("diagram")
-        ctx = self.context(dname, ring)
-        subs = []
-        for sname in _split_entries(sec.require("truncations"), " "):
-            _, sub = self.subdiagram(sname, ring)
-            if sub.diagram is not ctx.diagram:
-                raise InputError("[tower %s]: truncation %r is not a subdiagram of %r"
-                                 % (name, sname, dname))
-            if subs and not subs[-1].is_subset_of(sub):
-                raise InputError("[tower %s]: truncation %r does not contain %r; "
-                                 "truncations must be ordered by inclusion"
-                                 % (name, sname, subs[-1].name))
-            subs.append(sub)
-        if not subs:
-            raise InputError("[tower %s] lists no truncations" % name)
-        unit = sec.get("unit")
-        if unit is not None:
-            vertex_payload(ctx.diagram.payloads, unit)
-        return ctx, subs, unit
-
-    def comodule(self, name, ring):
-        from .matrix import Matrix
-        from .tannaka import Comodule, coaction
-        sec = self._comodule_decls.get(name)
-        if sec is None:
-            raise InputError("unknown comodule %r" % name)
-        sname = sec.require("subdiagram")
-        ctx, sub = self.subdiagram(sname, ring)
-        vertex = sec.get("vertex")
-        if vertex is not None:
-            return ctx, coaction(ctx.rep, sub, vertex, ctx.end(sub))
-        A = ctx.coalgebra(sub)
-        with _malformed("[comodule %s]" % name):
-            orders = tuple(int(t) for t in _split_entries(sec.require("orders"), " "))
-            rows = []
-            for part in _split_entries(sec.require("rho"), ";"):
-                rows.append([_parse_scalar(x) for x in part.split()])
-            k = len(orders)
-            rho = Matrix(ring, rows, A.rank * k, k)
-        return ctx, Comodule(A, orders, rho)
-
-
-def _parse_scalar(text):
-    if "/" in text:
-        from fractions import Fraction
-        return Fraction(text)
-    return int(text)
+    # -- diagram contexts and what is read off them, built on first use by
+    # tannakit.diagrams
+    context = _deferred("diagrams", "corpus_context")
+    subdiagram = _deferred("diagrams", "corpus_subdiagram")
+    tower = _deferred("diagrams", "corpus_tower")
+    comodule = _deferred("diagrams", "corpus_comodule")
 
 
 class _ExprParser:
@@ -345,7 +189,8 @@ class _ExprParser:
     def take(self, expected=None):
         tok = self.peek()
         if tok is None or (expected is not None and tok != expected):
-            raise InputError("bad expression %r (at %r)" % (self.text, tok))
+            raise InputError("bad expression %r (at %s)"
+                             % (self.text, "its end" if tok is None else repr(tok)))
         self.pos += 1
         return tok
 

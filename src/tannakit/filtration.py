@@ -1,7 +1,7 @@
 """Very good pairs and filtrations, filtration complexes, their comparison
 with homology, pushforward/product constructions and the refinement search.
 The Filtration class itself, its data and checks, lives in
-tannakit.simplicial, so that parsing a corpus that declares filtrations does
+tannakit.structures, so that parsing a corpus that declares filtrations does
 not load this module; it is imported back here.
 
 "Dimension" of a subcomplex means its maximal simplex dimension, and the
@@ -23,9 +23,10 @@ from .maps import (
 )
 from .matrix import Matrix
 from .simplicial import (
-    ChainComplex, Filtration, SimplicialComplex, SimplicialMap, SimplicialPair,
-    _chain_image, pair_homology, product_complex, relative_homology,
+    ChainComplex, SimplicialComplex, SimplicialPair, _chain_image, pair_homology,
+    product_complex, relative_homology,
 )
+from .structures import Filtration, SimplicialMap
 
 
 class PairGoodness:

@@ -1,0 +1,52 @@
+"""The dense canonical forms: rref, hnf_columns and _column_reduce.
+
+No command calls them, so none compiles this module.  The tests
+read all three against their dense oracles, SmithForm.Uinv and .Vinv (the
+full inverses of criterion 01) invert a transform by _column_reduce, and
+the benchmark's tracer wraps rref and hnf_columns by name; tannakit.linalg
+and tannakit.smith serve them through their module __getattr__ (PEP 562).
+Each reads linalg._echelon, whose rows over Q are fraction-free, and
+divides them by their pivots.
+"""
+
+from fractions import Fraction
+
+from .linalg import QQ, ZZ, _echelon, _reduced_columns
+from .maps import _integer_rows, _nonzero_columns
+from .matrix import Matrix
+
+
+def _column_reduce(A):
+    """_reduced_columns of A as Matrices (H, T, K): A*T = H, and K is a
+    basis of ker(A); over Q each reduced column is divided by its pivot, the
+    first entry of its H part, or of its T part in K."""
+    m, ring = A.rows, A.ring
+    head, tail, image = _reduced_columns(ring, _nonzero_columns(A), m)
+    if ring == QQ:
+        pivots = [h[min(h)] for h in head] + [t[min(t)] for t in tail[image:]]
+        head = [{i: Fraction(x, p) for i, x in h.items()} for h, p in zip(head, pivots)]
+        tail = [{i: Fraction(x, p) for i, x in t.items()} for t, p in zip(tail, pivots)]
+    return (Matrix.from_sparse(ring, head, m),
+            Matrix.from_sparse(ring, tail[:image], A.cols),
+            Matrix.from_sparse(ring, tail[image:], A.cols))
+
+
+def rref(A):
+    """Reduced row echelon form over Q: returns (R, pivot_columns), R with
+    Fraction entries and its zero rows last.  The rows are scaled to
+    integers and reduced by _echelon."""
+    pivots, basis = _echelon(_integer_rows(A), QQ)
+    rows = [[Fraction(r.get(j, 0), r[c]) for j in range(A.cols)] for c, r in zip(pivots, basis)]
+    rows += [[Fraction(0)] * A.cols] * (A.rows - len(rows))
+    return Matrix(QQ, rows, A.rows, A.cols), tuple(pivots)
+
+
+def hnf_columns(A):
+    """Canonical (column-style Hermite) basis of the column lattice over Z.
+
+    Columns are ordered by pivot row; pivots positive; entries of earlier
+    columns in a pivot row reduced into [0, pivot).  Zero columns dropped.
+    """
+    if A.ring != ZZ:
+        raise ValueError("hnf_columns requires an integer matrix")
+    return Matrix.from_sparse(ZZ, _echelon(_nonzero_columns(A), ZZ)[1], A.rows)

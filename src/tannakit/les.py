@@ -107,12 +107,13 @@ def _node(n, position, phi, psi, ring):
     # the kernel of (e, y) -> dy - psi phi(e) on coordinates e of the cycles
     # and chains y of C_{k+1}: its vectors with e = 0 are the cycles z, the
     # others give (phi(e), y) in L, and every cycle lifts to some y when the
-    # leading e-parts are the unit vectors (the Hermite basis of all e)
+    # leading e-parts are the unit vectors (the Hermite basis of all e; over
+    # Q, whose echelon rows are kept fraction-free, positive multiples)
     q = len(images)
     _, T, r = _reduced_columns(ring, [{i: -x for i, x in v.items()}
                                       for v in _compose(psi_cols[n], images)]
                                + C.columns(k + 1), C.rank(k))
-    lifted = [(min(t), t[min(t)]) for t in T[r:] if min(t) < q]
+    lifted = [(min(t), t[min(t)] if ring == ZZ else 1) for t in T[r:] if min(t) < q]
     lattice = [_sum(dw, {i: sign * x for i, x in pw.items()}, b)
                for dw, pw in zip(B.columns(n + 1), psi_cols[n + 1])]
     lattice += [_sum(_compose(images, [{a: x for a, x in t.items() if a < q}])[0],

@@ -3,33 +3,34 @@
 Entries are arbitrary-precision (python ints over Z, fractions.Fraction over
 Q); nothing here ever rounds or overflows.  Maps are kept as sparse columns
 {row: entry} wherever they are computed.  This module holds FgModule,
-Subquotient and the sparse eliminations behind them.  One reduction,
+Subquotient and the sparse eliminations behind them, all in integers: it
+never builds a Fraction, and does not import fractions.  One reduction,
 _echelon, does all row reduction on sparse integer rows (the Hermite form
-over Z, the reduced echelon form over Q), and _reduced_columns reads it on A
-stacked on the identity.  Invariant factors alone come from a sparse
-elimination of unit pivots, _unit_pivots, with sparse Euclid steps
-(_residual_divisors, Z) or _echelon (Q) on what is left; tannakit.reduction
-reads a chain-level reduction off the same pivots.  A Subquotient's module
-is read from elementary divisors when it is built, and its coordinates on
-the first class_of or lift: Subquotient.free (a free complex's homology)
-takes the divisors of the two boundaries, then builds the cycle basis from
-the sparse kernel of their columns; maps.presented_subquotient takes the
-cokernel of the cycle coordinates, then the Smith transforms.
+over Z, the fraction-free reduced echelon form over Q, which the readers of
+a normalized basis in tannakit.maps and tannakit.smith divide by its
+pivots), and _reduced_columns reads it on A stacked on the identity.
+Invariant factors alone come from a sparse elimination of unit pivots,
+_unit_pivots, with sparse Euclid steps (_residual_divisors, Z) or _echelon
+(Q) on what is left; tannakit.reduction reads a chain-level reduction off
+the same pivots.  A Subquotient's module is read from elementary divisors
+when it is built.
 
-Three layers load on first use, and their names are served here through a
-module __getattr__ (PEP 562): tannakit.matrix (Matrix, the dense view),
-tannakit.maps (kernel, the coordinate reader _Solver, presentations,
-ModuleMap, subquotients with their transforms, the tensor helpers) and
-tannakit.smith (Smith normal form with its transforms, the determinant,
-rref, hnf_columns and the dense _column_reduce).  The functions here that
-read a dense matrix (_nonzero_columns, _integer_rows, elementary_divisors)
-take any object with its ring, rows, cols and data, and never build one.
+Four layers load on first use, and their names are served here through a
+module __getattr__ (PEP 562): tannakit.matrix (Matrix, the dense view, and
+_coerce), tannakit.maps (kernel, the coordinate reader _Solver,
+presentations, ModuleMap, subquotients with their transforms, the tensor
+helpers, and the readers of a dense matrix: _nonzero_columns, _integer_rows,
+elementary_divisors), tannakit.smith (Smith normal form with its
+transforms, the determinant) and tannakit.forms (the dense canonical forms
+rref, hnf_columns and _column_reduce).  The class coordinates of a Subquotient (class_of, lift)
+and the methods of FgModule that read or build a presentation (relations,
+normalize_vector, cokernel, tensor) are _deferred calls into tannakit.maps,
+which builds them on the first call.
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 
-from . import _lazy
+from . import _deferred, _lazy
 
 ZZ = "z"
 QQ = "q"
@@ -37,38 +38,18 @@ QQ = "q"
 RINGS = (ZZ, QQ)
 
 __getattr__ = _lazy(__name__, {
-    "matrix": "Matrix",
+    "matrix": "Matrix _coerce",
     "maps": "_Solver solve kernel _null_vectors module_from_relations _order_relations "
             "ModuleMap dual_map subquotient presented_subquotient tensor_swap _tensor_apply "
-            "_swapped_tensor",
-    "smith": "SmithForm smith_normal_form determinant rref hnf_columns _column_reduce",
+            "_swapped_tensor _nonzero_columns _integer_rows elementary_divisors _apply",
+    "smith": "SmithForm smith_normal_form determinant",
+    "forms": "rref hnf_columns _column_reduce",
 })
-
-
-def _coerce(ring, x):
-    t = type(x)    # isinstance(x, Fraction) goes through the slow ABC check
-    if ring == QQ:
-        return x if t is Fraction else Fraction(x)
-    if t is int:
-        return x
-    if isinstance(x, Fraction) and x.denominator != 1:
-        raise ValueError("non-integer entry %r in an integer matrix" % (x,))
-    return int(x)
 
 
 # ---------------------------------------------------------------------------
 # Sparse eliminations
 # ---------------------------------------------------------------------------
-
-def _nonzero_columns(m):
-    """Column j of m as {row: entry} over its nonzero entries."""
-    cols = [{} for _ in range(m.cols)]
-    for i, row in enumerate(m.data):
-        for j, x in enumerate(row):
-            if x:
-                cols[j][i] = x
-    return cols
-
 
 def _integral(vectors):
     """Sparse vectors {index: int or Fraction}, each scaled by the lcm of its
@@ -83,12 +64,6 @@ def _integral(vectors):
         m = lcm(*(x.denominator for x in v.values()))
         out.append({j: x.numerator * (m // x.denominator) for j, x in v.items()})
     return out
-
-
-def _integer_rows(A):
-    """Rows of A as sparse {col: int}, each scaled by the lcm of its
-    denominators."""
-    return _integral({j: x for j, x in enumerate(row) if x} for row in A.data)
 
 
 def _reduce(row, piv, c, ring):
@@ -122,9 +97,10 @@ def _echelon(rows, ring):
     Over Z the basis is the Hermite form of the row lattice: each pivot
     column is cleared by Euclid steps, the pivot is made positive, and the
     entries above it are reduced into [0, pivot).  Over Q it is the reduced
-    row echelon form, rows {col: Fraction} with pivot entries 1: the
-    shortest candidate row is the pivot, combinations stay fraction-free,
-    and rows are divided by their pivots only at the end.  Both forms are
+    row echelon form kept fraction-free: the shortest candidate row is the
+    pivot, and each basis row is the primitive integer multiple, with a
+    positive pivot, of the row of the reduced form, which a reader of a
+    normalized basis gets by dividing it by its pivot.  Both forms are
     unique, so the order of the steps cannot change the result (Cohen,
     GTM 138, 2.4).  The input rows are left unchanged.
     """
@@ -153,15 +129,11 @@ def _echelon(rows, ring):
             if c in basis[i]:
                 basis[i] = _reduce(basis[i], piv, c, ring)
     if ring == QQ:
-        basis = [{j: Fraction(x, r[c]) for j, x in r.items()}
-                 for c, r in zip(pivots, basis)]
+        for k, r in enumerate(basis):
+            g = gcd(*r.values())
+            if g > 1:
+                basis[k] = {j: x // g for j, x in r.items()}
     return pivots, basis
-
-
-def elementary_divisors(A):
-    """Nonzero invariant factors of A in divisibility order; (1,) * rank over
-    Q, whose rows are scaled to integers first."""
-    return _sparse_divisors(_integer_rows(A), A.ring)
 
 
 def _sparse_divisors(start, ring):
@@ -283,7 +255,8 @@ def _reduced_columns(ring, columns, m):
     sparse columns: the reduced rows with a nonzero A part give H (that
     part) and T (their identity part), so A*T = H; the others give K, a
     basis of ker(A), which over Z is the Hermite basis of the kernel
-    lattice."""
+    lattice.  Over Q each column is an integer multiple of the reduced
+    form's, as _echelon keeps its rows."""
     pivots, basis = _echelon(_integral({**col, m + j: 1} for j, col in enumerate(columns)), ring)
     image = sum(c < m for c in pivots)      # pivots ascend: these come first
     return ([{i: x for i, x in r.items() if i < m} for r in basis[:image]],
@@ -337,40 +310,11 @@ class FgModule:
     def is_zero(self):
         return self.free_rank == 0 and not self.torsion
 
-    def relations(self):
-        """Relations matrix of the normalized presentation (ngens x #torsion)."""
-        from .maps import _order_relations
-        return _order_relations(self.torsion + (0,) * self.free_rank, self.ring)
-
-    def normalize_vector(self, vec):
-        """Reduce generator coordinates to the canonical representative."""
-        vec = tuple(vec)
-        if len(vec) != self.ngens:
-            raise ValueError("coordinate length mismatch")
-        out = list(vec)
-        for i, t in enumerate(self.torsion):
-            out[i] = out[i] % t
-        return tuple(out)
-
-    def tensor(self, other):
-        """The module presented by the columns of ra (x) 1 and 1 (x) rb."""
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch in tensor")
-        from .maps import _tensor_apply
-        ra, rb = _nonzero_columns(self.relations()), _nonzero_columns(other.relations())
-        na, nb = self.ngens, other.ngens
-        cols = ([_tensor_apply(ra, None, nb, nb, {x: 1}) for x in range(len(ra) * nb)]
-                + [_tensor_apply(None, rb, nb, len(rb), {x: 1}) for x in range(na * len(rb))])
-        from .matrix import Matrix
-        return FgModule.cokernel(Matrix.from_sparse(self.ring, cols, na * nb))
-
-    @classmethod
-    def cokernel(cls, relations):
-        """The module presented by the columns of relations, from its
-        elementary divisors."""
-        divisors = elementary_divisors(relations)
-        return cls(relations.ring, relations.rows - len(divisors),
-                   [e for e in divisors if e > 1])
+    # the presentation and its coordinates: tannakit.maps
+    relations = _deferred("maps", "module_relations")
+    normalize_vector = _deferred("maps", "normalize_vector")
+    tensor = _deferred("maps", "module_tensor")
+    cokernel = classmethod(_deferred("maps", "cokernel"))
 
     def __eq__(self, other):
         return (isinstance(other, FgModule) and self.ring == other.ring
@@ -396,11 +340,12 @@ class Subquotient:
 
     class_of maps a cycle (coordinates in the middle module's generators) to
     coordinates on the normalized generators of the subquotient; lift does
-    the reverse for a generator index.  build() returns what
-    maps._cycle_coordinates does: the cycle basis as sparse columns, the
-    _Solver on it that reads every class_of, and the coordinates in it of
-    the boundaries and relations, from which module_from_relations builds
-    the transforms and a module that must be the one this was built with.
+    the reverse for a generator index.  Both are tannakit.maps functions.
+    build() returns what maps._cycle_coordinates does: the cycle basis as
+    sparse columns, the _Solver on it that reads every class_of, and the
+    coordinates in it of the boundaries and relations, from which
+    module_from_relations builds the transforms and a module that must be
+    the one this was built with.
     """
 
     __slots__ = ("module", "_build", "_cycles", "_solver", "_to_normal", "_from_normal")
@@ -415,34 +360,15 @@ class Subquotient:
         rk d_out - rk d_in) plus Z/e for the divisors e > 1 of d_in.
         boundaries() returns the sparse columns of d_in and d_out and the
         row count of d_out; it is called on the first class_of or lift."""
-        def build():
-            from .maps import _cycle_coordinates
-            into, out, rows = boundaries()
-            return _cycle_coordinates(ring, into, out, rank, rows)
         return cls(FgModule(ring, rank - len(div_out) - len(div_in),
-                            [e for e in div_in if e > 1]), build)
+                            [e for e in div_in if e > 1]),
+                   lambda: _cycle_coordinates(ring, rank, *boundaries()))
 
-    def _basis(self):
-        if self._build is not None:
-            from .maps import module_from_relations
-            self._cycles, self._solver, coeff = self._build()
-            module, self._to_normal, self._from_normal = module_from_relations(
-                self.module.ring, len(self._cycles), coeff)
-            if module != self.module:
-                raise AssertionError("cycle basis gives %r, elementary divisors %r"
-                                     % (module, self.module))
-            self._build = None
-        return self._cycles
+    class_of = _deferred("maps", "class_of")
+    lift = _deferred("maps", "lift")
 
-    def class_of(self, vec):
-        self._basis()
-        c = self._solver.solve(vec)
-        if c is None:
-            raise ValueError("vector is not a cycle (or not in the cycle submodule)")
-        return self.module.normalize_vector(self._to_normal.apply(c))
 
-    def lift(self, j):
-        return _apply(self._basis(), self._from_normal.col(j), self._solver.rows)
+_cycle_coordinates = _deferred("maps", "_cycle_coordinates")
 
 
 def _compose(outer, inner):
@@ -471,13 +397,3 @@ def _transpose(cols, n):
 def _composes_to_zero(outer, inner):
     """outer * inner == 0, for maps given as sparse columns."""
     return not any(_compose(outer, inner))
-
-
-def _apply(cols, vec, size):
-    """The vector of length size that the sparse columns cols map vec to."""
-    out = [0] * size
-    for col, x in zip(cols, vec):
-        if x:
-            for i, y in col.items():
-                out[i] += x * y
-    return tuple(out)

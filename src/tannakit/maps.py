@@ -4,11 +4,17 @@ tannakit.linalg and tannakit.simplicial compute a homology module and stop
 there; everything that reads coordinates in a basis, or maps one module to
 another, lives here and loads on first use, so a command that only prints
 homology never compiles it.  linalg, simplicial and the package serve these
-names through their module __getattr__ (PEP 562).
+names through their module __getattr__ (PEP 562).  That includes the class
+coordinates of a linalg.Subquotient (class_of and lift, with the cycle
+basis and Smith transforms they build on the first call), the methods of
+FgModule that read or build a presentation (relations, normalize_vector,
+cokernel, tensor), which linalg reaches by _deferred calls, and the readers
+of a dense matrix (_nonzero_columns, _integer_rows, elementary_divisors).
 
 kernel reads _echelon on sparse columns (over Z through _reduced_columns, A
 stacked on the identity), and so do Q module_from_relations and image
-bases.  One reader, _Solver, reads every coordinate, in integers, at the
+bases, each dividing the fraction-free rows of _echelon over Q by their
+pivots.  One reader, _Solver, reads every coordinate, in integers, at the
 pivots of a canonical basis, or of _reduced_columns's image basis for any
 other A.  Every tensor identity and construction applies A (x) B to sparse
 columns by one helper, _tensor_apply; no module calls Matrix.kron.  Maps on
@@ -25,10 +31,10 @@ from math import lcm
 
 from .errors import CompositionNonzero, NotNested, NotPairMap, TorsionPresent
 from .linalg import (
-    QQ, ZZ, FgModule, Subquotient, _apply, _coerce, _compose, _echelon, _integral,
-    _nonzero_columns, _reduced_columns, _transpose,
+    QQ, ZZ, FgModule, Subquotient, _compose, _echelon, _integral, _reduced_columns,
+    _sparse_divisors, _transpose,
 )
-from .matrix import Matrix
+from .matrix import Matrix, _coerce
 from .simplicial import (
     ChainComplex, SimplicialPair, _chain_image, _faces, _shuffle_paths, _sparse_columns,
     pair_homology, product_complex, product_pair, relative_chain_complex,
@@ -38,6 +44,33 @@ from .simplicial import (
 # ---------------------------------------------------------------------------
 # Kernels and coordinates
 # ---------------------------------------------------------------------------
+
+def _nonzero_columns(m):
+    """Column j of a dense matrix m (any object with its cols and data) as
+    {row: entry} over its nonzero entries."""
+    cols = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m.data):
+        for j, x in enumerate(row):
+            if x:
+                cols[j][i] = x
+    return cols
+
+
+def _integer_rows(A):
+    """Rows of a dense A as sparse {col: int}, each scaled by the lcm of its
+    denominators."""
+    return _integral({j: x for j, x in enumerate(row) if x} for row in A.data)
+
+
+def _apply(cols, vec, size):
+    """The vector of length size that the sparse columns cols map vec to."""
+    out = [0] * size
+    for col, x in zip(cols, vec):
+        if x:
+            for i, y in col.items():
+                out[i] += x * y
+    return tuple(out)
+
 
 def kernel(ring, columns, rows):
     """Canonical basis of the kernel of the rows x len(columns) matrix with
@@ -51,15 +84,16 @@ def kernel(ring, columns, rows):
 
 
 def _null_vectors(pivots, rows, n):
-    """Free columns of a reduced echelon form on n columns (pivots and rows
-    from _echelon over Q) and the kernel vector {index: Fraction} of each:
-    1 at its own free column, 0 at the others."""
+    """Free columns of a reduced echelon form on n columns (pivots and the
+    fraction-free rows of _echelon over Q, each divided here by its pivot)
+    and the kernel vector {index: Fraction} of each: 1 at its own free
+    column, 0 at the others."""
     free = sorted(set(range(n)).difference(pivots))
     basis = {f: {f: Fraction(1)} for f in free}
     for c, row in zip(pivots, rows):
         for j, x in row.items():
             if j != c:
-                basis[j][c] = -x
+                basis[j][c] = Fraction(-x, row[c])
     return free, list(basis.values())
 
 
@@ -163,6 +197,48 @@ def solve(A, b):
 # Presentations and module maps
 # ---------------------------------------------------------------------------
 
+def elementary_divisors(A):
+    """Nonzero invariant factors of a dense A in divisibility order; (1,) *
+    rank over Q, whose rows are scaled to integers first."""
+    return _sparse_divisors(_integer_rows(A), A.ring)
+
+
+def cokernel(cls, relations):
+    """FgModule.cokernel: the module presented by the columns of relations,
+    from its elementary divisors."""
+    divisors = elementary_divisors(relations)
+    return cls(relations.ring, relations.rows - len(divisors), [e for e in divisors if e > 1])
+
+
+def module_relations(module):
+    """FgModule.relations: the relations matrix of the normalized
+    presentation (ngens x #torsion)."""
+    return _order_relations(module.torsion + (0,) * module.free_rank, module.ring)
+
+
+def normalize_vector(module, vec):
+    """FgModule.normalize_vector: generator coordinates reduced to the
+    canonical representative."""
+    out = list(vec)
+    if len(out) != module.ngens:
+        raise ValueError("coordinate length mismatch")
+    for i, t in enumerate(module.torsion):
+        out[i] %= t
+    return tuple(out)
+
+
+def module_tensor(a, b):
+    """FgModule.tensor: the module presented by the columns of ra (x) 1 and
+    1 (x) rb."""
+    if a.ring != b.ring:
+        raise ValueError("ring mismatch in tensor")
+    ra, rb = _nonzero_columns(a.relations()), _nonzero_columns(b.relations())
+    na, nb = a.ngens, b.ngens
+    cols = ([_tensor_apply(ra, None, nb, nb, {x: 1}) for x in range(len(ra) * nb)]
+            + [_tensor_apply(None, rb, nb, len(rb), {x: 1}) for x in range(na * len(rb))])
+    return FgModule.cokernel(Matrix.from_sparse(a.ring, cols, na * nb))
+
+
 def _order_relations(orders, ring=ZZ):
     """Relation columns t e_i, one for each generator i of order t > 0."""
     n = len(orders)
@@ -189,7 +265,7 @@ def module_from_relations(ring, ngens, relations):
         keep = [i for i, d in enumerate(diag) if d != 1]
         torsion = [d for d in diag if d > 1]
         return (FgModule(ZZ, len(keep) - len(torsion), torsion), form.U.take_rows(keep),
-                form.Uinv.take_cols(keep))
+                form.inverse_columns(keep))
     # over Q: quotient by the span; a coordinate vector reduces to its free
     # coordinates by subtracting the echelon rows at the pivots
     free, to_normal = _null_vectors(
@@ -288,12 +364,12 @@ def presented_subquotient(m_in, rel_b, m_out, rel_c):
     divisors; module_from_relations (over Z a Smith form with its
     transforms) runs on the first class_of or lift."""
     cycles, solver, coeff = _cycle_coordinates(
-        m_out.ring, _nonzero_columns(m_in) + _nonzero_columns(rel_b),
-        _nonzero_columns(m_out) + _nonzero_columns(rel_c), m_out.cols, m_out.rows)
+        m_out.ring, m_out.cols, _nonzero_columns(m_in) + _nonzero_columns(rel_b),
+        _nonzero_columns(m_out) + _nonzero_columns(rel_c), m_out.rows)
     return Subquotient(FgModule.cokernel(coeff), lambda: (cycles, solver, coeff))
 
 
-def _cycle_coordinates(ring, into, out, n, rows):
+def _cycle_coordinates(ring, n, into, out, rows):
     """(cycles, solver, coeff) at B = ring^n, for the sparse columns into
     (the map into B, then B's relations) and out (the map out of B, then
     the relations of its target, on rows rows): a basis of the cycles of B
@@ -305,6 +381,37 @@ def _cycle_coordinates(ring, into, out, n, rows):
     if None in coeff:
         raise CompositionNonzero("boundary does not lie in the cycle submodule")
     return cycles, solver, Matrix.from_sparse(ring, coeff, len(cycles))
+
+
+def _cycle_basis(sq):
+    """The cycle basis of a Subquotient, with its solver and transforms
+    built on the first call: sq._build() gives the cycles and the
+    coordinates of the boundaries and relations in them, whose
+    module_from_relations must give the module sq was built with."""
+    if sq._build is not None:
+        sq._cycles, sq._solver, coeff = sq._build()
+        module, sq._to_normal, sq._from_normal = module_from_relations(
+            sq.module.ring, len(sq._cycles), coeff)
+        if module != sq.module:
+            raise AssertionError("cycle basis gives %r, elementary divisors %r"
+                                 % (module, sq.module))
+        sq._build = None
+    return sq._cycles
+
+
+def class_of(sq, vec):
+    """Subquotient.class_of: the normalized coordinates of the class of a
+    cycle, given by its coordinates in the middle module's generators."""
+    _cycle_basis(sq)
+    c = sq._solver.solve(vec)
+    if c is None:
+        raise ValueError("vector is not a cycle (or not in the cycle submodule)")
+    return sq.module.normalize_vector(sq._to_normal.apply(c))
+
+
+def lift(sq, j):
+    """Subquotient.lift: a cycle representing normalized generator j."""
+    return _apply(_cycle_basis(sq), sq._from_normal.col(j), sq._solver.rows)
 
 
 # ---------------------------------------------------------------------------

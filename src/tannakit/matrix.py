@@ -6,12 +6,27 @@ and that presentations and the dense Smith form of tannakit.smith work on.
 It loads on first use: tannakit.linalg and the package serve the name
 through their module __getattr__ (PEP 562), so `linalg.Matrix`,
 `tannakit.Matrix` and `from .linalg import Matrix` keep resolving, and a
-homology command, which reads only sparse columns, never compiles it.
+homology command, which reads only sparse columns, never compiles it.  The
+entry coercion _coerce of Matrix, maps._Solver and the Tannaka layers is
+here too, served by linalg likewise.
 """
 
 from fractions import Fraction
 
-from .linalg import RINGS, ZZ, _coerce
+from .linalg import QQ, RINGS, ZZ
+
+
+def _coerce(ring, x):
+    """x as an entry over ring: a Fraction over Q, an int over Z, where a
+    non-integer Fraction raises ValueError."""
+    t = type(x)    # isinstance(x, Fraction) goes through the slow ABC check
+    if ring == QQ:
+        return x if t is Fraction else Fraction(x)
+    if t is int:
+        return x
+    if isinstance(x, Fraction) and x.denominator != 1:
+        raise ValueError("non-integer entry %r in an integer matrix" % (x,))
+    return int(x)
 
 
 class Matrix:

@@ -1,5 +1,4 @@
-"""Finite simplicial complexes, pairs, maps and filtrations, and their exact
-homology modules.
+"""Finite simplicial complexes and pairs, and their exact homology modules.
 
 Orientation convention: each simplex is written with its vertices in the
 global order of the ambient complex, and the boundary alternates signs over
@@ -7,12 +6,12 @@ omitted vertices.  Products use the staircase (ordered-product)
 triangulation, which makes the Eilenberg-Zilber shuffle formula land on
 honest simplices.  SimplicialComplex() sorts and checks arbitrary input;
 from_maximal, union, intersection, skeleton, images and products build
-complexes closed by construction, and check nothing.  Filtration holds the
-data and checks of a filtration; its algorithms are in tannakit.filtration.
+complexes closed by construction, and check nothing.
 
-This module stops at the homology module of a pair.  Three layers load on
-the first lookup of one of their names here (PEP 562): tannakit.maps holds
-chain maps, tensor complexes, the maps induced on homology
+This module stops at the homology module of a pair.  Four layers load on
+the first lookup of one of their names here (PEP 562): tannakit.structures
+holds simplicial maps (SimplicialMap) and filtrations (Filtration);
+tannakit.maps chain maps, tensor complexes, the maps induced on homology
 (induced_map_on_homology, triple_boundary) and the Eilenberg-Zilber and
 Alexander-Whitney maps; tannakit.les the long exact sequence certificate
 (les_exactness); tannakit.cochains cup products and Cech models.
@@ -27,10 +26,11 @@ a chain-level reduction's residual complex instead (tannakit.reduction).
 from itertools import combinations
 
 from . import _lazy
-from .errors import InvalidFiltration, InvalidPair, NotSimplicial
+from .errors import InvalidPair, NotSimplicial
 from .linalg import ZZ, FgModule, Subquotient, _composes_to_zero, _sparse_divisors
 
 __getattr__ = _lazy(__name__, {
+    "structures": "SimplicialMap Filtration",
     "maps": "ChainMap tensor_complex _induced_chain_map induced_map_on_homology "
             "triple_boundary _homology_map _boundary_image _shuffle_sign _ez _aw ez_matrixes "
             "_assert_aw_ez_identity ez_aw_maps ez_aw_relative",
@@ -168,111 +168,6 @@ class SimplicialPair:
 
     def __repr__(self):
         return "SimplicialPair(%r, %r)" % (self.X, self.Z)
-
-
-class SimplicialMap:
-    """Vertex assignment whose simplex images are simplices."""
-
-    __slots__ = ("source", "target", "assignment")
-
-    def __init__(self, source, target, assignment):
-        self.source = source
-        self.target = target
-        self.assignment = dict(assignment)
-        for v in source.vertices:
-            if v not in self.assignment:
-                raise NotSimplicial("vertex %r has no image" % (v,))
-            if (self.assignment[v],) not in target.all_simplices():
-                raise NotSimplicial("image %r is not a vertex of the target"
-                                    % (self.assignment[v],))
-        for s in source.all_simplices():
-            img = tuple(sorted({self.assignment[v] for v in s}))
-            if not target.has_simplex(img):
-                raise NotSimplicial("image of %r is not a simplex" % (s,))
-
-    @classmethod
-    def identity(cls, X):
-        return cls(X, X, {v: v for v in X.vertices})
-
-    def __call__(self, v):
-        return self.assignment[v]
-
-    def compose(self, other):
-        """self after other."""
-        if not other.target.is_subcomplex_of(self.source):
-            raise ValueError("composition mismatch")
-        return SimplicialMap(other.source, self.target,
-                             {v: self.assignment[w] for v, w in other.assignment.items()})
-
-    def restrict(self, sub, target=None):
-        return SimplicialMap(sub, target if target is not None else self.target,
-                             {v: self.assignment[v] for v in sub.vertices})
-
-    def image(self, sub=None):
-        src = self.source if sub is None else sub
-        return SimplicialComplex._closed(
-            {tuple(sorted({self.assignment[v] for v in s})) for s in src.all_simplices()})
-
-    def oriented_image(self, s):
-        """(sign, image simplex) or (0, None) when the image degenerates."""
-        img = [self.assignment[v] for v in s]
-        if len(set(img)) != len(img):
-            return 0, None
-        inv = 0
-        for i in range(len(img)):
-            for j in range(i + 1, len(img)):
-                if img[i] > img[j]:
-                    inv += 1
-        return (-1) ** inv, tuple(sorted(img))
-
-    def is_pair_map(self, pair_src, pair_tgt):
-        return self.image(pair_src.Z).is_subcomplex_of(pair_tgt.Z)
-
-
-class Filtration:
-    """Increasing chain of subcomplexes F_0 <= ... <= F_n = X with
-    dim F_i <= i; F_{-1} is the empty complex."""
-
-    __slots__ = ("X", "levels")
-
-    def __init__(self, X, levels):
-        levels = tuple(levels)
-        if not levels:
-            raise InvalidFiltration("a filtration needs at least one level")
-        if levels[-1] != X:
-            raise InvalidFiltration("top level must equal the whole complex")
-        prev = SimplicialComplex.empty()
-        for i, F in enumerate(levels):
-            if not prev.is_subcomplex_of(F):
-                raise InvalidFiltration("levels are not nested at index %d" % i)
-            if F.dim > i:
-                raise InvalidFiltration("dim F_%d = %d exceeds %d" % (i, F.dim, i))
-            if not F.is_subcomplex_of(X):
-                raise InvalidFiltration("level %d is not a subcomplex of X" % i)
-            prev = F
-        self.X = X
-        self.levels = levels
-
-    @property
-    def length(self):
-        return len(self.levels) - 1
-
-    def level(self, i):
-        if i < 0:
-            return SimplicialComplex.empty()
-        if i >= len(self.levels):
-            return self.levels[-1]
-        return self.levels[i]
-
-    def __eq__(self, other):
-        return (isinstance(other, Filtration) and self.X == other.X
-                and self.levels == other.levels)
-
-    def __hash__(self):
-        return hash((self.X, self.levels))
-
-    def __repr__(self):
-        return "Filtration(length %d on %r)" % (self.length, self.X)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
-"""Smith normal form with its unimodular transforms, the exact determinant,
-the dense canonical forms rref and hnf_columns, and _column_reduce, the
-dense (H, T, K) of linalg._reduced_columns that inverts a transform.
+"""Smith normal form with its unimodular transforms and the exact
+determinant.
 
 This module loads on first use: only where a Smith form with its
 transforms is needed, for the coordinates of an integer presentation with
@@ -10,27 +9,55 @@ determinant is computed.  Invariant factors alone never load
 it: the residual that unit pivots leave in linalg._sparse_divisors is read
 by sparse Euclid steps (linalg._residual_divisors), so a homology command
 never compiles it, torsion or not.  linalg and the package serve its names
-through a module __getattr__ (PEP 562).  rref and hnf_columns read
-linalg._echelon; no library code calls them, and they stay for the tests
-and the benchmark's tracer.
+through a module __getattr__ (PEP 562).  The dense canonical forms rref,
+hnf_columns and _column_reduce, which only the tests and the full inverses
+Uinv and Vinv read, are in tannakit.forms, served here likewise.
 """
 
 from fractions import Fraction
 from functools import cached_property
 from math import lcm, prod
 
-from .linalg import QQ, ZZ, _echelon, _integer_rows, _nonzero_columns, _reduced_columns
+from . import _deferred, _lazy
+from .linalg import QQ, ZZ
 from .matrix import Matrix
+
+__getattr__ = _lazy(__name__, {"forms": "rref hnf_columns"})
+# a module global, so that a test can count the calls of Uinv and Vinv
+_column_reduce = _deferred("forms", "_column_reduce")
 
 
 class SmithForm:
     """U*A*V = D with U, V unimodular and the diagonal a divisibility chain.
-    Uinv and Vinv are computed on first read."""
+    Uinv and Vinv are computed on first read; inverse_columns reads some
+    columns of U^-1 off the row operations that built U."""
 
-    def __init__(self, U, D, V):
+    def __init__(self, U, D, V, row_ops=()):
         self.U = U
         self.D = D
         self.V = V
+        self._row_ops = row_ops
+
+    def inverse_columns(self, cols):
+        """The columns cols of U^-1, a Matrix: U is the product of the row
+        operations of the elimination, so U^-1 e_i is e_i with their
+        inverses applied, the last one first.  U x = e_i is checked."""
+        out = []
+        for i in cols:
+            x = [0] * self.U.rows
+            x[i] = 1
+            unit = tuple(x)
+            for dst, src, q in reversed(self._row_ops):
+                if q is not None:       # row dst -= q row src, undone
+                    x[dst] += q * x[src]
+                elif dst == src:        # a sign change
+                    x[dst] = -x[dst]
+                else:                   # a swap
+                    x[dst], x[src] = x[src], x[dst]
+            if self.U.apply(x) != unit:
+                raise AssertionError("row operations do not invert the SNF transform")
+            out.append(x)
+        return Matrix.from_columns(ZZ, out, rows=self.U.rows)
 
     @cached_property
     def Uinv(self):
@@ -48,16 +75,6 @@ class SmithForm:
     @property
     def rank(self):
         return len(self.invariant_factors)
-
-
-def _column_reduce(A):
-    """_reduced_columns of A as Matrices (H, T, K): A*T = H, and K is a
-    basis of ker(A)."""
-    m, ring = A.rows, A.ring
-    head, tail, image = _reduced_columns(ring, _nonzero_columns(A), m)
-    return (Matrix.from_sparse(ring, head, m),
-            Matrix.from_sparse(ring, tail[:image], A.cols),
-            Matrix.from_sparse(ring, tail[image:], A.cols))
 
 
 def _unimodular_inverse(U):
@@ -99,14 +116,20 @@ def smith_normal_form(A):
     m, n = A.rows, A.cols
     a = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(A.data)]
     a += [[int(i == j) for j in range(n)] for i in range(n)]
+    ops = []        # the row operations, in order, for SmithForm.inverse_columns
 
     def swap_cols(i, j):
         for row in a:
             row[i], row[j] = row[j], row[i]
 
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        ops.append((i, j, None))
+
     def addmul_row(dst, src, q):
         # row_dst -= q * row_src
         a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
+        ops.append((dst, src, q))
 
     def addmul_col(dst, src, q):
         # col_dst -= q * col_src
@@ -134,7 +157,7 @@ def smith_normal_form(A):
                 return False
             pi, pj = piv
             if pi != k:
-                a[pi], a[k] = a[k], a[pi]
+                swap_rows(pi, k)
             elif pj != k:
                 swap_cols(pj, k)
             p = a[k][k]
@@ -165,7 +188,7 @@ def smith_normal_form(A):
             break
         if a[k][k] == 0 or abs(a[piv[0]][piv[1]]) < abs(a[k][k]):
             if piv[0] != k:
-                a[piv[0]], a[k] = a[k], a[piv[0]]
+                swap_rows(piv[0], k)
             if piv[1] != k:
                 swap_cols(piv[1], k)
         clear_position(k)
@@ -185,10 +208,11 @@ def smith_normal_form(A):
     for i in range(rank):
         if a[i][i] < 0:
             a[i] = [-x for x in a[i]]
+            ops.append((i, i, None))
 
     form = SmithForm(Matrix(ZZ, [row[n:] for row in a[:m]], m, m),
                      Matrix(ZZ, [row[:n] for row in a[:m]], m, n),
-                     Matrix(ZZ, a[m:], n, n))
+                     Matrix(ZZ, a[m:], n, n), ops)
     if (form.U * A) * form.V != form.D:
         raise AssertionError("SNF internal inconsistency")
     return form
@@ -225,25 +249,3 @@ def determinant(A):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[n - 1][n - 1]
-
-
-def rref(A):
-    """Reduced row echelon form over Q: returns (R, pivot_columns), R with
-    Fraction entries and its zero rows last.  The rows are scaled to
-    integers and reduced by _echelon."""
-    pivots, basis = _echelon(_integer_rows(A), QQ)
-    zero = Fraction(0)
-    rows = [[r.get(j, zero) for j in range(A.cols)] for r in basis]
-    rows += [[zero] * A.cols] * (A.rows - len(rows))
-    return Matrix(QQ, rows, A.rows, A.cols), tuple(pivots)
-
-
-def hnf_columns(A):
-    """Canonical (column-style Hermite) basis of the column lattice over Z.
-
-    Columns are ordered by pivot row; pivots positive; entries of earlier
-    columns in a pivot row reduced into [0, pivot).  Zero columns dropped.
-    """
-    if A.ring != ZZ:
-        raise ValueError("hnf_columns requires an integer matrix")
-    return Matrix.from_sparse(ZZ, _echelon(_nonzero_columns(A), ZZ)[1], A.rows)

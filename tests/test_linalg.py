@@ -130,6 +130,26 @@ class TestSmithTransforms:
         assert form.V * form.Vinv == Matrix.identity(ZZ, 3)
         assert calls == [form.U, form.V]
 
+    @settings(max_examples=200, deadline=None)
+    @given(smith_matrices(), st.data())
+    def test_inverse_columns_are_columns_of_the_full_inverse(self, A, data):
+        """module_from_relations reads only the columns of U^-1 it keeps, by
+        undoing the elimination's row operations; they are those of the full
+        inverse that criterion 01 reads."""
+        form = smith_normal_form(A)
+        cols = data.draw(st.lists(st.integers(0, max(A.rows - 1, 0)), unique=True,
+                                  max_size=A.rows))
+        assert form.inverse_columns(cols) == form.Uinv.take_cols(cols)
+
+    def test_inverse_columns_check_the_row_operations(self):
+        A = mz([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
+        form = smith_normal_form(A)
+        assert form._row_ops and form.inverse_columns([0, 2]) == form.Uinv.take_cols([0, 2])
+        dst, src, q = next(op for op in form._row_ops if op[2])
+        form._row_ops[form._row_ops.index((dst, src, q))] = (dst, src, q + 1)
+        with pytest.raises(AssertionError, match="do not invert"):
+            form.inverse_columns([0, 1, 2])
+
     def test_inverse_of_a_non_unimodular_transform_raises(self):
         with pytest.raises(AssertionError, match="not unimodular"):
             SmithForm(mz([[2]]), mz([[2]]), mz([[1]])).Uinv

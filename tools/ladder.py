@@ -1,12 +1,22 @@
-"""Scaling ladder: in-process wall times of the Tannaka layers and of les,
-printed.
+"""Scaling ladder: the cold start of eight CLI commands, and in-process wall
+times of the Tannaka layers and of les, printed.
 
     python tools/ladder.py [--quick]
 
 Run it from anywhere in a checkout; it imports the checkout's src/, the test
 fixtures and oracles in tests/ and the benchmark's input generator in
 bench/inputs.py (read, never changed).  Each rung prints one line per size
-with its answer beside its time:
+or command with its answer beside its time:
+
+  cold       each of COLD_COMMANDS on the bundled corpus as a fresh process
+             without a bytecode cache, as the benchmark runs them: its wall
+             time, its peak RSS (os.wait4's ru_maxrss), the Python tokens of
+             tannakit source it compiled (tokenize tokens of the tannakit
+             modules it loaded, package __init__ included; comments and
+             layout not counted), the tannakit modules it loaded and the
+             other top-level modules it loaded that a bare `python -c pass`
+             does not; then the in-process time of building the bundled
+             corpus and of its largest product expression.
 
   coalgebra  dual_coalgebra of M_r, one rank-r vertex with no edges (End =
              M_r, dimension r^2), then factorization_check on the same End
@@ -30,16 +40,19 @@ with its answer beside its time:
              rank of the residual complexes its reductions leave (of Z, X and
              the pair) beside the rank of C_1(X).
 
---quick runs M_6 to M_12 and W_2 to W_4, about a second; without it the
-ladder goes on to M_20 and W_6, where check_fragment_bialgebra takes
-seconds.  Times are wall seconds on the host that runs it, from
+--quick runs M_6 to M_12 and W_2 to W_4, about a second after the cold
+rung's few seconds; without it the ladder goes on to M_20 and W_6, where
+check_fragment_bialgebra takes seconds.  Times are wall seconds on the host that runs it, from
 time.perf_counter; no rung gates anything.
 """
 
 import argparse
 import os
+import subprocess
 import sys
+import tempfile
 import time
+import tokenize
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "tests", "bench")]
@@ -51,10 +64,77 @@ from tannakit.tannaka import (                                       # noqa: E40
 )
 
 RINGS = (ZZ, QQ)
+COLD_COMMANDS = ("homology p_circle_pt", "homology p_klein", "product p_circle p_circle",
+                 "les p_mobius_bnd", "end-algebra F2", "transition F1 F2",
+                 "cup circle3*circle3 empty empty 1 1", "bialgebra-check main_tower")
+# the last two lines a cold child prints: its peak RSS in kB (VmHWM, which
+# counts only the process's own image, unlike a forked child's ru_maxrss;
+# ru_maxrss where there is no /proc) and the top-level names of what it loaded
+LOADED = """import os, resource
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as fh:
+        peak = next(int(l.split()[1]) for l in fh if l.startswith("VmHWM:"))
+print(peak)
+print(" ".join(sorted({m if m.startswith("tannakit.") else m.split(".")[0]
+                       for m in sys.modules})))"""
 SEED = 1                                   # the sweep rung's random diagrams
 LES_PAIR = ("klein*circle3", "klein*skel(circle3,0)")
 PHASES = ("context", "End", "structure constants", "coalgebra checks", "comodule axioms",
           "factorization", "bialgebra and sigma")
+
+
+def _cold(source, *argv):
+    """Run the Python source as a fresh process on the checkout's src/,
+    without a bytecode cache: (wall seconds, stdout, stderr, exit code)."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, (os.path.join(ROOT, "src"),
+                                                        os.environ.get("PYTHONPATH")))))
+    with tempfile.TemporaryFile("w+") as out, tempfile.TemporaryFile("w+") as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-c", source, *argv], env=env,
+                                stdout=out, stderr=err, text=True)
+        code = proc.wait()
+        wall = time.perf_counter() - start
+        out.seek(0)
+        err.seek(0)
+        return wall, out.read(), err.read(), code
+
+
+def source_tokens(module):
+    """Python tokens of src/tannakit/<module>.py, comments and layout not
+    counted: what compiling it reads."""
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENCODING}
+    with open(os.path.join(ROOT, "src", "tannakit", module + ".py"), "rb") as fh:
+        return sum(t.type not in layout for t in tokenize.tokenize(fh.readline))
+
+
+def cold_rung():
+    bare = set(_cold("import sys\n" + LOADED)[1].splitlines()[-1].split())
+    for cmd in COLD_COMMANDS:
+        wall, out, err, code = _cold(
+            "import sys\nfrom tannakit.cli import main\nmain(sys.argv[1:])\n" + LOADED,
+            *cmd.split())
+        if code:
+            print("%-38s %.3f s  exit %d: %s" % (cmd, wall, code, err.strip()[-200:]))
+            continue
+        rss, loaded = out.splitlines()[-2:]
+        loaded = set(loaded.split())
+        layers = sorted(m.split(".")[1] for m in loaded if m.startswith("tannakit."))
+        other = sorted(loaded - bare - {"tannakit"} - {"tannakit." + m for m in layers})
+        tokens = source_tokens("__init__") + sum(map(source_tokens, layers))
+        print("%-38s %.3f s  %6s kB  %5d tokens  tannakit: %s  other: %s"
+              % (cmd, wall, rss, tokens, " ".join(layers), " ".join(other)))
+    from tannakit.cli import default_corpus_text
+    from tannakit.corpus import Corpus
+    text = default_corpus_text()
+    start = time.perf_counter()
+    corpus = Corpus(text)
+    print("Corpus(default_corpus_text()): %.4f s" % (time.perf_counter() - start))
+    start = time.perf_counter()
+    corpus.expr("klein*circle3*circle3")
+    print("expr('klein*circle3*circle3'): %.4f s" % (time.perf_counter() - start))
 
 
 def coalgebra_rung(sizes):
@@ -189,6 +269,7 @@ def main(argv=None):
     ap.add_argument("--quick", action="store_true",
                     help="the sizes the CI log prints: M_6 to M_12, W_2 to W_4")
     args = ap.parse_args(argv)
+    cold_rung()
     coalgebra_rung(range(6, 13 if args.quick else 21, 2))
     bialgebra_rung(range(2, 5 if args.quick else 7))
     sweep_rung()
