@@ -1,7 +1,7 @@
-"""Monoidal layer over the truncation data: Kunneth isomorphisms on good
-pairs, products of coalgebra truncations, bialgebra certificates, the
-grouplike element attached to the circle-with-point vertex, and the
-multiplication-by-sigma directed system standing in for localization.
+"""Monoidal layer over the truncation data: products of coalgebra
+truncations, bialgebra certificates, the multiplication-by-sigma directed
+system standing in for localization, the towers of a corpus, and the
+bialgebra-check and sigma-system commands.
 
 The product of truncations is computed on the algebra side.  Restriction
 of a compatible family to the product vertices, conjugated through the
@@ -10,155 +10,40 @@ End(T|F) (x) End(T|G), built by _swapped_tensor from tau and tau^-1 and
 applied to End(T|H)'s whole basis by one _compose; each image is read by
 two sparse reads, one in each factor's basis, with the two End algebras'
 own solvers.  Failure of that membership is reported as ProductEscape,
-never silently projected.  tau reads the Alexander-Whitney images in the
-sparse classes z_i (x) w_j modulo the tensor complex's boundaries, and its
-Eilenberg-Zilber inverse, read off the cycle classes, is checked on both
-sides by _compose.  tau, tau^-1 and mu are sparse columns {row: entry}, as
-the End bases and transition maps are; .matrix and .inverse are dense
-views, built when read.  Every identity checked here and the sigma step
-contract those columns by maps._tensor_apply or _compose: mu is checked
-as a coalgebra morphism out of the tensor coalgebra A_F (x) A_G by
-tannaka._coalgebra_morphism, the check every transition map passes.
-PairsContext, the diagram context with its End-algebra and tau caches, is in
-tannakit.tannaka, so that a command that takes no product never loads this
-module; PairsContext.tau loads kunneth_tau from here on its first call.
+never silently projected.  mu is sparse columns {row: entry}, as tau, the
+End bases and transition maps are; .matrix is a dense view, built when
+read.  Every identity checked here and the sigma step contract those
+columns by maps._tensor_apply or _compose: mu is checked as a coalgebra
+morphism out of the tensor coalgebra A_F (x) A_G by
+transition._coalgebra_morphism, the check every transition map passes.
+
+This module imports, beside its own layers, what a Tannaka pass runs
+beyond tannakit.tannaka: tau (tannakit.kunneth), sigma (tannakit.sigma),
+transition maps and the factorization check (tannakit.transition).  So a
+process that has imported both modules (the benchmark's tannaka-sweep
+does, before its timed jobs) compiles nothing more on a call.  tau and
+sigma are served here too, and tau's coherence checks (tannakit.coherence,
+which no command runs) through a module __getattr__ (PEP 562).
+Corpus.tower is corpus_tower here, reached through tannakit.diagrams.
 """
 
-from .errors import (
-    InputError, MissingProducts, NotGoodPair, ProductEscape, WrongRank,
+from . import _lazy
+from .corpus import _split_entries
+from .errors import InputError, MissingProducts, ProductEscape, WrongRank
+from .kunneth import (  # noqa: F401
+    TauIso, _swapped_tensor, is_good_vertex, kunneth_tau, tensor_swap,
 )
-from .linalg import ZZ, _compose, _echelon, _integral, _transpose
-from .maps import (
-    _apply, _nonzero_columns, _Solver, _swapped_tensor, _tensor_apply, ez_matrixes,
-    induced_map_on_homology, tensor_complex, tensor_swap,
-)
-from .matrix import Matrix, _coerce
-from .simplicial import pair_homology
-from .structures import SimplicialMap
-from .tannaka import (
-    PairsContext, Subdiagram, _coalgebra_morphism, transition_map, vertex_payload,
-)
+from .linalg import _compose, _echelon, _integral, _transpose
+from .maps import _apply, _tensor_apply
+from .matrix import Matrix, jmatrix
+from .sigma import SigmaElement, sigma_element  # noqa: F401
+from .tannaka import PairsContext, Subdiagram, vertex_payload
+from .transition import _coalgebra_morphism, transition_map
 
-
-def is_good_vertex(pair, n):
-    """Free Z homology supported only in degree n (the zero module is allowed)."""
-    cx = pair_homology(pair, ZZ)
-    return all(not cx.homology_module(d).torsion if d == n else cx.homology_module(d).is_zero()
-               for d in range(pair.X.dim + 1))
-
-
-class TauIso:
-    """Invertible h(v x w) -> h(v) (x) h(w) induced by Alexander-Whitney,
-    and its inverse, as square sparse columns."""
-
-    __slots__ = ("v", "w", "vw", "ring", "columns", "inverse_columns")
-
-    def __init__(self, v, w, vw, ring, columns, inverse_columns):
-        self.v, self.w, self.vw, self.ring = v, w, vw, ring
-        self.columns, self.inverse_columns = columns, inverse_columns
-
-    @property
-    def matrix(self) -> Matrix:
-        return Matrix.from_sparse(self.ring, self.columns, len(self.columns))
-
-    @property
-    def inverse(self) -> Matrix:
-        return Matrix.from_sparse(self.ring, self.inverse_columns, len(self.columns))
-
-
-def kunneth_tau(ctx: PairsContext, v, w) -> TauIso:
-    """Kunneth isomorphism on good pairs, via relative AW with EZ inverse."""
-    dia, ring = ctx.diagram, ctx.ring
-    pv, nv = vertex_payload(dia.payloads, v)
-    pw, nw = vertex_payload(dia.payloads, w)
-    vw = ctx.product_vertex(v, w)
-    pvw, nvw = dia.payloads[vw]
-    for (name, p, n) in ((v, pv, nv), (w, pw, nw), (vw, pvw, nvw)):
-        if not is_good_vertex(p, n):
-            raise NotGoodPair("vertex %r is not a good pair" % (name,))
-    c1, c2, cp = (pair_homology(p, ring) for p in (pv, pw, pvw))
-    hv, hw, hvw = c1.homology(nv), c2.homology(nw), cp.homology(nvw)
-    rv, rw, rvw = hv.module.free_rank, hw.module.free_rank, hvw.module.free_rank
-    if rvw != rv * rw:
-        raise NotGoodPair("Kunneth rank mismatch at (%r, %r)" % (v, w))
-    tensor = tensor_complex(c1, c2)
-    ez, aw = ez_matrixes(c1, c2, cp, tensor)
-    N, n = nvw, rv * rw
-
-    # basis of H_N(tensor): the classes of z_i (x) w_j, sparse outer
-    # products, read modulo the boundaries of degree N + 1
-    l1, l2 = c1.labels(nv), c2.labels(nw)
-    zs = [{a: x for a, x in enumerate(hv.lift(i)) if x} for i in range(rv)]
-    ws = [{b: y for b, y in enumerate(hw.lift(j)) if y} for j in range(rw)]
-    basis = [{tensor.index(N, (nv, l1[a], l2[b])): x * y
-              for a, x in z.items() for b, y in w.items()} for z in zs for w in ws]
-    solver = _Solver.from_sparse(ring, basis + tensor._cols.get(N + 1, []), tensor.rank(N))
-
-    cols = []
-    for k in range(rvw):
-        g = {i: x for i, x in enumerate(hvw.lift(k)) if x}
-        sol = solver.read(_compose(aw._cols[N], [g])[0])
-        if sol is None:
-            raise NotGoodPair("AW image escapes the Kunneth basis at (%r, %r)" % (v, w))
-        cols.append({i: x for i, x in sol.items() if i < n})
-    inverse = [{i: x for i, x in enumerate(
-                    hvw.class_of(tuple(c.get(i, 0) for i in range(cp.rank(N))))) if x}
-               for c in _compose(ez._cols.get(N), basis)]
-    if (_compose(cols, inverse) != [{j: 1} for j in range(n)]
-            or _compose(inverse, cols) != [{j: 1} for j in range(rvw)]):
-        raise NotGoodPair("tau and its EZ inverse fail to invert at (%r, %r)" % (v, w))
-    return TauIso(v, w, vw, ring, cols, inverse)
-
-
-def _induced(ctx, p, q, to, n):
-    """The sparse columns of the map on H_n from pair p to pair q induced by
-    the vertex map x -> to(x)."""
-    f = SimplicialMap(p.X, q.X, {x: to(x) for x in p.X.vertices})
-    return _nonzero_columns(induced_map_on_homology(f, p, q, n, ctx.ring).matrix)
-
-
-# -- tau coherence checks ----------------------------------------------------
-
-def check_tau_symmetry(ctx: PairsContext, v, w):
-    """tau_{w,v} o swap_* = (-1)^{nm} flip o tau_{v,w} as maps."""
-    dia, rv, rw = ctx.diagram, ctx.rep.rank(v), ctx.rep.rank(w)
-    (pv, nv), (pw, nw) = dia.payloads[v], dia.payloads[w]
-    pvw, nvw = dia.payloads[ctx.product_vertex(v, w)]
-    pwv = dia.payloads[ctx.product_vertex(w, v)][0]
-    s_star = _induced(ctx, pvw, pwv, lambda x: (x[1], x[0]), nvw)
-    flip = {old: new for new, old in enumerate(tensor_swap(1, rv, rw, 1))}
-    return _compose(ctx.tau(w, v).columns, s_star) == [
-        {flip[i]: (-1) ** (nv * nw) * x for i, x in col.items()} for col in ctx.tau(v, w).columns]
-
-
-def check_tau_unit(ctx: PairsContext, u, v, left=True):
-    """Unit coherence: tau_(u,v) composed with the unit identification equals
-    the projection isomorphism h(u x v) -> h(v)."""
-    dia = ctx.diagram
-    pu, nu = dia.payloads[u]
-    pv, nv = dia.payloads[v]
-    if ctx.rep.rank(u) != 1 or nu != 0:
-        raise WrongRank("unit vertex must carry a rank-1 module in degree 0")
-    pair = (u, v) if left else (v, u)
-    puv, nuv = dia.payloads[ctx.product_vertex(*pair)]
-    # with rank(u) = 1, h(u) (x) h(v) = h(v) on the nose in our bases
-    return ctx.tau(*pair).columns == _induced(ctx, puv, pv, lambda x: x[1 if left else 0], nuv)
-
-
-def check_tau_associativity(ctx: PairsContext, v, w, x):
-    """(tau_{v,w} (x) id) tau_{vw,x} = (id (x) tau_{w,x}) tau_{v,wx} alpha_*."""
-    dia = ctx.diagram
-    vw = ctx.product_vertex(v, w)
-    wx = ctx.product_vertex(w, x)
-    p_l, n_l = dia.payloads[ctx.product_vertex(vw, x)]
-    p_r, _ = dia.payloads[ctx.product_vertex(v, wx)]
-    alpha_star = _induced(ctx, p_l, p_r, lambda t: (t[0][0], (t[0][1], t[1])), n_l)
-    rw, rx = ctx.rep.rank(w), ctx.rep.rank(x)
-    t_vw, t_wx = ctx.tau(v, w).columns, ctx.tau(w, x).columns
-    right = _compose(ctx.tau(v, wx).columns, alpha_star)
-    return all(not any(_tensor_apply(None, t_wx, rw * rx, len(t_wx), r, -1,
-                                     _tensor_apply(t_vw, None, rx, rx, l)).values())
-               for l, r in zip(ctx.tau(vw, x).columns, right))
+__getattr__ = _lazy(__name__, {
+    "coherence": "check_tau_symmetry check_tau_unit check_tau_associativity "
+                 "check_associativity",
+})
 
 
 # -- products of truncations --------------------------------------------------
@@ -241,7 +126,7 @@ def product_on_truncations(ctx: PairsContext, subF, subG, subH) -> MuFragment:
     return MuFragment(EF, EG, EH, _transpose(rows, EF.dim * EG.dim))
 
 
-# -- bialgebra certificate -----------------------------------------------------
+# -- bialgebra certificate ----------------------------------------------------
 
 class BialgebraCert:
     __slots__ = ("checks", "violations")
@@ -290,21 +175,6 @@ def check_commutativity(ctx, muFG: MuFragment, muGF: MuFragment, cert=None,
         raise InputError("commutativity check needs a common target truncation")
     flip = tensor_swap(1, muFG.EG.dim, muFG.EF.dim, 1)
     cert.record("commutativity%s" % label, muFG.columns == [muGF.columns[j] for j in flip])
-    return cert
-
-
-def check_associativity(ctx, mu_fg, mu_fg_k, mu_gk, mu_f_gk, t_left, t_right,
-                        cert=None, label=""):
-    """Compare mu(mu (x) 1) and mu(1 (x) mu) after transitions into a common
-    truncation.  t_left, t_right are TransitionMaps from the two targets."""
-    cert = BialgebraCert() if cert is None else cert
-    rf, rg, rk = mu_fg.EF.dim, mu_fg.EG.dim, mu_gk.EG.dim
-    fg, gk, n = mu_fg.columns, mu_gk.columns, rf * rg * rk
-    left = _compose(_compose(t_left.columns, mu_fg_k.columns),
-                    [_tensor_apply(fg, None, rk, rk, {x: 1}) for x in range(n)])
-    right = _compose(_compose(t_right.columns, mu_f_gk.columns),
-                     [_tensor_apply(None, gk, mu_gk.EH.dim, rg * rk, {x: 1}) for x in range(n)])
-    cert.record("associativity%s" % label, left == right)
     return cert
 
 
@@ -363,35 +233,7 @@ def bialgebra_axiom_check(ctx: PairsContext, tower, unit_vertex=None) -> Bialgeb
     return cert
 
 
-# -- sigma ---------------------------------------------------------------------
-
-class SigmaElement:
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        self.coords = tuple(coords)
-
-
-def sigma_element(ctx: PairsContext, sub) -> SigmaElement:
-    """The coalgebra element with rho(g) = sigma (x) g at the circle vertex.
-
-    Asserts the grouplike identities Delta sigma = sigma (x) sigma and
-    eps(sigma) = 1.
-    """
-    c = ctx.circle
-    if c is None or c not in sub.vertices:
-        raise InputError("subdiagram does not contain the designated circle vertex")
-    if ctx.rep.rank(c) != 1:
-        raise WrongRank("circle vertex has rank %d, expected 1" % ctx.rep.rank(c))
-    co = ctx.end(sub).comodule(c)
-    A, zero = co.coalgebra, _coerce(ctx.ring, 0)
-    coords = tuple(co.columns[0].get(i, zero) for i in range(A.rank))
-    if not A.grouplike_defect(coords).is_zero():
-        raise AssertionError("sigma is not grouplike")
-    if A.counit_of(coords) != 1:
-        raise AssertionError("counit of sigma differs from 1")
-    return SigmaElement(coords)
-
+# -- sigma --------------------------------------------------------------------
 
 class SigmaSystem:
     """Matrices of multiplication by sigma along a chain of truncations."""
@@ -443,3 +285,51 @@ def sigma_directed_system(ctx: PairsContext, chain, depth) -> SigmaSystem:
         kernels.insert(0, {"from": k, "kernel_rank":
                            len(comp) - len(_echelon(_integral(comp), ctx.ring)[0])})
     return SigmaSystem(steps, kernels)
+
+
+# -- the towers of a corpus, and the commands ---------------------------------
+
+def corpus_tower(corpus, name, ring):
+    """Corpus.tower: (context, truncations ordered by inclusion, unit vertex
+    or None) of the tower `name`."""
+    sec = corpus._tower_decls.get(name)
+    if sec is None:
+        raise InputError("unknown tower %r" % name)
+    dname = sec.require("diagram")
+    ctx = corpus.context(dname, ring)
+    subs = []
+    for sname in _split_entries(sec.require("truncations"), " "):
+        _, sub = corpus.subdiagram(sname, ring)
+        if sub.diagram is not ctx.diagram:
+            raise InputError("[tower %s]: truncation %r is not a subdiagram of %r"
+                             % (name, sname, dname))
+        if subs and not subs[-1].is_subset_of(sub):
+            raise InputError("[tower %s]: truncation %r does not contain %r; "
+                             "truncations must be ordered by inclusion"
+                             % (name, sname, subs[-1].name))
+        subs.append(sub)
+    if not subs:
+        raise InputError("[tower %s] lists no truncations" % name)
+    unit = sec.get("unit")
+    if unit is not None:
+        vertex_payload(ctx.diagram.payloads, unit)
+    return ctx, subs, unit
+
+
+def cmd_bialgebra_check(corpus, ring, args):
+    """The bialgebra-check command: every check a tower supports."""
+    ctx, tower, unit = corpus.tower(args.tower, ring)
+    cert = bialgebra_axiom_check(ctx, tower, unit_vertex=unit)
+    return {"tower": args.tower, "certificate": cert.as_dict()}, cert.ok
+
+
+def cmd_sigma_system(corpus, ring, args):
+    """The sigma-system command: the multiplication-by-sigma steps along a
+    tower, with their kernel reports."""
+    ctx, tower, _unit = corpus.tower(args.tower, ring)
+    system = sigma_directed_system(ctx, tower, args.depth)
+    res = {"tower": args.tower, "depth": args.depth,
+           "steps": [jmatrix(m) for m in system.steps],
+           "kernels": system.kernels}
+    ok = all(k["kernel_rank"] == 0 for k in system.kernels)
+    return res, ok

@@ -11,14 +11,18 @@ certificate with ok false, empty results and a failure message.
 
 Each command runs as a fresh process, so this module holds only what every
 command runs (the parser, main and the certificate output) and the handlers
-of homology, product and les; the other handlers, with the encoders of
-their scalars, vectors and matrices, live in tannakit.commands, imported on
-the first call of one of them.  The corpus digest is the interpreter's own
-sha256 module, not hashlib's, which loads OpenSSL.
+of homology, product and les.  Every other handler lives in the layer it
+runs, beside the code it calls (cmd_kunneth in tannakit.kunneth, cmd_cech
+in tannakit.cech, ...), and HANDLERS reaches it by a _deferred call that
+imports that layer on the first call: a command compiles its own handler
+and the layers it calls, and no other command's.  The corpus digest is the
+interpreter's own sha256 module, not hashlib's, which loads OpenSSL; json
+is imported by canonical_json, for --out only; the bundled corpus is read
+through the package's loader (zip-safe), not importlib.resources.
 """
 
 import argparse
-import json
+import os
 import sys
 
 try:        # hashlib loads OpenSSL's libcrypto; the interpreter's own module is light
@@ -43,6 +47,7 @@ Z_COMMANDS = {"homology", "les", "triple-boundary", "product", "cup", "cech",
 
 
 def canonical_json(obj):
+    import json
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
@@ -100,41 +105,23 @@ def cmd_product(corpus, ring, args):
 
 def _pair(corpus, name):
     if name not in corpus.pairs:
-        _fail("unknown pair %r" % name)
+        raise InputError("unknown pair %r" % name)
     return corpus.pairs[name]
 
 
-def _fail(message):
-    raise InputError(message)
-
-
-def _later(name):
-    """The handler `name` of tannakit.commands, imported on its first call."""
-    return _deferred("commands", name)
-
-
-HANDLERS = {
-    "homology": cmd_homology,
-    "les": cmd_les,
-    "triple-boundary": _later("cmd_triple_boundary"),
-    "product": cmd_product,
-    "kunneth": _later("cmd_kunneth"),
-    "cup": _later("cmd_cup"),
-    "cech": _later("cmd_cech"),
-    "filtration": _later("cmd_filtration"),
-    "compare-filtration": _later("cmd_compare_filtration"),
-    "very-good-search": _later("cmd_very_good_search"),
-    "end-algebra": _later("cmd_end_algebra"),
-    "coalgebra": _later("cmd_coalgebra"),
-    "coaction": _later("cmd_coaction"),
-    "transition": _later("cmd_transition"),
-    "factorization-check": _later("cmd_factorization_check"),
-    "bialgebra-check": _later("cmd_bialgebra_check"),
-    "sigma": _later("cmd_sigma"),
-    "sigma-system": _later("cmd_sigma_system"),
-    "comodule-check": _later("cmd_comodule_check"),
-    "torsionfree-cover": _later("cmd_torsionfree_cover"),
+# the layer that holds each other command's handler, cmd_<command> with - as
+# _: HANDLERS reaches it by a _deferred call, which imports the layer on the
+# command's first call
+LAYERS = {
+    "triple-boundary": "maps", "kunneth": "kunneth", "cup": "cochains", "cech": "cech",
+    "filtration": "filtration", "compare-filtration": "filtration",
+    "very-good-search": "search", "end-algebra": "tannaka", "coalgebra": "coalgebra",
+    "coaction": "coalgebra", "transition": "transition", "factorization-check": "transition",
+    "bialgebra-check": "bialgebra", "sigma": "sigma", "sigma-system": "bialgebra",
+    "comodule-check": "comodule", "torsionfree-cover": "comodule",
 }
+HANDLERS = {"homology": cmd_homology, "les": cmd_les, "product": cmd_product}
+HANDLERS.update((c, _deferred(m, "cmd_" + c.replace("-", "_"))) for c, m in LAYERS.items())
 
 
 # the arguments of each command: a name, or (name, add_argument keywords)
@@ -195,8 +182,8 @@ def parse_args(argv=None):
 
 
 def default_corpus_text():
-    from importlib import resources
-    return resources.files("tannakit").joinpath("data/main.corpus").read_text("utf-8")
+    path = os.path.join(os.path.dirname(__file__), "data", "main.corpus")
+    return __loader__.get_data(path).decode("utf-8")
 
 
 def _input_error(message):

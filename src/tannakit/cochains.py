@@ -1,22 +1,18 @@
-"""Cup products on relative cochains and Cech total-complex models, loaded
-only by the cup and cech commands (tannakit.simplicial serves their names).
-
-Cech covers are by closed subcomplexes: for subcomplexes A, B we have
-C(A) + C(B) = C(A u B) on the nose, so the comparison maps of the
-total-complex models are exact at chain level.
+"""Cup products on relative cochains and the cup command, loaded only by
+that command (tannakit.simplicial serves their names).  The Cech
+total-complex models are in tannakit.cech, which the cech command loads
+alone; this module serves their names through its module __getattr__ (PEP
+562), and simplicial through it.
 """
 
-from itertools import combinations
-
-from .errors import InvalidPair, NotACover
+from . import _lazy
+from .errors import InvalidPair
 from .linalg import ZZ, FgModule, Subquotient, _transpose
-from .matrix import Matrix
-from .simplicial import ChainComplex, SimplicialComplex, SimplicialPair, _faces, pair_homology
+from .matrix import Matrix, jvector
+from .simplicial import SimplicialPair, pair_homology
 
+__getattr__ = _lazy(__name__, {"cech": "CechModel cech_total_complex"})
 
-# ---------------------------------------------------------------------------
-# Cup products on relative cochains
-# ---------------------------------------------------------------------------
 
 class CupProduct:
     """Front/back cup product on relative cochains and cohomology.
@@ -132,98 +128,21 @@ def relative_cup_product(X, Z1, Z2, p, q, ring=ZZ) -> CupProduct:
     return CupProduct(X, Z1, Z2, p, q, ring)
 
 
-# ---------------------------------------------------------------------------
-# Cech total complex of a closed cover with divisor components
-# ---------------------------------------------------------------------------
-
-class CechModel:
-    """Total complex of the cover/divisor tricomplex, with its comparison."""
-
-    __slots__ = ("X", "cover", "components", "ring", "complex", "pair")
-
-    def __init__(self, X, cover, components, ring=ZZ):
-        if not cover:
-            raise NotACover("empty cover")
-        for Y in cover:
-            if not Y.is_subcomplex_of(X):
-                raise NotACover("cover member is not a subcomplex")
-        u = SimplicialComplex.empty()
-        for Y in cover:
-            u = u.union(Y)
-        if u != X:
-            raise NotACover("cover does not exhaust X")
-        for Zb in components:
-            if not Zb.is_subcomplex_of(X):
-                raise InvalidPair("divisor component is not a subcomplex")
-        self.X, self.cover, self.components, self.ring = X, tuple(cover), tuple(components), ring
-        z = SimplicialComplex.empty()
-        for Zb in components:
-            z = z.union(Zb)
-        self.pair = SimplicialPair(X, z)
-        self.complex = self._build()
-
-    def _intersection(self, A, B):
-        cur = self.cover[A[0]]
-        for a in A[1:]:
-            cur = cur.intersection(self.cover[a])
-        for b in B:
-            cur = cur.intersection(self.components[b])
-        return cur
-
-    def _build(self):
-        qn = len(self.cover)
-        pn = len(self.components)
-        pieces = {}
-        for isz in range(1, qn + 1):
-            for A in combinations(range(qn), isz):
-                for jsz in range(0, pn + 1):
-                    for B in combinations(range(pn), jsz):
-                        w = self._intersection(A, B)
-                        if not w.is_empty():
-                            pieces[(A, B)] = w
-        labels = {}
-        for (A, B), w in sorted(pieces.items()):
-            i = len(A) - 1
-            j = len(B)
-            for k in range(0, w.dim + 1):
-                for s in w.simplices(k):
-                    labels.setdefault(i + j + k, []).append((A, B, s))
-        for ls in labels.values():
-            ls.sort(key=lambda l: (len(l[0]), l[0], len(l[1]), l[1], len(l[2]), l[2]))
-
-        def faces(n, label):
-            # simplicial boundary, then the Cech differential (drop a cover
-            # index) with sign (-1)^k, then the divisor differential (drop a
-            # component index) with sign (-1)^(k+i); labels with no cover
-            # index or an empty simplex are not in the basis and drop out
-            A, B, s = label
-            i, k = len(A) - 1, len(s) - 1
-            for face, c in _faces(k, s):
-                yield (A, B, face), c
-            for t in range(len(A)):
-                yield (A[:t] + A[t + 1:], B, s), (-1) ** (k + t)
-            for t in range(len(B)):
-                yield (A, B[:t] + B[t + 1:], s), (-1) ** (k + i + t)
-        return ChainComplex(self.ring, labels, faces)
-
-    def homology(self, n) -> FgModule:
-        return self.complex.homology_module(n)
-
-    def certificate(self):
-        """Degreewise comparison with the relative homology of (X, union Z)."""
-        cx = pair_homology(self.pair, self.ring)
-        top = max(self.complex.top_degree, self.pair.X.dim)
-        rows = []
-        ok = True
-        for n in range(0, top + 1):
-            a = self.homology(n)
-            b = cx.homology_module(n)
-            match = a == b
-            ok = ok and match
-            rows.append({"degree": n, "total_complex": a.describe(),
-                         "relative": b.describe(), "match": match})
-        return {"ok": ok, "degrees": rows}
-
-
-def cech_total_complex(X, cover, components=(), ring=ZZ) -> CechModel:
-    return CechModel(X, cover, components, ring)
+def cmd_cup(corpus, ring, args):
+    """The cup command: the cohomology of (X, Z1), (X, Z2) and (X, Z1 + Z2),
+    the pairing between the first two and its graded commutativity."""
+    X = corpus.expr(args.X)
+    Z1 = corpus.expr(args.Z1)
+    Z2 = corpus.expr(args.Z2)
+    cp = relative_cup_product(X, Z1, Z2, args.p, args.q, ring)
+    pairing = [[jvector(c) for c in row] for row in cp.pairing]
+    defects = cp.graded_commutativity_defects()
+    res = {
+        "H^p(X,Z1)": cp.cohomology_module(1, args.p).describe(),
+        "H^q(X,Z2)": cp.cohomology_module(2, args.q).describe(),
+        "H^{p+q}(X,Z1+Z2)": cp.cohomology_module(12, args.p + args.q).describe(),
+        "pairing": pairing,
+        "comparison_iso": cp.comparison_iso,
+        "graded_commutativity_defects": len(defects),
+    }
+    return res, cp.comparison_iso and not defects

@@ -1,28 +1,30 @@
 """Comodules over free coalgebra truncations: axiom checking, extended
-comodules, tensor comodules over a bialgebra fragment, and the torsion-free
-cover obtained as a pullback against a free presentation.
+comodules, tensor comodules over a bialgebra fragment and the torsion-free
+cover obtained as a pullback against a free presentation, the comodules of
+a corpus, and the comodule-check and torsionfree-cover commands.
 
-Comodule is tannaka.Comodule, re-exported: the canonical comodule at a
+Comodule is coalgebra.Comodule, re-exported: the canonical comodule at a
 diagram vertex and an explicit one are the same type.  A comodule carries
 explicit generator orders (0 = free, t > 1 = torsion of order t); its
 underlying FgModule is the normalized value (over Q a torsion generator is
 zero).  The axioms and the morphism identity are sparse contractions modulo
 the torsion of the target (Comodule.axioms, computed once per comodule, and
-tannaka._intertwines), exact equality in the free case.
+coalgebra._intertwines), exact equality in the free case.
 The tensor comodule's rho and the cover's generators are sparse columns
-built by maps._tensor_apply and _swapped_tensor, with no Kronecker matrix.
+built by maps._tensor_apply and kunneth._swapped_tensor, with no Kronecker
+matrix.  Corpus.comodule is corpus_comodule here, reached through
+tannakit.diagrams.
 """
 
+from fractions import Fraction
 from math import gcd
 
-from .errors import CompositionNonzero, DimensionMismatch, MissingProducts
+from .coalgebra import CoalgebraTrunc, Comodule, _intertwines, coaction
+from .corpus import _malformed, _split_entries
+from .errors import CompositionNonzero, DimensionMismatch, InputError, MissingProducts
 from .linalg import FgModule, ZZ
-from .maps import (
-    _nonzero_columns, _order_relations, _Solver, _swapped_tensor, _tensor_apply,
-    presented_subquotient,
-)
-from .matrix import Matrix
-from .tannaka import CoalgebraTrunc, Comodule, _intertwines
+from .maps import _nonzero_columns, _order_relations, _Solver, _tensor_apply, presented_subquotient
+from .matrix import Matrix, jmatrix
 
 
 class ComodCert:
@@ -197,6 +199,7 @@ def tensor_comodules(m: Comodule, n: Comodule, mu) -> Comodule:
     rho = (mu (x) id) o (swap middle) o (rho_m (x) rho_n); generator (a, b)
     has order gcd of the factor orders.
     """
+    from .kunneth import _swapped_tensor
     CF = mu.EF.coalgebra()
     CG = mu.EG.coalgebra()
     if m.coalgebra != CF or n.coalgebra != CG:
@@ -209,3 +212,44 @@ def tensor_comodules(m: Comodule, n: Comodule, mu) -> Comodule:
            for col in swapped]
     orders = [gcd(s, t) for s in m.gen_orders for t in n.gen_orders]
     return _checked(Comodule(CH, orders, rho), "tensor comodule")
+
+
+def corpus_comodule(corpus, name, ring):
+    """Corpus.comodule: (context, Comodule) of the comodule `name`, the
+    canonical coaction on a vertex or one given by its orders and rho."""
+    sec = corpus._comodule_decls.get(name)
+    if sec is None:
+        raise InputError("unknown comodule %r" % name)
+    sname = sec.require("subdiagram")
+    ctx, sub = corpus.subdiagram(sname, ring)
+    vertex = sec.get("vertex")
+    if vertex is not None:
+        return ctx, coaction(ctx.rep, sub, vertex, ctx.end(sub))
+    A = ctx.coalgebra(sub)
+    with _malformed("[comodule %s]" % name):
+        orders = tuple(int(t) for t in _split_entries(sec.require("orders"), " "))
+        rows = [[Fraction(x) if "/" in x else int(x) for x in part.split()]
+                for part in _split_entries(sec.require("rho"), ";")]
+        k = len(orders)
+        rho = Matrix(ring, rows, A.rank * k, k)
+    return ctx, Comodule(A, orders, rho)
+
+
+def cmd_comodule_check(corpus, ring, args):
+    """The comodule-check command: a corpus comodule's axiom certificate."""
+    ctx, m = corpus.comodule(args.comodule, ring)
+    cert = check_comodule_axioms(m)
+    return {"comodule": args.comodule, "module": m.module.describe(),
+            "certificate": cert.as_dict()}, cert.ok
+
+
+def cmd_torsionfree_cover(corpus, ring, args):
+    """The torsionfree-cover command: the pullback cover of a corpus
+    comodule over Z, with its surjection and embedding."""
+    ctx, m = corpus.comodule(args.comodule, ZZ)
+    cover = torsionfree_cover(m.coalgebra, m)
+    return {"comodule": args.comodule,
+            "source_module": m.module.describe(),
+            "cover_module": cover.cover.module.describe(),
+            "surjection": jmatrix(cover.surjection),
+            "embedding": jmatrix(cover.embedding)}, True

@@ -1,24 +1,26 @@
 """The diagram sections of a corpus, read on first use: the PairsContext of
-a diagram, its subdiagrams, towers and comodules.
+a diagram and its subdiagrams.
 
-Each corpus_* reader is the Corpus method of its name (context, subdiagram,
-tower, comodule), a _deferred call into this module, so a command that
-reads no diagram never compiles it.  tannakit.tannaka imports this module
-at its end, so a process that has imported tannaka has it too.  It is a
-module of its own, not the end of tannaka.py, because a process's peak RSS
-follows the compile of the largest module it loads.  Every context is built
-once per (diagram, ring) and checks its product vertices against the
-corpus's own staircase products.
+Each corpus_* reader is the Corpus method of its name (context,
+subdiagram, tower, comodule), a _deferred call into this module, so a
+command that reads no diagram never compiles it.  Towers and comodules are
+read where the commands that read them already are, corpus_tower in
+tannakit.bialgebra and corpus_comodule in tannakit.comodule, and this
+module serves both through its module __getattr__ (PEP 562).
+tannakit.tannaka imports this module at its end, so a process that has
+imported tannaka has it too.  It is a module of its own, not the end of
+tannaka.py, because a process's peak RSS follows the compile of the
+largest module it loads.  Every context is built once per (diagram, ring)
+and checks its product vertices against the corpus's own staircase
+products.
 """
 
-from fractions import Fraction
-
+from . import _lazy
 from .corpus import _malformed, _split_entries
 from .errors import InputError
-from .matrix import Matrix
-from .tannaka import (
-    Comodule, PairsContext, Subdiagram, build_pairs_diagram, coaction, vertex_payload,
-)
+from .tannaka import PairsContext, Subdiagram, build_pairs_diagram
+
+__getattr__ = _lazy(__name__, {"bialgebra": "corpus_tower", "comodule": "corpus_comodule"})
 
 
 def corpus_context(corpus, name, ring) -> PairsContext:
@@ -82,51 +84,3 @@ def corpus_subdiagram(corpus, name, ring):
     ctx = corpus.context(dname, ring)
     vertices = _split_entries(sec.require("vertices"), " ")
     return ctx, Subdiagram(ctx.diagram, vertices, name=name)
-
-
-def corpus_tower(corpus, name, ring):
-    """Corpus.tower: (context, truncations ordered by inclusion, unit vertex
-    or None) of the tower `name`."""
-    sec = corpus._tower_decls.get(name)
-    if sec is None:
-        raise InputError("unknown tower %r" % name)
-    dname = sec.require("diagram")
-    ctx = corpus.context(dname, ring)
-    subs = []
-    for sname in _split_entries(sec.require("truncations"), " "):
-        _, sub = corpus.subdiagram(sname, ring)
-        if sub.diagram is not ctx.diagram:
-            raise InputError("[tower %s]: truncation %r is not a subdiagram of %r"
-                             % (name, sname, dname))
-        if subs and not subs[-1].is_subset_of(sub):
-            raise InputError("[tower %s]: truncation %r does not contain %r; "
-                             "truncations must be ordered by inclusion"
-                             % (name, sname, subs[-1].name))
-        subs.append(sub)
-    if not subs:
-        raise InputError("[tower %s] lists no truncations" % name)
-    unit = sec.get("unit")
-    if unit is not None:
-        vertex_payload(ctx.diagram.payloads, unit)
-    return ctx, subs, unit
-
-
-def corpus_comodule(corpus, name, ring):
-    """Corpus.comodule: (context, Comodule) of the comodule `name`, the
-    canonical coaction on a vertex or one given by its orders and rho."""
-    sec = corpus._comodule_decls.get(name)
-    if sec is None:
-        raise InputError("unknown comodule %r" % name)
-    sname = sec.require("subdiagram")
-    ctx, sub = corpus.subdiagram(sname, ring)
-    vertex = sec.get("vertex")
-    if vertex is not None:
-        return ctx, coaction(ctx.rep, sub, vertex, ctx.end(sub))
-    A = ctx.coalgebra(sub)
-    with _malformed("[comodule %s]" % name):
-        orders = tuple(int(t) for t in _split_entries(sec.require("orders"), " "))
-        rows = [[Fraction(x) if "/" in x else int(x) for x in part.split()]
-                for part in _split_entries(sec.require("rho"), ";")]
-        k = len(orders)
-        rho = Matrix(ring, rows, A.rank * k, k)
-    return ctx, Comodule(A, orders, rho)

@@ -1,15 +1,18 @@
-"""The dense canonical forms: rref, hnf_columns and _column_reduce.
+"""The dense canonical forms rref, hnf_columns and _column_reduce, the
+exact determinant and the Kronecker product Matrix.kron.
 
-No command calls them, so none compiles this module.  The tests
-read all three against their dense oracles, SmithForm.Uinv and .Vinv (the
-full inverses of criterion 01) invert a transform by _column_reduce, and
-the benchmark's tracer wraps rref and hnf_columns by name; tannakit.linalg
-and tannakit.smith serve them through their module __getattr__ (PEP 562).
-Each reads linalg._echelon, whose rows over Q are fraction-free, and
+Only the kunneth command calls one of them, the determinant of tau, so no
+other command compiles this module.  The tests read the three forms
+against their dense oracles, SmithForm.Uinv and .Vinv (the full inverses
+of criterion 01) invert a transform by _column_reduce, and the benchmark's
+tracer wraps rref and hnf_columns by name; tannakit.linalg and
+tannakit.smith serve them through their module __getattr__ (PEP 562).
+Each form reads linalg._echelon, whose rows over Q are fraction-free, and
 divides them by their pivots.
 """
 
 from fractions import Fraction
+from math import lcm, prod
 
 from .linalg import QQ, ZZ, _echelon, _reduced_columns
 from .maps import _integer_rows, _nonzero_columns
@@ -50,3 +53,63 @@ def hnf_columns(A):
     if A.ring != ZZ:
         raise ValueError("hnf_columns requires an integer matrix")
     return Matrix.from_sparse(ZZ, _echelon(_nonzero_columns(A), ZZ)[1], A.rows)
+
+
+def determinant(A):
+    """Exact determinant: fraction-free Bareiss, over Q on the rows scaled to
+    integers."""
+    if A.rows != A.cols:
+        raise ValueError("determinant of a non-square matrix")
+    if A.ring == QQ:
+        scale = [lcm(*(x.denominator for x in row)) for row in A.data]
+        d = determinant(Matrix(ZZ, [[x * m for x in row]
+                                    for row, m in zip(A.data, scale)]))
+        return Fraction(d, prod(scale))
+    n = A.rows
+    if n == 0:
+        return 1
+    a = [list(r) for r in A.data]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def kron(A, B):
+    """Matrix.kron: the Kronecker product of A and B, row-major flattening
+    of tensor indices."""
+    if A.ring != B.ring:
+        raise ValueError("ring mismatch in kron")
+    ocols = B.cols
+    width = A.cols * ocols
+    zero_row = (0,) * width
+    out = []
+    for i in range(A.rows):
+        arow = A.data[i]
+        if not any(arow):
+            out.extend([zero_row] * B.rows)
+            continue
+        for r in range(B.rows):
+            brow = B.data[r]
+            acc = [0] * width
+            for j, a in enumerate(arow):
+                if a:
+                    base = j * ocols
+                    for s, b in enumerate(brow):
+                        if b:
+                            acc[base + s] = a * b
+            out.append(acc)
+    return Matrix(A.ring, out, A.rows * B.rows, width)

@@ -1,4 +1,4 @@
-"""Coordinates, module maps and tensors: what maps between homology modules.
+"""Coordinates and module maps: what maps between homology modules.
 
 tannakit.linalg and tannakit.simplicial compute a homology module and stop
 there; everything that reads coordinates in a basis, or maps one module to
@@ -8,8 +8,12 @@ names through their module __getattr__ (PEP 562).  That includes the class
 coordinates of a linalg.Subquotient (class_of and lift, with the cycle
 basis and Smith transforms they build on the first call), the methods of
 FgModule that read or build a presentation (relations, normalize_vector,
-cokernel, tensor), which linalg reaches by _deferred calls, and the readers
-of a dense matrix (_nonzero_columns, _integer_rows, elementary_divisors).
+cokernel), which linalg reaches by _deferred calls, and the readers of a
+dense matrix (_nonzero_columns, _integer_rows, elementary_divisors).  The
+tensor products of modules and complexes and the Eilenberg-Zilber and
+Alexander-Whitney maps are in tannakit.kunneth, which only the commands
+that take a product load; this module serves their names (FgModule.tensor
+included) through its own module __getattr__.
 
 kernel reads _echelon on sparse columns (over Z through _reduced_columns, A
 stacked on the identity), and so do Q module_from_relations and image
@@ -18,27 +22,28 @@ pivots.  One reader, _Solver, reads every coordinate, in integers, at the
 pivots of a canonical basis, or of _reduced_columns's image basis for any
 other A.  Every tensor identity and construction applies A (x) B to sparse
 columns by one helper, _tensor_apply; no module calls Matrix.kron.  Maps on
-homology (induced_map_on_homology, triple_boundary) read classes in the
-Hermite cycle basis of ChainComplex.homology, and the Eilenberg-Zilber and
-Alexander-Whitney chain maps compare a product's chains with the tensor
-complex.
+homology (induced_map_on_homology, triple_boundary, with the handler of
+the triple-boundary command) read classes in the Hermite cycle basis of
+ChainComplex.homology.
 """
-
 from collections import Counter
 from fractions import Fraction
 from functools import cache
 from math import lcm
 
+from . import _lazy
 from .errors import CompositionNonzero, NotNested, NotPairMap, TorsionPresent
 from .linalg import (
     QQ, ZZ, FgModule, Subquotient, _compose, _echelon, _integral, _reduced_columns,
     _sparse_divisors, _transpose,
 )
-from .matrix import Matrix, _coerce
-from .simplicial import (
-    ChainComplex, SimplicialPair, _chain_image, _faces, _shuffle_paths, _sparse_columns,
-    pair_homology, product_complex, product_pair, relative_chain_complex,
-)
+from .matrix import Matrix, _coerce, jmatrix
+from .simplicial import SimplicialPair, _chain_image, _faces, _sparse_columns, pair_homology
+
+__getattr__ = _lazy(__name__, {
+    "kunneth": "module_tensor tensor_swap _swapped_tensor tensor_complex _shuffle_sign _ez "
+               "_aw ez_matrixes _assert_aw_ez_identity ez_aw_maps ez_aw_relative",
+})
 
 
 # ---------------------------------------------------------------------------
@@ -227,18 +232,6 @@ def normalize_vector(module, vec):
     return tuple(out)
 
 
-def module_tensor(a, b):
-    """FgModule.tensor: the module presented by the columns of ra (x) 1 and
-    1 (x) rb."""
-    if a.ring != b.ring:
-        raise ValueError("ring mismatch in tensor")
-    ra, rb = _nonzero_columns(a.relations()), _nonzero_columns(b.relations())
-    na, nb = a.ngens, b.ngens
-    cols = ([_tensor_apply(ra, None, nb, nb, {x: 1}) for x in range(len(ra) * nb)]
-            + [_tensor_apply(None, rb, nb, len(rb), {x: 1}) for x in range(na * len(rb))])
-    return FgModule.cokernel(Matrix.from_sparse(a.ring, cols, na * nb))
-
-
 def _order_relations(orders, ring=ZZ):
     """Relation columns t e_i, one for each generator i of order t > 0."""
     n = len(orders)
@@ -418,15 +411,6 @@ def lift(sq, j):
 # Tensors
 # ---------------------------------------------------------------------------
 
-def tensor_swap(a, b, c, d):
-    """Row order taking (i, j, k, l) to (i, k, j, l) on row-major flattened
-    tensor indices of shape (a, b, c, d): M.take_rows(order) is P M for the
-    permutation P swapping the middle factors, and M.take_cols(order) is
-    M P^-1."""
-    return [((i * b + j) * c + k) * d + l
-            for i in range(a) for k in range(c) for j in range(b) for l in range(d)]
-
-
 def _tensor_apply(a, b, nb, mb, col, scale=1, out=None):
     """out plus scale (A (x) B) col, for a sparse column col {index: x} and
     A, B sparse columns {row: entry}, one of them None for an identity: B is
@@ -452,18 +436,6 @@ def _tensor_apply(a, b, nb, mb, col, scale=1, out=None):
                 for k, z in bl.items():
                     out[base + k] = get(base + k, 0) + xy * z
     return out
-
-
-def _swapped_tensor(X, Y, a, b, c, d):
-    """The columns of (1 swap 1)(X (x) Y), column x * len(Y) + y for X[x]
-    (x) Y[y], for sparse columns X on rows (i, j) of shape (a, b) and Y on
-    rows (k, l) of shape (c, d): row (i, j, k, l) moves to (i, k, j, l), the
-    order of tensor_swap.  Each nonzero moves by divmod arithmetic, with no
-    permutation of all a b c d rows built: the flat index of (i, k, j, l) is
-    (i c b + j) d, read off X's row i b + j, plus k b d + l, off Y's k d + l."""
-    xs = [[(r // b * c * b * d + r % b * d, x) for r, x in col.items()] for col in X]
-    ys = [[(r // d * b * d + r % d, y) for r, y in col.items()] for col in Y]
-    return [{p + q: x * y for p, x in xc for q, y in yc} for xc in xs for yc in ys]
 
 
 # ---------------------------------------------------------------------------
@@ -495,25 +467,6 @@ class ChainMap:
     def apply(self, d, vec):
         """The image of a chain of degree d, given by its coordinates."""
         return _apply(self._cols.get(d, ()), vec, self.target.rank(d))
-
-
-def tensor_complex(cx, cy):
-    """Tensor product complex; basis labels (p, sigma, tau), p ascending."""
-    if cx.ring != cy.ring:
-        raise ValueError("ring mismatch")
-    labels = {}
-    for n in range(0, cx.top_degree + cy.top_degree + 1):
-        labels[n] = tuple((p, s, t) for p in range(0, n + 1)
-                          for s in cx.labels(p) for t in cy.labels(n - p))
-
-    def faces(n, label):
-        p, s, t = label
-        for s2, c in cx.faces(p, s):
-            yield (p - 1, s2, t), c
-        sign = -1 if p & 1 else 1
-        for t2, c in cy.faces(n - p, t):
-            yield (p, s, t2), sign * c
-    return ChainComplex(cx.ring, labels, faces)
 
 
 def _induced_chain_map(f, pair_src, pair_tgt, ring):
@@ -572,73 +525,12 @@ def _boundary_image(top, bot, Z, n):
     return image
 
 
-# ---------------------------------------------------------------------------
-# Eilenberg-Zilber, Alexander-Whitney
-# ---------------------------------------------------------------------------
-
-def _shuffle_sign(positions, total):
-    """The sign of the shuffle: -1 to the number of steps t < s with s in
-    positions and t not."""
-    return (-1) ** sum(t < s for s in positions for t in range(total) if t not in positions)
-
-
-def _ez(n, label):
-    """Eilenberg-Zilber: sigma (x) tau to the signed sum of its shuffle paths."""
-    _p, s, t = label
-    for positions, path in _shuffle_paths(s, t):
-        yield path, _shuffle_sign(positions, n)
-
-
-def _aw(n, simplex):
-    """Alexander-Whitney: a product simplex to its front (x) back faces."""
-    xs = [v[0] for v in simplex]
-    ys = [v[1] for v in simplex]
-    for i in range(n + 1):
-        front = tuple(xs[:i + 1])
-        back = tuple(ys[i:])
-        if len(set(front)) == len(front) and len(set(back)) == len(back):
-            yield (i, front, back), 1
-
-
-def ez_matrixes(cx, cy, cxy, tensor=None):
-    """(EZ, AW) as ChainMaps between tensor(cx,cy) and cxy.
-
-    Works for absolute and relative labeled complexes alike: path or face
-    labels missing from a target basis are dropped (the quotient map).
-    """
-    if tensor is None:
-        tensor = tensor_complex(cx, cy)
-    return ChainMap(tensor, cxy, _ez), ChainMap(cxy, tensor, _aw)
-
-
-def _assert_aw_ez_identity(ez, aw, tensor, what):
-    for n in tensor.degrees:
-        if _compose(aw._cols.get(n), ez._cols[n]) != [{j: 1} for j in range(tensor.rank(n))]:
-            raise AssertionError("%s != id in degree %d" % (what, n))
-
-
-def ez_aw_maps(X, Y, ring=ZZ):
-    """Absolute Eilenberg-Zilber and Alexander-Whitney maps for X, Y.
-
-    Asserts AW o EZ = id on the tensor complex.
-    """
-    cx = relative_chain_complex(SimplicialPair(X), ring)
-    cy = relative_chain_complex(SimplicialPair(Y), ring)
-    XY = product_complex(X, Y)
-    cxy = relative_chain_complex(SimplicialPair(XY), ring)
-    tensor = tensor_complex(cx, cy)
-    ez, aw = ez_matrixes(cx, cy, cxy, tensor)
-    _assert_aw_ez_identity(ez, aw, tensor, "AW o EZ")
-    return ez, aw, tensor, cxy
-
-
-def ez_aw_relative(p1, p2, ring=ZZ):
-    """Relative EZ/AW between tensor of relative chains and chains of the
-    product pair; AW o EZ = id is asserted."""
-    c1, c2 = pair_homology(p1, ring), pair_homology(p2, ring)
-    pp = product_pair(p1, p2)
-    cp = pair_homology(pp, ring)
-    tensor = tensor_complex(c1, c2)
-    ez, aw = ez_matrixes(c1, c2, cp, tensor)
-    _assert_aw_ez_identity(ez, aw, tensor, "relative AW o EZ")
-    return pp, ez, aw, tensor
+def cmd_triple_boundary(corpus, ring, args):
+    """The triple-boundary command: the boundary h_n(X,Z) -> h_{n-1}(Z,W)
+    of three subcomplex expressions."""
+    X = corpus.expr(args.X)
+    Z = corpus.expr(args.Z)
+    W = corpus.expr(args.W)
+    m = triple_boundary(X, Z, W, args.degree, ring)
+    return {"degree": args.degree, "source": m.source.describe(),
+            "target": m.target.describe(), "matrix": jmatrix(m.matrix)}, True

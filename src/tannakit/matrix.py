@@ -8,11 +8,16 @@ through their module __getattr__ (PEP 562), so `linalg.Matrix`,
 `tannakit.Matrix` and `from .linalg import Matrix` keep resolving, and a
 homology command, which reads only sparse columns, never compiles it.  The
 entry coercion _coerce of Matrix, maps._Solver and the Tannaka layers is
-here too, served by linalg likewise.
+here too, served by linalg likewise.  jscalar, jvector and jmatrix encode
+exact scalars, vectors and matrices for the command handlers'
+certificates.  The Kronecker product, which no command runs (every tensor
+identity contracts sparse columns by maps._tensor_apply), is a _deferred
+call into tannakit.forms.
 """
 
 from fractions import Fraction
 
+from . import _deferred
 from .linalg import QQ, RINGS, ZZ
 
 
@@ -179,30 +184,7 @@ class Matrix:
         return tuple(sum((row[j] * b for j, b in nz if row[j]), zero)
                      for row in self.data)
 
-    def kron(self, other):
-        """Kronecker product, row-major flattening of tensor indices."""
-        if self.ring != other.ring:
-            raise ValueError("ring mismatch in kron")
-        ocols = other.cols
-        width = self.cols * ocols
-        zero_row = (0,) * width
-        out = []
-        for i in range(self.rows):
-            arow = self.data[i]
-            if not any(arow):
-                out.extend([zero_row] * other.rows)
-                continue
-            for r in range(other.rows):
-                brow = other.data[r]
-                acc = [0] * width
-                for j, a in enumerate(arow):
-                    if a:
-                        base = j * ocols
-                        for s, b in enumerate(brow):
-                            if b:
-                                acc[base + s] = a * b
-                out.append(acc)
-        return Matrix(self.ring, out, self.rows * other.rows, width)
+    kron = _deferred("forms", "kron")
 
     def hstack(self, other):
         if self.rows != other.rows or self.ring != other.ring:
@@ -219,3 +201,19 @@ class Matrix:
         return Matrix(self.ring,
                       tuple(tuple(row[j] for j in indices) for row in self.data),
                       self.rows, len(indices))
+
+
+# -- certificate encoders -----------------------------------------------------
+
+def jscalar(x):
+    """An exact scalar (int or Fraction) as an int, or "p/q" when it is not
+    an integer."""
+    return int(x) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
+
+
+def jmatrix(m):
+    return [[jscalar(x) for x in m.row(i)] for i in range(m.rows)]
+
+
+def jvector(v):
+    return [jscalar(x) for x in v]

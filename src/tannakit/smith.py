@@ -1,28 +1,26 @@
-"""Smith normal form with its unimodular transforms and the exact
-determinant.
+"""Smith normal form with its unimodular transforms.
 
 This module loads on first use: only where a Smith form with its
 transforms is needed, for the coordinates of an integer presentation with
 relations in maps.module_from_relations (run on a Subquotient's first
-class_of or lift), whose U and U^-1 fix the torsion generators, and where a
-determinant is computed.  Invariant factors alone never load
-it: the residual that unit pivots leave in linalg._sparse_divisors is read
-by sparse Euclid steps (linalg._residual_divisors), so a homology command
-never compiles it, torsion or not.  linalg and the package serve its names
-through a module __getattr__ (PEP 562).  The dense canonical forms rref,
-hnf_columns and _column_reduce, which only the tests and the full inverses
-Uinv and Vinv read, are in tannakit.forms, served here likewise.
+class_of or lift), whose U and U^-1 fix the torsion generators.  Invariant
+factors alone never load it: the residual that unit pivots leave in
+linalg._sparse_divisors is read by sparse Euclid steps
+(linalg._residual_divisors), so a homology command never compiles it,
+torsion or not.  linalg and the package serve its names through a module
+__getattr__ (PEP 562).  The dense canonical forms rref, hnf_columns and
+_column_reduce, which only the tests and the full inverses Uinv and Vinv
+read, and the exact determinant, which only the kunneth command reads, are
+in tannakit.forms, served here likewise.
 """
 
-from fractions import Fraction
 from functools import cached_property
-from math import lcm, prod
 
 from . import _deferred, _lazy
-from .linalg import QQ, ZZ
+from .linalg import ZZ
 from .matrix import Matrix
 
-__getattr__ = _lazy(__name__, {"forms": "rref hnf_columns"})
+__getattr__ = _lazy(__name__, {"forms": "rref hnf_columns determinant"})
 # a module global, so that a test can count the calls of Uinv and Vinv
 _column_reduce = _deferred("forms", "_column_reduce")
 
@@ -216,36 +214,3 @@ def smith_normal_form(A):
     if (form.U * A) * form.V != form.D:
         raise AssertionError("SNF internal inconsistency")
     return form
-
-
-def determinant(A):
-    """Exact determinant: fraction-free Bareiss, over Q on the rows scaled to
-    integers."""
-    if A.rows != A.cols:
-        raise ValueError("determinant of a non-square matrix")
-    if A.ring == QQ:
-        scale = [lcm(*(x.denominator for x in row)) for row in A.data]
-        d = determinant(Matrix(ZZ, [[x * m for x in row]
-                                    for row, m in zip(A.data, scale)]))
-        return Fraction(d, prod(scale))
-    n = A.rows
-    if n == 0:
-        return 1
-    a = [list(r) for r in A.data]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tannakit import bialgebra
+from tannakit import bialgebra, kunneth
 from tannakit.bialgebra import (
     MuFragment, PairsContext, TauIso, bialgebra_axiom_check, check_associativity,
     check_commutativity, check_fragment_bialgebra, check_tau_associativity,
@@ -86,12 +86,12 @@ class TestTau:
     def test_tau_refuses_a_doubled_ez(self, ring, monkeypatch):
         # 2 EZ is still a chain map, but AW o 2 EZ = 2 on the tensor complex,
         # so the EZ classes are twice the inverse of tau
-        ez_matrixes = bialgebra.ez_matrixes
+        ez_matrixes = kunneth.ez_matrixes
 
         def doubled(c1, c2, cp, tensor):
             _, aw = ez_matrixes(c1, c2, cp, tensor)
             return ChainMap(tensor, cp, lambda n, s: ((t, 2 * c) for t, c in _ez(n, s))), aw
-        monkeypatch.setattr(bialgebra, "ez_matrixes", doubled)
+        monkeypatch.setattr(kunneth, "ez_matrixes", doubled)
         ctx = wedge_context(2, ring)[0]
         with pytest.raises(NotGoodPair, match="fail to invert"):
             kunneth_tau(ctx, "w", "w")

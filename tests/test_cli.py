@@ -250,13 +250,17 @@ main(sys.argv[1:])
 print(" ".join(sorted(m.split(".")[-1] for m in sys.modules if m.startswith("tannakit.")
                       or m in ("_hashlib", "fractions", "decimal", "numbers"))))
 """
+# the layers that hold the handlers of the commands other than homology, les
+# and product, each with the code its command runs
+HANDLER_LAYERS = {"maps", "kunneth", "cochains", "cech", "filtration", "search", "tannaka",
+                  "coalgebra", "transition", "bialgebra", "sigma", "comodule"}
 # what a homology or les process on a corpus of complexes and pairs alone (the
 # benchmark's ladders) never loads: the section loaders, the layers of
 # coordinates and diagrams, and fractions with the decimal and numbers it
 # imports, since the homology core computes in integers over Q too
-NOT_ON_A_LADDER = {"structures", "maps", "matrix", "smith", "tannaka", "diagrams", "commands",
-                   "filtration", "cochains", "bialgebra", "comodule", "forms",
-                   "fractions", "decimal", "numbers"}
+NOT_ON_A_LADDER = HANDLER_LAYERS | {"structures", "matrix", "smith", "diagrams", "forms",
+                                    "filtration_maps", "coherence",
+                                    "fractions", "decimal", "numbers"}
 
 # where the interpreter has its own sha256 module, the corpus digest is taken
 # without hashlib, whose _hashlib loads OpenSSL
@@ -285,35 +289,56 @@ sub = rp2 * ends
     # no dense Matrix and no other command's handler; the bundled corpus
     # declares maps, filtrations and covers, which structures loads
     (None, ["homology", "p_circle_pt"], {"structures"},
-     {"maps", "les", "reduction", "smith", "filtration", "cochains", "tannaka", "diagrams",
-      "matrix", "commands", "fractions"}),
+     HANDLER_LAYERS | {"les", "reduction", "smith", "diagrams", "matrix", "fractions"}),
     # the Z/2 of the Klein bottle is read off a residual by sparse Euclid steps
     (None, ["homology", "p_klein"], {"structures"},
-     {"filtration", "cochains", "tannaka", "diagrams", "bialgebra", "comodule", "reduction",
-      "les", "maps", "smith", "matrix", "commands", "fractions"}),
+     HANDLER_LAYERS | {"diagrams", "reduction", "les", "smith", "matrix", "fractions"}),
     ("[complex c]\nsimplices = x y\n\n[pair p]\nspace = c\n", ["homology", "p"], set(),
      NOT_ON_A_LADDER | {"reduction", "les"}),
     (RP2_EDGE_REL, ["homology", "rp2e_rel"], set(), NOT_ON_A_LADDER | {"reduction", "les"}),
     (RP2_EDGE_REL, ["--ring", "q", "homology", "rp2e_rel"], set(),
      NOT_ON_A_LADDER | {"reduction", "les"}),
     (None, ["product", "p_circle", "p_circle"], set(),
-     {"filtration", "cochains", "tannaka", "bialgebra", "comodule", "reduction", "les",
-      "smith", "maps", "matrix", "commands"}),
+     HANDLER_LAYERS | {"reduction", "les", "smith", "matrix"}),
     # les reads every node off the reductions' residual complexes: no
     # coordinates, no module maps, no dense Matrix and no Smith form
     (None, ["les", "p_mobius_bnd"], {"les", "reduction"},
-     {"filtration", "cochains", "tannaka", "bialgebra", "comodule", "maps", "matrix", "smith",
-      "commands"}),
+     HANDLER_LAYERS | {"matrix", "smith"}),
     (RP2_EDGE_REL, ["les", "rp2e_rel"], {"les", "reduction"}, NOT_ON_A_LADDER),
     (None, ["triple-boundary", "edge", "ends", "enda", "1"], {"maps"},
-     {"les", "reduction", "filtration", "cochains", "tannaka", "bialgebra", "comodule"}),
-    (None, ["end-algebra", "F2"], {"tannaka", "diagrams", "maps", "matrix", "commands"},
-     {"bialgebra", "filtration", "comodule", "reduction", "les", "smith"}),
-    (None, ["cup", "circle3*circle3", "empty", "empty", "1", "1"], {"cochains"},
-     {"filtration", "tannaka"}),
+     HANDLER_LAYERS - {"maps"} | {"les", "reduction"}),
+    # an End algebra without its coalgebra, comodules or transitions
+    (None, ["end-algebra", "F2"], {"tannaka", "diagrams", "maps", "matrix"},
+     HANDLER_LAYERS - {"tannaka", "maps"} | {"reduction", "les", "smith", "kunneth", "forms"}),
+    # the cup product without the Cech model, and the Cech model alone,
+    # without coordinates, a dense Matrix or fractions
+    (None, ["cup", "circle3*circle3", "empty", "empty", "1", "1"], {"cochains", "smith"},
+     HANDLER_LAYERS - {"cochains", "maps"} | {"kunneth", "forms"}),
+    (None, ["cech", "cov_circle"], {"cech"},
+     HANDLER_LAYERS - {"cech"} | {"matrix", "smith", "forms", "fractions"}),
+    # a filtration complex without the search or the maps of filtrations
+    (None, ["filtration", "f_circle"], {"filtration", "maps"},
+     HANDLER_LAYERS - {"filtration", "maps"} | {"filtration_maps", "kunneth", "smith"}),
+    # tau alone: no End algebra's coalgebra, no product of truncations, and
+    # the determinant without the Smith form
+    (None, ["kunneth", "circle_diagram", "g", "g"], {"kunneth", "tannaka", "forms"},
+     HANDLER_LAYERS - {"kunneth", "tannaka", "maps"} | {"smith", "coherence"}),
+    (None, ["coalgebra", "F1"], {"coalgebra", "tannaka"},
+     HANDLER_LAYERS - {"coalgebra", "tannaka", "maps"} | {"kunneth", "smith"}),
+    (None, ["transition", "F1", "F2"], {"transition", "coalgebra"},
+     HANDLER_LAYERS - {"transition", "coalgebra", "tannaka", "maps"} | {"kunneth", "smith"}),
+    # the products of truncations, without their coherence checks
+    (None, ["bialgebra-check", "main_tower"], {"bialgebra", "kunneth", "transition", "sigma"},
+     {"coherence", "comodule", "forms", "smith", "filtration", "cochains", "cech"}),
+    (None, ["sigma-system", "sigma_tower", "--depth", "1"], {"bialgebra", "sigma"},
+     {"coherence", "comodule", "forms", "smith", "filtration", "cochains", "cech"}),
+    (None, ["comodule-check", "com_z2"], {"comodule", "coalgebra"},
+     HANDLER_LAYERS - {"comodule", "coalgebra", "tannaka", "maps"} | {"kunneth", "smith"}),
 ], ids=["homology without torsion", "homology", "homology without filtrations",
         "homology on a ladder", "homology on a ladder over Q", "product", "les",
-        "les with torsion", "triple-boundary", "end-algebra", "cup"])
+        "les with torsion", "triple-boundary", "end-algebra", "cup", "cech", "filtration",
+        "kunneth", "coalgebra", "transition", "bialgebra-check", "sigma-system",
+        "comodule-check"])
 def test_cold_start_loads_only_the_layers_a_command_runs(corpus, argv, present, absent,
                                                          tmp_path):
     if corpus is not None:
@@ -329,26 +354,62 @@ def test_cold_start_loads_only_the_layers_a_command_runs(corpus, argv, present, 
         assert "_hashlib" not in loaded
 
 
+def test_bundled_corpus_is_read_by_the_package_loader():
+    """Under python -S, where site imports nothing, a bundled command
+    without --out loads neither importlib.resources nor json, and the corpus
+    it reads has the digest that every golden certificate records."""
+    proc = _fresh(["-S", "-c", LOADED_AFTER.replace(
+        '"_hashlib", ', '"_hashlib", "importlib.resources", "json", '), "homology", "p_circle_pt"])
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split("\n")[-2].split())
+    assert "corpus" in loaded and not loaded & {"resources", "json"}
+    digest = hashlib.sha256(default_corpus_text().encode("utf-8")).hexdigest()
+    golden = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+    for name in sorted(os.listdir(golden)):
+        with open(os.path.join(golden, name), encoding="utf-8") as fh:
+            assert json.load(fh)["corpus_sha256"] == digest, name
+
+
 # the imports that bench/sweep.py makes before the first of its timed jobs,
-# then the corpus parses it makes there, then the calls of one bundled
-# subdiagram's axiom job and of the tower job, over Z and Q; the tannakit
-# modules and fractions that the calls import are printed
+# then what it builds there (the corpus parses and a random diagram's
+# context), then the calls of its three jobs over Z and Q through the same
+# attribute paths: one bundled subdiagram's axiom calls, the tower's
+# bialgebra and sigma checks, and the random diagram's axiom calls; the
+# tannakit modules and fractions that the calls import are printed
 SWEEP_JOBS = """import sys
 from tannakit import bialgebra, tannaka
 from tannakit.cli import default_corpus_text
 from tannakit.corpus import Corpus
 from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap
 corpora = {ring: Corpus(default_corpus_text()) for ring in (ZZ, QQ)}
-before = set(sys.modules)
+dia = tannaka.Diagram(["a", "b"], [("e", "a", "b", "map")])
+random_reps = {}
 for ring in (ZZ, QQ):
-    ctx, sub = corpora[ring].subdiagram("TRIPLES", ring)
+    modules = {"a": FgModule.free(ring, 2), "b": FgModule.free(ring, 2)}
+    maps = {"e": ModuleMap(modules["a"], modules["b"], Matrix(ring, [[1, 2], [0, 1]]))}
+    rep = tannaka.DiagramRep(dia, ring, modules, maps)
+    random_reps[ring] = (bialgebra.PairsContext(dia, rep), tannaka.Subdiagram(dia, ["a", "b"]))
+before = set(sys.modules)
+
+
+def axiom_calls(ctx, sub):
     E, A = ctx.end(sub), ctx.coalgebra(sub)
     for v in sub.vertices:
         assert tannaka.check_coaction_axioms(tannaka.coaction(ctx.rep, sub, v, E, A)) == (
             True, True)
     assert tannaka.factorization_check(ctx.rep, sub, E).ok
+
+
+for ring in (ZZ, QQ):
+    axiom_calls(*corpora[ring].subdiagram("TRIPLES", ring))
     ctx, subs, unit = corpora[ring].tower("main_tower", ring)
     assert bialgebra.bialgebra_axiom_check(ctx, subs, unit_vertex=unit).ok
+    for sub in subs:
+        if ctx.circle in sub.vertices:
+            sig = bialgebra.sigma_element(ctx, sub)
+            A = ctx.coalgebra(sub)
+            assert A.grouplike_defect(sig.coords).is_zero() and A.counit_of(sig.coords) == 1
+    axiom_calls(*random_reps[ring])
 print("imported: " + " ".join(sorted(m for m in set(sys.modules) - before
                                      if m.startswith("tannakit") or m == "fractions")))
 """
@@ -356,8 +417,9 @@ print("imported: " + " ".join(sorted(m for m in set(sys.modules) - before
 
 def test_sweep_jobs_import_nothing():
     """A module first imported inside a timed job of the benchmark's
-    tannaka-sweep would be compiled there: every module the jobs use must
-    load with the imports and corpus parses before them."""
+    tannaka-sweep would be compiled there: every module the jobs use, tau,
+    sigma, the transition maps and the factorization check included, must
+    load with the imports and the builds before them."""
     proc = _fresh(["-c", SWEEP_JOBS])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "imported: "
@@ -411,19 +473,30 @@ def test_dense_matrix_and_handlers_resolve_where_they_did():
 
 
 # names that other modules and the benchmark's tracer reach by their path
-# before maps, les, structures and forms were split off, each with the module
-# that holds it now
+# before maps, les, structures, forms and the handler layers were split off,
+# each with the module that holds it now
 MOVED = {
     ("linalg", "maps"): "_Solver solve kernel module_from_relations _order_relations "
                         "_tensor_apply _swapped_tensor tensor_swap ModuleMap subquotient "
                         "_nonzero_columns _integer_rows elementary_divisors _apply",
     ("linalg", "matrix"): "_coerce",
     ("linalg", "forms"): "rref hnf_columns _column_reduce",
-    ("smith", "forms"): "rref hnf_columns",
     ("simplicial", "structures"): "SimplicialMap Filtration",
     ("simplicial", "maps"): "ChainMap tensor_complex induced_map_on_homology triple_boundary "
                             "_homology_map _boundary_image ez_matrixes ez_aw_maps",
     ("simplicial", "les"): "les_exactness",
+    ("simplicial", "cech"): "CechModel cech_total_complex",
+    ("maps", "kunneth"): "module_tensor tensor_swap _swapped_tensor tensor_complex _ez _aw "
+                         "ez_matrixes ez_aw_maps ez_aw_relative",
+    ("smith", "forms"): "rref hnf_columns determinant",
+    ("bialgebra", "coherence"): "check_tau_symmetry check_tau_unit check_tau_associativity "
+                                "check_associativity",
+    ("filtration", "filtration_maps"): "ModuleComplexMap pushforward_filtration "
+                                       "product_filtration _tensor_module_complex",
+    ("filtration", "search"): "SearchReport find_very_good_refinement",
+    ("cochains", "cech"): "CechModel cech_total_complex",
+    ("diagrams", "bialgebra"): "corpus_tower",
+    ("diagrams", "comodule"): "corpus_comodule",
 }
 
 
@@ -438,6 +511,18 @@ def test_moved_names_resolve_by_their_old_paths():
     for module in ("linalg", "simplicial"):
         with pytest.raises(AttributeError):
             getattr(importlib.import_module("tannakit." + module), "nosuch")
+    # tannaka keeps each name it serves once read, so that a loop reads a
+    # plain attribute
+    for new, names in (("coalgebra", "CoalgebraTrunc Comodule dual_coalgebra coaction "
+                                     "check_coaction_axioms _intertwines"),
+                       ("transition", "TransitionMap transition_map FactorizationCert "
+                                      "factorization_check _coalgebra_morphism")):
+        new_mod = importlib.import_module("tannakit." + new)
+        for name in names.split():
+            assert getattr(tannakit.tannaka, name) is getattr(new_mod, name), name
+            assert name in vars(tannakit.tannaka), name
+    with pytest.raises(AttributeError):
+        tannakit.tannaka.nosuch
 
 
 MALFORMED_BASE = """ring = z

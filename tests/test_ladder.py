@@ -46,10 +46,12 @@ def test_cold_rung_reports_each_command(capsys):
     ladder = _ladder()
     ladder.cold_rung()
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split("  ")[0].strip() for line in lines[:-2]] == list(ladder.COLD_COMMANDS)
+    assert [line.split("  ")[0].strip() for line in lines[:-3]] == list(ladder.COLD_COMMANDS)
     assert lines[-2].startswith("Corpus(default_corpus_text()): ")
+    total = 0
     for cmd, line in zip(ladder.COLD_COMMANDS, lines):
         tokens = int(line.split(" tokens")[0].rsplit(None, 1)[1])
+        total += tokens
         layers = line.split("tannakit: ")[1].split("  other: ")[0].split()
         other = line.split("  other: ")[1].split()
         assert {"cli", "corpus", "linalg", "simplicial"} <= set(layers), line
@@ -57,3 +59,7 @@ def test_cold_rung_reports_each_command(capsys):
         if cmd.split()[0] in ("homology", "product", "les"):
             assert not {"maps", "matrix", "smith", "tannaka"} & set(layers), line
             assert "fractions" not in other, line
+        if cmd.split()[0] in ("kunneth", "cech"):
+            assert "smith" not in layers, line
+    assert lines[-3] == "tokens compiled by the %d commands: %d" % (len(ladder.COLD_COMMANDS),
+                                                                    total)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tannakit import tannaka
+from tannakit import coalgebra, tannaka, transition
 from tannakit.cli import default_corpus_text
 from tannakit.corpus import Corpus
 from tannakit.errors import AxiomViolation, NonFreeVertex
@@ -448,12 +448,12 @@ class TestSparseRejects:
                 if sdg is G and v == "g":
                     co = Comodule(co.coalgebra, co.gen_orders, bad_rho)
                 return co
-            monkeypatch.setattr(tannaka, "coaction", corrupt)
+            monkeypatch.setattr(transition, "coaction", corrupt)
             assert not dense_transition_ok(tm, rho_f, bad_rho)
             with pytest.raises(AxiomViolation,
                                match="transition fails coaction compatibility at 'g'"):
                 transition_map(ctx.rep, EF, EG)
-        monkeypatch.setattr(tannaka, "coaction", honest)
+        monkeypatch.setattr(transition, "coaction", honest)
         assert transition_map(ctx.rep, EF, EG).matrix == tm.matrix
 
     @pytest.mark.parametrize("ring", [ZZ, QQ])
@@ -742,7 +742,7 @@ class TestBuildOnce:
             assert check_coaction_axioms(coaction(ctx.rep, sdg, v, E)) == (True, True)
         calls = []
         for name in ("_coassociative", "_counit_identity"):
-            monkeypatch.setattr(tannaka, name, lambda *a, name=name, f=getattr(tannaka, name),
+            monkeypatch.setattr(coalgebra, name, lambda *a, name=name, f=getattr(coalgebra, name),
                                 **kw: calls.append(name) or f(*a, **kw))
         assert factorization_check(ctx.rep, sdg, E).ok
         assert calls == []

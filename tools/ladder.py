@@ -1,5 +1,5 @@
-"""Scaling ladder: the cold start of eight CLI commands, and in-process wall
-times of the Tannaka layers and of les, printed.
+"""Scaling ladder: the cold start of fourteen CLI commands, and in-process
+wall times of the Tannaka layers and of les, printed.
 
     python tools/ladder.py [--quick]
 
@@ -15,8 +15,9 @@ or command with its answer beside its time:
              modules it loaded, package __init__ included; comments and
              layout not counted), the tannakit modules it loaded and the
              other top-level modules it loaded that a bare `python -c pass`
-             does not; then the in-process time of building the bundled
-             corpus and of its largest product expression.
+             does not; then the tokens they compiled in all, and the
+             in-process time of building the bundled corpus and of its
+             largest product expression.
 
   coalgebra  dual_coalgebra of M_r, one rank-r vertex with no edges (End =
              M_r, dimension r^2), then factorization_check on the same End
@@ -66,7 +67,9 @@ from tannakit.tannaka import (                                       # noqa: E40
 RINGS = (ZZ, QQ)
 COLD_COMMANDS = ("homology p_circle_pt", "homology p_klein", "product p_circle p_circle",
                  "les p_mobius_bnd", "end-algebra F2", "transition F1 F2",
-                 "cup circle3*circle3 empty empty 1 1", "bialgebra-check main_tower")
+                 "cup circle3*circle3 empty empty 1 1", "bialgebra-check main_tower",
+                 "filtration f_circle", "cech cov_circle", "kunneth circle_diagram g g",
+                 "coalgebra F1", "sigma-system sigma_tower --depth 1", "comodule-check com_z2")
 # the last two lines a cold child prints: its peak RSS in kB (VmHWM, which
 # counts only the process's own image, unlike a forked child's ru_maxrss;
 # ru_maxrss where there is no /proc) and the top-level names of what it loaded
@@ -112,6 +115,7 @@ def source_tokens(module):
 
 def cold_rung():
     bare = set(_cold("import sys\n" + LOADED)[1].splitlines()[-1].split())
+    total = 0
     for cmd in COLD_COMMANDS:
         wall, out, err, code = _cold(
             "import sys\nfrom tannakit.cli import main\nmain(sys.argv[1:])\n" + LOADED,
@@ -124,8 +128,10 @@ def cold_rung():
         layers = sorted(m.split(".")[1] for m in loaded if m.startswith("tannakit."))
         other = sorted(loaded - bare - {"tannakit"} - {"tannakit." + m for m in layers})
         tokens = source_tokens("__init__") + sum(map(source_tokens, layers))
+        total += tokens
         print("%-38s %.3f s  %6s kB  %5d tokens  tannakit: %s  other: %s"
               % (cmd, wall, rss, tokens, " ".join(layers), " ".join(other)))
+    print("tokens compiled by the %d commands: %d" % (len(COLD_COMMANDS), total))
     from tannakit.cli import default_corpus_text
     from tannakit.corpus import Corpus
     text = default_corpus_text()
