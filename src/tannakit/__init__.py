@@ -1,14 +1,8 @@
 """tannakit: exact relative simplicial homology, Basic-Lemma filtrations,
 Cech total-complex models and diagram Tannaka duality, with machine-checkable
-certificates for everything computed.  `linalg` and `simplicial`, which
-compute homology modules on sparse columns, load with the package; every
-other layer loads on first use of one of its names (PEP 562): the dense
-`Matrix` view of `matrix`, `maps` (coordinates, module maps, induced maps,
-tensors), the simplicial maps and filtrations of `structures`, the long
-exact sequence of `les`, the cup products and Cech models of `cochains`,
-the Smith normal form of `smith` and the dense canonical forms of `forms`
-included.  A method whose code lives in a later layer is a `_deferred` call
-into it, such as a Corpus's diagram readers in `diagrams`."""
+certificates for everything computed.  `linalg` and `simplicial` load with
+the package; every other public name is read from the module that owns it,
+imported on first use (PEP 562)."""
 
 from importlib import import_module as _import_module
 
@@ -45,21 +39,23 @@ from .simplicial import (                                       # noqa: F401
 
 __getattr__ = _lazy(__name__, {
     "matrix": "Matrix",
-    "maps": "ModuleMap dual_map ez_aw_maps induced_map_on_homology kernel subquotient "
-            "triple_boundary",
+    "maps": "ModuleMap dual_map induced_map_on_homology kernel subquotient triple_boundary",
+    "kunneth": "TauIso ez_aw_maps kunneth_tau",
     "structures": "Filtration SimplicialMap",
     "les": "les_exactness",
-    "cochains": "cech_total_complex relative_cup_product",
-    "filtration": "compare_filtration_homology filtration_complex "
-                  "find_very_good_refinement is_very_good_pair "
-                  "product_filtration pushforward_filtration very_good_report",
-    "tannaka": "CoalgebraTrunc Diagram DiagramRep EndAlgebra PairsContext "
-               "Subdiagram build_pairs_diagram coaction dual_coalgebra "
-               "end_algebra factorization_check transition_map",
-    "bialgebra": "TauIso bialgebra_axiom_check kunneth_tau "
-                 "product_on_truncations sigma_directed_system sigma_element",
-    "comodule": "Comodule check_comodule_axioms extended_comodule "
-                "tensor_comodules torsionfree_cover",
+    "cochains": "relative_cup_product",
+    "cech": "cech_total_complex",
+    "filtration": "compare_filtration_homology filtration_complex is_very_good_pair "
+                  "very_good_report",
+    "filtration_maps": "product_filtration pushforward_filtration",
+    "search": "find_very_good_refinement",
+    "tannaka": "Diagram DiagramRep EndAlgebra PairsContext Subdiagram build_pairs_diagram "
+               "end_algebra",
+    "coalgebra": "CoalgebraTrunc Comodule coaction dual_coalgebra",
+    "transition": "factorization_check transition_map",
+    "bialgebra": "bialgebra_axiom_check product_on_truncations sigma_directed_system",
+    "sigma": "sigma_element",
+    "comodule": "check_comodule_axioms extended_comodule tensor_comodules torsionfree_cover",
     "corpus": "Corpus load_corpus",
     "smith": "SmithForm smith_normal_form",
 })

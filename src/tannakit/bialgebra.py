@@ -17,34 +17,23 @@ columns by maps._tensor_apply or _compose: mu is checked as a coalgebra
 morphism out of the tensor coalgebra A_F (x) A_G by
 transition._coalgebra_morphism, the check every transition map passes.
 
-This module imports, beside its own layers, what a Tannaka pass runs
-beyond tannakit.tannaka: tau (tannakit.kunneth), sigma (tannakit.sigma),
-transition maps and the factorization check (tannakit.transition).  So a
-process that has imported both modules (the benchmark's tannaka-sweep
-does, before its timed jobs) compiles nothing more on a call.  tau and
-sigma are served here too, and tau's coherence checks (tannakit.coherence,
-which no command runs) through a module __getattr__ (PEP 562).
-Corpus.tower is corpus_tower here, reached through tannakit.diagrams.
+This module imports what a Tannaka pass runs beyond tannakit.tannaka: tau
+(tannakit.kunneth), sigma (tannakit.sigma), transition maps and the
+factorization check (tannakit.transition), so a process that has imported
+both modules (the benchmark's tannaka-sweep does, before its timed jobs)
+compiles nothing more on a call.  Corpus.tower is corpus_tower here.
 """
 
-from . import _lazy
 from .corpus import _split_entries
 from .errors import InputError, MissingProducts, ProductEscape, WrongRank
-from .kunneth import (  # noqa: F401
-    TauIso, _swapped_tensor, is_good_vertex, kunneth_tau, tensor_swap,
-)
+# kunneth_tau is not called here: bench/tracing.py wraps tau by this path
+from .kunneth import _swapped_tensor, kunneth_tau, tensor_swap  # noqa: F401
 from .linalg import _compose, _echelon, _integral, _transpose
 from .maps import _apply, _tensor_apply
 from .matrix import Matrix, jmatrix
-from .sigma import SigmaElement, sigma_element  # noqa: F401
+from .sigma import sigma_element
 from .tannaka import PairsContext, Subdiagram, vertex_payload
 from .transition import _coalgebra_morphism, transition_map
-
-__getattr__ = _lazy(__name__, {
-    "coherence": "check_tau_symmetry check_tau_unit check_tau_associativity "
-                 "check_associativity",
-})
-
 
 # -- products of truncations --------------------------------------------------
 

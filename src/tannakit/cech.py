@@ -4,10 +4,7 @@ The total complex of a closed cover of X and of the components of a
 divisor decomposition of Z, compared degreewise with h_*(X, Z).  Cech
 covers are by closed subcomplexes: for subcomplexes A, B we have
 C(A) + C(B) = C(A u B) on the nose, so the comparison maps of the
-total-complex models are exact at chain level.  Only the cech command
-loads this module (it reads no Matrix); tannakit.cochains, and
-tannakit.simplicial through it, serve its names through a module
-__getattr__ (PEP 562).
+total-complex models are exact at chain level.
 """
 
 from itertools import combinations

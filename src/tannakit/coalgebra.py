@@ -14,9 +14,7 @@ its module once computed.
 
 EndAlgebra's methods structure_constants, coalgebra and comodule keep
 what structure_constants, dual_coalgebra and canonical_comodule here
-build, importing this module on their first call, so the end-algebra and
-kunneth commands never compile it; tannakit.tannaka serves its names
-through its module __getattr__ (PEP 562).
+build.
 """
 
 from math import lcm

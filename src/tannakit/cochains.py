@@ -1,18 +1,10 @@
-"""Cup products on relative cochains and the cup command, loaded only by
-that command (tannakit.simplicial serves their names).  The Cech
-total-complex models are in tannakit.cech, which the cech command loads
-alone; this module serves their names through its module __getattr__ (PEP
-562), and simplicial through it.
+"""Cup products on relative cochains and cohomology, and the cup command.
 """
 
-from . import _lazy
 from .errors import InvalidPair
 from .linalg import ZZ, FgModule, Subquotient, _transpose
 from .matrix import Matrix, jvector
 from .simplicial import SimplicialPair, pair_homology
-
-__getattr__ = _lazy(__name__, {"cech": "CechModel cech_total_complex"})
-
 
 class CupProduct:
     """Front/back cup product on relative cochains and cohomology.

@@ -2,10 +2,8 @@
 Koszul sign, its unit coherence and its associativity, and the
 associativity of the products mu after transition maps.
 
-No command runs them, so no command compiles this module; the tests do,
-and tannakit.bialgebra serves their names through its module __getattr__
-(PEP 562).  Each check contracts sparse columns by _compose or
-maps._tensor_apply, as the bialgebra certificate does.
+No command runs them; the tests do.  Each check contracts sparse columns
+by _compose or maps._tensor_apply, as the bialgebra certificate does.
 """
 
 from .bialgebra import BialgebraCert

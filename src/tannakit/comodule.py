@@ -12,8 +12,7 @@ the torsion of the target (Comodule.axioms, computed once per comodule, and
 coalgebra._intertwines), exact equality in the free case.
 The tensor comodule's rho and the cover's generators are sparse columns
 built by maps._tensor_apply and kunneth._swapped_tensor, with no Kronecker
-matrix.  Corpus.comodule is corpus_comodule here, reached through
-tannakit.diagrams.
+matrix.  Corpus.comodule is corpus_comodule here.
 """
 
 from fractions import Fraction

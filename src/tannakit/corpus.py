@@ -10,11 +10,11 @@ names with `*` (staircase product), `+` (union), `skel(expr, k)` and
 Complexes, pairs, maps, filtrations, covers and divisors are built and
 checked at parse time, read by the command or not, so a malformed one fails
 the run; diagram, subdiagram, tower and comodule sections are read on first
-use, by tannakit.diagrams.  Parsing complexes and pairs loads only linalg and
-simplicial; the first map, filtration, cover or divisors section loads
-tannakit.structures, which builds those four kinds (SimplicialMap and
-Filtration live there).  A corpus builds each staircase product of two
-complexes once, for all its expressions and product maps.
+use.  Parsing complexes and pairs loads only linalg and simplicial; the
+first map, filtration, cover or divisors section loads tannakit.structures,
+which builds those four kinds (SimplicialMap and Filtration live there).  A
+corpus builds each staircase product of two complexes once, for all its
+expressions and product maps.
 """
 
 import re
@@ -102,7 +102,7 @@ def parse_sections(text):
 class Corpus:
     """All named objects of a corpus file; the diagram contexts are built
     on first use.  Its methods context, subdiagram, tower and comodule are
-    tannakit.diagrams's corpus_* readers."""
+    the corpus_* readers of tannakit.diagrams, .bialgebra and .comodule."""
 
     def __init__(self, text):
         self.ring, sections = parse_sections(text)
@@ -164,12 +164,11 @@ class Corpus:
     _load_cover = _deferred("structures", "load_cover")
     _load_divisors = _deferred("structures", "load_divisors")
 
-    # -- diagram contexts and what is read off them, built on first use by
-    # tannakit.diagrams
+    # -- diagram contexts and what is read off them, built on first use
     context = _deferred("diagrams", "corpus_context")
     subdiagram = _deferred("diagrams", "corpus_subdiagram")
-    tower = _deferred("diagrams", "corpus_tower")
-    comodule = _deferred("diagrams", "corpus_comodule")
+    tower = _deferred("bialgebra", "corpus_tower")
+    comodule = _deferred("comodule", "corpus_comodule")
 
 
 class _ExprParser:

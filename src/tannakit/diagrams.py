@@ -1,27 +1,15 @@
-"""The diagram sections of a corpus, read on first use: the PairsContext of
-a diagram and its subdiagrams.
+"""The diagram sections of a corpus: the PairsContext of a diagram and its
+subdiagrams, read by the Corpus methods context and subdiagram.
 
-Each corpus_* reader is the Corpus method of its name (context,
-subdiagram, tower, comodule), a _deferred call into this module, so a
-command that reads no diagram never compiles it.  Towers and comodules are
-read where the commands that read them already are, corpus_tower in
-tannakit.bialgebra and corpus_comodule in tannakit.comodule, and this
-module serves both through its module __getattr__ (PEP 562).
-tannakit.tannaka imports this module at its end, so a process that has
-imported tannaka has it too.  It is a module of its own, not the end of
-tannaka.py, because a process's peak RSS follows the compile of the
-largest module it loads.  Every context is built once per (diagram, ring)
-and checks its product vertices against the corpus's own staircase
-products.
+Every context is built once per (diagram, ring) and checks its product
+vertices against the corpus's own staircase products.  This is a module of
+its own, not the end of tannaka.py, because a process's peak RSS follows
+the compile of the largest module it loads.
 """
 
-from . import _lazy
 from .corpus import _malformed, _split_entries
 from .errors import InputError
 from .tannaka import PairsContext, Subdiagram, build_pairs_diagram
-
-__getattr__ = _lazy(__name__, {"bialgebra": "corpus_tower", "comodule": "corpus_comodule"})
-
 
 def corpus_context(corpus, name, ring) -> PairsContext:
     """Corpus.context: the PairsContext of the diagram `name` over ring,

@@ -2,11 +2,7 @@
 comparison with homology, with the filtration and compare-filtration
 commands.  The Filtration class itself, its data and checks, lives in
 tannakit.structures, so that parsing a corpus that declares filtrations does
-not load this module; it is imported back here.  The refinement search
-(tannakit.search) and the pushforward and product filtrations
-(tannakit.filtration_maps) load on first use, and this module serves their
-names through its module __getattr__ (PEP 562), so the filtration and
-compare-filtration commands compile neither.
+not load this module; it is imported back here.
 
 "Dimension" of a subcomplex means its maximal simplex dimension, and the
 smoothness clause of the geometric definition of (very) good pairs is not
@@ -24,11 +20,8 @@ from .matrix import jmatrix
 from .simplicial import SimplicialPair, pair_homology, relative_homology
 from .structures import Filtration
 
-__getattr__ = _lazy(__name__, {
-    "filtration_maps": "ModuleComplexMap pushforward_filtration product_filtration "
-                       "_tensor_module_complex _generator_complex",
-    "search": "SearchReport _candidate_subcomplexes find_very_good_refinement",
-})
+# the name of a later layer that bench/ reads through this module
+__getattr__ = _lazy(__name__, {"search": "find_very_good_refinement"})
 
 
 class PairGoodness:

@@ -2,9 +2,7 @@
 the product filtration, each with its map of filtration complexes (the
 Kunneth map of a product, read through the Eilenberg-Zilber map).
 
-No command builds them, so no command compiles this module;
-tannakit.filtration serves its names through its module __getattr__ (PEP
-562).
+No command builds them; the tests do.
 """
 
 from .errors import InvalidFiltration, TorsionTerm

@@ -1,14 +1,12 @@
 """The dense canonical forms rref, hnf_columns and _column_reduce, the
 exact determinant and the Kronecker product Matrix.kron.
 
-Only the kunneth command calls one of them, the determinant of tau, so no
-other command compiles this module.  The tests read the three forms
-against their dense oracles, SmithForm.Uinv and .Vinv (the full inverses
-of criterion 01) invert a transform by _column_reduce, and the benchmark's
-tracer wraps rref and hnf_columns by name; tannakit.linalg and
-tannakit.smith serve them through their module __getattr__ (PEP 562).
-Each form reads linalg._echelon, whose rows over Q are fraction-free, and
-divides them by their pivots.
+The kunneth command calls one of them, the determinant of tau.  The tests
+read the three forms against their dense oracles, SmithForm.Uinv and .Vinv
+(the full inverses of criterion 01) invert a transform by _column_reduce,
+and the benchmark's tracer wraps rref and hnf_columns by name.  Each form
+reads linalg._echelon, whose rows over Q are fraction-free, and divides
+them by their pivots.
 """
 
 from fractions import Fraction

@@ -7,11 +7,7 @@ tau reads the Alexander-Whitney images in the sparse classes z_i (x) w_j
 modulo the tensor complex's boundaries, and its Eilenberg-Zilber inverse,
 read off the cycle classes, is checked on both sides by _compose; both are
 square sparse columns {row: entry}, and .matrix and .inverse are dense
-views, built when read.  PairsContext.tau imports kunneth_tau from here on
-its first call, so a command that takes no product never loads this
-module; tannakit.bialgebra imports it, so the products of truncations find
-it compiled.  tannakit.maps serves the tensor and Eilenberg-Zilber names
-(and linalg and simplicial through it) by its module __getattr__ (PEP 562).
+views, built when read.
 """
 
 from .errors import NotGoodPair

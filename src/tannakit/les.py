@@ -13,10 +13,8 @@ the lattice L of the (dw, +-psi w), the (0, z) for the cycles z and the
 (phi a, y) with dy = psi phi a for the cycles a.  ker(alpha) is a direct
 summand of E, so the defect is Z^(dim E - rk alpha - rk L) plus Z/e for the
 elementary divisors e > 1 of L.  A node holds ranks over the fraction
-field, an ok flag and that defect module, none of which depends on a basis.
-Only the les command imports this module (simplicial and the package serve
-les_exactness through their module __getattr__), so no other command
-compiles it, and it loads neither coordinates nor a Smith form.
+field, an ok flag and that defect module, none of which depends on a basis,
+so this module reads neither coordinates nor a Smith form.
 """
 
 from .linalg import (QQ, ZZ, FgModule, _compose, _integral, _reduced_columns, _sparse_divisors,

@@ -14,18 +14,6 @@ _unit_pivots, with sparse Euclid steps (_residual_divisors, Z) or _echelon
 (Q) on what is left; tannakit.reduction reads a chain-level reduction off
 the same pivots.  A Subquotient's module is read from elementary divisors
 when it is built.
-
-Four layers load on first use, and their names are served here through a
-module __getattr__ (PEP 562): tannakit.matrix (Matrix, the dense view, and
-_coerce), tannakit.maps (kernel, the coordinate reader _Solver,
-presentations, ModuleMap, subquotients with their transforms, the tensor
-helpers, and the readers of a dense matrix: _nonzero_columns, _integer_rows,
-elementary_divisors), tannakit.smith (Smith normal form with its
-transforms, the determinant) and tannakit.forms (the dense canonical forms
-rref, hnf_columns and _column_reduce).  The class coordinates of a Subquotient (class_of, lift)
-and the methods of FgModule that read or build a presentation (relations,
-normalize_vector, cokernel, tensor) are _deferred calls into tannakit.maps,
-which builds them on the first call.
 """
 
 from math import gcd, lcm
@@ -37,13 +25,12 @@ QQ = "q"
 
 RINGS = (ZZ, QQ)
 
+# the names of later layers that bench/ reads through this module
 __getattr__ = _lazy(__name__, {
-    "matrix": "Matrix _coerce",
-    "maps": "_Solver solve kernel _null_vectors module_from_relations _order_relations "
-            "ModuleMap dual_map subquotient presented_subquotient tensor_swap _tensor_apply "
-            "_swapped_tensor _nonzero_columns _integer_rows elementary_divisors _apply",
-    "smith": "SmithForm smith_normal_form determinant",
-    "forms": "rref hnf_columns _column_reduce",
+    "matrix": "Matrix",
+    "maps": "ModuleMap _Solver kernel subquotient module_from_relations",
+    "smith": "smith_normal_form",
+    "forms": "rref hnf_columns",
 })
 
 
@@ -313,7 +300,7 @@ class FgModule:
     # the presentation and its coordinates: tannakit.maps
     relations = _deferred("maps", "module_relations")
     normalize_vector = _deferred("maps", "normalize_vector")
-    tensor = _deferred("maps", "module_tensor")
+    tensor = _deferred("kunneth", "module_tensor")
     cokernel = classmethod(_deferred("maps", "cokernel"))
 
     def __eq__(self, other):

@@ -1,19 +1,11 @@
 """Coordinates and module maps: what maps between homology modules.
 
-tannakit.linalg and tannakit.simplicial compute a homology module and stop
-there; everything that reads coordinates in a basis, or maps one module to
-another, lives here and loads on first use, so a command that only prints
-homology never compiles it.  linalg, simplicial and the package serve these
-names through their module __getattr__ (PEP 562).  That includes the class
+Kernels, presentations and subquotients with their transforms, the class
 coordinates of a linalg.Subquotient (class_of and lift, with the cycle
 basis and Smith transforms they build on the first call), the methods of
 FgModule that read or build a presentation (relations, normalize_vector,
-cokernel), which linalg reaches by _deferred calls, and the readers of a
-dense matrix (_nonzero_columns, _integer_rows, elementary_divisors).  The
-tensor products of modules and complexes and the Eilenberg-Zilber and
-Alexander-Whitney maps are in tannakit.kunneth, which only the commands
-that take a product load; this module serves their names (FgModule.tensor
-included) through its own module __getattr__.
+cokernel), the readers of a dense matrix (_nonzero_columns, _integer_rows,
+elementary_divisors), chain maps and the maps induced on homology.
 
 kernel reads _echelon on sparse columns (over Z through _reduced_columns, A
 stacked on the identity), and so do Q module_from_relations and image
@@ -31,7 +23,6 @@ from fractions import Fraction
 from functools import cache
 from math import lcm
 
-from . import _lazy
 from .errors import CompositionNonzero, NotNested, NotPairMap, TorsionPresent
 from .linalg import (
     QQ, ZZ, FgModule, Subquotient, _compose, _echelon, _integral, _reduced_columns,
@@ -39,11 +30,6 @@ from .linalg import (
 )
 from .matrix import Matrix, _coerce, jmatrix
 from .simplicial import SimplicialPair, _chain_image, _faces, _sparse_columns, pair_homology
-
-__getattr__ = _lazy(__name__, {
-    "kunneth": "module_tensor tensor_swap _swapped_tensor tensor_complex _shuffle_sign _ez "
-               "_aw ez_matrixes _assert_aw_ez_identity ez_aw_maps ez_aw_relative",
-})
 
 
 # ---------------------------------------------------------------------------

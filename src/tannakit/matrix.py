@@ -3,16 +3,11 @@
 Every map the library computes is kept as sparse columns {row: entry};
 Matrix is the view that certificates print, that tests and oracles build,
 and that presentations and the dense Smith form of tannakit.smith work on.
-It loads on first use: tannakit.linalg and the package serve the name
-through their module __getattr__ (PEP 562), so `linalg.Matrix`,
-`tannakit.Matrix` and `from .linalg import Matrix` keep resolving, and a
-homology command, which reads only sparse columns, never compiles it.  The
-entry coercion _coerce of Matrix, maps._Solver and the Tannaka layers is
-here too, served by linalg likewise.  jscalar, jvector and jmatrix encode
-exact scalars, vectors and matrices for the command handlers'
-certificates.  The Kronecker product, which no command runs (every tensor
-identity contracts sparse columns by maps._tensor_apply), is a _deferred
-call into tannakit.forms.
+The entry coercion _coerce of Matrix, maps._Solver and the Tannaka layers
+is here too.  jscalar, jvector and jmatrix encode exact scalars, vectors
+and matrices for the command handlers' certificates.  The Kronecker
+product, which no command runs (every tensor identity contracts sparse
+columns by maps._tensor_apply), is in tannakit.forms.
 """
 
 from fractions import Fraction

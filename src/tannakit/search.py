@@ -1,11 +1,6 @@
 """The very-good-refinement search and the very-good-search command: the
 first very good filtration containing a given one levelwise, in canonical
 order, with its report.
-
-Only the very-good-search command runs it, so the filtration and
-compare-filtration commands never compile this module;
-tannakit.filtration serves its names through its module __getattr__ (PEP
-562).
 """
 
 from itertools import combinations

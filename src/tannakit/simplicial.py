@@ -8,16 +8,10 @@ honest simplices.  SimplicialComplex() sorts and checks arbitrary input;
 from_maximal, union, intersection, skeleton, images and products build
 complexes closed by construction, and check nothing.
 
-This module stops at the homology module of a pair.  Four layers load on
-the first lookup of one of their names here (PEP 562): tannakit.structures
-holds simplicial maps (SimplicialMap) and filtrations (Filtration);
-tannakit.maps chain maps, tensor complexes, the maps induced on homology
-(induced_map_on_homology, triple_boundary) and the Eilenberg-Zilber and
-Alexander-Whitney maps; tannakit.les the long exact sequence certificate
-(les_exactness); tannakit.cochains cup products and Cech models.
-pair_homology returns a pair's relative ChainComplex, built once per (pair,
-ring), and ChainComplex.homology is the one homology reader: its module
-from elementary divisors, and the Hermite cycle basis, in which the maps on
+This module stops at the homology module of a pair.  pair_homology returns
+a pair's relative ChainComplex, built once per (pair, ring), and
+ChainComplex.homology is the one homology reader: its module from
+elementary divisors, and the Hermite cycle basis, in which the maps on
 homology, and through them the filtration, kunneth, cup and diagram
 commands, print their matrices; les reads its maps through the homology of
 a chain-level reduction's residual complex instead (tannakit.reduction).
@@ -29,13 +23,12 @@ from . import _lazy
 from .errors import InvalidPair, NotSimplicial
 from .linalg import ZZ, FgModule, Subquotient, _composes_to_zero, _sparse_divisors
 
+# the names of later layers that bench/ reads through this module
 __getattr__ = _lazy(__name__, {
-    "structures": "SimplicialMap Filtration",
-    "maps": "ChainMap tensor_complex _induced_chain_map induced_map_on_homology "
-            "triple_boundary _homology_map _boundary_image _shuffle_sign _ez _aw ez_matrixes "
-            "_assert_aw_ez_identity ez_aw_maps ez_aw_relative",
     "les": "les_exactness",
-    "cochains": "CupProduct relative_cup_product CechModel cech_total_complex",
+    "cochains": "relative_cup_product",
+    "cech": "cech_total_complex",
+    "kunneth": "ez_aw_maps ez_aw_relative ez_matrixes",
 })
 
 

@@ -1,26 +1,19 @@
 """Smith normal form with its unimodular transforms.
 
-This module loads on first use: only where a Smith form with its
-transforms is needed, for the coordinates of an integer presentation with
-relations in maps.module_from_relations (run on a Subquotient's first
-class_of or lift), whose U and U^-1 fix the torsion generators.  Invariant
-factors alone never load it: the residual that unit pivots leave in
-linalg._sparse_divisors is read by sparse Euclid steps
-(linalg._residual_divisors), so a homology command never compiles it,
-torsion or not.  linalg and the package serve its names through a module
-__getattr__ (PEP 562).  The dense canonical forms rref, hnf_columns and
-_column_reduce, which only the tests and the full inverses Uinv and Vinv
-read, and the exact determinant, which only the kunneth command reads, are
-in tannakit.forms, served here likewise.
+A Smith form with its transforms is read only for the coordinates of an
+integer presentation with relations, in maps.module_from_relations (run on
+a Subquotient's first class_of or lift), whose U and U^-1 fix the torsion
+generators.  Invariant factors alone never need it: the residual that unit
+pivots leave in linalg._sparse_divisors is read by sparse Euclid steps
+(linalg._residual_divisors).
 """
 
 from functools import cached_property
 
-from . import _deferred, _lazy
+from . import _deferred
 from .linalg import ZZ
 from .matrix import Matrix
 
-__getattr__ = _lazy(__name__, {"forms": "rref hnf_columns determinant"})
 # a module global, so that a test can count the calls of Uinv and Vinv
 _column_reduce = _deferred("forms", "_column_reduce")
 

@@ -3,10 +3,8 @@ complexes besides pairs: map, filtration, cover and divisors.
 
 A Corpus imports this module at the first such section it parses, so a
 corpus that declares none of them (a homology ladder) never compiles it;
-the bundled corpus declares them.  tannakit.simplicial and the package
-serve SimplicialMap and Filtration through their module __getattr__ (PEP
-562).  Filtration holds the data and checks of a filtration; its
-algorithms are in tannakit.filtration.
+the bundled corpus declares them.  Filtration holds the data and checks of
+a filtration; its algorithms are in tannakit.filtration.
 """
 
 from .corpus import _split_entries

@@ -13,20 +13,12 @@ diagram with its product registrations (checked against staircase products
 from the builder it is handed, a corpus's own cache) and its End algebra
 and tau caches.
 
-The layers built on an End algebra load on first use, and this module
-serves their names through its module __getattr__ (PEP 562):
-tannakit.coalgebra (the structure constants, the dual coalgebra, the
-canonical comodules and their axioms, which EndAlgebra.structure_constants,
-.coalgebra and .comodule build on their first call, through _later, and
-keep), tannakit.transition (transition maps and the factorization check)
-and, through PairsContext.tau, tannakit.kunneth.  So the end-algebra
-command compiles none of them, and kunneth only the last.  A name served
-here is kept in this module's namespace once read, so a loop that calls
+EndAlgebra.structure_constants, .coalgebra and .comodule build and keep
+what tannakit.coalgebra computes from an End algebra.  A name served here
+is kept in this module's namespace once read, so a loop that calls
 tannaka.coaction, or builds End algebras, reads a dictionary from its
 second call on, not an import: on a tannaka-sweep pass an import per
 build was 2-3% of the job time.
-tannakit.diagrams reads the diagram sections of a corpus into these
-objects, and loads with this module.
 """
 
 from itertools import accumulate
@@ -43,11 +35,11 @@ from .maps import (
 from .matrix import Matrix, _coerce, jmatrix, jvector
 from .simplicial import product_complex, product_pair, relative_homology
 
+# the names of later layers that bench/ and _later read through this module
 _from_layer = _lazy(__name__, {
-    "coalgebra": "CoalgebraTrunc Comodule structure_constants dual_coalgebra "
-                 "canonical_comodule coaction check_coaction_axioms _intertwines",
-    "transition": "TransitionMap transition_map FactorizationCert factorization_check "
-                  "_coalgebra_morphism",
+    "coalgebra": "coaction check_coaction_axioms dual_coalgebra structure_constants "
+                 "canonical_comodule",
+    "transition": "factorization_check transition_map",
 })
 
 

@@ -7,8 +7,7 @@ transition and factorization-check commands.
 Both are checked on sparse columns: _coalgebra_morphism adds both sides of
 each column into one dict by maps._tensor_apply (the check every product
 of truncations passes too), and coalgebra._intertwines checks the comodule
-morphism identities.  tannakit.tannaka serves these names through its
-module __getattr__ (PEP 562), and tannakit.bialgebra imports this module.
+morphism identities.
 """
 
 from .coalgebra import _intertwines, check_coaction_axioms, coaction

@@ -267,7 +267,8 @@ def echelon_columns(A):
     """Canonical column basis of the column span of a tannakit matrix A over
     Q: the nonzero rows of the reduced row echelon form of A^T, by
     dense_rref, as the columns of a tannakit matrix."""
-    from tannakit.linalg import QQ, Matrix
+    from tannakit.linalg import QQ
+    from tannakit.matrix import Matrix
     rows, pivots = dense_rref([list(col) for col in zip(*A.data)])
     return Matrix.from_columns(QQ, rows[:len(pivots)], rows=A.rows)
 
@@ -319,7 +320,8 @@ def dense_smith_normal_form(A):
     row and column operation is applied to a, to U or V, and inversely to
     Uinv or Vinv.  The transforms are not unique, so the package's Smith
     form must take exactly these steps to give the same ones."""
-    from tannakit.linalg import ZZ, Matrix
+    from tannakit.linalg import ZZ
+    from tannakit.matrix import Matrix
     m, n = A.rows, A.cols
     a = [list(r) for r in A.data]
     U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
@@ -446,7 +448,10 @@ def dense_smith_normal_form(A):
 def snf_kernel(A):
     """Hermite basis of ker(A) over Z through the Smith form U A V = D: the
     columns of V past the rank, put in Hermite form."""
-    from tannakit.linalg import ZZ, Matrix, hnf_columns, smith_normal_form
+    from tannakit.forms import hnf_columns
+    from tannakit.linalg import ZZ
+    from tannakit.matrix import Matrix
+    from tannakit.smith import smith_normal_form
     if A.cols == 0:
         return Matrix.zeros(ZZ, 0, 0)
     form = smith_normal_form(A)
@@ -459,7 +464,7 @@ def snf_kernel(A):
 def snf_solvable(A, b):
     """Whether A x = b has an integer solution: with U A V = D, entry i of
     U b is divisible by d_i within the rank and zero past it."""
-    from tannakit.linalg import smith_normal_form
+    from tannakit.smith import smith_normal_form
     form = smith_normal_form(A)
     y = form.U.apply(b)
     d = form.invariant_factors
@@ -536,7 +541,8 @@ def oracle_column_reduce(A):
     """(H, T, K) read from the dense oracle's reduction of A stacked on the
     identity: dense_hnf_columns over Z, dense_rref of the transpose over Q.
     A*T = H, H is the canonical image basis and K a kernel basis."""
-    from tannakit.linalg import ZZ, Matrix
+    from tannakit.linalg import ZZ
+    from tannakit.matrix import Matrix
     m, n, ring = A.rows, A.cols, A.ring
     eye = [[int(i == j) for j in range(n)] for i in range(n)]
     if ring == ZZ:
@@ -618,7 +624,7 @@ def dense_product_on_truncations(ctx, subF, subG, subH):
     each family of End(T|H), conjugated by tau at every v x w, solved by
     DenseSolver against the columns kron(e_i at v, f_j at w) flattened over
     the pairs (v, w), one column per pair (i, j) of basis families."""
-    from tannakit.linalg import Matrix
+    from tannakit.matrix import Matrix
     EF, EG, EH = ctx.end(subF), ctx.end(subG), ctx.end(subH)
     pairs = [(v, w) for v in subF.vertices for w in subG.vertices]
     gens = []
@@ -768,7 +774,7 @@ def dense_equal_mod(m1, m2, orders):
 
 def dense_comodule_failures(m):
     """check_comodule_axioms' failures through delta.kron(eye) products."""
-    from tannakit.linalg import Matrix
+    from tannakit.matrix import Matrix
     A = m.coalgebra
     eye_v = Matrix.identity(A.ring, m.ngens)
     left = A.delta.kron(eye_v) * m.rho
@@ -783,7 +789,7 @@ def dense_comodule_failures(m):
 
 def dense_is_morphism(src, dst, f):
     """rho_dst f == (id (x) f) rho_src modulo dst's orders, through a kron."""
-    from tannakit.linalg import Matrix
+    from tannakit.matrix import Matrix
     right = Matrix.identity(f.ring, src.coalgebra.rank).kron(f) * src.rho
     return dense_equal_mod(dst.rho * f, right,
                            list(dst.gen_orders) * src.coalgebra.rank)
@@ -791,7 +797,7 @@ def dense_is_morphism(src, dst, f):
 
 def dense_transition_coaction(t, rho_f, rho_g):
     """(t (x) id) rho_F == rho_G for a transition matrix t, through a kron."""
-    from tannakit.linalg import Matrix
+    from tannakit.matrix import Matrix
     return t.kron(Matrix.identity(t.ring, rho_f.cols)) * rho_f == rho_g
 
 
@@ -862,7 +868,7 @@ def dense_fragment_bialgebra(mu, AF, AG, AH):
 
 def dense_tensor_rho(m, n, mu):
     """(mu (x) 1)(1 swap 1)(rho_m (x) rho_n), before reduction mod the orders."""
-    from tannakit.linalg import Matrix
+    from tannakit.matrix import Matrix
     rf, rg, km, kn = m.coalgebra.rank, n.coalgebra.rank, m.ngens, n.ngens
     swapped = Matrix(m.rho.ring, _swap_rows(m.rho.kron(n.rho).data, rf, km, rg, kn))
     return mu.matrix.kron(Matrix.identity(mu.matrix.ring, km * kn)) * swapped
@@ -870,7 +876,7 @@ def dense_tensor_rho(m, n, mu):
 
 def dense_associativity(mu_fg, mu_fg_k, mu_gk, mu_f_gk, t_left, t_right):
     """t_l mu_(fg)k (mu_fg (x) 1) == t_r mu_f(gk) (1 (x) mu_gk)."""
-    from tannakit.linalg import Matrix
+    from tannakit.matrix import Matrix
     ring = mu_fg.matrix.ring
     left = t_left.matrix * mu_fg_k.matrix * mu_fg.matrix.kron(
         Matrix.identity(ring, mu_gk.EG.dim))
@@ -881,8 +887,9 @@ def dense_associativity(mu_fg, mu_fg_k, mu_gk, mu_f_gk, t_left, t_right):
 
 def dense_tau_associativity(ctx, v, w, x):
     """(tau_vw (x) 1) tau_(vw)x == (1 (x) tau_wx) tau_v(wx) alpha_*."""
-    from tannakit.linalg import Matrix
-    from tannakit.simplicial import SimplicialMap, induced_map_on_homology
+    from tannakit.maps import induced_map_on_homology
+    from tannakit.matrix import Matrix
+    from tannakit.structures import SimplicialMap
     vw, wx = ctx.product_vertex(v, w), ctx.product_vertex(w, x)
     vw_x, v_wx = ctx.product_vertex(vw, x), ctx.product_vertex(v, wx)
     (p_l, n_l), (p_r, _) = ctx.diagram.payloads[vw_x], ctx.diagram.payloads[v_wx]
@@ -896,14 +903,15 @@ def dense_tau_associativity(ctx, v, w, x):
 
 def dense_sigma_step(mu, sigma_coords):
     """mu (1 (x) sigma): A_F -> A_F' for mu: A_F (x) A_C -> A_F'."""
-    from tannakit.linalg import Matrix
+    from tannakit.matrix import Matrix
     ring = mu.matrix.ring
     return mu.matrix * Matrix.identity(ring, mu.EF.dim).kron(Matrix.column(ring, sigma_coords))
 
 
 def dense_module_tensor(a, b):
     """The presentation of a (x) b: the columns of ra (x) 1 and 1 (x) rb."""
-    from tannakit.linalg import FgModule, Matrix
+    from tannakit.linalg import FgModule
+    from tannakit.matrix import Matrix
     ia, ib = Matrix.identity(a.ring, a.ngens), Matrix.identity(b.ring, b.ngens)
     ra, rb = a.relations(), b.relations()
     return FgModule.cokernel(ra.kron(ib).hstack(ia.kron(rb)))

@@ -7,8 +7,9 @@ of r circles, with its self-product.
 """
 
 from tannakit.bialgebra import PairsContext
-from tannakit.linalg import _apply, _nonzero_columns, _Solver
-from tannakit.simplicial import SimplicialMap, SimplicialPair, product_pair
+from tannakit.maps import _apply, _nonzero_columns, _Solver
+from tannakit.simplicial import SimplicialPair, product_pair
+from tannakit.structures import SimplicialMap
 from tannakit.tannaka import Subdiagram, build_pairs_diagram
 
 from spaces import CIRCLE3, CIRCLE6, CIRCLE_POINT, EDGE, EDGE_ENDS, POINT, cx, pair, sub

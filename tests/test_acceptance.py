@@ -14,26 +14,26 @@ import pytest
 from tannakit.bialgebra import (
     bialgebra_axiom_check, product_on_truncations, sigma_element,
 )
+from tannakit.cech import cech_total_complex
 from tannakit.cli import default_corpus_text, main
+from tannakit.coalgebra import check_coaction_axioms, coaction, dual_coalgebra
 from tannakit.comodule import Comodule, check_comodule_axioms
 from tannakit.corpus import Corpus
 from tannakit.errors import ProductEscape
-from tannakit.filtration import (
-    Filtration, compare_filtration_homology, find_very_good_refinement,
-    very_good_report,
-)
-from tannakit.linalg import (
-    QQ, ZZ, FgModule, Matrix, ModuleMap, determinant, smith_normal_form,
-)
+from tannakit.filtration import Filtration, compare_filtration_homology, very_good_report
+from tannakit.forms import determinant
+from tannakit.kunneth import ez_aw_maps, tensor_complex
+from tannakit.les import les_exactness
+from tannakit.linalg import QQ, ZZ, FgModule
+from tannakit.maps import ModuleMap
+from tannakit.matrix import Matrix
+from tannakit.search import find_very_good_refinement
 from tannakit.simplicial import (
-    SimplicialComplex, SimplicialPair, cech_total_complex, ez_aw_maps,
-    les_exactness, pair_homology, relative_homology, tensor_complex,
-    relative_chain_complex,
+    SimplicialComplex, SimplicialPair, pair_homology, relative_chain_complex, relative_homology,
 )
-from tannakit.tannaka import (
-    Subdiagram, check_coaction_axioms, coaction, dual_coalgebra, end_algebra,
-    factorization_check, transition_map,
-)
+from tannakit.smith import smith_normal_form
+from tannakit.tannaka import Subdiagram, end_algebra
+from tannakit.transition import factorization_check, transition_map
 
 from oracles import brute_commutant, homology_groups
 

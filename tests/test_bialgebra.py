@@ -4,20 +4,25 @@ import pytest
 
 from tannakit import bialgebra, kunneth
 from tannakit.bialgebra import (
-    MuFragment, PairsContext, TauIso, bialgebra_axiom_check, check_associativity,
-    check_commutativity, check_fragment_bialgebra, check_tau_associativity,
-    check_tau_symmetry, check_tau_unit, is_good_vertex, kunneth_tau,
-    product_on_truncations, sigma_directed_system, sigma_element,
+    MuFragment, PairsContext, bialgebra_axiom_check, check_commutativity,
+    check_fragment_bialgebra, kunneth_tau, product_on_truncations, sigma_directed_system,
+    sigma_element,
 )
 from tannakit.cli import default_corpus_text
+from tannakit.coalgebra import Comodule
+from tannakit.coherence import (
+    check_associativity, check_tau_associativity, check_tau_symmetry, check_tau_unit,
+)
 from tannakit.comodule import check_comodule_axioms, tensor_comodules, torsionfree_cover
 from tannakit.corpus import Corpus
 from tannakit.errors import MissingProducts, NotGoodPair, ProductEscape, WrongRank
-from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap, _nonzero_columns
-from tannakit.simplicial import ChainMap, SimplicialPair, _ez, product_pair
-from tannakit.tannaka import (
-    Comodule, DiagramRep, Subdiagram, build_pairs_diagram, transition_map,
-)
+from tannakit.kunneth import TauIso, _ez, is_good_vertex
+from tannakit.linalg import QQ, ZZ, FgModule
+from tannakit.maps import ChainMap, ModuleMap, _nonzero_columns
+from tannakit.matrix import Matrix
+from tannakit.simplicial import SimplicialPair, product_pair
+from tannakit.tannaka import DiagramRep, Subdiagram, build_pairs_diagram
+from tannakit.transition import transition_map
 
 import spaces
 from oracles import (
@@ -126,7 +131,7 @@ class TestMu:
         # the image must be the coaction coefficient of the rank-1 h_2(gg):
         # the dual basis vector of the family detecting the gg component
         E2 = ctx.end(F2)
-        from tannakit.tannaka import coaction
+        from tannakit.coalgebra import coaction
         co = coaction(ctx.rep, F2, "gg", E2, ctx.coalgebra(F2))
         expected = tuple(co.rho[i, 0] for i in range(ctx.coalgebra(F2).rank))
         assert tuple(out) == expected
@@ -140,7 +145,7 @@ class TestMu:
         assert cert.ok, cert.checks
 
     def test_corrupted_tau_is_reported(self, ctxq):
-        from tannakit.bialgebra import PairsContext, TauIso
+        from tannakit.bialgebra import PairsContext
         from tannakit.errors import ProductEscape
         ctx, tower = ctxq
         fresh = PairsContext(ctx.diagram, ctx.rep, ctx.products, ctx.circle)

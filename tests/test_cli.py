@@ -425,23 +425,30 @@ def test_sweep_jobs_import_nothing():
     assert proc.stdout.splitlines()[-1] == "imported: "
 
 
+# each name of the package's API with the module that defines it
 PACKAGE_EXPORTS = {
-    "linalg": "QQ ZZ FgModule Matrix ModuleMap Subquotient dual_map kernel subquotient",
+    "linalg": "QQ ZZ FgModule Subquotient",
+    "matrix": "Matrix",
+    "maps": "ModuleMap dual_map induced_map_on_homology kernel subquotient triple_boundary",
     "smith": "SmithForm smith_normal_form",
-    "simplicial": "ChainComplex SimplicialComplex SimplicialMap SimplicialPair "
-                  "cech_total_complex ez_aw_maps induced_map_on_homology "
-                  "les_exactness product_pair relative_chain_complex "
-                  "relative_cup_product relative_homology triple_boundary",
-    "filtration": "Filtration compare_filtration_homology filtration_complex "
-                  "find_very_good_refinement is_very_good_pair "
-                  "product_filtration pushforward_filtration very_good_report",
-    "tannaka": "CoalgebraTrunc Diagram DiagramRep EndAlgebra Subdiagram "
-               "build_pairs_diagram coaction dual_coalgebra end_algebra "
-               "factorization_check transition_map",
-    "bialgebra": "PairsContext TauIso bialgebra_axiom_check kunneth_tau "
-                 "product_on_truncations sigma_directed_system sigma_element",
-    "comodule": "Comodule check_comodule_axioms extended_comodule "
-                "tensor_comodules torsionfree_cover",
+    "simplicial": "ChainComplex SimplicialComplex SimplicialPair product_pair "
+                  "relative_chain_complex relative_homology",
+    "structures": "Filtration SimplicialMap",
+    "les": "les_exactness",
+    "cochains": "relative_cup_product",
+    "cech": "cech_total_complex",
+    "kunneth": "TauIso ez_aw_maps kunneth_tau",
+    "filtration": "compare_filtration_homology filtration_complex is_very_good_pair "
+                  "very_good_report",
+    "filtration_maps": "product_filtration pushforward_filtration",
+    "search": "find_very_good_refinement",
+    "tannaka": "Diagram DiagramRep EndAlgebra PairsContext Subdiagram build_pairs_diagram "
+               "end_algebra",
+    "coalgebra": "CoalgebraTrunc Comodule coaction dual_coalgebra",
+    "transition": "factorization_check transition_map",
+    "bialgebra": "bialgebra_axiom_check product_on_truncations sigma_directed_system",
+    "sigma": "sigma_element",
+    "comodule": "check_comodule_axioms extended_comodule tensor_comodules torsionfree_cover",
     "corpus": "Corpus load_corpus",
 }
 
@@ -453,8 +460,7 @@ def test_package_exports_resolve_lazily():
         for name in names.split():
             assert getattr(tannakit, name) is getattr(mod, name), name
     from tannakit import Corpus, PairsContext               # noqa: F401
-    for name in ("SmithForm", "smith_normal_form", "determinant", "rref", "hnf_columns"):
-        assert getattr(tannakit.linalg, name) is getattr(tannakit.smith, name), name
+    assert tannakit.linalg.smith_normal_form is tannakit.smith.smith_normal_form
     with pytest.raises(AttributeError):
         tannakit.nosuch
     with pytest.raises(AttributeError):
@@ -472,31 +478,18 @@ def test_dense_matrix_and_handlers_resolve_where_they_did():
     assert all(callable(handler) for handler in HANDLERS.values())
 
 
-# names that other modules and the benchmark's tracer reach by their path
-# before maps, les, structures, forms and the handler layers were split off,
-# each with the module that holds it now
+# the names that bench/ reads by a path from before their layer was split
+# off, each with the module that defines it now
 MOVED = {
-    ("linalg", "maps"): "_Solver solve kernel module_from_relations _order_relations "
-                        "_tensor_apply _swapped_tensor tensor_swap ModuleMap subquotient "
-                        "_nonzero_columns _integer_rows elementary_divisors _apply",
-    ("linalg", "matrix"): "_coerce",
-    ("linalg", "forms"): "rref hnf_columns _column_reduce",
-    ("simplicial", "structures"): "SimplicialMap Filtration",
-    ("simplicial", "maps"): "ChainMap tensor_complex induced_map_on_homology triple_boundary "
-                            "_homology_map _boundary_image ez_matrixes ez_aw_maps",
+    ("linalg", "matrix"): "Matrix",
+    ("linalg", "maps"): "ModuleMap _Solver kernel subquotient module_from_relations",
+    ("linalg", "smith"): "smith_normal_form",
+    ("linalg", "forms"): "rref hnf_columns",
     ("simplicial", "les"): "les_exactness",
-    ("simplicial", "cech"): "CechModel cech_total_complex",
-    ("maps", "kunneth"): "module_tensor tensor_swap _swapped_tensor tensor_complex _ez _aw "
-                         "ez_matrixes ez_aw_maps ez_aw_relative",
-    ("smith", "forms"): "rref hnf_columns determinant",
-    ("bialgebra", "coherence"): "check_tau_symmetry check_tau_unit check_tau_associativity "
-                                "check_associativity",
-    ("filtration", "filtration_maps"): "ModuleComplexMap pushforward_filtration "
-                                       "product_filtration _tensor_module_complex",
-    ("filtration", "search"): "SearchReport find_very_good_refinement",
-    ("cochains", "cech"): "CechModel cech_total_complex",
-    ("diagrams", "bialgebra"): "corpus_tower",
-    ("diagrams", "comodule"): "corpus_comodule",
+    ("simplicial", "cochains"): "relative_cup_product",
+    ("simplicial", "cech"): "cech_total_complex",
+    ("simplicial", "kunneth"): "ez_aw_maps ez_aw_relative ez_matrixes",
+    ("filtration", "search"): "find_very_good_refinement",
 }
 
 
@@ -513,16 +506,70 @@ def test_moved_names_resolve_by_their_old_paths():
             getattr(importlib.import_module("tannakit." + module), "nosuch")
     # tannaka keeps each name it serves once read, so that a loop reads a
     # plain attribute
-    for new, names in (("coalgebra", "CoalgebraTrunc Comodule dual_coalgebra coaction "
-                                     "check_coaction_axioms _intertwines"),
-                       ("transition", "TransitionMap transition_map FactorizationCert "
-                                      "factorization_check _coalgebra_morphism")):
+    for new, names in (("coalgebra", "coaction check_coaction_axioms dual_coalgebra "
+                                     "structure_constants canonical_comodule"),
+                       ("transition", "factorization_check transition_map")):
         new_mod = importlib.import_module("tannakit." + new)
         for name in names.split():
             assert getattr(tannakit.tannaka, name) is getattr(new_mod, name), name
             assert name in vars(tannakit.tannaka), name
     with pytest.raises(AttributeError):
         tannakit.tannaka.nosuch
+    # a path that only the tests read is gone
+    for module, name in (("maps", "tensor_swap"), ("bialgebra", "check_tau_symmetry"),
+                         ("linalg", "determinant"), ("diagrams", "corpus_tower")):
+        with pytest.raises(AttributeError):
+            getattr(importlib.import_module("tannakit." + module), name)
+
+
+def _served(tree):
+    """{layer: names} of the _lazy table that a module's source tree assigns."""
+    import ast
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) == "_lazy"):
+            table = node.value.args[1]
+            return {k.value: v.value.split() for k, v in zip(table.keys, table.values)}
+    return {}
+
+
+def test_every_served_name_has_a_reader_and_its_owner():
+    """A layer serves another layer's name only for bench/, which reads
+    modules by their paths from before a split, or for tannaka's _later;
+    and the module it names defines the name, so no path takes two hops."""
+    import ast
+    src = os.path.dirname(os.path.abspath(tannakit.__file__))
+    bench = os.path.join(os.path.dirname(os.path.dirname(src)), "bench")
+    trees = {f[:-3]: ast.parse(open(os.path.join(src, f), encoding="utf-8").read())
+             for f in os.listdir(src) if f.endswith(".py")}
+    read = set()
+    for f in os.listdir(bench):
+        if f.endswith(".py"):
+            for node in ast.walk(ast.parse(open(os.path.join(bench, f), encoding="utf-8").read())):
+                if isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    read.update(a.name for a in node.names)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    read.add(node.value)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_later":
+                read.add(node.args[0].value)
+    defined = {module: {t.id for node in tree.body if isinstance(node, ast.Assign)
+                        for t in node.targets if isinstance(t, ast.Name)}
+               | {node.name for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+               for module, tree in trees.items()}
+    tables = {module: _served(tree) for module, tree in trees.items()}
+    assert sorted(m for m, t in tables.items() if t) == [
+        "__init__", "filtration", "linalg", "simplicial", "tannaka"]
+    for module, table in tables.items():
+        for layer, names in table.items():
+            for name in names:
+                assert name in defined[layer], (module, layer, name)
+                if module != "__init__":
+                    assert name in read, (module, name)
 
 
 MALFORMED_BASE = """ring = z

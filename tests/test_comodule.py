@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tannakit.cli import default_corpus_text, main
+from tannakit.coalgebra import CoalgebraTrunc, coaction, dual_coalgebra
 from tannakit.comodule import (
     Comodule, canonical_embedding, check_comodule_axioms, extended_comodule,
     extended_on_orders, is_comodule_morphism, tensor_comodules,
@@ -9,8 +10,10 @@ from tannakit.comodule import (
 )
 from tannakit.corpus import Corpus
 from tannakit.errors import DimensionMismatch, InputError
-from tannakit.linalg import QQ, ZZ, FgModule, Matrix, _order_relations
-from tannakit.tannaka import CoalgebraTrunc, Subdiagram, coaction, dual_coalgebra
+from tannakit.linalg import QQ, ZZ, FgModule
+from tannakit.maps import _order_relations
+from tannakit.matrix import Matrix
+from tannakit.tannaka import Subdiagram
 
 from oracles import dense_comodule_failures, dense_is_morphism
 from tannaka_fixtures import build_context
@@ -142,7 +145,7 @@ class TestTensor:
     def test_unit_tensor_identity(self, ctxq):
         ctx, tower = ctxq
         from tannakit.bialgebra import product_on_truncations
-        from tannakit.tannaka import transition_map
+        from tannakit.transition import transition_map
         dia = ctx.diagram
         U = Subdiagram(dia, ["u"])
         F1, F2 = tower[1], tower[2]

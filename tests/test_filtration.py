@@ -3,15 +3,20 @@ from hypothesis import given, settings, strategies as st
 
 from tannakit.errors import BudgetExceeded, InvalidFiltration, TorsionTerm
 from tannakit.filtration import (
-    Filtration, ModuleComplex, _tensor_module_complex, compare_filtration_homology,
-    filtration_complex, find_very_good_refinement, is_very_good_pair,
-    product_filtration, pushforward_filtration, very_good_report,
+    Filtration, ModuleComplex, compare_filtration_homology, filtration_complex, is_very_good_pair,
+    very_good_report,
 )
-from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap
+from tannakit.filtration_maps import (
+    _tensor_module_complex, product_filtration, pushforward_filtration,
+)
+from tannakit.linalg import QQ, ZZ, FgModule
+from tannakit.maps import ModuleMap
+from tannakit.matrix import Matrix
+from tannakit.search import find_very_good_refinement
 from tannakit.simplicial import (
-    SimplicialComplex, SimplicialMap, SimplicialPair, product_complex,
-    relative_homology,
+    SimplicialComplex, SimplicialPair, product_complex, relative_homology,
 )
+from tannakit.structures import SimplicialMap
 
 import spaces
 from oracles import tensor_complex_dense
@@ -175,7 +180,7 @@ class TestProductFiltration:
             comp = kmap.component(d)
             if comp.source.is_zero():
                 continue
-            from tannakit.linalg import determinant
+            from tannakit.forms import determinant
             assert comp.source.ngens == comp.target.ngens
             assert determinant(comp.matrix) != 0
 

@@ -8,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 from tannakit import smith
 from tannakit.errors import CompositionNonzero, TorsionPresent
 from tannakit.filtration import ModuleComplex
-from tannakit.linalg import (
-    QQ, ZZ, FgModule, Matrix, ModuleMap, SmithForm, Subquotient, _column_reduce, _integral,
-    _nonzero_columns, _residual_divisors, _Solver, determinant, dual_map, elementary_divisors, hnf_columns, kernel,
-    module_from_relations, presented_subquotient, rref, smith_normal_form, solve, subquotient,
-    tensor_swap,
+from tannakit.forms import _column_reduce, determinant, hnf_columns, rref
+from tannakit.kunneth import tensor_swap
+from tannakit.linalg import QQ, ZZ, FgModule, Subquotient, _integral, _residual_divisors
+from tannakit.maps import (
+    ModuleMap, _nonzero_columns, _Solver, dual_map, elementary_divisors, kernel,
+    module_from_relations, presented_subquotient, solve, subquotient,
 )
+from tannakit.matrix import Matrix
+from tannakit.smith import SmithForm, smith_normal_form
 
 from oracles import (
     DenseSolver, dense_hnf_columns, dense_module_tensor, dense_rref, dense_smith_normal_form,

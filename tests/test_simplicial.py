@@ -2,19 +2,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tannakit import les, linalg, maps, smith
+from tannakit.cech import CechModel, cech_total_complex
+from tannakit.cochains import relative_cup_product
 from tannakit.errors import (
     CompositionNonzero, InvalidPair, NotACover, NotPairMap, NotSimplicial,
 )
-from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap, elementary_divisors
+from tannakit.kunneth import ez_aw_maps, ez_aw_relative, tensor_complex
+from tannakit.les import les_exactness
+from tannakit.linalg import QQ, ZZ, FgModule
+from tannakit.maps import (
+    ChainMap, ModuleMap, elementary_divisors, induced_map_on_homology, triple_boundary,
+)
+from tannakit.matrix import Matrix
 from tannakit.reduction import Reduction, reduction
 from tannakit.simplicial import (
-    CechModel, ChainComplex, ChainMap, SimplicialComplex,
-    SimplicialMap, SimplicialPair,
-    cech_total_complex, ez_aw_maps, ez_aw_relative, induced_map_on_homology,
-    les_exactness, pair_homology, product_complex,
-    product_pair, relative_chain_complex, relative_cup_product,
-    relative_homology, tensor_complex, triple_boundary,
+    ChainComplex, SimplicialComplex, SimplicialPair, pair_homology, product_complex, product_pair,
+    relative_chain_complex, relative_homology,
 )
+from tannakit.structures import SimplicialMap
 
 import spaces
 from spaces import (
@@ -135,7 +140,7 @@ class TestHomology:
     def test_betti_rank_nullity(self):
         # classical betti numbers over Q agree with rank-nullity on the
         # boundary matrices
-        from tannakit.linalg import rref
+        from tannakit.forms import rref
         for X in (CIRCLE3, SPHERE2, RP2, KLEIN, MOBIUS):
             cc = relative_chain_complex(pair(X), QQ)
             for n in range(0, X.dim + 1):
@@ -247,7 +252,7 @@ class TestHomologyProperties:
                 # forcing class_of builds the cycle basis and asserts its
                 # module equals the one from elementary divisors
                 assert sq.class_of((0,) * cc.rank(n)) == (0,) * sq.module.ngens
-                eager = linalg.subquotient(
+                eager = maps.subquotient(
                     ModuleMap(FgModule.free(ring, cc.rank(n + 1)),
                               FgModule.free(ring, cc.rank(n)), cc.boundary(n + 1)),
                     ModuleMap(FgModule.free(ring, cc.rank(n)),
@@ -329,8 +334,8 @@ class TestReduction:
             betti, torsion = oracle[n]
             expected = FgModule(ring, betti, torsion if ring == ZZ else ())
             free = {k: FgModule.free(ring, res[k]) for k in (n - 1, n, n + 1)}
-            residual = linalg.subquotient(ModuleMap(free[n + 1], free[n], R(n + 1)),
-                                          ModuleMap(free[n], free[n - 1], R(n)))
+            residual = maps.subquotient(ModuleMap(free[n + 1], free[n], R(n + 1)),
+                                        ModuleMap(free[n], free[n - 1], R(n)))
             assert residual.module == expected
             assert red.residual.homology_module(n) == expected
 
@@ -804,7 +809,7 @@ class TestCup:
         assert cp.cohomology_module(1, 1).free_rank == 2
         assert cp.cohomology_module(12, 2).free_rank == 1
         m = cp.pairing_matrix()
-        from tannakit.linalg import determinant
+        from tannakit.forms import determinant
         assert determinant(m) != 0
 
     def test_torus_graded_commutativity(self):

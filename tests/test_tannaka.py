@@ -6,15 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from tannakit import coalgebra, tannaka, transition
 from tannakit.cli import default_corpus_text
+from tannakit.coalgebra import (
+    CoalgebraTrunc, Comodule, check_coaction_axioms, coaction, dual_coalgebra,
+)
 from tannakit.corpus import Corpus
 from tannakit.errors import AxiomViolation, NonFreeVertex
-from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap, _nonzero_columns
-from tannakit.simplicial import SimplicialMap, SimplicialPair
-from tannakit.tannaka import (
-    CoalgebraTrunc, Comodule, Diagram, DiagramRep, Subdiagram,
-    build_pairs_diagram, coaction, check_coaction_axioms, dual_coalgebra,
-    end_algebra, factorization_check, transition_map,
-)
+from tannakit.linalg import QQ, ZZ, FgModule
+from tannakit.maps import ModuleMap, _nonzero_columns
+from tannakit.matrix import Matrix
+from tannakit.simplicial import SimplicialPair
+from tannakit.structures import SimplicialMap
+from tannakit.tannaka import Diagram, DiagramRep, Subdiagram, build_pairs_diagram, end_algebra
+from tannakit.transition import factorization_check, transition_map
 
 import spaces
 from spaces import CIRCLE3, CIRCLE_POINT, EDGE, EDGE_ENDS, POINT, RP2, pair, sub
@@ -180,7 +183,7 @@ class TestTransition:
         # restriction End(F') -> End(F) is the inclusion of the commutant in
         # the matrix algebra; its dual A_F -> A_F' is onto
         t = transition_map(rep, EF, EG)
-        from tannakit.linalg import rref
+        from tannakit.forms import rref
         assert t.matrix.rows == 2 and t.matrix.cols == 4
         assert len(rref(t.matrix.to_ring(QQ))[1]) == 2
 
@@ -192,7 +195,7 @@ class TestTransition:
         EG = end_algebra(rep, G)
         t = transition_map(rep, EF, EG)
         # split injection: full column rank
-        from tannakit.linalg import rref
+        from tannakit.forms import rref
         assert len(rref(t.matrix.to_ring(QQ))[1]) == EF.dim
 
 
@@ -436,7 +439,7 @@ class TestSparseRejects:
         ctx, F = corpus.subdiagram("F1", ring)
         _, G = corpus.subdiagram("F2", ring)
         EF, EG = ctx.end(F), ctx.end(G)
-        honest = tannaka.coaction
+        honest = coalgebra.coaction
         tm = transition_map(ctx.rep, EF, EG)
         rho_f = honest(ctx.rep, F, "g", EF).rho
         rho_g = honest(ctx.rep, G, "g", EG).rho
@@ -465,13 +468,13 @@ class TestSparseRejects:
         AF, AG = EF.coalgebra(), EG.coalgebra()
         t = transition_map(ctx.rep, EF, EG).matrix
         eps = _nonzero_columns(AF.counit)
-        assert tannaka._coalgebra_morphism(_nonzero_columns(t), AF.delta_columns, eps, AG)[0]
+        assert transition._coalgebra_morphism(_nonzero_columns(t), AF.delta_columns, eps, AG)[0]
         rejected = []
         for i in range(t.rows):
             for j in range(t.cols):
                 bad = perturbed(t, i, j)
                 dense = AG.delta * bad == bad.kron(bad) * AF.delta
-                assert tannaka._coalgebra_morphism(
+                assert transition._coalgebra_morphism(
                     _nonzero_columns(bad), AF.delta_columns, eps, AG)[0] == dense
                 if not dense:
                     rejected.append((i, j))
@@ -611,11 +614,11 @@ class TestComoduleIdentities:
             m = rep.edge_map(name).matrix
             assert dense_is_morphism(cos[s], cos[d], m)
             src, dst = (bad if s == v else cos[s]), (bad if d == v else cos[d])
-            assert tannaka._intertwines(src, dst, m=m) == dense_is_morphism(src, dst, m)
+            assert coalgebra._intertwines(src, dst, m=m) == dense_is_morphism(src, dst, m)
         bad_f = Comodule(f0.coalgebra, f0.gen_orders, one_entry_moved(data, f0.rho, ring))
         g0 = bad if v == names[0] else cos[names[0]]
         for f, g in ((bad_f, cos[names[0]]), (f0, g0)):
-            assert (tannaka._intertwines(f, g, t=_nonzero_columns(t))
+            assert (coalgebra._intertwines(f, g, t=_nonzero_columns(t))
                     == dense_transition_coaction(t, f.rho, g.rho))
         if G.edges:
             # an edge map moved after End was built: the certificate names

@@ -58,11 +58,12 @@ import tokenize
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "tests", "bench")]
 
-from tannakit.linalg import QQ, ZZ, FgModule, Matrix, ModuleMap   # noqa: E402
-from tannakit.tannaka import (                                       # noqa: E402
-    Diagram, DiagramRep, PairsContext, Subdiagram, check_coaction_axioms, coaction,
-    end_algebra, factorization_check,
-)
+from tannakit.coalgebra import check_coaction_axioms, coaction                    # noqa: E402
+from tannakit.linalg import QQ, ZZ, FgModule                                      # noqa: E402
+from tannakit.maps import ModuleMap                                               # noqa: E402
+from tannakit.matrix import Matrix                                                # noqa: E402
+from tannakit.tannaka import Diagram, DiagramRep, PairsContext, Subdiagram, end_algebra  # noqa: E402
+from tannakit.transition import factorization_check                               # noqa: E402
 
 RINGS = (ZZ, QQ)
 COLD_COMMANDS = ("homology p_circle_pt", "homology p_klein", "product p_circle p_circle",
@@ -255,8 +256,9 @@ def sweep_rung():
 def les_rung():
     from tannakit.cli import default_corpus_text
     from tannakit.corpus import Corpus
+    from tannakit.les import les_exactness
     from tannakit.reduction import reduction
-    from tannakit.simplicial import SimplicialPair, les_exactness, pair_homology
+    from tannakit.simplicial import SimplicialPair, pair_homology
     corpus = Corpus(default_corpus_text())
     X, Z = (corpus.expr(e) for e in LES_PAIR)
     pair = SimplicialPair(X, Z)
