@@ -257,11 +257,12 @@ def sigma_directed_system(ctx: PairsContext, chain, depth) -> SigmaSystem:
         F, Fnext = chain[k], chain[k + 1]
         if c not in F.vertices:
             raise InputError("chain member %d misses the circle vertex" % k)
-        C = Subdiagram(ctx.diagram, [c])
-        sigma = sigma_element(ctx, C)
+        if not k:       # the circle's subdiagram and sigma are the same at every step
+            C = Subdiagram(ctx.diagram, [c])
+            coords = sigma_element(ctx, C).coords
+            sig, rc = [{j: x for j, x in enumerate(coords) if x}], len(coords)
         mu = product_on_truncations(ctx, F, C, Fnext)
         # column i of mu (1 (x) sigma): mu applied to e_i (x) sigma
-        sig, rc = [{j: x for j, x in enumerate(sigma.coords) if x}], len(sigma.coords)
         sparse.append(_compose(
             mu.columns, [_tensor_apply(None, sig, rc, 1, {i: 1}) for i in range(ctx.end(F).dim)]))
         steps.append(Matrix.from_sparse(ctx.ring, sparse[-1], mu.EH.dim))

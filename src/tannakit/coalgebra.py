@@ -3,10 +3,10 @@ of an End algebra, its dual coalgebra truncation, the canonical comodule
 rho(x) = sum_i e_i* (x) (e_i . x) at each vertex, the comodule axioms and
 the comodule morphism identity, with the coalgebra and coaction commands.
 
-The comultiplication and the canonical comodules are kept as sparse
-columns {row: entry} from start to finish, filled straight from the
-structure constants and the basis columns; their dense Matrix is a view
-built when a certificate reads it.  The coalgebra and comodule axioms and
+The comultiplication, the counit and the canonical comodules are kept as
+sparse columns {row: entry} from start to finish, filled straight from the
+structure constants, the unit and the basis columns; their dense Matrix is
+a view built when a certificate reads it.  The coalgebra and comodule axioms and
 the comodule morphism identities add both sides of each column into one
 dict by maps._tensor_apply, over Q in integers scaled by common
 denominators.  Comodule is the one comodule type, and keeps its axioms and
@@ -173,12 +173,13 @@ def _counit_identity(rho, eps, r, scale, left=True, orders=None, ring=ZZ):
 
 def _intertwines(src, dst, t=None, m=None):
     """(t (x) m) rho_src == rho_dst m in dst's generators (modulo their
-    orders over Z), for a coalgebra map t (sparse columns) and a module map
-    m (None: an identity), column by column over the nonzeros, in integers:
-    R_dst (S_t t (x) S_m m)(R_src rho_src) against S_t R_src (R_dst rho_dst)(S_m m)."""
+    orders over Z), for a coalgebra map t and a module map m (None: an
+    identity), both sparse columns, column by column over the nonzeros, in
+    integers: R_dst (S_t t (x) S_m m)(R_src rho_src) against
+    S_t R_src (R_dst rho_dst)(S_m m)."""
     k, ring = dst.ngens, dst.coalgebra.ring
     tc, st = _integer_columns(t, ring) if t is not None else (None, 1)
-    mc, sm = _integer_columns(_nonzero_columns(m), m.ring) if m is not None else (None, 1)
+    mc, sm = _integer_columns(m, ring) if m is not None else (None, 1)
     rs, rd = src._denominator, dst._denominator
     for b, col in enumerate(src._columns):
         diff = _tensor_apply(tc, mc, k, src.ngens, col, rd)
@@ -195,31 +196,30 @@ class CoalgebraTrunc:
 
     delta_columns is the comultiplication as sparse columns {row: entry}
     over its nonzeros, rows row-major tensor indices i * rank + j; it and
-    counit_columns ({0: eps_k}) are the primary data, read by every check
-    against this coalgebra.  The dense rank^2 x rank matrix delta is built
-    from it on first read, for the certificates that print it.  The columns
-    and the counit are also kept
+    counit_columns ({0: eps_k} over the nonzeros) are the data, read by
+    every check against this coalgebra.  The dense rank^2 x rank matrix
+    delta, built on first read, and the 1 x rank counit are views, for the
+    certificates that print them.  The columns and the counit are also kept
     as integers times a common denominator (1 over Z), computed once here:
     coassociativity and the counit identities, asserted at construction,
     and the comodule checks contract those, without Fractions or Kronecker
     products.
     """
 
-    __slots__ = ("ring", "rank", "delta_columns", "counit", "counit_columns", "_delta",
+    __slots__ = ("ring", "rank", "delta_columns", "counit_columns", "_delta",
                  "_integer_delta", "_denominator", "_integer_counit")
 
-    def __init__(self, ring, rank, delta_columns, counit):
+    def __init__(self, ring, rank, delta_columns, counit_columns):
         n2 = rank * rank
         if (len(delta_columns) != rank
                 or any(not 0 <= i < n2 for col in delta_columns for i in col)):
             raise AxiomViolation("comultiplication has wrong shape")
-        if counit.rows != 1 or counit.cols != rank:
+        if len(counit_columns) != rank or any(i != 0 for col in counit_columns for i in col):
             raise AxiomViolation("counit matrix has wrong shape")
         self.ring = ring
         self.rank = rank
         self.delta_columns = cols = delta_columns
-        self.counit = counit
-        self.counit_columns = _nonzero_columns(counit)
+        self.counit_columns = counit_columns
         self._delta = None
         self._integer_delta, self._denominator = idelta, d = _integer_columns(cols, ring)
         if not _coassociative(idelta, idelta, rank, rank):
@@ -237,6 +237,11 @@ class CoalgebraTrunc:
                                              self.rank * self.rank)
         return self._delta
 
+    @property
+    def counit(self):
+        """The dense 1 x rank counit matrix."""
+        return Matrix.from_sparse(self.ring, self.counit_columns, 1)
+
     def grouplike_defect(self, coords):
         """Delta(x) - x (x) x for an element given by coordinates."""
         out = [-a * b for a in coords for b in coords]
@@ -247,16 +252,18 @@ class CoalgebraTrunc:
         return Matrix.column(self.ring, out)
 
     def counit_of(self, coords):
-        return _coerce(self.ring, sum(e * a for e, a in zip(self.counit.data[0], coords) if a))
+        return _coerce(self.ring, sum(e.get(0, 0) * a
+                                      for e, a in zip(self.counit_columns, coords) if a))
 
     def __eq__(self, other):
         return (isinstance(other, CoalgebraTrunc) and self.ring == other.ring
-                and self.rank == other.rank and self.counit == other.counit
+                and self.rank == other.rank and self.counit_columns == other.counit_columns
                 and self.delta_columns == other.delta_columns)
 
     def __hash__(self):
-        return hash((self.ring, self.rank, self.counit,
-                     tuple(frozenset(col.items()) for col in self.delta_columns)))
+        return hash((self.ring, self.rank,
+                     tuple(frozenset(col.items())
+                           for col in self.counit_columns + self.delta_columns)))
 
 
 def dual_coalgebra(E: EndAlgebra) -> CoalgebraTrunc:
@@ -274,8 +281,7 @@ def dual_coalgebra(E: EndAlgebra) -> CoalgebraTrunc:
     for (i, j), coords in E.structure_constants().items():
         for k, c in coords.items():
             cols[k][j * n + i] = c
-    counit = Matrix(E.ring, [list(E.unit)], 1, n)
-    return CoalgebraTrunc(E.ring, n, cols, counit)
+    return CoalgebraTrunc(E.ring, n, cols, [{0: u} if u else {} for u in E.unit])
 
 
 class Comodule:
@@ -340,7 +346,7 @@ class Comodule:
         when every order is 0, else the cokernel of the order relations."""
         if self._module is None:
             ring = self.coalgebra.ring
-            self._module = (FgModule.cokernel(_order_relations(self.gen_orders, ring))
+            self._module = (FgModule.cokernel(ring, _order_relations(self.gen_orders), self.ngens)
                             if any(self.gen_orders) else FgModule.free(ring, self.ngens))
         return self._module
 

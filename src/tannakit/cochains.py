@@ -1,9 +1,13 @@
 """Cup products on relative cochains and cohomology, and the cup command.
+
+Cochains and cohomology classes are sparse vectors {index: entry}, as lift
+and class_of take and return them; the certificate prints each class in
+full.
 """
 
 from .errors import InvalidPair
 from .linalg import ZZ, FgModule, Subquotient, _transpose
-from .matrix import Matrix, jvector
+from .matrix import Matrix, jscalar
 from .simplicial import SimplicialPair, pair_homology
 
 class CupProduct:
@@ -49,20 +53,15 @@ class CupProduct:
         return table[n].module
 
     def cup_cochain(self, fvec, p, gvec, q):
-        """Cup of cochains: f on non-Z1 p-simplices, g on non-Z2 q-simplices."""
-        c1, c2, c12 = self._c1, self._c2, self._c12
-        out = [0] * c12.rank(p + q)
-        for j, s in enumerate(c12.labels(p + q)):
-            front = s[:p + 1]
-            back = s[p:]
-            fi = c1.index(p, front)
-            gi = c2.index(q, back)
-            if fi is None or gi is None:
-                continue
-            v = fvec[fi] * gvec[gi]
+        """Cup of cochains {index: entry}: f on non-Z1 p-simplices, g on
+        non-Z2 q-simplices."""
+        c1, c2 = self._c1, self._c2
+        out = {}
+        for j, s in enumerate(self._c12.labels(p + q)):
+            v = fvec.get(c1.index(p, s[:p + 1]), 0) * gvec.get(c2.index(q, s[p:]), 0)
             if v:
-                out[j] += v
-        return tuple(out)
+                out[j] = v
+        return out
 
     def _compute_pairing(self):
         p, q = self.p, self.q
@@ -87,7 +86,7 @@ class CupProduct:
         tgt = self.cohomology_module(12, self.p + self.q)
         if tgt.ngens != 1:
             raise ValueError("pairing matrix needs a rank-1 target")
-        return Matrix(self.ring, [[c[0] for c in row] for row in self.pairing],
+        return Matrix(self.ring, [[c.get(0, 0) for c in row] for row in self.pairing],
                       len(self.pairing), len(self.pairing[0]) if self.pairing else 0)
 
     def graded_commutativity_defects(self):
@@ -110,8 +109,7 @@ class CupProduct:
             for b in range(hq.module.ngens):
                 left = self.pairing[a][b]
                 right = other.pairing[b][a]
-                scaled = hpq.module.normalize_vector(tuple(sign * x for x in right))
-                if tuple(left) != tuple(scaled):
+                if left != hpq.module.normalize_vector({i: sign * x for i, x in right.items()}):
                     bad.append((a, b))
         return bad
 
@@ -127,7 +125,8 @@ def cmd_cup(corpus, ring, args):
     Z1 = corpus.expr(args.Z1)
     Z2 = corpus.expr(args.Z2)
     cp = relative_cup_product(X, Z1, Z2, args.p, args.q, ring)
-    pairing = [[jvector(c) for c in row] for row in cp.pairing]
+    n = cp.cohomology_module(12, args.p + args.q).ngens
+    pairing = [[[jscalar(c.get(i, 0)) for i in range(n)] for c in row] for row in cp.pairing]
     defects = cp.graded_commutativity_defects()
     res = {
         "H^p(X,Z1)": cp.cohomology_module(1, args.p).describe(),

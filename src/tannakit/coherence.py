@@ -10,7 +10,7 @@ from .bialgebra import BialgebraCert
 from .errors import WrongRank
 from .kunneth import tensor_swap
 from .linalg import _compose
-from .maps import _nonzero_columns, _tensor_apply, induced_map_on_homology
+from .maps import _tensor_apply, induced_map_on_homology
 from .structures import SimplicialMap
 from .tannaka import PairsContext
 
@@ -19,7 +19,7 @@ def _induced(ctx, p, q, to, n):
     """The sparse columns of the map on H_n from pair p to pair q induced by
     the vertex map x -> to(x)."""
     f = SimplicialMap(p.X, q.X, {x: to(x) for x in p.X.vertices})
-    return _nonzero_columns(induced_map_on_homology(f, p, q, n, ctx.ring).matrix)
+    return induced_map_on_homology(f, p, q, n, ctx.ring).columns
 
 
 # -- tau coherence checks -----------------------------------------------------

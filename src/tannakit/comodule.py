@@ -10,9 +10,12 @@ underlying FgModule is the normalized value (over Q a torsion generator is
 zero).  The axioms and the morphism identity are sparse contractions modulo
 the torsion of the target (Comodule.axioms, computed once per comodule, and
 coalgebra._intertwines), exact equality in the free case.
-The tensor comodule's rho and the cover's generators are sparse columns
-built by maps._tensor_apply and kunneth._swapped_tensor, with no Kronecker
-matrix.  Corpus.comodule is corpus_comodule here.
+Every map here is sparse columns {row: entry}: a comodule morphism, the
+tensor comodule's rho, built by maps._tensor_apply and
+kunneth._swapped_tensor with no Kronecker matrix, and the cover's
+presentations, generators, surjection and embedding.  A comodule given by
+a corpus has its rho read through a dense Matrix, which validates it.
+Corpus.comodule is corpus_comodule here.
 """
 
 from fractions import Fraction
@@ -22,7 +25,8 @@ from .coalgebra import CoalgebraTrunc, Comodule, _intertwines, coaction
 from .corpus import _malformed, _split_entries
 from .errors import CompositionNonzero, DimensionMismatch, InputError, MissingProducts
 from .linalg import FgModule, ZZ
-from .maps import _nonzero_columns, _order_relations, _Solver, _tensor_apply, presented_subquotient
+from .linalg import _compose
+from .maps import _order_relations, _Solver, _tensor_apply, presented_subquotient
 from .matrix import Matrix, jmatrix
 
 
@@ -63,13 +67,14 @@ def _checked(m, what):
     return m
 
 
-def is_comodule_morphism(src: Comodule, dst: Comodule, matrix) -> bool:
-    """rho_dst o f = (id_C (x) f) o rho_src, modulo target torsion."""
+def is_comodule_morphism(src: Comodule, dst: Comodule, columns) -> bool:
+    """rho_dst o f = (id_C (x) f) o rho_src, modulo target torsion, for f
+    given by its sparse columns {row: entry}."""
     if src.coalgebra != dst.coalgebra:
         return False
-    if matrix.rows != dst.ngens or matrix.cols != src.ngens:
+    if len(columns) != src.ngens or any(not 0 <= i < dst.ngens for c in columns for i in c):
         raise DimensionMismatch("a morphism must be %dx%d" % (dst.ngens, src.ngens))
-    return _intertwines(src, dst, m=matrix)
+    return _intertwines(src, dst, m=columns)
 
 
 def extended_comodule(C: CoalgebraTrunc, E: FgModule) -> Comodule:
@@ -88,29 +93,32 @@ def extended_on_orders(C: CoalgebraTrunc, orders_e) -> Comodule:
 
 
 def canonical_embedding(m: Comodule):
-    """(extended comodule on V(m), the map rho as a comodule morphism).
+    """(extended comodule on V(m), the columns of rho as a comodule morphism).
 
     The coaction is itself the canonical map of m into the extended comodule
     on its underlying module; it is injective (split by the counit).
     """
     ext = extended_on_orders(m.coalgebra, list(m.gen_orders))
-    if not is_comodule_morphism(m, ext, m.rho):
+    if not is_comodule_morphism(m, ext, m.columns):
         raise AssertionError("the coaction is not a comodule morphism")
-    return ext, m.rho
+    return ext, m.columns
 
 
-def presented_kernel_is_zero(matrix, src_orders, tgt_orders, ring=ZZ):
-    """Whether ker of a map of presented modules vanishes."""
+def presented_kernel_is_zero(columns, src_orders, tgt_orders, ring=ZZ):
+    """Whether ker vanishes of the map of presented modules, on generators
+    of the given orders, with these sparse columns."""
     try:
         return presented_subquotient(
-            Matrix.zeros(ring, len(src_orders), 0), _order_relations(src_orders, ring),
-            matrix, _order_relations(tgt_orders, ring)).module.is_zero()
+            ring, len(src_orders), _order_relations(src_orders),
+            columns + _order_relations(tgt_orders), len(tgt_orders)).module.is_zero()
     except CompositionNonzero:
         return False
 
 
 class TorsionfreeCover:
-    """Pullback cover E' of a comodule: epi onto E, embedding into C (x) F."""
+    """Pullback cover E' of a comodule: epi onto E, embedding into C (x) F,
+    both sparse columns {row: entry} on the generators of E' (the source's
+    and the extended comodule's generators are their rows)."""
 
     __slots__ = ("cover", "surjection", "embedding", "source", "extended")
 
@@ -138,56 +146,49 @@ def torsionfree_cover(C: CoalgebraTrunc, m: Comodule) -> TorsionfreeCover:
     r = C.rank
     amb = k + r * k                    # generators of E (+) (C (x) F)
     amb_orders = list(m.gen_orders) + [0] * (r * k)
-    tgt_orders = list(m.gen_orders) * r    # rows of C (x) E
     # difference map: (e, y) |-> rho(e) - (id (x) eta)(y); eta is the
     # identity on generators, so the second block is minus the identity
-    diff = m.rho.hstack(Matrix.identity(ZZ, r * k).scale(-1))
+    diff = m.columns + [{i: -1} for i in range(r * k)]
     try:
-        pullback = presented_subquotient(Matrix.zeros(ZZ, amb, 0), _order_relations(amb_orders),
-                                         diff, _order_relations(tgt_orders))
+        pullback = presented_subquotient(ZZ, amb, _order_relations(amb_orders),
+                                         diff + _order_relations(list(m.gen_orders) * r), r * k)
     except CompositionNonzero:
         raise AssertionError("ambient relation escapes the pullback") from None
     mod = pullback.module
     if mod.torsion:
         raise AssertionError("pullback of a coaction against a free cover has torsion")
-    lifts = Matrix.from_columns(       # columns: ambient coords of generators
-        ZZ, [pullback.lift(j) for j in range(mod.ngens)], rows=amb)
-    surj = lifts.take_rows(range(k))
-    embed = lifts.take_rows(range(k, amb))
+    lifts = [pullback.lift(j) for j in range(mod.ngens)]   # ambient coords of generators
+    surj = [{i: x for i, x in c.items() if i < k} for c in lifts]
+    embed = [{i - k: x for i, x in c.items() if i >= k} for c in lifts]
 
     # re-derive the coaction on the pullback
     q_cols = []
     ext_free = extended_on_orders(C, [0] * k)
     # C (x) E' inside C (x) (E (+) C (x) F): the columns of 1 (x) lifts, then
     # the relations of the ambient generators' orders
-    lift_cols = _nonzero_columns(lifts)
-    gens_cp = [_tensor_apply(None, lift_cols, amb, mod.ngens, {x: 1})
+    gens_cp = [_tensor_apply(None, lifts, amb, mod.ngens, {x: 1})
                for x in range(r * mod.ngens)]
-    qsolver = _Solver.from_sparse(
-        ZZ, gens_cp + [{i: t} for i, t in enumerate(amb_orders * r) if t], r * amb)
-    for j in range(mod.ngens):
-        lift = lifts.col(j)
-        qe, qy = m.rho.apply(lift[:k]), ext_free.rho.apply(lift[k:])
-        q = []
-        for i in range(r):
-            q.extend(qe[i * k:(i + 1) * k])
-            q.extend(qy[i * (r * k):(i + 1) * (r * k)])
-        sol = qsolver.solve(tuple(q))
+    qsolver = _Solver(ZZ, gens_cp + [{i: t} for i, t in enumerate(amb_orders * r) if t], r * amb)
+    for e, y in zip(surj, embed):
+        # rho(e) on the rows (i, a) and rho_ext(y) on the rows (i, b) of C (x) F
+        # go to the rows (i, a) and (i, k + b) of C (x) (E (+) C (x) F)
+        q = {i // k * amb + i % k: x for i, x in _compose(m.columns, [e])[0].items()}
+        q.update((i // (r * k) * amb + k + i % (r * k), x)
+                 for i, x in _compose(ext_free.columns, [y])[0].items())
+        sol = qsolver.read(q)
         if sol is None:
             raise AssertionError("derived coaction escapes C (x) E'")
-        q_cols.append(tuple(sol[:r * mod.ngens]))
-    rho_p = Matrix.from_columns(ZZ, q_cols, rows=r * mod.ngens)
-    cover = _checked(Comodule(C, [0] * mod.ngens, rho_p), "pullback comodule")
+        q_cols.append({i: x for i, x in sol.items() if i < r * mod.ngens})
+    cover = _checked(Comodule(C, [0] * mod.ngens, q_cols), "pullback comodule")
     if not is_comodule_morphism(cover, m, surj):
         raise AssertionError("surjection is not a comodule morphism")
     if not is_comodule_morphism(cover, ext_free, embed):
         raise AssertionError("embedding is not a comodule morphism")
     # epi: E / im(surj) = 0
-    if not FgModule.cokernel(surj.hstack(_order_relations(m.gen_orders))).is_zero():
+    if not FgModule.cokernel(ZZ, surj + _order_relations(m.gen_orders), k).is_zero():
         raise AssertionError("cover fails to surject onto the comodule")
     # mono: kernel of the embedding vanishes
-    if not presented_kernel_is_zero(embed, [0] * mod.ngens,
-                                    [0] * (r * k)):
+    if not presented_kernel_is_zero(embed, [0] * mod.ngens, [0] * (r * k)):
         raise AssertionError("cover fails to embed into the extended comodule")
     return TorsionfreeCover(cover, surj, embed, m, ext_free)
 
@@ -250,5 +251,6 @@ def cmd_torsionfree_cover(corpus, ring, args):
     return {"comodule": args.comodule,
             "source_module": m.module.describe(),
             "cover_module": cover.cover.module.describe(),
-            "surjection": jmatrix(cover.surjection),
-            "embedding": jmatrix(cover.embedding)}, True
+            "surjection": jmatrix(Matrix.from_sparse(ZZ, cover.surjection, m.ngens)),
+            "embedding": jmatrix(Matrix.from_sparse(ZZ, cover.embedding,
+                                                    cover.extended.ngens))}, True

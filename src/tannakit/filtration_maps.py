@@ -10,7 +10,6 @@ from .filtration import ModuleComplex, filtration_complex
 from .kunneth import _ez, tensor_complex
 from .linalg import FgModule, ZZ
 from .maps import ModuleMap, induced_map_on_homology
-from .matrix import Matrix
 from .simplicial import (
     ChainComplex, SimplicialComplex, SimplicialPair, _chain_image, pair_homology,
     product_complex,
@@ -78,7 +77,7 @@ def _of_free_complex(cx):
     mc = ModuleComplex.__new__(ModuleComplex)
     mc.ring = cx.ring
     mc.terms = {d: FgModule.free(cx.ring, cx.rank(d)) for d in cx.degrees}
-    mc.maps = {d: ModuleMap(mc.terms[d], mc.terms[d - 1], cx.boundary(d))
+    mc.maps = {d: ModuleMap(mc.terms[d], mc.terms[d - 1], cx.columns(d))
                for d in cx.degrees if d - 1 in mc.terms}
     return mc
 
@@ -99,7 +98,7 @@ def _tensor_module_complex(a: ModuleComplex, b: ModuleComplex) -> ModuleComplex:
 def _generator_complex(mc: ModuleComplex) -> ChainComplex:
     """A free ModuleComplex as a ChainComplex labeled by generator index."""
     def faces(d, j):
-        return enumerate(mc.differential(d).matrix.col(j))
+        return mc.differential(d).columns[j].items()
     return ChainComplex(mc.ring, {d: range(t.ngens) for d, t in mc.terms.items()}, faces)
 
 
@@ -144,20 +143,16 @@ def product_filtration(F: Filtration, G: Filtration, ring=ZZ):
         cols = []
         for p in range(max(0, i - m), min(i, n) + 1):
             q = i - p
-            ca_n, cb_n, cc_n = pa[p], pb[q], pfg[i]
-            ha, hb, hc = ca_n.homology(p), cb_n.homology(q), cc_n.homology(i)
+            ha, hb, hc = pa[p].homology(p), pb[q].homology(q), pfg[i].homology(i)
+            la, lb, index = pa[p].labels(p), pb[q].labels(q), pfg[i]._index.get(i, {})
             for ja in range(ha.module.ngens):
                 za = ha.lift(ja)
                 for jb in range(hb.module.ngens):
                     zb = hb.lift(jb)
                     # EZ of the pair of cycles, read inside the product level
-                    chain = (((p, sa, sb), a * b)
-                             for sa, a in zip(ca_n.labels(p), za) if a
-                             for sb, b in zip(cb_n.labels(q), zb))
-                    image = _chain_image(_ez, i, chain)
-                    cols.append(hc.class_of(tuple(image.get(path, 0)
-                                                  for path in cc_n.labels(i))))
-        comps[i] = ModuleMap(src, tgt,
-                             Matrix.from_columns(ring, cols, rows=tgt.ngens))
+                    chain = (((p, la[x], lb[y]), a * b)
+                             for x, a in za.items() for y, b in zb.items())
+                    cols.append(hc.class_of(_chain_image(_ez, i, chain, index)))
+        comps[i] = ModuleMap(src, tgt, cols)
     kmap = ModuleComplexMap(tensor, target, comps)
     return FG, tensor, kmap

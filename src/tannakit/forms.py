@@ -12,8 +12,8 @@ them by their pivots.
 from fractions import Fraction
 from math import lcm, prod
 
-from .linalg import QQ, ZZ, _echelon, _reduced_columns
-from .maps import _integer_rows, _nonzero_columns
+from .linalg import QQ, ZZ, _echelon, _integral, _reduced_columns
+from .maps import _nonzero_columns
 from .matrix import Matrix
 
 
@@ -36,7 +36,7 @@ def rref(A):
     """Reduced row echelon form over Q: returns (R, pivot_columns), R with
     Fraction entries and its zero rows last.  The rows are scaled to
     integers and reduced by _echelon."""
-    pivots, basis = _echelon(_integer_rows(A), QQ)
+    pivots, basis = _echelon(_integral(_nonzero_columns(A.transpose())), QQ)
     rows = [[Fraction(r.get(j, 0), r[c]) for j in range(A.cols)] for c, r in zip(pivots, basis)]
     rows += [[Fraction(0)] * A.cols] * (A.rows - len(rows))
     return Matrix(QQ, rows, A.rows, A.cols), tuple(pivots)

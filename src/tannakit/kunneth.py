@@ -3,16 +3,19 @@ modules and of two chain complexes, the Eilenberg-Zilber and
 Alexander-Whitney chain maps between the tensor complex and a product's
 chains, the Kunneth isomorphism tau on good pairs, and the kunneth command.
 
-tau reads the Alexander-Whitney images in the sparse classes z_i (x) w_j
-modulo the tensor complex's boundaries, and its Eilenberg-Zilber inverse,
-read off the cycle classes, is checked on both sides by _compose; both are
-square sparse columns {row: entry}, and .matrix and .inverse are dense
-views, built when read.
+Every map and presentation here is sparse columns {row: entry}.  tau reads
+the Alexander-Whitney images in the sparse classes z_i (x) w_j, outer
+products of the sparse cycles lift returns, modulo the tensor complex's
+boundaries, and its Eilenberg-Zilber inverse, read off the sparse cycle
+classes class_of returns, is checked on both sides by _compose; both are
+square sparse columns, and .matrix and .inverse are dense views, built
+when read.  The tensor product of two modules is the cokernel of the
+sparse relation columns of each tensored with the other's generators.
 """
 
 from .errors import NotGoodPair
 from .linalg import ZZ, FgModule, _compose
-from .maps import ChainMap, _nonzero_columns, _Solver, _tensor_apply
+from .maps import ChainMap, _Solver, _tensor_apply
 from .matrix import Matrix, jmatrix, jscalar
 from .simplicial import (
     ChainComplex, SimplicialPair, _shuffle_paths, pair_homology, product_complex, product_pair,
@@ -27,9 +30,9 @@ from .tannaka import PairsContext, vertex_payload
 
 def tensor_swap(a, b, c, d):
     """Row order taking (i, j, k, l) to (i, k, j, l) on row-major flattened
-    tensor indices of shape (a, b, c, d): M.take_rows(order) is P M for the
-    permutation P swapping the middle factors, and M.take_cols(order) is
-    M P^-1."""
+    tensor indices of shape (a, b, c, d): the rows of M in this order are
+    P M for the permutation P swapping the middle factors, and its columns
+    in this order M P^-1."""
     return [((i * b + j) * c + k) * d + l
             for i in range(a) for k in range(c) for j in range(b) for l in range(d)]
 
@@ -51,11 +54,11 @@ def module_tensor(a, b):
     1 (x) rb."""
     if a.ring != b.ring:
         raise ValueError("ring mismatch in tensor")
-    ra, rb = _nonzero_columns(a.relations()), _nonzero_columns(b.relations())
+    ra, rb = a.relations(), b.relations()
     na, nb = a.ngens, b.ngens
     cols = ([_tensor_apply(ra, None, nb, nb, {x: 1}) for x in range(len(ra) * nb)]
             + [_tensor_apply(None, rb, nb, len(rb), {x: 1}) for x in range(na * len(rb))])
-    return FgModule.cokernel(Matrix.from_sparse(a.ring, cols, na * nb))
+    return FgModule.cokernel(a.ring, cols, na * nb)
 
 
 def tensor_complex(cx, cy):
@@ -201,22 +204,18 @@ def kunneth_tau(ctx: PairsContext, v, w) -> TauIso:
     # basis of H_N(tensor): the classes of z_i (x) w_j, sparse outer
     # products, read modulo the boundaries of degree N + 1
     l1, l2 = c1.labels(nv), c2.labels(nw)
-    zs = [{a: x for a, x in enumerate(hv.lift(i)) if x} for i in range(rv)]
-    ws = [{b: y for b, y in enumerate(hw.lift(j)) if y} for j in range(rw)]
+    zs, ws = [hv.lift(i) for i in range(rv)], [hw.lift(j) for j in range(rw)]
     basis = [{tensor.index(N, (nv, l1[a], l2[b])): x * y
               for a, x in z.items() for b, y in w.items()} for z in zs for w in ws]
-    solver = _Solver.from_sparse(ring, basis + tensor._cols.get(N + 1, []), tensor.rank(N))
+    solver = _Solver(ring, basis + tensor._cols.get(N + 1, []), tensor.rank(N))
 
     cols = []
     for k in range(rvw):
-        g = {i: x for i, x in enumerate(hvw.lift(k)) if x}
-        sol = solver.read(_compose(aw._cols[N], [g])[0])
+        sol = solver.read(_compose(aw._cols[N], [hvw.lift(k)])[0])
         if sol is None:
             raise NotGoodPair("AW image escapes the Kunneth basis at (%r, %r)" % (v, w))
         cols.append({i: x for i, x in sol.items() if i < n})
-    inverse = [{i: x for i, x in enumerate(
-                    hvw.class_of(tuple(c.get(i, 0) for i in range(cp.rank(N))))) if x}
-               for c in _compose(ez._cols.get(N), basis)]
+    inverse = [hvw.class_of(c) for c in _compose(ez._cols.get(N), basis)]
     if (_compose(cols, inverse) != [{j: 1} for j in range(n)]
             or _compose(inverse, cols) != [{j: 1} for j in range(rvw)]):
         raise NotGoodPair("tau and its EZ inverse fail to invert at (%r, %r)" % (v, w))

@@ -325,14 +325,15 @@ class Subquotient:
     """ker(d_out)/im(d_in), its module known when it is built, with the
     change-of-basis data built on the first class_of or lift.
 
-    class_of maps a cycle (coordinates in the middle module's generators) to
-    coordinates on the normalized generators of the subquotient; lift does
-    the reverse for a generator index.  Both are tannakit.maps functions.
-    build() returns what maps._cycle_coordinates does: the cycle basis as
-    sparse columns, the _Solver on it that reads every class_of, and the
-    coordinates in it of the boundaries and relations, from which
-    module_from_relations builds the transforms and a module that must be
-    the one this was built with.
+    class_of maps a cycle, its nonzero coordinates {i: x} in the middle
+    module's generators, to its class {i: x} on the normalized generators of
+    the subquotient; lift does the reverse for a generator index, to a cycle
+    {i: x}.  Both are tannakit.maps functions.  build() returns what
+    maps._cycle_coordinates does: the cycle basis, the _Solver on it that
+    reads every class_of, and the coordinates in it of the boundaries and
+    relations, all sparse columns, from which module_from_relations builds
+    the transforms, sparse too, and a module that must be the one this was
+    built with.
     """
 
     __slots__ = ("module", "_build", "_cycles", "_solver", "_to_normal", "_from_normal")

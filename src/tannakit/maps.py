@@ -4,18 +4,23 @@ Kernels, presentations and subquotients with their transforms, the class
 coordinates of a linalg.Subquotient (class_of and lift, with the cycle
 basis and Smith transforms they build on the first call), the methods of
 FgModule that read or build a presentation (relations, normalize_vector,
-cokernel), the readers of a dense matrix (_nonzero_columns, _integer_rows,
-elementary_divisors), chain maps and the maps induced on homology.
+cokernel), elementary divisors, chain maps and the maps induced on
+homology.
 
-kernel reads _echelon on sparse columns (over Z through _reduced_columns, A
-stacked on the identity), and so do Q module_from_relations and image
-bases, each dividing the fraction-free rows of _echelon over Q by their
-pivots.  One reader, _Solver, reads every coordinate, in integers, at the
-pivots of a canonical basis, or of _reduced_columns's image basis for any
-other A.  Every tensor identity and construction applies A (x) B to sparse
-columns by one helper, _tensor_apply; no module calls Matrix.kron.  Maps on
-homology (induced_map_on_homology, triple_boundary, with the handler of
-the triple-boundary command) read classes in the Hermite cycle basis of
+Every map, presentation and coordinate vector here is sparse: a map is its
+columns {row: entry} over the nonzeros with a row count, a vector its
+nonzeros {index: entry}.  A ModuleMap keeps its columns, and its dense
+Matrix is a view built when a certificate or a test reads it; the
+constructor also takes a dense Matrix, read once.  kernel reads _echelon on
+sparse columns (over Z through _reduced_columns, A stacked on the
+identity), and so do Q module_from_relations and image bases, each dividing
+the fraction-free rows of _echelon over Q by their pivots.  One reader,
+_Solver, reads every coordinate, in integers, at the pivots of a canonical
+basis, or of _reduced_columns's image basis for any other A.  Every tensor
+identity and construction applies A (x) B to sparse columns by one helper,
+_tensor_apply; no module calls Matrix.kron.  Maps on homology
+(induced_map_on_homology, triple_boundary, with the handler of the
+triple-boundary command) read classes in the Hermite cycle basis of
 ChainComplex.homology.
 """
 from collections import Counter
@@ -45,12 +50,6 @@ def _nonzero_columns(m):
             if x:
                 cols[j][i] = x
     return cols
-
-
-def _integer_rows(A):
-    """Rows of a dense A as sparse {col: int}, each scaled by the lcm of its
-    denominators."""
-    return _integral({j: x for j, x in enumerate(row) if x} for row in A.data)
 
 
 def _apply(cols, vec, size):
@@ -99,23 +98,14 @@ class _Solver:
     the free-column kernel, the identity): the coordinate is the entry
     there, and one integer residual checks them all.  Any other A is
     replaced by the image H of _reduced_columns, and read (sparse vectors)
-    and solve (dense tuples) return T y.  A is a Matrix, or sparse columns
-    given to from_sparse.
+    and solve (dense tuples) return T y.
     """
 
-    def __init__(self, A):
-        self._put(A.ring, _nonzero_columns(A), A.rows)
-
-    @classmethod
-    def from_sparse(cls, ring, columns, rows):
-        """The solver of the matrix with these columns {row: entry}."""
-        solver = cls.__new__(cls)
-        solver._put(ring, [dict(sorted((i, x) for i, x in c.items() if x)) for c in columns], rows)
-        return solver
-
-    def _put(self, ring, columns, rows):
+    def __init__(self, ring, columns, rows):
+        """The solver of the rows-row matrix with these columns {row: entry}."""
         self.ring, self.rows, self.size, self.T = ring, rows, len(columns), None
         self.zero = _coerce(ring, 0)
+        columns = [dict(sorted((i, x) for i, x in c.items() if x)) for c in columns]
         if not self._load(columns):
             head, tail, image = _reduced_columns(ring, columns, rows)
             self.T = tail[:image]                    # sparse columns of T
@@ -179,134 +169,140 @@ class _Solver:
             return tuple(x.get(k, self.zero) for k in range(self.size))
 
 
-def solve(A, b):
-    """One exact x with A x = b over A's ring (over Z, in the lattice), or None."""
-    return _Solver(A).solve(b)
-
-
 # ---------------------------------------------------------------------------
 # Presentations and module maps
 # ---------------------------------------------------------------------------
 
-def elementary_divisors(A):
-    """Nonzero invariant factors of a dense A in divisibility order; (1,) *
-    rank over Q, whose rows are scaled to integers first."""
-    return _sparse_divisors(_integer_rows(A), A.ring)
+def elementary_divisors(ring, columns):
+    """Nonzero invariant factors, in divisibility order, of the matrix with
+    these sparse columns, read as the rows of its transpose, which has the
+    same ones; (1,) * rank over Q, whose columns are scaled to integers
+    first."""
+    return _sparse_divisors(_integral(columns), ring)
 
 
-def cokernel(cls, relations):
-    """FgModule.cokernel: the module presented by the columns of relations,
-    from its elementary divisors."""
-    divisors = elementary_divisors(relations)
-    return cls(relations.ring, relations.rows - len(divisors), [e for e in divisors if e > 1])
+def cokernel(cls, ring, columns, rows):
+    """FgModule.cokernel: the module ring^rows / the span of these sparse
+    relation columns, from their elementary divisors."""
+    divisors = elementary_divisors(ring, columns)
+    return cls(ring, rows - len(divisors), [e for e in divisors if e > 1])
 
 
 def module_relations(module):
-    """FgModule.relations: the relations matrix of the normalized
-    presentation (ngens x #torsion)."""
-    return _order_relations(module.torsion + (0,) * module.free_rank, module.ring)
+    """FgModule.relations: the relation columns of the normalized
+    presentation, one t e_i for each torsion generator i of order t."""
+    return _order_relations(module.torsion)
 
 
 def normalize_vector(module, vec):
-    """FgModule.normalize_vector: generator coordinates reduced to the
-    canonical representative."""
-    out = list(vec)
-    if len(out) != module.ngens:
-        raise ValueError("coordinate length mismatch")
-    for i, t in enumerate(module.torsion):
-        out[i] %= t
-    return tuple(out)
+    """FgModule.normalize_vector: generator coordinates {i: x} reduced to
+    the canonical representative, over its nonzeros."""
+    tt, n = module.torsion, len(module.torsion)
+    out = {i: x % tt[i] if i < n else x for i, x in vec.items()}
+    return {i: x for i, x in out.items() if x}
 
 
-def _order_relations(orders, ring=ZZ):
+def _order_relations(orders):
     """Relation columns t e_i, one for each generator i of order t > 0."""
-    n = len(orders)
-    return Matrix.from_columns(ring, [[t if j == i else 0 for j in range(n)]
-                                      for i, t in enumerate(orders) if t], rows=n)
+    return [{i: t} for i, t in enumerate(orders) if t]
 
 
-def module_from_relations(ring, ngens, relations):
-    """Normalize Z^ngens / im(relations) (or Q^ngens likewise).
+def module_from_relations(ring, ngens, columns):
+    """Normalize ring^ngens / the span of the sparse relation columns.
 
-    Returns (module, to_normal, from_normal): to_normal maps old generator
-    coordinates to normalized ones (reduce with module.normalize_vector);
-    from_normal lifts normalized generators to old coordinates.
+    Returns (module, to_normal, from_normal) as sparse columns: to_normal
+    maps old generator coordinates to normalized ones (reduce with
+    module.normalize_vector); from_normal lifts normalized generators to old
+    coordinates.  Over Z the transforms are the Smith form's, whose dense
+    input is built here, once.
     """
-    if relations.rows != ngens:
-        raise ValueError("relations row count != generator count")
     if ring == ZZ:
-        if relations.cols == 0:
-            eye = Matrix.identity(ZZ, ngens)
+        if not columns:
+            eye = [{i: 1} for i in range(ngens)]
             return FgModule(ZZ, ngens), eye, eye
         from .smith import smith_normal_form
-        form = smith_normal_form(relations)
-        diag = [form.D[i, i] if i < relations.cols else 0 for i in range(ngens)]
+        form = smith_normal_form(Matrix.from_sparse(ZZ, columns, ngens))
+        diag = [form.D[i, i] if i < len(columns) else 0 for i in range(ngens)]
         keep = [i for i, d in enumerate(diag) if d != 1]
         torsion = [d for d in diag if d > 1]
-        return (FgModule(ZZ, len(keep) - len(torsion), torsion), form.U.take_rows(keep),
+        kept = [form.U.row(i) for i in keep]
+        return (FgModule(ZZ, len(keep) - len(torsion), torsion),
+                [{r: row[j] for r, row in enumerate(kept) if row[j]} for j in range(ngens)],
                 form.inverse_columns(keep))
     # over Q: quotient by the span; a coordinate vector reduces to its free
     # coordinates by subtracting the echelon rows at the pivots
-    free, to_normal = _null_vectors(
-        *_echelon(_integral(_nonzero_columns(relations)), QQ), ngens)
-    zero = Fraction(0)
-    return (FgModule(QQ, len(free)),
-            Matrix(QQ, [[v.get(j, zero) for j in range(ngens)] for v in to_normal],
-                   len(free), ngens),
-            Matrix.identity(QQ, ngens).take_cols(free))
+    free, to_normal = _null_vectors(*_echelon(_integral(columns), QQ), ngens)
+    return (FgModule(QQ, len(free)), _transpose(to_normal, ngens),
+            [{f: Fraction(1)} for f in free])
 
 
 class ModuleMap:
-    """Map between f.g. modules, as a matrix on normalized generators.
+    """Map between f.g. modules on normalized generators, kept as its
+    sparse columns {row: entry} over the nonzeros, one per source generator.
 
-    Well-definedness on torsion (relations map into relations) is checked at
-    construction; entries over torsion rows are stored reduced.
+    The constructor takes those columns, or a dense Matrix, which it reads
+    once.  Well-definedness on torsion (relations map into relations) is
+    checked at construction; entries over torsion rows are stored reduced.
+    .matrix is the dense view, built on first read.
     """
 
-    __slots__ = ("source", "target", "matrix")
+    __slots__ = ("source", "target", "columns", "_matrix")
 
-    def __init__(self, source, target, matrix):
-        if source.ring != target.ring or matrix.ring != source.ring:
+    def __init__(self, source, target, columns):
+        if source.ring != target.ring:
             raise ValueError("ring mismatch in module map")
-        if matrix.rows != target.ngens or matrix.cols != source.ngens:
+        if isinstance(columns, Matrix):
+            if columns.ring != source.ring:
+                raise ValueError("ring mismatch in module map")
+            if columns.rows != target.ngens:
+                raise ValueError("matrix shape does not fit the presentations")
+            columns = _nonzero_columns(columns)
+        if len(columns) != source.ngens:
             raise ValueError("matrix shape does not fit the presentations")
         tt = target.torsion
         for i, t in enumerate(source.torsion):
-            for j in range(target.ngens):
-                w = t * matrix[j, i]
+            for j, x in columns[i].items():
+                w = t * x
                 if w % tt[j] if j < len(tt) else w:
                     raise ValueError("map not well defined on torsion generator %d" % i)
         if tt:
-            matrix = Matrix(matrix.ring, [[x % tt[j] for x in r] if j < len(tt) else r
-                                          for j, r in enumerate(matrix.data)],
-                            matrix.rows, matrix.cols)
-        self.source = source
-        self.target = target
-        self.matrix = matrix
+            reduced = ({j: x % tt[j] if j < len(tt) else x for j, x in c.items()}
+                       for c in columns)
+            columns = [{j: x for j, x in c.items() if x} for c in reduced]
+        self.source, self.target, self.columns, self._matrix = source, target, columns, None
+
+    @property
+    def matrix(self) -> Matrix:
+        """The dense target.ngens x source.ngens matrix."""
+        if self._matrix is None:
+            self._matrix = Matrix.from_sparse(self.source.ring, self.columns,
+                                              self.target.ngens)
+        return self._matrix
 
     @classmethod
     def identity(cls, mod):
-        return cls(mod, mod, Matrix.identity(mod.ring, mod.ngens))
+        return cls(mod, mod, [{i: 1} for i in range(mod.ngens)])
 
     @classmethod
     def zero(cls, source, target):
-        return cls(source, target, Matrix.zeros(source.ring, target.ngens, source.ngens))
+        return cls(source, target, [{} for _ in range(source.ngens)])
 
     def compose(self, other):
         """self after other."""
         if other.target != self.source:
             raise ValueError("composition mismatch")
-        return ModuleMap(other.source, self.target, self.matrix * other.matrix)
+        return ModuleMap(other.source, self.target, _compose(self.columns, other.columns))
 
     def is_zero_map(self):
-        return self.matrix.is_zero()
+        return not any(self.columns)
 
     def __eq__(self, other):
         return (isinstance(other, ModuleMap) and self.source == other.source
-                and self.target == other.target and self.matrix == other.matrix)
+                and self.target == other.target and self.columns == other.columns)
 
     def __hash__(self):
-        return hash((self.source, self.target, self.matrix))
+        return hash((self.source, self.target,
+                     tuple(frozenset(c.items()) for c in self.columns)))
 
     def __repr__(self):
         return "ModuleMap(%r -> %r)" % (self.source, self.target)
@@ -316,7 +312,7 @@ def dual_map(f):
     """Transpose of a map between free modules, in the dual bases."""
     if not (f.source.is_free() and f.target.is_free()):
         raise TorsionPresent("dual_map requires free source and target")
-    return ModuleMap(f.target, f.source, f.matrix.transpose())
+    return ModuleMap(f.target, f.source, _transpose(f.columns, f.target.ngens))
 
 
 # ---------------------------------------------------------------------------
@@ -330,22 +326,23 @@ def subquotient(d_in, d_out):
     """
     if d_in.target != d_out.source:
         raise ValueError("d_in target differs from d_out source")
-    return presented_subquotient(d_in.matrix, d_in.target.relations(),
-                                 d_out.matrix, d_out.target.relations())
+    B, C = d_in.target, d_out.target
+    return presented_subquotient(B.ring, B.ngens, d_in.columns + B.relations(),
+                                 d_out.columns + C.relations(), C.ngens)
 
 
-def presented_subquotient(m_in, rel_b, m_out, rel_c):
-    """ker/im in B for matrices m_in into and m_out out of B, where B and the
-    target of m_out are presented by the relation columns rel_b and rel_c,
-    normalized or not.  Raises CompositionNonzero when an image column or a
-    relation of B is not a cycle.  The module is the cokernel of the cycle
-    coordinates of the image and of B's relations, read from elementary
-    divisors; module_from_relations (over Z a Smith form with its
-    transforms) runs on the first class_of or lift."""
-    cycles, solver, coeff = _cycle_coordinates(
-        m_out.ring, m_out.cols, _nonzero_columns(m_in) + _nonzero_columns(rel_b),
-        _nonzero_columns(m_out) + _nonzero_columns(rel_c), m_out.rows)
-    return Subquotient(FgModule.cokernel(coeff), lambda: (cycles, solver, coeff))
+def presented_subquotient(ring, n, into, out, rows):
+    """ker/im in B = ring^n, the arguments those of _cycle_coordinates: into
+    is the sparse columns of the map into B, then B's relations; out those
+    of the map out of B, then the relations of its target, on rows rows;
+    either presentation normalized or not.  Raises CompositionNonzero when a
+    column of into is not a cycle.  The module is the cokernel of the cycle
+    coordinates of into, read from elementary divisors;
+    module_from_relations (over Z a Smith form with its transforms) runs on
+    the first class_of or lift."""
+    cycles, solver, coeff = _cycle_coordinates(ring, n, into, out, rows)
+    return Subquotient(FgModule.cokernel(ring, coeff, len(cycles)),
+                       lambda: (cycles, solver, coeff))
 
 
 def _cycle_coordinates(ring, n, into, out, rows):
@@ -353,13 +350,13 @@ def _cycle_coordinates(ring, n, into, out, rows):
     (the map into B, then B's relations) and out (the map out of B, then
     the relations of its target, on rows rows): a basis of the cycles of B
     as sparse columns, the _Solver on them, and the coordinates in it of
-    the columns of into, as a Matrix."""
+    the columns of into, as sparse columns."""
     cycles = [{i: x for i, x in c.items() if i < n} for c in kernel(ring, out, rows)]
-    solver = _Solver.from_sparse(ring, cycles, n)
+    solver = _Solver(ring, cycles, n)
     coeff = [solver.read(col) for col in into]
     if None in coeff:
         raise CompositionNonzero("boundary does not lie in the cycle submodule")
-    return cycles, solver, Matrix.from_sparse(ring, coeff, len(cycles))
+    return cycles, solver, coeff
 
 
 def _cycle_basis(sq):
@@ -379,18 +376,19 @@ def _cycle_basis(sq):
 
 
 def class_of(sq, vec):
-    """Subquotient.class_of: the normalized coordinates of the class of a
-    cycle, given by its coordinates in the middle module's generators."""
+    """Subquotient.class_of: the normalized coordinates {i: x} of the class
+    of a cycle, given by its nonzero coordinates {i: x} in the middle
+    module's generators."""
     _cycle_basis(sq)
-    c = sq._solver.solve(vec)
+    c = sq._solver.read(vec)
     if c is None:
         raise ValueError("vector is not a cycle (or not in the cycle submodule)")
-    return sq.module.normalize_vector(sq._to_normal.apply(c))
+    return sq.module.normalize_vector(_compose(sq._to_normal, [c])[0])
 
 
 def lift(sq, j):
-    """Subquotient.lift: a cycle representing normalized generator j."""
-    return _apply(_cycle_basis(sq), sq._from_normal.col(j), sq._solver.rows)
+    """Subquotient.lift: a cycle {i: x} representing normalized generator j."""
+    return _compose(_cycle_basis(sq), [sq._from_normal[j]])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -451,8 +449,9 @@ class ChainMap:
         return Matrix.from_sparse(self.source.ring, self._cols.get(d, ()), self.target.rank(d))
 
     def apply(self, d, vec):
-        """The image of a chain of degree d, given by its coordinates."""
-        return _apply(self._cols.get(d, ()), vec, self.target.rank(d))
+        """The image {i: x} of a chain of degree d, given by its nonzero
+        coordinates {i: x}."""
+        return _compose(self._cols.get(d), [vec])[0]
 
 
 def _induced_chain_map(f, pair_src, pair_tgt, ring):
@@ -494,20 +493,20 @@ def _homology_map(hs, ht, image) -> ModuleMap:
     src, tgt = hs.module, ht.module
     if src.is_zero() or tgt.is_zero():
         return ModuleMap.zero(src, tgt)
-    cols = [ht.class_of(image(hs.lift(j))) for j in range(src.ngens)]
-    return ModuleMap(src, tgt, Matrix.from_columns(src.ring, cols, rows=tgt.ngens))
+    return ModuleMap(src, tgt, [ht.class_of(image(hs.lift(j))) for j in range(src.ngens)])
 
 
 def _boundary_image(top, bot, Z, n):
-    """The connecting map on chains: a relative n-chain of top, whose
-    boundary in X lies in Z, to that boundary in bot's labels."""
-    zset = Z.all_simplices()
+    """The connecting map on chains: a relative n-chain {i: x} of top, whose
+    boundary in X lies in Z, to that boundary {i: x} in bot's labels."""
+    zset, labels = Z.all_simplices(), top.labels(n)
 
     def image(vec):
-        out = _chain_image(_faces, n, zip(top.labels(n), vec))
+        out = _chain_image(_faces, n, ((labels[i], x) for i, x in vec.items()))
         if any(face not in zset for face in out):
             raise AssertionError("lifted boundary not supported on Z")
-        return tuple(out.get(s, 0) for s in bot.labels(n - 1))
+        return {k: x for k, x in ((bot.index(n - 1, s), x) for s, x in out.items())
+                if k is not None}
     return image
 
 

@@ -1,8 +1,11 @@
 """The dense matrix view: Matrix, an immutable dense matrix over Z or Q.
 
-Every map the library computes is kept as sparse columns {row: entry};
-Matrix is the view that certificates print, that tests and oracles build,
-and that presentations and the dense Smith form of tannakit.smith work on.
+Every map, presentation and coordinate vector the library computes is kept
+sparse, maps as columns {row: entry}; Matrix is the view that certificates
+print and that tests and oracles build.  A ModuleMap or a Comodule reads
+one given to its constructor once, a corpus comodule's rho is validated
+through one, and the dense Smith form of tannakit.smith and the dense
+forms of tannakit.forms work on it.
 The entry coercion _coerce of Matrix, maps._Solver and the Tannaka layers
 is here too.  jscalar, jvector and jmatrix encode exact scalars, vectors
 and matrices for the command handlers' certificates.  The Kronecker

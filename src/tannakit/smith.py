@@ -30,9 +30,10 @@ class SmithForm:
         self._row_ops = row_ops
 
     def inverse_columns(self, cols):
-        """The columns cols of U^-1, a Matrix: U is the product of the row
-        operations of the elimination, so U^-1 e_i is e_i with their
-        inverses applied, the last one first.  U x = e_i is checked."""
+        """The columns cols of U^-1, as sparse columns {row: entry}: U is the
+        product of the row operations of the elimination, so U^-1 e_i is e_i
+        with their inverses applied, the last one first.  U x = e_i is
+        checked."""
         out = []
         for i in cols:
             x = [0] * self.U.rows
@@ -47,8 +48,8 @@ class SmithForm:
                     x[dst], x[src] = x[src], x[dst]
             if self.U.apply(x) != unit:
                 raise AssertionError("row operations do not invert the SNF transform")
-            out.append(x)
-        return Matrix.from_columns(ZZ, out, rows=self.U.rows)
+            out.append({r: y for r, y in enumerate(x) if y})
+        return out
 
     @cached_property
     def Uinv(self):

@@ -28,7 +28,7 @@ from . import _lazy
 from .errors import (
     AxiomViolation, InputError, MissingProducts, NonFreeVertex, NotNested,
 )
-from .linalg import QQ, ZZ, FgModule
+from .linalg import QQ, ZZ, FgModule, _transpose
 from .maps import (
     ModuleMap, _Solver, elementary_divisors, induced_map_on_homology, kernel, triple_boundary,
 )
@@ -229,18 +229,18 @@ class EndAlgebra:
         back, total = self.ring == QQ, self.total
         cols, r = [{} for _ in range(total)], 0
         for (name, src, dst, _kind) in sub.edges:
-            m = rep.edge_map(name).matrix.data
+            m = rep.edge_map(name).columns
             if back:
-                d = lcm(*(x.denominator for row in m for x in row))
-                m = [[x.numerator * (d // x.denominator) for x in row] for row in m]
+                d = lcm(*(x.denominator for col in m for x in col.values()))
+                m = [{i: x.numerator * (d // x.denominator) for i, x in col.items()} for col in m]
             rs, rd, s0, d0 = rep.rank(src), rep.rank(dst), offsets[src], offsets[dst]
+            mrows = _transpose(m, rd)
             for i in range(rd):
                 for j in range(rs):
-                    row = {}
-                    for k in range(rs):
-                        row[s0 + k * rs + j] = row.get(s0 + k * rs + j, 0) + m[i][k]
-                    for k in range(rd):
-                        row[d0 + i * rd + k] = row.get(d0 + i * rd + k, 0) - m[k][j]
+                    # (m phi_src - phi_dst m) at (i, j), over the nonzeros of m
+                    row = {s0 + k * rs + j: x for k, x in mrows[i].items()}
+                    for k, x in m[j].items():
+                        row[d0 + i * rd + k] = row.get(d0 + i * rd + k, 0) - x
                     for c, x in row.items():
                         if x:
                             cols[total - 1 - c if back else c][r] = x
@@ -252,7 +252,7 @@ class EndAlgebra:
         else:
             basis = [{i: _coerce(self.ring, 1)} for i in range(total)]
         self.basis_columns = basis
-        self._solver = _Solver.from_sparse(self.ring, basis, self.total)
+        self._solver = _Solver(self.ring, basis, self.total)
         diagonal = {offsets[v] + i * (rep.rank(v) + 1)
                     for v in self.order for i in range(rep.rank(v))}
         coords = self._solver.solve(tuple(int(k in diagonal) for k in range(self.total)))
@@ -302,7 +302,7 @@ class EndAlgebra:
 
     def is_saturated(self):
         return (self.ring != ZZ or self.dim == 0
-                or all(f == 1 for f in elementary_divisors(self.basis)))
+                or all(f == 1 for f in elementary_divisors(ZZ, self.basis_columns)))
 
 
 def end_algebra(rep, sub) -> EndAlgebra:

@@ -121,7 +121,7 @@ def factorization_check(rep, sub, E=None) -> FactorizationCert:
     for (name, src, dst, _kind) in sub.edges:
         checked += 1
         if not _intertwines(coaction(rep, sub, src, E), coaction(rep, sub, dst, E),
-                            m=rep.edge_map(name).matrix):
+                            m=rep.edge_map(name).columns):
             violations.append("edge %r is not a comodule morphism" % (name,))
     return FactorizationCert(violations, checked)
 

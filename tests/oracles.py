@@ -909,9 +909,16 @@ def dense_sigma_step(mu, sigma_coords):
 
 
 def dense_module_tensor(a, b):
-    """The presentation of a (x) b: the columns of ra (x) 1 and 1 (x) rb."""
+    """a (x) b from its dense presentation: the columns of ra (x) 1 and
+    1 (x) rb, for the diagonal relation matrices ra and rb built here from
+    the torsion orders, with its invariant factors read by naive_diagonal."""
     from tannakit.linalg import FgModule
     from tannakit.matrix import Matrix
+
+    def relations(m):
+        return Matrix(m.ring, [[t if i == j else 0 for j, t in enumerate(m.torsion)]
+                               for i in range(m.ngens)], m.ngens, len(m.torsion))
     ia, ib = Matrix.identity(a.ring, a.ngens), Matrix.identity(b.ring, b.ngens)
-    ra, rb = a.relations(), b.relations()
-    return FgModule.cokernel(ra.kron(ib).hstack(ia.kron(rb)))
+    R = relations(a).kron(ib).hstack(ia.kron(relations(b)))
+    factors = naive_diagonal([list(row) for row in R.data])
+    return FgModule(a.ring, R.rows - len(factors), [e for e in factors if e > 1])

@@ -22,7 +22,7 @@ def with_basis(E, basis):
     structure, coalgebra and comodules left to be rebuilt on first use."""
     identity = _apply(E.basis_columns, E.unit, E.total)
     E.basis_columns = _nonzero_columns(basis)
-    E._solver = _Solver.from_sparse(E.ring, E.basis_columns, E.total)
+    E._solver = _Solver(E.ring, E.basis_columns, E.total)
     E.unit = E.coordinates(identity)
     E._structure = E._coalgebra = None
     E._comodules = {}

@@ -12,8 +12,8 @@ from tannakit.forms import _column_reduce, determinant, hnf_columns, rref
 from tannakit.kunneth import tensor_swap
 from tannakit.linalg import QQ, ZZ, FgModule, Subquotient, _integral, _residual_divisors
 from tannakit.maps import (
-    ModuleMap, _nonzero_columns, _Solver, dual_map, elementary_divisors, kernel,
-    module_from_relations, presented_subquotient, solve, subquotient,
+    ModuleMap, _nonzero_columns, dual_map, elementary_divisors, kernel, module_from_relations,
+    subquotient,
 )
 from tannakit.matrix import Matrix
 from tannakit.smith import SmithForm, smith_normal_form
@@ -23,6 +23,7 @@ from oracles import (
     echelon_columns, middle_swap_matrix, minor_gcd_divisors, modp_subquotient_size,
     naive_diagonal, oracle_column_reduce, snf_kernel, snf_solvable,
 )
+from sparse_helpers import cols, dense, presented, solve, solver, vec
 
 
 def mz(rows):
@@ -123,7 +124,7 @@ class TestSmithTransforms:
         real = smith._column_reduce
         monkeypatch.setattr(smith, "_column_reduce", lambda M: calls.append(M) or real(M))
         A = mz([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])    # no unit: all of it is SNF
-        assert elementary_divisors(A) == (2, 6, 12)
+        assert elementary_divisors(ZZ, cols(A)) == (2, 6, 12)
         form = smith_normal_form(A)
         assert form.invariant_factors == (2, 6, 12)
         assert calls == []
@@ -142,12 +143,13 @@ class TestSmithTransforms:
         form = smith_normal_form(A)
         cols = data.draw(st.lists(st.integers(0, max(A.rows - 1, 0)), unique=True,
                                   max_size=A.rows))
-        assert form.inverse_columns(cols) == form.Uinv.take_cols(cols)
+        assert form.inverse_columns(cols) == _nonzero_columns(form.Uinv.take_cols(cols))
 
     def test_inverse_columns_check_the_row_operations(self):
         A = mz([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
         form = smith_normal_form(A)
-        assert form._row_ops and form.inverse_columns([0, 2]) == form.Uinv.take_cols([0, 2])
+        assert form._row_ops and (form.inverse_columns([0, 2])
+                                  == _nonzero_columns(form.Uinv.take_cols([0, 2])))
         dst, src, q = next(op for op in form._row_ops if op[2])
         form._row_ops[form._row_ops.index((dst, src, q))] = (dst, src, q + 1)
         with pytest.raises(AssertionError, match="do not invert"):
@@ -229,9 +231,9 @@ class TestKernelSolve:
 
 class TestModules:
     def test_presentation_normalization(self):
-        mod, _, _ = module_from_relations(ZZ, 2, mz([[2], [0]]))
+        mod, _, _ = module_from_relations(ZZ, 2, cols(mz([[2], [0]])))
         assert mod == FgModule(ZZ, 1, (2,))
-        mod2, _, _ = module_from_relations(ZZ, 2, mz([[1, 0], [0, 6]]))
+        mod2, _, _ = module_from_relations(ZZ, 2, cols(mz([[1, 0], [0, 6]])))
         assert mod2 == FgModule(ZZ, 0, (6,))
 
     def test_tensor(self):
@@ -256,6 +258,35 @@ class TestModules:
         ModuleMap(src, tgt, mz([[2]]))  # 2*2 = 4 = 0 in Z/4: fine
         with pytest.raises(ValueError):
             ModuleMap(src, tgt, mz([[1]]))  # 2*1 = 2 != 0 in Z/4
+        # a dense Matrix and its sparse columns give the same map: equal, with
+        # one hash and one dense view, entries reduced in the torsion rows; an
+        # ill-defined map is rejected by both with the same ValueError
+        rng = random.Random(19)
+        mods = [FgModule(ZZ, 0, (2,)), FgModule(ZZ, 0, (4,)), FgModule(ZZ, 1, (2, 6)),
+                FgModule.free(ZZ, 2), FgModule.zero(ZZ), FgModule.free(QQ, 2)]
+        for a in mods:
+            for b in mods:
+                if a.ring != b.ring:
+                    continue
+                for _ in range(12):
+                    m = Matrix(a.ring, [[rng.randint(-7, 7) for _ in range(a.ngens)]
+                                        for _ in range(b.ngens)], b.ngens, a.ngens)
+                    errors = []
+                    for given in (m, cols(m)):
+                        try:
+                            errors.append(ModuleMap(a, b, given))
+                        except ValueError as exc:
+                            errors.append(str(exc))
+                    from_dense, from_sparse = errors
+                    if isinstance(from_dense, str):
+                        assert from_sparse == from_dense
+                        continue
+                    assert from_dense == from_sparse
+                    assert hash(from_dense) == hash(from_sparse)
+                    tt = b.torsion
+                    reduced = Matrix(a.ring, [[x % tt[i] if i < len(tt) else x for x in row]
+                                              for i, row in enumerate(m.data)], m.rows, m.cols)
+                    assert from_dense.matrix == from_sparse.matrix == reduced
 
     def test_dual(self):
         f = ModuleMap(FgModule.free(ZZ, 2), FgModule.free(ZZ, 2),
@@ -318,7 +349,7 @@ class TestSubquotient:
             v = sq.lift(j)
             coords = sq.class_of(v)
             expect = tuple(1 if i == j else 0 for i in range(sq.module.ngens))
-            assert coords == expect
+            assert dense(coords, sq.module.ngens) == expect
 
     def test_over_q(self):
         q2 = FgModule.free(QQ, 2)
@@ -356,8 +387,7 @@ class TestSubquotient:
 
     def test_free_matrix_helper(self):
         m_in, m_out = mz([[2], [0]]), Matrix.zeros(ZZ, 0, 2)
-        sq = Subquotient.free(ZZ, 2, (2,), (), lambda: (_nonzero_columns(m_in),
-                                                         _nonzero_columns(m_out), m_out.rows))
+        sq = Subquotient.free(ZZ, 2, (2,), (), lambda: (cols(m_in), cols(m_out), m_out.rows))
         assert sq.module == FgModule(ZZ, 1, (2,))
 
 
@@ -381,7 +411,7 @@ def matrices(draw, entries, max_rows=6, max_cols=7):
 def eliminating_solver(A):
     """A solver on A plus a zero column: that column has no pivot row, so the
     solve goes through the column reduction of A over the identity."""
-    s = _Solver(A.hstack(Matrix.zeros(A.ring, A.rows, 1)))
+    s = solver(A.hstack(Matrix.zeros(A.ring, A.rows, 1)))
     assert s.T is not None
     return s
 
@@ -389,7 +419,7 @@ def eliminating_solver(A):
 def assert_paths_agree(B, rhs):
     """The substitution solve of the basis B agrees with elimination on each
     right-hand side, with the ring's entry type."""
-    sub = _Solver(B)
+    sub = solver(B)
     assert sub.T is None
     elim = eliminating_solver(B)
     kind = int if B.ring == ZZ else Fraction
@@ -462,16 +492,16 @@ class TestSolverPaths:
     def test_divisibility_over_z(self):
         B = hnf_columns(mz([[2, 0], [1, 3]]))
         assert_paths_agree(B, [(2, 1), (1, 0), (0, 3), (0, 1), (4, 5)])
-        assert _Solver(B).solve((1, 0)) is None
+        assert solver(B).solve((1, 0)) is None
 
     def test_non_triangular_falls_back(self):
         for ring in (ZZ, QQ):
             A = Matrix(ring, [[1, 1], [1, -1]])
-            s = _Solver(A)
+            s = solver(A)
             assert s.T is not None
             assert s.solve((2, 0)) == (1, 1)
-        assert _Solver(mz([[1, 1], [1, -1]])).solve((1, 0)) is None
-        assert _Solver(mq([[1, 1], [1, -1]])).solve((1, 0)) == (Fraction(1, 2),) * 2
+        assert solver(mz([[1, 1], [1, -1]])).solve((1, 0)) is None
+        assert solver(mq([[1, 1], [1, -1]])).solve((1, 0)) == (Fraction(1, 2),) * 2
 
 
 @st.composite
@@ -519,7 +549,7 @@ class TestColumnReduction:
     @given(st.sampled_from((ZZ, QQ)).flatmap(dependent_matrices),
            st.randoms(use_true_random=False))
     def test_non_echelon_solver_matches_oracle(self, A, rng):
-        s = _Solver(A)
+        s = solver(A)
         assert s.T is not None
         kind = int if A.ring == ZZ else Fraction
         rhs = []
@@ -584,7 +614,7 @@ def assert_reads_like_oracle(A, rhs, shaped):
     same verdict on every b, A x = b, the unique x when A's columns are a
     basis the reader takes as it is (shaped), and coordinates that rebuild b
     from the kept integer columns and scales."""
-    s, oracle = _Solver(A), DenseSolver(A)
+    s, oracle = solver(A), DenseSolver(A)
     assert (s.T is None) == shaped
     kind = int if A.ring == ZZ else Fraction
     for b in rhs:
@@ -691,13 +721,13 @@ class TestTorsionTarget:
         assert sq.module == FgModule(ZZ, 1, (2,))
         for j in range(sq.module.ngens):
             expect = tuple(int(i == j) for i in range(sq.module.ngens))
-            assert sq.class_of(sq.lift(j)) == expect
+            assert dense(sq.class_of(sq.lift(j)), sq.module.ngens) == expect
         assert sq._solver.T is None
 
     def test_non_cycle_raises(self):
         sq = self.build()
         with pytest.raises(ValueError, match="not a cycle"):
-            sq.class_of((1, 0))
+            sq.class_of(vec((1, 0)))
 
 
 # -- sparse elementary divisors and lazy subquotients --------------------------
@@ -732,25 +762,25 @@ class TestElementaryDivisors:
     @given(st.one_of(integer_matrices(), nonunit_matrices()))
     def test_equals_naive_diagonal(self, A):
         rows = [list(r) for r in A.data]
-        assert elementary_divisors(A) == tuple(naive_diagonal(rows))
+        assert elementary_divisors(ZZ, cols(A)) == tuple(naive_diagonal(rows))
 
     @settings(max_examples=100, deadline=None)
     @given(nonunit_matrices().filter(lambda A: A.rows <= 4 and A.cols <= 5))
     def test_equals_minor_gcds(self, A):
         rows = [list(r) for r in A.data]
-        assert elementary_divisors(A) == tuple(minor_gcd_divisors(rows))
+        assert elementary_divisors(ZZ, cols(A)) == tuple(minor_gcd_divisors(rows))
 
     @settings(max_examples=200, deadline=None)
     @given(matrices(rationals))
     def test_rational_rank(self, shape):
         r, c, rows = shape
         rank = len(dense_rref(rows)[1])
-        assert elementary_divisors(Matrix(QQ, rows, r, c)) == (1,) * rank
+        assert elementary_divisors(QQ, cols(Matrix(QQ, rows, r, c))) == (1,) * rank
 
     def test_empty_shapes(self):
         for r, c in [(0, 0), (0, 3), (3, 0), (2, 2)]:
             for ring in (ZZ, QQ):
-                assert elementary_divisors(Matrix.zeros(ring, r, c)) == ()
+                assert elementary_divisors(ring, cols(Matrix.zeros(ring, r, c))) == ()
 
     def test_residual_only_when_no_unit_is_left(self, monkeypatch):
         import tannakit.linalg as linalg
@@ -762,10 +792,10 @@ class TestElementaryDivisors:
         def dense(rows):
             cols = sorted({c for r in rows for c in r})
             return tuple(tuple(r.get(c, 0) for c in cols) for r in rows)
-        assert elementary_divisors(mz([[1, 1, 0], [1, -1, 0], [0, 0, 4]])) == (1, 2, 4)
+        assert elementary_divisors(ZZ, cols(mz([[1, 1, 0], [1, -1, 0], [0, 0, 4]]))) == (1, 2, 4)
         assert [dense(rows) for rows in seen] == [((-2, 0), (0, 4))]
         seen.clear()
-        assert elementary_divisors(mz([[1, 0], [1, 1]])) == (1, 1)
+        assert elementary_divisors(ZZ, cols(mz([[1, 0], [1, 1]]))) == (1, 1)
         assert seen == []
 
     @settings(max_examples=300, deadline=None)
@@ -780,7 +810,8 @@ class TestElementaryDivisors:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from((ZZ, QQ)).flatmap(ring_matrices))
     def test_cokernel_equals_module_from_relations(self, A):
-        assert FgModule.cokernel(A) == module_from_relations(A.ring, A.rows, A)[0]
+        assert (FgModule.cokernel(A.ring, cols(A), A.rows)
+                == module_from_relations(A.ring, A.rows, cols(A))[0])
 
 
 class TestLazySubquotient:
@@ -789,22 +820,22 @@ class TestLazySubquotient:
         # with the elementary divisors (2,) and (1,) of the two boundaries
         m_in, m_out = mz([[2, 0], [2, 0]]), mz([[1, -1]])
         return Subquotient.free(ZZ, 2, div_in, div_out, lambda: (
-            _nonzero_columns(m_in), _nonzero_columns(m_out), m_out.rows))
+            cols(m_in), cols(m_out), m_out.rows))
 
     def test_module_before_basis(self):
         sq = self.lazy()
         assert sq.module == FgModule(ZZ, 0, (2,))
         assert sq._build is not None
-        assert sq.class_of((1, 1)) == (1,)
+        assert sq.class_of(vec((1, 1))) == vec((1,))
         assert sq._build is None
-        assert sq.class_of(sq.lift(0)) == (1,)
+        assert sq.class_of(sq.lift(0)) == vec((1,))
 
     def test_corrupted_divisors_trip_the_basis_check(self):
-        assert self.lazy((2,), (1,)).class_of((1, 1)) == (1,)
+        assert self.lazy((2,), (1,)).class_of(vec((1, 1))) == vec((1,))
         for div_in, div_out in [((1,), (1,)), ((4,), (1,)), ((2,), ())]:
             sq = self.lazy(div_in, div_out)
             with pytest.raises(AssertionError, match="elementary divisors"):
-                sq.class_of((1, 1))
+                sq.class_of(vec((1, 1)))
             with pytest.raises(AssertionError, match="elementary divisors"):
                 sq.lift(0)
 
@@ -820,8 +851,8 @@ class TestLazySubquotient:
         mc = ModuleComplex(ZZ, {0: z1, 1: z1}, {1: ModuleMap(z1, z1, mz([[2]]))})
         return [
             (lambda: subquotient(d_in, d_out), FgModule(ZZ, 1, (2,))),
-            (lambda: presented_subquotient(Matrix.zeros(ZZ, 2, 0), mz([[2, 0], [0, 3]]),
-                                           Matrix.zeros(ZZ, 0, 2), Matrix.zeros(ZZ, 0, 0)),
+            (lambda: presented(Matrix.zeros(ZZ, 2, 0), mz([[2, 0], [0, 3]]),
+                               Matrix.zeros(ZZ, 0, 2), Matrix.zeros(ZZ, 0, 0)),
              FgModule(ZZ, 0, (6,))),
             (lambda: subquotient(mc.differential(1), mc.differential(0)), FgModule(ZZ, 0, (2,))),
         ], mc
@@ -848,14 +879,15 @@ class TestLazySubquotient:
             count = len(forms)
             for j in range(module.ngens):
                 unit = tuple(int(i == j) for i in range(module.ngens))
-                assert sq.class_of(sq.lift(j)) == module.normalize_vector(unit)
+                assert sq.class_of(sq.lift(j)) == module.normalize_vector(vec(unit))
             assert len(forms) == count + 1 and sq._build is None
 
     def test_corrupted_cokernel_trips_the_lazy_check(self, monkeypatch):
         cases, _ = self.presented()
         real = FgModule.cokernel.__func__
         monkeypatch.setattr(FgModule, "cokernel", classmethod(
-            lambda cls, relations: FgModule(ZZ, real(cls, relations).free_rank + 1)))
+            lambda cls, ring, columns, rows: FgModule(
+                ZZ, real(cls, ring, columns, rows).free_rank + 1)))
         for build, module in cases:
             sq = build()
             assert sq.module != module
@@ -939,22 +971,31 @@ class TestSparseKernel:
     @settings(max_examples=200, deadline=None)
     @given(chain_pairs(), st.randoms(use_true_random=False))
     def test_free_subquotient_equals_presented_subquotient(self, case, rng):
+        """Subquotient.free and presented_subquotient on the sparse columns
+        of the same boundaries give one module, the same lifts, cycles of
+        d_out, and the same classes: those of the drawn coordinates, and
+        those DenseSolver reads off the dense lifts and boundaries."""
         ring, d_in, d_out = case
         n = d_out.cols
-        dense = presented_subquotient(d_in, Matrix.zeros(ring, n, 0),
-                                      d_out, Matrix.zeros(ring, d_out.rows, 0))
-        sq = Subquotient.free(ring, n, elementary_divisors(d_in), elementary_divisors(d_out),
-                              lambda: (_nonzero_columns(d_in), _nonzero_columns(d_out),
-                                       d_out.rows))
-        assert sq.module == dense.module
-        lifts = [sq.lift(j) for j in range(sq.module.ngens)]
-        assert lifts == [dense.lift(j) for j in range(sq.module.ngens)]
+        pres = presented(d_in, Matrix.zeros(ring, n, 0), d_out, Matrix.zeros(ring, d_out.rows, 0))
+        sq = Subquotient.free(ring, n, elementary_divisors(ring, cols(d_in)),
+                              elementary_divisors(ring, cols(d_out)),
+                              lambda: (cols(d_in), cols(d_out), d_out.rows))
+        assert sq.module == pres.module
+        g = sq.module.ngens
+        lifts = [sq.lift(j) for j in range(g)]
+        assert lifts == [pres.lift(j) for j in range(g)]
+        assert not any(any(d_out.apply(dense(z, n))) for z in lifts)
+        oracle = DenseSolver(Matrix.from_sparse(ring, lifts, n).hstack(d_in))
         for _ in range(4):
             # a drawn combination of the lifts plus a drawn boundary
             x = [rng.randint(-3, 3) for _ in lifts]
             b = d_in.apply([rng.randint(-2, 2) for _ in range(d_in.cols)])
-            v = tuple(y + sum(a * z[i] for a, z in zip(x, lifts)) for i, y in enumerate(b))
-            assert sq.class_of(v) == dense.class_of(v) == sq.module.normalize_vector(x)
+            v = tuple(y + sum(a * z.get(i, 0) for a, z in zip(x, lifts))
+                      for i, y in enumerate(b))
+            expect = sq.module.normalize_vector(vec(x))
+            assert sq.class_of(vec(v)) == pres.class_of(vec(v)) == expect
+            assert sq.module.normalize_vector(vec(oracle.solve(v)[:g])) == expect
 
 
 # -- tensor-factor swaps as row and column reorders ---------------------------

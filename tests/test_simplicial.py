@@ -26,6 +26,7 @@ from spaces import (
     CIRCLE3, CIRCLE6, CIRCLE_POINT, EDGE, EMPTY, KLEIN, MOBIUS,
     MOBIUS_BOUNDARY, PATH2, POINT, RP2, SPHERE2, TRIANGLE, cx, pair, sub,
 )
+from sparse_helpers import cols, vec
 from oracles import (
     boundary_matrices, face_closure, homology_groups, pairwise_maximal, staircase_product,
 )
@@ -98,7 +99,7 @@ class TestChainFormat:
         ident = ChainMap(cc, cc, lambda d, s: ((s, 1),))
         for n in cc.degrees:
             assert ident.component(n) == Matrix.identity(QQ, cc.rank(n))
-        assert ident.apply(1, (1, 0, 2)) == (1, 0, 2)
+        assert ident.apply(1, vec((1, 0, 2))) == vec((1, 0, 2))
 
 
 class TestHomology:
@@ -251,7 +252,7 @@ class TestHomologyProperties:
                 sq = cc.homology(n)
                 # forcing class_of builds the cycle basis and asserts its
                 # module equals the one from elementary divisors
-                assert sq.class_of((0,) * cc.rank(n)) == (0,) * sq.module.ngens
+                assert sq.class_of(vec((0,) * cc.rank(n))) == vec((0,) * sq.module.ngens)
                 eager = maps.subquotient(
                     ModuleMap(FgModule.free(ring, cc.rank(n + 1)),
                               FgModule.free(ring, cc.rank(n)), cc.boundary(n + 1)),
@@ -380,7 +381,7 @@ def hermite_les_nodes(p, ring):
     def rank(mm):
         m = mm.matrix.take_rows(range(len(mm.target.torsion), mm.target.ngens))
         m = m.take_cols(range(len(mm.source.torsion), mm.source.ngens))
-        return len(elementary_divisors(m.to_ring(QQ)))
+        return len(elementary_divisors(QQ, cols(m.to_ring(QQ))))
 
     def node(n, position, d_in, d_out):
         try:
@@ -532,7 +533,7 @@ class TestLaziness:
         cc = relative_chain_complex(pair(CIRCLE3), ZZ)
         assert cc.homology_module(1) != FgModule(ZZ, 1)
         with pytest.raises(AssertionError, match="elementary divisors"):
-            cc.homology(1).class_of((0, 0, 0))
+            cc.homology(1).class_of(vec((0, 0, 0)))
 
 
     @pytest.mark.parametrize("name", sorted(spaces.GOLDEN))
@@ -781,11 +782,11 @@ class TestEzAw:
             sq = cxy.homology(n)
             comp = ez.component(n) * aw.component(n)
             for j in range(sq.module.ngens):
-                vec = sq.lift(j)
-                coords = sq.class_of(comp.apply(vec))
+                lift = sq.lift(j)
+                coords = sq.class_of(vec(comp.apply([lift.get(i, 0) for i in range(comp.cols)])))
                 expected = tuple(1 if i == j else 0
                                  for i in range(sq.module.ngens))
-                assert coords == expected
+                assert coords == vec(expected)
 
 
     @settings(max_examples=25, deadline=None)
@@ -800,8 +801,8 @@ class TestCup:
     def test_unit_cochain(self):
         cp = relative_cup_product(CIRCLE3, EMPTY, EMPTY, 0, 0)
         ones0 = tuple(1 for _ in range(3))
-        got = cp.cup_cochain(ones0, 0, ones0, 0)
-        assert got == ones0
+        got = cp.cup_cochain(vec(ones0), 0, vec(ones0), 0)
+        assert got == vec(ones0)
 
     def test_torus_perfect_pairing(self):
         T = product_complex(CIRCLE3, CIRCLE3)
@@ -828,8 +829,9 @@ class TestCup:
         basis1 = [tuple(1 if i == k else 0 for i in range(c1.rank(1)))
                   for k in range(c1.rank(1))]
         for f, g in itertools.islice(itertools.product(basis1, basis0), 40):
-            left = cp.cup_cochain(cp.cup_cochain(f, 1, g, 0), 1, basis1[0], 1)
-            right = cp.cup_cochain(f, 1, cp.cup_cochain(g, 0, basis1[0], 1), 1)
+            f, g, h = vec(f), vec(g), vec(basis1[0])
+            left = cp.cup_cochain(cp.cup_cochain(f, 1, g, 0), 1, h, 1)
+            right = cp.cup_cochain(f, 1, cp.cup_cochain(g, 0, h, 1), 1)
             assert left == right
 
     def test_relative_target_basis(self):
