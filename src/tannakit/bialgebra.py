@@ -225,16 +225,17 @@ def bialgebra_axiom_check(ctx: PairsContext, tower, unit_vertex=None) -> Bialgeb
 # -- sigma --------------------------------------------------------------------
 
 class SigmaSystem:
-    """Matrices of multiplication by sigma along a chain of truncations."""
+    """Multiplication by sigma along a chain of truncations: its steps as
+    (sparse columns, row count), kernel reports, and .steps, a dense view."""
 
-    __slots__ = ("steps", "kernels")
+    __slots__ = ("ring", "maps", "kernels")
 
-    def __init__(self, steps, kernels):
-        self.steps, self.kernels = steps, kernels
+    def __init__(self, ring, maps, kernels):
+        self.ring, self.maps, self.kernels = ring, maps, kernels
 
-    def as_dict(self):
-        return {"steps": [{"shape": [m.rows, m.cols]} for m in self.steps],
-                "kernels": self.kernels}
+    @property
+    def steps(self):
+        return [Matrix.from_sparse(self.ring, cols, rows) for cols, rows in self.maps]
 
 
 def sigma_directed_system(ctx: PairsContext, chain, depth) -> SigmaSystem:
@@ -251,7 +252,7 @@ def sigma_directed_system(ctx: PairsContext, chain, depth) -> SigmaSystem:
     c = ctx.circle
     if c is None:
         raise InputError("no circle vertex designated")
-    steps, sparse = [], []        # sparse: the steps as sparse columns
+    maps = []
     nsteps = min(depth, len(chain) - 1)
     for k in range(nsteps):
         F, Fnext = chain[k], chain[k + 1]
@@ -263,18 +264,17 @@ def sigma_directed_system(ctx: PairsContext, chain, depth) -> SigmaSystem:
             sig, rc = [{j: x for j, x in enumerate(coords) if x}], len(coords)
         mu = product_on_truncations(ctx, F, C, Fnext)
         # column i of mu (1 (x) sigma): mu applied to e_i (x) sigma
-        sparse.append(_compose(
-            mu.columns, [_tensor_apply(None, sig, rc, 1, {i: 1}) for i in range(ctx.end(F).dim)]))
-        steps.append(Matrix.from_sparse(ctx.ring, sparse[-1], mu.EH.dim))
+        maps.append((_compose(mu.columns, [_tensor_apply(None, sig, rc, 1, {i: 1})
+                                           for i in range(ctx.end(F).dim)]), mu.EH.dim))
     # the composite from each start to the end of the chain has as kernel
     # rank its column count less its rank, the pivots of _echelon on its
     # columns taken as rows
     kernels, comp = [], None
-    for k in reversed(range(len(sparse))):
-        comp = sparse[k] if comp is None else _compose(comp, sparse[k])
+    for k in reversed(range(len(maps))):
+        comp = maps[k][0] if comp is None else _compose(comp, maps[k][0])
         kernels.insert(0, {"from": k, "kernel_rank":
                            len(comp) - len(_echelon(_integral(comp), ctx.ring)[0])})
-    return SigmaSystem(steps, kernels)
+    return SigmaSystem(ctx.ring, maps, kernels)
 
 
 # -- the towers of a corpus, and the commands ---------------------------------

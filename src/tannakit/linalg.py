@@ -7,13 +7,15 @@ Subquotient and the sparse eliminations behind them, all in integers: it
 never builds a Fraction, and does not import fractions.  One reduction,
 _echelon, does all row reduction on sparse integer rows (the Hermite form
 over Z, the fraction-free reduced echelon form over Q, which the readers of
-a normalized basis in tannakit.maps and tannakit.smith divide by its
-pivots), and _reduced_columns reads it on A stacked on the identity.
-Invariant factors alone come from a sparse elimination of unit pivots,
-_unit_pivots, with sparse Euclid steps (_residual_divisors, Z) or _echelon
-(Q) on what is left; tannakit.reduction reads a chain-level reduction off
-the same pivots.  A Subquotient's module is read from elementary divisors
-when it is built.
+a normalized basis in tannakit.maps divide by its pivots), and
+_reduced_columns reads it on A stacked on the identity.  Invariant factors
+alone come from a sparse elimination of unit pivots, _unit_pivots, with
+sparse Euclid steps (_residual_divisors, Z) or _echelon (Q) on what is
+left; tannakit.reduction reads a chain-level reduction off the same
+pivots.  _echelon and _residual_divisors clear a column by the same _reduce
+steps (_clear), and tannakit.smith's Smith form with its transforms runs
+_reduce on the same rows.  A Subquotient's module is read from elementary
+divisors when it is built.
 """
 
 from math import gcd, lcm
@@ -77,6 +79,20 @@ def _reduce(row, piv, c, ring):
     return out
 
 
+def _clear(work, c, ring):
+    """Column c of the sparse integer rows work cleared by _reduce steps by
+    the row with the fewest entries (over Z, first the least |entry| at c):
+    (pivot, rest), the row left at c or None, and the others, none zero."""
+    cand = [r for r in work if c in r]
+    rest = [r for r in work if c not in r]
+    while len(cand) > 1:
+        cand.sort(key=(lambda r: (abs(r[c]), len(r))) if ring == ZZ else len)
+        reduced = [_reduce(r, cand[0], c, ring) for r in cand[1:]]
+        rest += [r for r in reduced if r and c not in r]
+        cand = cand[:1] + [r for r in reduced if c in r]
+    return (cand[0] if cand else None), rest
+
+
 def _echelon(rows, ring):
     """Echelon basis of the sparse integer rows {col: int}: (pivots, basis),
     one basis row per pivot column, pivots ascending, zero rows dropped.
@@ -94,16 +110,9 @@ def _echelon(rows, ring):
     work = [r for r in rows if r]
     pivots, basis = [], []
     for c in sorted({j for r in work for j in r}):
-        cand = [r for r in work if c in r]
-        if not cand:
+        piv, work = _clear(work, c, ring)
+        if piv is None:
             continue
-        work = [r for r in work if c not in r]
-        while len(cand) > 1:
-            cand.sort(key=(lambda r: (abs(r[c]), len(r))) if ring == ZZ else len)
-            rest = [_reduce(r, cand[0], c, ring) for r in cand[1:]]
-            work += [r for r in rest if r and c not in r]
-            cand = cand[:1] + [r for r in rest if c in r]
-        piv = cand[0]
         pivots.append(c)
         basis.append(piv if piv[c] > 0 else {j: -x for j, x in piv.items()})
     # above the pivots: a pivot row is zero at earlier pivot columns, so over
@@ -169,15 +178,9 @@ def _residual_divisors(rows):
     while work:
         _, j = min((abs(x), j) for r in work for j, x in r.items())
         while True:
-            cand = [r for r in work if j in r]
-            work = [r for r in work if j not in r]
-            while len(cand) > 1:
-                cand.sort(key=lambda r: (abs(r[j]), len(r)))
-                rest = [_reduce(r, cand[0], j, ZZ) for r in cand[1:]]
-                work += [r for r in rest if r and j not in r]
-                cand = cand[:1] + [r for r in rest if j in r]
-            p = cand[0][j]
-            rest = {c: x % p for c, x in cand[0].items() if c != j and x % p}
+            piv, work = _clear(work, j, ZZ)
+            p = piv[j]
+            rest = {c: x % p for c, x in piv.items() if c != j and x % p}
             if not rest:
                 diagonal.append(abs(p))
                 break

@@ -214,7 +214,8 @@ def module_from_relations(ring, ngens, columns):
     maps old generator coordinates to normalized ones (reduce with
     module.normalize_vector); from_normal lifts normalized generators to old
     coordinates.  Over Z the transforms are the Smith form's, whose dense
-    input is built here, once.
+    input is built here, once: to_normal is U's rows past the unit invariant
+    factors, transposed, and from_normal the same columns of U^-1.
     """
     if ring == ZZ:
         if not columns:
@@ -222,13 +223,11 @@ def module_from_relations(ring, ngens, columns):
             return FgModule(ZZ, ngens), eye, eye
         from .smith import smith_normal_form
         form = smith_normal_form(Matrix.from_sparse(ZZ, columns, ngens))
-        diag = [form.D[i, i] if i < len(columns) else 0 for i in range(ngens)]
-        keep = [i for i, d in enumerate(diag) if d != 1]
-        torsion = [d for d in diag if d > 1]
-        kept = [form.U.row(i) for i in keep]
+        factors = form.invariant_factors
+        keep = [i for i in range(ngens) if i >= len(factors) or factors[i] != 1]
+        torsion = [d for d in factors if d > 1]
         return (FgModule(ZZ, len(keep) - len(torsion), torsion),
-                [{r: row[j] for r, row in enumerate(kept) if row[j]} for j in range(ngens)],
-                form.inverse_columns(keep))
+                _transpose([form.u_rows[i] for i in keep], ngens), form.inverse_columns(keep))
     # over Q: quotient by the span; a coordinate vector reduces to its free
     # coordinates by subtracting the echelon rows at the pivots
     free, to_normal = _null_vectors(*_echelon(_integral(columns), QQ), ngens)

@@ -4,8 +4,8 @@ Every map, presentation and coordinate vector the library computes is kept
 sparse, maps as columns {row: entry}; Matrix is the view that certificates
 print and that tests and oracles build.  A ModuleMap or a Comodule reads
 one given to its constructor once, a corpus comodule's rho is validated
-through one, and the dense Smith form of tannakit.smith and the dense
-forms of tannakit.forms work on it.
+through one, the dense forms of tannakit.forms work on it, and the Smith
+form of tannakit.smith reads its input from one and offers views in it.
 The entry coercion _coerce of Matrix, maps._Solver and the Tannaka layers
 is here too.  jscalar, jvector and jmatrix encode exact scalars, vectors
 and matrices for the command handlers' certificates.  The Kronecker

@@ -5,29 +5,44 @@ integer presentation with relations, in maps.module_from_relations (run on
 a Subquotient's first class_of or lift), whose U and U^-1 fix the torsion
 generators.  Invariant factors alone never need it: the residual that unit
 pivots leave in linalg._sparse_divisors is read by sparse Euclid steps
-(linalg._residual_divisors).
+(linalg._residual_divisors).  It eliminates on sparse integer rows
+{col: int}, as linalg does, and keeps U, D and V so, with dense views.
 """
 
 from functools import cached_property
 
 from . import _deferred
-from .linalg import ZZ
+from .linalg import ZZ, _compose, _reduce
 from .matrix import Matrix
 
 # a module global, so that a test can count the calls of Uinv and Vinv
 _column_reduce = _deferred("forms", "_column_reduce")
 
 
+def _dense(rows, n):
+    """The Matrix of the sparse integer rows {col: int} with n columns."""
+    return Matrix(ZZ, [[r.get(j, 0) for j in range(n)] for r in rows], len(rows), n)
+
+
 class SmithForm:
-    """U*A*V = D with U, V unimodular and the diagonal a divisibility chain.
-    Uinv and Vinv are computed on first read; inverse_columns reads some
-    columns of U^-1 off the row operations that built U."""
+    """U A V = D with U, V unimodular and the diagonal a divisibility chain,
+    as sparse rows; U, D, V, Uinv and Vinv are dense, built on first read.
+    inverse_columns reads columns of U^-1 off the row operations of U."""
 
     def __init__(self, U, D, V, row_ops=()):
-        self.U = U
-        self.D = D
-        self.V = V
-        self._row_ops = row_ops
+        self.u_rows, self.d_rows, self.v_rows, self._row_ops = U, D, V, row_ops
+
+    @cached_property
+    def U(self):
+        return _dense(self.u_rows, len(self.u_rows))
+
+    @cached_property
+    def D(self):
+        return _dense(self.d_rows, len(self.v_rows))
+
+    @cached_property
+    def V(self):
+        return _dense(self.v_rows, len(self.v_rows))
 
     def inverse_columns(self, cols):
         """The columns cols of U^-1, as sparse columns {row: entry}: U is the
@@ -36,9 +51,9 @@ class SmithForm:
         checked."""
         out = []
         for i in cols:
-            x = [0] * self.U.rows
+            x = [0] * len(self.u_rows)
             x[i] = 1
-            unit = tuple(x)
+            unit = x[:]
             for dst, src, q in reversed(self._row_ops):
                 if q is not None:       # row dst -= q row src, undone
                     x[dst] += q * x[src]
@@ -46,7 +61,7 @@ class SmithForm:
                     x[dst] = -x[dst]
                 else:                   # a swap
                     x[dst], x[src] = x[src], x[dst]
-            if self.U.apply(x) != unit:
+            if [sum(y * x[c] for c, y in row.items()) for row in self.u_rows] != unit:
                 raise AssertionError("row operations do not invert the SNF transform")
             out.append({r: y for r, y in enumerate(x) if y})
         return out
@@ -61,8 +76,7 @@ class SmithForm:
 
     @property
     def invariant_factors(self):
-        n = min(self.D.rows, self.D.cols)
-        return tuple(self.D[i, i] for i in range(n) if self.D[i, i] != 0)
+        return tuple(r[i] for i, r in enumerate(self.d_rows) if i in r)
 
     @property
     def rank(self):
@@ -71,140 +85,122 @@ class SmithForm:
 
 def _unimodular_inverse(U):
     """U^-1 for unimodular U: the Hermite basis of its columns is I, so the
-    transform T of _column_reduce has U*T = I."""
+    transform T of _column_reduce has U T = I."""
     H, T, _ = _column_reduce(U)
     if H != Matrix.identity(ZZ, U.rows):
         raise AssertionError("SNF transform is not unimodular")
     return T
 
 
-def _find_pivot(a, k, m, n):
-    best = None
-    bv = None
-    for i in range(k, m):
-        ai = a[i]
-        for j in range(k, n):
-            x = ai[j]
-            if x != 0:
-                ax = -x if x < 0 else x
-                if bv is None or ax < bv:
-                    best, bv = (i, j), ax
-                    if ax == 1:
-                        return best
-    return best
-
-
 def smith_normal_form(A):
     """Smith normal form of an integer matrix, with transforms.
 
-    Eliminates on one bordered matrix: A with I_m to its right, which becomes
-    U, and I_n below it, which becomes V.  A row operation is one pass over
-    A and U, a column operation one pass over A and V.  Pivot selection
-    prefers the entry of smallest absolute value, which keeps intermediate
-    entries from exploding on the matrix sizes used here.
+    Eliminates on sparse integer rows {col: int}: row i < m is A's row i
+    with U's identity row at columns n.., and the n rows after them are V's
+    identity.  A row step is linalg._reduce by the pivot row, which carries
+    U along; a column step is a pass over the rows, A's and V's, that hold
+    its source column.  Pivot selection prefers the entry of smallest
+    absolute value, first in row-major order, which keeps intermediate
+    entries from exploding on the matrix sizes used here.  U A V = D is
+    checked on the sparse rows, as the columns of V^T A^T U^T.
     """
     if A.ring != ZZ:
         raise ValueError("smith_normal_form requires an integer matrix")
     m, n = A.rows, A.cols
-    a = [list(r) + [int(i == j) for j in range(m)] for i, r in enumerate(A.data)]
-    a += [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = [{j: x for j, x in enumerate(r) if x} for r in A.data]
+    a = [{**r, n + i: 1} for i, r in enumerate(rows)] + [{j: 1} for j in range(n)]
     ops = []        # the row operations, in order, for SmithForm.inverse_columns
 
     def swap_cols(i, j):
         for row in a:
-            row[i], row[j] = row[j], row[i]
+            x, y = row.pop(i, 0), row.pop(j, 0)
+            if x:
+                row[j] = x
+            if y:
+                row[i] = y
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         ops.append((i, j, None))
 
-    def addmul_row(dst, src, q):
-        # row_dst -= q * row_src
-        a[dst] = [x - q * y for x, y in zip(a[dst], a[src])]
-        ops.append((dst, src, q))
-
     def addmul_col(dst, src, q):
-        # col_dst -= q * col_src
+        # col_dst -= q * col_src, q != 0
         for row in a:
-            row[dst] -= q * row[src]
+            if src in row:
+                x = row.get(dst, 0) - q * row[src]
+                if x:
+                    row[dst] = x
+                else:
+                    del row[dst]
 
     def clear_position(k):
         while True:
-            # bring the smallest entry of row/col k (from index k on) to (k,k)
-            piv = None
-            bv = None
-            for i in range(k, m):
-                x = a[i][k]
-                if x != 0:
-                    ax = abs(x)
-                    if bv is None or ax < bv:
-                        piv, bv = (i, k), ax
-            for j in range(k, n):
-                x = a[k][j]
-                if x != 0:
-                    ax = abs(x)
-                    if bv is None or ax < bv:
-                        piv, bv = (k, j), ax
+            # bring the smallest entry of col/row k (from index k on) to
+            # (k,k): the first one of column k downwards, then of row k
+            piv = min([(abs(a[i][k]), 0, i) for i in range(k, m) if k in a[i]]
+                      + [(abs(x), 1, j) for j, x in a[k].items() if k < j < n], default=None)
             if piv is None:
-                return False
-            pi, pj = piv
-            if pi != k:
-                swap_rows(pi, k)
-            elif pj != k:
-                swap_cols(pj, k)
-            p = a[k][k]
+                return
+            _, in_row, i = piv
+            if in_row:
+                swap_cols(i, k)
+            elif i != k:
+                swap_rows(i, k)
+            piv, p = a[k], a[k][k]
             done = True
             for i in range(k + 1, m):
-                if a[i][k] != 0:
+                if k in a[i]:
                     q = a[i][k] // p
                     if q:
-                        addmul_row(i, k, q)
-                    if a[i][k] != 0:
-                        done = False
-            for j in range(k + 1, n):
-                if a[k][j] != 0:
-                    q = a[k][j] // p
-                    if q:
-                        addmul_col(j, k, q)
-                    if a[k][j] != 0:
-                        done = False
+                        a[i] = _reduce(a[i], piv, k, ZZ)
+                        ops.append((i, k, q))
+                    done = done and k not in a[i]
+            for j in [j for j in piv if k < j < n]:
+                q = piv[j] // p
+                if q:
+                    addmul_col(j, k, q)
+                done = done and j not in piv
             if done:
-                return True
+                return
 
-    r = min(m, n)
     k = 0
-    while k < r:
-        # move some nonzero entry into the working square first
-        piv = _find_pivot(a, k, m, n)
+    while k < min(m, n):
+        # move the smallest entry of the working square to (k, k) unless
+        # a[k][k] is nonzero and no larger; a unit ends the scan early
+        piv = None
+        for i in range(k, m):
+            for j, x in a[i].items():
+                if k <= j < n and (piv is None or (abs(x), i, j) < piv):
+                    piv = (abs(x), i, j)
+            if piv and piv[0] == 1:
+                break
         if piv is None:
             break
-        if a[k][k] == 0 or abs(a[piv[0]][piv[1]]) < abs(a[k][k]):
-            if piv[0] != k:
-                swap_rows(piv[0], k)
-            if piv[1] != k:
-                swap_cols(piv[1], k)
+        x, i, j = piv
+        if k not in a[k] or x < abs(a[k][k]):
+            if i != k:
+                swap_rows(i, k)
+            if j != k:
+                swap_cols(j, k)
         clear_position(k)
         k += 1
-    rank = k
 
     # enforce the divisibility chain
     changed = True
     while changed:
         changed = False
-        for i in range(rank - 1):
-            di, dj = a[i][i], a[i + 1][i + 1]
-            if dj % di != 0:
+        for i in range(k - 1):
+            if a[i + 1][i + 1] % a[i][i]:
                 addmul_col(i, i + 1, -1)  # col_i += col_{i+1}
                 clear_position(i)
                 changed = True
-    for i in range(rank):
+    for i in range(k):
         if a[i][i] < 0:
-            a[i] = [-x for x in a[i]]
+            a[i] = {j: -x for j, x in a[i].items()}
             ops.append((i, i, None))
 
-    form = SmithForm(Matrix(ZZ, [row[n:] for row in a[:m]], m, m),
-                     Matrix(ZZ, [row[:n] for row in a[:m]], m, n),
-                     Matrix(ZZ, a[m:], n, n), ops)
-    if (form.U * A) * form.V != form.D:
+    form = SmithForm([{j - n: x for j, x in r.items() if j >= n} for r in a[:m]],
+                     [{j: x for j, x in r.items() if j < n} for r in a[:m]], a[m:], ops)
+    if _compose(form.v_rows, _compose(rows, form.u_rows)) != form.d_rows:
         raise AssertionError("SNF internal inconsistency")
     return form

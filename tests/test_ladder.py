@@ -1,8 +1,8 @@
 """tools/ladder.py, the scaling ladder the CI log prints: its cold rung runs
 each of its commands as a fresh process and reports what it loaded, its
-sweep rung runs one seeded pass and accounts for it phase by phase, and its
-les rung certifies the long exact sequence of a pair larger than any in the
-corpus."""
+sweep rung runs one seeded pass and accounts for it phase by phase, its les
+rung certifies the long exact sequence of a pair larger than any in the
+corpus, and its lift rung checks each first lift it times."""
 
 import importlib.util
 import os
@@ -63,3 +63,13 @@ def test_cold_rung_reports_each_command(capsys):
             assert "smith" not in layers, line
     assert lines[-3] == "tokens compiled by the %d commands: %d" % (len(ladder.COLD_COMMANDS),
                                                                     total)
+
+
+def test_lift_rung_lifts_a_cycle_of_class_e0(capsys):
+    ladder = _ladder()
+    ladder.LIFT_SPACE = "klein*circle3"       # the full run's rp2*rp2 takes seconds
+    ladder.lift_rung()
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" over Z")[0] for line in lines] == [
+        "first lift(0) of H_%d(klein*circle3)" % n for n in range(3)]  # H_3 = 0
+    assert all(line.endswith(", cycle of class e_0 True") for line in lines)

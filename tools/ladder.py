@@ -1,5 +1,5 @@
 """Scaling ladder: the cold start of fourteen CLI commands, and in-process
-wall times of the Tannaka layers and of les, printed.
+wall times of the Tannaka layers, of les and of a first lift, printed.
 
     python tools/ladder.py [--quick]
 
@@ -40,10 +40,14 @@ or command with its answer beside its time:
              klein*skel(circle3,0) (LES_PAIR), over Z then Q, with the largest
              rank of the residual complexes its reductions leave (of Z, X and
              the pair) beside the rank of C_1(X).
+  lift       the first lift(0) of each nonzero H_n of rp2*rp2 over Z
+             (LIFT_SPACE), which builds the Smith form of the degree's
+             presentation with its transforms, beside the module; the lift
+             must be a cycle whose class_of is e_0.  Full run only.
 
 --quick runs M_6 to M_12 and W_2 to W_4, about a second after the cold
 rung's few seconds; without it the ladder goes on to M_20 and W_6, where
-check_fragment_bialgebra takes seconds.  Times are wall seconds on the host that runs it, from
+check_fragment_bialgebra takes seconds, and runs the lift rung.  Times are wall seconds on the host that runs it, from
 time.perf_counter; no rung gates anything.
 """
 
@@ -84,6 +88,7 @@ print(" ".join(sorted({m if m.startswith("tannakit.") else m.split(".")[0]
                        for m in sys.modules})))"""
 SEED = 1                                   # the sweep rung's random diagrams
 LES_PAIR = ("klein*circle3", "klein*skel(circle3,0)")
+LIFT_SPACE = "rp2*rp2"
 PHASES = ("context", "End", "structure constants", "coalgebra checks", "comodule axioms",
           "factorization", "bialgebra and sigma")
 
@@ -272,6 +277,24 @@ def les_rung():
               % (*LES_PAIR, ring, wall, ok, residual, complexes[1].rank(1)))
 
 
+def lift_rung():
+    from tannakit.cli import default_corpus_text
+    from tannakit.corpus import Corpus
+    from tannakit.linalg import _compose
+    from tannakit.simplicial import SimplicialPair, pair_homology
+    cx = pair_homology(SimplicialPair(Corpus(default_corpus_text()).expr(LIFT_SPACE)), ZZ)
+    for n in cx.degrees:
+        sq = cx.homology(n)
+        if sq.module.is_zero():
+            continue
+        start = time.perf_counter()
+        z = sq.lift(0)
+        wall = time.perf_counter() - start
+        ok = not _compose(cx.columns(n), [z])[0] and sq.class_of(z) == {0: 1}
+        print("first lift(0) of H_%d(%s) over Z = %r: %.3f s, cycle of class e_0 %s"
+              % (n, LIFT_SPACE, sq.module, wall, ok))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--quick", action="store_true",
@@ -282,6 +305,8 @@ def main(argv=None):
     bialgebra_rung(range(2, 5 if args.quick else 7))
     sweep_rung()
     les_rung()
+    if not args.quick:
+        lift_rung()
     return 0
 
 
