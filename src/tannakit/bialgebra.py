@@ -11,11 +11,11 @@ applied to End(T|H)'s whole basis by one _compose; each image is read by
 two sparse reads, one in each factor's basis, with the two End algebras'
 own solvers.  Failure of that membership is reported as ProductEscape,
 never silently projected.  mu is sparse columns {row: entry}, as tau, the
-End bases and transition maps are; .matrix is a dense view, built when
-read.  Every identity checked here and the sigma step contract those
-columns by maps._tensor_apply or _compose: mu is checked as a coalgebra
-morphism out of the tensor coalgebra A_F (x) A_G by
+End bases and transition maps are.  Every identity checked here and the
+sigma step contract those columns by maps._tensor_apply or _compose: mu is
+checked as a coalgebra morphism out of the tensor coalgebra A_F (x) A_G by
 transition._coalgebra_morphism, the check every transition map passes.
+The sigma-system command prints the sigma steps' sparse columns.
 
 This module imports what a Tannaka pass runs beyond tannakit.tannaka: tau
 (tannakit.kunneth), sigma (tannakit.sigma), transition maps and the
@@ -30,7 +30,7 @@ from .errors import InputError, MissingProducts, ProductEscape, WrongRank
 from .kunneth import _swapped_tensor, kunneth_tau, tensor_swap  # noqa: F401
 from .linalg import _compose, _echelon, _integral, _transpose
 from .maps import _apply, _tensor_apply
-from .matrix import Matrix, jmatrix
+from .matrix import jmatrix
 from .sigma import sigma_element
 from .tannaka import PairsContext, Subdiagram, vertex_payload
 from .transition import _coalgebra_morphism, transition_map
@@ -45,10 +45,6 @@ class MuFragment:
 
     def __init__(self, EF, EG, EH, columns):
         self.EF, self.EG, self.EH, self.columns = EF, EG, EH, columns
-
-    @property
-    def matrix(self) -> Matrix:
-        return Matrix.from_sparse(self.EH.ring, self.columns, self.EH.dim)
 
     def apply(self, f_coords, g_coords):
         return _apply(self.columns, [a * b for a in f_coords for b in g_coords], self.EH.dim)
@@ -137,7 +133,7 @@ class BialgebraCert:
         return {"ok": self.ok, "checks": self.checks}
 
 
-def check_fragment_bialgebra(ctx, mu: MuFragment, cert=None, label=""):
+def check_fragment_bialgebra(mu: MuFragment, cert=None, label=""):
     """Delta o mu = (mu (x) mu) (1 swap 1) (Delta (x) Delta); eps o mu = eps (x) eps.
 
     That is, mu is a coalgebra morphism out of the tensor coalgebra
@@ -156,8 +152,7 @@ def check_fragment_bialgebra(ctx, mu: MuFragment, cert=None, label=""):
     return cert
 
 
-def check_commutativity(ctx, muFG: MuFragment, muGF: MuFragment, cert=None,
-                        label=""):
+def check_commutativity(muFG: MuFragment, muGF: MuFragment, cert=None, label=""):
     """mu_{F,G} = mu_{G,F} o flip after landing in the same truncation."""
     cert = BialgebraCert() if cert is None else cert
     if muFG.EH is not muGF.EH and muFG.EH.sub.vertices != muGF.EH.sub.vertices:
@@ -203,14 +198,12 @@ def bialgebra_axiom_check(ctx: PairsContext, tower, unit_vertex=None) -> Bialgeb
                 continue
             mu = product_on_truncations(ctx, F, G, host)
             fragments[(i, j)] = mu
-            check_fragment_bialgebra(ctx, mu, cert=cert,
-                                     label="[F%d,F%d]" % (i, j))
+            check_fragment_bialgebra(mu, cert=cert, label="[F%d,F%d]" % (i, j))
     for (i, j), mu in fragments.items():
         mirror = fragments.get((j, i))
         if mirror is not None and \
            mirror.EH.sub.vertices == mu.EH.sub.vertices:
-            check_commutativity(ctx, mu, mirror, cert=cert,
-                                label="[F%d,F%d]" % (i, j))
+            check_commutativity(mu, mirror, cert=cert, label="[F%d,F%d]" % (i, j))
     if unit_vertex is not None:
         for i, F in enumerate(tower):
             if unit_vertex in F.vertices:
@@ -226,16 +219,12 @@ def bialgebra_axiom_check(ctx: PairsContext, tower, unit_vertex=None) -> Bialgeb
 
 class SigmaSystem:
     """Multiplication by sigma along a chain of truncations: its steps as
-    (sparse columns, row count), kernel reports, and .steps, a dense view."""
+    (sparse columns, row count), and kernel reports."""
 
     __slots__ = ("ring", "maps", "kernels")
 
     def __init__(self, ring, maps, kernels):
         self.ring, self.maps, self.kernels = ring, maps, kernels
-
-    @property
-    def steps(self):
-        return [Matrix.from_sparse(self.ring, cols, rows) for cols, rows in self.maps]
 
 
 def sigma_directed_system(ctx: PairsContext, chain, depth) -> SigmaSystem:
@@ -319,7 +308,7 @@ def cmd_sigma_system(corpus, ring, args):
     ctx, tower, _unit = corpus.tower(args.tower, ring)
     system = sigma_directed_system(ctx, tower, args.depth)
     res = {"tower": args.tower, "depth": args.depth,
-           "steps": [jmatrix(m) for m in system.steps],
+           "steps": [jmatrix(cols, rows) for cols, rows in system.maps],
            "kernels": system.kernels}
     ok = all(k["kernel_rank"] == 0 for k in system.kernels)
     return res, ok

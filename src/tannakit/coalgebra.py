@@ -5,11 +5,11 @@ the comodule morphism identity, with the coalgebra and coaction commands.
 
 The comultiplication, the counit and the canonical comodules are kept as
 sparse columns {row: entry} from start to finish, filled straight from the
-structure constants, the unit and the basis columns; their dense Matrix is
-a view built when a certificate reads it.  The coalgebra and comodule axioms and
-the comodule morphism identities add both sides of each column into one
-dict by maps._tensor_apply, over Q in integers scaled by common
-denominators.  Comodule is the one comodule type, and keeps its axioms and
+structure constants, the unit and the basis columns, and the commands
+print those columns.  The coalgebra and comodule axioms and the comodule
+morphism identities add both sides of each column into one dict by
+maps._tensor_apply, over Q in integers scaled by common denominators
+(maps._integer_columns).  Comodule is the one comodule type, and keeps its axioms and
 its module once computed.
 
 EndAlgebra's methods structure_constants, coalgebra and comodule keep
@@ -21,7 +21,7 @@ from math import lcm
 
 from .errors import AxiomViolation, DimensionMismatch, InputError
 from .linalg import QQ, ZZ, FgModule, _compose, _integral
-from .maps import _nonzero_columns, _order_relations, _tensor_apply
+from .maps import _integer_columns, _nonzero_columns, _order_relations, _tensor_apply
 from .matrix import Matrix, _coerce, jmatrix
 from .tannaka import EndAlgebra, end_algebra
 
@@ -148,16 +148,6 @@ def _coassociative(delta, rho, n, r, orders=None, scales=(1, 1), ring=ZZ):
     return True
 
 
-def _integer_columns(cols, ring):
-    """Sparse columns {row: entry} as (integer columns, D): D is the lcm of
-    every denominator and the integer columns are D times the given ones."""
-    if ring == ZZ:
-        return cols, 1
-    d = lcm(*(x.denominator for col in cols for x in col.values()))
-    return [{i: x.numerator * (d // x.denominator) for i, x in col.items()}
-            for col in cols], d
-
-
 def _counit_identity(rho, eps, r, scale, left=True, orders=None, ring=ZZ):
     """(eps (x) id) rho == id, or (id (x) eps) rho == id when not left, for
     integer columns rho and an integer counit given as columns {0: eps_i},
@@ -197,17 +187,15 @@ class CoalgebraTrunc:
     delta_columns is the comultiplication as sparse columns {row: entry}
     over its nonzeros, rows row-major tensor indices i * rank + j; it and
     counit_columns ({0: eps_k} over the nonzeros) are the data, read by
-    every check against this coalgebra.  The dense rank^2 x rank matrix
-    delta, built on first read, and the 1 x rank counit are views, for the
-    certificates that print them.  The columns and the counit are also kept
-    as integers times a common denominator (1 over Z), computed once here:
-    coassociativity and the counit identities, asserted at construction,
-    and the comodule checks contract those, without Fractions or Kronecker
-    products.
+    every check against this coalgebra, and the coalgebra command prints.
+    The columns and the counit are also kept as integers times a common
+    denominator (1 over Z), computed once here: coassociativity and the
+    counit identities, asserted at construction, and the comodule checks
+    contract those, without Fractions or Kronecker products.
     """
 
-    __slots__ = ("ring", "rank", "delta_columns", "counit_columns", "_delta",
-                 "_integer_delta", "_denominator", "_integer_counit")
+    __slots__ = ("ring", "rank", "delta_columns", "counit_columns", "_integer_delta",
+                 "_denominator", "_integer_counit")
 
     def __init__(self, ring, rank, delta_columns, counit_columns):
         n2 = rank * rank
@@ -220,7 +208,6 @@ class CoalgebraTrunc:
         self.rank = rank
         self.delta_columns = cols = delta_columns
         self.counit_columns = counit_columns
-        self._delta = None
         self._integer_delta, self._denominator = idelta, d = _integer_columns(cols, ring)
         if not _coassociative(idelta, idelta, rank, rank):
             raise AxiomViolation("comultiplication is not coassociative")
@@ -228,19 +215,6 @@ class CoalgebraTrunc:
         if not (_counit_identity(idelta, eps, rank, d * de)
                 and _counit_identity(idelta, eps, rank, d * de, left=False)):
             raise AxiomViolation("counit identities fail")
-
-    @property
-    def delta(self):
-        """The dense rank^2 x rank comultiplication matrix."""
-        if self._delta is None:
-            self._delta = Matrix.from_sparse(self.ring, self.delta_columns,
-                                             self.rank * self.rank)
-        return self._delta
-
-    @property
-    def counit(self):
-        """The dense 1 x rank counit matrix."""
-        return Matrix.from_sparse(self.ring, self.counit_columns, 1)
 
     def grouplike_defect(self, coords):
         """Delta(x) - x (x) x for an element given by coordinates."""
@@ -293,8 +267,7 @@ class Comodule:
     and normalized: over Z its entries are reduced modulo the order of their
     row's generator, over Q a generator of order t > 1 is zero, and so are
     its rows.  It is kept as its sparse columns, columns, and, over Q as
-    integers times their common denominator, for every identity check; the
-    dense rho is a view built when a certificate reads it.
+    integers times their common denominator, for every identity check.
 
     A Comodule is not changed once built, so what is computed from it is
     computed once and kept: axioms(), read by check_coaction_axioms,
@@ -302,8 +275,8 @@ class Comodule:
     underlying module.
     """
 
-    __slots__ = ("coalgebra", "gen_orders", "columns", "_rho", "_columns", "_denominator",
-                 "_axioms", "_module")
+    __slots__ = ("coalgebra", "gen_orders", "columns", "_columns", "_denominator", "_axioms",
+                 "_module")
 
     def __init__(self, coalgebra, gen_orders, rho):
         k, n, ring = len(gen_orders), coalgebra.rank, coalgebra.ring
@@ -328,17 +301,9 @@ class Comodule:
                 reduced = ({i: x % orders[i % k] if orders[i % k] else x
                             for i, x in col.items()} for col in rho)
                 rho = [{i: x for i, x in col.items() if x} for col in reduced]
-        self.coalgebra, self.gen_orders, self.columns, self._rho = coalgebra, orders, rho, None
+        self.coalgebra, self.gen_orders, self.columns = coalgebra, orders, rho
         self._columns, self._denominator = _integer_columns(rho, ring)
         self._axioms = self._module = None
-
-    @property
-    def rho(self) -> Matrix:
-        """The dense (n k) x k coaction matrix, built on first read."""
-        if self._rho is None:
-            self._rho = Matrix.from_sparse(self.coalgebra.ring, self.columns,
-                                           self.coalgebra.rank * self.ngens)
-        return self._rho
 
     @property
     def module(self) -> FgModule:
@@ -392,7 +357,8 @@ def cmd_coalgebra(corpus, ring, args):
     ctx, sub = corpus.subdiagram(args.subdiagram, ring)
     A = ctx.coalgebra(sub)
     return {"subdiagram": args.subdiagram, "rank": A.rank,
-            "delta": jmatrix(A.delta), "counit": jmatrix(A.counit),
+            "delta": jmatrix(A.delta_columns, A.rank * A.rank),
+            "counit": jmatrix(A.counit_columns, 1),
             "axioms": "asserted at construction"}, True
 
 
@@ -403,5 +369,5 @@ def cmd_coaction(corpus, ring, args):
     co = coaction(ctx.rep, sub, args.vertex, ctx.end(sub), ctx.coalgebra(sub))
     coassoc, counit = check_coaction_axioms(co)
     return {"subdiagram": args.subdiagram, "vertex": args.vertex,
-            "rho": jmatrix(co.rho), "coassociative": coassoc,
+            "rho": jmatrix(co.columns, co.coalgebra.rank * co.ngens), "coassociative": coassoc,
             "counital": counit}, coassoc and counit

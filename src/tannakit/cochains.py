@@ -7,7 +7,7 @@ full.
 
 from .errors import InvalidPair
 from .linalg import ZZ, FgModule, Subquotient, _transpose
-from .matrix import Matrix, jscalar
+from .matrix import jscalar
 from .simplicial import SimplicialPair, pair_homology
 
 class CupProduct:
@@ -80,14 +80,6 @@ class CupProduct:
                 row.append(hpq.class_of(cup))
             rows.append(row)
         return rows
-
-    def pairing_matrix(self):
-        """For rank-1 targets: the pairing as a plain matrix."""
-        tgt = self.cohomology_module(12, self.p + self.q)
-        if tgt.ngens != 1:
-            raise ValueError("pairing matrix needs a rank-1 target")
-        return Matrix(self.ring, [[c.get(0, 0) for c in row] for row in self.pairing],
-                      len(self.pairing), len(self.pairing[0]) if self.pairing else 0)
 
     def graded_commutativity_defects(self):
         """Pairs (a,b) where [f_a u g_b] != (-1)^{pq} [g_b u f_a].

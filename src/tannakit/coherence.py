@@ -68,8 +68,8 @@ def check_tau_associativity(ctx: PairsContext, v, w, x):
 
 # -- associativity of the products of truncations -----------------------------
 
-def check_associativity(ctx, mu_fg, mu_fg_k, mu_gk, mu_f_gk, t_left, t_right,
-                        cert=None, label=""):
+def check_associativity(mu_fg, mu_fg_k, mu_gk, mu_f_gk, t_left, t_right, cert=None,
+                        label=""):
     """Compare mu(mu (x) 1) and mu(1 (x) mu) after transitions into a common
     truncation.  t_left, t_right are TransitionMaps from the two targets."""
     cert = BialgebraCert() if cert is None else cert

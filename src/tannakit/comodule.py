@@ -251,6 +251,5 @@ def cmd_torsionfree_cover(corpus, ring, args):
     return {"comodule": args.comodule,
             "source_module": m.module.describe(),
             "cover_module": cover.cover.module.describe(),
-            "surjection": jmatrix(Matrix.from_sparse(ZZ, cover.surjection, m.ngens)),
-            "embedding": jmatrix(Matrix.from_sparse(ZZ, cover.embedding,
-                                                    cover.extended.ngens))}, True
+            "surjection": jmatrix(cover.surjection, m.ngens),
+            "embedding": jmatrix(cover.embedding, cover.extended.ngens)}, True

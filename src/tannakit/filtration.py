@@ -176,8 +176,8 @@ def cmd_filtration(corpus, ring, args):
     res = {"filtration": args.filtration, "very_good": rep.ok,
            "terms": {"degree %d" % i: mc.term(i).describe()
                      for i in range(0, F.length + 1)},
-           "differentials": {"d%d" % i: jmatrix(mc.differential(i).matrix)
-                             for i in range(1, F.length + 1)}}
+           "differentials": {"d%d" % i: jmatrix(d.columns, d.target.ngens)
+                             for i, d in mc.maps.items()}}
     return res, True
 
 

@@ -1,35 +1,19 @@
-"""The dense canonical forms rref, hnf_columns and _column_reduce, the
-exact determinant and the Kronecker product Matrix.kron.
+"""The dense canonical forms rref and hnf_columns, the exact determinant
+and the Kronecker product Matrix.kron.
 
 The kunneth command calls one of them, the determinant of tau.  The tests
-read the three forms against their dense oracles, SmithForm.Uinv and .Vinv
-(the full inverses of criterion 01) invert a transform by _column_reduce,
-and the benchmark's tracer wraps rref and hnf_columns by name.  Each form
-reads linalg._echelon, whose rows over Q are fraction-free, and divides
-them by their pivots.
+read the two forms against their dense oracles, and the benchmark's tracer
+wraps rref, hnf_columns and Matrix.kron by name.  Each form reads
+linalg._echelon, whose rows over Q are fraction-free, and divides them by
+their pivots.
 """
 
 from fractions import Fraction
 from math import lcm, prod
 
-from .linalg import QQ, ZZ, _echelon, _integral, _reduced_columns
+from .linalg import QQ, ZZ, _echelon, _integral
 from .maps import _nonzero_columns
 from .matrix import Matrix
-
-
-def _column_reduce(A):
-    """_reduced_columns of A as Matrices (H, T, K): A*T = H, and K is a
-    basis of ker(A); over Q each reduced column is divided by its pivot, the
-    first entry of its H part, or of its T part in K."""
-    m, ring = A.rows, A.ring
-    head, tail, image = _reduced_columns(ring, _nonzero_columns(A), m)
-    if ring == QQ:
-        pivots = [h[min(h)] for h in head] + [t[min(t)] for t in tail[image:]]
-        head = [{i: Fraction(x, p) for i, x in h.items()} for h, p in zip(head, pivots)]
-        tail = [{i: Fraction(x, p) for i, x in t.items()} for t, p in zip(tail, pivots)]
-    return (Matrix.from_sparse(ring, head, m),
-            Matrix.from_sparse(ring, tail[:image], A.cols),
-            Matrix.from_sparse(ring, tail[image:], A.cols))
 
 
 def rref(A):

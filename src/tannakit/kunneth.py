@@ -8,9 +8,10 @@ the Alexander-Whitney images in the sparse classes z_i (x) w_j, outer
 products of the sparse cycles lift returns, modulo the tensor complex's
 boundaries, and its Eilenberg-Zilber inverse, read off the sparse cycle
 classes class_of returns, is checked on both sides by _compose; both are
-square sparse columns, and .matrix and .inverse are dense views, built
-when read.  The tensor product of two modules is the cokernel of the
-sparse relation columns of each tensored with the other's generators.
+square sparse columns, which the kunneth command prints, with the
+determinant of tau's one dense Matrix.  The tensor product of two modules
+is the cokernel of the sparse relation columns of each tensored with the
+other's generators.
 """
 
 from .errors import NotGoodPair
@@ -173,14 +174,6 @@ class TauIso:
         self.v, self.w, self.vw, self.ring = v, w, vw, ring
         self.columns, self.inverse_columns = columns, inverse_columns
 
-    @property
-    def matrix(self) -> Matrix:
-        return Matrix.from_sparse(self.ring, self.columns, len(self.columns))
-
-    @property
-    def inverse(self) -> Matrix:
-        return Matrix.from_sparse(self.ring, self.inverse_columns, len(self.columns))
-
 
 def kunneth_tau(ctx: PairsContext, v, w) -> TauIso:
     """Kunneth isomorphism on good pairs, via relative AW with EZ inverse."""
@@ -227,9 +220,10 @@ def cmd_kunneth(corpus, ring, args):
     determinant when it is square."""
     ctx = corpus.context(args.diagram, ring)
     tau = ctx.tau(args.v, args.w)
+    n = len(tau.columns)
     res = {"v": args.v, "w": args.w, "product_vertex": tau.vw,
-           "matrix": jmatrix(tau.matrix), "inverse": jmatrix(tau.inverse)}
-    if tau.columns:                 # tau is square
+           "matrix": jmatrix(tau.columns, n), "inverse": jmatrix(tau.inverse_columns, n)}
+    if n:
         from .forms import determinant
-        res["det"] = jscalar(determinant(tau.matrix))
+        res["det"] = jscalar(determinant(Matrix.from_sparse(ring, tau.columns, n)))
     return res, True

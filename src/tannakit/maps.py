@@ -9,9 +9,12 @@ homology.
 
 Every map, presentation and coordinate vector here is sparse: a map is its
 columns {row: entry} over the nonzeros with a row count, a vector its
-nonzeros {index: entry}.  A ModuleMap keeps its columns, and its dense
-Matrix is a view built when a certificate or a test reads it; the
-constructor also takes a dense Matrix, read once.  kernel reads _echelon on
+nonzeros {index: entry}.  A ModuleMap keeps its columns, which the
+certificates print; .matrix, the dense view the benchmark reads, is the one
+view left, and the constructor also takes a dense Matrix, read once.  Over
+Q sparse columns are cleared of their denominators by one rule,
+_integer_columns, for the End constraints and the coalgebra and comodule
+identities.  kernel reads _echelon on
 sparse columns (over Z through _reduced_columns, A stacked on the
 identity), and so do Q module_from_relations and image bases, each dividing
 the fraction-free rows of _echelon over Q by their pivots.  One reader,
@@ -202,6 +205,16 @@ def normalize_vector(module, vec):
     return {i: x for i, x in out.items() if x}
 
 
+def _integer_columns(cols, ring):
+    """Sparse columns {row: entry} as (integer columns, D): D is the lcm of
+    every denominator and the integer columns are D times the given ones."""
+    if ring == ZZ:
+        return cols, 1
+    d = lcm(*(x.denominator for col in cols for x in col.values()))
+    return [{i: x.numerator * (d // x.denominator) for i, x in col.items()}
+            for col in cols], d
+
+
 def _order_relations(orders):
     """Relation columns t e_i, one for each generator i of order t > 0."""
     return [{i: t} for i, t in enumerate(orders) if t]
@@ -242,7 +255,7 @@ class ModuleMap:
     The constructor takes those columns, or a dense Matrix, which it reads
     once.  Well-definedness on torsion (relations map into relations) is
     checked at construction; entries over torsion rows are stored reduced.
-    .matrix is the dense view, built on first read.
+    .matrix is the dense view, built on first read, that the benchmark reads.
     """
 
     __slots__ = ("source", "target", "columns", "_matrix")
@@ -443,10 +456,6 @@ class ChainMap:
             if left != right:
                 raise AssertionError("chain map fails to commute at degree %d" % d)
 
-    def component(self, d):
-        """The dense view of degree d."""
-        return Matrix.from_sparse(self.source.ring, self._cols.get(d, ()), self.target.rank(d))
-
     def apply(self, d, vec):
         """The image {i: x} of a chain of degree d, given by its nonzero
         coordinates {i: x}."""
@@ -517,4 +526,4 @@ def cmd_triple_boundary(corpus, ring, args):
     W = corpus.expr(args.W)
     m = triple_boundary(X, Z, W, args.degree, ring)
     return {"degree": args.degree, "source": m.source.describe(),
-            "target": m.target.describe(), "matrix": jmatrix(m.matrix)}, True
+            "target": m.target.describe(), "matrix": jmatrix(m.columns, m.target.ngens)}, True

@@ -1,14 +1,14 @@
-"""The dense matrix view: Matrix, an immutable dense matrix over Z or Q.
+"""The certificate printers and Matrix, an immutable dense matrix over Z or Q.
 
 Every map, presentation and coordinate vector the library computes is kept
-sparse, maps as columns {row: entry}; Matrix is the view that certificates
-print and that tests and oracles build.  A ModuleMap or a Comodule reads
-one given to its constructor once, a corpus comodule's rho is validated
-through one, the dense forms of tannakit.forms work on it, and the Smith
-form of tannakit.smith reads its input from one and offers views in it.
-The entry coercion _coerce of Matrix, maps._Solver and the Tannaka layers
-is here too.  jscalar, jvector and jmatrix encode exact scalars, vectors
-and matrices for the command handlers' certificates.  The Kronecker
+sparse, maps as columns {row: entry}.  jscalar, jvector and jmatrix encode
+exact scalars, vectors and sparse columns for the command handlers'
+certificates.  Matrix is the dense type that tests, oracles and the
+benchmark build: a ModuleMap or a Comodule reads one given to its
+constructor once, a corpus comodule's rho is validated through one, the
+dense forms of tannakit.forms work on it, and the Smith form of
+tannakit.smith reads its input from one.  The entry coercion _coerce of
+Matrix, maps._Solver and the Tannaka layers is here too.  The Kronecker
 product, which no command runs (every tensor identity contracts sparse
 columns by maps._tensor_apply), is in tannakit.forms.
 """
@@ -209,8 +209,10 @@ def jscalar(x):
     return int(x) if x.denominator == 1 else "%d/%d" % (x.numerator, x.denominator)
 
 
-def jmatrix(m):
-    return [[jscalar(x) for x in m.row(i)] for i in range(m.rows)]
+def jmatrix(columns, rows):
+    """Sparse columns {row: entry} as the jscalar rows of their dense
+    rows x len(columns) matrix."""
+    return [[jscalar(col.get(i, 0)) for col in columns] for i in range(rows)]
 
 
 def jvector(v):

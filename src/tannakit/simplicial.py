@@ -174,11 +174,10 @@ class ChainComplex:
     (label of degree d - 1, coeff) pairs; labels outside the basis are
     dropped, which is the quotient map.  Each boundary is kept as sparse
     integer columns {row: coeff}, and d o d = 0 is checked once, at
-    construction.  boundary(d) is the dense view, built on first use.
+    construction.
     """
 
-    __slots__ = ("ring", "_labels", "_index", "_cols", "_bnd", "_homology", "_divisors",
-                 "_reduction")
+    __slots__ = ("ring", "_labels", "_index", "_cols", "_homology", "_divisors", "_reduction")
 
     def __init__(self, ring, labels, faces):
         self.ring = ring
@@ -190,7 +189,6 @@ class ChainComplex:
         for d in self._cols:
             if d - 1 in self._cols and not _composes_to_zero(self._cols[d - 1], self._cols[d]):
                 raise AssertionError("d o d != 0 at degree %d" % d)
-        self._bnd = {}
         self._homology = {}
         self._divisors = {}
         self._reduction = None      # reduction.reduction(self), built by les
@@ -223,13 +221,6 @@ class ChainComplex:
     def columns(self, d):
         """The sparse columns {row: coeff} of the boundary of degree d."""
         return self._cols.get(d, [{}] * self.rank(d))
-
-    def boundary(self, d):
-        m = self._bnd.get(d)
-        if m is None:
-            from .matrix import Matrix
-            m = self._bnd[d] = Matrix.from_sparse(self.ring, self.columns(d), self.rank(d - 1))
-        return m
 
     def divisors(self, d):
         """Nonzero elementary divisors of the boundary of degree d: its

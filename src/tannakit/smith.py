@@ -6,43 +6,20 @@ a Subquotient's first class_of or lift), whose U and U^-1 fix the torsion
 generators.  Invariant factors alone never need it: the residual that unit
 pivots leave in linalg._sparse_divisors is read by sparse Euclid steps
 (linalg._residual_divisors).  It eliminates on sparse integer rows
-{col: int}, as linalg does, and keeps U, D and V so, with dense views.
+{col: int}, as linalg does, and keeps U, D and V so; the columns of U^-1
+are read off its logged row operations.
 """
 
-from functools import cached_property
-
-from . import _deferred
 from .linalg import ZZ, _compose, _reduce
-from .matrix import Matrix
-
-# a module global, so that a test can count the calls of Uinv and Vinv
-_column_reduce = _deferred("forms", "_column_reduce")
-
-
-def _dense(rows, n):
-    """The Matrix of the sparse integer rows {col: int} with n columns."""
-    return Matrix(ZZ, [[r.get(j, 0) for j in range(n)] for r in rows], len(rows), n)
 
 
 class SmithForm:
     """U A V = D with U, V unimodular and the diagonal a divisibility chain,
-    as sparse rows; U, D, V, Uinv and Vinv are dense, built on first read.
-    inverse_columns reads columns of U^-1 off the row operations of U."""
+    as sparse rows u_rows, d_rows and v_rows.  inverse_columns reads columns
+    of U^-1 off the row operations of U."""
 
     def __init__(self, U, D, V, row_ops=()):
         self.u_rows, self.d_rows, self.v_rows, self._row_ops = U, D, V, row_ops
-
-    @cached_property
-    def U(self):
-        return _dense(self.u_rows, len(self.u_rows))
-
-    @cached_property
-    def D(self):
-        return _dense(self.d_rows, len(self.v_rows))
-
-    @cached_property
-    def V(self):
-        return _dense(self.v_rows, len(self.v_rows))
 
     def inverse_columns(self, cols):
         """The columns cols of U^-1, as sparse columns {row: entry}: U is the
@@ -66,14 +43,6 @@ class SmithForm:
             out.append({r: y for r, y in enumerate(x) if y})
         return out
 
-    @cached_property
-    def Uinv(self):
-        return _unimodular_inverse(self.U)
-
-    @cached_property
-    def Vinv(self):
-        return _unimodular_inverse(self.V)
-
     @property
     def invariant_factors(self):
         return tuple(r[i] for i, r in enumerate(self.d_rows) if i in r)
@@ -81,15 +50,6 @@ class SmithForm:
     @property
     def rank(self):
         return len(self.invariant_factors)
-
-
-def _unimodular_inverse(U):
-    """U^-1 for unimodular U: the Hermite basis of its columns is I, so the
-    transform T of _column_reduce has U T = I."""
-    H, T, _ = _column_reduce(U)
-    if H != Matrix.identity(ZZ, U.rows):
-        raise AssertionError("SNF transform is not unimodular")
-    return T
 
 
 def smith_normal_form(A):

@@ -22,7 +22,6 @@ build was 2-3% of the job time.
 """
 
 from itertools import accumulate
-from math import lcm
 
 from . import _lazy
 from .errors import (
@@ -30,9 +29,10 @@ from .errors import (
 )
 from .linalg import QQ, ZZ, FgModule, _transpose
 from .maps import (
-    ModuleMap, _Solver, elementary_divisors, induced_map_on_homology, kernel, triple_boundary,
+    ModuleMap, _integer_columns, _Solver, elementary_divisors, induced_map_on_homology, kernel,
+    triple_boundary,
 )
-from .matrix import Matrix, _coerce, jmatrix, jvector
+from .matrix import _coerce, jmatrix, jvector
 from .simplicial import product_complex, product_pair, relative_homology
 
 # the names of later layers that bench/ and _later read through this module
@@ -199,8 +199,8 @@ class EndAlgebra:
     echelon basis, read off the kernel of the constraint columns taken
     backwards.  In both forms each basis column has a pivot, its first
     nonzero row, where every later column is zero (and over Q every other
-    column).  The basis is kept as its sparse columns, basis_columns (basis
-    is their dense view), and one _Solver on them reads every coordinate:
+    column).  The basis is kept as its sparse columns, basis_columns, and
+    one _Solver on them reads every coordinate:
     the unit, coordinates(), the structure constants of sparse products,
     the restricted families of transition_map and the two solves of
     bialgebra.product_on_truncations.  Structure constants, the dual
@@ -229,10 +229,7 @@ class EndAlgebra:
         back, total = self.ring == QQ, self.total
         cols, r = [{} for _ in range(total)], 0
         for (name, src, dst, _kind) in sub.edges:
-            m = rep.edge_map(name).columns
-            if back:
-                d = lcm(*(x.denominator for col in m for x in col.values()))
-                m = [{i: x.numerator * (d // x.denominator) for i, x in col.items()} for col in m]
+            m = _integer_columns(rep.edge_map(name).columns, self.ring)[0]
             rs, rd, s0, d0 = rep.rank(src), rep.rank(dst), offsets[src], offsets[dst]
             mrows = _transpose(m, rd)
             for i in range(rd):
@@ -265,15 +262,6 @@ class EndAlgebra:
     @property
     def dim(self):
         return len(self.basis_columns)
-
-    @property
-    def basis(self) -> Matrix:
-        return Matrix.from_sparse(self.ring, self.basis_columns, self.total)
-
-    def component(self, i, v) -> Matrix:
-        r, off, col = self.rep.rank(v), self.offsets[v], self.basis_columns[i]
-        return Matrix(self.ring, [[col.get(off + a * r + b, 0) for b in range(r)]
-                                  for a in range(r)], r, r)
 
     def coordinates(self, flat):
         """Coordinates of a flat family vector in the basis, or None."""
@@ -364,9 +352,13 @@ def cmd_end_algebra(corpus, ring, args):
     by block, and over Z whether the basis is saturated."""
     ctx, sub = corpus.subdiagram(args.subdiagram, ring)
     E = ctx.end(sub)
-    basis = []
-    for i in range(E.dim):
-        basis.append({v: jmatrix(E.component(i, v)) for v in E.order})
+    basis = [{} for _ in range(E.dim)]
+    for v in E.order:
+        r, off = E.rep.rank(v), E.offsets[v]
+        for family, col in zip(basis, E.basis_columns):
+            # column b of the block at v holds entry (a, b) at off + a r + b
+            family[v] = jmatrix([{a: col.get(off + a * r + b, 0) for a in range(r)}
+                                 for b in range(r)], r)
     res = {"subdiagram": args.subdiagram, "dimension": E.dim,
            "unit": jvector(E.unit), "basis": basis}
     if ring == ZZ:

@@ -7,14 +7,15 @@ transition and factorization-check commands.
 Both are checked on sparse columns: _coalgebra_morphism adds both sides of
 each column into one dict by maps._tensor_apply (the check every product
 of truncations passes too), and coalgebra._intertwines checks the comodule
-morphism identities.
+morphism identities.  A TransitionMap is its sparse columns, which the
+transition command prints.
 """
 
 from .coalgebra import _intertwines, check_coaction_axioms, coaction
 from .errors import AxiomViolation, InputError
 from .linalg import _transpose
 from .maps import _tensor_apply
-from .matrix import Matrix, jmatrix
+from .matrix import jmatrix
 from .tannaka import EndAlgebra, end_algebra
 
 
@@ -41,10 +42,6 @@ class TransitionMap:
 
     def __init__(self, source, target, columns):
         self.source, self.target, self.columns = source, target, columns
-
-    @property
-    def matrix(self) -> Matrix:
-        return Matrix.from_sparse(self.target.ring, self.columns, self.target.rank)
 
 
 def transition_map(rep, EF: EndAlgebra, EG: EndAlgebra) -> TransitionMap:
@@ -135,7 +132,7 @@ def cmd_transition(corpus, ring, args):
         raise InputError("subdiagrams live on different diagrams")
     t = transition_map(ctx.rep, ctx.end(subF), ctx.end(subG))
     return {"from": args.sub_small, "to": args.sub_big,
-            "matrix": jmatrix(t.matrix),
+            "matrix": jmatrix(t.columns, t.target.rank),
             "checks": "coalgebra morphism and coaction compatibility asserted"}, True
 
 

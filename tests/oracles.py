@@ -455,7 +455,7 @@ def snf_kernel(A):
     if A.cols == 0:
         return Matrix.zeros(ZZ, 0, 0)
     form = smith_normal_form(A)
-    cols = [form.V.col(j) for j in range(form.rank, A.cols)]
+    cols = [tuple(r.get(j, 0) for r in form.v_rows) for j in range(form.rank, A.cols)]
     if not cols:
         return Matrix.zeros(ZZ, A.cols, 0)
     return hnf_columns(Matrix.from_columns(ZZ, cols, rows=A.cols))
@@ -466,7 +466,7 @@ def snf_solvable(A, b):
     U b is divisible by d_i within the rank and zero past it."""
     from tannakit.smith import smith_normal_form
     form = smith_normal_form(A)
-    y = form.U.apply(b)
+    y = [sum(x * b[c] for c, x in row.items()) for row in form.u_rows]
     d = form.invariant_factors
     return all(y[i] % d[i] == 0 if i < len(d) else y[i] == 0
                for i in range(A.rows))
@@ -603,8 +603,9 @@ def dense_structure_constants(E):
     every pair of basis families multiplied as dense vertex blocks, each
     product solved against the whole basis by DenseSolver, with no use of
     the basis shape."""
-    solver = DenseSolver(E.basis)
-    rows = [[E.component(i, v).data for v in E.order] for i in range(E.dim)]
+    from sparse_helpers import basis_matrix, component_matrix
+    solver = DenseSolver(basis_matrix(E))
+    rows = [[component_matrix(E, i, v).data for v in E.order] for i in range(E.dim)]
     cols = [[tuple(zip(*block)) for block in fam] for fam in rows]
     table = []
     for x in rows:
@@ -625,6 +626,7 @@ def dense_product_on_truncations(ctx, subF, subG, subH):
     DenseSolver against the columns kron(e_i at v, f_j at w) flattened over
     the pairs (v, w), one column per pair (i, j) of basis families."""
     from tannakit.matrix import Matrix
+    from sparse_helpers import component_matrix, tau_matrix
     EF, EG, EH = ctx.end(subF), ctx.end(subG), ctx.end(subH)
     pairs = [(v, w) for v in subF.vertices for w in subG.vertices]
     gens = []
@@ -632,7 +634,7 @@ def dense_product_on_truncations(ctx, subF, subG, subH):
         for j in range(EG.dim):
             flat = []
             for v, w in pairs:
-                kr = EF.component(i, v).kron(EG.component(j, w))
+                kr = component_matrix(EF, i, v).kron(component_matrix(EG, j, w))
                 flat.extend(x for r in range(kr.rows) for x in kr.row(r))
             gens.append(tuple(flat))
     solver = DenseSolver(Matrix.from_columns(ctx.ring, gens,
@@ -642,7 +644,8 @@ def dense_product_on_truncations(ctx, subF, subG, subH):
         flat = []
         for v, w in pairs:
             t = ctx.tau(v, w)
-            m = t.matrix * EH.component(k, ctx.product_vertex(v, w)) * t.inverse
+            m = (tau_matrix(t) * component_matrix(EH, k, ctx.product_vertex(v, w))
+                 * tau_matrix(t, inverse=True))
             flat.extend(x for r in range(m.rows) for x in m.row(r))
         sol = solver.solve(tuple(flat))
         if sol is None:
@@ -775,14 +778,15 @@ def dense_equal_mod(m1, m2, orders):
 def dense_comodule_failures(m):
     """check_comodule_axioms' failures through delta.kron(eye) products."""
     from tannakit.matrix import Matrix
-    A = m.coalgebra
+    from sparse_helpers import counit_matrix, delta_matrix, rho_matrix
+    A, rho = m.coalgebra, rho_matrix(m)
     eye_v = Matrix.identity(A.ring, m.ngens)
-    left = A.delta.kron(eye_v) * m.rho
-    right = Matrix.identity(A.ring, A.rank).kron(m.rho) * m.rho
+    left = delta_matrix(A).kron(eye_v) * rho
+    right = Matrix.identity(A.ring, A.rank).kron(rho) * rho
     failures = []
     if not dense_equal_mod(left, right, list(m.gen_orders) * A.rank ** 2):
         failures.append("coassociativity: (Delta (x) id) rho != (id (x) rho) rho")
-    if not dense_equal_mod(A.counit.kron(eye_v) * m.rho, eye_v, m.gen_orders):
+    if not dense_equal_mod(counit_matrix(A).kron(eye_v) * rho, eye_v, m.gen_orders):
         failures.append("counit: (eps (x) id) rho != id")
     return tuple(failures)
 
@@ -790,8 +794,9 @@ def dense_comodule_failures(m):
 def dense_is_morphism(src, dst, f):
     """rho_dst f == (id (x) f) rho_src modulo dst's orders, through a kron."""
     from tannakit.matrix import Matrix
-    right = Matrix.identity(f.ring, src.coalgebra.rank).kron(f) * src.rho
-    return dense_equal_mod(dst.rho * f, right,
+    from sparse_helpers import rho_matrix
+    right = Matrix.identity(f.ring, src.coalgebra.rank).kron(f) * rho_matrix(src)
+    return dense_equal_mod(rho_matrix(dst) * f, right,
                            list(dst.gen_orders) * src.coalgebra.rank)
 
 
@@ -820,7 +825,8 @@ def _integer_data(m):
 @lru_cache(maxsize=16)
 def _integer_coalgebra(A):
     """_integer_data of the comultiplication, then of the counit, of A."""
-    return _integer_data(A.delta) + _integer_data(A.counit)
+    from sparse_helpers import counit_matrix, delta_matrix
+    return _integer_data(delta_matrix(A)) + _integer_data(counit_matrix(A))
 
 
 def _matmul(x, y):
@@ -869,19 +875,22 @@ def dense_fragment_bialgebra(mu, AF, AG, AH):
 def dense_tensor_rho(m, n, mu):
     """(mu (x) 1)(1 swap 1)(rho_m (x) rho_n), before reduction mod the orders."""
     from tannakit.matrix import Matrix
+    from sparse_helpers import mu_matrix, rho_matrix
     rf, rg, km, kn = m.coalgebra.rank, n.coalgebra.rank, m.ngens, n.ngens
-    swapped = Matrix(m.rho.ring, _swap_rows(m.rho.kron(n.rho).data, rf, km, rg, kn))
-    return mu.matrix.kron(Matrix.identity(mu.matrix.ring, km * kn)) * swapped
+    rho_m = rho_matrix(m)
+    swapped = Matrix(rho_m.ring, _swap_rows(rho_m.kron(rho_matrix(n)).data, rf, km, rg, kn))
+    return mu_matrix(mu).kron(Matrix.identity(rho_m.ring, km * kn)) * swapped
 
 
 def dense_associativity(mu_fg, mu_fg_k, mu_gk, mu_f_gk, t_left, t_right):
     """t_l mu_(fg)k (mu_fg (x) 1) == t_r mu_f(gk) (1 (x) mu_gk)."""
     from tannakit.matrix import Matrix
-    ring = mu_fg.matrix.ring
-    left = t_left.matrix * mu_fg_k.matrix * mu_fg.matrix.kron(
+    from sparse_helpers import mu_matrix, transition_matrix
+    ring = mu_fg.EF.ring
+    left = transition_matrix(t_left) * mu_matrix(mu_fg_k) * mu_matrix(mu_fg).kron(
         Matrix.identity(ring, mu_gk.EG.dim))
-    right = t_right.matrix * mu_f_gk.matrix * Matrix.identity(
-        ring, mu_fg.EF.dim).kron(mu_gk.matrix)
+    right = transition_matrix(t_right) * mu_matrix(mu_f_gk) * Matrix.identity(
+        ring, mu_fg.EF.dim).kron(mu_matrix(mu_gk))
     return left == right
 
 
@@ -890,6 +899,7 @@ def dense_tau_associativity(ctx, v, w, x):
     from tannakit.maps import induced_map_on_homology
     from tannakit.matrix import Matrix
     from tannakit.structures import SimplicialMap
+    from sparse_helpers import tau_matrix
     vw, wx = ctx.product_vertex(v, w), ctx.product_vertex(w, x)
     vw_x, v_wx = ctx.product_vertex(vw, x), ctx.product_vertex(v, wx)
     (p_l, n_l), (p_r, _) = ctx.diagram.payloads[vw_x], ctx.diagram.payloads[v_wx]
@@ -897,15 +907,16 @@ def dense_tau_associativity(ctx, v, w, x):
                           {t: (t[0][0], (t[0][1], t[1])) for t in p_l.X.vertices})
     alpha_star = induced_map_on_homology(alpha, p_l, p_r, n_l, ctx.ring).matrix
     eye = lambda u: Matrix.identity(ctx.ring, ctx.rep.rank(u))  # noqa: E731
-    return (ctx.tau(v, w).matrix.kron(eye(x)) * ctx.tau(vw, x).matrix
-            == eye(v).kron(ctx.tau(w, x).matrix) * ctx.tau(v, wx).matrix * alpha_star)
+    return (tau_matrix(ctx.tau(v, w)).kron(eye(x)) * tau_matrix(ctx.tau(vw, x))
+            == eye(v).kron(tau_matrix(ctx.tau(w, x))) * tau_matrix(ctx.tau(v, wx)) * alpha_star)
 
 
 def dense_sigma_step(mu, sigma_coords):
     """mu (1 (x) sigma): A_F -> A_F' for mu: A_F (x) A_C -> A_F'."""
     from tannakit.matrix import Matrix
-    ring = mu.matrix.ring
-    return mu.matrix * Matrix.identity(ring, mu.EF.dim).kron(Matrix.column(ring, sigma_coords))
+    from sparse_helpers import mu_matrix
+    ring = mu.EF.ring
+    return mu_matrix(mu) * Matrix.identity(ring, mu.EF.dim).kron(Matrix.column(ring, sigma_coords))
 
 
 def dense_module_tensor(a, b):

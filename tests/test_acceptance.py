@@ -36,6 +36,7 @@ from tannakit.tannaka import Subdiagram, end_algebra
 from tannakit.transition import factorization_check, transition_map
 
 from oracles import brute_commutant, homology_groups
+from sparse_helpers import delta_matrix, mu_matrix, smith_views, transition_matrix
 
 
 @pytest.fixture(scope="module")
@@ -59,10 +60,11 @@ def test_criterion_01_snf_suite():
         c = rng.randint(1, 6)
         A = Matrix(ZZ, [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
         form = smith_normal_form(A)
-        if form.U * A * form.V != form.D:
+        U, D, V, _ = smith_views(form)
+        if U * A * V != D:
             ok = False
             break
-        if abs(determinant(form.U)) != 1 or abs(determinant(form.V)) != 1:
+        if abs(determinant(U)) != 1 or abs(determinant(V)) != 1:
             ok = False
             break
         factors = form.invariant_factors
@@ -235,7 +237,8 @@ def test_criterion_08_axiom_suite(corpus):
             E = ctx.end(sub)
             A = ctx.coalgebra(sub)       # construction asserts the axioms
             eye = Matrix.identity(ring, A.rank)
-            if A.delta.kron(eye) * A.delta != eye.kron(A.delta) * A.delta:
+            delta = delta_matrix(A)
+            if delta.kron(eye) * delta != eye.kron(delta) * delta:
                 ok = False
             for v in sub.vertices:
                 co = coaction(ctx.rep, sub, v, E, A)
@@ -264,7 +267,8 @@ def test_criterion_09_bialgebra_suite(corpus):
         mu00 = product_on_truncations(ctx, F0, F0, F2)
         mu11 = product_on_truncations(ctx, F1, F1, F2)
         t01 = transition_map(ctx.rep, ctx.end(F0), ctx.end(F1))
-        if mu11.matrix * t01.matrix.kron(t01.matrix) != mu00.matrix:
+        t = transition_matrix(t01)
+        if mu_matrix(mu11) * t.kron(t) != mu_matrix(mu00):
             ok = False
     except ProductEscape:
         ok = False
@@ -301,7 +305,8 @@ def test_criterion_11_ez_aw_suite(corpus):
         assert X.dim + Y.dim <= 3
         ez, aw, tensor, cxy = ez_aw_maps(X, Y, ZZ)
         for n in range(0, tensor.top_degree + 1):
-            if aw.component(n) * ez.component(n) != Matrix.identity(ZZ, tensor.rank(n)):
+            # AW o EZ is the identity on every basis chain of the tensor complex
+            if any(aw.apply(n, ez.apply(n, {j: 1})) != {j: 1} for j in range(tensor.rank(n))):
                 ok = False
     # Kunneth rank identity for the torus over Q
     c3 = corpus.complexes["circle3"]

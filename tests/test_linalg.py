@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 from tannakit import smith
 from tannakit.errors import CompositionNonzero, TorsionPresent
 from tannakit.filtration import ModuleComplex
-from tannakit.forms import _column_reduce, determinant, hnf_columns, rref
+from tannakit.forms import determinant, hnf_columns, rref
 from tannakit.kunneth import tensor_swap
-from tannakit.linalg import QQ, ZZ, FgModule, Subquotient, _integral, _residual_divisors
+from tannakit.linalg import (
+    QQ, ZZ, FgModule, Subquotient, _integral, _reduced_columns, _residual_divisors,
+)
 from tannakit.maps import (
     ModuleMap, _nonzero_columns, dual_map, elementary_divisors, kernel, module_from_relations,
     subquotient,
@@ -23,7 +25,7 @@ from oracles import (
     echelon_columns, middle_swap_matrix, minor_gcd_divisors, modp_subquotient_size,
     naive_diagonal, oracle_column_reduce, snf_kernel, snf_solvable,
 )
-from sparse_helpers import cols, dense, presented, solve, solver, vec
+from sparse_helpers import cols, dense, mat, presented, smith_views, solve, solver, vec
 
 
 def mz(rows):
@@ -32,6 +34,19 @@ def mz(rows):
 
 def mq(rows):
     return Matrix(QQ, rows)
+
+
+def column_reduce(A):
+    """_reduced_columns of A as Matrices (H, T, K): A*T = H, and K is a
+    basis of ker(A); over Q each reduced column is divided by its pivot, the
+    first entry of its H part, or of its T part in K."""
+    m, ring = A.rows, A.ring
+    head, tail, image = _reduced_columns(ring, cols(A), m)
+    if ring == QQ:
+        pivots = [h[min(h)] for h in head] + [t[min(t)] for t in tail[image:]]
+        head = [{i: Fraction(x, p) for i, x in h.items()} for h, p in zip(head, pivots)]
+        tail = [{i: Fraction(x, p) for i, x in t.items()} for t, p in zip(tail, pivots)]
+    return mat(ring, head, m), mat(ring, tail[:image], A.cols), mat(ring, tail[image:], A.cols)
 
 
 def dense_kernel(A):
@@ -47,12 +62,12 @@ class TestSmith:
     def test_identity(self):
         form = smith_normal_form(Matrix.identity(ZZ, 3))
         assert form.invariant_factors == (1, 1, 1)
-        assert form.D == Matrix.identity(ZZ, 3)
+        assert smith_views(form)[1] == Matrix.identity(ZZ, 3)
 
     def test_zero(self):
         form = smith_normal_form(Matrix.zeros(ZZ, 2, 2))
         assert form.invariant_factors == ()
-        assert form.D.is_zero()
+        assert smith_views(form)[1].is_zero()
 
     def test_empty_shapes(self):
         for r, c in [(0, 0), (0, 3), (3, 0)]:
@@ -84,11 +99,13 @@ class TestSmith:
             c = rng.randint(1, 6)
             A = mz([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
             form = smith_normal_form(A)
-            assert form.U * A * form.V == form.D
-            assert abs(determinant(form.U)) == 1
-            assert abs(determinant(form.V)) == 1
-            assert form.U * form.Uinv == Matrix.identity(ZZ, r)
-            assert form.V * form.Vinv == Matrix.identity(ZZ, c)
+            U, D, V, Uinv = smith_views(form)
+            assert U * A * V == D
+            assert abs(determinant(U)) == 1
+            assert abs(determinant(V)) == 1
+            assert U * Uinv == Matrix.identity(ZZ, r)
+            # V is invertible over Z: its columns span Z^c
+            assert oracle_column_reduce(V)[0] == Matrix.identity(ZZ, c)
             factors = form.invariant_factors
             for a, b in zip(factors, factors[1:]):
                 assert b % a == 0
@@ -132,24 +149,9 @@ class TestSmithTransforms:
     @settings(max_examples=300, deadline=None)
     @given(smith_matrices())
     def test_equals_dense_oracle(self, A):
-        form = smith_normal_form(A)
-        assert (form.U, form.D, form.V, form.Uinv, form.Vinv) == dense_smith_normal_form(A)
-
-    def test_inverses_only_when_read(self, monkeypatch):
-        import tannakit.smith as smith
-        calls = []
-        real = smith._column_reduce
-        monkeypatch.setattr(smith, "_column_reduce", lambda M: calls.append(M) or real(M))
-        A = mz([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])    # no unit: all of it is SNF
-        assert elementary_divisors(ZZ, cols(A)) == (2, 6, 12)
-        form = smith_normal_form(A)
-        assert form.invariant_factors == (2, 6, 12)
-        assert calls == [] and not {"U", "D", "V"} & vars(form).keys()
-        Uinv = form.Uinv
-        assert calls == [form.U]
-        assert form.Uinv is Uinv and len(calls) == 1
-        assert form.V * form.Vinv == Matrix.identity(ZZ, 3)
-        assert calls == [form.U, form.V]
+        U, D, V, Uinv, Vinv = dense_smith_normal_form(A)
+        assert smith_views(smith_normal_form(A)) == (U, D, V, Uinv)
+        assert V * Vinv == Matrix.identity(ZZ, A.cols)
 
     @settings(max_examples=200, deadline=None)
     @given(smith_matrices(), st.data())
@@ -160,21 +162,23 @@ class TestSmithTransforms:
         form = smith_normal_form(A)
         cols = data.draw(st.lists(st.integers(0, max(A.rows - 1, 0)), unique=True,
                                   max_size=A.rows))
-        assert form.inverse_columns(cols) == _nonzero_columns(form.Uinv.take_cols(cols))
+        Uinv = dense_smith_normal_form(A)[3]
+        assert form.inverse_columns(cols) == _nonzero_columns(Uinv.take_cols(cols))
 
     def test_inverse_columns_check_the_row_operations(self):
         A = mz([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
         form = smith_normal_form(A)
+        Uinv = dense_smith_normal_form(A)[3]
         assert form._row_ops and (form.inverse_columns([0, 2])
-                                  == _nonzero_columns(form.Uinv.take_cols([0, 2])))
+                                  == _nonzero_columns(Uinv.take_cols([0, 2])))
         dst, src, q = next(op for op in form._row_ops if op[2])
         form._row_ops[form._row_ops.index((dst, src, q))] = (dst, src, q + 1)
         with pytest.raises(AssertionError, match="do not invert"):
             form.inverse_columns([0, 1, 2])
 
     def test_inverse_of_a_non_unimodular_transform_raises(self):
-        with pytest.raises(AssertionError, match="not unimodular"):
-            SmithForm([{0: 2}], [{0: 2}], [{0: 1}]).Uinv
+        with pytest.raises(AssertionError, match="do not invert"):
+            SmithForm([{0: 2}], [{0: 2}], [{0: 1}]).inverse_columns([0])
 
 
 class TestKernelSolve:
@@ -706,7 +710,7 @@ class TestEchelon:
     @settings(max_examples=300, deadline=None)
     @given(any_ring_matrices)
     def test_column_reduce_equals_oracle(self, A):
-        H, T, K = _column_reduce(A)
+        H, T, K = column_reduce(A)
         assert A * T == H
         assert (A * K).is_zero()
         assert (H, T, K) == oracle_column_reduce(A)

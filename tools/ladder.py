@@ -177,7 +177,7 @@ def bialgebra_rung(sizes):
             tau = time.perf_counter()
             mu = product_on_truncations(ctx, F, G, H)
             mid = time.perf_counter()
-            ok = check_fragment_bialgebra(ctx, mu).ok
+            ok = check_fragment_bialgebra(mu).ok
             print("W_%d over %s: tau %.3f s, mu %dx%d %.3f s, check_fragment_bialgebra"
                   " %.3f s, ok %s" % (r, ring, tau - start, mu.EH.dim, mu.EF.dim * mu.EG.dim,
                                       mid - tau, time.perf_counter() - mid, ok))
